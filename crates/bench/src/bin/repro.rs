@@ -11,15 +11,6 @@
 //! dumps; ours are structural analogs — see DESIGN.md §4, which also
 //! records the expected *shapes*: who wins, by how much, where the
 //! crossovers are. Those shapes are the reproduction target).
-//!
-//! `--queries` additionally writes `BENCH_store.json` (per-query-class ns,
-//! batch speedup, thread-scaling factors for the 10k mixed batch) to the
-//! working directory; run from the repo root to regenerate the checked-in
-//! baseline:
-//!
-//! ```sh
-//! cargo run --release -p grepair-bench --bin repro -- --queries
-//! ```
 
 use grepair_bench::*;
 use grepair_core::GRePairConfig;
@@ -503,25 +494,6 @@ fn queries(scale: Scale) {
                 &widths
             )
         );
-    }
-
-    // The machine-readable serving trajectory: per-query-class ns, batch
-    // speedup, and thread scaling for the 10k mixed batch, written to
-    // BENCH_store.json in the working directory (the repo root when run as
-    // documented) so CI can check it and PRs can diff it.
-    let report = grepair_bench::serving::measure_store_serving(scale);
-    let json = grepair_bench::serving::render_store_bench_json(&report);
-    let path = "BENCH_store.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!(
-            "\nwrote {path} (scale={}, {} threads available, batch speedup {:.2}x, \
-             thread-scaling factor {:.2}x)",
-            report.scale,
-            report.threads_available,
-            report.batch_speedup(),
-            report.scaling_factor(),
-        ),
-        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 }
 

@@ -1,35 +1,32 @@
 //! `serve-probe` — the wire-protocol client for a live `grepair-server`
-//! (or `grepair store serve`): CI's byte-identity check and a
-//! client-driven throughput probe.
+//! (or `grepair store serve`): CI's byte-identity check, the connection
+//! soak, and the chaos report.
 //!
 //! ```text
 //! serve-probe <addr> <queries.txt> [--namespace NAME]   # stream a query file, replies to stdout
-//! serve-probe <addr> --throughput N [--namespace NAME]  # generate the skewed mixed workload
 //! ```
 //!
 //! File mode writes exactly one reply line per request line to stdout, so
 //! `diff <(serve-probe ADDR q.txt) <(grepair store serve-file g.g2g q.txt)`
-//! is the protocol's equivalence oracle. Throughput mode asks the server
-//! `INFO` for its node count, generates `N` queries with
-//! [`grepair_bench::serving::mixed_batch`] (the same skewed-popularity
-//! workload `BENCH_store.json` measures in-process), and reports
-//! client-observed queries/second to stderr.
+//! is the protocol's equivalence oracle. The q/s the probe prints is
+//! informational; the measured client-observed throughput and latency are
+//! the repository benchmark's `serve_qps` / `serve_p50_us`
+//! (`benchmark/README.md`).
 //!
 //! `--namespace NAME` targets one tenant of a multi-tenant server
 //! (DESIGN.md §8): every query line is sent with a `NAME:` prefix (admin
-//! lines go bare — admin verbs take no prefix), and throughput mode reads
-//! `INFO` through `USE NAME` so the node count is the tenant's own. CI's
-//! cross-namespace byte-identity diff is this flag against a per-tenant
-//! `store serve-file` run.
+//! lines go bare — admin verbs take no prefix). CI's cross-namespace
+//! byte-identity diff is this flag against a per-tenant `store serve-file`
+//! run.
 
 use std::io::Write;
 use std::process::ExitCode;
+use std::time::Instant;
 
-use grepair_bench::serving::{mixed_batch, probe_server, query_line};
+use grepair_store::Query;
 
 const USAGE: &str = "usage:
   serve-probe <addr> <queries.txt> [--namespace NAME]     stream a query file, replies to stdout
-  serve-probe <addr> --throughput <N> [--namespace NAME]  drive N generated mixed queries, report q/s
   serve-probe <addr> --chaos-report <N> [--namespace NAME]
                drive N mixed queries through concurrent fault-tolerant
                connections against a (possibly faulted) server, collect the
@@ -88,17 +85,6 @@ fn run(args: &[String]) -> Result<(), String> {
     }
     let addr = rest.first().ok_or("missing server address")?;
     match rest.get(1).map(String::as_str) {
-        Some("--throughput") => {
-            let count: u64 = rest
-                .get(2)
-                .ok_or("missing query count")?
-                .parse()
-                .map_err(|e| format!("bad query count: {e}"))?;
-            if let Some(extra) = rest.get(3) {
-                return Err(format!("unexpected argument {extra:?}"));
-            }
-            throughput(addr, count, namespace.as_deref())
-        }
         Some("--connections") => {
             let count: usize = rest
                 .get(2)
@@ -127,7 +113,7 @@ fn run(args: &[String]) -> Result<(), String> {
             }
             stream_file(addr, path, namespace.as_deref())
         }
-        None => Err("missing queries file or --throughput".into()),
+        None => Err("missing queries file or mode flag".into()),
     }
 }
 
@@ -154,6 +140,114 @@ fn prefixed(line: &str, namespace: Option<&str>) -> String {
         }
         _ => line.to_string(),
     }
+}
+
+/// The generated workload of the `--connections` burst and the chaos
+/// report: mixed queries whose popularity is skewed the way real serving
+/// traffic is — three quarters of the ids come from a ~61-key hot set (what
+/// the batch amortization levers exist for), one quarter from a uniform
+/// tail that keeps the caches honest.
+fn mixed_batch(n: u64, len: u64) -> Vec<Query> {
+    let hot = |i: u64| ((i % 61) * 2_654_435_761) % n;
+    let cold = |i: u64| (i.wrapping_mul(7919) + 13) % n;
+    let pick = |i: u64| if i.is_multiple_of(4) { cold(i) } else { hot(i) };
+    (0..len)
+        .map(|i| match i % 5 {
+            0 => Query::OutNeighbors(pick(i)),
+            1 => Query::InNeighbors(pick(i + 1)),
+            2 => Query::Reach { s: pick(i + 2), t: cold(i) },
+            3 => Query::Rpq {
+                s: pick(i + 3),
+                t: cold(i + 1),
+                pattern: if i % 2 == 0 { "0 1".into() } else { "0* 1*".into() },
+            },
+            _ => Query::Neighbors(pick(i + 4)),
+        })
+        .collect()
+}
+
+/// Render one query as a wire-protocol request line (DESIGN.md §6) — the
+/// inverse of `grepair_store::parse_query`.
+fn query_line(q: &Query) -> String {
+    match q {
+        Query::OutNeighbors(v) => format!("out {v}"),
+        Query::InNeighbors(v) => format!("in {v}"),
+        Query::Neighbors(v) => format!("neighbors {v}"),
+        Query::Reach { s, t } => format!("reach {s} {t}"),
+        Query::Rpq { s, t, pattern } => format!("rpq {s} {t} {pattern}"),
+        Query::Components => "components".into(),
+        Query::DegreeExtrema => "degrees".into(),
+    }
+}
+
+/// What one socket probe against a live server saw.
+struct ProbeReport {
+    /// Request lines sent (blank/comment lines are not requests).
+    sent: usize,
+    /// Every reply line, in order — for file mode these bytes are asserted
+    /// identical to `store serve-file` on the same input.
+    answers: Vec<String>,
+    /// How many of the replies were `error:` lines.
+    errors: usize,
+    /// Wall time from first byte written to last reply read.
+    elapsed_ns: f64,
+}
+
+impl ProbeReport {
+    /// Requests per second over the whole probe.
+    fn throughput_qps(&self) -> f64 {
+        if self.elapsed_ns <= 0.0 {
+            return 0.0;
+        }
+        self.sent as f64 / (self.elapsed_ns / 1e9)
+    }
+}
+
+/// Stream `lines` to a live server at `addr` and collect one reply line
+/// per request line — the client half of the wire protocol, pipelined: a
+/// scoped writer thread pushes the borrowed workload while this thread
+/// drains replies, so neither side deadlocks on a full socket buffer (the
+/// client shape DESIGN.md §6.1 requires).
+fn probe_server(addr: &str, lines: &[String]) -> std::io::Result<ProbeReport> {
+    use std::io::{BufRead, BufReader, BufWriter};
+    use std::net::{Shutdown, TcpStream};
+
+    let stream = TcpStream::connect(addr)?;
+    let _ = stream.set_nodelay(true);
+    let reader = BufReader::new(stream.try_clone()?);
+    let start = Instant::now();
+    let sent = lines
+        .iter()
+        .filter(|l| {
+            let t = l.trim();
+            !t.is_empty() && !t.starts_with('#')
+        })
+        .count();
+    let mut answers = Vec::with_capacity(sent);
+    let mut errors = 0usize;
+    std::thread::scope(|scope| -> std::io::Result<()> {
+        let writer = scope.spawn(move || -> std::io::Result<()> {
+            let mut out = BufWriter::new(&stream);
+            for line in lines {
+                out.write_all(line.as_bytes())?;
+                out.write_all(b"\n")?;
+            }
+            out.flush()?;
+            // Half-close: the server answers everything, then closes,
+            // which ends the reader's drain below.
+            stream.shutdown(Shutdown::Write)
+        });
+        for line in reader.lines() {
+            let line = line?;
+            if line.starts_with("error: ") {
+                errors += 1;
+            }
+            answers.push(line);
+        }
+        writer.join().expect("probe writer thread")
+    })?;
+    let elapsed_ns = start.elapsed().as_nanos() as f64;
+    Ok(ProbeReport { sent, answers, errors, elapsed_ns })
 }
 
 /// File mode: replies go to stdout byte-for-byte, like serve-file's.
@@ -258,7 +352,7 @@ fn chaos_report(addr: &str, count: u64, namespace: Option<&str>) -> Result<(), S
 
     // Fan the workload over four concurrent fault-tolerant connections.
     let chunk = lines.len().div_ceil(4).max(1);
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     let (mut answered, mut busy, mut errors, mut dead_connections) = (0u64, 0u64, 0u64, 0u64);
     std::thread::scope(|s| {
         let handles: Vec<_> =
@@ -296,7 +390,7 @@ fn chaos_report(addr: &str, count: u64, namespace: Option<&str>) -> Result<(), S
     // Drain: SHUTDOWN, then poll until the listener is really gone. The
     // `draining` ack may itself be killed by a lingering session fault, so
     // EOF without it still counts as "sent".
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     let (replies, _) = salvage(addr, &["SHUTDOWN".to_string()]);
     let shutdown_acknowledged = replies.first().is_some_and(|r| r == "draining");
     let mut drained = false;
@@ -373,18 +467,14 @@ fn connections(addr: &str, count: usize, threads_of: Option<u32>) -> Result<(), 
     // watcher) and learn the node count before taking the baseline.
     let info = probe_server(addr, &["INFO".to_string()]).map_err(|e| format!("{addr}: {e}"))?;
     let info_line = info.answers.first().ok_or("server sent no INFO reply")?.clone();
-    let nodes: u64 = info_line
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("nodes="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
+    let nodes: u64 = field(&info_line, "nodes=").and_then(|v| v.parse().ok()).unwrap_or(1);
     let threads_base = threads_of.and_then(thread_count_of);
     if threads_of.is_some() && threads_base.is_none() {
         return Err("--threads-of: cannot read Threads: from /proc (linux only, live PID)".into());
     }
 
     // Park the idle herd.
-    let t = std::time::Instant::now();
+    let t = Instant::now();
     let mut idle: Vec<TcpStream> = Vec::with_capacity(count);
     for i in 0..count {
         match TcpStream::connect(addr) {
@@ -484,49 +574,30 @@ fn connections(addr: &str, count: usize, threads_of: Option<u32>) -> Result<(), 
     Ok(())
 }
 
-/// Throughput mode: learn the node count from `INFO` (through `USE` when
-/// a tenant is targeted), then push the bench's skewed mixed workload
-/// through the socket.
-fn throughput(addr: &str, count: u64, namespace: Option<&str>) -> Result<(), String> {
-    let preamble: Vec<String> = match namespace {
-        Some(ns) => vec![format!("USE {ns}"), "INFO".to_string()],
-        None => vec!["INFO".to_string()],
-    };
-    let info = probe_server(addr, &preamble).map_err(|e| format!("{addr}: {e}"))?;
-    let info_line = info.answers.last().ok_or("server sent no INFO reply")?;
-    if let Some(first) = info.answers.first() {
-        if first.starts_with("error: ") {
-            return Err(format!("server rejected the probe preamble: {first}"));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `query_line` is the inverse of the server's parser for every
+    /// `Query` variant (one of each, then the generated workload's own
+    /// id and pattern shapes), so a probe asks exactly what it means.
+    #[test]
+    fn query_lines_round_trip_through_the_parser() {
+        let mut queries = vec![
+            Query::OutNeighbors(0),
+            Query::InNeighbors(u64::MAX),
+            Query::Neighbors(7),
+            Query::Reach { s: 3, t: 96 },
+            Query::Rpq { s: 1, t: 2, pattern: "0* 1? 2+".into() },
+            Query::Components,
+            Query::DegreeExtrema,
+        ];
+        queries.extend(mixed_batch(97, 200));
+        for q in queries {
+            let line = query_line(&q);
+            let parsed = grepair_store::parse_query(&line)
+                .unwrap_or_else(|e| panic!("{line:?} must re-parse: {e}"));
+            assert_eq!(parsed, q, "{line:?}");
         }
     }
-    let nodes: u64 = info_line
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("nodes="))
-        .ok_or_else(|| format!("unparsable INFO reply {info_line:?}"))?
-        .parse()
-        .map_err(|e| format!("unparsable node count in {info_line:?}: {e}"))?;
-    if nodes == 0 {
-        return Err("server is serving an empty graph".into());
-    }
-    let lines: Vec<String> = mixed_batch(nodes, count)
-        .iter()
-        .map(|q| prefixed(&query_line(q), namespace))
-        .collect();
-    let report = probe_server(addr, &lines).map_err(|e| format!("{addr}: {e}"))?;
-    eprintln!("{info_line}");
-    eprintln!(
-        "throughput: {} queries in {:.1} ms -> {:.1} q/s ({} errors)",
-        report.sent,
-        report.elapsed_ns / 1e6,
-        report.throughput_qps(),
-        report.errors
-    );
-    if report.answers.len() != report.sent {
-        return Err(format!(
-            "server answered {} of {} requests — connection cut short?",
-            report.answers.len(),
-            report.sent
-        ));
-    }
-    Ok(())
 }

@@ -15,8 +15,6 @@ use grepair_core::{compress, CompressedGraph, GRePairConfig};
 use grepair_datasets::{network, rdf, stats, ttt, version, DatasetStats};
 use grepair_hypergraph::Hypergraph;
 
-pub mod serving;
-
 /// The flags the `repro` binary understands: every section of the paper's
 /// evaluation, the global `--quick` scale switch, and `--all`.
 pub const REPRO_FLAGS: &[&str] = &[
@@ -269,6 +267,8 @@ mod tests {
         assert_eq!(validate_repro_flags(&args(&[])), Ok(()));
         assert_eq!(validate_repro_flags(&args(&["--table1", "--quick"])), Ok(()));
         assert_eq!(validate_repro_flags(&args(&["--all"])), Ok(()));
+        // `--queries` selects the §V grammar-vs-BFS table.
+        assert_eq!(validate_repro_flags(&args(&["--queries", "--quick"])), Ok(()));
         // Unknown flags — including --help — name the offender.
         assert_eq!(validate_repro_flags(&args(&["--help"])), Err("--help".into()));
         assert_eq!(

@@ -1,14 +1,14 @@
-//! The probe client against a live loopback server: the bench workload
-//! generator, the wire rendering, and the pipelined client must agree with
-//! the in-process batch API answer for answer.
+//! The `serve-probe` binary against a live loopback server: its file mode
+//! (the pipelined wire client CI's byte-identity diffs rest on) must agree
+//! with the in-process batch API answer for answer, error lines included.
 
+use std::process::Command;
 use std::sync::Arc;
 
-use grepair_bench::serving::{mixed_batch, probe_server, query_line};
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
 use grepair_server::{Server, ServerConfig};
-use grepair_store::{error_reply, write_container, GraphStore, StoreRegistry};
+use grepair_store::{error_reply, parse_query, write_container, GraphStore, Query, StoreRegistry};
 
 fn fixture_bytes() -> Vec<u8> {
     let reps = 24u32;
@@ -31,27 +31,50 @@ fn probe_answers_match_the_in_process_batch() {
     let handle = server.handle().unwrap();
     let thread = std::thread::spawn(move || server.run().unwrap());
 
+    // Every query class, ids past the end (per-line errors), and enough
+    // lines that the pipelined writer and reader genuinely overlap.
     let store = GraphStore::from_bytes(&bytes).unwrap();
-    let queries = mixed_batch(store.total_nodes(), 2_000);
-    let lines: Vec<String> = queries.iter().map(query_line).collect();
-    let report = probe_server(&addr.to_string(), &lines).unwrap();
-    assert_eq!(report.sent, queries.len());
-    assert_eq!(report.answers.len(), queries.len());
-    assert!(report.elapsed_ns > 0.0);
-    assert!(report.throughput_qps() > 0.0);
+    let n = store.total_nodes();
+    let lines: Vec<String> = (0..2_000u64)
+        .map(|i| match i % 7 {
+            0 => format!("out {}", i % (n + 3)),
+            1 => format!("in {}", (i * 7) % n),
+            2 => format!("neighbors {}", (i * 13) % n),
+            3 => format!("reach {} {}", i % n, (i * 31) % (n + 2)),
+            4 => format!("rpq {} {} 0* 1*", i % n, (i * 11) % n),
+            5 => "components".to_string(),
+            _ => "degrees".to_string(),
+        })
+        .collect();
+    let queries: Vec<Query> = lines.iter().map(|l| parse_query(l).unwrap()).collect();
+    let path = std::env::temp_dir().join(format!("grepair_probe_{}.txt", std::process::id()));
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+
+    let out = Command::new(env!("CARGO_BIN_EXE_serve-probe"))
+        .arg(addr.to_string())
+        .arg(&path)
+        .output()
+        .expect("serve-probe runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let answers: Vec<&str> = stdout.lines().collect();
+    assert_eq!(answers.len(), queries.len());
 
     let expected = store.query_batch(&queries);
-    for (i, (got, want)) in report.answers.iter().zip(&expected).enumerate() {
+    for (i, (got, want)) in answers.iter().zip(&expected).enumerate() {
         let want = match want {
             Ok(a) => a.to_string(),
             Err(e) => error_reply(e),
         };
-        assert_eq!(got, &want, "answer {i} ({:?})", queries[i]);
+        assert_eq!(*got, want, "answer {i} ({:?})", queries[i]);
     }
-    assert_eq!(
-        report.errors,
-        expected.iter().filter(|a| a.is_err()).count(),
-        "error count must match"
+    let errors = expected.iter().filter(|a| a.is_err()).count();
+    assert!(errors > 0, "the workload must exercise the error path");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains(&format!("probed {} queries ({errors} errors)", queries.len())),
+        "{stderr}"
     );
 
     handle.stop();

@@ -15,7 +15,7 @@ fn repro(args: &[&str]) -> Output {
 fn unknown_flags_are_usage_errors() {
     for bad in [&["--help"][..], &["--tabel1"], &["table1"], &["--table1", "--bogus"]] {
         let out = repro(bad);
-        assert!(!out.status.success(), "{bad:?} must exit non-zero");
+        assert_eq!(out.status.code(), Some(2), "{bad:?} must exit 2");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage:"), "{bad:?} must print usage:\n{stderr}");
         assert!(stderr.contains("unknown flag"), "{bad:?}:\n{stderr}");

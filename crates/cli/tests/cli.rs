@@ -34,18 +34,25 @@ fn assert_clean_failure(out: &Output, needle: &str, what: &str) {
     );
 }
 
-/// Compress a small two-label path graph, returning the .g2g path.
+/// Compress a small two-label path graph, returning the .g2g path. Built
+/// once per test process: the tests run concurrently and only read it, and
+/// a per-call rewrite would truncate the file under another test's reader.
 fn compressed_fixture() -> String {
-    let input = scratch("fixture.txt");
-    let g2g = scratch("fixture.g2g");
-    let mut text = String::new();
-    for i in 0..20u32 {
-        text.push_str(&format!("{} 0 {}\n{} 1 {}\n", 2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2));
-    }
-    std::fs::write(&input, text).unwrap();
-    let out = grepair(&["compress", input.to_str().unwrap(), "-o", g2g.to_str().unwrap()]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    g2g.to_str().unwrap().to_string()
+    static FIXTURE: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    FIXTURE
+        .get_or_init(|| {
+            let input = scratch("fixture.txt");
+            let g2g = scratch("fixture.g2g");
+            let mut text = String::new();
+            for i in 0..20u32 {
+                text.push_str(&format!("{} 0 {}\n{} 1 {}\n", 2 * i, 2 * i + 1, 2 * i + 1, 2 * i + 2));
+            }
+            std::fs::write(&input, text).unwrap();
+            let out = grepair(&["compress", input.to_str().unwrap(), "-o", g2g.to_str().unwrap()]);
+            assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+            g2g.to_str().unwrap().to_string()
+        })
+        .clone()
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use grepair_store::StoreRegistry;
+use grepair_store::{StoreRegistry, DEFAULT_NAMESPACE};
 use grepair_util::args::{flag_value, flag_values, validate_value_flags};
 use grepair_util::fail;
 
@@ -252,7 +252,7 @@ impl Server {
                 while !stop.load(Ordering::Relaxed) {
                     std::thread::sleep(Duration::from_millis(200));
                     if signal::take_hup() {
-                        match registry.reload_from(&path) {
+                        match registry.reload(DEFAULT_NAMESPACE, Some(&path)) {
                             // audited: operator log from the reload watcher; stderr is the server's log surface
                             Ok(store) => eprintln!(
                                 "SIGHUP: reloaded {path} as generation {}",
@@ -587,7 +587,7 @@ pub fn run_cli(args: &[String]) -> Result<(), String> {
     let server = Server::bind(&config, Arc::clone(&registry), Some(g2g.clone()))
         .map_err(|e| format!("bind {}: {e}", config.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
-    let store = registry.current();
+    let store = registry.store(DEFAULT_NAMESPACE).map_err(|e| e.to_string())?;
     // audited: documented contract: scripts parse the listening line off stdout
     println!(
         "listening {addr} proto={} namespaces={} generation={} nodes={} backend={}",

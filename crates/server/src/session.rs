@@ -1032,7 +1032,7 @@ mod tests {
         assert!(lines[4].contains("reload_failures=1"), "{text}");
         assert!(lines[4].contains("last_error="), "{text}");
         assert_eq!(summary.reloads, 1);
-        assert_eq!(registry.generation(), 2);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(2));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1058,7 +1058,7 @@ mod tests {
         );
         assert!(lines[3].starts_with("namespaces=2 resident=2 "), "{out}");
         assert_eq!(summary.reloads, 1);
-        assert_eq!(registry.generation(), 1);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(1));
         assert_eq!(registry.generation_of("a").unwrap(), 2);
         let _ = std::fs::remove_file(&a);
         let _ = std::fs::remove_file(&b);
@@ -1240,7 +1240,7 @@ mod tests {
         let summary = serve_session(&registry, &pool, &mut reader, &mut out, &opts).unwrap();
         assert_eq!(String::from_utf8(out).unwrap(), expected);
         assert_eq!(summary.served, 192);
-        let stats = registry.stats();
+        let stats = registry.stats_for(DEFAULT_NAMESPACE).unwrap();
         assert!(stats.parallel_batches >= 1, "{stats}");
     }
 }

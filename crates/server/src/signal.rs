@@ -7,7 +7,7 @@
 //! only async-signal-safe thing possible — set an atomic flag — and a
 //! watcher thread (see [`crate::Server::spawn_sighup_watcher`] and the
 //! drain watcher in [`crate::Server::run`]) turns the flag into a
-//! [`grepair_store::StoreRegistry::reload_from`] call or a drain at its
+//! [`grepair_store::StoreRegistry::reload`] call or a drain at its
 //! leisure. The drain watcher's `stop()` self-connect doubles as the
 //! wakeup for *both* front ends: it unblocks the thread-mode `accept(2)`
 //! and makes the epoll reactor's listener readable, so a `SIGTERM` drain

@@ -21,7 +21,7 @@ mod common;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 
-use common::{g2g, LineClient, TestServer};
+use common::{g2g, temp_path, LineClient, TestServer};
 use grepair_util::fail;
 
 #[cfg(target_os = "linux")]
@@ -103,8 +103,7 @@ fn seeded_socket_chaos_no_torn_replies_then_byte_identical_recovery() {
     let server = TestServer::start(8, None);
     // Multi-tenant serving: a second namespace attached cold, so the
     // chaos schedules hit real cold-open (and breaker) paths mid-round.
-    let tenant_path = std::env::temp_dir()
-        .join(format!("grepair_chaos_srv_{}.g2g", std::process::id()));
+    let tenant_path = temp_path("chaos_srv");
     std::fs::write(&tenant_path, g2g(16)).unwrap();
     server.registry.attach_cold("t1", tenant_path.to_str().unwrap()).unwrap();
     let script = script(16);
@@ -216,8 +215,7 @@ fn seeded_epoll_chaos_no_torn_replies_then_byte_identical_recovery() {
         None,
         ServerConfig { io: IoMode::Epoll, ..ServerConfig::default() },
     );
-    let tenant_path = std::env::temp_dir()
-        .join(format!("grepair_chaos_epoll_{}.g2g", std::process::id()));
+    let tenant_path = temp_path("chaos_epoll");
     std::fs::write(&tenant_path, g2g(16)).unwrap();
     server.registry.attach_cold("t1", tenant_path.to_str().unwrap()).unwrap();
     let script = script(16);

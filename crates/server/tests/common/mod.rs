@@ -3,6 +3,8 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -24,6 +26,17 @@ pub fn g2g(reps: u32) -> Vec<u8> {
 
 pub fn store(reps: u32) -> GraphStore {
     GraphStore::from_bytes(&g2g(reps)).unwrap()
+}
+
+/// A scratch container path no other test can collide with: the pid keeps
+/// concurrently running test binaries apart, the process-wide counter keeps
+/// tests (and repeated fixtures) inside one binary apart — two fixtures
+/// sharing a pid-only name delete each other's file on drop.
+#[allow(dead_code)] // not every test binary including this module writes containers
+pub fn temp_path(stem: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("grepair_{stem}_{}_{n}.g2g", std::process::id()))
 }
 
 /// A serving loopback server that stops and joins on drop.

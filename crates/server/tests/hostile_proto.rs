@@ -8,7 +8,8 @@ mod common;
 use std::io::Write;
 use std::net::Shutdown;
 
-use common::{send_and_drain, LineClient, TestServer};
+use common::{send_and_drain, temp_path, LineClient, TestServer};
+use grepair_store::DEFAULT_NAMESPACE;
 
 #[test]
 fn garbage_lines_get_error_replies_and_serving_continues() {
@@ -38,7 +39,7 @@ fn garbage_lines_get_error_replies_and_serving_continues() {
 #[test]
 fn hostile_ids_over_the_socket_error_cleanly() {
     let server = TestServer::start(8, None);
-    let n = server.registry.current().total_nodes();
+    let n = server.registry.store(DEFAULT_NAMESPACE).unwrap().total_nodes();
     let mut client = LineClient::new(server.connect());
     // The tests/hostile.rs id corpus, shipped as protocol lines.
     for id in [n, n + 1, u64::MAX, 1 << 40] {
@@ -127,8 +128,7 @@ fn abrupt_disconnects_and_empty_connections_do_not_hurt() {
 
 #[test]
 fn hostile_reload_arguments_never_kill_the_store() {
-    let dir = std::env::temp_dir();
-    let junk = dir.join(format!("grepair_hostile_{}.g2g", std::process::id()));
+    let junk = temp_path("hostile");
     std::fs::write(&junk, b"not a g2g file at all, just some text").unwrap();
     let server = TestServer::start(8, None);
     let mut client = LineClient::new(server.connect());
@@ -142,26 +142,24 @@ fn hostile_reload_arguments_never_kill_the_store() {
     }
     // Generation unchanged, still serving the original store.
     assert!(client.roundtrip("STATS default").starts_with("generation=1 "));
-    assert_eq!(server.registry.generation(), 1);
+    assert_eq!(server.registry.generation_of(DEFAULT_NAMESPACE), Ok(1));
     assert_eq!(client.roundtrip("out 0"), "1");
     let _ = std::fs::remove_file(&junk);
 }
 
 #[test]
 fn hostile_attach_arguments_never_disturb_existing_namespaces() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
     let good = common::g2g(4);
 
     // A truncated container and a bit-flipped one, plus plain text junk.
-    let truncated = dir.join(format!("grepair_attach_trunc_{pid}.g2g"));
+    let truncated = temp_path("attach_trunc");
     std::fs::write(&truncated, &good[..good.len() / 2]).unwrap();
-    let flipped_path = dir.join(format!("grepair_attach_flip_{pid}.g2g"));
+    let flipped_path = temp_path("attach_flip");
     let mut flipped = good.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0xFF;
     std::fs::write(&flipped_path, &flipped).unwrap();
-    let junk = dir.join(format!("grepair_attach_junk_{pid}.g2g"));
+    let junk = temp_path("attach_junk");
     std::fs::write(&junk, b"definitely not a container").unwrap();
 
     let server = TestServer::start(8, None);
@@ -193,7 +191,7 @@ fn hostile_attach_arguments_never_disturb_existing_namespaces() {
     assert_eq!(client.roundtrip("PING"), "pong");
 
     // And a valid ATTACH still works after all that hostility.
-    let fine = dir.join(format!("grepair_attach_fine_{pid}.g2g"));
+    let fine = temp_path("attach_fine");
     std::fs::write(&fine, &good).unwrap();
     let reply = client.roundtrip(&format!("ATTACH fine {}", fine.display()));
     assert_eq!(reply, "attached fine generation=1 nodes=9 backend=grepair");

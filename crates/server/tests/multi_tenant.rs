@@ -6,7 +6,7 @@
 
 mod common;
 
-use common::{g2g, send_and_drain, LineClient, TestServer};
+use common::{g2g, send_and_drain, temp_path, LineClient, TestServer};
 use grepair_hypergraph::Hypergraph;
 use grepair_store::{error_reply, parse_query, GraphStore};
 
@@ -45,12 +45,10 @@ const WORKLOAD: &[&str] = &[
 
 #[test]
 fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
     let gram_bytes = g2g(6); // 13-node grammar-backed path
     let k2_bytes = k2_file(9);
-    let gram_path = dir.join(format!("grepair_mt_gram_{pid}.g2g"));
-    let k2_path = dir.join(format!("grepair_mt_k2_{pid}.g2g"));
+    let gram_path = temp_path("mt_gram");
+    let k2_path = temp_path("mt_k2");
     std::fs::write(&gram_path, &gram_bytes).unwrap();
     std::fs::write(&k2_path, &k2_bytes).unwrap();
 
@@ -120,10 +118,8 @@ fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
 
 #[test]
 fn reload_of_one_namespace_never_bumps_the_other() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
-    let a_path = dir.join(format!("grepair_mt_iso_a_{pid}.g2g"));
-    let b_path = dir.join(format!("grepair_mt_iso_b_{pid}.g2g"));
+    let a_path = temp_path("mt_iso_a");
+    let b_path = temp_path("mt_iso_b");
     std::fs::write(&a_path, g2g(4)).unwrap();
     std::fs::write(&b_path, k2_file(7)).unwrap();
 
@@ -158,13 +154,11 @@ fn reload_of_one_namespace_never_bumps_the_other() {
 
 #[test]
 fn eviction_under_budget_is_invisible_to_clients() {
-    let dir = std::env::temp_dir();
-    let pid = std::process::id();
     let mut paths = Vec::new();
     let mut twins = Vec::new();
-    for (i, reps) in [4u32, 6, 8].iter().enumerate() {
-        let bytes = g2g(*reps);
-        let path = dir.join(format!("grepair_mt_evict_{pid}_{i}.g2g"));
+    for reps in [4u32, 6, 8] {
+        let bytes = g2g(reps);
+        let path = temp_path("mt_evict");
         std::fs::write(&path, &bytes).unwrap();
         twins.push(GraphStore::from_bytes(&bytes).unwrap());
         paths.push(path);

@@ -19,7 +19,7 @@ use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::time::Duration;
 
-use common::{g2g, send_and_drain, TestServer};
+use common::{g2g, send_and_drain, temp_path, TestServer};
 use grepair_server::{IoMode, ServerConfig};
 use proptest::prelude::*;
 
@@ -68,8 +68,7 @@ struct Twins {
 
 impl Twins {
     fn start() -> Self {
-        let tenant_path = std::env::temp_dir()
-            .join(format!("grepair_frames_t1_{}.g2g", std::process::id()));
+        let tenant_path = temp_path("frames_t1");
         std::fs::write(&tenant_path, g2g(4)).expect("write tenant container");
         let threads = TestServer::start_with(8, None, ServerConfig::default());
         let epoll = TestServer::start_with(

@@ -5,8 +5,8 @@
 
 mod common;
 
-use common::{g2g, send_and_drain, store, LineClient, TestServer};
-use grepair_store::{error_reply, parse_query, GraphStore, Query};
+use common::{g2g, send_and_drain, store, temp_path, LineClient, TestServer};
+use grepair_store::{error_reply, parse_query, GraphStore, Query, DEFAULT_NAMESPACE};
 
 /// A query file exercising every query class, every error shape, comments,
 /// and blank lines — the serve-file acceptance input.
@@ -52,7 +52,7 @@ fn serve_file_reference(store: &GraphStore, file: &str) -> String {
 #[test]
 fn socket_answers_are_byte_identical_to_serve_file() {
     let server = TestServer::start(16, None);
-    let n = server.registry.current().total_nodes();
+    let n = server.registry.store(DEFAULT_NAMESPACE).unwrap().total_nodes();
     let file = mixed_query_file(n);
     let expected = serve_file_reference(&store(16), &file);
     let got = send_and_drain(server.addr, file.as_bytes());
@@ -64,8 +64,7 @@ fn socket_answers_are_byte_identical_to_serve_file() {
 
 #[test]
 fn reload_mid_stream_bumps_generation_without_dropping_anything() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_it_{}.g2g", std::process::id()));
+    let path = temp_path("server_it");
     std::fs::write(&path, g2g(32)).unwrap(); // 65-node replacement store
     let server = TestServer::start(16, None); // 33-node initial store
     let mut client = LineClient::new(server.connect());
@@ -95,7 +94,7 @@ fn reload_mid_stream_bumps_generation_without_dropping_anything() {
     // The same connection is still alive, and STATS echoes the bump.
     let stats = client.roundtrip("STATS default");
     assert!(stats.starts_with("generation=2 "), "{stats}");
-    assert_eq!(server.registry.generation(), 2);
+    assert_eq!(server.registry.generation_of(DEFAULT_NAMESPACE), Ok(2));
     assert_eq!(client.roundtrip("PING"), "pong");
     assert_eq!(client.roundtrip("QUIT"), "bye");
     let _ = std::fs::remove_file(&path);
@@ -108,11 +107,10 @@ fn old_generation_arc_survives_a_swap_under_load() {
     // (they were computed on whichever generation each batch snapshotted —
     // both generations here serve identical graphs, so answers are
     // identical; what's being tested is that nothing tears or drops).
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_swap_{}.g2g", std::process::id()));
+    let path = temp_path("server_swap");
     std::fs::write(&path, g2g(16)).unwrap(); // same graph, new generation
     let server = TestServer::start(16, None);
-    let n = server.registry.current().total_nodes();
+    let n = server.registry.store(DEFAULT_NAMESPACE).unwrap().total_nodes();
 
     let mut input = String::new();
     let mut expected = String::new();
@@ -129,13 +127,13 @@ fn old_generation_arc_survives_a_swap_under_load() {
         assert_eq!(reply, format!("reloaded generation={} nodes={n}", round + 2));
     }
     assert_eq!(streamer.join().unwrap(), expected);
-    assert_eq!(server.registry.generation(), 6);
+    assert_eq!(server.registry.generation_of(DEFAULT_NAMESPACE), Ok(6));
 }
 
 #[test]
 fn many_concurrent_connections_share_one_pool() {
     let server = TestServer::start(16, None);
-    let n = server.registry.current().total_nodes();
+    let n = server.registry.store(DEFAULT_NAMESPACE).unwrap().total_nodes();
     let file = mixed_query_file(n);
     let expected = serve_file_reference(&store(16), &file);
     std::thread::scope(|scope| {
@@ -188,7 +186,7 @@ fn idle_sessions_are_cut_by_the_read_timeout() {
 #[test]
 fn connections_over_the_cap_are_refused_with_an_error_line() {
     use grepair_server::ServerConfig;
-    use std::io::Read;
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::time::Duration;
 
     let config = ServerConfig { max_connections: 1, ..ServerConfig::default() };
@@ -209,12 +207,17 @@ fn connections_over_the_cap_are_refused_with_an_error_line() {
     assert_eq!(first.roundtrip("QUIT"), "bye");
     drop(first);
     for attempt in 0.. {
-        let mut retry = LineClient::new(server.connect());
-        let reply = retry.roundtrip("PING");
-        if reply == "pong" {
+        // While the slot is still taken the server answers and closes
+        // before we write, so the write may hit EPIPE and the read a reset
+        // instead of the refusal line — both mean "refused, retry".
+        let mut retry = server.connect();
+        let _ = retry.write_all(b"PING\n");
+        let mut reply = String::new();
+        let _ = BufReader::new(&retry).read_line(&mut reply);
+        if reply == "pong\n" {
             break;
         }
-        assert!(reply.starts_with("error:"), "{reply}");
+        assert!(reply.is_empty() || reply.starts_with("error:"), "{reply}");
         assert!(attempt < 50, "slot never freed: {reply:?}");
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -228,8 +231,7 @@ fn reload_swaps_in_a_different_backend_mid_session() {
     // renumbering), so the answers are predictable.
     let g = Hypergraph::from_simple_edges(9, (0..8u32).map(|i| (i, 0u32, i + 1))).0;
     let file = grepair_store::codec_for("k2").unwrap().encode(&g).unwrap();
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_k2_{}.g2g", std::process::id()));
+    let path = temp_path("server_k2");
     std::fs::write(&path, file).unwrap();
 
     let server = TestServer::start(16, None); // grammar-backed, 33 nodes
@@ -265,8 +267,7 @@ fn reload_swaps_in_a_different_backend_mid_session() {
 
 #[test]
 fn bare_reload_uses_the_configured_path_and_errors_without_one() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("grepair_server_bare_{}.g2g", std::process::id()));
+    let path = temp_path("server_bare");
     std::fs::write(&path, g2g(8)).unwrap();
 
     // No default path configured: bare RELOAD is a clean error.

@@ -26,10 +26,9 @@
 //! * **Concurrent serving** — the caches are sharded (`RwLock` per shard,
 //!   see `DESIGN.md §5`), answers are `Arc<QueryAnswer>` so every cache or
 //!   memo hit is a pointer clone instead of a deep copy, and
-//!   [`GraphStore::query_batch_parallel`] partitions one batch across
-//!   worker threads that share the per-batch closures. Long-lived servers
-//!   plug their own reusable worker pool into the same machinery through
-//!   [`GraphStore::query_batch_on`] / [`BatchExecutor`].
+//!   [`GraphStore::query_batch_on`] partitions one batch across the worker
+//!   threads of a caller-owned [`BatchExecutor`] (the server's reusable
+//!   pool) that share the per-batch closures.
 //! * **Multi-tenant hosting** — a [`StoreRegistry`] maps namespace names
 //!   to hot-reloadable store slots with per-namespace monotonic
 //!   generations: a freshly loaded container swaps in while in-flight
@@ -67,9 +66,6 @@
 //! let answers = store.query_batch(&queries);
 //! assert!(answers.iter().all(|a| a.is_ok()));
 //! assert_eq!(answers[1].as_deref(), Ok(&QueryAnswer::Bool(true)));
-//!
-//! // The same batch fanned out over worker threads: identical answers.
-//! assert_eq!(store.query_batch_parallel(&queries, 4), answers);
 //!
 //! // Hostile input errors instead of crashing the server.
 //! assert!(GraphStore::from_bytes(b"G2G1junk").is_err());

@@ -2,17 +2,16 @@
 //! many compressed graphs from one process, under a memory budget.
 //!
 //! The paper's grammar containers are small (hundreds of bytes for graphs
-//! whose k²-tree images are kilobytes — `BENCH_store.json`), so the serving
+//! whose k²-tree images are kilobytes — `repro --fig13`), so the serving
 //! topology (DESIGN.md §8) holds a *map* of namespaces, each one mutable
 //! slot: `RwLock<Option<Arc<GraphStore>>>`. Every request path resolves its
 //! namespace, grabs the current `Arc` (a read lock held for one pointer
-//! clone), answers against that snapshot, and drops it when done. The
-//! single-store registry of earlier revisions is the degenerate case: one
-//! namespace, [`DEFAULT_NAMESPACE`], which the back-compat methods
-//! ([`StoreRegistry::current`], [`StoreRegistry::swap`], …) address.
+//! clone), answers against that snapshot, and drops it when done. A
+//! single-store deployment is the degenerate case: one namespace,
+//! [`DEFAULT_NAMESPACE`], which [`StoreRegistry::new`] and
+//! [`StoreRegistry::open`] register and callers name like any other.
 //!
-//! Three properties carry over from the single-slot design, now per
-//! namespace:
+//! Three properties hold per namespace:
 //!
 //! * in-flight queries finish on the old store's `Arc` — a reload (or an
 //!   eviction) never tears an answer mid-flight,
@@ -22,7 +21,7 @@
 //!   resident store is stamped with it ([`StoreStats::generation`]) so
 //!   `STATS`/`INFO` admin replies let clients observe a swap.
 //!
-//! Two properties are new:
+//! Two more follow from hosting many:
 //!
 //! * **lazy open** — a namespace may be registered *cold* (path only, no
 //!   decode); the first query against it pays the open, every later one
@@ -267,7 +266,7 @@ const NO_BUDGET: u64 = u64::MAX;
 /// and LRU eviction under a byte budget.
 ///
 /// ```
-/// use grepair_store::{GraphStore, StoreRegistry};
+/// use grepair_store::{GraphStore, StoreRegistry, DEFAULT_NAMESPACE};
 /// # use grepair_core::{compress, GRePairConfig};
 /// # use grepair_store::write_container;
 /// # fn store() -> GraphStore {
@@ -278,11 +277,11 @@ const NO_BUDGET: u64 = u64::MAX;
 /// #     GraphStore::from_bytes(&write_container(&enc.bytes, enc.bit_len)).unwrap()
 /// # }
 /// let registry = StoreRegistry::new(store());   // the "default" namespace
-/// let before = registry.current();              // a long-lived query holds this
-/// assert_eq!(registry.generation(), 1);
+/// let before = registry.store(DEFAULT_NAMESPACE).unwrap(); // a long-lived query holds this
+/// assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(1));
 ///
-/// registry.swap(store());                       // hot reload
-/// assert_eq!(registry.generation(), 2);
+/// registry.swap(DEFAULT_NAMESPACE, store()).unwrap(); // hot reload
+/// assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(2));
 /// assert_eq!(before.generation(), 1);           // the old snapshot still answers
 /// assert!(before.reachable(0, 4).unwrap());
 ///
@@ -589,7 +588,7 @@ impl StoreRegistry {
     /// count from this snapshot, not from a fresh resolution, or a
     /// concurrent swap can pair one generation with another generation's
     /// data. The old store keeps serving whoever already holds its `Arc`.
-    fn swap_in(&self, name: &str, store: GraphStore) -> Result<Arc<GraphStore>, GrepairError> {
+    pub fn swap(&self, name: &str, store: GraphStore) -> Result<Arc<GraphStore>, GrepairError> {
         let ns = self.lookup(name).ok_or_else(|| unknown(name))?;
         // Swapping in fresh container data rebases the namespace: retained
         // versions described deltas over the *old* base, so the patch log
@@ -598,7 +597,7 @@ impl StoreRegistry {
         Ok(self.swap_in_arc(name, &ns, Arc::new(store)))
     }
 
-    /// The swap itself, shared by reloads (via [`Self::swap_in`], which
+    /// The swap itself, shared by reloads (via [`Self::swap`], which
     /// rebases first) and patch application (which must *keep* its log).
     fn swap_in_arc(&self, name: &str, ns: &Namespace, store: Arc<GraphStore>) -> Arc<GraphStore> {
         ns.last_hit.store(self.tick(), Ordering::Relaxed);
@@ -657,7 +656,7 @@ impl StoreRegistry {
         if path.is_some() {
             *ns.path.lock() = Some(target);
         }
-        self.swap_in(name, store)
+        self.swap(name, store)
     }
 
     // ------------------------------------------------------------------
@@ -687,7 +686,7 @@ impl StoreRegistry {
         let ns = self.lookup(name).ok_or_else(|| unknown(name))?;
         // Hold the log lock across apply + swap so concurrent patches
         // serialize and the slot's head can never lag the log's head.
-        // (Lock order is versions → slot, same as `swap_in`; eviction
+        // (Lock order is versions → slot, same as `swap`; eviction
         // takes only slot locks, and a patched head reports 0 resident
         // bytes so budget enforcement never turns back on this namespace.)
         let mut log_slot = ns.versions.lock();
@@ -874,46 +873,6 @@ impl StoreRegistry {
         let ns = self.lookup(name).ok_or_else(|| unknown(name))?;
         Ok(ns.generation.load(Ordering::Relaxed))
     }
-
-    // ------------------------------------------------------------------
-    // Back-compat single-store surface (the default namespace)
-    // ------------------------------------------------------------------
-
-    /// The [`DEFAULT_NAMESPACE`]'s serving store. Panics if that namespace
-    /// was detached — embedders using the single-store surface never do.
-    pub fn current(&self) -> Arc<GraphStore> {
-        self.store(DEFAULT_NAMESPACE)
-            // audited: documented single-store-surface contract: the default namespace stays attached
-            .expect("default namespace must be resident for the single-store surface")
-    }
-
-    /// Generation of the [`DEFAULT_NAMESPACE`] (starts at 1, bumped by
-    /// every successful swap/reload).
-    pub fn generation(&self) -> u64 {
-        self.generation_of(DEFAULT_NAMESPACE).unwrap_or(0)
-    }
-
-    /// Statistics of the [`DEFAULT_NAMESPACE`]'s serving store (includes
-    /// its generation).
-    pub fn stats(&self) -> StoreStats {
-        self.current().stats()
-    }
-
-    /// Swap `store` in as the [`DEFAULT_NAMESPACE`]'s new serving store
-    /// and return its generation. The old store keeps serving whoever
-    /// already holds its `Arc`.
-    pub fn swap(&self, store: GraphStore) -> u64 {
-        self.swap_in(DEFAULT_NAMESPACE, store)
-            // audited: documented single-store-surface contract: the default namespace stays attached
-            .expect("default namespace must exist for the single-store surface")
-            .generation()
-    }
-
-    /// Load a fresh container and swap it into the [`DEFAULT_NAMESPACE`]:
-    /// [`StoreRegistry::reload`] for the single-store surface.
-    pub fn reload_from(&self, path: &str) -> Result<Arc<GraphStore>, GrepairError> {
-        self.reload(DEFAULT_NAMESPACE, Some(path))
-    }
 }
 
 #[cfg(test)]
@@ -963,14 +922,14 @@ mod tests {
     #[test]
     fn swap_bumps_generation_and_keeps_old_snapshots_alive() {
         let registry = StoreRegistry::new(store(8));
-        assert_eq!(registry.generation(), 1);
-        assert_eq!(registry.stats().generation, 1);
-        let old = registry.current();
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(1));
+        assert_eq!(registry.stats_for(DEFAULT_NAMESPACE).unwrap().generation, 1);
+        let old = registry.store(DEFAULT_NAMESPACE).unwrap();
         assert_eq!(old.total_nodes(), 17);
 
-        assert_eq!(registry.swap(store(16)), 2);
-        assert_eq!(registry.generation(), 2);
-        let new = registry.current();
+        assert_eq!(registry.swap(DEFAULT_NAMESPACE, store(16)).unwrap().generation(), 2);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(2));
+        let new = registry.store(DEFAULT_NAMESPACE).unwrap();
         assert_eq!(new.total_nodes(), 33);
         assert_eq!(new.generation(), 2);
 
@@ -979,25 +938,28 @@ mod tests {
         assert_eq!(old.generation(), 1);
         assert!(old.query(&Query::OutNeighbors(0)).is_ok());
         assert_eq!(old.stats().generation, 1);
+
+        // Swapping under a name nobody attached is an error, not a panic.
+        assert!(registry.swap("ghost", store(2)).is_err());
     }
 
     #[test]
     fn failed_reload_leaves_the_current_store_serving() {
         let registry = StoreRegistry::new(store(4));
-        let before = registry.generation();
-        assert!(registry.reload_from("/nonexistent/grepair.g2g").is_err());
-        assert_eq!(registry.generation(), before);
-        assert!(registry.current().reachable(0, 8).unwrap());
+        let before = registry.generation_of(DEFAULT_NAMESPACE);
+        assert!(registry.reload(DEFAULT_NAMESPACE, Some("/nonexistent/grepair.g2g")).is_err());
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), before);
+        assert!(registry.store(DEFAULT_NAMESPACE).unwrap().reachable(0, 8).unwrap());
     }
 
     #[test]
-    fn reload_from_a_real_file_swaps() {
+    fn reload_of_a_real_file_swaps() {
         let paths = g2g_files("reload", &[12]);
         let registry = StoreRegistry::new(store(4));
-        let reloaded = registry.reload_from(&paths[0]).unwrap();
+        let reloaded = registry.reload(DEFAULT_NAMESPACE, Some(&paths[0])).unwrap();
         assert_eq!(reloaded.generation(), 2);
         assert_eq!(reloaded.total_nodes(), 25);
-        assert!(Arc::ptr_eq(&reloaded, &registry.current()));
+        assert!(Arc::ptr_eq(&reloaded, &registry.store(DEFAULT_NAMESPACE).unwrap()));
         cleanup(&paths);
     }
 
@@ -1009,7 +971,7 @@ mod tests {
                 let registry = &registry;
                 scope.spawn(move || {
                     for i in 0..200u64 {
-                        let snapshot = registry.current();
+                        let snapshot = registry.store(DEFAULT_NAMESPACE).unwrap();
                         // Node 0 exists in every generation served here.
                         let answer = snapshot.query(&Query::OutNeighbors(i % 17));
                         assert!(answer.is_ok(), "{answer:?}");
@@ -1019,12 +981,12 @@ mod tests {
             let registry = &registry;
             scope.spawn(move || {
                 for _ in 0..20 {
-                    registry.swap(store(8));
+                    registry.swap(DEFAULT_NAMESPACE, store(8)).unwrap();
                 }
             });
         });
-        assert_eq!(registry.generation(), 21);
-        assert_eq!(registry.current().generation(), 21);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(21));
+        assert_eq!(registry.store(DEFAULT_NAMESPACE).unwrap().generation(), 21);
     }
 
     // ------------------------------------------------------------------
@@ -1105,7 +1067,7 @@ mod tests {
         assert_eq!(reloaded.total_nodes(), 25);
         // The sibling namespace's generation is untouched.
         assert_eq!(registry.generation_of("b").unwrap(), 1);
-        assert_eq!(registry.generation(), 1);
+        assert_eq!(registry.generation_of(DEFAULT_NAMESPACE), Ok(1));
 
         // Bare reload re-reads the recorded path — which the explicit
         // reload above updated.
@@ -1313,11 +1275,40 @@ mod tests {
         );
         assert!(registry.store_at("a", 1).is_err());
 
-        // The default-namespace swap surface rebases too.
+        // A direct swap rebases too.
         registry.patch(DEFAULT_NAMESPACE, EdgePatch::parse("ADD 0 7 1").unwrap()).unwrap();
         assert_eq!(registry.versions_of(DEFAULT_NAMESPACE).unwrap().len(), 2);
-        registry.swap(store(2));
+        registry.swap(DEFAULT_NAMESPACE, store(2)).unwrap();
         assert_eq!(registry.versions_of(DEFAULT_NAMESPACE).unwrap().len(), 1);
+        cleanup(&paths);
+    }
+
+    /// The breaker with an honest fault — no `fail` feature: a cold
+    /// tenant's container vanishes, resolutions trip the breaker, an open
+    /// breaker refuses without touching the disk, and once the file is
+    /// back the half-open probe re-admits the tenant.
+    #[test]
+    fn vanished_container_trips_the_breaker_and_its_return_recovers() {
+        let paths = g2g_files("breaker", &[4]);
+        let registry = StoreRegistry::new(store(2));
+        registry.attach_cold("flaky", &paths[0]).unwrap();
+        cleanup(&paths);
+        for _ in 0..BREAKER_THRESHOLD {
+            assert!(matches!(registry.store("flaky"), Err(GrepairError::Io { .. })));
+        }
+        let health = registry.health_of("flaky").unwrap();
+        assert!(health.breaker_open, "{health:?}");
+        assert_eq!(health.breaker_trips, 1);
+        // Open: refused as `Unavailable`, not another failed open.
+        assert!(matches!(registry.store("flaky"), Err(GrepairError::Unavailable(_))));
+        assert_eq!(registry.health_of("flaky").unwrap().open_failures, health.open_failures);
+        // The healthy neighbor is unaffected.
+        assert!(registry.store(DEFAULT_NAMESPACE).is_ok());
+
+        std::fs::write(&paths[0], g2g(4)).unwrap();
+        std::thread::sleep(BREAKER_COOLDOWN);
+        assert_eq!(registry.store("flaky").unwrap().total_nodes(), 9);
+        assert!(!registry.health_of("flaky").unwrap().breaker_open);
         cleanup(&paths);
     }
 

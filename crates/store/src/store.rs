@@ -62,12 +62,10 @@ type AnswerResult = Result<Arc<QueryAnswer>, GrepairError>;
 /// Something that can run a set of borrowed jobs to completion — the seam
 /// between the store's batch partitioning and whoever owns the threads.
 ///
-/// [`GraphStore::query_batch_parallel`] plugs in a spawn-per-batch
-/// implementation (scoped `std::thread`s); a long-lived server plugs in a
-/// reusable worker pool (`grepair-server`'s `WorkerPool`), so small batches
-/// stop paying the per-batch spawn cost. The batch being fanned out may be
-/// served by *any* registered backend — the jobs capture `&GraphStore`,
-/// which dispatches to the engine behind it.
+/// A long-lived server plugs in a reusable worker pool (`grepair-server`'s
+/// `WorkerPool`), so small batches do not pay a per-batch thread spawn. The
+/// batch being fanned out may be served by *any* registered backend — the
+/// jobs capture `&GraphStore`, which dispatches to the engine behind it.
 ///
 /// # Contract
 ///
@@ -83,29 +81,6 @@ pub trait BatchExecutor {
 
     /// Run every job to completion before returning.
     fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>);
-}
-
-/// The executor behind [`GraphStore::query_batch_parallel`]: fresh scoped
-/// threads per batch. Spawn cost is amortized over large batches (the
-/// intended usage — ~tens of microseconds per call); serving stacks that
-/// answer many small batches should pass a pooled [`BatchExecutor`] to
-/// [`GraphStore::query_batch_on`] instead.
-struct ScopedSpawner(usize);
-
-impl BatchExecutor for ScopedSpawner {
-    fn max_workers(&self) -> usize {
-        self.0
-    }
-
-    fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        // `thread::scope` joins every worker before returning and propagates
-        // any panic, which satisfies the run-to-completion contract.
-        std::thread::scope(|scope| {
-            for job in jobs {
-                scope.spawn(job);
-            }
-        });
-    }
 }
 
 /// Monotonic serving counters. Every counter is an [`AtomicU64`] bumped with
@@ -139,10 +114,10 @@ pub struct StoreStats {
     pub loads: u64,
     /// Queries answered (each element of a batch counts once).
     pub queries_served: u64,
-    /// `query_batch` + `query_batch_parallel` invocations.
+    /// `query_batch` + `query_batch_on` invocations.
     pub batches: u64,
-    /// [`GraphStore::query_batch_parallel`] invocations that actually fanned
-    /// out to worker threads (also counted in `batches`).
+    /// [`GraphStore::query_batch_on`] invocations that actually fanned out
+    /// to executor workers (also counted in `batches`).
     pub parallel_batches: u64,
     /// Queries that returned an error.
     pub errors: u64,
@@ -254,7 +229,7 @@ impl<'q> BatchPlan<'q> {
 /// the next request's. Internally sharded ([`ShardedMap`]) and keyed by
 /// references into the batch slice (no `Query`/pattern clones), so the same
 /// context is shared *across worker threads* by
-/// [`GraphStore::query_batch_parallel`] without a global lock.
+/// [`GraphStore::query_batch_on`] without a global lock.
 ///
 /// The duplicate memo applies to every backend; the three closure/locate
 /// maps are grammar-shaped levers and engage only when the grammar engine
@@ -305,7 +280,7 @@ enum EngineSlot {
 /// grammar), eagerly builds that backend's indexes, and then answers any
 /// number of [`Query`]s — individually via [`GraphStore::query`], amortized
 /// via [`GraphStore::query_batch`], or across worker threads via
-/// [`GraphStore::query_batch_parallel`].
+/// [`GraphStore::query_batch_on`].
 ///
 /// All interior mutability is synchronized (sharded `RwLock` caches, atomic
 /// counters), so one store can be shared across threads
@@ -557,30 +532,14 @@ impl GraphStore {
         self.answer_chunk(queries, &ctx, &mut scratch)
     }
 
-    /// [`GraphStore::query_batch`], partitioned across `threads` worker
-    /// threads sharing one batch context (per-source closures, duplicate
-    /// memo, locate cache) through the sharded maps. Answers come back in
-    /// input order, errors included, exactly as the sequential path would
-    /// produce them.
-    ///
-    /// `threads` ≤ 1 or a batch smaller than two queries fall back to the
-    /// sequential path; `threads` is capped at the batch length. Worker
-    /// threads are spawned per call (scoped `std::thread`, no pool):
-    /// amortizing spawn cost across a 10k-query batch is the intended
-    /// usage, per-call overhead is ~tens of microseconds. Serving stacks
-    /// that answer many *small* batches should reuse threads through
-    /// [`GraphStore::query_batch_on`] with a pooled [`BatchExecutor`]
-    /// instead.
-    pub fn query_batch_parallel(&self, queries: &[Query], threads: usize) -> Vec<AnswerResult> {
-        self.query_batch_on(queries, &ScopedSpawner(threads))
-    }
-
-    /// [`GraphStore::query_batch_parallel`] with caller-owned threads: the
-    /// batch is partitioned into one job per executor worker, all jobs
-    /// share one batch context (per-source closures, duplicate memo,
-    /// locate cache) through the sharded maps, and `executor` runs them.
-    /// Answers come back in input order, errors included, exactly as the
-    /// sequential path would produce them.
+    /// [`GraphStore::query_batch`] fanned out over caller-owned threads:
+    /// the batch is partitioned into one job per executor worker (capped at
+    /// the batch length), all jobs share one batch context (per-source
+    /// closures, duplicate memo, locate cache) through the sharded maps,
+    /// and `executor` runs them. Answers come back in input order, errors
+    /// included, exactly as the sequential path would produce them. An
+    /// executor with at most one worker, or a batch smaller than two
+    /// queries, falls back to the sequential path.
     pub fn query_batch_on(
         &self,
         queries: &[Query],
@@ -805,6 +764,23 @@ mod tests {
         }
     }
 
+    /// A deliberately perverse executor for the fan-out tests: runs its
+    /// jobs one at a time, in reverse submission order. (The suites under
+    /// `tests/` fan out over real threads — `tests/common`.)
+    struct Reversed(usize);
+
+    impl BatchExecutor for Reversed {
+        fn max_workers(&self) -> usize {
+            self.0
+        }
+
+        fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+            for job in jobs.into_iter().rev() {
+                job();
+            }
+        }
+    }
+
     fn mixed_queries(n: u64, len: u64) -> Vec<Query> {
         (0..len)
             .map(|i| match i % 5 {
@@ -909,7 +885,7 @@ mod tests {
         }
         let sequential = store.query_batch(&queries);
         for threads in [2, 3, 8] {
-            let parallel = store.query_batch_parallel(&queries, threads);
+            let parallel = store.query_batch_on(&queries, &Reversed(threads));
             assert_eq!(parallel.len(), sequential.len());
             for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
                 assert_eq!(p, s, "answer {i} with {threads} threads: {:?}", queries[i]);
@@ -923,31 +899,19 @@ mod tests {
     #[test]
     fn parallel_batch_degenerate_inputs() {
         let (store, _) = store_for(4);
-        assert!(store.query_batch_parallel(&[], 8).is_empty());
-        let one = store.query_batch_parallel(&[Query::Components], 8);
+        assert!(store.query_batch_on(&[], &Reversed(8)).is_empty());
+        let one = store.query_batch_on(&[Query::Components], &Reversed(8));
         assert_eq!(one.len(), 1);
         // threads = 0 falls back to the sequential path.
-        let zero = store.query_batch_parallel(&[Query::Components], 0);
+        let zero = store.query_batch_on(&[Query::Components], &Reversed(0));
         assert_eq!(zero, one);
         assert_eq!(store.stats().parallel_batches, 0);
     }
 
     #[test]
     fn custom_executor_gets_input_ordered_answers() {
-        // A deliberately perverse executor: runs jobs one at a time, in
-        // reverse submission order. Answers must still come back in input
-        // order — the slots, not the execution order, define it.
-        struct Reversed(usize);
-        impl BatchExecutor for Reversed {
-            fn max_workers(&self) -> usize {
-                self.0
-            }
-            fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-                for job in jobs.into_iter().rev() {
-                    job();
-                }
-            }
-        }
+        // Answers must come back in input order — the slots, not the
+        // execution order, define it.
         let (store, _) = store_for(16);
         let n = store.total_nodes();
         let mut queries = mixed_queries(n, 200);
@@ -1185,7 +1149,7 @@ mod tests {
             }
             queries[11] = Query::InNeighbors(n + 11);
             let sequential = store.query_batch(&queries);
-            let parallel = store.query_batch_parallel(&queries, 4);
+            let parallel = store.query_batch_on(&queries, &Reversed(4));
             assert_eq!(parallel, sequential, "{backend}");
         }
     }

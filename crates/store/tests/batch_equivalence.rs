@@ -1,6 +1,6 @@
 //! Property test: the three ways to ask a `GraphStore` something — one-shot
 //! [`GraphStore::query`], sequential [`GraphStore::query_batch`], and the
-//! fanned-out [`GraphStore::query_batch_parallel`] — must agree on every
+//! fanned-out [`GraphStore::query_batch_on`] — must agree on every
 //! workload, answer for answer, in input order, error cases included.
 //!
 //! This is the contract that makes the concurrent engine safe to ship: none
@@ -8,9 +8,12 @@
 //! RPQ product closures, the locate cache, the sharded expansion cache) may
 //! change a single answer.
 
+mod common;
+
 use proptest::prelude::*;
 use std::sync::Arc;
 
+use common::ScopedThreads;
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
 use grepair_store::{write_container, GraphStore, Query};
@@ -89,7 +92,7 @@ proptest! {
         let store = shared_store();
         let sequential = store.query_batch(&workload);
         prop_assert_eq!(sequential.len(), workload.len());
-        let parallel = store.query_batch_parallel(&workload, threads);
+        let parallel = store.query_batch_on(&workload, &ScopedThreads(threads));
         prop_assert_eq!(parallel.len(), workload.len());
         for (i, q) in workload.iter().enumerate() {
             let one_shot = store.query(q);

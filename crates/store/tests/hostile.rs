@@ -1,10 +1,10 @@
 //! The zero-panic guarantee, exercised end to end: every byte sequence
 //! handed to the load path and every id handed to the query path must
 //! produce `Ok` or a clean `Err` — never a panic.
-//!
-//! CI runs this suite by name (`cargo test -p grepair-store --test hostile`)
-//! so the guarantee is enforced on every PR.
 
+mod common;
+
+use common::ScopedThreads;
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
 use grepair_store::{codecs, write_container, GraphStore, Query};
@@ -149,7 +149,7 @@ fn hostile_query_inputs_error_for_every_backend() {
             .collect();
         let answers = store.query_batch(&queries);
         assert!(answers.iter().all(|a| a.is_ok()), "{name}");
-        assert_eq!(store.query_batch_parallel(&queries, 4), answers, "{name}");
+        assert_eq!(store.query_batch_on(&queries, &ScopedThreads(4)), answers, "{name}");
     }
 }
 
@@ -203,7 +203,7 @@ fn ten_thousand_mixed_queries_from_one_store() {
     assert_eq!(stats.rpq_plan_misses, 2, "{stats}");
     // The same 10k through the concurrent engine: identical answers, and
     // the worker fan-out keeps the counters exact.
-    let parallel = store.query_batch_parallel(&queries, 8);
+    let parallel = store.query_batch_on(&queries, &ScopedThreads(8));
     assert_eq!(parallel, answers);
     let stats = store.stats();
     assert_eq!(stats.queries_served, 21_000, "{stats}");

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use graph_grammar_repair::prelude::*;
 use graph_grammar_repair::server::WorkerPool;
-use graph_grammar_repair::store::StoreRegistry;
+use graph_grammar_repair::store::{StoreRegistry, DEFAULT_NAMESPACE};
 
 /// Compress a two-label path graph with `2 * reps + 1` nodes into `.g2g`
 /// container bytes — the artifact a deployment would ship to its servers.
@@ -27,14 +27,15 @@ fn compress_to_g2g(reps: u32) -> Vec<u8> {
 
 fn main() {
     // Load once, serve forever: the registry owns the currently serving
-    // store; every request path snapshots it with `current()`.
+    // store of each namespace; every request path snapshots it with
+    // `store(name)`.
     let registry = StoreRegistry::new(
         GraphStore::from_bytes(&compress_to_g2g(64)).expect("fresh container loads"),
     );
-    let store = registry.current();
+    let store = registry.store(DEFAULT_NAMESPACE).expect("the default namespace resolves");
     println!(
         "generation {}: serving {} nodes on the compressed grammar",
-        registry.generation(),
+        store.generation(),
         store.total_nodes()
     );
 
@@ -59,14 +60,17 @@ fn main() {
     // A long-lived client keeps the pre-reload snapshot; new requests see
     // the new generation. This is what the server's RELOAD command (or a
     // SIGHUP) does while connections stay open.
-    let veteran = registry.current();
-    let generation = registry.swap(
-        GraphStore::from_bytes(&compress_to_g2g(128)).expect("replacement loads"),
-    );
-    let fresh = registry.current();
+    let veteran = registry.store(DEFAULT_NAMESPACE).expect("the default namespace resolves");
+    let fresh = registry
+        .swap(
+            DEFAULT_NAMESPACE,
+            GraphStore::from_bytes(&compress_to_g2g(128)).expect("replacement loads"),
+        )
+        .expect("the default namespace is attached");
     println!(
-        "hot reload: generation {generation} now serves {} nodes; \
+        "hot reload: generation {} now serves {} nodes; \
          the in-flight snapshot (generation {}) still answers on {} nodes",
+        fresh.generation(),
         fresh.total_nodes(),
         veteran.generation(),
         veteran.total_nodes()
