@@ -55,6 +55,43 @@ fn compressed_fixture() -> String {
         .clone()
 }
 
+/// Run `grepair store serve <serve_args> --addr 127.0.0.1:0`, stream
+/// `text` over one connection, half-close, and drain: returns the server's
+/// `listening …` banner and everything it replied. The server is killed on
+/// the way out, also when an assertion in here unwinds.
+fn socket_replies(serve_args: &[&str], text: &str) -> (String, String) {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    struct Server(std::process::Child);
+    impl Drop for Server {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut server = Server(
+        Command::new(env!("CARGO_BIN_EXE_grepair"))
+            .args(["store", "serve"])
+            .args(serve_args)
+            .args(["--addr", "127.0.0.1:0"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::null())
+            .spawn()
+            .expect("server starts"),
+    );
+    // First stdout line announces the bound ephemeral port.
+    let mut banner = String::new();
+    BufReader::new(server.0.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+    assert!(banner.starts_with("listening "), "{banner:?}");
+    let addr = banner.split_whitespace().nth(1).expect("addr in banner");
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.write_all(text.as_bytes()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut got = String::new();
+    stream.read_to_string(&mut got).unwrap();
+    (banner, got)
+}
+
 #[test]
 fn out_of_range_neighbors_is_a_clean_error() {
     let g2g = compressed_fixture();
@@ -369,9 +406,6 @@ fn serve_file_speaks_the_admin_plane_and_flags_a_mid_file_quit() {
 
 #[test]
 fn multi_tenant_serve_file_and_socket_serve_stay_byte_identical() {
-    use std::io::{BufRead, BufReader, Read, Write};
-    use std::net::TcpStream;
-
     let default_g2g = compressed_fixture();
     // A second tenant: a shorter single-label path, separately compressed.
     let input = scratch("tenant.txt");
@@ -396,30 +430,9 @@ fn multi_tenant_serve_file_and_socket_serve_stay_byte_identical() {
     let expected = String::from_utf8_lossy(&offline.stdout).to_string();
     assert_eq!(expected.lines().count(), 10, "one reply per request line:\n{expected}");
 
-    let mut server = Command::new(env!("CARGO_BIN_EXE_grepair"))
-        .args(["store", "serve", &default_g2g, "--addr", "127.0.0.1:0", "--attach", &attach])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("server starts");
-    let mut banner = String::new();
-    BufReader::new(server.stdout.take().unwrap()).read_line(&mut banner).unwrap();
+    let (banner, got) = socket_replies(&[&default_g2g, "--attach", &attach], workload);
     assert!(banner.contains("namespaces=2"), "{banner:?}");
-    let addr = banner.split_whitespace().nth(1).expect("addr in banner").to_string();
-
-    let result = std::panic::catch_unwind(|| {
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        stream.write_all(workload.as_bytes()).unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut got = String::new();
-        stream.read_to_string(&mut got).unwrap();
-        assert_eq!(got, expected, "multi-tenant socket vs serve-file");
-    });
-    let _ = server.kill();
-    let _ = server.wait();
-    if let Err(panic) = result {
-        std::panic::resume_unwind(panic);
-    }
+    assert_eq!(got, expected, "multi-tenant socket vs serve-file");
 }
 
 #[test]
@@ -601,6 +614,46 @@ fn every_backend_compresses_decompresses_and_serves() {
         assert_eq!(lines[1], "min=1 max=2", "{backend}: path degrees");
         assert!(lines[2].contains("out of range"), "{backend}: {stdout}");
         assert_eq!(lines[3], "true", "{backend}: reflexive reach");
+    }
+}
+
+#[test]
+fn every_backend_answers_a_socket_like_serve_file() {
+    // The per-backend server smoke: one preferential-attachment graph
+    // through all four backends, every query class plus per-line errors,
+    // and `store serve` on a loopback socket must reply byte-identically to
+    // `store serve-file` — each engine answering through the same row walk.
+    let input = scratch("backend_smoke.txt");
+    let out = grepair(&["generate", "pa", "1500", "11", "-o", input.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut text = String::from("# per-backend smoke\n");
+    for i in 0..100u32 {
+        text.push_str(&format!(
+            "out {i}\nin {}\nneighbors {}\nreach {i} {}\nrpq {i} 0 0*\n",
+            i * 3 % 1500,
+            i * 7 % 1500,
+            i * 11 % 1500,
+        ));
+    }
+    text.push_str("components\ndegrees\nINFO\nout 999999999\nbogus verb\n");
+    let queries = scratch("backend_smoke_queries.txt");
+    std::fs::write(&queries, &text).unwrap();
+
+    for backend in ["grepair", "k2", "lm", "hn"] {
+        let file = scratch(&format!("backend_smoke.{backend}"));
+        let file = file.to_str().unwrap();
+        let out = grepair(&["compress", input.to_str().unwrap(), "-o", file, "--backend", backend]);
+        assert!(out.status.success(), "{backend}: {}", String::from_utf8_lossy(&out.stderr));
+
+        let offline = grepair(&["store", "serve-file", file, queries.to_str().unwrap()]);
+        assert!(offline.status.success(), "{backend} serve-file");
+        let expected = String::from_utf8_lossy(&offline.stdout).to_string();
+        assert_eq!(expected.lines().count(), 505, "{backend}: one reply per request line");
+        assert!(expected.contains(&format!("backend={backend}")), "{backend}: INFO names it");
+
+        let (banner, got) = socket_replies(&[file], &text);
+        assert!(banner.contains(&format!("backend={backend}")), "{backend}: {banner:?}");
+        assert_eq!(got, expected, "{backend}: socket vs serve-file");
     }
 }
 

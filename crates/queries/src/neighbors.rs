@@ -1,17 +1,21 @@
 //! Neighborhood queries over the grammar (Proposition 4).
 //!
-//! Given a `val(G)` node ID, compute the IDs of its in- or out-neighbors
-//! without decompressing: resolve the G-representation, scan the incident
-//! edges of the context graph, and for nonterminal edges recurse into the
-//! subgraph they derive (`getNeighboring`), converting every endpoint back
-//! to a global ID via `getID`. Runtime O(log ℓ + n·h) for n neighbors.
+//! Given a `val(G)` node ID, compute its labeled in- or out-row without
+//! decompressing: resolve the G-representation, scan the incident edges of
+//! the context graph, and for nonterminal edges recurse into the subgraph
+//! they derive (`getNeighboring`), converting every endpoint back to a
+//! global ID via `getID`. Runtime O(log ℓ + n·h) for n neighbors.
+//!
+//! One scan carries the terminal label of every edge it finds and hands
+//! each hit to a caller closure: labeled rows, plain neighbor sets (label
+//! dropped at the emit) and rule-relative expansions are emits over it.
 
 use std::borrow::Borrow;
 
 use crate::error::QueryError;
 use crate::index::GrammarIndex;
 use grepair_grammar::Grammar;
-use grepair_hypergraph::{EdgeId, EdgeLabel, NodeId};
+use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 
 /// Direction of a neighborhood query on rank-2 terminal edges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,8 +55,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     /// Like [`GrammarIndex::try_neighbors`], but clears and fills a
     /// caller-provided buffer instead of allocating a fresh `Vec` per call —
     /// batch evaluators answering many neighbor queries reuse one scratch
-    /// buffer. Isolated (rank-0) nodes take an early-return fast path that
-    /// skips the recursive collection entirely.
+    /// buffer.
     pub fn try_neighbors_into(
         &self,
         k: u64,
@@ -60,142 +63,101 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         out: &mut Vec<u64>,
     ) -> Result<(), QueryError> {
         out.clear();
-        let repr = self.try_locate(k)?;
-        // Fast path: a node no edge is incident with has no neighbors in
-        // either direction — skip the collection and the sort/dedup.
-        if self.context(&repr.path).incident(repr.node).next().is_none() {
-            return Ok(());
-        }
-        // The final node may be shared with ancestors when it is... it is
-        // internal by construction (or a start node), so every edge of
-        // val(G) incident with it appears in its own context or below.
-        self.collect_at(&repr.path, repr.node, dir, out);
+        self.scan_global(k, dir, |_, id| out.push(id))?;
         out.sort_unstable();
         out.dedup();
         Ok(())
     }
 
-    /// Rule-relative neighbor expansion: the neighbors of the `pos`-th
-    /// external node *inside* the subgraph derived from one `nt`-edge, as
-    /// `(relative path, context-local node)` pairs. The relative path starts
-    /// with edges of `rhs(nt)`; prepending the path of a concrete `nt`-edge
-    /// occurrence and running [`GrammarIndex::global_id`] yields the global
-    /// neighbor ids. Because the expansion depends only on `(nt, pos, dir)`
-    /// — never on where the edge occurs — callers can memoize it across
-    /// queries (the `grepair-store` crate does exactly that).
+    /// The labeled row of `k`: `(label, target)` pairs for
+    /// [`Direction::Out`], `(label, source)` pairs for [`Direction::In`],
+    /// sorted and deduplicated.
+    pub fn try_edges(&self, k: u64, dir: Direction) -> Result<Vec<(u32, u64)>, QueryError> {
+        let mut out = Vec::new();
+        self.scan_global(k, dir, |label, id| out.push((label, id)))?;
+        out.sort_unstable();
+        out.dedup();
+        Ok(out)
+    }
+
+    /// Rule-relative expansion: the row of the `pos`-th external node
+    /// *inside* the subgraph derived from one `nt`-edge, as
+    /// `(relative path, terminal label, context-local node)` entries. The
+    /// relative path starts with edges of `rhs(nt)`; prepending the path of
+    /// a concrete `nt`-edge occurrence and running
+    /// [`GrammarIndex::global_id`] yields the global neighbor ids. Because
+    /// the expansion depends only on `(nt, pos, dir)` — never on where the
+    /// edge occurs — callers can memoize it across queries (the
+    /// `grepair-store` crate does exactly that).
     pub fn rule_expansion(
         &self,
         nt: u32,
         pos: usize,
         dir: Direction,
-    ) -> Vec<(Vec<EdgeId>, NodeId)> {
+    ) -> Vec<(Vec<EdgeId>, u32, NodeId)> {
         let mut out = Vec::new();
         let rhs = self.grammar().rule(nt);
-        let Some(&v) = rhs.ext().get(pos) else { return out };
-        let mut rel: Vec<EdgeId> = Vec::new();
-        self.expand(rhs, v, dir, &mut rel, &mut out);
+        if let Some(&v) = rhs.ext().get(pos) {
+            self.scan(rhs, v, dir, &mut Vec::new(), &mut |rel, label, node| {
+                out.push((rel.to_vec(), label, node))
+            });
+        }
         out
     }
 
-    /// Recursive worker for [`GrammarIndex::rule_expansion`]: collect
-    /// `(relative path, node)` neighbor pairs of `v` within `rhs` and the
-    /// subgraphs its nonterminal edges derive.
-    fn expand(
+    /// Scan the row of global node `k`, emitting `(label, global id)`.
+    /// The located node is internal to its context (or a start node), so
+    /// every edge of `val(G)` incident with it appears in that context or
+    /// below.
+    fn scan_global(
         &self,
-        rhs: &grepair_hypergraph::Hypergraph,
+        k: u64,
+        dir: Direction,
+        mut emit: impl FnMut(u32, u64),
+    ) -> Result<(), QueryError> {
+        let mut repr = self.try_locate(k)?;
+        let ctx = self.context(&repr.path);
+        self.scan(ctx, repr.node, dir, &mut repr.path, &mut |path, label, node| {
+            emit(label, self.global_id(path, node))
+        });
+        Ok(())
+    }
+
+    /// The one incident-edge scan, `getNeighboring` of §V: every rank-2
+    /// terminal edge leaving (or entering) `v` in `ctx` and in the subgraphs
+    /// its nonterminal edges derive. `path` leads to `ctx` — absolute or
+    /// rule-relative, the scan only extends and restores it — and `emit`
+    /// receives the path of the context the edge lives in, its terminal
+    /// label, and its other endpoint as a node of that context.
+    fn scan(
+        &self,
+        ctx: &Hypergraph,
         v: NodeId,
         dir: Direction,
-        rel: &mut Vec<EdgeId>,
-        out: &mut Vec<(Vec<EdgeId>, NodeId)>,
+        path: &mut Vec<EdgeId>,
+        emit: &mut impl FnMut(&[EdgeId], u32, NodeId),
     ) {
-        for e in rhs.incident(v) {
-            let att = rhs.att(e);
-            match rhs.label(e) {
-                EdgeLabel::Terminal(_) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let neighbor = match dir {
-                        Direction::Out if att[0] == v => att[1],
-                        Direction::In if att[1] == v => att[0],
-                        _ => continue,
-                    };
-                    out.push((rel.clone(), neighbor));
-                }
-                EdgeLabel::Nonterminal(sub_nt) => {
-                    let sub_rhs = self.grammar().rule(sub_nt);
-                    for (p2, &x) in att.iter().enumerate() {
-                        if x == v {
-                            rel.push(e);
-                            self.expand(sub_rhs, sub_rhs.ext()[p2], dir, rel, out);
-                            rel.pop();
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collect neighbors of context-local `node` (under `path`) from its
-    /// context graph, descending into nonterminal edges.
-    fn collect_at(&self, path: &[EdgeId], node: NodeId, dir: Direction, out: &mut Vec<u64>) {
-        let ctx = self.context(path);
-        for e in ctx.incident(node) {
+        for e in ctx.incident(v) {
             let att = ctx.att(e);
             match ctx.label(e) {
-                EdgeLabel::Terminal(_) => {
+                EdgeLabel::Terminal(label) => {
                     debug_assert!(att.len() <= 2, "terminal hyperedges have no direction");
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let (from, to) = (att[0], att[1]);
-                    let neighbor = match dir {
-                        Direction::Out if from == node => to,
-                        Direction::In if to == node => from,
-                        _ => continue,
-                    };
-                    out.push(self.global_id(path, neighbor));
-                }
-                EdgeLabel::Nonterminal(_) => {
-                    // Descend for every position at which `node` is attached.
-                    for (pos, &x) in att.iter().enumerate() {
-                        if x == node {
-                            let mut sub = path.to_vec();
-                            sub.push(e);
-                            self.neighboring(&sub, pos, dir, out);
+                    if let [from, to] = *att {
+                        match dir {
+                            Direction::Out if from == v => emit(path, label, to),
+                            Direction::In if to == v => emit(path, label, from),
+                            _ => {}
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// `getNeighboring(e, p)` (§V): neighbors of the `p`-th external node
-    /// within the subgraph derived from the last edge of `path`.
-    fn neighboring(&self, path: &[EdgeId], pos: usize, dir: Direction, out: &mut Vec<u64>) {
-        let nt = self.nt_at(path);
-        let rhs = self.grammar().rule(nt);
-        let v = rhs.ext()[pos];
-        for e in rhs.incident(v) {
-            let att = rhs.att(e);
-            match rhs.label(e) {
-                EdgeLabel::Terminal(_) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let neighbor = match dir {
-                        Direction::Out if att[0] == v => att[1],
-                        Direction::In if att[1] == v => att[0],
-                        _ => continue,
-                    };
-                    out.push(self.global_id(path, neighbor));
-                }
-                EdgeLabel::Nonterminal(_) => {
-                    for (p2, &x) in att.iter().enumerate() {
+                EdgeLabel::Nonterminal(nt) => {
+                    // Descend for every position at which `v` is attached.
+                    let rhs = self.grammar().rule(nt);
+                    for (pos, &x) in att.iter().enumerate() {
                         if x == v {
-                            let mut sub = path.to_vec();
-                            sub.push(e);
-                            self.neighboring(&sub, p2, dir, out);
+                            path.push(e);
+                            self.scan(rhs, rhs.ext()[pos], dir, path, emit);
+                            path.pop();
                         }
                     }
                 }

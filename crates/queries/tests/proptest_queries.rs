@@ -4,8 +4,8 @@
 
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::order::NodeOrder;
-use grepair_hypergraph::{traverse, Hypergraph};
-use grepair_queries::{speedup, GrammarIndex, ReachIndex};
+use grepair_hypergraph::{traverse, EdgeLabel, Hypergraph};
+use grepair_queries::{speedup, Direction, GrammarIndex, ReachIndex};
 use proptest::prelude::*;
 
 fn arb_graph() -> impl Strategy<Value = Hypergraph> {
@@ -52,6 +52,32 @@ proptest! {
             want.sort_unstable();
             want.dedup();
             prop_assert_eq!(idx.in_neighbors(k), want, "in({})", k);
+        }
+    }
+
+    #[test]
+    fn labeled_rows_match_decompressed(g in arb_graph(), config in arb_config()) {
+        // The single scan keeps the terminal label of every edge it finds:
+        // its rows must be the (label, target) / (label, source) rows of the
+        // derived graph, for every node and both directions.
+        let out = compress(&g, &config);
+        let derived = out.grammar.derive();
+        let idx = GrammarIndex::new(&out.grammar);
+        let mut want_out = vec![Vec::new(); derived.num_nodes()];
+        let mut want_in = vec![Vec::new(); derived.num_nodes()];
+        for e in derived.edges() {
+            let (EdgeLabel::Terminal(label), &[s, t]) = (e.label, e.att) else {
+                panic!("val(G) of a simple graph holds rank-2 terminal edges only");
+            };
+            want_out[s as usize].push((label, t as u64));
+            want_in[t as usize].push((label, s as u64));
+        }
+        for (dir, want) in [(Direction::Out, want_out), (Direction::In, want_in)] {
+            for (k, mut row) in want.into_iter().enumerate() {
+                row.sort_unstable();
+                row.dedup();
+                prop_assert_eq!(idx.try_edges(k as u64, dir).unwrap(), row, "{:?}({})", dir, k);
+            }
         }
     }
 

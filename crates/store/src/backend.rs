@@ -9,9 +9,11 @@
 //! * [`GraphCodec`] — a named compressor: encode a [`Hypergraph`] into a
 //!   self-describing container image, load the container payload into a
 //!   live engine, decode it back to a graph.
-//! * [`QueryEngine`] — the serving surface every backend answers: the same
-//!   fallible `neighbors`/`reach`/`rpq`/`components`/`degrees` queries
-//!   [`crate::GraphStore`] has always served for the grammar.
+//! * [`QueryEngine`] — the serving surface every backend answers. An engine
+//!   supplies its node count and one primitive, the labeled row of a node
+//!   in either direction; `neighbors`/`reach`/`rpq`/`components`/`degrees`
+//!   are provided once, by walking rows. Only the grammar engine overrides
+//!   them with compressed-domain algorithms.
 //!
 //! Containers are self-describing. A pre-redesign `.g2g` (magic `G2G1`)
 //! is detected as the legacy gRePair container and keeps loading — and the
@@ -37,17 +39,21 @@ use std::collections::VecDeque;
 use grepair_baselines::{hn, k2 as k2base, lm};
 use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
 use grepair_k2tree::K2Tree;
-use grepair_queries::{Nfa, QueryError};
+use grepair_queries::QueryError;
 use grepair_util::FxHashSet;
 
 use crate::query::compile_pattern;
-use crate::store::{parse_container, write_container};
 use crate::GrepairError;
 
+/// Container magic for legacy `.g2g` files (the gRePair backend still writes
+/// exactly this format).
+const MAGIC: &[u8; 4] = b"G2G1";
+/// Legacy container header size: magic + little-endian `u64` bit length.
+const HEADER_LEN: usize = 12;
 /// Magic of the tagged (multi-backend) container layout.
-pub const TAGGED_MAGIC: &[u8; 4] = b"G2GC";
+const TAGGED_MAGIC: &[u8; 4] = b"G2GC";
 /// Tagged container format version.
-pub const TAGGED_VERSION: u8 = 2;
+const TAGGED_VERSION: u8 = 2;
 
 /// Backend name: the gRePair grammar (the paper's compressor).
 pub const GREPAIR: &str = "grepair";
@@ -65,9 +71,16 @@ pub const HN: &str = "hn";
 /// This is the exact query surface [`crate::GraphStore`] serves — every
 /// method fallible, every id checked, no panic on any input (the §2
 /// zero-panic policy extends to every backend). Node ids are the dense ids
-/// of the graph the container was encoded from; whole-graph aggregates
-/// (`components`, `degree_extrema`) are uncached here — the store memoizes
-/// them once per loaded container.
+/// of the graph the container was encoded from.
+///
+/// An engine implements four methods: its name, its node count, and the
+/// labeled row of a node in each direction. Everything else is provided by
+/// walking rows — one BFS, one product-automaton BFS, one edge scan — so a
+/// row-backed engine (k², the list formats, a version overlay) is its two
+/// row functions. The grammar engine overrides `reachable`, `rpq` and the
+/// aggregates with the paper's compressed-domain algorithms. Whole-graph
+/// aggregates are uncached here — the store memoizes them once per loaded
+/// container.
 pub trait QueryEngine: Send + Sync + std::fmt::Debug {
     /// The backend's registered name (matches its [`GraphCodec::name`]).
     fn backend(&self) -> &'static str;
@@ -75,45 +88,104 @@ pub trait QueryEngine: Send + Sync + std::fmt::Debug {
     /// Number of nodes; valid query ids are `0..total_nodes()`.
     fn total_nodes(&self) -> u64;
 
-    /// Out-neighbors of `v`, sorted ascending, deduplicated.
-    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError>;
-
-    /// In-neighbors of `v`, sorted ascending, deduplicated.
-    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError>;
-
     /// Labeled out-edges of `v` as `(label, target)` pairs, sorted
-    /// ascending, deduplicated. This is the primitive the version overlay
+    /// ascending, deduplicated; an error for `v` outside
+    /// `0..total_nodes()`. This is also the primitive the version overlay
     /// corrects (DESIGN.md §12): an overlay must know *which* labeled edge
     /// a patch removed, so plain neighbor sets are not enough. Backends
     /// whose container drops labels (`lm`, `hn`) report everything as
-    /// label `0`, matching their RPQ semantics.
+    /// label `0`.
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError>;
 
     /// Labeled in-edges of `v` as `(label, source)` pairs, sorted
     /// ascending, deduplicated.
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError>;
 
+    /// Out-neighbors of `v`, sorted ascending, deduplicated.
+    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
+        Ok(row_nodes(self.out_edges(v)?))
+    }
+
+    /// In-neighbors of `v`, sorted ascending, deduplicated.
+    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
+        Ok(row_nodes(self.in_edges(v)?))
+    }
+
     /// Union of both directions, sorted and deduplicated.
     fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let mut out = self.out_neighbors(v)?;
-        out.extend(self.in_neighbors(v)?);
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+        let mut row = self.out_edges(v)?;
+        row.extend(self.in_edges(v)?);
+        Ok(row_nodes(row))
     }
 
     /// Is `t` reachable from `s` along directed edges (reflexively)?
-    fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError>;
+    /// Provided as a BFS over out-rows.
+    fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
+        let n = self.total_nodes();
+        check_id(s, n)?;
+        check_id(t, n)?;
+        if s == t {
+            return Ok(true);
+        }
+        let mut visited: FxHashSet<u64> = [s].into_iter().collect();
+        let mut queue = VecDeque::from([s]);
+        while let Some(v) = queue.pop_front() {
+            for (_, w) in self.out_edges(v)? {
+                if w == t {
+                    return Ok(true);
+                }
+                if visited.insert(w) {
+                    queue.push_back(w);
+                }
+            }
+        }
+        Ok(false)
+    }
 
     /// Does some `s → t` path spell a word of the pattern's language?
-    fn rpq(&self, pattern: &str, s: u64, t: u64) -> Result<bool, GrepairError>;
+    /// Provided as a product-automaton BFS: states are `(node, nfa state)`,
+    /// each popped state steps the NFA by the label of every out-row entry,
+    /// and the target reached in an accepting state accepts — which handles
+    /// the empty word (`s == t`, accepting start state) for free, matching
+    /// the grammar engine's semantics.
+    fn rpq(&self, pattern: &str, s: u64, t: u64) -> Result<bool, GrepairError> {
+        let n = self.total_nodes();
+        check_id(s, n)?;
+        check_id(t, n)?;
+        let nfa = compile_pattern(pattern)?;
+        let mut visited: FxHashSet<(u64, u32)> = FxHashSet::default();
+        let mut queue: VecDeque<(u64, u32)> = VecDeque::new();
+        for &q in nfa.start_states() {
+            if visited.insert((s, q)) {
+                queue.push_back((s, q));
+            }
+        }
+        while let Some((v, q)) = queue.pop_front() {
+            if v == t && nfa.is_accepting(q) {
+                return Ok(true);
+            }
+            for (label, w) in self.out_edges(v)? {
+                for q2 in nfa.step(q, label) {
+                    if visited.insert((w, q2)) {
+                        queue.push_back((w, q2));
+                    }
+                }
+            }
+        }
+        Ok(false)
+    }
 
     /// Number of connected components (undirected view; isolated nodes
-    /// count).
-    fn components(&self) -> u64;
+    /// count). Provided as a union-find over the edge scan.
+    fn components(&self) -> u64 {
+        count_components(self.total_nodes() as usize, every_edge(self))
+    }
 
     /// `(min, max)` undirected degree, `None` for the empty graph.
-    fn degree_extrema(&self) -> Option<(u64, u64)>;
+    /// Provided as a count over the edge scan.
+    fn degree_extrema(&self) -> Option<(u64, u64)> {
+        degree_extrema_of(self.total_nodes() as usize, every_edge(self))
+    }
 }
 
 /// A named compression backend: [`Hypergraph`] → container bytes → live
@@ -177,12 +249,22 @@ pub fn resolve_codec(name: &str) -> Result<&'static dyn GraphCodec, GrepairError
     codec_for(name).ok_or_else(|| GrepairError::Container(unknown_backend_error(name)))
 }
 
+/// Wrap an encoded grammar in the legacy `.g2g` container format (the
+/// gRePair backend's on-disk bytes, unchanged across the backend redesign).
+pub fn write_container(bytes: &[u8], bit_len: u64) -> Vec<u8> {
+    let mut file = Vec::with_capacity(bytes.len() + HEADER_LEN);
+    file.extend_from_slice(MAGIC);
+    file.extend_from_slice(&bit_len.to_le_bytes());
+    file.extend_from_slice(bytes);
+    file
+}
+
 /// Wrap a backend payload in the tagged container layout.
 ///
 /// # Panics
 /// If `backend` is not 1..=16 bytes of lower-case ASCII — backend names are
 /// compile-time constants, so this is a programming error, not input.
-pub fn write_tagged_container(backend: &str, bytes: &[u8], bit_len: u64) -> Vec<u8> {
+pub(crate) fn write_tagged_container(backend: &str, bytes: &[u8], bit_len: u64) -> Vec<u8> {
     assert!(
         !backend.is_empty()
             && backend.len() <= 16
@@ -200,7 +282,9 @@ pub fn write_tagged_container(backend: &str, bytes: &[u8], bit_len: u64) -> Vec<
 }
 
 /// Split any container image — legacy `.g2g` or tagged — into its backend
-/// tag, claimed payload bit length, and payload.
+/// tag, claimed payload bit length, and payload. Only the *container* is
+/// judged here; whether the payload actually holds `bit_len` coherent bits
+/// is the codec's job.
 ///
 /// The legacy-detection rule: a file starting with the old `G2G1` magic is
 /// the pre-redesign gRePair container (12-byte header, no tag) and reports
@@ -208,43 +292,35 @@ pub fn write_tagged_container(backend: &str, bytes: &[u8], bit_len: u64) -> Vec<
 /// callers resolve it via [`resolve_codec`], so an unregistered tag names
 /// every registered backend in its error.
 pub fn split_any_container(file: &[u8]) -> Result<(&str, u64, &[u8]), GrepairError> {
-    if file.starts_with(crate::store::MAGIC) {
-        let (bit_len, payload) = parse_container(file)?;
-        return Ok((GREPAIR, bit_len, payload));
+    if let Some(rest) = file.strip_prefix(TAGGED_MAGIC) {
+        let header = |what: &str| GrepairError::Container(format!("tagged container: {what}"));
+        let (&[version, tag_len], rest) =
+            rest.split_first_chunk::<2>().ok_or_else(|| header("truncated header"))?;
+        if version != TAGGED_VERSION {
+            return Err(header(&format!("unsupported version {version}")));
+        }
+        if !(1..=16).contains(&tag_len) {
+            return Err(header(&format!("backend tag length {tag_len} out of range")));
+        }
+        let (tag, rest) = rest
+            .split_at_checked(tag_len as usize)
+            .ok_or_else(|| header("truncated header"))?;
+        let tag = std::str::from_utf8(tag).map_err(|_| header("backend tag is not UTF-8"))?;
+        let (bit_len, payload) =
+            rest.split_first_chunk::<8>().ok_or_else(|| header("truncated header"))?;
+        return Ok((tag, u64::from_le_bytes(*bit_len), payload));
     }
-    if !file.starts_with(TAGGED_MAGIC) {
-        // Exactly the legacy errors: too short to say, or a foreign magic.
-        return match parse_container(file) {
-            Err(e) => Err(e),
-            // audited: parse_container rejects any file without the legacy magic, checked just above
-            Ok(_) => unreachable!("legacy parse accepted bytes without the legacy magic"),
-        };
+    let Some((header, payload)) = file.split_first_chunk::<HEADER_LEN>() else {
+        return Err(GrepairError::Container(format!(
+            "{} bytes is shorter than the {HEADER_LEN}-byte header",
+            file.len()
+        )));
+    };
+    let [m0, m1, m2, m3, bit_len @ ..] = *header;
+    if [m0, m1, m2, m3] != *MAGIC {
+        return Err(GrepairError::Container("bad magic".into()));
     }
-    let header = |what: &str| GrepairError::Container(format!("tagged container: {what}"));
-    if file.len() < 6 {
-        return Err(header("truncated header"));
-    }
-    // audited: file.len() >= 6 was checked just above
-    if file[4] != TAGGED_VERSION {
-        // audited: file.len() >= 6 was checked just above
-        return Err(header(&format!("unsupported version {}", file[4])));
-    }
-    // audited: file.len() >= 6 was checked just above
-    let tag_len = file[5] as usize;
-    if !(1..=16).contains(&tag_len) {
-        return Err(header(&format!("backend tag length {tag_len} out of range")));
-    }
-    let end = 6 + tag_len + 8;
-    if file.len() < end {
-        return Err(header("truncated header"));
-    }
-    // audited: file.len() >= end == 6 + tag_len + 8 was checked just above
-    let tag = std::str::from_utf8(&file[6..6 + tag_len])
-        .map_err(|_| header("backend tag is not UTF-8"))?;
-    // audited: the slice is exactly end - (6 + tag_len) == 8 bytes, inside the checked end
-    let bit_len = u64::from_le_bytes(file[6 + tag_len..end].try_into().expect("8 bytes"));
-    // audited: end <= file.len() was checked above
-    Ok((tag, bit_len, &file[end..]))
+    Ok((GREPAIR, u64::from_le_bytes(bit_len), payload))
 }
 
 // ---------------------------------------------------------------------
@@ -258,91 +334,29 @@ pub(crate) fn check_id(v: u64, total: u64) -> Result<u32, GrepairError> {
     Ok(v as u32)
 }
 
-/// Sorted-`u32` rows widened to the `u64` answer shape.
-pub(crate) fn widen(mut rows: Vec<NodeId>) -> Vec<u64> {
-    rows.sort_unstable();
-    rows.dedup();
-    rows.into_iter().map(u64::from).collect()
+/// A labeled row projected to its nodes, sorted and deduplicated (two
+/// labels can lead to the same neighbor).
+fn row_nodes(row: Vec<(u32, u64)>) -> Vec<u64> {
+    let mut nodes: Vec<u64> = row.into_iter().map(|(_, w)| w).collect();
+    nodes.sort_unstable();
+    nodes.dedup();
+    nodes
 }
 
-/// Directed BFS `s → t` over a neighbor primitive.
-pub(crate) fn bfs_reachable(
-    n: usize,
-    s: u32,
-    t: u32,
-    mut outs: impl FnMut(u32, &mut Vec<NodeId>),
-) -> bool {
-    if s == t {
-        return true;
-    }
-    let mut visited = vec![false; n];
-    // audited: callers pass s < n (check_id)
-    visited[s as usize] = true;
-    let mut queue = VecDeque::from([s]);
-    let mut buf = Vec::new();
-    while let Some(v) = queue.pop_front() {
-        buf.clear();
-        outs(v, &mut buf);
-        for &w in &buf {
-            if w == t {
-                return true;
-            }
-            // audited: engine adjacency entries are validated < n at decode time
-            if !visited[w as usize] {
-                // audited: engine adjacency entries are validated < n at decode time
-                visited[w as usize] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    false
-}
-
-/// Product-automaton BFS for RPQs over a labeled neighbor primitive:
-/// states are `(node, nfa state)`, accepting when the target is reached in
-/// an accepting state. Handles the empty word (`s == t` with an accepting
-/// start state) for free, matching the grammar engine's semantics.
-pub(crate) fn product_rpq(
-    nfa: &Nfa,
-    s: u32,
-    t: u32,
-    labels: &[u32],
-    mut outs: impl FnMut(u32, u32, &mut Vec<NodeId>),
-) -> bool {
-    let mut visited: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let mut queue: VecDeque<(u32, u32)> = VecDeque::new();
-    for &q in nfa.start_states() {
-        if visited.insert((s, q)) {
-            queue.push_back((s, q));
-        }
-    }
-    let mut buf = Vec::new();
-    while let Some((v, q)) = queue.pop_front() {
-        if v == t && nfa.is_accepting(q) {
-            return true;
-        }
-        for &label in labels {
-            let next: Vec<u32> = nfa.step(q, label).collect();
-            if next.is_empty() {
-                continue;
-            }
-            buf.clear();
-            outs(v, label, &mut buf);
-            for &w in &buf {
-                for &q2 in &next {
-                    if visited.insert((w, q2)) {
-                        queue.push_back((w, q2));
-                    }
-                }
-            }
-        }
-    }
-    false
+/// Every edge of the served graph as an endpoint pair, one out-row per
+/// node — the whole-graph aggregate input. Row errors cannot occur for
+/// in-range ids, but the aggregate trait methods are infallible, so an
+/// impossible error degrades to an empty row.
+fn every_edge<E: QueryEngine + ?Sized>(engine: &E) -> impl Iterator<Item = (u32, u32)> + '_ {
+    (0..engine.total_nodes()).flat_map(move |v| {
+        let row = engine.out_edges(v).unwrap_or_default();
+        row.into_iter().map(move |(_, w)| (v as u32, w as u32))
+    })
 }
 
 /// Component count over an edge iterator (undirected view; isolated nodes
 /// count — the same semantics as the grammar's one-pass evaluation).
-pub(crate) fn count_components(n: usize, edges: impl Iterator<Item = (u32, u32)>) -> u64 {
+fn count_components(n: usize, edges: impl Iterator<Item = (u32, u32)>) -> u64 {
     let mut uf = grepair_hypergraph::traverse::UnionFind::new(n);
     for (a, b) in edges {
         uf.union(a, b);
@@ -352,10 +366,7 @@ pub(crate) fn count_components(n: usize, edges: impl Iterator<Item = (u32, u32)>
 
 /// Degree extrema over an edge iterator (each edge adds one incidence per
 /// endpoint, so a self-loop counts twice — matching `val(G)` semantics).
-pub(crate) fn degree_extrema_of(
-    n: usize,
-    edges: impl Iterator<Item = (u32, u32)>,
-) -> Option<(u64, u64)> {
+fn degree_extrema_of(n: usize, edges: impl Iterator<Item = (u32, u32)>) -> Option<(u64, u64)> {
     if n == 0 {
         return None;
     }
@@ -373,22 +384,13 @@ pub(crate) fn degree_extrema_of(
     Some((lo, hi))
 }
 
-/// `(label, node)` pairs sorted ascending and deduplicated — the answer
-/// shape of [`QueryEngine::out_edges`]/[`QueryEngine::in_edges`].
-pub(crate) fn sort_edge_pairs(mut pairs: Vec<(u32, u64)>) -> Vec<(u32, u64)> {
-    pairs.sort_unstable();
-    pairs.dedup();
-    pairs
-}
-
 // ---------------------------------------------------------------------
 // k² engine: per-label adjacency-matrix trees, queried in place
 // ---------------------------------------------------------------------
 
-/// The k²-tree backend's engine: one tree per edge label, neighborhoods
-/// answered by row/column walks, reachability and RPQs by BFS over that
-/// primitive. Nothing is materialized per node — the trees themselves are
-/// the resident representation, exactly as in \[21\].
+/// The k²-tree backend's engine: one tree per edge label, rows answered by
+/// row/column walks of every tree. Nothing is materialized per node — the
+/// trees themselves are the resident representation, exactly as in \[21\].
 #[derive(Debug)]
 pub struct K2Engine {
     n: u32,
@@ -396,14 +398,21 @@ pub struct K2Engine {
 }
 
 impl K2Engine {
-    fn out_row(&self, v: u32, buf: &mut Vec<NodeId>) {
-        for (_, tree) in &self.trees {
-            buf.extend(tree.row(v));
+    /// The labeled row of `v`: `walk` (a row or a column walk) on each
+    /// label's tree.
+    fn row(
+        &self,
+        v: u64,
+        walk: impl Fn(&K2Tree, u32) -> Vec<NodeId>,
+    ) -> Result<Vec<(u32, u64)>, GrepairError> {
+        let v = check_id(v, self.total_nodes())?;
+        let mut pairs = Vec::new();
+        for (label, tree) in &self.trees {
+            pairs.extend(walk(tree, v).into_iter().map(|w| (*label, w as u64)));
         }
-    }
-
-    fn all_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.trees.iter().flat_map(|(_, tree)| tree.iter_ones())
+        pairs.sort_unstable();
+        pairs.dedup();
+        Ok(pairs)
     }
 }
 
@@ -416,64 +425,12 @@ impl QueryEngine for K2Engine {
         self.n as u64
     }
 
-    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let v = check_id(v, self.total_nodes())?;
-        let mut rows = Vec::new();
-        self.out_row(v, &mut rows);
-        Ok(widen(rows))
-    }
-
-    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let v = check_id(v, self.total_nodes())?;
-        let mut cols = Vec::new();
-        for (_, tree) in &self.trees {
-            cols.extend(tree.col(v));
-        }
-        Ok(widen(cols))
-    }
-
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let v = check_id(v, self.total_nodes())?;
-        let mut pairs = Vec::new();
-        for &(label, ref tree) in &self.trees {
-            pairs.extend(tree.row(v).into_iter().map(|w| (label, w as u64)));
-        }
-        Ok(sort_edge_pairs(pairs))
+        self.row(v, K2Tree::row)
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let v = check_id(v, self.total_nodes())?;
-        let mut pairs = Vec::new();
-        for &(label, ref tree) in &self.trees {
-            pairs.extend(tree.col(v).into_iter().map(|w| (label, w as u64)));
-        }
-        Ok(sort_edge_pairs(pairs))
-    }
-
-    fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
-        let s = check_id(s, self.total_nodes())?;
-        let t = check_id(t, self.total_nodes())?;
-        Ok(bfs_reachable(self.n as usize, s, t, |v, buf| self.out_row(v, buf)))
-    }
-
-    fn rpq(&self, pattern: &str, s: u64, t: u64) -> Result<bool, GrepairError> {
-        let s = check_id(s, self.total_nodes())?;
-        let t = check_id(t, self.total_nodes())?;
-        let nfa = compile_pattern(pattern)?;
-        let labels: Vec<u32> = self.trees.iter().map(|&(l, _)| l).collect();
-        Ok(product_rpq(&nfa, s, t, &labels, |v, label, buf| {
-            if let Some((_, tree)) = self.trees.iter().find(|&&(l, _)| l == label) {
-                buf.extend(tree.row(v));
-            }
-        }))
-    }
-
-    fn components(&self) -> u64 {
-        count_components(self.n as usize, self.all_edges())
-    }
-
-    fn degree_extrema(&self) -> Option<(u64, u64)> {
-        degree_extrema_of(self.n as usize, self.all_edges())
+        self.row(v, K2Tree::col)
     }
 }
 
@@ -484,7 +441,7 @@ impl QueryEngine for K2Engine {
 /// The engine behind the list-shaped backends (`lm`, `hn`): decoded,
 /// unlabeled out-adjacency plus its in-inversion, built once at load.
 /// These formats store single-label rank-2 structure only, so every edge
-/// is label `0` for RPG purposes.
+/// is label `0` for RPQ purposes.
 #[derive(Debug)]
 pub struct AdjEngine {
     backend: &'static str,
@@ -507,11 +464,11 @@ impl AdjEngine {
         Self { backend, out, ins }
     }
 
-    fn edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.out
-            .iter()
-            .enumerate()
-            .flat_map(|(v, outs)| outs.iter().map(move |&w| (v as u32, w)))
+    /// The row of `v` in `lists`, every entry under label 0.
+    fn row(lists: &[Vec<NodeId>], v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
+        let v = check_id(v, lists.len() as u64)?;
+        // audited: check_id just bounded v by lists.len()
+        Ok(lists[v as usize].iter().map(|&w| (0, w as u64)).collect())
     }
 }
 
@@ -524,53 +481,12 @@ impl QueryEngine for AdjEngine {
         self.out.len() as u64
     }
 
-    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let v = check_id(v, self.total_nodes())?;
-        // audited: check_id just bounded v by total_nodes == out.len()
-        Ok(self.out[v as usize].iter().map(|&w| w as u64).collect())
-    }
-
-    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let v = check_id(v, self.total_nodes())?;
-        // audited: check_id just bounded v by total_nodes == ins.len()
-        Ok(self.ins[v as usize].iter().map(|&w| w as u64).collect())
-    }
-
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        // These formats are unlabeled: every edge carries label 0, and the
-        // out-lists are already sorted + deduplicated.
-        Ok(self.out_neighbors(v)?.into_iter().map(|w| (0, w)).collect())
+        Self::row(&self.out, v)
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        Ok(self.in_neighbors(v)?.into_iter().map(|w| (0, w)).collect())
-    }
-
-    fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
-        let s = check_id(s, self.total_nodes())?;
-        let t = check_id(t, self.total_nodes())?;
-        Ok(bfs_reachable(self.out.len(), s, t, |v, buf| {
-            // audited: bfs visits only check_id-validated ids and decoder-validated neighbors
-            buf.extend_from_slice(&self.out[v as usize])
-        }))
-    }
-
-    fn rpq(&self, pattern: &str, s: u64, t: u64) -> Result<bool, GrepairError> {
-        let s = check_id(s, self.total_nodes())?;
-        let t = check_id(t, self.total_nodes())?;
-        let nfa = compile_pattern(pattern)?;
-        Ok(product_rpq(&nfa, s, t, &[0], |v, _, buf| {
-            // audited: product_rpq visits only check_id-validated ids and decoder-validated neighbors
-            buf.extend_from_slice(&self.out[v as usize])
-        }))
-    }
-
-    fn components(&self) -> u64 {
-        count_components(self.out.len(), self.edges())
-    }
-
-    fn degree_extrema(&self) -> Option<(u64, u64)> {
-        degree_extrema_of(self.out.len(), self.edges())
+        Self::row(&self.ins, v)
     }
 }
 

@@ -1,38 +1,33 @@
 //! The gRePair backend's query engine: grammar navigation with memoized
 //! rule expansions and compiled RPQ plans.
 //!
-//! This is the machinery `GraphStore` originally owned directly; it now
-//! lives behind the [`QueryEngine`] trait so the store can serve other
-//! compressed representations (k²-tree, list-merging, virtual-node) through
-//! the same surface. The grammar engine stays special in one way: the
-//! store's batch amortization (shared reach closures, shared RPQ product
-//! closures, the per-batch locate cache — DESIGN.md §5) reaches into its
-//! fields directly, because those levers are grammar-shaped and have no
-//! analog in the adjacency-backed engines.
+//! One labeled walk serves every row-shaped answer: a single incident-edge
+//! scan over a single memoized expansion cache, with `collect_edges` (the
+//! [`QueryEngine`] row primitive) and `collect_neighbors` (the label
+//! dropped) as two thin emits over it. The grammar engine is the one
+//! implementor that overrides [`QueryEngine`]'s provided methods, and it
+//! stays special in one more way: the store's batch amortization (shared
+//! reach closures, shared RPQ product closures, the per-batch locate cache
+//! — DESIGN.md §5) reaches into its fields directly, because those levers
+//! are grammar-shaped and have no analog in the row-backed engines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use grepair_grammar::Grammar;
-use grepair_hypergraph::{EdgeId, EdgeLabel, NodeId};
+use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_queries::neighbors::Direction;
-use grepair_queries::{speedup, GRepr, GrammarIndex, QueryError, ReachIndex, RpqIndex};
+use grepair_queries::{speedup, GRepr, GrammarIndex, ReachIndex, RpqIndex};
 
 use crate::backend::QueryEngine;
 use crate::cache::ShardedMap;
 use crate::query::compile_pattern;
 use crate::GrepairError;
 
-/// One memoized rule expansion: the neighbors one `(nt, ext position,
-/// direction)` combination contributes, as rule-relative `(path, node)`
-/// pairs (see [`GrammarIndex::rule_expansion`]).
-pub(crate) type Expansion = Arc<Vec<(Vec<EdgeId>, NodeId)>>;
-/// A memoized *labeled* rule expansion: the `(path, terminal label, node)`
-/// triples one `(nt, ext position, direction)` combination contributes.
-/// Same shape as [`Expansion`] but keeping the terminal label each
-/// contributed neighbor was reached over — the primitive the version
-/// overlay corrects (DESIGN.md §12).
-pub(crate) type LabeledExpansion = Arc<Vec<(Vec<EdgeId>, u32, NodeId)>>;
+/// One memoized rule expansion: the row one `(nt, ext position,
+/// direction)` combination contributes, as rule-relative `(path, terminal
+/// label, node)` entries (see [`GrammarIndex::rule_expansion`]).
+pub(crate) type Expansion = Arc<Vec<(Vec<EdgeId>, u32, NodeId)>>;
 /// Cache key: `(nonterminal, external position, direction)`.
 type ExpansionKey = (u32, u32, Direction);
 
@@ -67,12 +62,9 @@ pub struct GrammarEngine {
     /// Skeleton-based reachability (Thm. 6), built eagerly.
     pub(crate) reach: ReachIndex<Arc<Grammar>>,
     /// Memoized rule expansions — hot on hub nodes, whose incident
-    /// nonterminal edges repeat few distinct labels.
+    /// nonterminal edges repeat few distinct labels. Labeled rows and plain
+    /// neighbor sets both read it.
     expansions: ShardedMap<ExpansionKey, Expansion>,
-    /// Labeled variant of `expansions`, feeding the `out_edges`/`in_edges`
-    /// primitive. Kept separate so the (hotter) unlabeled neighbor path
-    /// stays label-free.
-    labeled_expansions: ShardedMap<ExpansionKey, LabeledExpansion>,
     /// Compiled RPQ plans per canonical pattern text.
     plans: ShardedMap<String, Arc<RpqIndex<Arc<Grammar>>>>,
     pub(crate) cache_counters: CacheCounters,
@@ -87,7 +79,6 @@ impl GrammarEngine {
             reach: ReachIndex::new(grammar.clone()),
             grammar,
             expansions: ShardedMap::default(),
-            labeled_expansions: ShardedMap::default(),
             plans: ShardedMap::default(),
             cache_counters: CacheCounters::default(),
         }
@@ -98,63 +89,97 @@ impl GrammarEngine {
         &self.grammar
     }
 
-    /// Neighbor collection with memoized nonterminal descent. The context
-    /// scan mirrors `GrammarIndex::neighbors`; the descent into each
-    /// nonterminal edge is replaced by a cache of rule-relative expansions
-    /// (see [`GrammarIndex::rule_expansion`] for the uncached reference).
-    /// The caller resolves `repr` (possibly through the per-batch locate
-    /// cache); the derivation-path buffer comes from `scratch`.
+    /// Neighbor ids of `repr` over `dirs`, sorted and deduplicated: the
+    /// labeled walk with the label dropped at the emit. The caller resolves
+    /// `repr` (possibly through the per-batch locate cache).
     pub(crate) fn collect_neighbors(
+        &self,
+        repr: &GRepr,
+        dirs: &[Direction],
+        scratch: &mut Scratch,
+    ) -> Vec<u64> {
+        let mut out = Vec::new();
+        for &dir in dirs {
+            self.walk(repr, dir, scratch, |_, w| out.push(w));
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The labeled row of `repr`: sorted, deduplicated `(label, node)`
+    /// pairs — the `out_edges`/`in_edges` primitive.
+    pub(crate) fn collect_edges(
         &self,
         repr: &GRepr,
         dir: Direction,
         scratch: &mut Scratch,
-    ) -> Result<Vec<u64>, QueryError> {
-        let ctx_graph = self.index.context(&repr.path);
-        // Fast path: isolated (rank-0) nodes have no neighbors — return
-        // before touching the expansion machinery.
-        if ctx_graph.incident(repr.node).next().is_none() {
-            return Ok(Vec::new());
-        }
+    ) -> Vec<(u32, u64)> {
         let mut out = Vec::new();
-        let full: &mut Vec<EdgeId> = &mut scratch.full;
+        self.walk(repr, dir, scratch, |label, w| out.push((label, w)));
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The context walk: every edge of `val(G)` leaving (or entering) the
+    /// node `repr` addresses, emitted as `(label, global id)`. The
+    /// derivation-path buffer comes from `scratch`.
+    fn walk(
+        &self,
+        repr: &GRepr,
+        dir: Direction,
+        scratch: &mut Scratch,
+        mut emit: impl FnMut(u32, u64),
+    ) {
+        let full = &mut scratch.full;
         full.clear();
         full.extend_from_slice(&repr.path);
-        for e in ctx_graph.incident(repr.node) {
-            let att = ctx_graph.att(e);
-            match ctx_graph.label(e) {
-                EdgeLabel::Terminal(_) => {
-                    if att.len() != 2 {
-                        continue;
+        self.scan(self.index.context(&repr.path), repr.node, dir, |head, rel, label, node| {
+            full.truncate(repr.path.len());
+            full.extend_from_slice(head);
+            full.extend_from_slice(rel);
+            emit(label, self.index.global_id(full, node));
+        });
+    }
+
+    /// The one incident-edge scan. It mirrors `GrammarIndex`'s (the
+    /// uncached reference, see [`GrammarIndex::rule_expansion`]) with the
+    /// descent into each nonterminal edge replaced by its memoized
+    /// expansion. `emit` receives the path below `graph` in two pieces —
+    /// the incident nonterminal edge (or nothing, for a terminal edge of
+    /// `graph` itself) and the cached rule-relative rest — then the
+    /// terminal label and the other endpoint.
+    fn scan(
+        &self,
+        graph: &Hypergraph,
+        v: NodeId,
+        dir: Direction,
+        mut emit: impl FnMut(&[EdgeId], &[EdgeId], u32, NodeId),
+    ) {
+        for e in graph.incident(v) {
+            let att = graph.att(e);
+            match graph.label(e) {
+                EdgeLabel::Terminal(label) => {
+                    if let [from, to] = *att {
+                        match dir {
+                            Direction::Out if from == v => emit(&[], &[], label, to),
+                            Direction::In if to == v => emit(&[], &[], label, from),
+                            _ => {}
+                        }
                     }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == repr.node => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == repr.node => att[0],
-                        _ => continue,
-                    };
-                    out.push(self.index.global_id(&repr.path, neighbor));
                 }
                 EdgeLabel::Nonterminal(nt) => {
                     for (pos, &x) in att.iter().enumerate() {
-                        if x != repr.node {
-                            continue;
-                        }
-                        let exp = self.expansion(nt, pos as u32, dir);
-                        for (rel, node) in exp.iter() {
-                            full.truncate(repr.path.len());
-                            full.push(e);
-                            full.extend_from_slice(rel);
-                            out.push(self.index.global_id(full, *node));
+                        if x == v {
+                            for (rel, label, node) in self.expansion(nt, pos as u32, dir).iter() {
+                                emit(&[e], rel, *label, *node);
+                            }
                         }
                     }
                 }
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
     }
 
     /// Memoized rule-relative expansion for `(nt, ext position, dir)` — a
@@ -165,168 +190,19 @@ impl GrammarEngine {
             self.cache_counters.expansion_hits.fetch_add(1, Ordering::Relaxed);
             return hit;
         }
-        // Compute outside any lock: the recursion below re-enters
-        // `expansion` for nested nonterminals (sharing their entries too).
+        // Compute outside any lock: the scan re-enters `expansion` for
+        // nested nonterminals (sharing their entries too); straight-line
+        // grammars make that recursion, over strictly smaller
+        // nonterminals, finite.
         self.cache_counters.expansion_misses.fetch_add(1, Ordering::Relaxed);
-        let computed = Arc::new(self.compute_expansion(nt, pos, dir));
-        self.expansions.insert_if_absent(key, computed)
-    }
-
-    /// Uncached expansion body; straight-line grammars make the recursion
-    /// (over strictly smaller nonterminals) finite.
-    fn compute_expansion(&self, nt: u32, pos: u32, dir: Direction) -> Vec<(Vec<EdgeId>, NodeId)> {
         let rhs = self.grammar.rule(nt);
-        let Some(&v) = rhs.ext().get(pos as usize) else { return Vec::new() };
-        let mut out = Vec::new();
-        for e in rhs.incident(v) {
-            let att = rhs.att(e);
-            match rhs.label(e) {
-                EdgeLabel::Terminal(_) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == v => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == v => att[0],
-                        _ => continue,
-                    };
-                    out.push((Vec::new(), neighbor));
-                }
-                EdgeLabel::Nonterminal(sub) => {
-                    for (p2, &x) in att.iter().enumerate() {
-                        if x != v {
-                            continue;
-                        }
-                        let nested = self.expansion(sub, p2 as u32, dir);
-                        for (rel, node) in nested.iter() {
-                            let mut path = Vec::with_capacity(rel.len() + 1);
-                            path.push(e);
-                            path.extend_from_slice(rel);
-                            out.push((path, *node));
-                        }
-                    }
-                }
-            }
+        let mut computed = Vec::new();
+        if let Some(&v) = rhs.ext().get(pos as usize) {
+            self.scan(rhs, v, dir, |head, rel, label, node| {
+                computed.push(([head, rel].concat(), label, node));
+            });
         }
-        out
-    }
-
-    /// Labeled neighbor collection: the same context scan as
-    /// [`Self::collect_neighbors`], but keeping the terminal label each
-    /// neighbor was reached over. Feeds the `out_edges`/`in_edges`
-    /// primitive the version overlay corrects.
-    pub(crate) fn collect_edges(
-        &self,
-        repr: &GRepr,
-        dir: Direction,
-        scratch: &mut Scratch,
-    ) -> Result<Vec<(u32, u64)>, QueryError> {
-        let ctx_graph = self.index.context(&repr.path);
-        if ctx_graph.incident(repr.node).next().is_none() {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        let full: &mut Vec<EdgeId> = &mut scratch.full;
-        full.clear();
-        full.extend_from_slice(&repr.path);
-        for e in ctx_graph.incident(repr.node) {
-            let att = ctx_graph.att(e);
-            match ctx_graph.label(e) {
-                EdgeLabel::Terminal(label) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == repr.node => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == repr.node => att[0],
-                        _ => continue,
-                    };
-                    out.push((label, self.index.global_id(&repr.path, neighbor)));
-                }
-                EdgeLabel::Nonterminal(nt) => {
-                    for (pos, &x) in att.iter().enumerate() {
-                        if x != repr.node {
-                            continue;
-                        }
-                        let exp = self.labeled_expansion(nt, pos as u32, dir);
-                        for (rel, label, node) in exp.iter() {
-                            full.truncate(repr.path.len());
-                            full.push(e);
-                            full.extend_from_slice(rel);
-                            out.push((*label, self.index.global_id(full, *node)));
-                        }
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
-    /// Memoized labeled rule-relative expansion — the labeled twin of
-    /// [`Self::expansion`], sharing its hit/miss counters (both populate
-    /// the same logical cache family).
-    pub(crate) fn labeled_expansion(&self, nt: u32, pos: u32, dir: Direction) -> LabeledExpansion {
-        let key: ExpansionKey = (nt, pos, dir);
-        if let Some(hit) = self.labeled_expansions.get(&key) {
-            self.cache_counters.expansion_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        self.cache_counters.expansion_misses.fetch_add(1, Ordering::Relaxed);
-        let computed = Arc::new(self.compute_labeled_expansion(nt, pos, dir));
-        self.labeled_expansions.insert_if_absent(key, computed)
-    }
-
-    /// Uncached labeled expansion body, mirroring
-    /// [`Self::compute_expansion`] with the terminal label threaded
-    /// through.
-    fn compute_labeled_expansion(
-        &self,
-        nt: u32,
-        pos: u32,
-        dir: Direction,
-    ) -> Vec<(Vec<EdgeId>, u32, NodeId)> {
-        let rhs = self.grammar.rule(nt);
-        let Some(&v) = rhs.ext().get(pos as usize) else { return Vec::new() };
-        let mut out = Vec::new();
-        for e in rhs.incident(v) {
-            let att = rhs.att(e);
-            match rhs.label(e) {
-                EdgeLabel::Terminal(label) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let neighbor = match dir {
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::Out if att[0] == v => att[1],
-                        // audited: att.len() == 2 was checked above; rank-2 terminal edge
-                        Direction::In if att[1] == v => att[0],
-                        _ => continue,
-                    };
-                    out.push((Vec::new(), label, neighbor));
-                }
-                EdgeLabel::Nonterminal(sub) => {
-                    for (p2, &x) in att.iter().enumerate() {
-                        if x != v {
-                            continue;
-                        }
-                        let nested = self.labeled_expansion(sub, p2 as u32, dir);
-                        for (rel, label, node) in nested.iter() {
-                            let mut path = Vec::with_capacity(rel.len() + 1);
-                            path.push(e);
-                            path.extend_from_slice(rel);
-                            out.push((path, *label, *node));
-                        }
-                    }
-                }
-            }
-        }
-        out
+        self.expansions.insert_if_absent(key, Arc::new(computed))
     }
 
     /// Compiled-plan lookup for an RPQ pattern — a hit is an `Arc` clone out
@@ -346,6 +222,10 @@ impl GrammarEngine {
     }
 }
 
+/// The one engine that overrides provided methods: the grammar answers
+/// `reach`, `rpq` and the aggregates in the compressed domain (Thm. 6
+/// skeletons, compiled product plans, one O(|G|) pass) instead of walking
+/// rows.
 impl QueryEngine for GrammarEngine {
     fn backend(&self) -> &'static str {
         crate::backend::GREPAIR
@@ -355,34 +235,14 @@ impl QueryEngine for GrammarEngine {
         self.index.total_nodes
     }
 
-    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let repr = self.index.try_locate(v)?;
-        Ok(self.collect_neighbors(&repr, Direction::Out, &mut Scratch::default())?)
-    }
-
-    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let repr = self.index.try_locate(v)?;
-        Ok(self.collect_neighbors(&repr, Direction::In, &mut Scratch::default())?)
-    }
-
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
         let repr = self.index.try_locate(v)?;
-        Ok(self.collect_edges(&repr, Direction::Out, &mut Scratch::default())?)
+        Ok(self.collect_edges(&repr, Direction::Out, &mut Scratch::default()))
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
         let repr = self.index.try_locate(v)?;
-        Ok(self.collect_edges(&repr, Direction::In, &mut Scratch::default())?)
-    }
-
-    fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let repr = self.index.try_locate(v)?;
-        let mut scratch = Scratch::default();
-        let mut out = self.collect_neighbors(&repr, Direction::Out, &mut scratch)?;
-        out.extend(self.collect_neighbors(&repr, Direction::In, &mut scratch)?);
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+        Ok(self.collect_edges(&repr, Direction::In, &mut Scratch::default()))
     }
 
     fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {

@@ -84,8 +84,8 @@ mod store;
 mod version;
 
 pub use backend::{
-    backend_names, codec_for, codecs, split_any_container, write_tagged_container, GraphCodec,
-    QueryEngine, TAGGED_MAGIC,
+    backend_names, codec_for, codecs, split_any_container, write_container, GraphCodec,
+    QueryEngine,
 };
 pub use engine::GrammarEngine;
 pub use error::GrepairError;
@@ -95,9 +95,7 @@ pub use registry::{
     BREAKER_COOLDOWN, BREAKER_THRESHOLD, COLD_OPEN_ATTEMPTS, DEFAULT_NAMESPACE,
     MAX_NAMESPACE_LEN,
 };
-pub use store::{
-    parse_container, write_container, BatchExecutor, GraphStore, StoreStats, HEADER_LEN, MAGIC,
-};
+pub use store::{BatchExecutor, GraphStore, StoreStats};
 pub use version::{
     materialize, EdgePatch, PatchOp, VersionSummary, VersionedStore, MAX_VERSIONED_NODES,
 };

@@ -15,46 +15,6 @@ use crate::engine::{GrammarEngine, Scratch};
 use crate::query::{Query, QueryAnswer};
 use crate::GrepairError;
 
-/// Container magic for legacy `.g2g` files (shared with the CLI writer; the
-/// gRePair backend still writes exactly this format — see
-/// [`crate::backend::split_any_container`] for the multi-backend layout).
-pub const MAGIC: &[u8; 4] = b"G2G1";
-/// Legacy container header size: magic + little-endian `u64` bit length.
-pub const HEADER_LEN: usize = 12;
-
-/// Split a legacy `.g2g` container into its claimed bit length and payload.
-///
-/// Only the *container* is judged here; whether the payload actually holds
-/// `bit_len` coherent bits is the codec's job. Tagged multi-backend
-/// containers go through [`crate::backend::split_any_container`], which
-/// calls this for files carrying the legacy magic.
-pub fn parse_container(file: &[u8]) -> Result<(u64, &[u8]), GrepairError> {
-    if file.len() < HEADER_LEN {
-        return Err(GrepairError::Container(format!(
-            "{} bytes is shorter than the {HEADER_LEN}-byte header",
-            file.len()
-        )));
-    }
-    // audited: file.len() >= HEADER_LEN >= 4 was checked just above
-    if &file[..4] != MAGIC {
-        return Err(GrepairError::Container("bad magic".into()));
-    }
-    // audited: 4..HEADER_LEN is exactly 8 bytes, inside the checked header
-    let bit_len = u64::from_le_bytes(file[4..HEADER_LEN].try_into().expect("4..12 is 8 bytes"));
-    // audited: file.len() >= HEADER_LEN was checked just above
-    Ok((bit_len, &file[HEADER_LEN..]))
-}
-
-/// Wrap an encoded grammar in the legacy `.g2g` container format (the
-/// gRePair backend's on-disk bytes, unchanged across the backend redesign).
-pub fn write_container(bytes: &[u8], bit_len: u64) -> Vec<u8> {
-    let mut file = Vec::with_capacity(bytes.len() + HEADER_LEN);
-    file.extend_from_slice(MAGIC);
-    file.extend_from_slice(&bit_len.to_le_bytes());
-    file.extend_from_slice(bytes);
-    file
-}
-
 /// What every query entry point returns: a shared handle to the answer, so
 /// cache and memo hits are `Arc` clones, never `Vec` copies.
 type AnswerResult = Result<Arc<QueryAnswer>, GrepairError>;
@@ -656,21 +616,14 @@ impl GraphStore {
         scratch: &mut Scratch,
     ) -> AnswerResult {
         Ok(Arc::new(match q {
-            Query::OutNeighbors(v) => {
+            Query::OutNeighbors(v) | Query::InNeighbors(v) | Query::Neighbors(v) => {
+                let dirs: &[Direction] = match q {
+                    Query::OutNeighbors(_) => &[Direction::Out],
+                    Query::InNeighbors(_) => &[Direction::In],
+                    _ => &[Direction::Out, Direction::In],
+                };
                 let repr = Self::locate_for(ge, *v, ctx)?;
-                QueryAnswer::Nodes(ge.collect_neighbors(&repr, Direction::Out, scratch)?)
-            }
-            Query::InNeighbors(v) => {
-                let repr = Self::locate_for(ge, *v, ctx)?;
-                QueryAnswer::Nodes(ge.collect_neighbors(&repr, Direction::In, scratch)?)
-            }
-            Query::Neighbors(v) => {
-                let repr = Self::locate_for(ge, *v, ctx)?;
-                let mut out = ge.collect_neighbors(&repr, Direction::Out, scratch)?;
-                out.extend(ge.collect_neighbors(&repr, Direction::In, scratch)?);
-                out.sort_unstable();
-                out.dedup();
-                QueryAnswer::Nodes(out)
+                QueryAnswer::Nodes(ge.collect_neighbors(&repr, dirs, scratch))
             }
             Query::Reach { s, t } if s == t => {
                 // Trivially true for valid ids — skip the forward closure.
@@ -735,7 +688,7 @@ impl GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::codec_for;
+    use crate::backend::{codec_for, write_container};
     use grepair_core::{compress, GRePairConfig};
     use grepair_hypergraph::{EdgeLabel, Hypergraph};
     use grepair_queries::GrammarIndex;

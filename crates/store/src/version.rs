@@ -6,27 +6,25 @@
 //! This module makes a served graph writable without giving up compression:
 //! the base container (any registered backend) stays untouched, every edit
 //! lives in a cheap in-memory `Overlay`, and each applied patch is a new
-//! monotonic version. Queries against a version evaluate as
-//! base-engine-answer ⊕ overlay-correction over the labeled edge primitive
-//! ([`crate::QueryEngine::out_edges`] / `in_edges`), so the compressed-
-//! domain speedups the base engine delivers keep applying to the base
-//! structure.
+//! monotonic version. A version is two corrected row functions:
+//! [`crate::QueryEngine::out_edges`] / `in_edges` answer base row ⊕ overlay
+//! correction, every verb is the trait's provided row walk over them, and
+//! the base engine's compressed-domain machinery keeps producing the base
+//! part of every row.
 //!
 //! Retained versions are addressable forever (until a reload/detach drops
 //! the log): `v0` is the base, `vN` is the state after the `N`-th patch,
 //! and the wire protocol's `@vN` suffix pins a query to any of them while
 //! bare queries track the head (DESIGN.md §12).
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use grepair_hypergraph::Hypergraph;
-use grepair_queries::QueryError;
+use grepair_queries::{Direction, QueryError};
 use grepair_util::sync::RwLock;
 use grepair_util::{FxHashMap, FxHashSet};
 
-use crate::backend::{count_components, degree_extrema_of, QueryEngine};
-use crate::query::compile_pattern;
+use crate::backend::QueryEngine;
 use crate::{GraphStore, GrepairError};
 
 /// Hard cap on a versioned graph's node bound (base nodes and any node a
@@ -193,36 +191,35 @@ impl Overlay {
         // `@vN` answers stay stable however later versions evolve.
     }
 
-    /// Corrected labeled out-edges of `v`: base rows minus removed triples
-    /// plus added rows. Nodes beyond the base bound have no base rows.
-    fn corrected_out(&self, base: &GraphStore, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let mut rows: Vec<(u32, u64)> = if v < base.total_nodes() {
-            base.out_edges(v)?
-                .into_iter()
-                .filter(|&(label, t)| !self.removed.contains(&(v, label, t)))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        if let Some(extra) = self.added_out.get(&v) {
-            rows.extend(extra.iter().copied());
-            rows.sort_unstable();
-            rows.dedup();
+    /// The corrected labeled row of `v` in direction `dir`: base rows minus
+    /// removed triples plus added rows (`(label, target)` pairs going out,
+    /// `(label, source)` pairs coming in). Nodes beyond the base bound have
+    /// no base rows.
+    fn corrected(
+        &self,
+        base: &GraphStore,
+        v: u64,
+        dir: Direction,
+    ) -> Result<Vec<(u32, u64)>, GrepairError> {
+        let mut rows = Vec::new();
+        if v < base.total_nodes() {
+            rows = match dir {
+                Direction::Out => base.out_edges(v)?,
+                Direction::In => base.in_edges(v)?,
+            };
+            rows.retain(|&(label, w)| {
+                let (s, t) = match dir {
+                    Direction::Out => (v, w),
+                    Direction::In => (w, v),
+                };
+                !self.removed.contains(&(s, label, t))
+            });
         }
-        Ok(rows)
-    }
-
-    /// Corrected labeled in-edges of `v` (pairs are `(label, source)`).
-    fn corrected_in(&self, base: &GraphStore, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let mut rows: Vec<(u32, u64)> = if v < base.total_nodes() {
-            base.in_edges(v)?
-                .into_iter()
-                .filter(|&(label, s)| !self.removed.contains(&(s, label, v)))
-                .collect()
-        } else {
-            Vec::new()
+        let added = match dir {
+            Direction::Out => &self.added_out,
+            Direction::In => &self.added_in,
         };
-        if let Some(extra) = self.added_in.get(&v) {
+        if let Some(extra) = added.get(&v) {
             rows.extend(extra.iter().copied());
             rows.sort_unstable();
             rows.dedup();
@@ -232,10 +229,10 @@ impl Overlay {
 }
 
 /// The [`QueryEngine`] of one retained version: the immutable base store
-/// plus this version's frozen `Overlay`. Every query evaluates as
-/// base-answer ⊕ overlay-correction over the labeled edge primitive; the
-/// base's own compressed-domain machinery (grammar navigation, k²-tree
-/// walks) keeps answering the base part.
+/// plus this version's frozen `Overlay`. A version is its two corrected row
+/// functions — every query is the trait's provided row walk over them,
+/// while the base's own compressed-domain machinery (grammar navigation,
+/// k²-tree walks) keeps producing the base part of each row.
 #[derive(Debug)]
 struct OverlayEngine {
     base: Arc<GraphStore>,
@@ -243,51 +240,11 @@ struct OverlayEngine {
 }
 
 impl OverlayEngine {
-    fn check(&self, v: u64) -> Result<(), GrepairError> {
+    fn row(&self, v: u64, dir: Direction) -> Result<Vec<(u32, u64)>, GrepairError> {
         if v >= self.overlay.bound {
             return Err(QueryError::NodeOutOfRange { id: v, total: self.overlay.bound }.into());
         }
-        Ok(())
-    }
-
-    /// Directed BFS over the corrected out-edge rows.
-    fn bfs_reach(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
-        if s == t {
-            return Ok(true);
-        }
-        let mut visited = vec![false; self.overlay.bound as usize];
-        // audited: callers checked s < bound == visited.len()
-        visited[s as usize] = true;
-        let mut queue = VecDeque::from([s]);
-        while let Some(v) = queue.pop_front() {
-            for (_, w) in self.overlay.corrected_out(&self.base, v)? {
-                if w == t {
-                    return Ok(true);
-                }
-                // audited: corrected rows only hold ids < bound (base rows < base bound, added rows grew bound)
-                if !visited[w as usize] {
-                    // audited: same bound as the read just above
-                    visited[w as usize] = true;
-                    queue.push_back(w);
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    /// Undirected corrected edge scan as `(u32, u32)` endpoint pairs — the
-    /// whole-graph aggregate input. Row errors cannot occur for in-bound
-    /// ids (the scan stays in `0..bound`), but the aggregate trait methods
-    /// are infallible, so an impossible error degrades to an empty row.
-    fn scan_edges(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        (0..self.overlay.bound).flat_map(move |v| {
-            self.overlay
-                .corrected_out(&self.base, v)
-                .unwrap_or_default()
-                .into_iter()
-                .map(move |(_, w)| (v as u32, w as u32))
-                .collect::<Vec<_>>()
-        })
+        self.overlay.corrected(&self.base, v, dir)
     }
 }
 
@@ -302,76 +259,12 @@ impl QueryEngine for OverlayEngine {
         self.overlay.bound
     }
 
-    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.check(v)?;
-        let mut out: Vec<u64> =
-            self.overlay.corrected_out(&self.base, v)?.into_iter().map(|(_, w)| w).collect();
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
-    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.check(v)?;
-        let mut out: Vec<u64> =
-            self.overlay.corrected_in(&self.base, v)?.into_iter().map(|(_, w)| w).collect();
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
-    }
-
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.check(v)?;
-        self.overlay.corrected_out(&self.base, v)
+        self.row(v, Direction::Out)
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.check(v)?;
-        self.overlay.corrected_in(&self.base, v)
-    }
-
-    fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
-        self.check(s)?;
-        self.check(t)?;
-        self.bfs_reach(s, t)
-    }
-
-    fn rpq(&self, pattern: &str, s: u64, t: u64) -> Result<bool, GrepairError> {
-        self.check(s)?;
-        self.check(t)?;
-        let nfa = compile_pattern(pattern)?;
-        // Product-automaton BFS over the corrected rows. Unlike the
-        // adjacency engines' per-label walk, the corrected row already
-        // carries its labels, so each popped state steps the NFA by every
-        // outgoing edge's label directly.
-        let mut visited: FxHashSet<(u64, u32)> = FxHashSet::default();
-        let mut queue: VecDeque<(u64, u32)> = VecDeque::new();
-        for &q in nfa.start_states() {
-            if visited.insert((s, q)) {
-                queue.push_back((s, q));
-            }
-        }
-        while let Some((v, q)) = queue.pop_front() {
-            if v == t && nfa.is_accepting(q) {
-                return Ok(true);
-            }
-            for (label, w) in self.overlay.corrected_out(&self.base, v)? {
-                for q2 in nfa.step(q, label) {
-                    if visited.insert((w, q2)) {
-                        queue.push_back((w, q2));
-                    }
-                }
-            }
-        }
-        Ok(false)
-    }
-
-    fn components(&self) -> u64 {
-        count_components(self.overlay.bound as usize, self.scan_edges())
-    }
-
-    fn degree_extrema(&self) -> Option<(u64, u64)> {
-        degree_extrema_of(self.overlay.bound as usize, self.scan_edges())
+        self.row(v, Direction::In)
     }
 }
 
@@ -753,29 +646,11 @@ mod tests {
             fn total_nodes(&self) -> u64 {
                 MAX_VERSIONED_NODES + 1
             }
-            fn out_neighbors(&self, _: u64) -> Result<Vec<u64>, GrepairError> {
-                Ok(Vec::new())
-            }
-            fn in_neighbors(&self, _: u64) -> Result<Vec<u64>, GrepairError> {
-                Ok(Vec::new())
-            }
             fn out_edges(&self, _: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
                 Ok(Vec::new())
             }
             fn in_edges(&self, _: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
                 Ok(Vec::new())
-            }
-            fn reachable(&self, _: u64, _: u64) -> Result<bool, GrepairError> {
-                Ok(false)
-            }
-            fn rpq(&self, _: &str, _: u64, _: u64) -> Result<bool, GrepairError> {
-                Ok(false)
-            }
-            fn components(&self) -> u64 {
-                0
-            }
-            fn degree_extrema(&self) -> Option<(u64, u64)> {
-                None
             }
         }
         let store = Arc::new(GraphStore::from_engine(Box::new(Huge)));
