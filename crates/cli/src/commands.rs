@@ -27,6 +27,29 @@ pub fn stats(path: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// `--trace`: the compressor's phase wall times and exact work counters,
+/// one `key=value` line each on stderr.
+fn print_trace(s: &grepair_core::CompressStats) {
+    for (key, ms) in [
+        ("count_ms", s.count_ms),
+        ("replace_ms", s.replace_ms),
+        ("virtual_ms", s.virtual_ms),
+        ("prune_ms", s.prune_ms),
+        ("canonicalize_ms", s.canonicalize_ms),
+        ("node_map_ms", s.node_map_ms),
+    ] {
+        eprintln!("{key}={ms:.3}");
+    }
+    for (key, count) in [
+        ("group_edges_scanned", s.group_edges_scanned),
+        ("pair_attempts", s.pair_attempts),
+        ("rank_rejects", s.rank_rejects),
+        ("prov_nodes_visited", s.prov_nodes_visited),
+    ] {
+        eprintln!("{key}={count}");
+    }
+}
+
 /// `grepair compress <graph> -o <out> [--backend NAME]`.
 ///
 /// The gRePair backend keeps its config-driven path (and its byte-exact
@@ -42,6 +65,9 @@ pub fn compress_file(input: &str, opts: &CompressOpts) -> Result<(), String> {
     let node_map: Option<Vec<u32>>;
     let file = if opts.backend == GREPAIR {
         let out = compress_and_report(&g, &opts.config);
+        if opts.trace {
+            print_trace(&out.stats);
+        }
         let encoded = grepair_codec::encode(&out.grammar);
         node_map = opts.map.is_some().then_some(out.node_map);
         write_container(&encoded.bytes, encoded.bit_len)

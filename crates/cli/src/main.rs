@@ -3,7 +3,7 @@
 //! ```text
 //! grepair stats      <graph.txt>
 //! grepair compress   <graph.txt> -o <out.g2g> [--max-rank N] [--order fp|fp0|bfs|natural|random]
-//!                    [--no-prune] [--no-virtual] [--map <out.map>]
+//!                    [--no-prune] [--no-virtual] [--map <out.map>] [--trace]
 //! grepair decompress <in.g2g> -o <graph.txt> [--map <in.map>]
 //! grepair query      reach <in.g2g> <s> <t>
 //! grepair query      neighbors <in.g2g> <v>
@@ -79,7 +79,7 @@ impl From<&str> for CliError {
 
 const USAGE: &str = "usage:
   grepair stats      <graph.txt>
-  grepair compress   <graph.txt> -o <out.g2g> [--backend NAME] [--max-rank N] [--order ORDER] [--no-prune] [--no-virtual] [--map FILE]
+  grepair compress   <graph.txt> -o <out.g2g> [--backend NAME] [--max-rank N] [--order ORDER] [--no-prune] [--no-virtual] [--map FILE] [--trace]
   grepair decompress <in.g2g> -o <graph.txt> [--map FILE]
   grepair query      reach <in.g2g> <s> <t> | neighbors <in.g2g> <v> | components <in.g2g> | rpq <in.g2g> <s> <t> <atom>...
   grepair store      serve-file <in.g2g> <queries.txt> [--batch N] [--threads N]
@@ -122,6 +122,9 @@ pub struct CompressOpts {
     pub backend: &'static str,
     /// Compressor configuration (gRePair backend only).
     pub config: GRePairConfig,
+    /// Report the compressor's phase times and work counters on stderr
+    /// (gRePair backend only; changes no output byte).
+    pub trace: bool,
 }
 
 // One argv contract for every binary in the workspace (the server shares
@@ -133,7 +136,7 @@ fn parse_compress_opts(args: &[String]) -> Result<CompressOpts, CliError> {
     // typoed `--backed k2` or `--backend=k2` must never quietly fall back
     // to the default grammar backend.
     let value_flags = ["-o", "--map", "--backend", "--max-rank", "--order"];
-    let bool_flags = ["--no-prune", "--no-virtual"];
+    let bool_flags = ["--no-prune", "--no-virtual", "--trace"];
     let mut i = 0;
     while i < args.len() {
         let a = &args[i];
@@ -165,7 +168,7 @@ fn parse_compress_opts(args: &[String]) -> Result<CompressOpts, CliError> {
             }
         },
     };
-    let grammar_only = ["--max-rank", "--order", "--no-prune", "--no-virtual"];
+    let grammar_only = ["--max-rank", "--order", "--no-prune", "--no-virtual", "--trace"];
     if backend != grepair_store::backend::GREPAIR {
         if let Some(flag) = args.iter().find(|a| grammar_only.contains(&a.as_str())) {
             return Err(CliError::Usage(format!(
@@ -193,7 +196,8 @@ fn parse_compress_opts(args: &[String]) -> Result<CompressOpts, CliError> {
     if args.iter().any(|a| a == "--no-virtual") {
         config.connect_components = false;
     }
-    Ok(CompressOpts { output, map, backend, config })
+    let trace = args.iter().any(|a| a == "--trace");
+    Ok(CompressOpts { output, map, backend, config, trace })
 }
 
 /// Read a graph from a text file, autodetecting pairs vs triples.

@@ -561,6 +561,67 @@ fn unknown_backend_is_a_usage_error_naming_the_registry() {
 }
 
 #[test]
+fn compress_trace_reports_every_phase_and_changes_no_byte() {
+    // A hub plus a long two-label path: enough structure for every phase
+    // and counter to do some work.
+    let input = scratch("trace.txt");
+    let mut text = String::new();
+    for i in 1..=60u32 {
+        text.push_str(&format!("0 0 {i}\n{i} 1 {}\n", i + 1));
+    }
+    std::fs::write(&input, text).unwrap();
+    let plain = scratch("trace_plain.g2g");
+    let traced = scratch("trace_traced.g2g");
+    let run = |output: &PathBuf, extra: &[&str]| {
+        let mut args = vec!["compress", input.to_str().unwrap(), "-o", output.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let out = grepair(&args);
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+    let quiet = run(&plain, &[]);
+    assert!(quiet.stderr.is_empty(), "no trace unless asked for");
+    let out = run(&traced, &["--trace"]);
+
+    // A reporting flag, not a behaviour switch.
+    assert_eq!(std::fs::read(&plain).unwrap(), std::fs::read(&traced).unwrap());
+    assert_eq!(
+        String::from_utf8_lossy(&quiet.stdout).replace("trace_plain", "trace_traced"),
+        String::from_utf8_lossy(&out.stdout)
+    );
+
+    // Every stderr line is `key=value` with a numeric value; times are
+    // non-negative reals, counters are integers.
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let mut seen: Vec<(&str, f64)> = Vec::new();
+    for line in stderr.lines() {
+        let (key, value) = line.split_once('=').unwrap_or_else(|| panic!("not key=value: {line:?}"));
+        let number: f64 = value.parse().unwrap_or_else(|e| panic!("{line:?}: {e}"));
+        assert!(number >= 0.0 && number.is_finite(), "{line:?}");
+        if !key.ends_with("_ms") {
+            value.parse::<u64>().unwrap_or_else(|e| panic!("counter {line:?}: {e}"));
+        }
+        seen.push((key, number));
+    }
+    let keys: Vec<&str> = seen.iter().map(|&(key, _)| key).collect();
+    assert_eq!(
+        keys,
+        [
+            "count_ms", "replace_ms", "virtual_ms", "prune_ms", "canonicalize_ms", "node_map_ms",
+            "group_edges_scanned", "pair_attempts", "rank_rejects", "prov_nodes_visited",
+        ]
+    );
+    let value = |key: &str| seen.iter().find(|&&(k, _)| k == key).unwrap().1;
+    assert!(value("pair_attempts") > 0.0);
+    assert!(value("rank_rejects") <= value("pair_attempts"));
+    assert!(value("group_edges_scanned") >= 240.0, "every incidence is linked once");
+
+    // Other backends have no compressor to trace.
+    let out = grepair(&["compress", input.to_str().unwrap(), "-o", "x", "--backend", "k2", "--trace"]);
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
 fn every_backend_compresses_decompresses_and_serves() {
     // One unlabeled path graph through all four backends: compress writes
     // a loadable container, decompress restores the edge set, and

@@ -2,14 +2,14 @@
 
 use crate::digram::resolve;
 use crate::occurrences::{DigramIdx, OccTable};
-use crate::provenance::{build_node_map, Prov};
+use crate::provenance::{build_node_map, ProvForest, ProvId};
 use crate::prune::prune;
 use crate::queue::BucketQueue;
 use grepair_grammar::Grammar;
 use grepair_hypergraph::order::{compute_order, NodeOrder};
 use grepair_hypergraph::traverse::connected_components;
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
-use grepair_util::FxHashMap;
+use std::time::Instant;
 
 /// Tunables of the compressor (§III-B).
 #[derive(Debug, Clone, Copy)]
@@ -63,6 +63,28 @@ pub struct CompressStats {
     pub grammar_size: usize,
     /// Virtual edges inserted for the disconnected-components phase.
     pub virtual_edges: usize,
+    /// Group members linked into the per-node group index or stepped over
+    /// by a pairing cursor (both passes). Exact: repeats run to run.
+    pub group_edges_scanned: u64,
+    /// Candidate edge pairs the greedy pairing produced.
+    pub pair_attempts: u64,
+    /// Of those, pairs dropped by the rank bounds before canonicalization.
+    pub rank_rejects: u64,
+    /// Provenance tree nodes touched by pruning.
+    pub prov_nodes_visited: u64,
+    /// Wall time of [`Compressor::count_all`], both passes, in ms.
+    pub count_ms: f64,
+    /// Wall time of [`Compressor::replace_to_fixpoint`], both passes.
+    pub replace_ms: f64,
+    /// Wall time the virtual-edge pass adds around those: inserting the
+    /// edges, resetting the occurrence table, stripping them again.
+    pub virtual_ms: f64,
+    /// In [`Compressor::finish`]: assembling the grammar and pruning it.
+    pub prune_ms: f64,
+    /// In `finish`: dropping dead rules and canonicalizing the start graph.
+    pub canonicalize_ms: f64,
+    /// In `finish`: assembling the node map.
+    pub node_map_ms: f64,
 }
 
 impl CompressStats {
@@ -107,7 +129,7 @@ pub struct Compressor {
     omega_pos: Vec<u32>,
     table: OccTable,
     queue: BucketQueue,
-    prov: FxHashMap<EdgeId, Prov>,
+    prov: ProvForest,
     /// `original_id[s_node] = input node id` (identity until pruning inlines
     /// rules into the start graph).
     original_id: Vec<NodeId>,
@@ -118,6 +140,18 @@ pub struct Compressor {
     virtual_label: Option<u32>,
     virtual_edge_count: usize,
     stats: CompressStats,
+    /// Per node, the attachment positions at which the running
+    /// `replace_digram` attached a new nonterminal edge (zero between calls).
+    focus: Vec<u32>,
+    /// Scratch of `replace_digram`: the nodes with a nonzero `focus`.
+    affected: Vec<NodeId>,
+    /// Scratch of `replace_digram`: the new edge's attachment.
+    att: Vec<NodeId>,
+}
+
+/// Milliseconds since `start`.
+fn ms_since(start: Instant) -> f64 {
+    start.elapsed().as_secs_f64() * 1e3
 }
 
 impl Compressor {
@@ -153,14 +187,17 @@ impl Compressor {
             num_terminals,
             config: *config,
             omega_pos,
-            table: OccTable::new(),
+            table: OccTable::for_graph(input),
             queue,
-            prov: FxHashMap::default(),
+            prov: ProvForest::new(),
             original_id: (0..input.node_bound() as NodeId).collect(),
             input_nodes: input.node_ids().collect(),
             virtual_label: None,
             virtual_edge_count: 0,
             stats,
+            focus: vec![0; input.node_bound()],
+            affected: Vec::new(),
+            att: Vec::new(),
         }
     }
 
@@ -185,23 +222,28 @@ impl Compressor {
     /// Drop all occurrence bookkeeping (used between the main and the
     /// virtual-edge passes, where externality changes globally).
     pub fn reset_occurrences(&mut self) {
-        self.table = OccTable::new();
+        let start = Instant::now();
+        self.table.reset(&self.g);
         self.queue = BucketQueue::new(self.g.num_edges().max(4));
+        self.stats.virtual_ms += ms_since(start);
     }
 
     /// Step 2: initial occurrence counting along ω.
     pub fn count_all(&mut self) {
+        let start = Instant::now();
         let mut nodes: Vec<NodeId> = self.g.node_ids().collect();
         nodes.sort_by_key(|&v| self.omega_pos[v as usize]);
         for v in nodes {
             self.table
                 .count_at_node(&self.g, v, self.config.max_rank, &mut self.queue);
         }
+        self.stats.count_ms += ms_since(start);
     }
 
     /// Steps 3–7: pop the most frequent digram, replace all its occurrences,
     /// update locally; repeat until no active digram remains.
     pub fn replace_to_fixpoint(&mut self) {
+        let start = Instant::now();
         loop {
             let digrams = &self.table.digrams;
             let Some(d) = self
@@ -216,24 +258,22 @@ impl Compressor {
                 self.stats.replacements += replaced;
             }
         }
+        self.stats.replace_ms += ms_since(start);
     }
 
     /// Steps 4–6 for one digram: replace every (still valid) occurrence by a
     /// fresh-or-reused nonterminal edge, then recount around the touched
     /// nodes.
     fn replace_digram(&mut self, d: DigramIdx) -> usize {
-        let sig = self.table.digrams[d as usize].sig.clone();
-        let occ_ids = self.table.drain_digram(d, &mut self.queue);
+        let sig = self.table.digrams[d as usize].sig;
+        let mut next = self.table.drain_digram(d, &mut self.queue);
         let mut replaced = 0usize;
-        let mut affected: Vec<NodeId> = Vec::new();
-        // Per affected node, the (label, position) groups of the new
-        // nonterminal edges — the only groups the update has to pair
-        // (§III-A2: new occurrences are the pairs {e', e}).
-        let mut focus: FxHashMap<NodeId, grepair_util::FxHashSet<(EdgeLabel, u8)>> =
-            FxHashMap::default();
         let mut nt_assigned = self.table.digrams[d as usize].nt;
+        let mut affected = std::mem::take(&mut self.affected);
+        let mut att = std::mem::take(&mut self.att);
 
-        for occ_id in occ_ids {
+        while let Some(occ_id) = next {
+            next = self.table.next_in_digram(occ_id);
             let occ = &mut self.table.occs[occ_id as usize];
             if !occ.alive {
                 continue;
@@ -245,10 +285,13 @@ impl Compressor {
             }
             // Re-validate against Def. 3: the external-flag context may have
             // drifted since counting (conservatively skip if so).
-            let Some(resolved) = resolve(&self.g, e1, e2) else { continue };
-            if resolved.sig != sig {
-                continue;
-            }
+            let resolved = match resolve(&self.g, e1, e2) {
+                Some(resolved) if resolved.sig == sig => resolved,
+                _ => {
+                    self.table.mark_stale(e1, e2);
+                    continue;
+                }
+            };
 
             // Allocate the nonterminal and rule on first successful use.
             let nt = *nt_assigned.get_or_insert_with(|| {
@@ -259,42 +302,36 @@ impl Compressor {
             });
 
             // Kill every other occurrence using these edges (step 6's
-            // decrement), then do the surgery.
-            self.table.kill_edge(resolved.edges[0], &mut self.queue);
-            self.table.kill_edge(resolved.edges[1], &mut self.queue);
-            let prov1 = self.prov.remove(&resolved.edges[0]);
-            let prov2 = self.prov.remove(&resolved.edges[1]);
-            self.g.remove_edge(resolved.edges[0]);
-            self.g.remove_edge(resolved.edges[1]);
-            let removal = resolved.removal_nodes();
-            let mut internal_originals = Vec::with_capacity(removal.len());
-            for r in removal {
+            // decrement), then do the surgery. Provenance: children in rhs
+            // edge order (first edge, then second), keeping only
+            // nonterminal subtrees.
+            let mut children: Vec<ProvId> = Vec::new();
+            for e in resolved.edges {
+                self.table.kill_edge(&self.g, e, &mut self.queue);
+                children.extend(self.prov.take_root(e));
+                self.g.remove_edge(e);
+            }
+            let mut internal_originals: Vec<NodeId> = Vec::new();
+            for r in resolved.removal_nodes() {
                 debug_assert_eq!(self.g.degree(r), 0, "removal node has other edges");
                 internal_originals.push(self.original_id[r as usize]);
                 self.g.remove_node(r);
             }
-            let att = resolved.attachment_nodes();
+            att.clear();
+            att.extend(resolved.attachment_nodes());
             let new_edge = self.g.add_edge(EdgeLabel::Nonterminal(nt), &att);
+            self.table.edge_added(&self.g, new_edge);
+            // The groups of the new edge are the only ones the update has to
+            // pair (§III-A2: new occurrences are the pairs {e', e}).
             for (pos, &node) in att.iter().enumerate() {
-                focus
-                    .entry(node)
-                    .or_default()
-                    .insert((EdgeLabel::Nonterminal(nt), pos as u8));
+                let positions = &mut self.focus[node as usize];
+                if *positions == 0 {
+                    affected.push(node);
+                }
+                *positions |= 1 << pos;
             }
-
-            // Provenance: children in rhs edge order (first edge, then
-            // second), keeping only nonterminal subtrees.
-            let mut children = Vec::new();
-            if let Some(p) = prov1 {
-                children.push(p);
-            }
-            if let Some(p) = prov2 {
-                children.push(p);
-            }
-            self.prov
-                .insert(new_edge, Prov { nt, internal: internal_originals, children });
-
-            affected.extend_from_slice(&att);
+            let tree = self.prov.add(nt, internal_originals, children);
+            self.prov.set_root(new_edge, tree);
             replaced += 1;
         }
 
@@ -303,24 +340,22 @@ impl Compressor {
         // Step 6 continued: recount around the attachment nodes in ω order,
         // restricted to pairs involving the new nonterminal edges.
         affected.sort_by_key(|&v| self.omega_pos[v as usize]);
-        affected.dedup();
-        for v in affected {
-            if !self.g.node_is_alive(v) {
-                continue;
-            }
-            match focus.get(&v) {
-                Some(groups) => self.table.count_at_node_focused(
-                    &self.g,
-                    v,
-                    self.config.max_rank,
-                    &mut self.queue,
-                    groups,
-                ),
-                None => self
-                    .table
-                    .count_at_node(&self.g, v, self.config.max_rank, &mut self.queue),
-            }
+        for v in affected.drain(..) {
+            let positions = std::mem::take(&mut self.focus[v as usize]);
+            let (Some(nt), true) = (nt_assigned, self.g.node_is_alive(v)) else { continue };
+            self.table.count_at_node_focused(
+                &self.g,
+                v,
+                self.config.max_rank,
+                &mut self.queue,
+                EdgeLabel::Nonterminal(nt),
+                positions,
+            );
+            #[cfg(debug_assertions)]
+            self.table.assert_groups_match(&self.g, v);
         }
+        self.affected = affected;
+        self.att = att;
         replaced
     }
 
@@ -328,8 +363,10 @@ impl Compressor {
     /// with virtual edges so repeated structure *across* components becomes
     /// compressible. Returns the number of edges added.
     pub fn add_virtual_edges(&mut self) -> usize {
+        let start = Instant::now();
         let (comp_ids, count) = connected_components(&self.g);
         if count <= 1 {
+            self.stats.virtual_ms += ms_since(start);
             return 0;
         }
         let vlabel = self.num_terminals;
@@ -348,12 +385,14 @@ impl Compressor {
         }
         self.virtual_edge_count = count - 1;
         self.stats.virtual_edges = count - 1;
+        self.stats.virtual_ms += ms_since(start);
         count - 1
     }
 
     /// Remove every virtual edge from the start graph and all rules.
     pub fn strip_virtual_edges(&mut self) {
         let Some(vlabel) = self.virtual_label else { return };
+        let start = Instant::now();
         let strip = |g: &mut Hypergraph| {
             let victims: Vec<EdgeId> = g
                 .edges()
@@ -369,11 +408,13 @@ impl Compressor {
             strip(rhs);
         }
         self.virtual_label = None;
+        self.stats.virtual_ms += ms_since(start);
     }
 
     /// Step 8 + assembly: prune, drop dead rules, renumber, build the node
     /// map.
     pub fn finish(mut self) -> CompressedGraph {
+        let start = Instant::now();
         let mut grammar = Grammar::new(self.g, self.num_terminals);
         for rhs in self.rules {
             grammar.add_rule(rhs);
@@ -381,13 +422,14 @@ impl Compressor {
         if self.config.prune {
             self.stats.rules_pruned = prune(&mut grammar, &mut self.prov, &mut self.original_id);
         }
+        self.stats.prune_ms = ms_since(start);
+        let start = Instant::now();
         // Renumbering relabels nonterminal edges in place (edge IDs — and so
-        // the provenance keys — survive).
+        // the provenance roots — survive).
         let mapping = grammar.drop_unreferenced_rules();
-        for tree in self.prov.values_mut() {
-            tree.renumber(&mapping);
-        }
-        self.prov = canonicalize_start_edges(&mut grammar, self.prov, &mut self.original_id);
+        self.prov.renumber(&mapping);
+        canonicalize_start_edges(&mut grammar, &mut self.prov, &mut self.original_id);
+        self.stats.canonicalize_ms = ms_since(start);
         // In debug builds, fully validate the provenance forest against the
         // final grammar (shape match + node-map is a permutation of the
         // input's nodes); this is the invariant every lossless guarantee
@@ -401,8 +443,15 @@ impl Compressor {
         ) {
             panic!("provenance invariant violated: {e}");
         }
+        let start = Instant::now();
         let node_map = build_node_map(&grammar, &self.original_id, &self.prov);
+        self.stats.node_map_ms = ms_since(start);
         self.stats.grammar_size = grammar.size();
+        let work = self.table.work;
+        self.stats.group_edges_scanned = work.group_edges_scanned;
+        self.stats.pair_attempts = work.pair_attempts;
+        self.stats.rank_rejects = work.rank_rejects;
+        self.stats.prov_nodes_visited = self.prov.nodes_visited();
         CompressedGraph { grammar, node_map, stats: self.stats }
     }
 }
@@ -410,7 +459,7 @@ impl Compressor {
 /// Rebuild the start graph with **dense node IDs** (alive nodes ascending —
 /// the order `derive` numbers them anyway) and edges in the codec's
 /// canonical order (label-major — terminals before nonterminals, ascending
-/// index — then lexicographic attachment), remapping provenance keys and the
+/// index — then lexicographic attachment), remapping provenance roots and the
 /// original-ID table accordingly.
 ///
 /// The binary format (§III-C2) stores the start graph as one matrix per
@@ -419,9 +468,9 @@ impl Compressor {
 /// `val(decode(encode(G)))` assign the same node IDs as `val(G)`.
 fn canonicalize_start_edges(
     grammar: &mut Grammar,
-    prov: FxHashMap<EdgeId, Prov>,
+    prov: &mut ProvForest,
     original_id: &mut Vec<NodeId>,
-) -> FxHashMap<EdgeId, Prov> {
+) {
     let old = &grammar.start;
     // Dense node renumbering: alive ascending ↦ 0..m. This keeps `derive`'s
     // numbering identical while dropping the tombstones left by replacement.
@@ -436,21 +485,17 @@ fn canonicalize_start_edges(
         (old.label(a), old.att(a)).cmp(&(old.label(b), old.att(b)))
     });
     let mut fresh = Hypergraph::with_nodes(old.num_nodes());
-    let mut new_prov: FxHashMap<EdgeId, Prov> = FxHashMap::default();
-    let mut prov = prov;
     let mut att_buf: Vec<NodeId> = Vec::new();
     for &e in &order {
         att_buf.clear();
         att_buf.extend(old.att(e).iter().map(|&v| node_map[v as usize]));
-        let ne = fresh.add_edge(old.label(e), &att_buf);
-        if let Some(tree) = prov.remove(&e) {
-            new_prov.insert(ne, tree);
-        }
+        fresh.add_edge(old.label(e), &att_buf);
     }
+    // A fresh graph numbers its edges 0, 1, … in insertion order.
+    prov.rekey_roots(&order);
     fresh.set_ext(old.ext().iter().map(|&v| node_map[v as usize]).collect());
     grammar.start = fresh;
     *original_id = new_original;
-    new_prov
 }
 
 #[cfg(test)]

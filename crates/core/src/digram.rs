@@ -13,11 +13,26 @@
 //! are occurrences of the same digram iff their signatures are equal; this
 //! covers all eight unlabeled-undirected shapes of Fig. 2 and their
 //! directed/labeled/hyperedge generalizations.
+//!
+//! Everything here lives on the stack: a signature is a `Copy` value, and
+//! [`pair_rank`] answers the question most candidate pairs die on — "is the
+//! rank within bounds?" — without canonicalizing anything.
 
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 
+/// Most canonical nodes a digram can have: one bit each in
+/// [`DigramSig::ext_mask`]. Edge pairs spanning more are not digrams here
+/// ([`resolve`] answers `None`), so they are never replaced.
+pub const MAX_NODES: usize = 32;
+
 /// Canonical digram signature.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// The derived order is the one the compressor's orientation choice and
+/// tie-breaks rest on: labels, first rank, then the second edge's attachment
+/// pattern **as a sequence** (a proper prefix sorts first), then the mask.
+/// `att_b` is zero-padded, so comparing the padded array and then the
+/// length is exactly that sequence order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DigramSig {
     /// Label of the canonically-first edge.
     pub label_a: EdgeLabel,
@@ -25,17 +40,25 @@ pub struct DigramSig {
     pub label_b: EdgeLabel,
     /// Rank of the first edge (its attachments are canonical nodes `0..rank_a`).
     pub rank_a: u8,
-    /// Canonical node indices of the second edge's attachments.
-    pub att_b: Vec<u8>,
+    /// Canonical node indices of the second edge's attachments, zero-padded
+    /// behind `rank_b` entries.
+    att_b: [u8; MAX_NODES],
+    /// Rank of the second edge.
+    rank_b: u8,
     /// Bit `i` set ⇔ canonical node `i` is external (has other edges in the
     /// host graph, or is an external node of the host graph itself).
     pub ext_mask: u32,
 }
 
 impl DigramSig {
+    /// Canonical node indices of the second edge's attachments.
+    pub fn att_b(&self) -> &[u8] {
+        &self.att_b[..self.rank_b as usize]
+    }
+
     /// Number of canonical nodes.
     pub fn num_nodes(&self) -> usize {
-        let max_b = self.att_b.iter().copied().max().map_or(0, |m| m as usize + 1);
+        let max_b = self.att_b().iter().copied().max().map_or(0, |m| m as usize + 1);
         (self.rank_a as usize).max(max_b)
     }
 
@@ -64,7 +87,7 @@ impl DigramSig {
         let mut rhs = Hypergraph::with_nodes(n);
         let att_a: Vec<NodeId> = (0..self.rank_a as NodeId).collect();
         rhs.add_edge(self.label_a, &att_a);
-        let att_b: Vec<NodeId> = self.att_b.iter().map(|&i| i as NodeId).collect();
+        let att_b: Vec<NodeId> = self.att_b().iter().map(|&i| i as NodeId).collect();
         rhs.add_edge(self.label_b, &att_b);
         rhs.set_ext(self.external_indices().map(|i| i as NodeId).collect());
         rhs
@@ -73,47 +96,81 @@ impl DigramSig {
 
 /// An edge pair resolved against a host graph: the signature plus the
 /// canonical-index → actual-node correspondence.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ResolvedDigram {
     /// The canonical signature.
     pub sig: DigramSig,
-    /// `nodes[i]` = host node playing canonical node `i`.
-    pub nodes: Vec<NodeId>,
     /// The two edges in canonical order.
     pub edges: [EdgeId; 2],
+    /// `nodes[i]` = host node playing canonical node `i` (first
+    /// `sig.num_nodes()` entries).
+    nodes: [NodeId; MAX_NODES],
 }
 
 impl ResolvedDigram {
+    /// `nodes()[i]` = host node playing canonical node `i`.
+    pub fn nodes(&self) -> &[NodeId] {
+        &self.nodes[..self.sig.num_nodes()]
+    }
+
     /// Host nodes the replacement nonterminal edge attaches to, in order.
-    pub fn attachment_nodes(&self) -> Vec<NodeId> {
-        self.sig.external_indices().map(|i| self.nodes[i]).collect()
+    pub fn attachment_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.sig.external_indices().map(|i| self.nodes[i])
     }
 
     /// Host nodes deleted by the replacement, in canonical order.
-    pub fn removal_nodes(&self) -> Vec<NodeId> {
-        self.sig.internal_indices().map(|i| self.nodes[i]).collect()
+    pub fn removal_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.sig.internal_indices().map(|i| self.nodes[i])
     }
 }
 
+/// Is `v` external to the pair `{a, b}` — does it carry an edge other than
+/// those two, or is it an external node of the host itself?
+fn is_external_to(g: &Hypergraph, v: NodeId, att_a: &[NodeId], att_b: &[NodeId]) -> bool {
+    let within = att_a.contains(&v) as usize + att_b.contains(&v) as usize;
+    g.degree(v) > within || g.is_external(v)
+}
+
+/// `rank` of the digram the pair `{e, f}` would resolve to: the number of
+/// nodes of `att(e) ∪ att(f)` external to the pair. Orientation-independent
+/// and allocation-free, so the rank bounds (§III-B2) can reject a candidate
+/// pair before any canonicalization.
+pub fn pair_rank(g: &Hypergraph, e: EdgeId, f: EdgeId) -> usize {
+    let (att_e, att_f) = (g.att(e), g.att(f));
+    let on_e = att_e.iter().filter(|&&v| is_external_to(g, v, att_e, att_f)).count();
+    let only_f = att_f
+        .iter()
+        .filter(|&&v| !att_e.contains(&v) && is_external_to(g, v, att_e, att_f))
+        .count();
+    on_e + only_f
+}
+
 /// Signature of `(a, b)` in that orientation, or `None` if the edges share
-/// no node.
-fn oriented(g: &Hypergraph, a: EdgeId, b: EdgeId) -> Option<(DigramSig, Vec<NodeId>)> {
+/// no node (or span more than [`MAX_NODES`]).
+fn oriented(g: &Hypergraph, a: EdgeId, b: EdgeId) -> Option<ResolvedDigram> {
     let att_a = g.att(a);
     let att_b = g.att(b);
-    let mut nodes: Vec<NodeId> = att_a.to_vec();
-    let mut att_b_idx: Vec<u8> = Vec::with_capacity(att_b.len());
+    if att_a.len() > MAX_NODES || att_b.len() > MAX_NODES {
+        return None;
+    }
+    let mut nodes = [0 as NodeId; MAX_NODES];
+    nodes[..att_a.len()].copy_from_slice(att_a);
+    let mut num_nodes = att_a.len();
+    let mut att_b_idx = [0u8; MAX_NODES];
     let mut shares = false;
-    for &u in att_b {
-        match nodes.iter().position(|&x| x == u) {
+    for (slot, &u) in att_b_idx.iter_mut().zip(att_b) {
+        match nodes[..num_nodes].iter().position(|&x| x == u) {
             Some(i) => {
-                if i < att_a.len() {
-                    shares = true;
-                }
-                att_b_idx.push(i as u8);
+                shares |= i < att_a.len();
+                *slot = i as u8;
             }
             None => {
-                nodes.push(u);
-                att_b_idx.push((nodes.len() - 1) as u8);
+                if num_nodes == MAX_NODES {
+                    return None;
+                }
+                nodes[num_nodes] = u;
+                *slot = num_nodes as u8;
+                num_nodes += 1;
             }
         }
     }
@@ -121,11 +178,8 @@ fn oriented(g: &Hypergraph, a: EdgeId, b: EdgeId) -> Option<(DigramSig, Vec<Node
         return None;
     }
     let mut ext_mask = 0u32;
-    for (i, &v) in nodes.iter().enumerate() {
-        // Incidences of v among {a, b}: one for each edge attaching it.
-        let within =
-            att_a.contains(&v) as usize + att_b.contains(&v) as usize;
-        if g.degree(v) > within || g.is_external(v) {
+    for (i, &v) in nodes[..num_nodes].iter().enumerate() {
+        if is_external_to(g, v, att_a, att_b) {
             ext_mask |= 1 << i;
         }
     }
@@ -134,25 +188,30 @@ fn oriented(g: &Hypergraph, a: EdgeId, b: EdgeId) -> Option<(DigramSig, Vec<Node
         label_b: g.label(b),
         rank_a: att_a.len() as u8,
         att_b: att_b_idx,
+        rank_b: att_b.len() as u8,
         ext_mask,
     };
-    Some((sig, nodes))
+    Some(ResolvedDigram { sig, edges: [a, b], nodes })
 }
 
-/// Canonicalize the unordered pair `{e, f}` against `g`: compute both
-/// orientations and keep the lexicographically smaller signature.
-/// Returns `None` if the edges don't share a node (not a digram) or are the
-/// same edge.
+/// Canonicalize the unordered pair `{e, f}` against `g`: of the two
+/// orientations keep the lexicographically smaller signature (`(e, f)` on a
+/// tie). Returns `None` if the edges don't share a node (not a digram) or
+/// are the same edge.
 pub fn resolve(g: &Hypergraph, e: EdgeId, f: EdgeId) -> Option<ResolvedDigram> {
     if e == f {
         return None;
     }
-    let (sig_ef, nodes_ef) = oriented(g, e, f)?;
-    let (sig_fe, nodes_fe) = oriented(g, f, e)?;
-    if sig_ef <= sig_fe {
-        Some(ResolvedDigram { sig: sig_ef, nodes: nodes_ef, edges: [e, f] })
-    } else {
-        Some(ResolvedDigram { sig: sig_fe, nodes: nodes_fe, edges: [f, e] })
+    // The labels lead the order, so unless they tie only one orientation
+    // can win and the other is never built.
+    match g.label(e).cmp(&g.label(f)) {
+        std::cmp::Ordering::Less => oriented(g, e, f),
+        std::cmp::Ordering::Greater => oriented(g, f, e),
+        std::cmp::Ordering::Equal => {
+            let ef = oriented(g, e, f)?;
+            let fe = oriented(g, f, e)?;
+            Some(if ef.sig <= fe.sig { ef } else { fe })
+        }
     }
 }
 
@@ -177,7 +236,7 @@ mod tests {
         let d = resolve(&g, 0, 1).unwrap();
         assert_eq!(d.sig.label_a, T(0));
         assert_eq!(d.sig.label_b, T(1));
-        assert_eq!(d.sig.att_b, vec![1, 2]);
+        assert_eq!(d.sig.att_b(), [1, 2]);
         assert_eq!(d.sig.ext_mask, 0);
         assert_eq!(d.sig.num_nodes(), 3);
         assert_eq!(d.sig.rank(), 0);
@@ -190,8 +249,8 @@ mod tests {
         let d = resolve(&g, 0, 1).unwrap();
         assert_eq!(d.sig.ext_mask, 0b101);
         assert_eq!(d.sig.rank(), 2);
-        assert_eq!(d.removal_nodes(), vec![1]);
-        assert_eq!(d.attachment_nodes(), vec![0, 2]);
+        assert_eq!(d.removal_nodes().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(d.attachment_nodes().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     #[test]
@@ -206,8 +265,8 @@ mod tests {
         let d = resolve(&g, 0, 1).unwrap();
         assert_eq!(d.sig.ext_mask, 0b010);
         assert_eq!(d.sig.rank(), 1);
-        assert_eq!(d.removal_nodes(), vec![0, 2]);
-        assert_eq!(d.attachment_nodes(), vec![1]);
+        assert_eq!(d.removal_nodes().collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(d.attachment_nodes().collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]
@@ -258,7 +317,7 @@ mod tests {
         let d1 = resolve(&g, 0, 1).unwrap();
         let d2 = resolve(&g, 3, 4).unwrap();
         assert_eq!(d1.sig, d2.sig);
-        assert_ne!(d1.nodes, d2.nodes);
+        assert_ne!(d1.nodes(), d2.nodes());
     }
 
     #[test]
@@ -280,7 +339,7 @@ mod tests {
         // are [2, 3, 0, 1].
         assert_eq!(d.sig.label_a, T(0));
         assert_eq!(d.sig.rank_a, 2);
-        assert_eq!(d.sig.att_b, vec![2, 3, 0]);
+        assert_eq!(d.sig.att_b(), [2, 3, 0]);
         // node 2: both digram edges only → internal; node 3: context edge →
         // external; node 0: context edge → external; node 1: internal.
         assert_eq!(d.sig.ext_mask, 0b0110);
@@ -316,7 +375,124 @@ mod tests {
         let g = graph(2, &[(0, 0, 1), (0, 1, 1)]);
         let d = resolve(&g, 0, 1).unwrap();
         assert_eq!(d.sig.num_nodes(), 2);
-        assert_eq!(d.sig.att_b, vec![0, 1]);
+        assert_eq!(d.sig.att_b(), [0, 1]);
         assert_eq!(d.sig.rank(), 0);
+    }
+
+    /// The signature as it was before `att_b` moved inline: the derived
+    /// order over a `Vec` is the reference the new derived order (padded
+    /// array, then length) must reproduce.
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct VecSig {
+        label_a: EdgeLabel,
+        label_b: EdgeLabel,
+        rank_a: u8,
+        att_b: Vec<u8>,
+        ext_mask: u32,
+    }
+
+    impl From<&DigramSig> for VecSig {
+        fn from(s: &DigramSig) -> Self {
+            VecSig {
+                label_a: s.label_a,
+                label_b: s.label_b,
+                rank_a: s.rank_a,
+                att_b: s.att_b().to_vec(),
+                ext_mask: s.ext_mask,
+            }
+        }
+    }
+
+    /// A small random hypergraph: edges of rank 1–4, two terminal and two
+    /// nonterminal labels, some host-external nodes.
+    fn random_hypergraph(seed: u64) -> Hypergraph {
+        let mut x = seed | 1;
+        let mut rnd = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n) as u32
+        };
+        let n = 4 + rnd(6);
+        let mut g = Hypergraph::with_nodes(n as usize);
+        for _ in 0..(3 + rnd(12)) {
+            let mut att: Vec<u32> = Vec::new();
+            for _ in 0..(1 + rnd(4)) {
+                let v = rnd(n as u64);
+                if !att.contains(&v) {
+                    att.push(v);
+                }
+            }
+            let label = match rnd(4) {
+                0 => T(0),
+                1 => T(1),
+                k => EdgeLabel::Nonterminal(k - 2),
+            };
+            g.add_edge(label, &att);
+        }
+        g.set_ext((0..n).filter(|_| rnd(5) == 0).collect());
+        g
+    }
+
+    #[test]
+    fn inline_signature_order_agrees_with_the_vec_order() {
+        let mut sigs: Vec<DigramSig> = Vec::new();
+        for seed in 1..=60u64 {
+            let g = random_hypergraph(seed * 7919);
+            let edges: Vec<EdgeId> = g.edges().map(|e| e.id).collect();
+            for &e in &edges {
+                for &f in &edges {
+                    // Both orientations, not only the canonical one: the
+                    // orientation choice is the comparison under test.
+                    sigs.extend(oriented(&g, e, f).filter(|_| e != f).map(|d| d.sig));
+                }
+            }
+        }
+        assert!(sigs.len() > 1_000, "only {} signatures", sigs.len());
+        // A prefix pair the random shapes may miss: [1] against [1, 0].
+        let short = DigramSig {
+            label_a: T(0),
+            label_b: T(0),
+            rank_a: 2,
+            att_b: { let mut a = [0u8; MAX_NODES]; a[0] = 1; a },
+            rank_b: 1,
+            ext_mask: 1,
+        };
+        sigs.push(short);
+        sigs.push(DigramSig { rank_b: 2, ..short });
+        let step = sigs.len() / 400 + 1;
+        for a in sigs.iter().step_by(step) {
+            for b in &sigs {
+                assert_eq!(a.cmp(b), VecSig::from(a).cmp(&VecSig::from(b)), "{a:?} vs {b:?}");
+                assert_eq!(a == b, VecSig::from(a) == VecSig::from(b));
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_pairs_are_not_digrams() {
+        // 20 + 20 attachments sharing one node span 39 canonical nodes.
+        let mut g = Hypergraph::with_nodes(39);
+        let a: Vec<u32> = (0..20).collect();
+        let b: Vec<u32> = (19..39).collect();
+        g.add_edge(T(0), &a);
+        g.add_edge(T(1), &b);
+        assert!(resolve(&g, 0, 1).is_none());
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn pair_rank_is_the_resolved_rank(seed in 1u64..u64::MAX) {
+            let g = random_hypergraph(seed);
+            let edges: Vec<EdgeId> = g.edges().map(|e| e.id).collect();
+            for &e in &edges {
+                for &f in &edges {
+                    if let Some(d) = resolve(&g, e, f) {
+                        proptest::prop_assert_eq!(pair_rank(&g, e, f), d.sig.rank());
+                        proptest::prop_assert_eq!(pair_rank(&g, f, e), d.sig.rank());
+                    }
+                }
+            }
+        }
     }
 }

@@ -77,7 +77,7 @@ fn greedy_counts(g: &Hypergraph, order: NodeOrder, max_rank: usize) -> HashMap<D
         .digrams
         .iter()
         .filter(|d| d.live > 0)
-        .map(|d| (d.sig.clone(), d.live))
+        .map(|d| (d.sig, d.live))
         .collect()
 }
 

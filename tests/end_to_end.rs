@@ -223,3 +223,90 @@ fn compression_is_deterministic() {
     let eb = encode(&b.grammar);
     assert_eq!(ea.bytes, eb.bytes);
 }
+
+/// FNV-1a (64-bit) over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Containers are pinned **across commits**: small fixed instances of every
+/// `datasets` family the repo benchmark compresses, plus one disconnected
+/// input (the virtual-edge pass), under three `max_rank`s. The benchmark
+/// only checks that repetitions inside one binary agree; this is the test a
+/// compressor change that is meant to keep tie-breaking (digram numbering,
+/// queue order, pairing order) must keep passing unmodified. The expected
+/// rows were recorded on the commit before the group index landed (PR 16's
+/// parent) and are never edited to make a change pass — a change that moves
+/// bytes on purpose says so and re-records them in its own commit.
+#[test]
+fn golden_container_digests() {
+    let graphs: [(&str, Hypergraph); 4] = [
+        ("hub_network", network::hub_network(1_500, 8, 1, 1)),
+        (
+            "version_graph",
+            version::CoauthorshipHistory::generate(5, 40, 200, 20, 1).version_graph(4),
+        ),
+        ("property_graph", rdf::property_graph(1_000, 24, 8, 200, 1)),
+        (
+            "disjoint_copies",
+            version::disjoint_copies(&version::circle_with_diagonal(), 64),
+        ),
+    ];
+    let mut actual = Vec::new();
+    for (name, g) in &graphs {
+        let mut rows = Vec::new();
+        for max_rank in [2usize, 4, 8] {
+            let out = compress(g, &GRePairConfig { max_rank, ..Default::default() });
+            let enc = encode(&out.grammar);
+            let s = &out.stats;
+            rows.push((
+                enc.bit_len,
+                fnv1a(enc.bytes.iter().copied()),
+                fnv1a(out.node_map.iter().flat_map(|v| v.to_le_bytes())),
+                s.rounds,
+                s.replacements,
+                s.rules_created,
+                s.rules_pruned,
+            ));
+        }
+        actual.push((*name, rows));
+    }
+    for ((name, rows), want) in actual.iter().zip(&GOLDEN) {
+        assert_eq!(rows.as_slice(), want.as_slice(), "{name}: max_rank 2, 4, 8");
+    }
+}
+
+/// `(bit_len, fnv(bytes), fnv(node_map), rounds, replacements, rules_created,
+/// rules_pruned)` of one compression.
+type GoldenRow = (u64, u64, u64, usize, usize, usize, usize);
+
+/// Recorded on the parent of PR 16; see [`golden_container_digests`].
+#[rustfmt::skip]
+const GOLDEN: [[GoldenRow; 3]; 4] = [
+    // hub_network(1_500, 8, 1, 1)
+    [
+        (18429, 6256402473756379882, 8341702776138477861, 71, 1483, 71, 41),
+        (20679, 12085062045368621224, 11017764433693420753, 98, 2293, 98, 78),
+        (19665, 14396508757423962478, 4311317331692549889, 126, 2447, 126, 115),
+    ],
+    // CoauthorshipHistory::generate(5, 40, 200, 20, 1).version_graph(4)
+    [
+        (18881, 229027947779922523, 14372884084523619253, 34, 2799, 34, 17),
+        (28919, 11533485054264926339, 13977090959754231445, 85, 3729, 85, 61),
+        (30452, 9769154318195084719, 15976419223527323269, 124, 3986, 124, 99),
+    ],
+    // rdf::property_graph(1_000, 24, 8, 200, 1)
+    [
+        (40526, 9701703592085057048, 8944972052348279429, 22, 1711, 22, 9),
+        (35024, 12523833382056882988, 6751962054080922677, 71, 3088, 71, 58),
+        (34293, 3507339465090621139, 2252885064249016501, 126, 3367, 126, 114),
+    ],
+    // disjoint_copies(circle_with_diagonal(), 64): rank 2 already folds it
+    [
+        (515, 6176580390801843306, 7451675599966098693, 8, 374, 8, 3),
+        (515, 6176580390801843306, 7451675599966098693, 8, 374, 8, 3),
+        (515, 6176580390801843306, 7451675599966098693, 8, 374, 8, 3),
+    ],
+];
