@@ -414,7 +414,7 @@ fn queries(scale: Scale) {
     );
     let history = dblp_history(scale, 11);
     let cases = [("path(2^n)", path), ("DBLP60-70", history.version_graph(10))];
-    let widths = [12, 9, 9, 14, 14, 14, 13, 13];
+    let widths = [12, 9, 9, 14, 14, 14, 9, 9, 13, 13];
     println!(
         "{}",
         row(
@@ -425,6 +425,8 @@ fn queries(scale: Scale) {
                 "reach(gram)".into(),
                 "reach(BFS)".into(),
                 "reach(store)".into(),
+                "pairs/q".into(),
+                "dag/q".into(),
                 "cc(gram)".into(),
                 "cc(graph)".into(),
             ],
@@ -440,8 +442,17 @@ fn queries(scale: Scale) {
             (0..200).map(|i| ((i * 7919) % n, (i * 104_729 + 13) % n)).collect();
 
         let t = Instant::now();
-        let a: Vec<bool> = pairs.iter().map(|&(s, t)| reach.reachable(s, t)).collect();
+        let counted: Vec<_> = pairs
+            .iter()
+            .map(|&(s, t)| reach.try_reachable_counted(s, t).expect("ids are in range"))
+            .collect();
         let grammar_reach = t.elapsed();
+        let a: Vec<bool> = counted.iter().map(|&(answer, _)| answer).collect();
+        // What a query did, counted: label tests on node pairs, and DAG
+        // nodes expanded where the labels left a pair open.
+        let queries = counted.len() as f64;
+        let pair_tests = counted.iter().map(|(_, w)| w.pair_tests).sum::<u32>() as f64 / queries;
+        let dag_nodes = counted.iter().map(|(_, w)| w.dag_nodes).sum::<u32>() as f64 / queries;
         let t = Instant::now();
         let b: Vec<bool> = pairs
             .iter()
@@ -451,7 +462,7 @@ fn queries(scale: Scale) {
         assert_eq!(a, b, "grammar and BFS reachability disagree on {name}");
 
         // The serving path: the same requests through one GraphStore batch
-        // (duplicate sources share forward closures).
+        // (planning, dispatch and an `Arc` per answer on top of the index).
         let store = grepair_store::GraphStore::from_grammar(out.grammar.clone())
             .expect("compressed grammar is valid");
         let batch: Vec<grepair_store::Query> = pairs
@@ -488,6 +499,8 @@ fn queries(scale: Scale) {
                     format!("{grammar_reach:.1?}"),
                     format!("{bfs_reach:.1?}"),
                     format!("{store_reach:.1?}"),
+                    format!("{pair_tests:.2}"),
+                    format!("{dag_nodes:.2}"),
                     format!("{grammar_cc:.1?}"),
                     format!("{graph_cc:.1?}"),
                 ],

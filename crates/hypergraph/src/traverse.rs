@@ -1,6 +1,6 @@
 //! Traversals and decompositions: BFS, connected components (union-find),
-//! and Tarjan's strongly connected components (used by the skeleton-graph
-//! construction of Theorem 6).
+//! and Tarjan's strongly connected components over a [`Csr`] digraph (what
+//! the reachability index of Theorem 6 condenses every context graph with).
 
 use crate::graph::{Hypergraph, NodeId};
 
@@ -107,74 +107,127 @@ pub fn connected_components(g: &Hypergraph) -> (Vec<u32>, usize) {
     (ids, next as usize)
 }
 
-/// Tarjan's SCC over the **directed rank-2 edges** of `g` (hyperedges are
-/// ignored; callers replace them with rank-2 skeleton edges first).
+/// Successor lists of a digraph on nodes `0..num_nodes()` in compressed
+/// sparse row form: two flat arrays, no per-node allocation. Parallel edges
+/// are kept as given.
+#[derive(Debug, Clone, Default)]
+pub struct Csr {
+    /// `targets[offsets[v]..offsets[v + 1]]` are `v`'s successors.
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Csr {
+    /// The digraph on `0..n` with the given `(source, target)` edges. A
+    /// node's successors keep the order the edges were listed in.
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        let mut offsets = vec![0u32; n + 1];
+        for &(a, _) in edges {
+            offsets[a as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // `offsets[v]` doubles as `v`'s write cursor during the fill, which
+        // leaves every entry one node ahead; the shift afterwards undoes it.
+        let mut targets = vec![0u32; edges.len()];
+        for &(a, b) in edges {
+            targets[offsets[a as usize] as usize] = b;
+            offsets[a as usize] += 1;
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        Self { offsets, targets }
+    }
+
+    /// Drop every repeated successor, keeping the first of each: O(n + m),
+    /// no sort.
+    pub fn dedup_successors(&mut self) {
+        // `row_of[w]` = the last row that kept `w`.
+        let mut row_of = vec![u32::MAX; self.num_nodes()];
+        let mut kept = 0usize;
+        for v in 0..self.num_nodes() {
+            let row = self.offsets[v] as usize..self.offsets[v + 1] as usize;
+            self.offsets[v] = kept as u32;
+            for i in row {
+                let w = self.targets[i];
+                if std::mem::replace(&mut row_of[w as usize], v as u32) != v as u32 {
+                    self.targets[kept] = w;
+                    kept += 1;
+                }
+            }
+        }
+        if let Some(end) = self.offsets.last_mut() {
+            *end = kept as u32;
+        }
+        self.targets.truncate(kept);
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Successors of `v`.
+    pub fn succ(&self, v: u32) -> &[u32] {
+        let v = v as usize;
+        &self.targets[self.offsets[v] as usize..self.offsets[v + 1] as usize]
+    }
+}
+
+/// Tarjan's strongly connected components of a digraph, iteratively: a DFS
+/// frame is a node and the slice of its successors still to take, so depth
+/// costs heap, not call stack, and no frame owns an allocation.
 ///
-/// Returns `(scc_id per node slot, number of SCCs)`; SCC IDs are in reverse
+/// Returns `(scc_id per node, number of SCCs)`; SCC IDs are in reverse
 /// topological order (an edge u→v implies `scc[u] >= scc[v]`), which is the
-/// order Tarjan emits and exactly what bottom-up reachability wants. Dead
-/// node slots get `u32::MAX`.
-pub fn tarjan_scc(g: &Hypergraph) -> (Vec<u32>, usize) {
-    let n = g.node_bound();
+/// order Tarjan emits and exactly what bottom-up reachability wants.
+pub fn tarjan_scc(g: &Csr) -> (Vec<u32>, usize) {
+    let n = g.num_nodes();
     let mut index = vec![u32::MAX; n]; // discovery index
     let mut low = vec![0u32; n];
-    let mut on_stack = vec![false; n];
+    // A discovered node without an SCC yet is exactly a node on `stack`.
     let mut scc = vec![u32::MAX; n];
-    let mut stack: Vec<NodeId> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
+    let mut frames: Vec<(u32, &[u32])> = Vec::new();
     let mut next_index = 0u32;
     let mut next_scc = 0u32;
 
-    // Iterative Tarjan: explicit DFS frames (node, out-neighbor iterator state).
-    struct Frame {
-        v: NodeId,
-        outs: Vec<NodeId>,
-        next: usize,
-    }
-
-    for root in g.node_ids() {
+    for root in 0..n as u32 {
         if index[root as usize] != u32::MAX {
             continue;
         }
-        let mut frames = vec![Frame { v: root, outs: g.out_neighbors(root).collect(), next: 0 }];
-        index[root as usize] = next_index;
-        low[root as usize] = next_index;
-        next_index += 1;
-        stack.push(root);
-        on_stack[root as usize] = true;
-
-        while let Some(frame) = frames.last_mut() {
-            if frame.next < frame.outs.len() {
-                let w = frame.outs[frame.next];
-                frame.next += 1;
+        frames.push((root, g.succ(root)));
+        while let Some((v, rest)) = frames.last_mut() {
+            let v = *v;
+            if index[v as usize] == u32::MAX {
+                index[v as usize] = next_index;
+                low[v as usize] = next_index;
+                next_index += 1;
+                stack.push(v);
+            }
+            if let Some((&w, others)) = rest.split_first() {
+                *rest = others;
                 if index[w as usize] == u32::MAX {
-                    index[w as usize] = next_index;
-                    low[w as usize] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w as usize] = true;
-                    frames.push(Frame { v: w, outs: g.out_neighbors(w).collect(), next: 0 });
-                } else if on_stack[w as usize] {
-                    let v = frame.v;
+                    frames.push((w, g.succ(w)));
+                } else if scc[w as usize] == u32::MAX {
                     low[v as usize] = low[v as usize].min(index[w as usize]);
                 }
-            } else {
-                let v = frame.v;
-                if low[v as usize] == index[v as usize] {
-                    loop {
-                        let w = stack.pop().unwrap();
-                        on_stack[w as usize] = false;
-                        scc[w as usize] = next_scc;
-                        if w == v {
-                            break;
-                        }
+                continue;
+            }
+            frames.pop();
+            if low[v as usize] == index[v as usize] {
+                loop {
+                    let w = stack.pop().expect("an SCC's root is on the stack");
+                    scc[w as usize] = next_scc;
+                    if w == v {
+                        break;
                     }
-                    next_scc += 1;
                 }
-                frames.pop();
-                if let Some(parent) = frames.last() {
-                    let p = parent.v;
-                    low[p as usize] = low[p as usize].min(low[v as usize]);
-                }
+                next_scc += 1;
+            }
+            if let Some(&(p, _)) = frames.last() {
+                low[p as usize] = low[p as usize].min(low[v as usize]);
             }
         }
     }
@@ -260,9 +313,25 @@ mod tests {
     }
 
     #[test]
+    fn csr_keeps_listed_order_and_drops_parallel_edges_on_request() {
+        let g = Csr::from_edges(4, &[(2, 1), (0, 3), (2, 0), (0, 1), (2, 1)]);
+        assert_eq!(g.num_nodes(), 4);
+        assert_eq!(g.succ(0), &[3, 1]);
+        assert_eq!(g.succ(1), &[] as &[u32]);
+        assert_eq!(g.succ(2), &[1, 0, 1]);
+        assert_eq!(g.succ(3), &[] as &[u32]);
+        let mut g = g;
+        g.dedup_successors();
+        assert_eq!((g.succ(0), g.succ(1), g.succ(2), g.succ(3)), (&[3, 1][..], &[][..], &[1, 0][..], &[][..]));
+        assert_eq!(Csr::default().num_nodes(), 0);
+        Csr::default().dedup_successors();
+        assert_eq!(tarjan_scc(&Csr::from_edges(0, &[])), (Vec::new(), 0));
+    }
+
+    #[test]
     fn scc_cycle_and_tail() {
         // 0 -> 1 -> 2 -> 0 (one SCC), 2 -> 3 (singleton)
-        let g = simple(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
+        let g = Csr::from_edges(4, &[(0, 1), (1, 2), (2, 0), (2, 3)]);
         let (scc, count) = tarjan_scc(&g);
         assert_eq!(count, 2);
         assert_eq!(scc[0], scc[1]);
@@ -274,14 +343,18 @@ mod tests {
 
     #[test]
     fn scc_dag_is_all_singletons() {
-        let g = simple(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
-        let (_, count) = tarjan_scc(&g);
+        let g = Csr::from_edges(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let (scc, count) = tarjan_scc(&g);
         assert_eq!(count, 4);
+        // Reverse topological, parallel edges and self-loops change nothing.
+        assert!(scc[0] > scc[1] && scc[0] > scc[2] && scc[1] > scc[3] && scc[2] > scc[3]);
+        let noisy = Csr::from_edges(4, &[(0, 1), (0, 1), (0, 2), (1, 1), (1, 3), (2, 3), (2, 3)]);
+        assert_eq!(tarjan_scc(&noisy), (scc, 4));
     }
 
     #[test]
     fn scc_two_cycles_bridge() {
-        let g = simple(6, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)]);
+        let g = Csr::from_edges(6, &[(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 2), (4, 5)]);
         let (scc, count) = tarjan_scc(&g);
         assert_eq!(count, 3); // {0,1}, {2,3,4}, {5}
         assert_eq!(scc[0], scc[1]);
@@ -292,7 +365,7 @@ mod tests {
     #[test]
     fn scc_deep_path_no_stack_overflow() {
         let edges: Vec<(u32, u32)> = (0..200_000u32).map(|i| (i, i + 1)).collect();
-        let g = simple(200_001, &edges);
+        let g = Csr::from_edges(200_001, &edges);
         let (_, count) = tarjan_scc(&g);
         assert_eq!(count, 200_001);
     }

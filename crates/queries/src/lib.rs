@@ -9,9 +9,11 @@
 //!   ID costs O(h) (ℓ = nonterminal edges in S, h = grammar height).
 //! * [`neighbors`] — in/out neighborhood queries (Proposition 4):
 //!   O(log ℓ + n·h) for n neighbors.
-//! * [`reach`] — (s,t)-reachability in O(|G|) time via per-nonterminal
-//!   *skeleton graphs* (Theorem 6), built with Tarjan SCC exactly as in the
-//!   paper's proof.
+//! * [`reach`] — (s,t)-reachability via per-nonterminal *skeleton graphs*
+//!   (Theorem 6), built with Tarjan SCC exactly as in the paper's proof;
+//!   every context graph is condensed and labelled once at index build, so
+//!   a query climbs two derivation paths and compares labels instead of
+//!   walking O(|G|) edges.
 //! * [`speedup`] — one-pass CMSO-style aggregate queries (Proposition 5
 //!   flavor): number of connected components, and max/min degree.
 //! * [`rpq`] — **regular path queries**, the paper's stated future work,
@@ -22,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+mod condensation;
 pub mod error;
 pub mod index;
 pub mod neighbors;
@@ -32,5 +35,5 @@ pub mod speedup;
 pub use error::QueryError;
 pub use index::{GRepr, GrammarIndex};
 pub use neighbors::Direction;
-pub use reach::{ReachIndex, SourceClosure};
+pub use reach::{ReachIndex, ReachWork};
 pub use rpq::{Nfa, Regex, RpqIndex, RpqSourceClosure};

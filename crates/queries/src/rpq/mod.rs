@@ -20,7 +20,7 @@
 use std::borrow::Borrow;
 
 use crate::error::QueryError;
-use crate::index::GrammarIndex;
+use crate::index::{GRepr, GrammarIndex};
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_util::FxHashSet;
@@ -88,24 +88,20 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
     /// Like [`RpqIndex::matches`], but out-of-range ids return an error
     /// naming the valid range instead of panicking.
     pub fn try_matches(&self, s: u64, t: u64) -> Result<bool, QueryError> {
-        // Validate both ids (O(log) locates) before the expensive forward
-        // product closure, so hostile targets cost two lookups, not a full
-        // pass. Errors report `s` before `t`, matching the shared-source
-        // batch path (which resolves the source closure first).
-        self.index.try_locate(s)?;
-        self.index.try_locate(t)?;
-        let src = self.try_source(s)?;
-        self.try_matches_from(&src, t)
+        // Locate both ids before the expensive forward product closure, so
+        // hostile targets cost two lookups, not a full pass. Errors report
+        // `s` before `t`, matching the shared-source batch path (which
+        // resolves the source closure first).
+        let rs = self.index.try_locate(s)?;
+        let rt = self.index.try_locate(t)?;
+        Ok(self.matches_located(&self.source_at(s, rs), &rt))
     }
 
     /// Precompute the forward product closure of `s` once, for reuse across
-    /// many targets — the RPQ generalization of
-    /// [`crate::ReachIndex::try_source`]: a batch of `rpq s t₁`, `rpq s t₂`,
-    /// … with one pattern then costs one forward pass total.
+    /// many targets: a batch of `rpq s t₁`, `rpq s t₂`, … with one pattern
+    /// then costs one forward pass total.
     pub fn try_source(&self, s: u64) -> Result<RpqSourceClosure, QueryError> {
-        let rs = self.index.try_locate(s)?;
-        let forward = self.level_sets(&rs.path, rs.node, self.nfa.start_states(), false);
-        Ok(RpqSourceClosure { s, path: rs.path, forward })
+        Ok(self.source_at(s, self.index.try_locate(s)?))
     }
 
     /// Does some `src → t` path spell a word of the pattern's language?
@@ -116,21 +112,29 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
         src: &RpqSourceClosure,
         t: u64,
     ) -> Result<bool, QueryError> {
-        let rt = self.index.try_locate(t)?;
-        let accepts: Vec<u32> = self.nfa.accept_states().to_vec();
-        let backward = self.level_sets(&rt.path, rt.node, &accepts, true);
+        Ok(self.matches_located(src, &self.index.try_locate(t)?))
+    }
+
+    /// The forward half for source `s`, already located at `rs`.
+    fn source_at(&self, s: u64, rs: GRepr) -> RpqSourceClosure {
+        let forward = self.level_sets(&rs.path, rs.node, self.nfa.start_states(), false);
+        RpqSourceClosure { s, path: rs.path, forward }
+    }
+
+    /// The backward half for the target located at `rt`, met with `src`.
+    fn matches_located(&self, src: &RpqSourceClosure, rt: &GRepr) -> bool {
+        let backward = self.level_sets(&rt.path, rt.node, self.nfa.accept_states(), true);
         let common = src
             .path
             .iter()
             .zip(&rt.path)
             .take_while(|(a, b)| a == b)
             .count();
-        for (f, b) in src.forward.iter().zip(&backward).take(common + 1) {
-            if b.iter().any(|cfg| f.contains(cfg)) {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+        src.forward
+            .iter()
+            .zip(&backward)
+            .take(common + 1)
+            .any(|(f, b)| b.iter().any(|cfg| f.contains(cfg)))
     }
 
     /// Per-level closures over (node, state) pairs, climbing the derivation
@@ -213,17 +217,15 @@ fn product_closure(
                         continue;
                     }
                     let (from, to) = (att[0], att[1]);
-                    let nexts: Vec<Config> = if !backward && from == n {
-                        nfa.step(state, label).map(|q2| (to, q2)).collect()
-                    } else if backward && to == n {
-                        nfa.step_back(state, label).map(|q2| (from, q2)).collect()
-                    } else {
-                        continue;
-                    };
-                    for cfg in nexts {
+                    let mut visit = |cfg: Config| {
                         if seen.insert(cfg) {
                             queue.push(cfg);
                         }
+                    };
+                    if !backward && from == n {
+                        nfa.step(state, label).for_each(|q2| visit((to, q2)));
+                    } else if backward && to == n {
+                        nfa.step_back(state, label).for_each(|q2| visit((from, q2)));
                     }
                 }
                 EdgeLabel::Nonterminal(b) => {

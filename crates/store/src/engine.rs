@@ -7,9 +7,9 @@
 //! dropped) as two thin emits over it. The grammar engine is the one
 //! implementor that overrides [`QueryEngine`]'s provided methods, and it
 //! stays special in one more way: the store's batch amortization (shared
-//! reach closures, shared RPQ product closures, the per-batch locate cache
-//! — DESIGN.md §5) reaches into its fields directly, because those levers
-//! are grammar-shaped and have no analog in the row-backed engines.
+//! RPQ product closures, the per-batch locate cache — DESIGN.md §5) reaches
+//! into its fields directly, because those levers are grammar-shaped and
+//! have no analog in the row-backed engines.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -51,15 +51,15 @@ pub(crate) struct CacheCounters {
 }
 
 /// The grammar-backed [`QueryEngine`]: G-representation navigation
-/// (Prop. 4), skeleton reachability (Thm. 6), grammar-side RPQ plans, and
-/// the memoized rule-expansion cache that makes hub-node neighborhoods
-/// cheap.
+/// (Prop. 4), skeleton reachability (Thm. 6) answered from condensation
+/// labels, grammar-side RPQ plans, and the memoized rule-expansion cache
+/// that makes hub-node neighborhoods cheap.
 #[derive(Debug)]
 pub struct GrammarEngine {
     pub(crate) grammar: Arc<Grammar>,
-    /// G-representation navigation (Prop. 4), built eagerly.
-    pub(crate) index: GrammarIndex<Arc<Grammar>>,
-    /// Skeleton-based reachability (Thm. 6), built eagerly.
+    /// Skeleton-based reachability (Thm. 6), built eagerly — and with it
+    /// the one G-representation navigation index (Prop. 4) every verb
+    /// shares (`GrammarEngine::index`).
     pub(crate) reach: ReachIndex<Arc<Grammar>>,
     /// Memoized rule expansions — hot on hub nodes, whose incident
     /// nonterminal edges repeat few distinct labels. Labeled rows and plain
@@ -75,7 +75,6 @@ impl GrammarEngine {
     /// [`crate::GraphStore::from_grammar`] — revalidates first).
     pub(crate) fn new(grammar: Arc<Grammar>) -> Self {
         Self {
-            index: GrammarIndex::new(grammar.clone()),
             reach: ReachIndex::new(grammar.clone()),
             grammar,
             expansions: ShardedMap::default(),
@@ -87,6 +86,11 @@ impl GrammarEngine {
     /// The grammar being served.
     pub fn grammar(&self) -> &Grammar {
         &self.grammar
+    }
+
+    /// G-representation navigation (Prop. 4): the reach index's own.
+    pub(crate) fn index(&self) -> &GrammarIndex<Arc<Grammar>> {
+        self.reach.index()
     }
 
     /// Neighbor ids of `repr` over `dirs`, sorted and deduplicated: the
@@ -135,11 +139,11 @@ impl GrammarEngine {
         let full = &mut scratch.full;
         full.clear();
         full.extend_from_slice(&repr.path);
-        self.scan(self.index.context(&repr.path), repr.node, dir, |head, rel, label, node| {
+        self.scan(self.index().context(&repr.path), repr.node, dir, |head, rel, label, node| {
             full.truncate(repr.path.len());
             full.extend_from_slice(head);
             full.extend_from_slice(rel);
-            emit(label, self.index.global_id(full, node));
+            emit(label, self.index().global_id(full, node));
         });
     }
 
@@ -224,24 +228,24 @@ impl GrammarEngine {
 
 /// The one engine that overrides provided methods: the grammar answers
 /// `reach`, `rpq` and the aggregates in the compressed domain (Thm. 6
-/// skeletons, compiled product plans, one O(|G|) pass) instead of walking
-/// rows.
+/// skeletons + condensation labels, compiled product plans, one O(|G|)
+/// pass) instead of walking rows.
 impl QueryEngine for GrammarEngine {
     fn backend(&self) -> &'static str {
         crate::backend::GREPAIR
     }
 
     fn total_nodes(&self) -> u64 {
-        self.index.total_nodes
+        self.index().total_nodes
     }
 
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let repr = self.index.try_locate(v)?;
+        let repr = self.index().try_locate(v)?;
         Ok(self.collect_edges(&repr, Direction::Out, &mut Scratch::default()))
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let repr = self.index.try_locate(v)?;
+        let repr = self.index().try_locate(v)?;
         Ok(self.collect_edges(&repr, Direction::In, &mut Scratch::default()))
     }
 

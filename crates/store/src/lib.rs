@@ -14,12 +14,12 @@
 //!   backend (`grepair`, `k2`, `lm`, `hn`) wrote the file, legacy `.g2g`
 //!   images included. Every backend serves the same query plane; the
 //!   paper's space/query comparison runs live through one API.
-//! * **Eager indexing** — the G-representation navigation index and the
-//!   reachability skeletons are built at load time, so per-query latency
-//!   never pays the O(|G|) setup.
+//! * **Eager indexing** — the G-representation navigation index, the
+//!   reachability skeletons and the condensation labels of every context
+//!   graph are built at load time, so per-query latency never pays the
+//!   O(|G|) setup (and a `reach` is label tests, not a walk).
 //! * **Batched serving** — [`GraphStore::query_batch`] amortizes work
-//!   across requests: duplicate queries collapse, `reach` queries sharing a
-//!   source reuse one forward closure, `rpq` queries sharing a
+//!   across requests: duplicate queries collapse, `rpq` queries sharing a
 //!   (pattern, source) pair reuse one product closure, and neighbor
 //!   expansion of repeated rule labels is memoized store-wide (with
 //!   hit/miss counters in [`StoreStats`]).
@@ -28,7 +28,7 @@
 //!   memo hit is a pointer clone instead of a deep copy, and
 //!   [`GraphStore::query_batch_on`] partitions one batch across the worker
 //!   threads of a caller-owned [`BatchExecutor`] (the server's reusable
-//!   pool) that share the per-batch closures.
+//!   pool) that share the per-batch context.
 //! * **Multi-tenant hosting** — a [`StoreRegistry`] maps namespace names
 //!   to hot-reloadable store slots with per-namespace monotonic
 //!   generations: a freshly loaded container swaps in while in-flight

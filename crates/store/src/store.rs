@@ -5,7 +5,6 @@ use std::sync::{Arc, OnceLock};
 
 use grepair_grammar::Grammar;
 use grepair_queries::neighbors::Direction;
-use grepair_queries::reach::SourceClosure;
 use grepair_queries::{GRepr, QueryError, RpqSourceClosure};
 use grepair_util::{FxHashMap, FxHashSet};
 
@@ -121,14 +120,12 @@ impl std::fmt::Display for StoreStats {
 
 /// What one pre-scan over the batch says is worth sharing. Amortization is
 /// only free when something repeats: memoizing a query nobody asks twice,
-/// or caching a source closure nobody reuses, is pure overhead (hash,
+/// or caching an RPQ source closure nobody reuses, is pure overhead (hash,
 /// clone, lock) on the hot path. The plan is built once per batch in O(n)
 /// and consulted read-only by every worker thread, lock-free.
 struct BatchPlan<'q> {
     /// Queries occurring ≥ 2 times — the only ones the memo admits.
     duplicates: FxHashSet<&'q Query>,
-    /// Sources of ≥ 2 (non-trivial) `reach` queries.
-    shared_reach: FxHashSet<u64>,
     /// (pattern, source) pairs of ≥ 2 `rpq` queries.
     shared_rpq: FxHashSet<(&'q str, u64)>,
     /// Nodes named by ≥ 2 neighbor queries (`out`/`in`/`neighbors` mix).
@@ -146,8 +143,6 @@ impl<'q> BatchPlan<'q> {
         let cap = queries.len();
         let mut query_count: FxHashMap<&Query, u32> =
             FxHashMap::with_capacity_and_hasher(cap, Default::default());
-        let mut reach_count: FxHashMap<u64, u32> =
-            FxHashMap::with_capacity_and_hasher(cap / 4, Default::default());
         let mut rpq_count: FxHashMap<(&str, u64), u32> =
             FxHashMap::with_capacity_and_hasher(cap / 4, Default::default());
         let mut node_count: FxHashMap<u64, u32> =
@@ -155,7 +150,6 @@ impl<'q> BatchPlan<'q> {
         for q in queries {
             *query_count.entry(q).or_default() += 1;
             match q {
-                Query::Reach { s, t } if s != t => *reach_count.entry(*s).or_default() += 1,
                 Query::Rpq { s, pattern, .. } => {
                     *rpq_count.entry((pattern.as_str(), *s)).or_default() += 1
                 }
@@ -165,21 +159,13 @@ impl<'q> BatchPlan<'q> {
                 _ => {}
             }
         }
-        let repeated = |m: FxHashMap<u64, u32>| {
-            m.into_iter().filter(|&(_, c)| c >= 2).map(|(k, _)| k).collect()
-        };
+        // The keys a count map saw at least twice.
+        fn repeated<K: std::hash::Hash + Eq>(counts: FxHashMap<K, u32>) -> FxHashSet<K> {
+            counts.into_iter().filter(|&(_, c)| c >= 2).map(|(k, _)| k).collect()
+        }
         Self {
-            duplicates: query_count
-                .into_iter()
-                .filter(|&(_, c)| c >= 2)
-                .map(|(q, _)| q)
-                .collect(),
-            shared_reach: repeated(reach_count),
-            shared_rpq: rpq_count
-                .into_iter()
-                .filter(|&(_, c)| c >= 2)
-                .map(|(k, _)| k)
-                .collect(),
+            duplicates: repeated(query_count),
+            shared_rpq: repeated(rpq_count),
             shared_nodes: repeated(node_count),
         }
     }
@@ -191,7 +177,7 @@ impl<'q> BatchPlan<'q> {
 /// context is shared *across worker threads* by
 /// [`GraphStore::query_batch_on`] without a global lock.
 ///
-/// The duplicate memo applies to every backend; the three closure/locate
+/// The duplicate memo applies to every backend; the closure and locate
 /// maps are grammar-shaped levers and engage only when the grammar engine
 /// is serving.
 struct BatchContext<'q> {
@@ -199,8 +185,6 @@ struct BatchContext<'q> {
     plan: BatchPlan<'q>,
     /// Duplicate queries collapse to one computation; hits are `Arc` clones.
     memo: ShardedMap<&'q Query, AnswerResult>,
-    /// `reach` queries sharing a source reuse one forward closure.
-    reach_sources: ShardedMap<u64, Result<Arc<SourceClosure>, QueryError>>,
     /// `rpq` queries sharing (pattern, source) reuse one product closure.
     rpq_sources: ShardedMap<(&'q str, u64), Result<Arc<RpqSourceClosure>, QueryError>>,
     /// Neighbor queries against the same node (`out v` / `in v` /
@@ -214,7 +198,6 @@ impl<'q> BatchContext<'q> {
         Self {
             plan: BatchPlan::new(queries),
             memo: ShardedMap::default(),
-            reach_sources: ShardedMap::default(),
             rpq_sources: ShardedMap::default(),
             locates: ShardedMap::default(),
         }
@@ -222,7 +205,7 @@ impl<'q> BatchContext<'q> {
 }
 
 /// The engine behind a store: the grammar engine is held unboxed because
-/// the batch machinery reaches into its reach/RPQ/locate internals for the
+/// the batch machinery reaches into its RPQ/locate internals for the
 /// per-batch sharing levers; every other backend is a [`QueryEngine`]
 /// trait object served through the same dispatch.
 #[derive(Debug)]
@@ -474,9 +457,6 @@ impl GraphStore {
     ///
     /// * duplicate queries are answered once; repeats share the `Arc`
     ///   (every backend),
-    /// * `reach` queries sharing a source reuse one forward closure
-    ///   ([`grepair_queries::ReachIndex::try_source`]) instead of
-    ///   recomputing it per target (grammar backend),
     /// * `rpq` queries sharing a (pattern, source) pair reuse one product
     ///   closure (grammar backend),
     /// * neighbor queries against the same node share one `locate` descent
@@ -494,7 +474,7 @@ impl GraphStore {
 
     /// [`GraphStore::query_batch`] fanned out over caller-owned threads:
     /// the batch is partitioned into one job per executor worker (capped at
-    /// the batch length), all jobs share one batch context (per-source
+    /// the batch length), all jobs share one batch context (RPQ source
     /// closures, duplicate memo, locate cache) through the sharded maps,
     /// and `executor` runs them. Answers come back in input order, errors
     /// included, exactly as the sequential path would produce them. An
@@ -625,24 +605,7 @@ impl GraphStore {
                 let repr = Self::locate_for(ge, *v, ctx)?;
                 QueryAnswer::Nodes(ge.collect_neighbors(&repr, dirs, scratch))
             }
-            Query::Reach { s, t } if s == t => {
-                // Trivially true for valid ids — skip the forward closure.
-                QueryAnswer::Bool(ge.reach.try_reachable(*s, *t)?)
-            }
-            Query::Reach { s, t } => {
-                let shared = ctx
-                    .filter(|c| !c.plan.shared_reach.is_empty() && c.plan.shared_reach.contains(s));
-                let Some(ctx) = shared else {
-                    return Ok(Arc::new(QueryAnswer::Bool(ge.reach.try_reachable(*s, *t)?)));
-                };
-                let src = match ctx.reach_sources.get(s) {
-                    Some(hit) => hit,
-                    None => ctx
-                        .reach_sources
-                        .insert_if_absent(*s, ge.reach.try_source(*s).map(Arc::new)),
-                };
-                QueryAnswer::Bool(ge.reach.try_reachable_from(&*src?, *t)?)
-            }
+            Query::Reach { s, t } => QueryAnswer::Bool(ge.reach.try_reachable(*s, *t)?),
             Query::Rpq { s, t, pattern } => {
                 let plan = ge.plan(pattern)?;
                 let key = (pattern.as_str(), *s);
@@ -678,10 +641,10 @@ impl GraphStore {
                 Some(hit) => hit,
                 None => ctx
                     .locates
-                    .insert_if_absent(k, ge.index.try_locate(k).map(Arc::new)),
+                    .insert_if_absent(k, ge.index().try_locate(k).map(Arc::new)),
             };
         }
-        ge.index.try_locate(k).map(Arc::new)
+        ge.index().try_locate(k).map(Arc::new)
     }
 }
 
@@ -817,7 +780,7 @@ mod tests {
         let batch = store.query_batch(&queries);
         assert_eq!(batch.len(), queries.len());
         for (q, a) in queries.iter().zip(&batch) {
-            // Individual path must agree (fresh per-query source closures).
+            // Individual path must agree (no per-batch sharing).
             assert_eq!(a, &store.query(q), "{q:?}");
         }
         // Cross-check a few against the derived graph.

@@ -4,9 +4,9 @@
 //! workload, answer for answer, in input order, error cases included.
 //!
 //! This is the contract that makes the concurrent engine safe to ship: none
-//! of the amortization levers (duplicate memo, shared reach sources, shared
-//! RPQ product closures, the locate cache, the sharded expansion cache) may
-//! change a single answer.
+//! of the amortization levers (duplicate memo, shared RPQ product closures,
+//! the locate cache, the sharded expansion cache) may change a single
+//! answer.
 
 mod common;
 

@@ -15,8 +15,8 @@ use std::time::Instant;
 fn main() {
     // A long path of a repeating two-label pattern: gRePair folds it the way
     // string RePair folds a^n, so the grammar is tiny (|G| = O(log |g|)) and
-    // long-range reachability runs over the grammar in O(|G|) while BFS on
-    // the decompressed graph walks tens of thousands of edges.
+    // long-range reachability is a climb of its height plus label tests,
+    // while BFS on the decompressed graph walks tens of thousands of edges.
     let reps = 16_384u32;
     let (g, _) = Hypergraph::from_simple_edges(
         (2 * reps + 1) as usize,
