@@ -145,8 +145,8 @@ fn prefixed(line: &str, namespace: Option<&str>) -> String {
 /// The generated workload of the `--connections` burst and the chaos
 /// report: mixed queries whose popularity is skewed the way real serving
 /// traffic is — three quarters of the ids come from a ~61-key hot set (what
-/// the batch amortization levers exist for), one quarter from a uniform
-/// tail that keeps the caches honest.
+/// collapsing repeated queries per batch exists for), one quarter from a
+/// uniform tail that keeps the caches honest.
 fn mixed_batch(n: u64, len: u64) -> Vec<Query> {
     let hot = |i: u64| ((i % 61) * 2_654_435_761) % n;
     let cold = |i: u64| (i.wrapping_mul(7919) + 13) % n;

@@ -55,20 +55,23 @@ fn compressed_fixture() -> String {
         .clone()
 }
 
-/// Run `grepair store serve <serve_args> --addr 127.0.0.1:0`, stream
-/// `text` over one connection, half-close, and drain: returns the server's
-/// `listening …` banner and everything it replied. The server is killed on
-/// the way out, also when an assertion in here unwinds.
-fn socket_replies(serve_args: &[&str], text: &str) -> (String, String) {
-    use std::io::{BufRead, BufReader, Read, Write};
+/// A running `grepair store serve`, killed (and reaped) when dropped — also
+/// when an assertion unwinds past it.
+struct Server(std::process::Child);
 
-    struct Server(std::process::Child);
-    impl Drop for Server {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
+impl Drop for Server {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
+}
+
+/// Start `grepair store serve <serve_args> --addr 127.0.0.1:0` and read the
+/// `listening …` banner its first stdout line announces the ephemeral port
+/// with: returns the server, the banner and the address.
+fn spawn_server(serve_args: &[&str]) -> (Server, String, String) {
+    use std::io::{BufRead, BufReader};
+
     let mut server = Server(
         Command::new(env!("CARGO_BIN_EXE_grepair"))
             .args(["store", "serve"])
@@ -79,16 +82,31 @@ fn socket_replies(serve_args: &[&str], text: &str) -> (String, String) {
             .spawn()
             .expect("server starts"),
     );
-    // First stdout line announces the bound ephemeral port.
     let mut banner = String::new();
     BufReader::new(server.0.stdout.take().unwrap()).read_line(&mut banner).unwrap();
     assert!(banner.starts_with("listening "), "{banner:?}");
-    let addr = banner.split_whitespace().nth(1).expect("addr in banner");
+    let addr = banner.split_whitespace().nth(1).expect("addr in banner").to_string();
+    (server, banner, addr)
+}
+
+/// Stream `text` to `addr` over one connection, half-close, and drain:
+/// everything the server replied.
+fn stream_replies(addr: &str, text: &str) -> String {
+    use std::io::{Read, Write};
+
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     stream.write_all(text.as_bytes()).unwrap();
     stream.shutdown(std::net::Shutdown::Write).unwrap();
     let mut got = String::new();
     stream.read_to_string(&mut got).unwrap();
+    got
+}
+
+/// Run `grepair store serve <serve_args>`, stream `text` through it and
+/// return its banner and everything it replied.
+fn socket_replies(serve_args: &[&str], text: &str) -> (String, String) {
+    let (_server, banner, addr) = spawn_server(serve_args);
+    let got = stream_replies(&addr, text);
     (banner, got)
 }
 
@@ -279,12 +297,14 @@ fn serve_file_streams_identically_across_batch_and_thread_settings() {
 
 #[test]
 fn store_serve_speaks_the_same_bytes_as_serve_file() {
-    // The real binary end to end: `store serve` on an ephemeral loopback
-    // port must answer a mixed query file byte-identically to
-    // `store serve-file`, and the admin plane must hot-reload without
-    // dropping the connection (DESIGN.md §6).
-    use std::io::{BufRead, BufReader, Read, Write};
+    // The real binary end to end, once per I/O front end: `store serve` on
+    // an ephemeral loopback port must answer a mixed query file
+    // byte-identically to `store serve-file`, the admin plane must
+    // hot-reload without dropping the connection (DESIGN.md §6), and
+    // `SHUTDOWN` must drain the process to a clean exit (DESIGN.md §11).
+    use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
+    use std::time::{Duration, Instant};
 
     let g2g = compressed_fixture();
     let queries = scratch("serve_socket_queries.txt");
@@ -306,40 +326,28 @@ fn store_serve_speaks_the_same_bytes_as_serve_file() {
     assert!(offline.status.success());
     let expected = String::from_utf8_lossy(&offline.stdout).to_string();
 
-    let mut server = Command::new(env!("CARGO_BIN_EXE_grepair"))
-        .args(["store", "serve", &g2g, "--addr", "127.0.0.1:0", "--threads", "2"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-        .expect("server starts");
-    // First stdout line announces the bound ephemeral port.
-    let mut banner = String::new();
-    BufReader::new(server.stdout.take().unwrap()).read_line(&mut banner).unwrap();
-    assert!(banner.starts_with("listening "), "{banner:?}");
-    assert!(banner.contains("proto=3") && banner.contains("namespaces=1"), "{banner:?}");
-    assert!(banner.contains("generation=1"), "{banner:?}");
-    let addr = banner.split_whitespace().nth(1).expect("addr in banner").to_string();
-
-    let result = std::panic::catch_unwind(|| {
-        // Byte-identity: stream the file, half-close, drain.
-        let mut stream = TcpStream::connect(&addr).expect("connect");
-        stream.write_all(text.as_bytes()).unwrap();
-        stream.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut got = String::new();
-        stream.read_to_string(&mut got).unwrap();
-        assert_eq!(got, expected, "socket vs serve-file");
-
-        // Admin plane on a second, interactive connection.
-        let stream = TcpStream::connect(&addr).expect("connect admin");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = stream;
-        let mut roundtrip = |line: &str| -> String {
-            writer.write_all(line.as_bytes()).unwrap();
-            writer.write_all(b"\n").unwrap();
+    /// A fresh connection as a send-one-line, read-one-reply function.
+    fn interactive(addr: &str) -> impl FnMut(&str) -> String {
+        let mut writer = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(writer.try_clone().unwrap());
+        move |line| {
+            writer.write_all(format!("{line}\n").as_bytes()).unwrap();
             let mut reply = String::new();
             reader.read_line(&mut reply).unwrap();
             reply.trim_end().to_string()
-        };
+        }
+    }
+
+    let io_modes: &[&str] =
+        if cfg!(target_os = "linux") { &["threads", "epoll"] } else { &["threads"] };
+    for io in io_modes {
+        let (mut server, banner, addr) = spawn_server(&[&g2g, "--threads", "2", "--io", io]);
+        assert!(banner.contains("proto=3") && banner.contains("namespaces=1"), "{io}: {banner:?}");
+        assert!(banner.contains("generation=1"), "{io}: {banner:?}");
+        assert_eq!(stream_replies(&addr, &text), expected, "socket vs serve-file, --io {io}");
+
+        // Admin plane on a second, interactive connection.
+        let mut roundtrip = interactive(&addr);
         assert_eq!(roundtrip("PING"), "pong");
         assert!(roundtrip("INFO").contains("generation=1"));
         assert_eq!(roundtrip("out 0"), "1");
@@ -348,12 +356,24 @@ fn store_serve_speaks_the_same_bytes_as_serve_file() {
         assert!(roundtrip("STATS default").starts_with("generation=2 "));
         assert!(roundtrip("STATS").starts_with("namespaces=1 resident=1 "), "aggregate form");
         assert_eq!(roundtrip("out 0"), "1", "same connection, new generation");
+        // Failpoints are compiled out of a default build.
+        let compiled = if cfg!(feature = "fail") { "on" } else { "off" };
+        let faults = roundtrip("FAULTS");
+        assert!(faults.starts_with(&format!("faults compiled={compiled} ")), "{io}: {faults}");
         assert_eq!(roundtrip("QUIT"), "bye");
-    });
-    let _ = server.kill();
-    let _ = server.wait();
-    if let Err(panic) = result {
-        std::panic::resume_unwind(panic);
+
+        // SHUTDOWN drains: the process ends by itself, cleanly, inside its
+        // (default, 5 s) drain deadline.
+        assert_eq!(interactive(&addr)("SHUTDOWN"), "draining");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = server.0.try_wait().expect("poll the server") {
+                break status;
+            }
+            assert!(Instant::now() < deadline, "--io {io}: no exit after SHUTDOWN");
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(status.success(), "--io {io}: drained server exited with {status}");
     }
 }
 

@@ -36,4 +36,4 @@ pub use error::QueryError;
 pub use index::{GRepr, GrammarIndex};
 pub use neighbors::Direction;
 pub use reach::{ReachIndex, ReachWork};
-pub use rpq::{Nfa, Regex, RpqIndex, RpqSourceClosure};
+pub use rpq::{Nfa, Regex, RpqIndex};

@@ -20,7 +20,7 @@
 use std::borrow::Borrow;
 
 use crate::error::QueryError;
-use crate::index::{GRepr, GrammarIndex};
+use crate::index::GrammarIndex;
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_util::FxHashSet;
@@ -88,53 +88,21 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
     /// Like [`RpqIndex::matches`], but out-of-range ids return an error
     /// naming the valid range instead of panicking.
     pub fn try_matches(&self, s: u64, t: u64) -> Result<bool, QueryError> {
-        // Locate both ids before the expensive forward product closure, so
-        // hostile targets cost two lookups, not a full pass. Errors report
-        // `s` before `t`, matching the shared-source batch path (which
-        // resolves the source closure first).
+        // Locate both ids (`s` first, so it is the one reported when both
+        // are out of range) before either product closure runs: a hostile
+        // id costs two lookups, not a pass over the start graph.
         let rs = self.index.try_locate(s)?;
         let rt = self.index.try_locate(t)?;
-        Ok(self.matches_located(&self.source_at(s, rs), &rt))
-    }
-
-    /// Precompute the forward product closure of `s` once, for reuse across
-    /// many targets: a batch of `rpq s t₁`, `rpq s t₂`, … with one pattern
-    /// then costs one forward pass total.
-    pub fn try_source(&self, s: u64) -> Result<RpqSourceClosure, QueryError> {
-        Ok(self.source_at(s, self.index.try_locate(s)?))
-    }
-
-    /// Does some `src → t` path spell a word of the pattern's language?
-    /// Only the backward pass for `t` runs; the forward half comes from
-    /// `src`.
-    pub fn try_matches_from(
-        &self,
-        src: &RpqSourceClosure,
-        t: u64,
-    ) -> Result<bool, QueryError> {
-        Ok(self.matches_located(src, &self.index.try_locate(t)?))
-    }
-
-    /// The forward half for source `s`, already located at `rs`.
-    fn source_at(&self, s: u64, rs: GRepr) -> RpqSourceClosure {
         let forward = self.level_sets(&rs.path, rs.node, self.nfa.start_states(), false);
-        RpqSourceClosure { s, path: rs.path, forward }
-    }
-
-    /// The backward half for the target located at `rt`, met with `src`.
-    fn matches_located(&self, src: &RpqSourceClosure, rt: &GRepr) -> bool {
         let backward = self.level_sets(&rt.path, rt.node, self.nfa.accept_states(), true);
-        let common = src
-            .path
-            .iter()
-            .zip(&rt.path)
-            .take_while(|(a, b)| a == b)
-            .count();
-        src.forward
+        // The two climbs share the contexts of the common path prefix; a
+        // path exists iff some shared level holds a common (node, state).
+        let common = rs.path.iter().zip(&rt.path).take_while(|(a, b)| a == b).count();
+        Ok(forward
             .iter()
             .zip(&backward)
             .take(common + 1)
-            .any(|(f, b)| b.iter().any(|cfg| f.contains(cfg)))
+            .any(|(f, b)| b.iter().any(|cfg| f.contains(cfg))))
     }
 
     /// Per-level closures over (node, state) pairs, climbing the derivation
@@ -171,28 +139,6 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
             sets[depth] = closed;
         }
         sets
-    }
-}
-
-/// The forward half of an RPQ evaluation: per-level product closures over
-/// (node, state) pairs, computed once per (pattern, source) by
-/// [`RpqIndex::try_source`] and shared across targets. Only meaningful
-/// against the [`RpqIndex`] that produced it (the states are indices into
-/// that index's NFA).
-#[derive(Debug, Clone)]
-pub struct RpqSourceClosure {
-    /// The source node id.
-    s: u64,
-    /// The source's derivation path.
-    path: Vec<EdgeId>,
-    /// Per-level forward-reachable (node, state) sets (depth 0 = S).
-    forward: Vec<FxHashSet<Config>>,
-}
-
-impl RpqSourceClosure {
-    /// The source node this closure was computed for.
-    pub fn source(&self) -> u64 {
-        self.s
     }
 }
 
@@ -380,32 +326,30 @@ mod tests {
     }
 
     #[test]
-    fn source_closure_reuse_matches_pairwise() {
+    fn try_matches_agrees_with_the_oracle_and_reports_s_first() {
         let g = ab_path(8);
         let nfa = Nfa::from_regex(&Regex::cat(vec![
             Regex::star(Regex::label(0)),
             Regex::label(1),
         ]));
         let out = compress(&g, &GRePairConfig::default());
-        let rpq = RpqIndex::new(&out.grammar, nfa);
-        let n = out.grammar.derive().num_nodes() as u64;
+        let derived = out.grammar.derive();
+        let rpq = RpqIndex::new(&out.grammar, nfa.clone());
+        let n = derived.num_nodes() as u64;
         for s in 0..n {
-            let src = rpq.try_source(s).unwrap();
-            assert_eq!(src.source(), s);
             for t in 0..n {
                 assert_eq!(
-                    rpq.try_matches_from(&src, t).unwrap(),
-                    rpq.matches(s, t),
+                    rpq.try_matches(s, t),
+                    Ok(rpq_on_graph(&derived, &nfa, s as NodeId, t as NodeId)),
                     "({s},{t})"
                 );
             }
         }
-        // Out-of-range ids error on both halves instead of panicking.
-        assert!(rpq.try_source(n).is_err());
-        let src = rpq.try_source(0).unwrap();
-        assert!(rpq.try_matches_from(&src, n).is_err());
-        assert!(rpq.try_matches(0, n).is_err());
-        assert!(rpq.try_matches(n, 0).is_err());
+        // Out-of-range ids error instead of panicking, `s` first.
+        let out_of_range = |id| Err(QueryError::NodeOutOfRange { id, total: n });
+        assert_eq!(rpq.try_matches(0, n), out_of_range(n));
+        assert_eq!(rpq.try_matches(n, 0), out_of_range(n));
+        assert_eq!(rpq.try_matches(n + 1, n + 2), out_of_range(n + 1));
     }
 
     #[test]

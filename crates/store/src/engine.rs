@@ -2,83 +2,90 @@
 //! rule expansions and compiled RPQ plans.
 //!
 //! One labeled walk serves every row-shaped answer: a single incident-edge
-//! scan over a single memoized expansion cache, with `collect_edges` (the
-//! [`QueryEngine`] row primitive) and `collect_neighbors` (the label
-//! dropped) as two thin emits over it. The grammar engine is the one
-//! implementor that overrides [`QueryEngine`]'s provided methods, and it
-//! stays special in one more way: the store's batch amortization (shared
-//! RPQ product closures, the per-batch locate cache — DESIGN.md §5) reaches
-//! into its fields directly, because those levers are grammar-shaped and
-//! have no analog in the row-backed engines.
+//! scan over a single expansion table, collected with the label kept (the
+//! [`QueryEngine`] row primitive) or dropped (neighbor sets). The grammar
+//! engine is the one implementor that overrides [`QueryEngine`]'s provided
+//! methods; the store reaches it through the trait like every other backend.
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_queries::neighbors::Direction;
 use grepair_queries::{speedup, GRepr, GrammarIndex, ReachIndex, RpqIndex};
+use grepair_util::sync::RwLock;
+use grepair_util::FxHashMap;
 
 use crate::backend::QueryEngine;
-use crate::cache::ShardedMap;
 use crate::query::compile_pattern;
 use crate::GrepairError;
 
-/// One memoized rule expansion: the row one `(nt, ext position,
-/// direction)` combination contributes, as rule-relative `(path, terminal
-/// label, node)` entries (see [`GrammarIndex::rule_expansion`]).
-pub(crate) type Expansion = Arc<Vec<(Vec<EdgeId>, u32, NodeId)>>;
-/// Cache key: `(nonterminal, external position, direction)`.
-type ExpansionKey = (u32, u32, Direction);
+/// One entry of a rule expansion: rule-relative `(path, terminal label,
+/// node)` (see [`GrammarIndex::rule_expansion`]).
+pub(crate) type ExpansionEntry = (Vec<EdgeId>, u32, NodeId);
 
-/// Per-worker scratch buffers, reused across the queries one worker
-/// answers so the neighbor hot path does not reallocate its derivation-path
-/// buffer per query. Never shared between threads.
-#[derive(Default)]
-pub(crate) struct Scratch {
-    /// Absolute derivation path assembled while expanding nonterminal edges.
-    pub(crate) full: Vec<EdgeId>,
-}
+/// How many compiled RPQ plans one engine keeps. The key is pattern text a
+/// client chose and every plan owns a navigation index plus per-nonterminal
+/// relations, so the map must not grow with the number of distinct patterns
+/// ever asked; real traffic repeats far fewer than this.
+pub(crate) const MAX_CACHED_PLANS: usize = 64;
 
 /// Hit/miss counters for the engine's two store-wide caches. Relaxed
 /// atomics: exact totals, no lock (see `StoreStats`).
 #[derive(Debug, Default)]
-pub(crate) struct CacheCounters {
-    pub(crate) expansion_hits: AtomicU64,
-    pub(crate) expansion_misses: AtomicU64,
-    pub(crate) plan_hits: AtomicU64,
-    pub(crate) plan_misses: AtomicU64,
+struct CacheCounters {
+    expansion_hits: AtomicU64,
+    expansion_misses: AtomicU64,
+    plan_hits: AtomicU64,
+    plan_misses: AtomicU64,
 }
 
 /// The grammar-backed [`QueryEngine`]: G-representation navigation
 /// (Prop. 4), skeleton reachability (Thm. 6) answered from condensation
-/// labels, grammar-side RPQ plans, and the memoized rule-expansion cache
-/// that makes hub-node neighborhoods cheap.
+/// labels, grammar-side RPQ plans, and the rule-expansion table that makes
+/// hub-node neighborhoods cheap.
 #[derive(Debug)]
 pub struct GrammarEngine {
-    pub(crate) grammar: Arc<Grammar>,
+    grammar: Arc<Grammar>,
     /// Skeleton-based reachability (Thm. 6), built eagerly — and with it
     /// the one G-representation navigation index (Prop. 4) every verb
     /// shares (`GrammarEngine::index`).
-    pub(crate) reach: ReachIndex<Arc<Grammar>>,
-    /// Memoized rule expansions — hot on hub nodes, whose incident
-    /// nonterminal edges repeat few distinct labels. Labeled rows and plain
-    /// neighbor sets both read it.
-    expansions: ShardedMap<ExpansionKey, Expansion>,
-    /// Compiled RPQ plans per canonical pattern text.
-    plans: ShardedMap<String, Arc<RpqIndex<Arc<Grammar>>>>,
-    pub(crate) cache_counters: CacheCounters,
+    reach: ReachIndex<Arc<Grammar>>,
+    /// Rule expansions — hot on hub nodes, whose incident nonterminal
+    /// edges repeat few distinct labels. The §V neighborhood walk only ever
+    /// expands (nonterminal, external position, direction) triples, a
+    /// finite set known at load: one cell each, at `slot_base[nt] + 2·pos +
+    /// dir`, filled on first use and borrowed ever after. Labeled rows and
+    /// plain neighbor sets both read it.
+    expansions: Vec<OnceLock<Vec<ExpansionEntry>>>,
+    /// First cell of each nonterminal, plus the table length as a final
+    /// entry (so `slot_base[nt]..slot_base[nt + 1]` are `nt`'s cells).
+    slot_base: Vec<usize>,
+    /// Compiled RPQ plans per canonical pattern text, at most
+    /// [`MAX_CACHED_PLANS`] of them.
+    plans: RwLock<FxHashMap<String, Arc<RpqIndex<Arc<Grammar>>>>>,
+    cache_counters: CacheCounters,
 }
 
 impl GrammarEngine {
     /// Build the engine from an already-validated grammar (the caller —
     /// [`crate::GraphStore::from_grammar`] — revalidates first).
     pub(crate) fn new(grammar: Arc<Grammar>) -> Self {
+        let mut slot_base = Vec::with_capacity(grammar.num_nonterminals() + 1);
+        let mut slots = 0;
+        for rhs in grammar.rules() {
+            slot_base.push(slots);
+            slots += 2 * rhs.rank();
+        }
+        slot_base.push(slots);
         Self {
             reach: ReachIndex::new(grammar.clone()),
             grammar,
-            expansions: ShardedMap::default(),
-            plans: ShardedMap::default(),
+            expansions: std::iter::repeat_with(OnceLock::new).take(slots).collect(),
+            slot_base,
+            plans: RwLock::default(),
             cache_counters: CacheCounters::default(),
         }
     }
@@ -88,72 +95,58 @@ impl GrammarEngine {
         &self.grammar
     }
 
+    /// `[expansion hits, expansion misses, plan hits, plan misses]` — the
+    /// four cache counters of [`crate::StoreStats`].
+    pub(crate) fn cache_counts(&self) -> [u64; 4] {
+        let c = &self.cache_counters;
+        [&c.expansion_hits, &c.expansion_misses, &c.plan_hits, &c.plan_misses]
+            .map(|counter| counter.load(Ordering::Relaxed))
+    }
+
     /// G-representation navigation (Prop. 4): the reach index's own.
-    pub(crate) fn index(&self) -> &GrammarIndex<Arc<Grammar>> {
+    fn index(&self) -> &GrammarIndex<Arc<Grammar>> {
         self.reach.index()
     }
 
-    /// Neighbor ids of `repr` over `dirs`, sorted and deduplicated: the
-    /// labeled walk with the label dropped at the emit. The caller resolves
-    /// `repr` (possibly through the per-batch locate cache).
-    pub(crate) fn collect_neighbors(
+    /// The row of `v` over `dirs`, sorted and deduplicated, each edge of the
+    /// labeled walk emitted through `entry`: `(label, node)` pairs for the
+    /// `out_edges`/`in_edges` primitive, the node alone for neighbor sets.
+    fn collect<T: Ord>(
         &self,
-        repr: &GRepr,
+        v: u64,
         dirs: &[Direction],
-        scratch: &mut Scratch,
-    ) -> Vec<u64> {
+        entry: impl Fn(u32, u64) -> T,
+    ) -> Result<Vec<T>, GrepairError> {
+        let repr = self.index().try_locate(v)?;
         let mut out = Vec::new();
         for &dir in dirs {
-            self.walk(repr, dir, scratch, |_, w| out.push(w));
+            self.walk(&repr, dir, |label, w| out.push(entry(label, w)));
         }
         out.sort_unstable();
         out.dedup();
-        out
-    }
-
-    /// The labeled row of `repr`: sorted, deduplicated `(label, node)`
-    /// pairs — the `out_edges`/`in_edges` primitive.
-    pub(crate) fn collect_edges(
-        &self,
-        repr: &GRepr,
-        dir: Direction,
-        scratch: &mut Scratch,
-    ) -> Vec<(u32, u64)> {
-        let mut out = Vec::new();
-        self.walk(repr, dir, scratch, |label, w| out.push((label, w)));
-        out.sort_unstable();
-        out.dedup();
-        out
+        Ok(out)
     }
 
     /// The context walk: every edge of `val(G)` leaving (or entering) the
-    /// node `repr` addresses, emitted as `(label, global id)`. The
-    /// derivation-path buffer comes from `scratch`.
-    fn walk(
-        &self,
-        repr: &GRepr,
-        dir: Direction,
-        scratch: &mut Scratch,
-        mut emit: impl FnMut(u32, u64),
-    ) {
-        let full = &mut scratch.full;
-        full.clear();
-        full.extend_from_slice(&repr.path);
+    /// node `repr` addresses, emitted as `(label, global id)`.
+    fn walk(&self, repr: &GRepr, dir: Direction, mut emit: impl FnMut(u32, u64)) {
+        // Absolute derivation path of the edge being emitted.
+        let mut full = repr.path.clone();
         self.scan(self.index().context(&repr.path), repr.node, dir, |head, rel, label, node| {
             full.truncate(repr.path.len());
             full.extend_from_slice(head);
             full.extend_from_slice(rel);
-            emit(label, self.index().global_id(full, node));
+            emit(label, self.index().global_id(&full, node));
         });
     }
 
     /// The one incident-edge scan. It mirrors `GrammarIndex`'s (the
     /// uncached reference, see [`GrammarIndex::rule_expansion`]) with the
-    /// descent into each nonterminal edge replaced by its memoized
-    /// expansion. `emit` receives the path below `graph` in two pieces —
-    /// the incident nonterminal edge (or nothing, for a terminal edge of
-    /// `graph` itself) and the cached rule-relative rest — then the
-    /// terminal label and the other endpoint.
+    /// descent into each nonterminal edge replaced by its table cell.
+    /// `emit` receives the path below `graph` in two pieces — the incident
+    /// nonterminal edge (or nothing, for a terminal edge of `graph` itself)
+    /// and the cached rule-relative rest — then the terminal label and the
+    /// other endpoint.
     fn scan(
         &self,
         graph: &Hypergraph,
@@ -176,7 +169,7 @@ impl GrammarEngine {
                 EdgeLabel::Nonterminal(nt) => {
                     for (pos, &x) in att.iter().enumerate() {
                         if x == v {
-                            for (rel, label, node) in self.expansion(nt, pos as u32, dir).iter() {
+                            for (rel, label, node) in self.expansion(nt, pos, dir).iter() {
                                 emit(&[e], rel, *label, *node);
                             }
                         }
@@ -186,47 +179,86 @@ impl GrammarEngine {
         }
     }
 
-    /// Memoized rule-relative expansion for `(nt, ext position, dir)` — a
-    /// hit is an `Arc` clone out of the sharded cache (read lock, no copy).
-    pub(crate) fn expansion(&self, nt: u32, pos: u32, dir: Direction) -> Expansion {
-        let key: ExpansionKey = (nt, pos, dir);
-        if let Some(hit) = self.expansions.get(&key) {
+    /// Rule-relative expansion for `(nt, ext position, dir)`. A hit borrows
+    /// the table cell — no hash, no lock, no reference count. A triple with
+    /// no cell (no such nonterminal, or `pos` beyond its rank; a validated
+    /// grammar never asks) is computed uncached.
+    pub(crate) fn expansion(
+        &self,
+        nt: u32,
+        pos: usize,
+        dir: Direction,
+    ) -> Cow<'_, [ExpansionEntry]> {
+        let Some(cell) = self.cell(nt, pos, dir) else {
+            return Cow::Owned(self.expand(nt, pos, dir));
+        };
+        if let Some(hit) = cell.get() {
             self.cache_counters.expansion_hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
+            return Cow::Borrowed(hit);
         }
-        // Compute outside any lock: the scan re-enters `expansion` for
-        // nested nonterminals (sharing their entries too); straight-line
-        // grammars make that recursion, over strictly smaller
-        // nonterminals, finite.
+        // The fill re-enters `expansion` for nested nonterminals (sharing
+        // their cells too). Those are other cells — a straight-line grammar
+        // only nests strictly smaller nonterminals — so the recursion is
+        // finite and never waits on the cell being filled.
         self.cache_counters.expansion_misses.fetch_add(1, Ordering::Relaxed);
-        let rhs = self.grammar.rule(nt);
+        Cow::Borrowed(cell.get_or_init(|| self.expand(nt, pos, dir)))
+    }
+
+    /// The table cell of `(nt, pos, dir)`, if the table has one.
+    fn cell(&self, nt: u32, pos: usize, dir: Direction) -> Option<&OnceLock<Vec<ExpansionEntry>>> {
+        let nt = nt as usize;
+        let (base, end) = (*self.slot_base.get(nt)?, *self.slot_base.get(nt + 1)?);
+        let dir = match dir {
+            Direction::Out => 0,
+            Direction::In => 1,
+        };
+        self.expansions.get(base..end)?.get(pos.saturating_mul(2).saturating_add(dir))
+    }
+
+    /// Compute one expansion: the scan of `nt`'s right-hand side from its
+    /// external node `pos` (empty when there is no such node).
+    fn expand(&self, nt: u32, pos: usize, dir: Direction) -> Vec<ExpansionEntry> {
         let mut computed = Vec::new();
-        if let Some(&v) = rhs.ext().get(pos as usize) {
+        let Some(rhs) = self.grammar.rules().get(nt as usize) else {
+            return computed;
+        };
+        if let Some(&v) = rhs.ext().get(pos) {
             self.scan(rhs, v, dir, |head, rel, label, node| {
                 computed.push(([head, rel].concat(), label, node));
             });
         }
-        self.expansions.insert_if_absent(key, Arc::new(computed))
+        computed
     }
 
-    /// Compiled-plan lookup for an RPQ pattern — a hit is an `Arc` clone out
-    /// of the sharded cache.
-    pub(crate) fn plan(
-        &self,
-        pattern: &str,
-    ) -> Result<Arc<RpqIndex<Arc<Grammar>>>, GrepairError> {
-        if let Some(hit) = self.plans.get(pattern) {
+    /// Compiled-plan lookup for an RPQ pattern — a hit is an `Arc` clone
+    /// under the read lock. An insert that would exceed
+    /// [`MAX_CACHED_PLANS`] clears the map first: a pattern still in use
+    /// re-enters on its next query.
+    fn plan(&self, pattern: &str) -> Result<Arc<RpqIndex<Arc<Grammar>>>, GrepairError> {
+        if let Some(hit) = self.plans.read().get(pattern) {
             self.cache_counters.plan_hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(hit);
+            return Ok(Arc::clone(hit));
         }
         self.cache_counters.plan_misses.fetch_add(1, Ordering::Relaxed);
-        let nfa = compile_pattern(pattern)?;
-        let plan = Arc::new(RpqIndex::new(self.grammar.clone(), nfa));
-        Ok(self.plans.insert_if_absent(pattern.to_string(), plan))
+        // Compile outside the lock; a thread that lost the race to insert
+        // the same pattern adopts the winner's plan.
+        let plan = Arc::new(RpqIndex::new(self.grammar.clone(), compile_pattern(pattern)?));
+        let mut plans = self.plans.write();
+        if plans.len() >= MAX_CACHED_PLANS && !plans.contains_key(pattern) {
+            plans.clear();
+        }
+        Ok(Arc::clone(plans.entry(pattern.to_string()).or_insert(plan)))
+    }
+
+    /// How many compiled plans are cached right now.
+    #[cfg(test)]
+    pub(crate) fn cached_plans(&self) -> usize {
+        self.plans.read().len()
     }
 }
 
-/// The one engine that overrides provided methods: the grammar answers
+/// The one engine that overrides provided methods: the grammar answers the
+/// neighbor verbs by the unlabeled walk (no labeled row to project), and
 /// `reach`, `rpq` and the aggregates in the compressed domain (Thm. 6
 /// skeletons + condensation labels, compiled product plans, one O(|G|)
 /// pass) instead of walking rows.
@@ -240,13 +272,23 @@ impl QueryEngine for GrammarEngine {
     }
 
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let repr = self.index().try_locate(v)?;
-        Ok(self.collect_edges(&repr, Direction::Out, &mut Scratch::default()))
+        self.collect(v, &[Direction::Out], |label, w| (label, w))
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let repr = self.index().try_locate(v)?;
-        Ok(self.collect_edges(&repr, Direction::In, &mut Scratch::default()))
+        self.collect(v, &[Direction::In], |label, w| (label, w))
+    }
+
+    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
+        self.collect(v, &[Direction::Out], |_, w| w)
+    }
+
+    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
+        self.collect(v, &[Direction::In], |_, w| w)
+    }
+
+    fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
+        self.collect(v, &[Direction::Out, Direction::In], |_, w| w)
     }
 
     fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {

@@ -18,17 +18,19 @@
 //!   reachability skeletons and the condensation labels of every context
 //!   graph are built at load time, so per-query latency never pays the
 //!   O(|G|) setup (and a `reach` is label tests, not a walk).
-//! * **Batched serving** — [`GraphStore::query_batch`] amortizes work
-//!   across requests: duplicate queries collapse, `rpq` queries sharing a
-//!   (pattern, source) pair reuse one product closure, and neighbor
-//!   expansion of repeated rule labels is memoized store-wide (with
-//!   hit/miss counters in [`StoreStats`]).
-//! * **Concurrent serving** — the caches are sharded (`RwLock` per shard,
-//!   see `DESIGN.md §5`), answers are `Arc<QueryAnswer>` so every cache or
-//!   memo hit is a pointer clone instead of a deep copy, and
-//!   [`GraphStore::query_batch_on`] partitions one batch across the worker
-//!   threads of a caller-owned [`BatchExecutor`] (the server's reusable
-//!   pool) that share the per-batch context.
+//! * **Batched serving** — [`GraphStore::query_batch`] answers a query
+//!   that already occurred earlier in the batch by cloning the first
+//!   occurrence's `Arc`; rule expansions (a table with one once-filled cell
+//!   per (nonterminal, external position, direction), hit/miss counters in
+//!   [`StoreStats`]) and compiled RPQ plans (a bounded map) are store-wide
+//!   and serve one-shot queries just as well. `DESIGN.md §5` has the
+//!   measurements that decided what stayed.
+//! * **Concurrent serving** — an expansion hit borrows its cell (no lock),
+//!   a plan hit is a read lock and an `Arc` clone, answers are
+//!   `Arc<QueryAnswer>`, and [`GraphStore::query_batch_on`] partitions one
+//!   batch across the worker threads of a caller-owned [`BatchExecutor`]
+//!   (the server's reusable pool); repeats collapse within each worker's
+//!   chunk.
 //! * **Multi-tenant hosting** — a [`StoreRegistry`] maps namespace names
 //!   to hot-reloadable store slots with per-namespace monotonic
 //!   generations: a freshly loaded container swaps in while in-flight
@@ -75,7 +77,6 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-mod cache;
 mod engine;
 mod error;
 pub mod query;

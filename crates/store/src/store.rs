@@ -1,21 +1,19 @@
 //! The long-lived query-serving store.
 
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use grepair_grammar::Grammar;
-use grepair_queries::neighbors::Direction;
-use grepair_queries::{GRepr, QueryError, RpqSourceClosure};
-use grepair_util::{FxHashMap, FxHashSet};
+use grepair_util::FxHashMap;
 
 use crate::backend::{self, QueryEngine};
-use crate::cache::ShardedMap;
-use crate::engine::{GrammarEngine, Scratch};
+use crate::engine::GrammarEngine;
 use crate::query::{Query, QueryAnswer};
 use crate::GrepairError;
 
 /// What every query entry point returns: a shared handle to the answer, so
-/// cache and memo hits are `Arc` clones, never `Vec` copies.
+/// a repeated query in a batch is an `Arc` clone, never a `Vec` copy.
 type AnswerResult = Result<Arc<QueryAnswer>, GrepairError>;
 
 /// Something that can run a set of borrowed jobs to completion — the seam
@@ -118,102 +116,6 @@ impl std::fmt::Display for StoreStats {
     }
 }
 
-/// What one pre-scan over the batch says is worth sharing. Amortization is
-/// only free when something repeats: memoizing a query nobody asks twice,
-/// or caching an RPQ source closure nobody reuses, is pure overhead (hash,
-/// clone, lock) on the hot path. The plan is built once per batch in O(n)
-/// and consulted read-only by every worker thread, lock-free.
-struct BatchPlan<'q> {
-    /// Queries occurring ≥ 2 times — the only ones the memo admits.
-    duplicates: FxHashSet<&'q Query>,
-    /// (pattern, source) pairs of ≥ 2 `rpq` queries.
-    shared_rpq: FxHashSet<(&'q str, u64)>,
-    /// Nodes named by ≥ 2 neighbor queries (`out`/`in`/`neighbors` mix).
-    shared_nodes: FxHashSet<u64>,
-}
-
-impl<'q> BatchPlan<'q> {
-    /// One hash set probe per query tells the hot path whether to bother —
-    /// empty sets short-circuit before hashing.
-    fn has_duplicates(&self) -> bool {
-        !self.duplicates.is_empty()
-    }
-
-    fn new(queries: &'q [Query]) -> Self {
-        let cap = queries.len();
-        let mut query_count: FxHashMap<&Query, u32> =
-            FxHashMap::with_capacity_and_hasher(cap, Default::default());
-        let mut rpq_count: FxHashMap<(&str, u64), u32> =
-            FxHashMap::with_capacity_and_hasher(cap / 4, Default::default());
-        let mut node_count: FxHashMap<u64, u32> =
-            FxHashMap::with_capacity_and_hasher(cap / 4, Default::default());
-        for q in queries {
-            *query_count.entry(q).or_default() += 1;
-            match q {
-                Query::Rpq { s, pattern, .. } => {
-                    *rpq_count.entry((pattern.as_str(), *s)).or_default() += 1
-                }
-                Query::OutNeighbors(v) | Query::InNeighbors(v) | Query::Neighbors(v) => {
-                    *node_count.entry(*v).or_default() += 1
-                }
-                _ => {}
-            }
-        }
-        // The keys a count map saw at least twice.
-        fn repeated<K: std::hash::Hash + Eq>(counts: FxHashMap<K, u32>) -> FxHashSet<K> {
-            counts.into_iter().filter(|&(_, c)| c >= 2).map(|(k, _)| k).collect()
-        }
-        Self {
-            duplicates: repeated(query_count),
-            shared_rpq: repeated(rpq_count),
-            shared_nodes: repeated(node_count),
-        }
-    }
-}
-
-/// Per-batch shared state: everything that lets one request's work pay for
-/// the next request's. Internally sharded ([`ShardedMap`]) and keyed by
-/// references into the batch slice (no `Query`/pattern clones), so the same
-/// context is shared *across worker threads* by
-/// [`GraphStore::query_batch_on`] without a global lock.
-///
-/// The duplicate memo applies to every backend; the closure and locate
-/// maps are grammar-shaped levers and engage only when the grammar engine
-/// is serving.
-struct BatchContext<'q> {
-    /// Which keys are worth admitting into the maps below.
-    plan: BatchPlan<'q>,
-    /// Duplicate queries collapse to one computation; hits are `Arc` clones.
-    memo: ShardedMap<&'q Query, AnswerResult>,
-    /// `rpq` queries sharing (pattern, source) reuse one product closure.
-    rpq_sources: ShardedMap<(&'q str, u64), Result<Arc<RpqSourceClosure>, QueryError>>,
-    /// Neighbor queries against the same node (`out v` / `in v` /
-    /// `neighbors v`) share one `locate` descent; distinct nodes under the
-    /// same rule subtree additionally share the store-wide expansions.
-    locates: ShardedMap<u64, Result<Arc<GRepr>, QueryError>>,
-}
-
-impl<'q> BatchContext<'q> {
-    fn new(queries: &'q [Query]) -> Self {
-        Self {
-            plan: BatchPlan::new(queries),
-            memo: ShardedMap::default(),
-            rpq_sources: ShardedMap::default(),
-            locates: ShardedMap::default(),
-        }
-    }
-}
-
-/// The engine behind a store: the grammar engine is held unboxed because
-/// the batch machinery reaches into its RPQ/locate internals for the
-/// per-batch sharing levers; every other backend is a [`QueryEngine`]
-/// trait object served through the same dispatch.
-#[derive(Debug)]
-enum EngineSlot {
-    Grammar(Box<GrammarEngine>),
-    External(Box<dyn QueryEngine>),
-}
-
 /// A loaded compressed graph, indexed once, serving forever.
 ///
 /// `GraphStore` is the serving-grade counterpart of the one-shot CLI path:
@@ -221,19 +123,24 @@ enum EngineSlot {
 /// byte sequence), dispatches to the backend the container's header names
 /// (DESIGN.md §7 — legacy `.g2g` files are detected as the gRePair
 /// grammar), eagerly builds that backend's indexes, and then answers any
-/// number of [`Query`]s — individually via [`GraphStore::query`], amortized
+/// number of [`Query`]s — individually via [`GraphStore::query`], batched
 /// via [`GraphStore::query_batch`], or across worker threads via
-/// [`GraphStore::query_batch_on`].
+/// [`GraphStore::query_batch_on`]. All three reach the engine through the
+/// same [`QueryEngine`] call.
 ///
-/// All interior mutability is synchronized (sharded `RwLock` caches, atomic
-/// counters), so one store can be shared across threads
-/// (`&GraphStore: Send + Sync`) and the read-mostly hot path scales with
-/// cores instead of serializing on a global lock. Answers come back as
-/// `Arc<QueryAnswer>`: a memoized hit is a pointer clone, never a deep copy
-/// of a neighbor list.
+/// All interior mutability is synchronized (once-filled cells, one
+/// `RwLock`, atomic counters), so one store can be shared across threads
+/// (`&GraphStore: Send + Sync`); a warm neighbor query takes no lock, a
+/// warm `rpq` one read lock.
+/// Answers come back as `Arc<QueryAnswer>`: a query repeated inside a batch
+/// is a pointer clone, never a deep copy of a neighbor list.
 #[derive(Debug)]
 pub struct GraphStore {
-    engine: EngineSlot,
+    engine: Arc<dyn QueryEngine>,
+    /// `engine` again, typed, when the grammar engine is serving: what
+    /// [`GraphStore::grammar`] hands out and where [`GraphStore::stats`]
+    /// reads the cache counters. Queries never look at it.
+    grammar_engine: Option<Arc<GrammarEngine>>,
     /// Whole-graph aggregates, computed at most once per loaded store —
     /// for the grammar in one O(|G|) pass, for adjacency backends by a
     /// full scan.
@@ -251,9 +158,10 @@ pub struct GraphStore {
 }
 
 impl GraphStore {
-    fn from_slot(engine: EngineSlot) -> Self {
+    fn new(engine: Arc<dyn QueryEngine>, grammar_engine: Option<Arc<GrammarEngine>>) -> Self {
         Self {
             engine,
+            grammar_engine,
             components: OnceLock::new(),
             degrees: OnceLock::new(),
             counters: Counters::default(),
@@ -263,6 +171,13 @@ impl GraphStore {
         }
     }
 
+    /// A grammar-backed store over a grammar that already passed
+    /// [`Grammar::validate`].
+    fn from_validated_grammar(grammar: Grammar) -> Self {
+        let engine = Arc::new(GrammarEngine::new(Arc::new(grammar)));
+        Self::new(engine.clone(), Some(engine))
+    }
+
     /// Build a grammar-backed store from an already-validated (or freshly
     /// compressed) grammar. Validation runs again here — the store's
     /// zero-panic guarantee must not depend on the caller's discipline.
@@ -270,16 +185,16 @@ impl GraphStore {
         grammar
             .validate()
             .map_err(|e| GrepairError::Codec(grepair_codec::CodecError::Malformed(e)))?;
-        Ok(Self::from_slot(EngineSlot::Grammar(Box::new(GrammarEngine::new(Arc::new(grammar))))))
+        Ok(Self::from_validated_grammar(grammar))
     }
 
     /// Build a store around any loaded [`QueryEngine`] — the seam the
     /// non-grammar backends (and embedders with custom representations)
     /// come through. The store supplies batching, parallel fan-out, the
-    /// duplicate memo, aggregate memoization, counters, and hot-reload
-    /// registration; the engine supplies the answers.
+    /// per-chunk duplicate collapse, aggregate memoization, counters, and
+    /// hot-reload registration; the engine supplies the answers.
     pub fn from_engine(engine: Box<dyn QueryEngine>) -> Self {
-        Self::from_slot(EngineSlot::External(engine))
+        Self::new(Arc::from(engine), None)
     }
 
     /// Decode any container image — legacy `.g2g` or tagged — and build
@@ -288,10 +203,9 @@ impl GraphStore {
         let (tag, bit_len, payload) = backend::split_any_container(file)?;
         let codec = backend::resolve_codec(tag)?;
         let mut store = if codec.name() == backend::GREPAIR {
-            // The grammar path stays unboxed so the batch machinery keeps
-            // its grammar-shaped amortization levers.
-            let grammar = backend::decode_validated_grammar(payload, bit_len)?;
-            Self::from_slot(EngineSlot::Grammar(Box::new(GrammarEngine::new(Arc::new(grammar)))))
+            // Not through `codec.load`: its boxed engine would lose the
+            // typed handle `grammar()` and `stats()` read.
+            Self::from_validated_grammar(backend::decode_validated_grammar(payload, bit_len)?)
         } else {
             Self::from_engine(codec.load(payload, bit_len)?)
         };
@@ -311,31 +225,20 @@ impl GraphStore {
         Self::from_bytes(&file)
     }
 
-    /// The engine as its backend-agnostic trait surface.
-    fn engine_dyn(&self) -> &dyn QueryEngine {
-        match &self.engine {
-            EngineSlot::Grammar(ge) => &**ge,
-            EngineSlot::External(e) => &**e,
-        }
-    }
-
     /// Name of the backend serving this store (`grepair`, `k2`, …).
     pub fn backend(&self) -> &'static str {
-        self.engine_dyn().backend()
+        self.engine.backend()
     }
 
     /// The grammar being served — `Some` only for the gRePair backend.
     pub fn grammar(&self) -> Option<&Grammar> {
-        match &self.engine {
-            EngineSlot::Grammar(ge) => Some(ge.grammar()),
-            EngineSlot::External(_) => None,
-        }
+        self.grammar_engine.as_deref().map(GrammarEngine::grammar)
     }
 
     /// Number of nodes of the represented graph — valid query ids are
     /// `0..total_nodes()`.
     pub fn total_nodes(&self) -> u64 {
-        self.engine_dyn().total_nodes()
+        self.engine.total_nodes()
     }
 
     /// Which registry generation this store is (see
@@ -361,18 +264,8 @@ impl GraphStore {
     /// Snapshot the serving statistics.
     pub fn stats(&self) -> StoreStats {
         let c = &self.counters;
-        let (eh, em, ph, pm) = match &self.engine {
-            EngineSlot::Grammar(ge) => {
-                let cc = &ge.cache_counters;
-                (
-                    cc.expansion_hits.load(Ordering::Relaxed),
-                    cc.expansion_misses.load(Ordering::Relaxed),
-                    cc.plan_hits.load(Ordering::Relaxed),
-                    cc.plan_misses.load(Ordering::Relaxed),
-                )
-            }
-            EngineSlot::External(_) => (0, 0, 0, 0),
-        };
+        let [expansion_cache_hits, expansion_cache_misses, rpq_plan_hits, rpq_plan_misses] =
+            self.grammar_engine.as_ref().map_or([0; 4], |ge| ge.cache_counts());
         StoreStats {
             generation: self.generation(),
             backend: self.backend(),
@@ -382,10 +275,10 @@ impl GraphStore {
             batches: c.batches.load(Ordering::Relaxed),
             parallel_batches: c.parallel_batches.load(Ordering::Relaxed),
             errors: c.errors.load(Ordering::Relaxed),
-            expansion_cache_hits: eh,
-            expansion_cache_misses: em,
-            rpq_plan_hits: ph,
-            rpq_plan_misses: pm,
+            expansion_cache_hits,
+            expansion_cache_misses,
+            rpq_plan_hits,
+            rpq_plan_misses,
         }
     }
 
@@ -395,88 +288,77 @@ impl GraphStore {
 
     /// Out-neighbors of `v`, sorted ascending.
     pub fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine_dyn().out_neighbors(v)
+        self.engine.out_neighbors(v)
     }
 
     /// In-neighbors of `v`, sorted ascending.
     pub fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine_dyn().in_neighbors(v)
+        self.engine.in_neighbors(v)
     }
 
     /// Union of both directions, sorted and deduplicated.
     pub fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine_dyn().neighbors(v)
+        self.engine.neighbors(v)
     }
 
     /// Labeled out-edges of `v` as sorted `(label, target)` pairs — the
     /// primitive the version overlay corrects (DESIGN.md §12).
     pub fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.engine_dyn().out_edges(v)
+        self.engine.out_edges(v)
     }
 
     /// Labeled in-edges of `v` as sorted `(label, source)` pairs.
     pub fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.engine_dyn().in_edges(v)
+        self.engine.in_edges(v)
     }
 
     /// Is `t` reachable from `s`?
     pub fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {
-        self.engine_dyn().reachable(s, t)
+        self.engine.reachable(s, t)
     }
 
     /// Does some `s → t` path spell a word of the pattern's language?
     pub fn rpq(&self, pattern: &str, s: u64, t: u64) -> Result<bool, GrepairError> {
-        self.engine_dyn().rpq(pattern, s, t)
+        self.engine.rpq(pattern, s, t)
     }
 
     /// Number of connected components (memoized per loaded store).
     pub fn components(&self) -> u64 {
-        *self.components.get_or_init(|| self.engine_dyn().components())
+        *self.components.get_or_init(|| self.engine.components())
     }
 
     /// `(min, max)` degree (memoized; `None` when empty).
     pub fn degree_extrema(&self) -> Option<(u64, u64)> {
-        *self.degrees.get_or_init(|| self.engine_dyn().degree_extrema())
+        *self.degrees.get_or_init(|| self.engine.degree_extrema())
     }
 
     /// Answer one query, updating the serving counters.
     pub fn query(&self, q: &Query) -> AnswerResult {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        let result = self.answer(q, None, &mut Scratch::default());
-        if result.is_err() {
-            self.counters.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        result
+        self.counted(self.answer(q))
     }
 
     // ------------------------------------------------------------------
     // Batched queries
     // ------------------------------------------------------------------
 
-    /// Answer many queries at once, amortizing shared work:
-    ///
-    /// * duplicate queries are answered once; repeats share the `Arc`
-    ///   (every backend),
-    /// * `rpq` queries sharing a (pattern, source) pair reuse one product
-    ///   closure (grammar backend),
-    /// * neighbor queries against the same node share one `locate` descent
-    ///   (grammar backend),
-    /// * rule expansions and RPQ plans hit the store-wide sharded caches.
+    /// Answer many queries at once. A query that already occurred earlier
+    /// in the batch is not evaluated again: the repeat shares the first
+    /// occurrence's `Arc` (or clones its error). Everything else a batch
+    /// shares — rule expansions, compiled RPQ plans, the aggregates — is
+    /// store-wide and serves one-shot [`GraphStore::query`] calls as well.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<AnswerResult> {
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters
             .queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let ctx = BatchContext::new(queries);
-        let mut scratch = Scratch::default();
-        self.answer_chunk(queries, &ctx, &mut scratch)
+        self.answer_chunk(queries)
     }
 
     /// [`GraphStore::query_batch`] fanned out over caller-owned threads:
     /// the batch is partitioned into one job per executor worker (capped at
-    /// the batch length), all jobs share one batch context (RPQ source
-    /// closures, duplicate memo, locate cache) through the sharded maps,
-    /// and `executor` runs them. Answers come back in input order, errors
+    /// the batch length) and `executor` runs them; repeats collapse within
+    /// each job's chunk. Answers come back in input order, errors
     /// included, exactly as the sequential path would produce them. An
     /// executor with at most one worker, or a batch smaller than two
     /// queries, falls back to the sequential path.
@@ -494,29 +376,23 @@ impl GraphStore {
         self.counters
             .queries
             .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let ctx = BatchContext::new(queries);
         let chunk_len = queries.len().div_ceil(threads);
         // One pre-sized slot per query: each job fills a disjoint chunk, so
         // answers land in input order without a post-hoc reorder.
         let mut slots: Vec<Option<AnswerResult>> = Vec::new();
         slots.resize_with(queries.len(), || None);
-        {
-            let ctx = &ctx;
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = queries
-                .chunks(chunk_len)
-                .zip(slots.chunks_mut(chunk_len))
-                .map(|(chunk, out)| {
-                    Box::new(move || {
-                        let mut scratch = Scratch::default();
-                        let answers = self.answer_chunk(chunk, ctx, &mut scratch);
-                        for (slot, answer) in out.iter_mut().zip(answers) {
-                            *slot = Some(answer);
-                        }
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            executor.scope(jobs);
-        }
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = queries
+            .chunks(chunk_len)
+            .zip(slots.chunks_mut(chunk_len))
+            .map(|(chunk, out)| {
+                Box::new(move || {
+                    for (slot, answer) in out.iter_mut().zip(self.answer_chunk(chunk)) {
+                        *slot = Some(answer);
+                    }
+                }) as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect();
+        executor.scope(jobs);
         slots
             .into_iter()
             // audited: executor.scope runs every job before returning
@@ -524,55 +400,37 @@ impl GraphStore {
             .collect()
     }
 
-    /// Answer a contiguous run of batch queries through the shared context.
-    /// The memo only admits queries the batch plan saw twice — unique
-    /// queries (the common case in realistic traffic) skip the memo's hash,
-    /// clone, and lock entirely.
-    fn answer_chunk<'q>(
-        &self,
-        queries: &'q [Query],
-        ctx: &BatchContext<'q>,
-        scratch: &mut Scratch,
-    ) -> Vec<AnswerResult> {
-        let mut out = Vec::with_capacity(queries.len());
+    /// Answer a contiguous run of queries. One local map remembers where
+    /// each distinct query first occurred in the run; a repeat clones that
+    /// slot instead of asking the engine again. Skewed traffic repeats
+    /// itself inside one pipelined window often enough for this to pay
+    /// (DESIGN.md §5 has the measurement); a run of one has nothing to
+    /// repeat and skips the map.
+    fn answer_chunk(&self, queries: &[Query]) -> Vec<AnswerResult> {
+        if let [q] = queries {
+            return vec![self.counted(self.answer(q))];
+        }
+        let mut first: FxHashMap<&Query, usize> =
+            FxHashMap::with_capacity_and_hasher(queries.len(), Default::default());
+        let mut out: Vec<AnswerResult> = Vec::with_capacity(queries.len());
         for q in queries {
-            let answer = if ctx.plan.has_duplicates() && ctx.plan.duplicates.contains(q) {
-                match ctx.memo.get(&q) {
-                    Some(hit) => hit,
-                    None => {
-                        let computed = self.answer(q, Some(ctx), scratch);
-                        ctx.memo.insert_if_absent(q, computed)
-                    }
+            let repeat = match first.entry(q) {
+                Entry::Occupied(seen) => out.get(*seen.get()).cloned(),
+                Entry::Vacant(unseen) => {
+                    unseen.insert(out.len());
+                    None
                 }
-            } else {
-                self.answer(q, Some(ctx), scratch)
             };
-            if answer.is_err() {
-                self.counters.errors.fetch_add(1, Ordering::Relaxed);
-            }
-            out.push(answer);
+            out.push(self.counted(repeat.unwrap_or_else(|| self.answer(q))));
         }
         out
     }
 
-    /// Shared worker for every query entry point: dispatch to the engine.
-    /// The grammar engine gets the full per-batch sharing treatment; other
-    /// backends answer through the trait (still covered by the duplicate
-    /// memo in [`GraphStore::answer_chunk`] and the aggregate memoization).
-    fn answer<'q>(
-        &self,
-        q: &'q Query,
-        ctx: Option<&BatchContext<'q>>,
-        scratch: &mut Scratch,
-    ) -> AnswerResult {
-        match &self.engine {
-            EngineSlot::Grammar(ge) => self.answer_grammar(ge, q, ctx, scratch),
-            EngineSlot::External(e) => self.answer_external(&**e, q),
-        }
-    }
-
-    /// Trait-dispatch evaluation for the non-grammar backends.
-    fn answer_external(&self, e: &dyn QueryEngine, q: &Query) -> AnswerResult {
+    /// The one way a query reaches the engine, whichever backend serves and
+    /// whichever entry point asked. The aggregates go through the store's
+    /// own once-per-container memo.
+    fn answer(&self, q: &Query) -> AnswerResult {
+        let e = &*self.engine;
         Ok(Arc::new(match q {
             Query::OutNeighbors(v) => QueryAnswer::Nodes(e.out_neighbors(*v)?),
             Query::InNeighbors(v) => QueryAnswer::Nodes(e.in_neighbors(*v)?),
@@ -584,67 +442,12 @@ impl GraphStore {
         }))
     }
 
-    /// Grammar-engine evaluation with the per-batch sharing levers. `ctx`
-    /// carries the per-batch reuse (absent for single queries); `scratch`
-    /// the per-worker buffers. Each sharing lever engages only for keys the
-    /// batch plan marked as actually shared.
-    fn answer_grammar<'q>(
-        &self,
-        ge: &GrammarEngine,
-        q: &'q Query,
-        ctx: Option<&BatchContext<'q>>,
-        scratch: &mut Scratch,
-    ) -> AnswerResult {
-        Ok(Arc::new(match q {
-            Query::OutNeighbors(v) | Query::InNeighbors(v) | Query::Neighbors(v) => {
-                let dirs: &[Direction] = match q {
-                    Query::OutNeighbors(_) => &[Direction::Out],
-                    Query::InNeighbors(_) => &[Direction::In],
-                    _ => &[Direction::Out, Direction::In],
-                };
-                let repr = Self::locate_for(ge, *v, ctx)?;
-                QueryAnswer::Nodes(ge.collect_neighbors(&repr, dirs, scratch))
-            }
-            Query::Reach { s, t } => QueryAnswer::Bool(ge.reach.try_reachable(*s, *t)?),
-            Query::Rpq { s, t, pattern } => {
-                let plan = ge.plan(pattern)?;
-                let key = (pattern.as_str(), *s);
-                let shared = ctx
-                    .filter(|c| !c.plan.shared_rpq.is_empty() && c.plan.shared_rpq.contains(&key));
-                let Some(ctx) = shared else {
-                    return Ok(Arc::new(QueryAnswer::Bool(plan.try_matches(*s, *t)?)));
-                };
-                let src = match ctx.rpq_sources.get(&key) {
-                    Some(hit) => hit,
-                    None => ctx
-                        .rpq_sources
-                        .insert_if_absent(key, plan.try_source(*s).map(Arc::new)),
-                };
-                QueryAnswer::Bool(plan.try_matches_from(&*src?, *t)?)
-            }
-            Query::Components => QueryAnswer::Count(self.components()),
-            Query::DegreeExtrema => QueryAnswer::Extrema(self.degree_extrema()),
-        }))
-    }
-
-    /// Resolve the G-representation of `k`, through the per-batch locate
-    /// cache when the plan says ≥ 2 neighbor queries name this node.
-    fn locate_for(
-        ge: &GrammarEngine,
-        k: u64,
-        ctx: Option<&BatchContext<'_>>,
-    ) -> Result<Arc<GRepr>, QueryError> {
-        if let Some(ctx) =
-            ctx.filter(|c| !c.plan.shared_nodes.is_empty() && c.plan.shared_nodes.contains(&k))
-        {
-            return match ctx.locates.get(&k) {
-                Some(hit) => hit,
-                None => ctx
-                    .locates
-                    .insert_if_absent(k, ge.index().try_locate(k).map(Arc::new)),
-            };
+    /// Count `answer` in the error counter if it is one.
+    fn counted(&self, answer: AnswerResult) -> AnswerResult {
+        if answer.is_err() {
+            self.counters.errors.fetch_add(1, Ordering::Relaxed);
         }
-        ge.index().try_locate(k).map(Arc::new)
+        answer
     }
 }
 
@@ -654,7 +457,11 @@ mod tests {
     use crate::backend::{codec_for, write_container};
     use grepair_core::{compress, GRePairConfig};
     use grepair_hypergraph::{EdgeLabel, Hypergraph};
+    use grepair_queries::neighbors::Direction;
+    use grepair_queries::rpq::rpq_on_graph;
     use grepair_queries::GrammarIndex;
+
+    use crate::engine::MAX_CACHED_PLANS;
 
     fn two_label_path(reps: u32) -> Hypergraph {
         Hypergraph::from_simple_edges(
@@ -674,10 +481,7 @@ mod tests {
 
     /// The grammar engine behind a grammar-backed test store.
     fn grammar_engine(store: &GraphStore) -> &GrammarEngine {
-        match &store.engine {
-            EngineSlot::Grammar(ge) => ge,
-            EngineSlot::External(_) => panic!("test store must be grammar-backed"),
-        }
+        store.grammar_engine.as_deref().expect("test store must be grammar-backed")
     }
 
     /// A deliberately perverse executor for the fan-out tests: runs its
@@ -732,11 +536,11 @@ mod tests {
         let idx = GrammarIndex::new(store.grammar().unwrap());
         for nt in 0..store.grammar().unwrap().num_nonterminals() as u32 {
             let rank = store.grammar().unwrap().nt_rank(nt);
-            for pos in 0..rank as u32 {
+            for pos in 0..rank {
                 for dir in [Direction::Out, Direction::In] {
                     assert_eq!(
                         *ge.expansion(nt, pos, dir),
-                        idx.rule_expansion(nt, pos as usize, dir),
+                        *idx.rule_expansion(nt, pos, dir),
                         "nt {nt} pos {pos} {dir:?}"
                     );
                 }
@@ -780,7 +584,7 @@ mod tests {
         let batch = store.query_batch(&queries);
         assert_eq!(batch.len(), queries.len());
         for (q, a) in queries.iter().zip(&batch) {
-            // Individual path must agree (no per-batch sharing).
+            // Individual path must agree.
             assert_eq!(a, &store.query(q), "{q:?}");
         }
         // Cross-check a few against the derived graph.
@@ -871,24 +675,74 @@ mod tests {
         let c = answers[1].as_ref().unwrap();
         let d = answers[3].as_ref().unwrap();
         assert!(Arc::ptr_eq(c, d));
-        // Exactly the two batch slots hold the allocation (the per-batch
-        // memo is dropped when `query_batch` returns): the duplicate cost
-        // one Arc clone, zero Vec clones.
+        // Exactly the two batch slots hold the allocation: the duplicate
+        // cost one Arc clone, zero Vec clones.
         assert_eq!(Arc::strong_count(a), 2);
     }
 
     #[test]
-    fn expansion_hits_are_arc_clones() {
+    fn expansion_table_counts_hits_and_computes_out_of_table_triples_uncached() {
         let (store, _) = store_for(16);
         let ge = grammar_engine(&store);
-        // Warm the cache, then check a hit shares the allocation.
-        let first = ge.expansion(0, 0, Direction::Out);
-        let count_before = Arc::strong_count(&first);
-        let second = ge.expansion(0, 0, Direction::Out);
-        assert!(Arc::ptr_eq(&first, &second), "hit must be the cached allocation");
-        assert_eq!(Arc::strong_count(&first), count_before + 1);
-        let s = store.stats();
-        assert!(s.expansion_cache_hits >= 1, "{s}");
+        let counts = || {
+            let s = store.stats();
+            (s.expansion_cache_hits, s.expansion_cache_misses)
+        };
+        let first = ge.expansion(0, 0, Direction::Out).into_owned();
+        let (hits, misses) = counts();
+        assert!(misses >= 1, "the first lookup fills the cell");
+        // A second lookup of the same triple is a hit on the same entries.
+        assert_eq!(*ge.expansion(0, 0, Direction::Out), *first);
+        assert_eq!(counts(), (hits + 1, misses));
+        // Triples the table has no cell for — a position beyond the rank
+        // (which must not alias the next nonterminal's cells), an unknown
+        // nonterminal — are computed uncached: the reference expansion,
+        // never a panic, no counter moved.
+        let grammar = store.grammar().unwrap();
+        let idx = GrammarIndex::new(grammar);
+        let rank = grammar.nt_rank(0);
+        let unknown = grammar.num_nonterminals() as u32;
+        for dir in [Direction::Out, Direction::In] {
+            assert_eq!(*ge.expansion(0, rank, dir), *idx.rule_expansion(0, rank, dir));
+            assert!(ge.expansion(0, usize::MAX, dir).is_empty());
+            assert!(ge.expansion(unknown, 0, dir).is_empty());
+        }
+        assert_eq!(counts(), (hits + 1, misses));
+    }
+
+    #[test]
+    fn plan_cache_is_bounded_and_self_healing() {
+        // Client-chosen pattern text keys the plan cache: a flood of
+        // distinct patterns must not grow it past its cap, must not change
+        // an answer, and must leave it usable.
+        let (store, _) = store_for(6);
+        let ge = grammar_engine(&store);
+        let derived = store.grammar().unwrap().derive();
+        let n = store.total_nodes();
+        let pattern = |i: usize| vec!["0 1"; i + 1].join(" ");
+        for i in 0..3 * MAX_CACHED_PLANS {
+            let (s, t) = (i as u64 % n, (7 * i as u64 + 2) % n);
+            let nfa = crate::query::compile_pattern(&pattern(i)).unwrap();
+            assert_eq!(
+                store.rpq(&pattern(i), s, t),
+                Ok(rpq_on_graph(&derived, &nfa, s as u32, t as u32)),
+                "pattern {i} ({s},{t})"
+            );
+            assert!(ge.cached_plans() <= MAX_CACHED_PLANS, "after pattern {i}");
+        }
+        // An early pattern was dropped on the way: asking again compiles it
+        // once more, and then it is cached like any other.
+        let before = store.stats();
+        store.rpq(&pattern(0), 0, 2).unwrap();
+        let missed = store.stats();
+        assert_eq!(missed.rpq_plan_misses, before.rpq_plan_misses + 1, "{missed}");
+        store.rpq(&pattern(0), 0, 2).unwrap();
+        let hit = store.stats();
+        assert_eq!(
+            (hit.rpq_plan_hits, hit.rpq_plan_misses),
+            (missed.rpq_plan_hits + 1, missed.rpq_plan_misses),
+            "{hit}"
+        );
     }
 
     #[test]

@@ -3,10 +3,15 @@
 //! fanned-out [`GraphStore::query_batch_on`] — must agree on every
 //! workload, answer for answer, in input order, error cases included.
 //!
-//! This is the contract that makes the concurrent engine safe to ship: none
-//! of the amortization levers (duplicate memo, shared RPQ product closures,
-//! the locate cache, the sharded expansion cache) may change a single
-//! answer.
+//! This is the contract that makes the concurrent engine safe to ship:
+//! nothing a batch shares (the per-chunk collapse of repeated queries, the
+//! store-wide expansion table and plan cache) may change a single answer.
+//!
+//! Two input families are drawn in every case: a uniform stream, and a
+//! skewed one shaped like the traffic batch sharing is for — hot nodes,
+//! every neighbor verb on one node, `rpq` runs over one (pattern, source),
+//! long runs of exact repeats, and one query both opening and closing the
+//! stream, so its repeat always sits in another worker's chunk.
 
 mod common;
 
@@ -55,21 +60,24 @@ fn node_id(n: u64) -> BoxedStrategy<u64> {
     .boxed()
 }
 
-fn query_strategy(n: u64) -> BoxedStrategy<Query> {
-    let patterns = prop_oneof![
+fn patterns() -> BoxedStrategy<String> {
+    prop_oneof![
         Just("0".to_string()),
         Just("0 1".to_string()),
         Just("0* 1*".to_string()),
         Just("2? 0+".to_string()),
-    ];
+    ]
+    .boxed()
+}
+
+/// Any query, its node ids drawn from `id()`.
+fn query_strategy(id: &dyn Fn() -> BoxedStrategy<u64>) -> BoxedStrategy<Query> {
     prop_oneof![
-        node_id(n).prop_map(Query::OutNeighbors).boxed(),
-        node_id(n).prop_map(Query::InNeighbors).boxed(),
-        node_id(n).prop_map(Query::Neighbors).boxed(),
-        (node_id(n), node_id(n))
-            .prop_map(|(s, t)| Query::Reach { s, t })
-            .boxed(),
-        (node_id(n), node_id(n), patterns)
+        id().prop_map(Query::OutNeighbors).boxed(),
+        id().prop_map(Query::InNeighbors).boxed(),
+        id().prop_map(Query::Neighbors).boxed(),
+        (id(), id()).prop_map(|(s, t)| Query::Reach { s, t }).boxed(),
+        (id(), id(), patterns())
             .prop_map(|(s, t, pattern)| Query::Rpq { s, t, pattern })
             .boxed(),
         Just(Query::Components).boxed(),
@@ -78,37 +86,73 @@ fn query_strategy(n: u64) -> BoxedStrategy<Query> {
     .boxed()
 }
 
+/// The skewed family (see the module docs): 80 % of ids come from four hot
+/// nodes, and the stream is a concatenation of segments that each share
+/// something — a node, a (pattern, source) pair, or the whole query.
+fn skewed_stream(n: u64) -> BoxedStrategy<Vec<Query>> {
+    let id = move || {
+        prop_oneof![Just(0), Just(1), Just(n / 2), Just(n - 1), node_id(n)].boxed()
+    };
+    let segment = prop_oneof![
+        // Same node, different verb.
+        id().prop_map(|v| {
+            vec![Query::OutNeighbors(v), Query::InNeighbors(v), Query::Neighbors(v)]
+        }),
+        // Shared (pattern, source), varying targets.
+        (id(), patterns(), proptest::collection::vec(id(), 2..12)).prop_map(
+            |(s, pattern, targets)| {
+                let rpq = |t| Query::Rpq { s, t, pattern: pattern.clone() };
+                targets.into_iter().map(rpq).collect()
+            }
+        ),
+        // Exact repeats, long enough to straddle a chunk boundary.
+        (query_strategy(&id), 2usize..40).prop_map(|(q, run)| vec![q; run]),
+        query_strategy(&id).prop_map(|q| vec![q]),
+    ];
+    (query_strategy(&id), proptest::collection::vec(segment, 1..24))
+        .prop_map(|(bracket, segments)| {
+            let mut stream = vec![bracket.clone()];
+            stream.extend(segments.into_iter().flatten());
+            stream.push(bracket);
+            stream
+        })
+        .boxed()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
     fn batch_and_parallel_match_one_shot(
-        workload in (1u64..2).prop_flat_map(|_| {
+        uniform in (1u64..2).prop_flat_map(|_| {
             let n = shared_store().total_nodes();
-            proptest::collection::vec(query_strategy(n), 0..120)
+            proptest::collection::vec(query_strategy(&|| node_id(n)), 0..120)
         }),
+        skewed in (1u64..2).prop_flat_map(|_| skewed_stream(shared_store().total_nodes())),
         threads in 2usize..9,
     ) {
         let store = shared_store();
-        let sequential = store.query_batch(&workload);
-        prop_assert_eq!(sequential.len(), workload.len());
-        let parallel = store.query_batch_on(&workload, &ScopedThreads(threads));
-        prop_assert_eq!(parallel.len(), workload.len());
-        for (i, q) in workload.iter().enumerate() {
-            let one_shot = store.query(q);
-            // Answers agree by value (including Err payloads)…
-            prop_assert_eq!(&sequential[i], &one_shot, "batch vs one-shot at {} ({:?})", i, q);
-            prop_assert_eq!(&parallel[i], &one_shot, "parallel vs one-shot at {} ({:?})", i, q);
-        }
-        // …and duplicates inside the sequential batch share one allocation
-        // (the clone-free memo path), not just equal contents.
-        for (i, q) in workload.iter().enumerate() {
-            if let Some(j) = workload[..i].iter().position(|p| p == q) {
-                if let (Ok(a), Ok(b)) = (&sequential[j], &sequential[i]) {
-                    prop_assert!(
-                        Arc::ptr_eq(a, b),
-                        "duplicate {:?} at {} and {} must share the answer Arc", q, j, i
-                    );
+        for workload in [&uniform, &skewed] {
+            let sequential = store.query_batch(workload);
+            prop_assert_eq!(sequential.len(), workload.len());
+            let parallel = store.query_batch_on(workload, &ScopedThreads(threads));
+            prop_assert_eq!(parallel.len(), workload.len());
+            for (i, q) in workload.iter().enumerate() {
+                let one_shot = store.query(q);
+                // Answers agree by value (including Err payloads)…
+                prop_assert_eq!(&sequential[i], &one_shot, "batch vs one-shot at {} ({:?})", i, q);
+                prop_assert_eq!(&parallel[i], &one_shot, "parallel vs one-shot at {} ({:?})", i, q);
+            }
+            // …and duplicates inside the sequential batch share one allocation
+            // (a repeat is an `Arc` clone), not just equal contents.
+            for (i, q) in workload.iter().enumerate() {
+                if let Some(j) = workload[..i].iter().position(|p| p == q) {
+                    if let (Ok(a), Ok(b)) = (&sequential[j], &sequential[i]) {
+                        prop_assert!(
+                            Arc::ptr_eq(a, b),
+                            "duplicate {:?} at {} and {} must share the answer Arc", q, j, i
+                        );
+                    }
                 }
             }
         }

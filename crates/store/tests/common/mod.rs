@@ -4,9 +4,9 @@ use grepair_store::BatchExecutor;
 
 /// The plainest real-thread [`BatchExecutor`]: one fresh scoped thread per
 /// job, as many jobs as the wrapped worker count. The suites fan batches
-/// out through it so the shared batch context (duplicate memo, closure and
-/// locate maps) is exercised under genuine concurrency without pulling in
-/// the server's worker pool.
+/// out through it so the store's shared state (expansion table, plan
+/// cache, counters) is exercised under genuine concurrency without pulling
+/// in the server's worker pool.
 pub struct ScopedThreads(pub usize);
 
 impl BatchExecutor for ScopedThreads {

@@ -7,7 +7,10 @@ mod common;
 use common::ScopedThreads;
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
-use grepair_store::{codecs, write_container, GraphStore, Query};
+use grepair_queries::rpq::rpq_on_graph;
+use grepair_store::{
+    codecs, compile_pattern, parse_query, write_container, GraphStore, Query, QueryAnswer,
+};
 
 /// A real compressed container to corrupt.
 fn good_container() -> Vec<u8> {
@@ -171,6 +174,39 @@ fn hostile_query_inputs_error() {
     assert!(store.rpq("99999999999999999999", 0, 1).is_err());
     // In-range queries still work after all that.
     assert!(store.reachable(0, n - 1).unwrap());
+}
+
+#[test]
+fn a_flood_of_distinct_rpq_patterns_leaves_a_bounded_plan_cache() {
+    // Pattern text is the client's to choose and every compiled plan is
+    // kept per pattern: one connection streaming `rpq 0 1 0`,
+    // `rpq 0 1 0 1`, … must get right answers without the store keeping a
+    // plan for each of them forever.
+    let store = GraphStore::from_bytes(&good_container()).unwrap();
+    let derived = store.grammar().unwrap().derive();
+    let n = store.total_nodes();
+    let atoms = |len: usize| ["0", "1"].repeat(len.div_ceil(2))[..len].join(" ");
+    let lines: Vec<String> = (1..=256)
+        .flat_map(|len| (0..n).map(move |t| (len, t)))
+        .map(|(len, t)| format!("rpq {} {t} {}", len as u64 % 2, atoms(len)))
+        .collect();
+    let queries: Vec<Query> = lines.iter().map(|l| parse_query(l).unwrap()).collect();
+    let mut positives = 0;
+    for (q, answer) in queries.iter().zip(store.query_batch(&queries)) {
+        let Query::Rpq { s, t, pattern } = q else { unreachable!() };
+        let want = rpq_on_graph(&derived, &compile_pattern(pattern).unwrap(), *s as u32, *t as u32);
+        assert_eq!(answer.as_deref(), Ok(&QueryAnswer::Bool(want)), "{q:?}");
+        positives += want as usize;
+    }
+    assert!(positives > 0, "the flood must not be all-negative");
+    // The first pattern was dropped on the way (asking again compiles it
+    // again) and is cached again afterwards.
+    let before = store.stats();
+    store.query(&queries[0]).unwrap();
+    let again = store.stats();
+    assert_eq!(again.rpq_plan_misses, before.rpq_plan_misses + 1, "{again}");
+    store.query(&queries[0]).unwrap();
+    assert_eq!(store.stats().rpq_plan_hits, again.rpq_plan_hits + 1);
 }
 
 #[test]
