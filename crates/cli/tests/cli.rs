@@ -89,6 +89,11 @@ fn spawn_server(serve_args: &[&str]) -> (Server, String, String) {
     (server, banner, addr)
 }
 
+/// The `--io` front ends this platform has (`epoll` is Linux only).
+fn io_modes() -> &'static [&'static str] {
+    if cfg!(target_os = "linux") { &["threads", "epoll"] } else { &["threads"] }
+}
+
 /// Stream `text` to `addr` over one connection, half-close, and drain:
 /// everything the server replied.
 fn stream_replies(addr: &str, text: &str) -> String {
@@ -338,9 +343,7 @@ fn store_serve_speaks_the_same_bytes_as_serve_file() {
         }
     }
 
-    let io_modes: &[&str] =
-        if cfg!(target_os = "linux") { &["threads", "epoll"] } else { &["threads"] };
-    for io in io_modes {
+    for io in io_modes() {
         let (mut server, banner, addr) = spawn_server(&[&g2g, "--threads", "2", "--io", io]);
         assert!(banner.contains("proto=3") && banner.contains("namespaces=1"), "{io}: {banner:?}");
         assert!(banner.contains("generation=1"), "{io}: {banner:?}");
@@ -834,6 +837,56 @@ fn serve_file_patches_and_time_travels() {
     let out = grepair(&["store", "versions", &g2g, patches.to_str().unwrap()]);
     assert!(out.status.success());
     assert_eq!(String::from_utf8_lossy(&out.stdout).trim_end(), lines[9]);
+}
+
+#[test]
+fn versioning_speaks_the_same_bytes_over_a_socket_as_serve_file() {
+    // Versioned graphs over the wire (DESIGN.md §12): each front end replays
+    // the same PATCH history from the same base container, so every reply —
+    // patched/versions lines, @vN-pinned answers, the rejection lines — must
+    // be byte-identical between serve-file and a live socket in both --io
+    // modes. The k2 backend keeps the encoder's node ids, so the grown-node
+    // probes are meaningful.
+    let input = scratch("ver_smoke.txt");
+    let k2 = scratch("ver_smoke.k2");
+    let (input, k2) = (input.to_str().unwrap(), k2.to_str().unwrap());
+    for args in [
+        &["generate", "pa", "1000", "13", "-o", input][..],
+        &["compress", input, "-o", k2, "--backend", "k2"],
+    ] {
+        let out = grepair(args);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+    let text = "VERSIONS\nINFO\n\
+        PATCH ADD 0 0 1000\nout 1000\nout 1000 @v0\nreach 0 1000\nin 1000 @v1\n\
+        PATCH DEL 0 0 1000\nout 0 @v1\nout 0 @v2\nVERSIONS\n\
+        PATCH ADD 998 0 1005\nreach 0 1005\nVERSIONS\nINFO\n\
+        out 2 @v9\nout 2 @vx\nPATCH ADD 5 0 5\nPATCH bogus\nVERSIONS\n\
+        RELOAD\nVERSIONS\n";
+    let queries = scratch("ver_queries.txt");
+    std::fs::write(&queries, text).unwrap();
+
+    let offline = grepair(&["store", "serve-file", k2, queries.to_str().unwrap()]);
+    assert!(offline.status.success(), "{}", String::from_utf8_lossy(&offline.stderr));
+    let expected = String::from_utf8_lossy(&offline.stdout).to_string();
+    let lines: Vec<&str> = expected.lines().collect();
+    assert_eq!(lines.len(), 22, "one reply per request line:\n{expected}");
+    assert_eq!(lines[2], "patched version=1 generation=2 added=1 removed=0");
+    let versions = "versions=4 head=v3 v0=+0-0 v1=+1-0 v2=+0-0 v3=+1-0";
+    assert_eq!(lines[19], versions);
+    // RELOAD never drops a patch log quietly: a per-line error, and the
+    // VERSIONS after it still lists every version.
+    assert_eq!(
+        lines[20],
+        "error: bad request: namespace \"default\" holds 3 patched versions; \
+         RELOAD would drop them (DETACH + ATTACH rebases)"
+    );
+    assert_eq!(lines[21], versions);
+
+    for io in io_modes() {
+        let (_banner, got) = socket_replies(&[k2, "--io", io], text);
+        assert_eq!(got, expected, "versioning over --io {io} vs serve-file");
+    }
 }
 
 #[test]

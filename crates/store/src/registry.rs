@@ -116,8 +116,8 @@ struct Namespace {
     /// Registry clock value of the most recent hit — the LRU key.
     last_hit: AtomicU64,
     /// The patch log, once the namespace has been `PATCH`ed (DESIGN.md
-    /// §12). `None` until the first patch; a reload or explicit swap
-    /// rebases the namespace and drops the log.
+    /// §12). `None` until the first patch; an explicit swap rebases the
+    /// namespace and drops the log, a reload refuses to.
     versions: Mutex<Option<Arc<VersionedStore>>>,
     /// Operational health: failure counters and the circuit breaker.
     health: Health,
@@ -593,12 +593,15 @@ impl StoreRegistry {
         // Swapping in fresh container data rebases the namespace: retained
         // versions described deltas over the *old* base, so the patch log
         // is dropped and the namespace starts over at v0 (DESIGN.md §12).
-        *ns.versions.lock() = None;
+        // The caller named that intent; `reload` asks first.
+        let mut versions = ns.versions.lock();
+        *versions = None;
         Ok(self.swap_in_arc(name, &ns, Arc::new(store)))
     }
 
-    /// The swap itself, shared by reloads (via [`Self::swap`], which
-    /// rebases first) and patch application (which must *keep* its log).
+    /// The swap itself, shared by rebases ([`Self::swap`], reloads) and
+    /// patch application (which must *keep* its log). Callers hold the
+    /// namespace's `versions` lock: the order is versions → slot.
     fn swap_in_arc(&self, name: &str, ns: &Namespace, store: Arc<GraphStore>) -> Arc<GraphStore> {
         ns.last_hit.store(self.tick(), Ordering::Relaxed);
         let mut slot = ns.slot.write();
@@ -620,7 +623,10 @@ impl StoreRegistry {
     /// recorded path is updated too, so later evict/reopen cycles follow
     /// the reload. The decode and index build run *before* any lock is
     /// taken, so serving never stalls on a reload, and any error (missing
-    /// file, hostile bytes) leaves the current store untouched.
+    /// file, hostile bytes) leaves the current store untouched. A namespace
+    /// whose patch log holds a patch is not reloaded at all: dropping
+    /// versions a client wrote takes a `DETACH` (or [`Self::swap`]), never
+    /// a `RELOAD` or `SIGHUP` that did not ask for it (DESIGN.md §12.3).
     pub fn reload(&self, name: &str, path: Option<&str>) -> Result<Arc<GraphStore>, GrepairError> {
         let ns = self.lookup(name).ok_or_else(|| unknown(name))?;
         let target = match path {
@@ -652,11 +658,22 @@ impl StoreRegistry {
                 return Err(e);
             }
         };
+        // Decided under the `versions` lock, held through the swap, so no
+        // concurrent `PATCH` slips in between. The refusal is the client's
+        // answer, not a fault: it counts as no failure and feeds no breaker.
+        let mut versions = ns.versions.lock();
+        let patched = versions.as_ref().map_or(0, |log| log.head_version());
+        if patched > 0 {
+            return Err(GrepairError::BadRequest(format!(
+                "namespace {name:?} holds {patched} patched versions; RELOAD would drop them (DETACH + ATTACH rebases)"
+            )));
+        }
+        *versions = None;
         ns.note_success();
         if path.is_some() {
             *ns.path.lock() = Some(target);
         }
-        self.swap(name, store)
+        Ok(self.swap_in_arc(name, &ns, Arc::new(store)))
     }
 
     // ------------------------------------------------------------------
@@ -1259,27 +1276,65 @@ mod tests {
     }
 
     #[test]
-    fn reload_and_swap_rebase_the_patch_log() {
-        let paths = g2g_files("rebase", &[4]);
+    fn reload_refuses_to_drop_a_patch_log() {
+        let paths = g2g_files("norebase", &[4, 6]);
         let registry = StoreRegistry::new(store(2));
         registry.attach("a", &paths[0]).unwrap();
+        registry.attach("b", &paths[1]).unwrap();
         registry.patch("a", EdgePatch::parse("ADD 0 7 1").unwrap()).unwrap();
-        assert_eq!(registry.versions_of("a").unwrap().len(), 2);
+        registry.patch("a", EdgePatch::parse("ADD 1 7 0").unwrap()).unwrap();
+        let versions = registry.versions_of("a").unwrap();
+        assert_eq!(versions.len(), 3);
 
-        // Reloading fresh container data drops the log: the retained
-        // versions described deltas over the old base.
-        registry.reload("a", None).unwrap();
-        assert_eq!(
-            registry.versions_of("a").unwrap(),
-            vec![VersionSummary { version: 0, added: 0, removed: 0 }]
-        );
-        assert!(registry.store_at("a", 1).is_err());
+        // Bare or with a path, RELOAD answers a per-line error and changes
+        // nothing: versions, head answers, generation, failure counters.
+        for path in [None, Some(paths[1].as_str())] {
+            let err = registry.reload("a", path).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "bad request: namespace \"a\" holds 2 patched versions; \
+                 RELOAD would drop them (DETACH + ATTACH rebases)"
+            );
+        }
+        assert_eq!(registry.versions_of("a").unwrap(), versions);
+        let head = registry.store("a").unwrap();
+        assert!(head.rpq("7 7", 0, 0).unwrap(), "the head still serves both patches");
+        assert!(registry.store_at("a", 1).unwrap().rpq("7", 0, 1).unwrap());
+        assert_eq!((head.generation(), head.total_nodes()), (3, 9));
+        assert_eq!(registry.generation_of("a"), Ok(3));
+        let health = registry.health_of("a").unwrap();
+        assert_eq!((health.reload_failures, health.last_error), (0, None));
 
-        // A direct swap rebases too.
+        // An unpatched namespace reloads as before — also one whose log
+        // was opened by a patch that was refused.
+        assert!(registry.patch("b", EdgePatch::parse("DEL 0 7 1").unwrap()).is_err());
+        assert_eq!(registry.reload("b", None).unwrap().generation(), 2);
+        assert_eq!(registry.store("b").unwrap().total_nodes(), 13);
+        cleanup(&paths);
+    }
+
+    #[test]
+    fn swap_and_detach_rebase() {
+        // The programmatic rebase and DETACH name their intent: both drop
+        // the log, and the namespace starts over at v0.
+        let paths = g2g_files("rebase", &[4]);
+        let registry = StoreRegistry::new(store(2));
         registry.patch(DEFAULT_NAMESPACE, EdgePatch::parse("ADD 0 7 1").unwrap()).unwrap();
         assert_eq!(registry.versions_of(DEFAULT_NAMESPACE).unwrap().len(), 2);
         registry.swap(DEFAULT_NAMESPACE, store(2)).unwrap();
-        assert_eq!(registry.versions_of(DEFAULT_NAMESPACE).unwrap().len(), 1);
+        assert_eq!(
+            registry.versions_of(DEFAULT_NAMESPACE).unwrap(),
+            vec![VersionSummary { version: 0, added: 0, removed: 0 }]
+        );
+        assert!(registry.store_at(DEFAULT_NAMESPACE, 1).is_err());
+
+        registry.attach("a", &paths[0]).unwrap();
+        registry.patch("a", EdgePatch::parse("ADD 0 7 1").unwrap()).unwrap();
+        registry.detach("a").unwrap();
+        registry.attach("a", &paths[0]).unwrap();
+        assert_eq!(registry.versions_of("a").unwrap().len(), 1);
+        assert!(!registry.store("a").unwrap().rpq("7", 0, 1).unwrap());
+        assert_eq!(registry.reload("a", None).unwrap().generation(), 2);
         cleanup(&paths);
     }
 

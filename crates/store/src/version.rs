@@ -5,24 +5,27 @@
 //! evolving graph — but a compressed container is frozen at encode time.
 //! This module makes a served graph writable without giving up compression:
 //! the base container (any registered backend) stays untouched, every edit
-//! lives in a cheap in-memory `Overlay`, and each applied patch is a new
-//! monotonic version. A version is two corrected row functions:
-//! [`crate::QueryEngine::out_edges`] / `in_edges` answer base row ⊕ overlay
-//! correction, every verb is the trait's provided row walk over them, and
-//! the base engine's compressed-domain machinery keeps producing the base
-//! part of every row.
+//! is stored **once** in a stamped in-memory `Log` that all versions share,
+//! and each applied patch is a new monotonic version — a number, not a
+//! copy. A version is two corrected row functions:
+//! [`crate::QueryEngine::out_edges`] / `in_edges` answer base row ⊕ the
+//! log entries whose stamps cover that version, every verb is the trait's
+//! provided row walk over them, and the base engine's compressed-domain
+//! machinery keeps producing the base part of every row.
 //!
-//! Retained versions are addressable forever (until a reload/detach drops
-//! the log): `v0` is the base, `vN` is the state after the `N`-th patch,
-//! and the wire protocol's `@vN` suffix pins a query to any of them while
-//! bare queries track the head (DESIGN.md §12).
+//! Retained versions are addressable for as long as the namespace keeps
+//! its log — `RELOAD` refuses to drop one; only a `DETACH` or a
+//! programmatic swap, which name that intent, do: `v0` is the base, `vN`
+//! is the state after the `N`-th patch, and the wire protocol's `@vN`
+//! suffix pins a query to any of them while bare queries track the head
+//! (DESIGN.md §12).
 
 use std::sync::Arc;
 
 use grepair_hypergraph::Hypergraph;
 use grepair_queries::{Direction, QueryError};
 use grepair_util::sync::RwLock;
-use grepair_util::{FxHashMap, FxHashSet};
+use grepair_util::FxHashMap;
 
 use crate::backend::QueryEngine;
 use crate::{GraphStore, GrepairError};
@@ -116,135 +119,107 @@ impl EdgePatch {
     }
 }
 
-/// The cumulative delta of one version against the base: edges added on
-/// top of the base and base edges removed, plus the (possibly grown) node
-/// bound. Immutable once built — applying a patch clones the head overlay
-/// and extends the clone, so every retained version keeps answering from
-/// its own frozen state.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Overlay {
-    /// Added edges by source: `s → sorted (label, t)` pairs.
-    added_out: FxHashMap<u64, Vec<(u32, u64)>>,
-    /// Added edges by target: `t → sorted (label, s)` pairs.
-    added_in: FxHashMap<u64, Vec<(u32, u64)>>,
-    /// Removed *base* triples `(s, label, t)` (an added-then-deleted edge
-    /// just leaves `added_*` again — the overlay stays minimal).
-    removed: FxHashSet<(u64, u32, u64)>,
-    /// Node bound of this version: base bound, grown by added endpoints.
+/// One stamped delta on one node's row: during versions `from..until` the
+/// pair `(label, other)` is an added edge — or, with `hole`, a *base* edge
+/// that is removed. `until` is `u32::MAX` while the entry is open (live at
+/// the head); closing it — an added edge deleted again, a hole filled —
+/// stores the closing version there, the only mutation an entry ever sees.
+#[derive(Debug)]
+struct Entry {
+    label: u32,
+    other: u64,
+    from: u32,
+    until: u32,
+    hole: bool,
+}
+
+impl Entry {
+    fn covers(&self, version: u32) -> bool {
+        self.from <= version && version < self.until
+    }
+
+    /// Is this the entry a patch of `(label, other)` against the head
+    /// closes? At most one entry per pair is open at a time.
+    fn open_for(&self, label: u32, other: u64) -> bool {
+        self.until == u32::MAX && self.label == label && self.other == other
+    }
+}
+
+/// All the state one version owns: the running counters the `patched …` /
+/// `VERSIONS` replies print, and the node bound (base bound, grown by added
+/// endpoints — it never shrinks, so `@vN` answers stay stable however later
+/// versions evolve).
+#[derive(Debug, Clone, Copy)]
+struct VersionRecord {
+    added: u64,
+    removed: u64,
     bound: u64,
 }
 
-impl Overlay {
-    fn empty(bound: u64) -> Self {
-        Self { bound, ..Self::default() }
-    }
-
-    fn added_len(&self) -> u64 {
-        self.added_out.values().map(|row| row.len() as u64).sum()
-    }
-
-    fn removed_len(&self) -> u64 {
-        self.removed.len() as u64
-    }
-
-    fn contains_added(&self, s: u64, label: u32, t: u64) -> bool {
-        self.added_out
-            .get(&s)
-            .is_some_and(|row| row.binary_search(&(label, t)).is_ok())
-    }
-
-    fn add(&mut self, s: u64, label: u32, t: u64) {
-        if !self.removed.remove(&(s, label, t)) {
-            // Not a resurrected base edge: record it as added, keeping both
-            // directions sorted for binary search and merge.
-            for (map, key, pair) in
-                [(&mut self.added_out, s, (label, t)), (&mut self.added_in, t, (label, s))]
-            {
-                let row = map.entry(key).or_default();
-                if let Err(i) = row.binary_search(&pair) {
-                    row.insert(i, pair);
-                }
-            }
-        }
-        self.bound = self.bound.max(s + 1).max(t + 1);
-    }
-
-    fn del(&mut self, s: u64, label: u32, t: u64) {
-        let mut was_added = false;
-        for (map, key, pair) in
-            [(&mut self.added_out, s, (label, t)), (&mut self.added_in, t, (label, s))]
-        {
-            if let Some(row) = map.get_mut(&key) {
-                if let Ok(i) = row.binary_search(&pair) {
-                    row.remove(i);
-                    was_added = true;
-                }
-                if row.is_empty() {
-                    map.remove(&key);
-                }
-            }
-        }
-        if !was_added {
-            self.removed.insert((s, label, t));
-        }
-        // The bound never shrinks: a version's id space is append-only, so
-        // `@vN` answers stay stable however later versions evolve.
-    }
-
-    /// The corrected labeled row of `v` in direction `dir`: base rows minus
-    /// removed triples plus added rows (`(label, target)` pairs going out,
-    /// `(label, source)` pairs coming in). Nodes beyond the base bound have
-    /// no base rows.
-    fn corrected(
-        &self,
-        base: &GraphStore,
-        v: u64,
-        dir: Direction,
-    ) -> Result<Vec<(u32, u64)>, GrepairError> {
-        let mut rows = Vec::new();
-        if v < base.total_nodes() {
-            rows = match dir {
-                Direction::Out => base.out_edges(v)?,
-                Direction::In => base.in_edges(v)?,
-            };
-            rows.retain(|&(label, w)| {
-                let (s, t) = match dir {
-                    Direction::Out => (v, w),
-                    Direction::In => (w, v),
-                };
-                !self.removed.contains(&(s, label, t))
-            });
-        }
-        let added = match dir {
-            Direction::Out => &self.added_out,
-            Direction::In => &self.added_in,
-        };
-        if let Some(extra) = added.get(&v) {
-            rows.extend(extra.iter().copied());
-            rows.sort_unstable();
-            rows.dedup();
-        }
-        Ok(rows)
-    }
+/// The patch log, stored once and shared by every version's view. A view at
+/// version `k` reads only the entries whose stamps cover `k`, so pushing an
+/// entry stamped `k+1`, or closing one at `k+1`, changes no answer of any
+/// view `≤ k`; and nothing stamped `k+1` is read before the record of
+/// `k+1` exists, because no view of it has been built yet.
+#[derive(Debug, Default)]
+struct Log {
+    /// Entries by source node (`other` is the target) …
+    out: FxHashMap<u64, Vec<Entry>>,
+    /// … and the same entries by target node (`other` is the source).
+    inn: FxHashMap<u64, Vec<Entry>>,
+    /// One record per version, `v0` first; every apply pushes its own last.
+    versions: Vec<VersionRecord>,
 }
 
-/// The [`QueryEngine`] of one retained version: the immutable base store
-/// plus this version's frozen `Overlay`. A version is its two corrected row
+/// The [`QueryEngine`] of one version: the immutable base store plus the
+/// shared log read at `version`. A version is its two corrected row
 /// functions — every query is the trait's provided row walk over them,
 /// while the base's own compressed-domain machinery (grammar navigation,
 /// k²-tree walks) keeps producing the base part of each row.
 #[derive(Debug)]
 struct OverlayEngine {
     base: Arc<GraphStore>,
-    overlay: Arc<Overlay>,
+    log: Arc<RwLock<Log>>,
+    version: u32,
+    bound: u64,
 }
 
 impl OverlayEngine {
+    /// The corrected labeled row of `v` in direction `dir`: the base row
+    /// minus the holes that cover this version, plus the adds that do
+    /// (`(label, target)` pairs going out, `(label, source)` pairs coming
+    /// in). Nodes beyond the base bound have no base row; a node the log
+    /// never touched costs one hash probe on top of the base.
     fn row(&self, v: u64, dir: Direction) -> Result<Vec<(u32, u64)>, GrepairError> {
-        if v >= self.overlay.bound {
-            return Err(QueryError::NodeOutOfRange { id: v, total: self.overlay.bound }.into());
+        if v >= self.bound {
+            return Err(QueryError::NodeOutOfRange { id: v, total: self.bound }.into());
         }
-        self.overlay.corrected(&self.base, v, dir)
+        let mut row = match dir {
+            _ if v >= self.base.total_nodes() => Vec::new(),
+            Direction::Out => self.base.out_edges(v)?,
+            Direction::In => self.base.in_edges(v)?,
+        };
+        let log = self.log.read();
+        let side = match dir {
+            Direction::Out => &log.out,
+            Direction::In => &log.inn,
+        };
+        let Some(entries) = side.get(&v) else { return Ok(row) };
+        let covering = || entries.iter().filter(|e| e.covers(self.version));
+        // Holes first: they name base pairs, and the base row is sorted
+        // only until something is appended to it.
+        for hole in covering().filter(|e| e.hole) {
+            if let Ok(i) = row.binary_search(&(hole.label, hole.other)) {
+                row.remove(i);
+            }
+        }
+        let kept = row.len();
+        row.extend(covering().filter(|e| !e.hole).map(|e| (e.label, e.other)));
+        if row.len() > kept {
+            row.sort_unstable();
+            row.dedup();
+        }
+        Ok(row)
     }
 }
 
@@ -256,7 +231,7 @@ impl QueryEngine for OverlayEngine {
     }
 
     fn total_nodes(&self) -> u64 {
-        self.overlay.bound
+        self.bound
     }
 
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
@@ -286,32 +261,25 @@ impl std::fmt::Display for VersionSummary {
     }
 }
 
-struct VersionEntry {
-    store: Arc<GraphStore>,
-    overlay: Arc<Overlay>,
-}
-
-impl std::fmt::Debug for VersionEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VersionEntry").field("overlay", &self.overlay).finish_non_exhaustive()
-    }
-}
-
 /// An immutable base store plus its append-only patch log. Version `0` is
 /// the base itself (served directly — no overlay indirection on an
-/// unpatched graph); every applied [`EdgePatch`] yields a new retained
-/// version whose [`GraphStore`] answers through an `OverlayEngine`
-/// holding the *cumulative* delta, so overlay depth stays 1 no matter how
-/// long the log grows.
+/// unpatched graph); every applied [`EdgePatch`] yields a new version whose
+/// [`GraphStore`] answers through an `OverlayEngine` reading the one shared
+/// log at that version's number — a patch costs its own entry and one
+/// record however long the log has grown, and overlay depth stays 1.
 ///
-/// Patch application is atomic by construction: the new overlay is built
-/// from a clone of the head's, and nothing shared mutates until the final
-/// push — a failure anywhere (validation, the `patch.apply` failpoint)
-/// leaves every retained version, the head included, exactly as it was.
+/// Patch application is atomic by construction: validation and the
+/// `patch.apply` failpoint run before the log is touched, everything after
+/// them is pushes and field stores, and the version record goes in last —
+/// a failure anywhere leaves every version, the head included, exactly as
+/// it was.
 #[derive(Debug)]
 pub struct VersionedStore {
     base: Arc<GraphStore>,
-    versions: RwLock<Vec<VersionEntry>>,
+    log: Arc<RwLock<Log>>,
+    /// The head version and its view. An apply holds the write lock from
+    /// validation to swap — that is what serializes appliers.
+    head: RwLock<(u64, Arc<GraphStore>)>,
 }
 
 impl VersionedStore {
@@ -323,9 +291,10 @@ impl VersionedStore {
                 base.total_nodes()
             )));
         }
-        let overlay = Arc::new(Overlay::empty(base.total_nodes()));
-        let v0 = VersionEntry { store: Arc::clone(&base), overlay };
-        Ok(Self { base, versions: RwLock::new(vec![v0]) })
+        let v0 = VersionRecord { added: 0, removed: 0, bound: base.total_nodes() };
+        let log = Log { versions: vec![v0], ..Log::default() };
+        let head = RwLock::new((0, Arc::clone(&base)));
+        Ok(Self { base, log: Arc::new(RwLock::new(log)), head })
     }
 
     /// The base store (`v0`).
@@ -335,46 +304,49 @@ impl VersionedStore {
 
     /// The head (latest) version's store.
     pub fn head(&self) -> Arc<GraphStore> {
-        let versions = self.versions.read();
-        match versions.last() {
-            Some(entry) => Arc::clone(&entry.store),
-            // Unreachable (the log is built with v0), but degrade to the
-            // base rather than panic.
-            None => Arc::clone(&self.base),
-        }
+        Arc::clone(&self.head.read().1)
     }
 
     /// The head version number (`0` until the first patch).
     pub fn head_version(&self) -> u64 {
-        (self.versions.read().len() as u64).saturating_sub(1)
+        self.head.read().0
     }
 
-    /// The store pinned to version `v`, erroring on unknown versions.
+    /// The store pinned to version `v`, erroring on unknown versions. The
+    /// head is the head's own store and `v0` the base; any version between
+    /// is a view built here from its record — a version keeps no store.
     pub fn at(&self, v: u64) -> Result<Arc<GraphStore>, GrepairError> {
-        let versions = self.versions.read();
-        versions
-            .get(v as usize)
-            .map(|entry| Arc::clone(&entry.store))
-            .ok_or_else(|| {
-                GrepairError::BadRequest(format!(
-                    "unknown version v{v} (head is v{})",
-                    (versions.len() as u64).saturating_sub(1)
-                ))
-            })
+        let head = self.head.read();
+        if v == head.0 {
+            return Ok(Arc::clone(&head.1));
+        }
+        if v == 0 {
+            return Ok(self.base());
+        }
+        let record =
+            usize::try_from(v).ok().and_then(|i| self.log.read().versions.get(i).copied());
+        match (u32::try_from(v), record) {
+            (Ok(version), Some(record)) => Ok(self.view(version, record.bound)),
+            _ => Err(GrepairError::BadRequest(format!(
+                "unknown version v{v} (head is v{})",
+                head.0
+            ))),
+        }
     }
 
     /// Every retained version's cumulative delta size, in order.
     pub fn summaries(&self) -> Vec<VersionSummary> {
-        self.versions
-            .read()
-            .iter()
-            .enumerate()
-            .map(|(i, entry)| VersionSummary {
-                version: i as u64,
-                added: entry.overlay.added_len(),
-                removed: entry.overlay.removed_len(),
-            })
+        let log = self.log.read();
+        (0..)
+            .zip(&log.versions)
+            .map(|(version, r)| VersionSummary { version, added: r.added, removed: r.removed })
             .collect()
+    }
+
+    /// The store of `version`: one small allocation over the shared log.
+    fn view(&self, version: u32, bound: u64) -> Arc<GraphStore> {
+        let (base, log) = (Arc::clone(&self.base), Arc::clone(&self.log));
+        Arc::new(GraphStore::from_engine(Box::new(OverlayEngine { base, log, version, bound })))
     }
 
     /// Apply one patch against the head, creating and returning the new
@@ -386,13 +358,33 @@ impl VersionedStore {
         patch: EdgePatch,
     ) -> Result<(VersionSummary, Arc<GraphStore>), GrepairError> {
         patch.check_ids()?;
-        let mut versions = self.versions.write();
-        let Some(head) = versions.last() else {
-            return Err(GrepairError::BadRequest("version log is empty".into()));
+        let EdgePatch { op, s, label, t } = patch;
+        let mut head = self.head.write();
+        let head_version = head.0;
+        // Stamps stay below `u32::MAX`, which marks an open entry.
+        let next = u32::try_from(head_version + 1).ok().filter(|&n| n < u32::MAX);
+        // The pair's open entry says whether the edge is present at the
+        // head; where the log has none, the base row does.
+        let (open, record) = {
+            let log = self.log.read();
+            let entries = log.out.get(&s).into_iter().flatten();
+            let open = entries.into_iter().find(|e| e.open_for(label, t)).map(|e| e.hole);
+            (open, log.versions.last().copied())
         };
-        let head_version = (versions.len() as u64) - 1;
-        let present = self.present(&head.overlay, patch.s, patch.label, patch.t)?;
-        match patch.op {
+        let (Some(next), Some(mut record)) = (next, record) else {
+            return Err(GrepairError::BadRequest(format!(
+                "patch {patch}: the version log is full at v{head_version}"
+            )));
+        };
+        let present = match open {
+            Some(hole) => !hole,
+            None => {
+                s < self.base.total_nodes()
+                    && t < self.base.total_nodes()
+                    && self.base.out_edges(s)?.binary_search(&(label, t)).is_ok()
+            }
+        };
+        match op {
             PatchOp::Add if present => {
                 return Err(GrepairError::BadRequest(format!(
                     "patch {patch}: edge already present at v{head_version}"
@@ -405,49 +397,39 @@ impl VersionedStore {
             }
             _ => {}
         }
-        let mut overlay = (*head.overlay).clone();
-        match patch.op {
-            PatchOp::Add => overlay.add(patch.s, patch.label, patch.t),
-            PatchOp::Del => overlay.del(patch.s, patch.label, patch.t),
-        }
         // Failpoint `patch.apply` (DESIGN.md §10): injects a failure after
         // validation, before the new version becomes visible — the window
-        // a crashing patch must not tear. Everything above operated on a
-        // private clone, so erroring here leaves the log untouched.
+        // a crashing patch must not tear. Nothing above wrote anything, so
+        // erroring here leaves the log untouched.
         grepair_util::fail::point("patch.apply").map_err(|error| {
             GrepairError::Unavailable(format!("patch {patch} aborted: {error}"))
         })?;
-        let overlay = Arc::new(overlay);
-        let engine =
-            OverlayEngine { base: Arc::clone(&self.base), overlay: Arc::clone(&overlay) };
-        let store = Arc::new(GraphStore::from_engine(Box::new(engine)));
-        let summary = VersionSummary {
-            version: head_version + 1,
-            added: overlay.added_len(),
-            removed: overlay.removed_len(),
-        };
-        versions.push(VersionEntry { store: Arc::clone(&store), overlay });
+        // An open entry is closed — an added edge deleted again, or a hole
+        // filled, so "add then delete" folds back to `+0-0` — anything else
+        // is a new entry, and an `ADD` may grow the bound.
+        let hole = open.unwrap_or(op == PatchOp::Del);
+        let counter = if hole { &mut record.removed } else { &mut record.added };
+        *counter = if open.is_some() { counter.saturating_sub(1) } else { *counter + 1 };
+        if op == PatchOp::Add {
+            record.bound = record.bound.max(s + 1).max(t + 1);
+        }
+        {
+            let mut log = self.log.write();
+            let log = &mut *log;
+            for (side, node, other) in [(&mut log.out, s, t), (&mut log.inn, t, s)] {
+                let entries = side.entry(node).or_default();
+                match entries.iter_mut().find(|e| e.open_for(label, other)) {
+                    Some(entry) => entry.until = next,
+                    None => entries.push(Entry { label, other, from: next, until: u32::MAX, hole }),
+                }
+            }
+            log.versions.push(record);
+        }
+        let store = self.view(next, record.bound);
+        *head = (u64::from(next), Arc::clone(&store));
+        let summary =
+            VersionSummary { version: head.0, added: record.added, removed: record.removed };
         Ok((summary, store))
-    }
-
-    /// Is `(s, label, t)` an edge of the version `overlay` describes?
-    fn present(
-        &self,
-        overlay: &Overlay,
-        s: u64,
-        label: u32,
-        t: u64,
-    ) -> Result<bool, GrepairError> {
-        if overlay.removed.contains(&(s, label, t)) {
-            return Ok(false);
-        }
-        if overlay.contains_added(s, label, t) {
-            return Ok(true);
-        }
-        if s < self.base.total_nodes() && t < self.base.total_nodes() {
-            return Ok(self.base.out_edges(s)?.binary_search(&(label, t)).is_ok());
-        }
-        Ok(false)
     }
 }
 
@@ -477,6 +459,7 @@ mod tests {
     use super::*;
     use crate::backend::codec_for;
     use grepair_hypergraph::Hypergraph;
+    use grepair_util::FxHashSet;
 
     /// A two-label path store under `backend`: `0 -0-> 1 -1-> 2 -0-> 3 …`
     /// for k2/grepair, all label 0 for the unlabeled formats.
@@ -619,6 +602,78 @@ mod tests {
         }
         assert_eq!(head.components(), fresh.components());
         assert_eq!(head.degree_extrema(), fresh.degree_extrema());
+    }
+
+    #[test]
+    fn holes_are_cut_before_adds_are_appended() {
+        // Node 3's base row is [(0,1),(2,2)]. The add sorts *between* the
+        // two, so a row function that appended it before cutting the hole
+        // would binary-search an unsorted row for (2,2).
+        let g = Hypergraph::from_simple_edges(6, [(3u32, 0u32, 1u32), (3, 2, 2)]).0;
+        let file = codec_for("k2").unwrap().encode(&g).unwrap();
+        let base = Arc::new(GraphStore::from_bytes(&file).unwrap());
+        assert_eq!(base.out_edges(3).unwrap(), vec![(0, 1), (2, 2)]);
+        let log = VersionedStore::new(base).unwrap();
+        log.apply(EdgePatch::parse("ADD 3 0 5").unwrap()).unwrap();
+        log.apply(EdgePatch::parse("DEL 3 2 2").unwrap()).unwrap();
+        assert_eq!(log.head().out_edges(3).unwrap(), vec![(0, 1), (0, 5)]);
+        assert_eq!(log.at(1).unwrap().out_edges(3).unwrap(), vec![(0, 1), (0, 5), (2, 2)]);
+        assert_eq!(log.at(0).unwrap().out_edges(3).unwrap(), vec![(0, 1), (2, 2)]);
+        assert_eq!(log.head().in_edges(2).unwrap(), vec![]);
+        assert_eq!(log.at(1).unwrap().in_edges(2).unwrap(), vec![(2, 3)]);
+    }
+
+    #[test]
+    fn the_log_grows_by_one_record_and_at_most_one_entry_per_patch() {
+        // A seeded stream of patches over a 6×2×6 triple space, about half
+        // of them refused (present ADDs, absent DELs, self-loops), checked
+        // against the folding model: `added` holds what the head has beyond
+        // the base, `removed` what the base has beyond the head.
+        let base = base_store("k2", 5);
+        let log = VersionedStore::new(Arc::clone(&base)).unwrap();
+        let in_base = |s: u64, label, t| {
+            s < 5 && base.out_edges(s).unwrap().binary_search(&(label, t)).is_ok()
+        };
+        let (mut added, mut removed) = (FxHashSet::default(), FxHashSet::default());
+        let mut expected = vec![VersionSummary { version: 0, added: 0, removed: 0 }];
+        let (mut refused, mut x) = (0, 19u64);
+        for _ in 0..600 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let (s, label, t) = ((x >> 33) % 6, ((x >> 41) % 2) as u32, (x >> 49) % 6);
+            let op = if (x >> 57) % 2 == 0 { PatchOp::Add } else { PatchOp::Del };
+            let e = (s, label, t);
+            let present = added.contains(&e) || (in_base(s, label, t) && !removed.contains(&e));
+            let applied = log.apply(EdgePatch { op, s, label, t });
+            if s == t || present == (op == PatchOp::Add) {
+                assert!(applied.is_err(), "{op:?} {e:?}");
+                refused += 1;
+                continue;
+            }
+            match op {
+                PatchOp::Add if !removed.remove(&e) => assert!(added.insert(e)),
+                PatchOp::Del if !added.remove(&e) => assert!(removed.insert(e)),
+                _ => {}
+            }
+            expected.push(VersionSummary {
+                version: expected.len() as u64,
+                added: added.len() as u64,
+                removed: removed.len() as u64,
+            });
+            assert_eq!(applied.unwrap().0, expected[expected.len() - 1]);
+        }
+        let applied = expected.len() - 1;
+        assert!(applied > 100 && refused > 100, "{applied} applied, {refused} refused");
+        assert_eq!(log.summaries(), expected);
+        let shared = log.log.read();
+        assert_eq!(shared.versions.len(), applied + 1);
+        for side in [&shared.out, &shared.inn] {
+            let entries: usize = side.values().map(Vec::len).sum();
+            assert!(entries <= applied, "{entries} entries for {applied} patches");
+            // Folding closes entries instead of stacking them: what is
+            // still open is exactly the head's delta.
+            let open = side.values().flatten().filter(|e| e.until == u32::MAX).count();
+            assert_eq!(open, added.len() + removed.len());
+        }
     }
 
     #[test]
