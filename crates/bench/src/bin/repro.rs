@@ -16,6 +16,7 @@ use grepair_bench::*;
 use grepair_core::GRePairConfig;
 use grepair_hypergraph::order::NodeOrder;
 use grepair_hypergraph::Hypergraph;
+use grepair_store::{GrepairError, QueryAnswer};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -401,6 +402,17 @@ fn ratios(scale: Scale) {
 /// §V (extension): query timings over the grammar vs the decompressed
 /// graph, plus the serving path (one loaded `GraphStore` answering the same
 /// requests as a batch).
+/// The yes/no answers of one store batch.
+fn bools(answers: Vec<Result<std::sync::Arc<QueryAnswer>, GrepairError>>) -> Vec<bool> {
+    answers
+        .into_iter()
+        .map(|r| match *r.expect("in-range query") {
+            QueryAnswer::Bool(b) => b,
+            ref other => panic!("a yes/no query answered {other:?}"),
+        })
+        .collect()
+}
+
 fn queries(scale: Scale) {
     banner("Queries (SS V, implemented here): grammar vs decompressed graph");
     // The long-path case: grammar is logarithmic in the graph.
@@ -413,8 +425,9 @@ fn queries(scale: Scale) {
         (0..reps).flat_map(|i| [(2 * i, 0u32, 2 * i + 1), (2 * i + 1, 1u32, 2 * i + 2)]),
     );
     let history = dblp_history(scale, 11);
-    let cases = [("path(2^n)", path), ("DBLP60-70", history.version_graph(10))];
-    let widths = [12, 9, 9, 14, 14, 14, 9, 9, 13, 13];
+    // Each graph with the word its RPQ columns ask for.
+    let cases = [("path(2^n)", path, "0 1"), ("DBLP60-70", history.version_graph(10), "0 0")];
+    let widths = [12, 9, 9, 14, 14, 14, 9, 9, 12, 12, 9, 13, 13];
     println!(
         "{}",
         row(
@@ -427,13 +440,16 @@ fn queries(scale: Scale) {
                 "reach(store)".into(),
                 "pairs/q".into(),
                 "dag/q".into(),
+                "rpq(gram)".into(),
+                "rpq(BFS)".into(),
+                "work/q".into(),
                 "cc(gram)".into(),
                 "cc(graph)".into(),
             ],
             &widths
         )
     );
-    for (name, g) in cases {
+    for (name, g, pattern) in cases {
         let out = grepair_core::compress(&g, &GRePairConfig::default());
         let derived = out.grammar.derive();
         let reach = grepair_queries::ReachIndex::new(&out.grammar);
@@ -472,14 +488,34 @@ fn queries(scale: Scale) {
         let t = Instant::now();
         let answers = store.query_batch(&batch);
         let store_reach = t.elapsed();
-        let c: Vec<bool> = answers
-            .into_iter()
-            .map(|r| match *r.expect("in-range reach query") {
-                grepair_store::QueryAnswer::Bool(b) => b,
-                ref other => panic!("reach answered {other:?}"),
-            })
+        assert_eq!(a, bools(answers), "store batch reachability disagrees on {name}");
+
+        // The paper's "future work" row: a regular path query on the
+        // grammar, over the same pairs, against the product BFS on the
+        // decompressed graph and against one store batch.
+        let nfa = grepair_store::compile_pattern(pattern).expect("a valid pattern");
+        let rpq = grepair_queries::RpqIndex::new(&out.grammar, nfa.clone());
+        let t = Instant::now();
+        let counted: Vec<_> = pairs
+            .iter()
+            .map(|&(s, t)| rpq.try_matches_counted(s, t).expect("ids are in range"))
             .collect();
-        assert_eq!(a, c, "store batch reachability disagrees on {name}");
+        let grammar_rpq = t.elapsed();
+        let matched: Vec<bool> = counted.iter().map(|&(answer, _)| answer).collect();
+        // Adjacency entries a query was offered, in rules and in S.
+        let rpq_work = counted.iter().map(|(_, w)| w.rules + w.start).sum::<u64>() as f64 / queries;
+        let t = Instant::now();
+        let by_bfs: Vec<bool> = pairs
+            .iter()
+            .map(|&(s, t)| grepair_queries::rpq::rpq_on_graph(&derived, &nfa, s as u32, t as u32))
+            .collect();
+        let bfs_rpq = t.elapsed();
+        assert_eq!(matched, by_bfs, "grammar and product BFS disagree on {name}");
+        let batch: Vec<grepair_store::Query> = pairs
+            .iter()
+            .map(|&(s, t)| grepair_store::Query::Rpq { s, t, pattern: pattern.into() })
+            .collect();
+        assert_eq!(matched, bools(store.query_batch(&batch)), "store batch rpq disagrees on {name}");
 
         let t = Instant::now();
         let cc_g = grepair_queries::speedup::connected_components(&out.grammar);
@@ -501,6 +537,9 @@ fn queries(scale: Scale) {
                     format!("{store_reach:.1?}"),
                     format!("{pair_tests:.2}"),
                     format!("{dag_nodes:.2}"),
+                    format!("{grammar_rpq:.1?}"),
+                    format!("{bfs_rpq:.1?}"),
+                    format!("{rpq_work:.2}"),
                     format!("{grammar_cc:.1?}"),
                     format!("{graph_cc:.1?}"),
                 ],

@@ -8,7 +8,9 @@ use std::sync::Arc;
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
 use grepair_server::{Server, ServerConfig};
-use grepair_store::{error_reply, parse_query, write_container, GraphStore, Query, StoreRegistry};
+use grepair_store::{
+    codec_for, error_reply, parse_query, write_container, GraphStore, Query, StoreRegistry,
+};
 
 fn fixture_bytes() -> Vec<u8> {
     let reps = 24u32;
@@ -76,6 +78,52 @@ fn probe_answers_match_the_in_process_batch() {
         stderr.contains(&format!("probed {} queries ({errors} errors)", queries.len())),
         "{stderr}"
     );
+
+    handle.stop();
+    thread.join().unwrap();
+}
+
+/// The per-tenant probe flag: bare query lines sent with `--namespace b`
+/// answer the way `serve-file` answers them on b's own container (one
+/// rendered `query_batch`), while the default namespace holds another graph
+/// on another backend.
+#[test]
+fn probe_namespace_flag_targets_one_tenant() {
+    let (g, _) = Hypergraph::from_simple_edges(30, (0..29u32).map(|i| (i, 0u32, i + 1)));
+    let tenant = codec_for("k2").unwrap().encode(&g).unwrap();
+    let registry = Arc::new(StoreRegistry::new(GraphStore::from_bytes(&fixture_bytes()).unwrap()));
+    registry.attach_store("b", GraphStore::from_bytes(&tenant).unwrap()).unwrap();
+    let server = Server::bind(&ServerConfig::default(), Arc::clone(&registry), None).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle().unwrap();
+    let thread = std::thread::spawn(move || server.run().unwrap());
+
+    let lines = ["out 0", "in 3", "reach 0 9", "components", "out 999999999"];
+    let path = std::env::temp_dir().join(format!("grepair_probe_ns_{}.txt", std::process::id()));
+    std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_serve-probe"))
+        .arg(addr.to_string())
+        .arg(&path)
+        .args(["--namespace", "b"])
+        .output()
+        .expect("serve-probe runs");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+
+    let queries: Vec<Query> = lines.iter().map(|l| parse_query(l).unwrap()).collect();
+    let own = GraphStore::from_bytes(&tenant).unwrap();
+    let want: Vec<String> = own
+        .query_batch(&queries)
+        .iter()
+        .map(|answer| match answer {
+            Ok(a) => a.to_string(),
+            Err(e) => error_reply(e),
+        })
+        .collect();
+    assert_eq!(String::from_utf8(out.stdout).unwrap().lines().collect::<Vec<_>>(), want);
+    // b has 30 nodes, the default namespace 49: the range named is b's.
+    assert_eq!((want[2].as_str(), want[3].as_str()), ("true", "1"));
+    assert!(want[4].starts_with("error: ") && want[4].contains("0..30"), "{}", want[4]);
 
     handle.stop();
     thread.join().unwrap();

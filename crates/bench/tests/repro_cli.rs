@@ -32,3 +32,20 @@ fn known_section_still_runs() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table I"), "{stdout}");
 }
+
+#[test]
+fn queries_section_shows_the_rpq_columns_next_to_reach() {
+    // The section asserts grammar ≡ BFS ≡ store batch on every pair itself;
+    // here: it ran, and the header carries the paper's "future work" row.
+    let out = repro(&["--queries", "--quick"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let header = stdout.lines().find(|l| l.contains("reach(gram)")).expect("a header line");
+    let columns: Vec<&str> = header.split_whitespace().collect();
+    let after_dag = columns.iter().position(|&c| c == "dag/q").expect("dag/q") + 1;
+    assert_eq!(columns[after_dag..after_dag + 3], ["rpq(gram)", "rpq(BFS)", "work/q"], "{header}");
+    for graph in ["path(2^n)", "DBLP60-70"] {
+        let line = stdout.lines().find(|l| l.contains(graph)).expect("one row per graph");
+        assert_eq!(line.split_whitespace().count(), columns.len(), "{line}");
+    }
+}

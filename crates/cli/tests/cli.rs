@@ -456,6 +456,63 @@ fn multi_tenant_serve_file_and_socket_serve_stay_byte_identical() {
     let (banner, got) = socket_replies(&[&default_g2g, "--attach", &attach], workload);
     assert!(banner.contains("namespaces=2"), "{banner:?}");
     assert_eq!(got, expected, "multi-tenant socket vs serve-file");
+
+    // Three tenants on two backends under a memory budget of half their
+    // combined container size: prefixed queries must answer byte-identically
+    // on both front ends while the LRU policy evicts and reopens underneath.
+    let tenant = |name: &str, nodes: &str, seed: &str, backend: &str| {
+        let (txt, g2g) = (scratch(&format!("mt_{name}.txt")), scratch(&format!("mt_{name}.g2g")));
+        let (txt, g2g) = (txt.to_str().unwrap().to_string(), g2g.to_str().unwrap().to_string());
+        for args in [
+            vec!["generate", "pa", nodes, seed, "-o", &txt],
+            vec!["compress", &txt, "-o", &g2g, "--backend", backend],
+        ] {
+            let out = grepair(&args);
+            assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        }
+        g2g
+    };
+    let (a, b, c) = (
+        tenant("a", "1200", "3", "grepair"),
+        tenant("b", "1600", "5", "k2"),
+        tenant("c", "2000", "9", "grepair"),
+    );
+    let total: u64 = [&a, &b, &c].iter().map(|g2g| std::fs::metadata(g2g).unwrap().len()).sum();
+    let (attach_b, attach_c, budget) = (format!("b={b}"), format!("c={c}"), (total / 2).to_string());
+    let tenancy = ["--attach", &attach_b, "--attach", &attach_c, "--memory-budget", &budget];
+    // LIST first (deterministic: both --attach tenants still cold), then a
+    // round-robin storm that forces evict/reopen cycles.
+    let mut storm = String::from("LIST\n");
+    for i in 0..150u32 {
+        storm += &format!(
+            "out {i}\nb:out {}\nc:neighbors {}\nreach 0 {i}\nb:reach {i} 9\nc:out 999999999\n",
+            i * 3 % 1600,
+            i * 7 % 2000
+        );
+    }
+    storm += "components\nb:components\nc:degrees\n";
+    let storm_file = scratch("mt_storm.txt");
+    std::fs::write(&storm_file, &storm).unwrap();
+    let offline = grepair(&[&["store", "serve-file", &a, storm_file.to_str().unwrap()], &tenancy[..]].concat());
+    assert!(offline.status.success(), "{}", String::from_utf8_lossy(&offline.stderr));
+    let expected = String::from_utf8_lossy(&offline.stdout).to_string();
+    assert_eq!(expected.lines().count(), 1 + 150 * 6 + 3, "one reply per request line");
+    assert_eq!(expected.lines().next(), Some("namespaces=3 b=cold:0 c=cold:0 default=resident:1"));
+    for io in io_modes() {
+        let (_server, banner, addr) = spawn_server(&[&[a.as_str()], &tenancy[..], &["--io", io]].concat());
+        assert!(banner.contains("proto=3 namespaces=3"), "{io}: {banner:?}");
+        assert_eq!(stream_replies(&addr, &storm), expected, "{io}: storm over the socket vs serve-file");
+        // The budget actually bit on the live server.
+        let stats = stream_replies(&addr, "STATS\nSTATS b\n");
+        let (all, of_b) = stats.split_once('\n').expect("two replies");
+        let counter = |name: &str| -> u64 {
+            let field = all.split_whitespace().find_map(|f| f.strip_prefix(name)).expect(name);
+            field.parse().expect(name)
+        };
+        assert!(all.starts_with("namespaces=3 "), "{io}: {all}");
+        assert!(counter("evictions=") >= 1 && counter("cold_opens=") >= 1, "{io}: {all}");
+        assert!(of_b.contains("backend=k2"), "{io}: {of_b}");
+    }
 }
 
 #[test]

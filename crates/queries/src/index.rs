@@ -154,6 +154,23 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         out
     }
 
+    /// Per edge of a derivation path, top down: the nonterminal it is
+    /// labeled with and its attachment in the context that hosts it.
+    pub fn hops(&self, path: &[EdgeId]) -> Vec<(u32, &[NodeId])> {
+        let g = self.grammar();
+        let mut host = &g.start;
+        path.iter()
+            .map(|&e| {
+                let EdgeLabel::Nonterminal(nt) = host.label(e) else {
+                    unreachable!("a located path descends through nonterminal edges")
+                };
+                let att = host.att(e);
+                host = g.rule(nt);
+                (nt, att)
+            })
+            .collect()
+    }
+
     /// The context graph a path ends in: S for the empty path, else the rhs
     /// of the last edge's label.
     pub fn context(&self, path: &[EdgeId]) -> &Hypergraph {

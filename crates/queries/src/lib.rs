@@ -17,13 +17,18 @@
 //! * [`speedup`] — one-pass CMSO-style aggregate queries (Proposition 5
 //!   flavor): number of connected components, and max/min degree.
 //! * [`rpq`] — **regular path queries**, the paper's stated future work,
-//!   via an automaton-product generalization of the skeleton construction.
+//!   via an automaton-product generalization of the skeleton construction:
+//!   per-rule relations per compiled pattern, one pattern-independent
+//!   label-indexed adjacency of every context graph shared by all of them,
+//!   and in the start graph a two-sided search that always takes the
+//!   cheaper next step instead of closing over S.
 //!
 //! Every algorithm is differentially tested against the same query run on
 //! the decompressed graph.
 
 #![forbid(unsafe_code)]
 
+mod adjacency;
 mod condensation;
 pub mod error;
 pub mod index;
@@ -36,4 +41,4 @@ pub use error::QueryError;
 pub use index::{GRepr, GrammarIndex};
 pub use neighbors::Direction;
 pub use reach::{ReachIndex, ReachWork};
-pub use rpq::{Nfa, Regex, RpqIndex};
+pub use rpq::{Nfa, Regex, RpqIndex, RpqShared, RpqWork};

@@ -32,7 +32,7 @@ pub use crate::condensation::ReachWork;
 use crate::error::QueryError;
 use crate::index::{GRepr, GrammarIndex};
 use grepair_grammar::Grammar;
-use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
+use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
 
 /// Skeleton graphs for every nonterminal plus the labelled condensation of
 /// every context graph.
@@ -192,7 +192,7 @@ impl<G: Borrow<Grammar>> ReachIndex<G> {
     /// Does the node at `s` reach the node at `t`?
     fn connects(&self, s: &GRepr, t: &GRepr, work: &mut ReachWork) -> bool {
         let common = s.path.iter().zip(&t.path).take_while(|(a, b)| a == b).count();
-        let (hops_s, hops_t) = (self.hops(&s.path), self.hops(&t.path));
+        let (hops_s, hops_t) = (self.index.hops(&s.path), self.index.hops(&t.path));
         let (mut fwd, mut bwd) = (vec![s.node], vec![t.node]);
         // Each endpoint on its own up to the deepest context both are in …
         for &hop in hops_s[common..].iter().rev() {
@@ -222,23 +222,6 @@ impl<G: Borrow<Grammar>> ReachIndex<G> {
             }
         }
         false
-    }
-
-    /// Per edge of a derivation path, top down: the nonterminal it is
-    /// labeled with and its attachment in the context that hosts it.
-    fn hops(&self, path: &[EdgeId]) -> Vec<(u32, &[NodeId])> {
-        let g = self.index.grammar();
-        let mut host = &g.start;
-        path.iter()
-            .map(|&e| {
-                let EdgeLabel::Nonterminal(nt) = host.label(e) else {
-                    unreachable!("a located path descends through nonterminal edges")
-                };
-                let att = host.att(e);
-                host = g.rule(nt);
-                (nt, att)
-            })
-            .collect()
     }
 
     /// Carry `seeds` from inside `rhs(nt)` one level up through the edge

@@ -11,70 +11,242 @@
 //! > `val(A)` there is a path from external node i to external node j whose
 //! > label word drives `M` from state q to state q'.
 //!
-//! computed bottom-up in one pass (each rule's product graph uses the nested
-//! nonterminals' relations instead of expanding them). A query then runs the
-//! same level-set climb as plain reachability, but over (node, state) pairs.
+//! bottom-up in one pass (each rule's product graph uses the nested
+//! nonterminals' relations instead of expanding them), in both directions.
+//! What does not depend on the pattern — the navigation index and a
+//! label-indexed adjacency of S and every right-hand side — is one
+//! [`RpqShared`] that any number of compiled patterns point at.
+//!
+//! A query resolves both derivation paths into hops, as reachability does,
+//! closes each endpoint alone inside the right-hand sides only it is in and
+//! lifts what reaches an external node; at every rule level both are in,
+//! both are closed, tested for a common configuration and lifted together.
+//! The start graph — where almost all of a poorly compressible graph lives —
+//! is not closed over: a forward and a backward search advance alternately,
+//! always the side whose *work so far + cost of its next pop* is smaller,
+//! until both have seen one configuration or either side runs dry (it then
+//! holds its whole closure and the other side's seeds were there to be met:
+//! no meeting proves *false*). A pop is charged the adjacency entries it is
+//! offered, so S costs at most twice what the cheaper side costs alone
+//! (DESIGN.md §3.2 has the argument). Counted per query ([`RpqWork`]) on the
+//! words of 2-step walks, `hub_network(n, 24, 1, 2)`, half of the targets
+//! the walk's end and half uniform (`crates/queries/tests/scaling.rs`):
+//!
+//! | entries offered per query | in rules | in S, two-sided | forward alone | backward alone |
+//! |---|---|---|---|---|
+//! | n = 2 500 | 1.70 | 2.24 | 8.49 | 12.80 |
+//! | n = 10 000 | 1.88 | 4.56 | 23.76 | 45.12 |
+//!
 //! Plain (s,t)-reachability is exactly the RPQ for the one-state NFA that
 //! loops on every label — a differential test below exploits that.
 
 use std::borrow::Borrow;
+use std::sync::Arc;
 
+use crate::adjacency::{label_run, Adjacency, Rows};
 use crate::error::QueryError;
 use crate::index::GrammarIndex;
 use grepair_grammar::Grammar;
-use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
+use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
 use grepair_util::FxHashSet;
 
 mod nfa;
 pub use nfa::{Nfa, Regex};
 
-/// Precomputed RPQ evaluator for one grammar and one NFA.
+/// What every compiled pattern over one grammar shares: the navigation
+/// index and the label-indexed adjacency of S and of every right-hand side.
+#[derive(Debug)]
+pub struct RpqShared<G: Borrow<Grammar>> {
+    index: GrammarIndex<G>,
+    start: Adjacency,
+    rules: Vec<Adjacency>,
+}
+
+impl<G: Borrow<Grammar>> RpqShared<G> {
+    /// Index the grammar and lay out every context graph — O(|G| log |G|).
+    pub fn new(grammar: G) -> Self {
+        let g: &Grammar = grammar.borrow();
+        let (start, rules) = (Adjacency::new(&g.start), g.rules().iter().map(Adjacency::new).collect());
+        Self { index: GrammarIndex::new(grammar), start, rules }
+    }
+}
+
+/// What one query did, returned by value from
+/// [`RpqIndex::try_matches_counted`]: adjacency entries offered to popped
+/// configurations.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RpqWork {
+    /// Inside right-hand sides (private closures and shared levels).
+    pub rules: u64,
+    /// In the start graph, both sides of the search together.
+    pub start: u64,
+}
+
+/// Compiled RPQ evaluator for one grammar and one NFA: the pattern's
+/// relations over an [`RpqShared`].
 #[derive(Debug)]
 pub struct RpqIndex<G: Borrow<Grammar>> {
-    index: GrammarIndex<G>,
+    shared: Arc<RpqShared<G>>,
     nfa: Nfa,
-    /// `relations[A][i * |Q| + q]` = list of (j, q') reachable from
-    /// external position i in state q, within val(A).
-    relations: Vec<Vec<Vec<(u8, u32)>>>,
+    /// First relation cell of each nonterminal; the cell of external
+    /// position `i` in state `q` is `base[A] + i * |Q| + q`.
+    base: Vec<usize>,
+    /// Per cell `(i, q)` of `A`: the `(j, q')` reachable from it within
+    /// `val(A)`, and — second table — the `(j, q')` that reach it.
+    relations: [Rows<(u8, u32)>; 2],
 }
 
 /// A (node, state) pair in some context graph.
 type Config = (NodeId, u32);
 
+/// One direction of a search: the configurations seen, those still to pop,
+/// and the adjacency entries booked so far.
+#[derive(Default)]
+struct Side {
+    seen: FxHashSet<Config>,
+    queue: Vec<Config>,
+    work: u64,
+}
+
+impl Side {
+    fn new(seeds: impl IntoIterator<Item = Config>) -> Self {
+        let mut side = Side::default();
+        for cfg in seeds {
+            if side.seen.insert(cfg) {
+                side.queue.push(cfg);
+            }
+        }
+        side
+    }
+}
+
+/// The product of one context graph with the NFA, walked in one direction,
+/// nested nonterminals standing in through their relations.
+struct Walk<'a> {
+    graph: &'a Hypergraph,
+    adj: &'a Adjacency,
+    nfa: &'a Nfa,
+    base: &'a [usize],
+    cells: &'a Rows<(u8, u32)>,
+    backward: bool,
+}
+
+impl Walk<'_> {
+    /// Offer `(n, state)` its label runs — one per transition of `state` in
+    /// the walk's direction — and its nonterminal runs whose relation cell is
+    /// not empty, each as its length in adjacency entries and the
+    /// configurations it leads to. A state without transitions reads nothing
+    /// from the terminal row.
+    fn runs(&self, (n, state): Config, mut offer: impl FnMut(u64, &mut dyn Iterator<Item = Config>)) {
+        let row = self.adj.terminals(n, self.backward);
+        for &(label, next) in self.nfa.row(state, self.backward) {
+            let run = label_run(row, label);
+            offer(run.len() as u64, &mut run.iter().map(|&(_, m)| (m, next)));
+        }
+        let q = self.nfa.num_states() as usize;
+        let (runs, mut edges) = self.adj.nonterminals(n);
+        for &(nt, pos, len) in runs {
+            let (run, rest) = edges.split_at(len as usize);
+            edges = rest;
+            let cell = self.cells.row(self.base[nt as usize] + pos as usize * q + state as usize);
+            if !cell.is_empty() {
+                let through = |&e| {
+                    let att = self.graph.att(e);
+                    cell.iter().map(move |&(j, state)| (att[j as usize], state))
+                };
+                offer(len as u64, &mut run.iter().flat_map(through));
+            }
+        }
+    }
+
+    /// The entries the next pop of `side` will be offered, `None` when the
+    /// side has run dry.
+    fn next_cost(&self, side: &Side) -> Option<u64> {
+        let mut cost = 0;
+        self.runs(*side.queue.last()?, |len, _| cost += len);
+        Some(cost)
+    }
+
+    /// The one search step: pop a configuration of `side`, offer it its
+    /// runs, book every entry offered as work and queue what is new. True as
+    /// soon as something new is in `other`; the rest of the pop is still
+    /// booked, so a pop costs what [`Walk::next_cost`] said.
+    fn advance(&self, side: &mut Side, other: &FxHashSet<Config>) -> bool {
+        let Some(cfg) = side.queue.pop() else { return false };
+        let Side { seen, queue, work } = side;
+        let mut visit = |cfg: Config| {
+            let new = seen.insert(cfg);
+            if new {
+                queue.push(cfg);
+            }
+            new && other.contains(&cfg)
+        };
+        let mut met = false;
+        self.runs(cfg, |len, targets| {
+            *work += len;
+            while !met {
+                let Some(cfg) = targets.next() else { break };
+                met = visit(cfg);
+            }
+        });
+        met
+    }
+
+    /// Advance `side` until it runs dry: its closure in this context.
+    fn close(&self, side: &mut Side) {
+        while !side.queue.is_empty() {
+            self.advance(side, &FxHashSet::default());
+        }
+    }
+}
+
 impl<G: Borrow<Grammar>> RpqIndex<G> {
-    /// Build the per-nonterminal relations bottom-up — O(|G|·|Q|²·maxRank).
+    /// Build the shared part, then the plan over it.
     pub fn new(grammar: G, nfa: Nfa) -> Self {
-        let g: &Grammar = grammar.borrow();
-        let order = g
-            .topo_order_bottom_up()
-            .expect("grammar must be straight-line");
-        let mut relations: Vec<Vec<Vec<(u8, u32)>>> =
-            vec![Vec::new(); g.num_nonterminals()];
-        for nt in order {
-            let rhs = g.rule(nt);
-            let q = nfa.num_states();
-            let ext = rhs.ext();
-            let mut rel = vec![Vec::new(); ext.len() * q as usize];
-            for (i, &x) in ext.iter().enumerate() {
-                for q0 in 0..q {
-                    let closed = product_closure(rhs, &nfa, &relations, &[(x, q0)], false);
-                    for &(n, qn) in &closed {
-                        if let Some(j) = ext.iter().position(|&y| y == n) {
-                            if (j, qn) != (i, q0) {
-                                rel[i * q as usize + q0 as usize].push((j as u8, qn));
-                            }
-                        }
-                    }
+        Self::over(Arc::new(RpqShared::new(grammar)), nfa)
+    }
+
+    /// Compile `nfa` over an existing shared part: the per-nonterminal
+    /// relations bottom-up, one rule-sized closure per (external node,
+    /// state) — O(#rules · rank · |Q|) closures — then their transpose.
+    pub fn over(shared: Arc<RpqShared<G>>, nfa: Nfa) -> Self {
+        let g = shared.index.grammar();
+        let q = nfa.num_states() as usize;
+        let mut base = vec![0; g.num_nonterminals()];
+        let mut forward = Rows::new();
+        let (mut cells, mut transposed) = (0, Vec::new());
+        for nt in g.topo_order_bottom_up().expect("grammar must be straight-line") {
+            base[nt as usize] = cells;
+            let (graph, adj) = (g.rule(nt), &shared.rules[nt as usize]);
+            let position = |n| graph.ext().iter().position(|&x| x == n);
+            for (i, &x) in graph.ext().iter().enumerate() {
+                for state in 0..q as u32 {
+                    let mut side = Side::new([(x, state)]);
+                    Walk { graph, adj, nfa: &nfa, base: &base, cells: &forward, backward: false }
+                        .close(&mut side);
+                    let mut row: Vec<(u8, u32)> = side
+                        .seen
+                        .iter()
+                        .filter_map(|&(n, qn)| position(n).map(|j| (j as u8, qn)))
+                        .filter(|&cell| cell != (i as u8, state))
+                        .collect();
+                    row.sort_unstable();
+                    transposed.extend(
+                        row.iter().map(|&(j, qn)| (cells + j as usize * q + qn as usize, (i as u8, state))),
+                    );
+                    forward.push_row(row);
                 }
             }
-            relations[nt as usize] = rel;
+            cells += graph.rank() * q;
         }
-        Self { index: GrammarIndex::new(grammar), nfa, relations }
+        transposed.sort_unstable();
+        let backward = Rows::from_sorted(cells, transposed);
+        Self { shared, nfa, base, relations: [forward, backward] }
     }
 
     /// The navigation index.
     pub fn index(&self) -> &GrammarIndex<G> {
-        &self.index
+        &self.shared.index
     }
 
     /// Is there a path from `val(G)` node `s` to node `t` whose label word
@@ -88,125 +260,90 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
     /// Like [`RpqIndex::matches`], but out-of-range ids return an error
     /// naming the valid range instead of panicking.
     pub fn try_matches(&self, s: u64, t: u64) -> Result<bool, QueryError> {
-        // Locate both ids (`s` first, so it is the one reported when both
-        // are out of range) before either product closure runs: a hostile
-        // id costs two lookups, not a pass over the start graph.
-        let rs = self.index.try_locate(s)?;
-        let rt = self.index.try_locate(t)?;
-        let forward = self.level_sets(&rs.path, rs.node, self.nfa.start_states(), false);
-        let backward = self.level_sets(&rt.path, rt.node, self.nfa.accept_states(), true);
-        // The two climbs share the contexts of the common path prefix; a
-        // path exists iff some shared level holds a common (node, state).
-        let common = rs.path.iter().zip(&rt.path).take_while(|(a, b)| a == b).count();
-        Ok(forward
-            .iter()
-            .zip(&backward)
-            .take(common + 1)
-            .any(|(f, b)| b.iter().any(|cfg| f.contains(cfg))))
+        self.try_matches_counted(s, t).map(|(answer, _)| answer)
     }
 
-    /// Per-level closures over (node, state) pairs, climbing the derivation
-    /// path from the node's own context up to the start graph.
-    fn level_sets(
+    /// [`RpqIndex::try_matches`] together with the work the query did.
+    pub fn try_matches_counted(&self, s: u64, t: u64) -> Result<(bool, RpqWork), QueryError> {
+        self.search(s, t, |forward, backward| forward <= backward)
+    }
+
+    /// The query. In the start graph the next pop goes to the forward side
+    /// when `forward_next(its work + next cost, the backward side's)` says so.
+    fn search(
         &self,
-        path: &[EdgeId],
-        node: NodeId,
-        states: &[u32],
-        backward: bool,
-    ) -> Vec<FxHashSet<Config>> {
-        let contexts = self.index.contexts(path);
-        let mut sets: Vec<FxHashSet<Config>> = vec![FxHashSet::default(); path.len() + 1];
-        let mut seeds: Vec<Config> = states.iter().map(|&q| (node, q)).collect();
-        for depth in (0..=path.len()).rev() {
-            let ctx = contexts[depth];
-            let closed =
-                product_closure(ctx, &self.nfa, &self.relations, &seeds, backward);
-            if depth > 0 {
-                let rhs = contexts[depth];
-                let parent_att = contexts[depth - 1].att(path[depth - 1]);
-                seeds = rhs
-                    .ext()
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(pos, &x)| {
-                        closed
-                            .iter()
-                            .filter(move |&&(n, _)| n == x)
-                            .map(move |&(_, q)| (parent_att[pos], q))
-                    })
-                    .collect();
-            }
-            sets[depth] = closed;
+        s: u64,
+        t: u64,
+        forward_next: impl Fn(u64, u64) -> bool,
+    ) -> Result<(bool, RpqWork), QueryError> {
+        let index = &self.shared.index;
+        // Locate both ids (`s` first, so it is the one reported when both
+        // are out of range) before any search runs: a hostile id costs two
+        // lookups.
+        let (rs, rt) = (index.try_locate(s)?, index.try_locate(t)?);
+        let (hops_s, hops_t) = (index.hops(&rs.path), index.hops(&rt.path));
+        let common = rs.path.iter().zip(&rt.path).take_while(|(a, b)| a == b).count();
+        let mut fwd = Side::new(self.nfa.start_states().iter().map(|&q| (rs.node, q)));
+        let mut bwd = Side::new(self.nfa.accept_states().iter().map(|&q| (rt.node, q)));
+        // Each endpoint on its own up to the deepest context both are in …
+        for &hop in hops_s[common..].iter().rev() {
+            self.walk(Some(hop.0), false).close(&mut fwd);
+            fwd = self.lift(hop, &fwd);
         }
-        sets
+        for &hop in hops_t[common..].iter().rev() {
+            self.walk(Some(hop.0), true).close(&mut bwd);
+            bwd = self.lift(hop, &bwd);
+        }
+        // … then level by level together, testing before every step up: a
+        // path exists iff some shared level holds a common configuration.
+        let meet = |fwd: &Side, bwd: &Side| bwd.seen.iter().any(|cfg| fwd.seen.contains(cfg));
+        for &hop in hops_s[..common].iter().rev() {
+            self.walk(Some(hop.0), false).close(&mut fwd);
+            self.walk(Some(hop.0), true).close(&mut bwd);
+            if meet(&fwd, &bwd) {
+                return Ok((true, RpqWork { rules: fwd.work + bwd.work, start: 0 }));
+            }
+            (fwd, bwd) = (self.lift(hop, &fwd), self.lift(hop, &bwd));
+        }
+        // In the start graph neither side is closed: the cheaper next step
+        // goes first until the sides meet or one of them has nothing left.
+        let rules = std::mem::take(&mut fwd.work) + std::mem::take(&mut bwd.work);
+        let (forward, backward) = (self.walk(None, false), self.walk(None, true));
+        let mut met = meet(&fwd, &bwd);
+        let mut costs = (forward.next_cost(&fwd), backward.next_cost(&bwd));
+        while let (false, (Some(f), Some(b))) = (met, costs) {
+            if forward_next(fwd.work + f, bwd.work + b) {
+                met = forward.advance(&mut fwd, &bwd.seen);
+                costs.0 = forward.next_cost(&fwd);
+            } else {
+                met = backward.advance(&mut bwd, &fwd.seen);
+                costs.1 = backward.next_cost(&bwd);
+            }
+        }
+        Ok((met, RpqWork { rules, start: fwd.work + bwd.work }))
     }
-}
 
-/// Closure of `seeds` in the product of a context graph with the NFA,
-/// using nested nonterminals' relations instead of expanding them.
-fn product_closure(
-    ctx: &Hypergraph,
-    nfa: &Nfa,
-    relations: &[Vec<Vec<(u8, u32)>>],
-    seeds: &[Config],
-    backward: bool,
-) -> FxHashSet<Config> {
-    let q = nfa.num_states() as usize;
-    let mut seen: FxHashSet<Config> = seeds.iter().copied().collect();
-    let mut queue: Vec<Config> = seeds.to_vec();
-    while let Some((n, state)) = queue.pop() {
-        for e in ctx.incident(n) {
-            let att = ctx.att(e);
-            match ctx.label(e) {
-                EdgeLabel::Terminal(label) => {
-                    if att.len() != 2 {
-                        continue;
-                    }
-                    let (from, to) = (att[0], att[1]);
-                    let mut visit = |cfg: Config| {
-                        if seen.insert(cfg) {
-                            queue.push(cfg);
-                        }
-                    };
-                    if !backward && from == n {
-                        nfa.step(state, label).for_each(|q2| visit((to, q2)));
-                    } else if backward && to == n {
-                        nfa.step_back(state, label).for_each(|q2| visit((from, q2)));
-                    }
-                }
-                EdgeLabel::Nonterminal(b) => {
-                    let rel = &relations[b as usize];
-                    for (i, &x) in att.iter().enumerate() {
-                        if x != n {
-                            continue;
-                        }
-                        if !backward {
-                            for &(j, q2) in &rel[i * q + state as usize] {
-                                let cfg = (att[j as usize], q2);
-                                if seen.insert(cfg) {
-                                    queue.push(cfg);
-                                }
-                            }
-                        } else {
-                            // Reverse lookup: all (j, q') with
-                            // ((j, q') → (i, state)) ∈ R_B.
-                            for (jq, targets) in rel.iter().enumerate() {
-                                if targets.contains(&(i as u8, state)) {
-                                    let j = jq / q;
-                                    let q2 = (jq % q) as u32;
-                                    let cfg = (att[j], q2);
-                                    if seen.insert(cfg) {
-                                        queue.push(cfg);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+    /// The product walk of `rhs(nt)` (`None`: of the start graph).
+    fn walk(&self, nt: Option<u32>, backward: bool) -> Walk<'_> {
+        let g = self.shared.index.grammar();
+        let (graph, adj) = match nt {
+            Some(nt) => (g.rule(nt), &self.shared.rules[nt as usize]),
+            None => (&g.start, &self.shared.start),
+        };
+        let cells = &self.relations[backward as usize];
+        Walk { graph, adj, nfa: &self.nfa, base: &self.base, cells, backward }
     }
-    seen
+
+    /// Carry a side closed inside `rhs(nt)` one level up through the edge
+    /// attached at `att`: an external node seen in some state becomes the
+    /// attachment node it merges with, in that state. The work travels along.
+    fn lift(&self, (nt, att): (u32, &[NodeId]), side: &Side) -> Side {
+        let ext = self.shared.index.grammar().rule(nt).ext();
+        let up = side.seen.iter().filter_map(|&(n, state)| {
+            ext.iter().position(|&x| x == n).map(|pos| (att[pos], state))
+        });
+        Side { work: side.work, ..Side::new(up) }
+    }
 }
 
 /// Oracle: RPQ evaluation on a plain graph via BFS over the product space.
@@ -379,5 +516,69 @@ mod tests {
             Regex::label(0),
         ]));
         check_all_pairs(&g, &nfa);
+    }
+
+    /// The 2·min bound of the module docs, per query: the two-sided search
+    /// of S against the same search with either side pinned.
+    #[test]
+    fn two_sided_search_costs_at_most_twice_the_cheaper_side() {
+        use grepair_datasets::{network::hub_network, rdf::property_graph};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(20);
+        for (g, queries) in [
+            (hub_network(2_500, 24, 1, 2), 3_000u64),
+            (property_graph(1_200, 24, 8, 240, 2), 1_500),
+        ] {
+            let out = compress(&g, &GRePairConfig::default());
+            let derived = out.grammar.derive();
+            let shared = Arc::new(RpqShared::new(&out.grammar));
+            let mut plans = std::collections::HashMap::new();
+            let n = derived.num_nodes() as u32;
+            let out_row = |v: NodeId| -> Vec<_> {
+                derived.incident(v).filter(|&e| derived.att(e)[0] == v).collect()
+            };
+            let mut totals = [0u64; 3];
+            for i in 0..queries {
+                // As the benchmark's pools draw: from a node with an
+                // out-edge, the word of a 2- or 3-step walk, to the walk's
+                // end or to a uniform target.
+                let drawn = rng.gen_range(0..n);
+                let s = (0..n).map(|k| (drawn + k) % n).find(|&v| !out_row(v).is_empty()).unwrap();
+                let (mut at, mut word) = (s, Vec::new());
+                for _ in 0..2 + i % 2 {
+                    let row = out_row(at);
+                    if row.is_empty() {
+                        break;
+                    }
+                    let e = derived.edge(row[rng.gen_range(0..row.len())]);
+                    word.push(e.label.index());
+                    at = e.att[1];
+                }
+                let t = if i % 4 < 2 { at } else { rng.gen_range(0..n) };
+                let (nfa, plan) = plans.entry(word).or_insert_with_key(|word| {
+                    let re = Regex::cat(word.iter().map(|&l| Regex::label(l)).collect());
+                    let nfa = Nfa::from_regex(&re);
+                    (nfa.clone(), RpqIndex::over(shared.clone(), nfa))
+                });
+                let want = rpq_on_graph(&derived, nfa, s, t);
+                let (s, t) = (s as u64, t as u64);
+                let both = plan.try_matches_counted(s, t).unwrap();
+                let forward = plan.search(s, t, |_, _| true).unwrap();
+                let backward = plan.search(s, t, |_, _| false).unwrap();
+                for (side, (got, work)) in [both, forward, backward].into_iter().enumerate() {
+                    assert_eq!(got, want, "rpq({s}, {t}), side {side}");
+                    assert_eq!(work.rules, both.1.rules, "only the search of S differs");
+                    totals[side] += work.start;
+                }
+                let cheaper = forward.1.start.min(backward.1.start);
+                assert!(
+                    both.1.start <= 2 * cheaper,
+                    "rpq({s}, {t}): {} entries two-sided, {cheaper} on the cheaper side alone",
+                    both.1.start
+                );
+            }
+            assert!(totals[0] <= totals[1] && totals[0] <= totals[2], "{totals:?}");
+        }
     }
 }

@@ -1,6 +1,8 @@
 //! A small NFA over terminal edge labels, built from a regex AST via
-//! Thompson construction with ε-elimination.
+//! Thompson construction with ε-elimination in time linear in the states
+//! plus the transitions it produces.
 
+use crate::adjacency::label_run;
 use grepair_util::FxHashSet;
 
 /// Regular expression over terminal labels.
@@ -52,20 +54,22 @@ impl Regex {
     }
 }
 
-/// ε-free NFA over edge labels.
+/// ε-free NFA over edge labels, kept as per-state transition rows in both
+/// directions so that a step is a lookup in one short sorted row.
 #[derive(Debug, Clone)]
 pub struct Nfa {
-    num_states: u32,
-    /// (state, label, state).
-    transitions: Vec<(u32, u32, u32)>,
+    /// Per state: its transitions as `(label, next state)` and — second
+    /// table — the transitions into it as `(label, previous state)`, sorted.
+    rows: [Vec<Vec<(u32, u32)>>; 2],
     start: Vec<u32>,
+    /// Ascending.
     accept: Vec<u32>,
 }
 
 impl Nfa {
     /// Number of states.
     pub fn num_states(&self) -> u32 {
-        self.num_states
+        self.rows[0].len() as u32
     }
 
     /// Start states (ε-closed).
@@ -80,23 +84,23 @@ impl Nfa {
 
     /// Is `q` accepting?
     pub fn is_accepting(&self, q: u32) -> bool {
-        self.accept.contains(&q)
+        self.accept.binary_search(&q).is_ok()
+    }
+
+    /// The transitions leaving `q` (`backward`: entering it) as `(label,
+    /// other state)`, sorted by label.
+    pub(crate) fn row(&self, q: u32, backward: bool) -> &[(u32, u32)] {
+        &self.rows[backward as usize][q as usize]
     }
 
     /// Successor states of `q` on `label`.
     pub fn step(&self, q: u32, label: u32) -> impl Iterator<Item = u32> + '_ {
-        self.transitions
-            .iter()
-            .filter(move |&&(a, l, _)| a == q && l == label)
-            .map(|&(_, _, b)| b)
+        label_run(self.row(q, false), label).iter().map(|&(_, next)| next)
     }
 
     /// Predecessor states of `q` on `label`.
     pub fn step_back(&self, q: u32, label: u32) -> impl Iterator<Item = u32> + '_ {
-        self.transitions
-            .iter()
-            .filter(move |&&(_, l, b)| b == q && l == label)
-            .map(|&(a, _, _)| a)
+        label_run(self.row(q, true), label).iter().map(|&(_, prev)| prev)
     }
 
     /// Does the NFA accept this label word?
@@ -125,25 +129,26 @@ impl Nfa {
     }
 }
 
+/// The ε-NFA under construction, both edge lists indexed by source state.
 #[derive(Default)]
 struct Builder {
-    next: u32,
-    eps: Vec<(u32, u32)>,
-    trans: Vec<(u32, u32, u32)>,
+    eps: Vec<Vec<u32>>,
+    trans: Vec<Vec<(u32, u32)>>,
 }
 
 impl Builder {
     fn fresh(&mut self) -> u32 {
-        self.next += 1;
-        self.next - 1
+        self.eps.push(Vec::new());
+        self.trans.push(Vec::new());
+        self.eps.len() as u32 - 1
     }
 
     fn build(&mut self, re: &Regex, from: u32, to: u32) {
         match re {
-            Regex::Label(l) => self.trans.push((from, *l, to)),
+            Regex::Label(l) => self.trans[from as usize].push((*l, to)),
             Regex::Cat(parts) => {
                 if parts.is_empty() {
-                    self.eps.push((from, to));
+                    self.eps[from as usize].push(to);
                     return;
                 }
                 let mut cur = from;
@@ -160,56 +165,56 @@ impl Builder {
             }
             Regex::Star(inner) => {
                 let mid = self.fresh();
-                self.eps.push((from, mid));
-                self.eps.push((mid, to));
+                self.eps[from as usize].push(mid);
+                self.eps[mid as usize].push(to);
                 self.build(inner, mid, mid);
             }
             Regex::Plus(inner) => {
                 let mid = self.fresh();
                 self.build(inner, from, mid);
-                self.eps.push((mid, to));
+                self.eps[mid as usize].push(to);
                 self.build(inner, mid, mid);
             }
             Regex::Opt(inner) => {
-                self.eps.push((from, to));
+                self.eps[from as usize].push(to);
                 self.build(inner, from, to);
             }
         }
     }
 
-    /// ε-closure per state.
-    fn closure(&self, q: u32) -> Vec<u32> {
-        let mut seen = vec![q];
-        let mut stack = vec![q];
-        while let Some(x) = stack.pop() {
-            for &(a, b) in &self.eps {
-                if a == x && !seen.contains(&b) {
-                    seen.push(b);
-                    stack.push(b);
-                }
-            }
-        }
-        seen
-    }
-
+    /// Eliminate ε: a transition `(c, l, r)` becomes `(q, l, r)` for every
+    /// `q` whose ε-closure holds `c`; accepting are the states whose closure
+    /// holds `end`. Every closure is one DFS over the by-source lists with a
+    /// stamp array and rows are deduplicated by sorting, so the cost is the
+    /// number of states plus the transitions produced.
     fn finish(self, start: u32, end: u32) -> Nfa {
-        // Eliminate ε: transition (q, l, r) becomes (q', l, r) for every q'
-        // with q ∈ closure(q'); accepting = states whose closure hits `end`.
-        let n = self.next;
-        let mut transitions = Vec::new();
-        let closures: Vec<Vec<u32>> = (0..n).map(|q| self.closure(q)).collect();
-        for q in 0..n {
-            for &c in &closures[q as usize] {
-                for &(a, l, b) in &self.trans {
-                    if a == c && !transitions.contains(&(q, l, b)) {
-                        transitions.push((q, l, b));
+        let n = self.eps.len();
+        let (mut fwd, mut bwd) = (vec![Vec::new(); n], vec![Vec::new(); n]);
+        let mut accepting = vec![false; n];
+        // `stamp[c] == q` once `c` has been put into the closure of `q`.
+        let (mut stamp, mut stack) = (vec![u32::MAX; n], Vec::new());
+        for q in 0..n as u32 {
+            let row: &mut Vec<(u32, u32)> = &mut fwd[q as usize];
+            stamp[q as usize] = q;
+            stack.push(q);
+            while let Some(c) = stack.pop() {
+                accepting[q as usize] |= c == end;
+                row.extend_from_slice(&self.trans[c as usize]);
+                for &d in &self.eps[c as usize] {
+                    if std::mem::replace(&mut stamp[d as usize], q) != q {
+                        stack.push(d);
                     }
                 }
             }
+            row.sort_unstable();
+            row.dedup();
+            for &(l, b) in row.iter() {
+                bwd[b as usize].push((l, q));
+            }
         }
-        let accept: Vec<u32> =
-            (0..n).filter(|&q| closures[q as usize].contains(&end)).collect();
-        Nfa { num_states: n, transitions, start: vec![start], accept }
+        bwd.iter_mut().for_each(|row| row.sort_unstable());
+        let accept = (0..n as u32).filter(|&q| accepting[q as usize]).collect();
+        Nfa { rows: [fwd, bwd], start: vec![start], accept }
     }
 }
 
@@ -284,6 +289,84 @@ mod tests {
             for next in nfa.step(q, 3).collect::<Vec<_>>() {
                 assert!(nfa.step_back(next, 3).any(|p| p == q));
             }
+        }
+    }
+
+    /// The parent commit's construction, kept as the reference: ε-closures
+    /// by rescanning every ε-edge, transitions deduplicated by `contains`,
+    /// acceptance by scanning the transition list.
+    fn reference_accepts(re: &Regex, word: &[u32]) -> bool {
+        let mut b = Builder::default();
+        let (start, end) = (b.fresh(), b.fresh());
+        b.build(re, start, end);
+        let eps: Vec<(u32, u32)> =
+            (0..).zip(&b.eps).flat_map(|(a, tos)| tos.iter().map(move |&to| (a, to))).collect();
+        let trans: Vec<(u32, u32, u32)> =
+            (0..).zip(&b.trans).flat_map(|(a, row)| row.iter().map(move |&(l, to)| (a, l, to))).collect();
+        let closure = |q: u32| {
+            let (mut seen, mut stack) = (vec![q], vec![q]);
+            while let Some(x) = stack.pop() {
+                for &(a, to) in &eps {
+                    if a == x && !seen.contains(&to) {
+                        seen.push(to);
+                        stack.push(to);
+                    }
+                }
+            }
+            seen
+        };
+        let mut transitions = Vec::new();
+        for q in 0..b.eps.len() as u32 {
+            for c in closure(q) {
+                for &(a, l, to) in &trans {
+                    if a == c && !transitions.contains(&(q, l, to)) {
+                        transitions.push((q, l, to));
+                    }
+                }
+            }
+        }
+        let mut current = vec![start];
+        for &label in word {
+            let step = |&q: &u32| transitions.iter().filter(move |t| t.0 == q && t.1 == label).map(|t| t.2);
+            current = current.iter().flat_map(step).collect();
+        }
+        current.iter().any(|&q| closure(q).contains(&end))
+    }
+
+    #[test]
+    fn row_construction_agrees_with_the_reference_on_every_word_above() {
+        let (l, cat) = (Regex::label, Regex::cat);
+        let patterns = [
+            cat(vec![l(0), l(1)]),
+            Regex::star(l(2)),
+            Regex::plus(l(1)),
+            Regex::alt(vec![l(0), l(1)]),
+            cat(vec![l(0), Regex::opt(l(1)), l(0)]),
+            cat(vec![Regex::star(cat(vec![l(0), l(1)])), l(0)]),
+            cat(vec![]),
+        ];
+        let words: [&[u32]; 17] = [
+            &[], &[0], &[1], &[2], &[0, 1], &[1, 0], &[0, 0], &[1, 1], &[2, 0], &[0, 1, 0],
+            &[0, 1, 1, 0], &[2, 2, 2, 2], &[0, 1, 0, 1, 0], &[0, 1, 0, 1], &[1, 1, 1], &[0, 0, 0], &[2, 2],
+        ];
+        for re in &patterns {
+            let nfa = Nfa::from_regex(re);
+            for word in words {
+                assert_eq!(nfa.accepts(word), reference_accepts(re, word), "{re:?} on {word:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_longest_served_pattern_compiles_in_linear_time() {
+        // 256 × `0*`: start and end, 255 states between the atoms, one per
+        // star. The parent's construction took seconds here.
+        let nfa = Nfa::from_regex(&Regex::cat(vec![Regex::star(Regex::label(0)); 256]));
+        assert_eq!(nfa.num_states(), 513);
+        assert!(nfa.accepts(&[]) && nfa.accepts(&[0; 300]) && !nfa.accepts(&[0, 1]));
+        for q in 0..nfa.num_states() {
+            assert!(nfa.row(q, false).is_sorted() && nfa.row(q, true).is_sorted());
+            assert!(nfa.step(q, 0).all(|next| nfa.step_back(next, 0).any(|p| p == q)));
         }
     }
 }

@@ -63,6 +63,29 @@ fn hostile_ids_over_the_socket_error_cleanly() {
 }
 
 #[test]
+fn the_longest_legal_patterns_are_served_and_one_atom_more_is_an_error_line() {
+    let server = TestServer::start(8, None);
+    let store = server.registry.store(DEFAULT_NAMESPACE).unwrap();
+    let n = store.total_nodes();
+    let mut client = LineClient::new(server.connect());
+    // The tests/hostile.rs patterns, shipped as protocol lines: 256 atoms
+    // (an automaton of up to 513 states) are answered like any other …
+    for pattern in [["0*"; 256].join(" "), ["0", "1?"].repeat(128).join(" ")] {
+        for (s, t) in (0..n).flat_map(|s| [(s, s), (s, (s + 1) % n), (s, (s + 5) % n)]) {
+            let want = store.rpq(&pattern, s, t).unwrap().to_string();
+            assert_eq!(client.roundtrip(&format!("rpq {s} {t} {pattern}")), want, "rpq {s} {t}");
+        }
+        // (ids are the compressor's to assign, the empty word is not)
+        let empty_word = client.roundtrip(&format!("rpq 3 3 {pattern}"));
+        assert_eq!(empty_word, pattern.starts_with("0*").to_string());
+    }
+    // … one atom more is refused when the line is parsed, whatever the ids.
+    let reply = client.roundtrip(&format!("rpq 0 {} {}", u64::MAX, ["0*"; 257].join(" ")));
+    assert_eq!(reply, "error: bad request: rpq pattern has 257 atoms, at most 256");
+    assert_eq!(client.roundtrip("out 0"), "1");
+}
+
+#[test]
 fn non_utf8_bytes_error_and_the_connection_keeps_serving() {
     let server = TestServer::start(8, None);
     let mut input: Vec<u8> = Vec::new();

@@ -14,7 +14,7 @@ use std::sync::{Arc, OnceLock};
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_queries::neighbors::Direction;
-use grepair_queries::{speedup, GRepr, GrammarIndex, ReachIndex, RpqIndex};
+use grepair_queries::{speedup, GRepr, GrammarIndex, ReachIndex, RpqIndex, RpqShared};
 use grepair_util::sync::RwLock;
 use grepair_util::FxHashMap;
 
@@ -27,10 +27,18 @@ use crate::GrepairError;
 pub(crate) type ExpansionEntry = (Vec<EdgeId>, u32, NodeId);
 
 /// How many compiled RPQ plans one engine keeps. The key is pattern text a
-/// client chose and every plan owns a navigation index plus per-nonterminal
-/// relations, so the map must not grow with the number of distinct patterns
-/// ever asked; real traffic repeats far fewer than this.
+/// client chose and every plan owns its automaton's rows plus the
+/// per-nonterminal relations in both directions — O(#rules · rank · |Q|)
+/// cells; the navigation index and the adjacency are shared — so the map
+/// must not grow with the number of distinct patterns ever asked; real
+/// traffic repeats far fewer than this.
 pub(crate) const MAX_CACHED_PLANS: usize = 64;
+
+/// How many atoms one RPQ pattern may have. A plan costs
+/// O(#rules · rank · |Q|) closures to compile and the row walk of the other
+/// backends compiles the automaton per query, so |Q| must not be the
+/// client's to choose: 256 atoms are at most 513 states.
+pub(crate) const MAX_PATTERN_ATOMS: usize = 256;
 
 /// Hit/miss counters for the engine's two store-wide caches. Relaxed
 /// atomics: exact totals, no lock (see `StoreStats`).
@@ -63,6 +71,10 @@ pub struct GrammarEngine {
     /// First cell of each nonterminal, plus the table length as a final
     /// entry (so `slot_base[nt]..slot_base[nt + 1]` are `nt`'s cells).
     slot_base: Vec<usize>,
+    /// What every RPQ plan shares — a navigation index and the
+    /// label-indexed adjacency of every context graph — built by the first
+    /// `rpq`, so a store that is never asked one does not pay for it.
+    rpq_shared: OnceLock<Arc<RpqShared<Arc<Grammar>>>>,
     /// Compiled RPQ plans per canonical pattern text, at most
     /// [`MAX_CACHED_PLANS`] of them.
     plans: RwLock<FxHashMap<String, Arc<RpqIndex<Arc<Grammar>>>>>,
@@ -85,6 +97,7 @@ impl GrammarEngine {
             grammar,
             expansions: std::iter::repeat_with(OnceLock::new).take(slots).collect(),
             slot_base,
+            rpq_shared: OnceLock::new(),
             plans: RwLock::default(),
             cache_counters: CacheCounters::default(),
         }
@@ -242,7 +255,9 @@ impl GrammarEngine {
         self.cache_counters.plan_misses.fetch_add(1, Ordering::Relaxed);
         // Compile outside the lock; a thread that lost the race to insert
         // the same pattern adopts the winner's plan.
-        let plan = Arc::new(RpqIndex::new(self.grammar.clone(), compile_pattern(pattern)?));
+        let nfa = compile_pattern(pattern)?;
+        let shared = self.rpq_shared.get_or_init(|| Arc::new(RpqShared::new(self.grammar.clone())));
+        let plan = Arc::new(RpqIndex::over(Arc::clone(shared), nfa));
         let mut plans = self.plans.write();
         if plans.len() >= MAX_CACHED_PLANS && !plans.contains_key(pattern) {
             plans.clear();
@@ -254,6 +269,13 @@ impl GrammarEngine {
     #[cfg(test)]
     pub(crate) fn cached_plans(&self) -> usize {
         self.plans.read().len()
+    }
+
+    /// How many references the shared part of the plans has, `None` before
+    /// the first `rpq` built it.
+    #[cfg(test)]
+    pub(crate) fn rpq_shared_refs(&self) -> Option<usize> {
+        self.rpq_shared.get().map(Arc::strong_count)
     }
 }
 

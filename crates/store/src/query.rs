@@ -18,6 +18,7 @@
 
 use grepair_queries::{Nfa, Regex};
 
+use crate::engine::MAX_PATTERN_ATOMS;
 use crate::GrepairError;
 
 /// One request against a loaded [`crate::GraphStore`].
@@ -138,8 +139,13 @@ pub fn parse_query(line: &str) -> Result<Query, GrepairError> {
 }
 
 /// Parse an RPQ pattern — whitespace-separated atoms, each a terminal label
-/// id with an optional `*`/`+`/`?` suffix, concatenated left to right.
+/// id with an optional `*`/`+`/`?` suffix, concatenated left to right, at
+/// most `MAX_PATTERN_ATOMS` (256) of them.
 pub fn parse_pattern(pattern: &str) -> Result<Regex, GrepairError> {
+    let atoms = pattern.split_whitespace().count();
+    if atoms > MAX_PATTERN_ATOMS {
+        return Err(bad(format!("rpq pattern has {atoms} atoms, at most {MAX_PATTERN_ATOMS}")));
+    }
     let mut parts = Vec::new();
     for atom in pattern.split_whitespace() {
         let (digits, suffix) = match atom.as_bytes().last() {
@@ -231,5 +237,14 @@ mod tests {
         assert!(compile_pattern("0* 1+ 2?").is_ok());
         assert!(compile_pattern("").is_err());
         assert!(compile_pattern("*").is_err());
+    }
+
+    #[test]
+    fn a_pattern_is_bounded_in_atoms_at_parse_time() {
+        let line = |atoms: usize| format!("rpq 0 1 {}", ["0*"; 300][..atoms].join(" "));
+        assert!(parse_query(&line(MAX_PATTERN_ATOMS)).is_ok());
+        let err = parse_query(&line(MAX_PATTERN_ATOMS + 1)).unwrap_err();
+        assert_eq!(err.to_string(), "bad request: rpq pattern has 257 atoms, at most 256");
+        assert_eq!(compile_pattern(&["7"; 257].join(" ")).unwrap_err(), err);
     }
 }

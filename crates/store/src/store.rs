@@ -719,7 +719,8 @@ mod tests {
         let ge = grammar_engine(&store);
         let derived = store.grammar().unwrap().derive();
         let n = store.total_nodes();
-        let pattern = |i: usize| vec!["0 1"; i + 1].join(" ");
+        // Distinct for every `i`, and never longer than a pattern may be.
+        let pattern = |i: usize| vec!["0 1"; i % 96 + 1].join(" ") + ["", " 0*"][i / 96 % 2];
         for i in 0..3 * MAX_CACHED_PLANS {
             let (s, t) = (i as u64 % n, (7 * i as u64 + 2) % n);
             let nfa = crate::query::compile_pattern(&pattern(i)).unwrap();
@@ -743,6 +744,20 @@ mod tests {
             (missed.rpq_plan_hits + 1, missed.rpq_plan_misses),
             "{hit}"
         );
+    }
+
+    #[test]
+    fn every_plan_of_a_store_points_at_one_shared_part() {
+        let (store, _) = store_for(6);
+        let ge = grammar_engine(&store);
+        store.reachable(0, 1).unwrap();
+        assert_eq!(ge.rpq_shared_refs(), None, "built by the first rpq, not at load");
+        for pattern in ["0 1", "0* 1?", "1+", "0 1"] {
+            store.rpq(pattern, 0, 1).unwrap();
+        }
+        // The engine's own reference and one per cached plan: no plan built
+        // a navigation index or an adjacency of its own.
+        assert_eq!((ge.cached_plans(), ge.rpq_shared_refs()), (3, Some(1 + 3)));
     }
 
     #[test]

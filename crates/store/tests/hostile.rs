@@ -210,6 +210,61 @@ fn a_flood_of_distinct_rpq_patterns_leaves_a_bounded_plan_cache() {
 }
 
 #[test]
+fn the_longest_legal_patterns_answer_on_every_backend_and_one_atom_more_is_an_error() {
+    // 256 atoms are an automaton of up to 513 states: compiling it must be
+    // quick on every backend (the row walk of k² / lm / hn compiles per
+    // query), and one atom more must cost a parse and nothing else.
+    // Unlabeled (lm and hn encode nothing else): a path into a 10-cycle with
+    // a chord and a tail out of it, so that 128-step walks exist between
+    // some pairs and not between others.
+    let cycle = (0..10u32).map(|i| (20 + i, 0u32, 20 + (i + 1) % 10));
+    let path = (0..20u32).chain(29..35).map(|i| (i, 0u32, i + 1));
+    let (g, _) = Hypergraph::from_simple_edges(36, path.chain(cycle).chain([(22, 0, 27)]));
+    let out = compress(&g, &GRePairConfig::default());
+    let derived = out.grammar.derive();
+    let n = derived.num_nodes() as u64;
+    let (stars, mixed) = (["0*"; 256].join(" "), ["0", "1?"].repeat(128).join(" "));
+    let too_long = ["0*"; 257].join(" ");
+    let refusal = "bad request: rpq pattern has 257 atoms, at most 256";
+    assert_eq!(parse_query(&format!("rpq 0 1 {too_long}")).unwrap_err().to_string(), refusal);
+    let mut queries: Vec<Query> = [&stars, &mixed]
+        .into_iter()
+        .flat_map(|p| (0..n).step_by(7).flat_map(move |s| [0, 1, 5].map(|d| format!("rpq {s} {} {p}", (s + d) % n))))
+        .map(|line| parse_query(&line).unwrap())
+        .collect();
+    // Handed over as a `Query`, the way a caller that skips the parser can.
+    queries.insert(queries.len() / 2, Query::Rpq { s: 0, t: 1, pattern: too_long.clone() });
+    let want: Vec<Result<QueryAnswer, String>> = queries
+        .iter()
+        .map(|q| match q {
+            Query::Rpq { pattern, .. } if *pattern == too_long => Err(refusal.to_string()),
+            Query::Rpq { s, t, pattern } => Ok(QueryAnswer::Bool(rpq_on_graph(
+                &derived,
+                &compile_pattern(pattern).unwrap(),
+                *s as u32,
+                *t as u32,
+            ))),
+            _ => unreachable!(),
+        })
+        .collect();
+    let positives = want.iter().filter(|w| **w == Ok(QueryAnswer::Bool(true))).count();
+    assert!(positives > 0 && positives < queries.len() - 1, "{positives} positives");
+    // Ids line up by construction: the grammar serves `val(G)`, the other
+    // backends are encoded from it.
+    let baselines = codecs().iter().filter(|codec| codec.name() != "grepair").map(|codec| {
+        GraphStore::from_bytes(&codec.encode(&derived).expect("val(G) encodes")).unwrap()
+    });
+    for store in [GraphStore::from_grammar(out.grammar.clone()).unwrap()].into_iter().chain(baselines) {
+        let got: Vec<Result<QueryAnswer, String>> = store
+            .query_batch(&queries)
+            .into_iter()
+            .map(|answer| answer.map(|a| (*a).clone()).map_err(|e| e.to_string()))
+            .collect();
+        assert_eq!(got, want, "{}", store.backend());
+    }
+}
+
+#[test]
 fn ten_thousand_mixed_queries_from_one_store() {
     // The acceptance scenario: one loaded store answers ≥ 10k mixed
     // queries in a single process, through the batched API.
