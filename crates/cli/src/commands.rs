@@ -250,8 +250,7 @@ pub fn query(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Count the request lines (non-blank, non-comment) left in a reader —
-/// what a mid-file `QUIT` would leave unanswered.
+/// Count the request lines (non-blank, non-comment) in a reader.
 fn count_request_lines(reader: &mut impl std::io::BufRead) -> std::io::Result<u64> {
     let mut line = Vec::new();
     let mut count = 0u64;
@@ -371,7 +370,7 @@ pub fn store_cmd(args: &[String]) -> Result<(), String> {
             // Chaining one extra newline terminates an unterminated final
             // line; for well-formed files it is a trailing blank line,
             // which the protocol skips without a reply.
-            let mut reader = BufReader::new(file.chain(&b"\n"[..]));
+            let mut reader = file.chain(&b"\n"[..]);
             let stdout = std::io::stdout();
             let mut out = BufWriter::new(stdout.lock());
             let opts = grepair_server::SessionOpts {
@@ -385,9 +384,14 @@ pub fn store_cmd(args: &[String]) -> Result<(), String> {
             out.flush().map_err(|e| format!("stdout: {e}"))?;
             // The admin plane works offline too, so a QUIT line ends the
             // session like it ends a connection — but a replayed log that
-            // stops mid-file deserves a visible trace, not silence.
-            let skipped = count_request_lines(&mut reader)
+            // stops mid-file deserves a visible trace, not silence. Every
+            // request line gets exactly one reply, so what the file holds
+            // beyond the replies is what QUIT left (the session reads
+            // ahead, so the reader's position says nothing).
+            let requests = std::fs::File::open(queries_path)
+                .and_then(|file| count_request_lines(&mut BufReader::new(file)))
                 .map_err(|e| format!("{queries_path}: {e}"))?;
+            let skipped = requests.saturating_sub(summary.served);
             if skipped > 0 {
                 eprintln!("warning: QUIT left {skipped} request lines unanswered");
             }

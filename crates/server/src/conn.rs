@@ -1,253 +1,222 @@
-//! Per-connection state for the epoll front end (DESIGN.md §11).
+//! The one connection engine (DESIGN.md §11.2): bytes in, the §6.1
+//! framing rules, the [`SessionState`] protocol engine, reply bytes out.
 //!
-//! A [`Conn`] owns one client socket plus the two buffers that replace the
-//! blocking mode's `BufReader`/`BufWriter`: bytes arrive into `inbuf` when
-//! the socket is readable, complete lines are framed out of it and fed to
-//! the *same* [`SessionState`] engine the thread-per-connection path uses,
-//! and replies accumulate in `outbuf` until the socket is writable. The
-//! framing rules here mirror `read_limited_line` exactly — content up to
-//! `max_line` bytes (CR included) is a line, longer is one `Oversized`
-//! error reply with the rest of the line discarded up to the next newline,
-//! and a partial line at EOF is dropped silently — which is what keeps the
-//! two io modes byte-identical on every input.
+//! A [`Conn`] owns no socket: its driver hands it each read
+//! ([`Conn::read_from`]) and writes out the replies it queued
+//! ([`Conn::write_to`]). The drivers are
+//! [`serve_session`](crate::serve_session) — `store serve-file` and every
+//! thread-mode session — and the epoll reactor, so the framing is written
+//! once for all three, which is what makes them byte-identical:
+//!
+//! * a line is the bytes before a `\n`, at most `max_line` of them counting
+//!   a trailing `\r`, which is then stripped (CRLF clients are tolerated);
+//! * a longer line is one `error: bad request: line exceeds N bytes` reply,
+//!   and everything up to the next newline is discarded;
+//! * a partial line at EOF is dropped silently (it was never a request);
+//! * nothing after `QUIT` / `SHUTDOWN` is served.
+//!
+//! Lines are answered straight out of the bytes read (one split across
+//! reads is reassembled in `inbuf`), with no allocation per line; the
+//! pending batch is evaluated at `--batch` lines and at the end of every
+//! read, once the client's already-sent bytes are used up (DESIGN.md §6.5).
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::time::Instant;
 
 use grepair_store::StoreRegistry;
-use grepair_util::fail;
 
 use crate::pool::WorkerPool;
-use crate::session::{SessionOpts, SessionState, Step};
+use crate::session::{SessionOpts, SessionState, SessionSummary, Step};
 
-/// Read at most this many bytes per `read(2)` call.
-const READ_CHUNK: usize = 64 * 1024;
-
-/// Read at most this many chunks per readiness wakeup. The loop is
-/// level-triggered, so a client with more buffered data just gets another
-/// wakeup; capping the burst keeps one firehose client from starving the
-/// rest of the event batch.
-const MAX_CHUNKS_PER_WAKEUP: usize = 4;
+/// Bytes one `read` asks for: the size of a session's read buffer and of
+/// the reactor's one shared buffer.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
 
 /// Stop reading from a connection whose unsent replies exceed this many
 /// bytes; reading resumes once the client drains its side. Bounds memory
-/// per slow-reader connection (DESIGN.md §11 backpressure).
+/// per slow-reader connection (DESIGN.md §11.3).
 pub(crate) const OUTBUF_BACKPRESSURE: usize = 1 << 20;
 
-/// One epoll-managed client connection.
+/// One client connection's protocol state, whoever owns the socket.
 #[derive(Debug)]
-pub(crate) struct Conn {
-    pub(crate) stream: TcpStream,
-    pub(crate) peer: SocketAddr,
+pub(crate) struct Conn<'a> {
+    registry: &'a StoreRegistry,
+    pool: &'a WorkerPool,
+    opts: &'a SessionOpts,
     session: SessionState,
-    /// Received-but-unframed bytes. For a well-behaved client this holds at
-    /// most one partial line; oversized lines switch to `discarding` before
-    /// it can grow past `max_line` + one read chunk.
+    /// The start of a line whose newline has not arrived yet; never more
+    /// than `max_line` bytes (past that the line is oversized and its
+    /// bytes are discarded instead).
     inbuf: Vec<u8>,
-    /// Framed replies not yet written to the socket. `outpos` marks how far
-    /// the socket write has progressed; the buffer compacts when drained.
+    /// Replies not yet written. `outpos` marks how far the writes got; the
+    /// buffer is cleared whenever it drains.
     outbuf: Vec<u8>,
     outpos: usize,
     /// Inside an oversized line: swallow bytes up to the next newline
-    /// (the `Oversized` reply was already queued at detection).
+    /// (its error reply was queued when it crossed `max_line`).
     discarding: bool,
-    /// Set on EOF, `QUIT`/`SHUTDOWN`, or drain: no more reads; the
-    /// connection closes once `outbuf` drains.
-    pub(crate) closing: bool,
-    pub(crate) last_activity: Instant,
+    /// Set by EOF, `QUIT` / `SHUTDOWN`, or a drain: nothing more is read;
+    /// the connection is finished once `outbuf` drains.
+    closing: bool,
 }
 
-impl Conn {
-    pub(crate) fn new(stream: TcpStream, peer: SocketAddr) -> Self {
+impl<'a> Conn<'a> {
+    pub(crate) fn new(
+        registry: &'a StoreRegistry,
+        pool: &'a WorkerPool,
+        opts: &'a SessionOpts,
+    ) -> Self {
         Self {
-            stream,
-            peer,
+            registry,
+            pool,
+            opts,
             session: SessionState::new(),
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             outpos: 0,
             discarding: false,
             closing: false,
-            last_activity: Instant::now(),
         }
     }
 
-    /// Unsent reply bytes exist — the reactor should watch for writability.
+    /// What the session has done so far.
+    pub(crate) fn summary(&self) -> SessionSummary {
+        self.session.summary
+    }
+
+    /// No more input will be read.
+    pub(crate) fn closing(&self) -> bool {
+        self.closing
+    }
+
+    /// The reactor should read: not closing, and not holding too many
+    /// unsent replies.
+    pub(crate) fn wants_read(&self) -> bool {
+        !self.closing && self.outbuf.len() - self.outpos <= OUTBUF_BACKPRESSURE
+    }
+
+    /// Unsent reply bytes exist.
     pub(crate) fn wants_write(&self) -> bool {
         self.outpos < self.outbuf.len()
     }
 
-    /// Too many unsent bytes: stop reading until the client drains them.
-    pub(crate) fn backpressured(&self) -> bool {
-        self.outbuf.len() - self.outpos > OUTBUF_BACKPRESSURE
-    }
-
-    /// Everything said and sent — the reactor can drop the connection.
+    /// Everything said and sent — the driver can drop the connection.
     pub(crate) fn finished(&self) -> bool {
         self.closing && !self.wants_write()
     }
 
-    /// The socket reported readable: read a burst, frame complete lines,
-    /// feed them to the session, queue replies. An `Err` means the
-    /// connection is dead (transport error or a fired `conn.read` fault)
-    /// and must be dropped without a goodbye.
-    pub(crate) fn handle_readable(
+    /// One `read` from `reader` into `buf` (retried if interrupted),
+    /// framed and answered. `Ok(0)` is EOF, after which the connection is
+    /// closing; errors are the reader's, or a write into the reply buffer
+    /// refused by the `session.write` failpoint.
+    pub(crate) fn read_from(
         &mut self,
-        registry: &StoreRegistry,
-        pool: &WorkerPool,
-        opts: &SessionOpts,
-    ) -> io::Result<()> {
-        // A fired `conn.read` fault is a transport error on this one
-        // connection, exactly like `session.read` in blocking mode.
-        fail::point("conn.read").map_err(io::Error::other)?;
-        let mut eof = false;
-        let mut chunk = [0u8; READ_CHUNK];
-        for _ in 0..MAX_CHUNKS_PER_WAKEUP {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    eof = true;
-                    break;
-                }
-                Ok(n) => {
-                    // audited: `read` contract: n <= chunk.len()
-                    self.inbuf.extend_from_slice(&chunk[..n]);
-                    self.last_activity = Instant::now();
-                    if n < chunk.len() {
-                        break; // socket buffer drained
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+        reader: &mut impl Read,
+        buf: &mut [u8],
+    ) -> io::Result<usize> {
+        let n = loop {
+            match reader.read(buf) {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                read => break read?,
             }
+        };
+        match buf.get(..n).unwrap_or_default() {
+            [] => self.close()?,
+            bytes => self.feed(bytes)?,
         }
-        self.pump(registry, pool, opts)?;
-        if eof && !self.closing {
-            // A partial line at EOF is discarded silently (`MidLineEof`);
-            // an oversized line at EOF already queued its reply.
-            self.session.flush(registry, pool, &mut self.outbuf)?;
+        Ok(n)
+    }
+
+    /// End of input — EOF or a drain: answer everything pending, drop a
+    /// partial line, stop reading.
+    pub(crate) fn close(&mut self) -> io::Result<()> {
+        if !self.closing {
             self.closing = true;
             self.inbuf.clear();
+            self.evaluate()?;
         }
         Ok(())
     }
 
-    /// Frame every complete line currently buffered and feed it to the
-    /// session engine; flush the pending batch when it fills and once the
-    /// burst is consumed (the non-blocking analogue of "the client has
-    /// nothing more buffered").
-    fn pump(
-        &mut self,
-        registry: &StoreRegistry,
-        pool: &WorkerPool,
-        opts: &SessionOpts,
-    ) -> io::Result<()> {
-        let mut start = 0;
-        while start < self.inbuf.len() && !self.closing {
-            // audited: loop guard: start < inbuf.len()
-            match self.inbuf[start..].iter().position(|&b| b == b'\n') {
-                Some(pos) => {
-                    if self.discarding {
-                        // Tail of an oversized line: swallowed, no event.
-                        self.discarding = false;
-                    } else if pos > opts.max_line {
-                        self.session.push_oversized(opts.max_line);
-                    } else {
-                        // audited: `pos` is an index into `inbuf[start..]`
-                        let mut line = &self.inbuf[start..start + pos];
-                        if line.last() == Some(&b'\r') {
-                            // audited: `last()` was Some, so the line is non-empty
-                            line = &line[..line.len() - 1]; // tolerate CRLF
-                        }
-                        // The borrow of `inbuf` ends before the consume
-                        // below; `on_line` writes replies into a scratch
-                        // split off so the borrows don't overlap.
-                        let line = line.to_vec();
-                        let step =
-                            self.session.on_line(registry, pool, &line, &mut self.outbuf, opts)?;
-                        if step == Step::Quit {
-                            // Input after QUIT is never served (the
-                            // blocking loop returns here); replies already
-                            // queued still drain before close.
-                            self.closing = true;
-                            self.inbuf.clear();
-                            return Ok(());
-                        }
-                    }
-                    start += pos + 1;
-                }
-                None => {
-                    let rest = self.inbuf.len() - start;
-                    if self.discarding {
-                        // Still inside the oversized line: drop the bytes.
-                        self.inbuf.clear();
-                        start = 0;
-                    } else if rest > opts.max_line {
-                        // Longer than max with no terminator yet: queue the
-                        // error now and discard until the newline arrives.
-                        // Blocking mode queues it after the swallow, but no
-                        // reply can be emitted in between, so the reply
-                        // stream is identical.
-                        self.session.push_oversized(opts.max_line);
-                        self.discarding = true;
-                        self.inbuf.clear();
-                        start = 0;
-                    }
-                    break;
-                }
-            }
-            if self.session.pending_len() >= opts.batch {
-                self.session.flush(registry, pool, &mut self.outbuf)?;
-            }
-        }
-        self.inbuf.drain(..start);
-        if self.session.pending_len() > 0 {
-            self.session.flush(registry, pool, &mut self.outbuf)?;
-        }
-        Ok(())
-    }
-
-    /// The socket reported writable (or we try optimistically): push as
-    /// much of `outbuf` as the kernel will take. An `Err` means the
-    /// connection is dead and must be dropped.
-    pub(crate) fn handle_writable(&mut self) -> io::Result<()> {
-        if !self.wants_write() {
-            return Ok(());
-        }
-        // A fired `conn.write` fault is a transport error on this one
-        // connection, exactly like `session.write` in blocking mode.
-        fail::point("conn.write").map_err(io::Error::other)?;
-        while self.outpos < self.outbuf.len() {
-            // audited: loop guard: outpos < outbuf.len()
-            match self.stream.write(&self.outbuf[self.outpos..]) {
+    /// Write queued replies into `writer` until they are all out or it
+    /// would block; returns the bytes written.
+    pub(crate) fn write_to(&mut self, writer: &mut impl Write) -> io::Result<usize> {
+        let mut written = 0;
+        while let Some(rest) = self.outbuf.get(self.outpos..).filter(|rest| !rest.is_empty()) {
+            match writer.write(rest) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => {
                     self.outpos += n;
-                    self.last_activity = Instant::now();
+                    written += n;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        if self.outpos == self.outbuf.len() {
+        if !self.wants_write() {
             self.outbuf.clear();
             self.outpos = 0;
         }
-        Ok(())
+        Ok(written)
     }
 
-    /// Drain: answer everything pending and mark the connection closing;
-    /// it drops once the queued replies reach the socket (or the drain
-    /// deadline force-closes it).
-    pub(crate) fn begin_close(
-        &mut self,
-        registry: &StoreRegistry,
-        pool: &WorkerPool,
-    ) -> io::Result<()> {
-        if !self.closing {
-            self.session.flush(registry, pool, &mut self.outbuf)?;
+    /// Frame the next bytes of the stream into lines and answer them.
+    fn feed(&mut self, bytes: &[u8]) -> io::Result<()> {
+        let max = self.opts.max_line;
+        for piece in bytes.split_inclusive(|&b| b == b'\n') {
+            if self.closing {
+                break;
+            }
+            match piece.strip_suffix(b"\n") {
+                // The tail of an oversized line: swallowed.
+                Some(_) if self.discarding => self.discarding = false,
+                Some(rest) if self.inbuf.len() + rest.len() > max => {
+                    self.session.push_oversized(max);
+                    self.inbuf.clear();
+                }
+                Some(line) if self.inbuf.is_empty() => self.answer(line)?,
+                Some(rest) => {
+                    // A line split across reads: reassembled in `inbuf`,
+                    // whose allocation is kept for the next one.
+                    let mut line = std::mem::take(&mut self.inbuf);
+                    line.extend_from_slice(rest);
+                    self.answer(&line)?;
+                    line.clear();
+                    self.inbuf = line;
+                }
+                // No newline yet: keep the start of the line, or — once it
+                // is longer than `max` — answer the error now and discard
+                // to the newline (no reply can come in between, so this
+                // is the same reply stream as answering at the newline).
+                None if self.discarding => {}
+                None => {
+                    self.inbuf.extend_from_slice(piece);
+                    if self.inbuf.len() > max {
+                        self.session.push_oversized(max);
+                        self.inbuf.clear();
+                        self.discarding = true;
+                    }
+                }
+            }
+            if self.session.pending_len() >= self.opts.batch {
+                self.evaluate()?;
+            }
+        }
+        self.evaluate()
+    }
+
+    /// Answer the pending batch into the reply buffer.
+    fn evaluate(&mut self) -> io::Result<()> {
+        self.session.flush(self.registry, self.pool, &mut self.outbuf)
+    }
+
+    /// Answer (or buffer) one complete line, its `\n` already cut.
+    fn answer(&mut self, line: &[u8]) -> io::Result<()> {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let (registry, pool, opts) = (self.registry, self.pool, self.opts);
+        if self.session.on_line(registry, pool, line, &mut self.outbuf, opts)? == Step::Quit {
+            // Replies already queued still go out; input after QUIT is
+            // never served.
             self.closing = true;
             self.inbuf.clear();
         }
@@ -258,20 +227,10 @@ impl Conn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::serve_session;
     use grepair_core::{compress, GRePairConfig};
     use grepair_hypergraph::Hypergraph;
     use grepair_store::{write_container, GraphStore};
-    use std::io::BufReader;
-    use std::net::TcpListener;
-
-    fn dummy_stream() -> (TcpStream, SocketAddr) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let stream = TcpStream::connect(addr).expect("connect");
-        let (_accepted, peer) = listener.accept().expect("accept");
-        (stream, peer)
-    }
+    use std::io::BufRead;
 
     fn fixture() -> (StoreRegistry, WorkerPool, SessionOpts) {
         let (g, _) = Hypergraph::from_simple_edges(
@@ -287,51 +246,114 @@ mod tests {
         (registry, pool, opts)
     }
 
-    /// Feed `input` through a Conn in the given chunk sizes and return its
-    /// reply bytes.
+    /// Feed `input` through a Conn in the given read sizes (then the rest,
+    /// then EOF) and return its reply bytes.
     fn conn_replies(input: &[u8], chunks: &[usize], opts: &SessionOpts) -> Vec<u8> {
         let (registry, pool, _) = fixture();
-        let (stream, peer) = dummy_stream();
-        let mut conn = Conn::new(stream, peer);
-        let mut fed = 0;
-        for &len in chunks {
-            let end = (fed + len).min(input.len());
-            conn.inbuf.extend_from_slice(&input[fed..end]);
-            fed = end;
-            conn.pump(&registry, &pool, opts).expect("pump");
-            if conn.closing {
+        let mut conn = Conn::new(&registry, &pool, opts);
+        let mut rest = input;
+        let mut buf = [0u8; 512];
+        for &len in chunks.iter().chain(std::iter::repeat(&usize::MAX)) {
+            if conn.closing() {
                 break;
             }
+            let mut reader = rest.take(len as u64);
+            conn.read_from(&mut reader, &mut buf).expect("read");
+            rest = reader.into_inner();
         }
-        if fed < input.len() && !conn.closing {
-            conn.inbuf.extend_from_slice(&input[fed..]);
-            conn.pump(&registry, &pool, opts).expect("pump");
-        }
-        if !conn.closing {
-            // EOF path, minus the socket read.
-            conn.session.flush(&registry, &pool, &mut conn.outbuf).expect("flush");
-            conn.closing = true;
-        }
-        conn.outbuf.clone()
+        let mut out = Vec::new();
+        conn.write_to(&mut out).expect("write");
+        out
     }
 
-    /// Ground truth: the blocking engine over the same bytes.
-    fn blocking_replies(input: &[u8], opts: &SessionOpts) -> Vec<u8> {
+    /// One outcome of the reference framer.
+    enum Event {
+        /// Clean EOF at a line boundary.
+        Eof,
+        /// A complete line (without its terminator) is in the buffer.
+        Line,
+        /// The line exceeded `max`; its remainder was consumed.
+        Oversized,
+        /// EOF in the middle of a line — the partial line is discarded.
+        MidLineEof,
+    }
+
+    /// The reference framer: the blocking line reader thread mode and
+    /// serve-file used before they shared `Conn`. Reads one
+    /// `\n`-terminated line of at most `max` bytes into `buf`, never past
+    /// the newline.
+    fn read_limited_line(
+        reader: &mut impl BufRead,
+        buf: &mut Vec<u8>,
+        max: usize,
+    ) -> io::Result<Event> {
+        buf.clear();
+        // The extra byte tells "exactly max bytes, then a newline" from
+        // "longer than max".
+        let read = reader
+            .take((max as u64).saturating_add(1))
+            .read_until(b'\n', buf)?;
+        if read == 0 {
+            return Ok(Event::Eof);
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+            return Ok(Event::Line);
+        }
+        if read <= max {
+            return Ok(Event::MidLineEof);
+        }
+        let mut rest = Vec::new();
+        loop {
+            rest.clear();
+            let n = reader.take(8192).read_until(b'\n', &mut rest)?;
+            if n == 0 || rest.last() == Some(&b'\n') {
+                return Ok(Event::Oversized);
+            }
+        }
+    }
+
+    /// Ground truth: the reference framer over the whole input, feeding the
+    /// same protocol engine.
+    fn reference_replies(input: &[u8], opts: &SessionOpts) -> Vec<u8> {
         let (registry, pool, _) = fixture();
-        let mut reader = BufReader::new(input);
+        let mut reader = input;
+        let mut state = SessionState::new();
+        let mut line = Vec::new();
         let mut out = Vec::new();
-        serve_session(&registry, &pool, &mut reader, &mut out, opts).expect("serve");
+        loop {
+            match read_limited_line(&mut reader, &mut line, opts.max_line).expect("read") {
+                Event::Eof | Event::MidLineEof => break,
+                Event::Oversized => state.push_oversized(opts.max_line),
+                Event::Line => {
+                    if state
+                        .on_line(&registry, &pool, &line, &mut out, opts)
+                        .expect("line")
+                        == Step::Quit
+                    {
+                        return out;
+                    }
+                }
+            }
+            if state.pending_len() >= opts.batch {
+                state.flush(&registry, &pool, &mut out).expect("flush");
+            }
+        }
+        state.flush(&registry, &pool, &mut out).expect("flush");
         out
     }
 
     fn assert_identical(input: &[u8], chunks: &[usize]) {
         let (_, _, opts) = fixture();
         let framed = conn_replies(input, chunks, &opts);
-        let blocking = blocking_replies(input, &opts);
+        let reference = reference_replies(input, &opts);
         assert_eq!(
             String::from_utf8_lossy(&framed),
-            String::from_utf8_lossy(&blocking),
-            "chunking {chunks:?} of {:?} diverged from blocking mode",
+            String::from_utf8_lossy(&reference),
+            "chunking {chunks:?} of {:?} diverged from the reference framer",
             String::from_utf8_lossy(input),
         );
     }
@@ -355,7 +377,7 @@ mod tests {
         let mut input = long.clone();
         input.push(b'\n');
         input.extend_from_slice(b"out 0\n");
-        // Split mid-oversized-line so discard mode spans pumps.
+        // Split mid-oversized-line so discard mode spans reads.
         assert_identical(&input, &[50, 100, input.len() - 150]);
     }
 
@@ -412,11 +434,11 @@ mod tests {
 
     #[test]
     fn backpressure_flag_tracks_outbuf() {
-        let (stream, peer) = dummy_stream();
-        let mut conn = Conn::new(stream, peer);
-        assert!(!conn.backpressured());
+        let (registry, pool, opts) = fixture();
+        let mut conn = Conn::new(&registry, &pool, &opts);
+        assert!(conn.wants_read());
         conn.outbuf = vec![0u8; OUTBUF_BACKPRESSURE + 1];
-        assert!(conn.backpressured());
+        assert!(!conn.wants_read(), "too many unsent replies stop the reads");
         assert!(conn.wants_write());
     }
 }

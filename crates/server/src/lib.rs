@@ -11,8 +11,8 @@
 //!   back, per-line errors keep the connection serving), extended with an
 //!   upper-case admin plane (`PING` / `INFO` / `STATS [name]` / `USE` /
 //!   `ATTACH` / `DETACH` / `LIST` / `RELOAD` / `QUIT`). Versioned and
-//!   fully specified in DESIGN.md §6 and §8; the CI smoke step asserts the
-//!   socket and file front ends answer byte-identically.
+//!   fully specified in DESIGN.md §6 and §8; `crates/cli/tests/cli.rs`
+//!   asserts the socket and the file answer byte-identically.
 //! * **Multi-tenant hosting** — one server hosts many namespaces
 //!   (`USE <name>` per session, `name:` prefixes per line), each a
 //!   container attached eagerly over the wire (`ATTACH`) or lazily at
@@ -30,11 +30,15 @@
 //!   container while in-flight batches finish on the old `Arc`, bumping
 //!   that namespace's monotonic generation echoed by `STATS`/`INFO`.
 //!
-//! Serving topology: one [`Server`] owns the listener; each accepted
-//! connection gets a session thread running [`serve_session`]; every
-//! session shares the one registry and the one pool. The embedded,
-//! no-socket version of the same pattern is `examples/serving.rs` at the
-//! repository root.
+//! Serving topology: one [`Server`] owns the listener, admits every
+//! connection through one path and counts it in one ledger; what differs
+//! by [`IoMode`] is only who waits on the sockets — a thread per
+//! connection running [`serve_session`], or one epoll reactor for all of
+//! them. Both drive the same connection engine (framing, protocol, reply
+//! buffer), the one `store serve-file` drives through [`serve_session`]
+//! too (DESIGN.md §11.2); every session shares the one registry and the
+//! one pool. The embedded, no-socket version of the same pattern is
+//! `examples/serving.rs` at the repository root.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -65,6 +69,5 @@ pub use server::{
     DEFAULT_MAX_CONNECTIONS, DEFAULT_READ_TIMEOUT,
 };
 pub use session::{
-    serve_session, LineSource, SessionOpts, SessionSummary, DEFAULT_BATCH, DEFAULT_MAX_LINE,
-    PROTO_VERSION,
+    serve_session, SessionOpts, SessionSummary, DEFAULT_BATCH, DEFAULT_MAX_LINE, PROTO_VERSION,
 };

@@ -7,8 +7,8 @@
 //! **once**; every
 //! [`WorkerPool::scope`] call ships the batch's jobs through a channel to
 //! the resident workers and blocks until all of them finished, which is
-//! what lets the jobs borrow the caller's stack (the batch slice, the
-//! shared batch context, the answer slots).
+//! what lets the jobs borrow the caller's stack (the batch slice and the
+//! answer slots).
 //!
 //! The lifetime laundering in `scope` is the only `unsafe` in the serving
 //! stack; its soundness argument is spelled out at the call site.
@@ -70,10 +70,10 @@ impl Drop for LatchGuard {
 ///
 /// Implements [`BatchExecutor`], so a server session fans a connection's
 /// request batch into `GraphStore::query_batch_on(&queries, &pool)` and the
-/// batch machinery (shared batch context, input-ordered answers) runs on
-/// reused threads. One pool serves every connection of a server; `scope`
-/// may be called from many session threads concurrently — jobs interleave
-/// in the channel, each caller waits only on its own latch.
+/// batch machinery (per-chunk answers in input order) runs on reused
+/// threads. One pool serves every connection of a server; `scope` may be
+/// called from many session threads (and the reactor) concurrently — jobs
+/// interleave in the channel, each caller waits only on its own latch.
 #[derive(Debug)]
 pub struct WorkerPool {
     /// `Some` until drop; taking it disconnects the channel, which is the

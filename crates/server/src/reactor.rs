@@ -6,19 +6,26 @@
 //! linked (std links it), so `extern "C"` declarations are all the binding
 //! needs — no new dependency, which matters in this offline build.
 //!
-//! The loop is level-triggered. Each wakeup: accept a burst of new
+//! What is the reactor's own is *who waits on the sockets*: the epoll set,
+//! a slot per connection (socket, peer, epoll mask, idle clock, ledger
+//! entry) and one read buffer. Everything else it shares with thread mode:
+//! admission is `Server::accept_one`, the connection engine is `conn.rs`'s
+//! `Conn` (framing, protocol, reply buffer), the drain deadline and its log
+//! lines are the server's, and a connection leaves the ledger when its
+//! slot drops.
+//!
+//! The loop is level-triggered. Each wakeup: admit a burst of new
 //! connections (token 0), then for each ready connection read a bounded
-//! burst into its [`Conn`] buffers, frame complete lines through the shared
-//! [`SessionState`](crate::session) engine, and opportunistically flush its
-//! reply buffer. Query evaluation itself still runs on the shared
+//! burst into its `Conn` and opportunistically flush its replies. Query
+//! evaluation itself still runs on the shared
 //! [`WorkerPool`](crate::pool::WorkerPool) — the reactor thread only moves
 //! bytes, so the process thread count stays flat no matter how many clients
-//! connect (the property `serve-probe --connections` measures).
+//! connect (`tests/connections.rs` holds 2 048 on it).
 //!
-//! Drain (`SHUTDOWN`/`SIGTERM`) deregisters the listener, answers every
-//! pending batch, and closes each connection as its replies reach the
-//! socket; the drain deadline force-closes stragglers, mirroring the
-//! thread-per-connection `await_drain`.
+//! Drain (`SHUTDOWN`/`SIGTERM`, DESIGN.md §10.4) deregisters the listener,
+//! closes every connection's input — what it read is answered — and drops
+//! each connection as its replies reach the socket; at the drain deadline
+//! the stragglers drop with the slot map.
 
 use crate::server::Server;
 
@@ -32,15 +39,16 @@ pub(crate) fn run(server: &Server) -> std::io::Result<()> {
 #[cfg(target_os = "linux")]
 mod imp {
     use std::collections::HashMap;
-    use std::io::{self, Write};
+    use std::io;
+    use std::net::{SocketAddr, TcpStream};
     use std::os::fd::{AsRawFd, RawFd};
     use std::sync::atomic::Ordering;
     use std::time::{Duration, Instant};
 
     use grepair_util::fail;
 
-    use crate::conn::Conn;
-    use crate::server::{accept_backoff, Server};
+    use crate::conn::{Conn, READ_CHUNK};
+    use crate::server::{accept_backoff, log_session_end, Entry, Server};
 
     // epoll_ctl ops (uapi/linux/eventpoll.h).
     const EPOLL_CTL_ADD: i32 = 1;
@@ -109,8 +117,9 @@ mod imp {
             self.ctl(EPOLL_CTL_MOD, fd, mask, token)
         }
 
-        /// Best-effort deregistration: the fd is about to be closed, which
-        /// deregisters it anyway, so errors are ignored.
+        /// Best-effort deregistration (the listener, at a drain; closing a
+        /// connection's fd deregisters it by itself), so errors are
+        /// ignored.
         fn del(&self, fd: RawFd) {
             let _ = self.ctl(EPOLL_CTL_DEL, fd, 0, 0);
         }
@@ -149,81 +158,112 @@ mod imp {
     const TICK_MS: i32 = 100;
     /// How often the idle sweep checks `read_timeout` expiries.
     const SWEEP_EVERY: Duration = Duration::from_millis(250);
+    /// Read at most this many chunks per readiness wakeup. The loop is
+    /// level-triggered, so a client with more buffered data just gets
+    /// another wakeup; capping the burst keeps one firehose client from
+    /// starving the rest of the event batch.
+    const MAX_CHUNKS_PER_WAKEUP: usize = 4;
 
-    /// A registered connection plus the event mask epoll currently has for
-    /// it (so re-registration happens only when interest changes).
-    struct Slot {
-        conn: Conn,
+    /// A registered connection: the socket and what only the reactor needs
+    /// about it, beside the shared engine. Dropping a slot closes the
+    /// socket — which also takes it out of the epoll set, since the
+    /// reactor never duplicates a connection's fd — and leaves the ledger.
+    struct Slot<'s> {
+        stream: TcpStream,
+        peer: SocketAddr,
+        conn: Conn<'s>,
+        _entry: Entry,
+        /// The event mask epoll currently has (re-registered only when
+        /// interest changes).
         mask: u32,
+        /// Last byte moved either way; the idle sweep's clock.
+        last_activity: Instant,
     }
 
-    fn desired_mask(conn: &Conn) -> u32 {
-        let mut mask = EPOLLRDHUP;
-        if !conn.closing && !conn.backpressured() {
-            mask |= EPOLLIN;
+    impl Slot<'_> {
+        fn desired_mask(&self) -> u32 {
+            let mut mask = EPOLLRDHUP;
+            if self.conn.wants_read() {
+                mask |= EPOLLIN;
+            }
+            if self.conn.wants_write() {
+                mask |= EPOLLOUT;
+            }
+            mask
         }
-        if conn.wants_write() {
-            mask |= EPOLLOUT;
+
+        /// Read a bounded burst into the engine (one `read` per chunk of
+        /// the reactor's buffer).
+        fn read_burst(&mut self, buf: &mut [u8]) -> io::Result<()> {
+            // A fired `conn.read` fault is a transport error on this one
+            // connection, exactly like `session.read` in thread mode.
+            fail::point("conn.read").map_err(io::Error::other)?;
+            for _ in 0..MAX_CHUNKS_PER_WAKEUP {
+                match self.conn.read_from(&mut self.stream, buf) {
+                    Ok(n) => {
+                        self.last_activity = Instant::now();
+                        if n < buf.len() || !self.conn.wants_read() {
+                            break; // socket buffer drained, or stop reading
+                        }
+                    }
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) => return Err(e),
+                }
+            }
+            Ok(())
         }
-        mask
+
+        /// Push as much of the queued replies as the kernel takes.
+        fn write_out(&mut self) -> io::Result<()> {
+            if !self.conn.wants_write() {
+                return Ok(());
+            }
+            // A fired `conn.write` fault is a transport error on this one
+            // connection, like `session.write` in thread mode.
+            fail::point("conn.write").map_err(io::Error::other)?;
+            if self.conn.write_to(&mut self.stream)? > 0 {
+                self.last_activity = Instant::now();
+            }
+            Ok(())
+        }
     }
 
     pub(crate) fn run(server: &Server) -> io::Result<()> {
         server.listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
         epoll.add(server.listener.as_raw_fd(), EPOLLIN, LISTENER)?;
-        let mut conns: HashMap<u64, Slot> = HashMap::new();
+        let mut conns: HashMap<u64, Slot<'_>> = HashMap::new();
         let mut next_token: u64 = LISTENER + 1;
         let mut events = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
-        let mut accept_failures = 0u32;
+        // One read buffer for every connection: a read is framed into
+        // lines (and a partial line into its `Conn`) before the next.
+        let mut buf = vec![0u8; READ_CHUNK];
+        let mut failures = 0u32;
         let mut drain_deadline: Option<Instant> = None;
         let mut last_sweep = Instant::now();
         loop {
             // A drain takes precedence over the plain stop the drain
-            // watcher also sets: deregister the listener, answer every
-            // pending batch, then let each connection close as its replies
+            // watcher also sets: stop accepting, answer what every
+            // connection has read, then let each close as its replies
             // reach the socket.
             if server.drain.load(Ordering::Relaxed) && drain_deadline.is_none() {
-                drain_deadline = Some(Instant::now() + server.drain_deadline);
+                drain_deadline = Some(server.begin_drain());
                 epoll.del(server.listener.as_raw_fd());
-                // audited: operator log from the drain path; stderr is the server's log surface
-                eprintln!("draining: {} active sessions", conns.len());
-                for slot in conns.values_mut() {
-                    let _ = slot.conn.begin_close(&server.registry, &server.pool);
-                    let _ = slot.conn.handle_writable();
-                }
                 conns.retain(|_, slot| {
-                    let done = slot.conn.finished();
-                    if done {
-                        epoll.del(slot.conn.stream.as_raw_fd());
-                        server.active.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    !done
+                    let alive = slot.conn.close().and_then(|()| slot.write_out()).is_ok();
+                    alive && !slot.conn.finished()
                 });
             }
             match drain_deadline {
+                // Whatever is left in `conns` drops with it (and leaves
+                // the ledger) on return.
                 Some(deadline) => {
-                    if conns.is_empty() {
-                        return Ok(());
-                    }
-                    if Instant::now() >= deadline {
-                        // audited: operator log from the drain path; stderr is the server's log surface
-                        eprintln!(
-                            "drain deadline reached with {} sessions still active",
-                            conns.len()
-                        );
-                        for slot in conns.values() {
-                            server.active.fetch_sub(1, Ordering::Relaxed);
-                            let _ = slot;
-                        }
+                    if conns.is_empty() || server.drain_overdue(deadline) {
                         return Ok(());
                     }
                 }
                 None => {
                     if server.stop.load(Ordering::Relaxed) {
-                        // Plain stop (tests, ServerHandle): drop everything;
-                        // the OS closes the sockets.
-                        server.active.fetch_sub(conns.len() as u64, Ordering::Relaxed);
                         return Ok(());
                     }
                 }
@@ -242,32 +282,39 @@ mod imp {
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             };
-            // audited: `wait` contract: n <= events.len() (clamped to maxevents)
-            for ev in &events[..n] {
+            for ev in events.iter().take(n) {
                 // Copy out of the (possibly packed) kernel record; packed
                 // fields must not be borrowed.
                 let token = ev.data;
                 let bits = ev.events;
                 if token == LISTENER {
                     if drain_deadline.is_none() {
-                        accept_burst(
-                            server,
-                            &epoll,
-                            &mut conns,
-                            &mut next_token,
-                            &mut accept_failures,
-                        );
+                        accept_burst(server, &epoll, &mut conns, &mut next_token, &mut failures);
                     }
                     continue;
                 }
                 let Some(slot) = conns.get_mut(&token) else {
                     continue; // already dropped this wakeup
                 };
-                let result = handle_conn_event(server, slot, bits);
-                finish_or_rearm(server, &epoll, &mut conns, token, result);
+                match handle_event(slot, bits, &mut buf) {
+                    Err(e) => {
+                        log_session_end(slot.peer, Err(e));
+                        conns.remove(&token);
+                    }
+                    Ok(()) if slot.conn.finished() => {
+                        conns.remove(&token);
+                    }
+                    Ok(()) => {
+                        let want = slot.desired_mask();
+                        let fd = slot.stream.as_raw_fd();
+                        if want != slot.mask && epoll.modify(fd, want, token).is_ok() {
+                            slot.mask = want;
+                        }
+                    }
+                }
             }
             // Idle sweep: enforce read_timeout on parked connections, the
-            // reactor's analogue of the blocking mode's SO_RCVTIMEO cutoff
+            // reactor's analogue of thread mode's SO_RCVTIMEO cutoff
             // (silent there, silent here). Also reaps draining stragglers
             // whose replies flushed between wakeups.
             if last_sweep.elapsed() >= SWEEP_EVERY {
@@ -275,144 +322,51 @@ mod imp {
                 let timeout = server.read_timeout;
                 conns.retain(|_, slot| {
                     let idle = timeout
-                        .is_some_and(|t| !slot.conn.closing && slot.conn.last_activity.elapsed() >= t);
-                    let done = slot.conn.finished() || idle;
-                    if done {
-                        epoll.del(slot.conn.stream.as_raw_fd());
-                        server.active.fetch_sub(1, Ordering::Relaxed);
-                    }
-                    !done
+                        .is_some_and(|t| !slot.conn.closing() && slot.last_activity.elapsed() >= t);
+                    !(slot.conn.finished() || idle)
                 });
-                if drain_deadline.is_some() && conns.is_empty() {
-                    return Ok(());
-                }
             }
         }
     }
 
-    /// Accept until the backlog is empty. Mirrors the thread-mode accept
-    /// loop: same failpoint, same counters, same refusal line over the cap,
-    /// same log lines — only the session transport differs.
-    fn accept_burst(
-        server: &Server,
+    /// Admit connections until the backlog is empty or an accept fails,
+    /// through the admission path thread mode uses too.
+    fn accept_burst<'s>(
+        server: &'s Server,
         epoll: &Epoll,
-        conns: &mut HashMap<u64, Slot>,
+        conns: &mut HashMap<u64, Slot<'s>>,
         next_token: &mut u64,
-        accept_failures: &mut u32,
+        failures: &mut u32,
     ) {
-        loop {
-            let accepted = fail::point("server.accept")
-                .map_err(io::Error::other)
-                .and_then(|()| server.listener.accept());
-            let (stream, peer) = match accepted {
-                Ok(accepted) => {
-                    *accept_failures = 0;
-                    accepted
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) => {
-                    // Transient accept failures must not take the server
-                    // down; back off briefly so a persistent failure does
-                    // not spin the reactor at 100% CPU.
-                    *accept_failures = accept_failures.saturating_add(1);
-                    // audited: operator log from the accept path; stderr is the server's log surface
-                    eprintln!("accept failed: {e}");
-                    std::thread::sleep(accept_backoff(*accept_failures));
-                    return;
-                }
-            };
-            server.connections.fetch_add(1, Ordering::Relaxed);
-            if conns.len() >= server.max_connections {
-                let mut stream = stream;
-                let _ = writeln!(
-                    stream,
-                    "error: connection limit reached ({} active)",
-                    server.max_connections
-                );
-                // audited: operator log from the accept path; stderr is the server's log surface
-                eprintln!("refusing {peer}: connection limit reached");
-                continue;
-            }
-            if stream.set_nonblocking(true).is_err() {
-                continue; // stream is unusable; drop it
-            }
-            // Request/reply over one stream: latency over coalescing, same
-            // as the blocking front end.
-            let _ = stream.set_nodelay(true);
+        while let Ok(admitted) = server.accept_one(failures) {
+            let Some((stream, peer, entry)) = admitted else { continue };
+            let conn = Conn::new(&server.registry, &server.pool, &server.opts);
+            let mut slot =
+                Slot { stream, peer, conn, _entry: entry, mask: 0, last_activity: Instant::now() };
+            slot.mask = slot.desired_mask();
             let token = *next_token;
             *next_token += 1;
-            let conn = Conn::new(stream, peer);
-            let mask = desired_mask(&conn);
-            if epoll.add(conn.stream.as_raw_fd(), mask, token).is_err() {
-                continue; // cannot watch it; drop the connection
+            // A socket that cannot be made non-blocking or watched is
+            // dropped, and leaves the ledger with its slot.
+            if slot.stream.set_nonblocking(true).is_ok()
+                && epoll.add(slot.stream.as_raw_fd(), slot.mask, token).is_ok()
+            {
+                conns.insert(token, slot);
             }
-            server.active.fetch_add(1, Ordering::Relaxed);
-            conns.insert(token, Slot { conn, mask });
         }
     }
 
     /// Drive one connection through its ready events. `Err` means the
-    /// connection died and must be dropped.
-    fn handle_conn_event(server: &Server, slot: &mut Slot, bits: u32) -> io::Result<()> {
-        if bits & EPOLLERR != 0 {
-            // Fetch the real error (read on an errored socket returns it).
-            let mut scratch = [0u8; 1];
-            let err = match io::Read::read(&mut slot.conn.stream, &mut scratch) {
-                Err(e) => e,
-                Ok(_) => io::Error::other("socket error event"),
-            };
-            return Err(err);
-        }
-        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0
-            && !slot.conn.closing
-            && !slot.conn.backpressured()
-        {
-            slot.conn.handle_readable(&server.registry, &server.pool, &server.opts)?;
+    /// connection died and must be dropped; a socket error (`EPOLLERR`)
+    /// surfaces from the read, or from the write when it is not reading.
+    fn handle_event(slot: &mut Slot<'_>, bits: u32, buf: &mut [u8]) -> io::Result<()> {
+        if bits & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0 && slot.conn.wants_read() {
+            slot.read_burst(buf)?;
         }
         // Optimistic flush: the kernel send buffer almost always has room,
         // so replies usually leave without waiting for an EPOLLOUT round
         // trip.
-        slot.conn.handle_writable()
-    }
-
-    /// Apply the outcome of an event: drop a dead or finished connection
-    /// (logging real errors, like the thread-mode session reaper) or
-    /// re-register changed interest.
-    fn finish_or_rearm(
-        server: &Server,
-        epoll: &Epoll,
-        conns: &mut HashMap<u64, Slot>,
-        token: u64,
-        result: io::Result<()>,
-    ) {
-        let Some(slot) = conns.get_mut(&token) else { return };
-        match result {
-            Err(e) => {
-                // The peer vanishing mid-write is normal churn, not a
-                // server error; anything else is worth a line.
-                if e.kind() != io::ErrorKind::BrokenPipe {
-                    // audited: operator log from the reactor; stderr is the server's log surface
-                    eprintln!("session with {} ended: {e}", slot.conn.peer);
-                }
-                epoll.del(slot.conn.stream.as_raw_fd());
-                server.active.fetch_sub(1, Ordering::Relaxed);
-                conns.remove(&token);
-            }
-            Ok(()) => {
-                if slot.conn.finished() {
-                    epoll.del(slot.conn.stream.as_raw_fd());
-                    server.active.fetch_sub(1, Ordering::Relaxed);
-                    conns.remove(&token);
-                    return;
-                }
-                let want = desired_mask(&slot.conn);
-                if want != slot.mask
-                    && epoll.modify(slot.conn.stream.as_raw_fd(), want, token).is_ok()
-                {
-                    slot.mask = want;
-                }
-            }
-        }
+        slot.write_out()
     }
 }
 

@@ -1,15 +1,24 @@
-//! The TCP front end: bind, accept, one session thread per connection, all
-//! sessions sharing one [`WorkerPool`] and one [`StoreRegistry`].
+//! The TCP server: bind, accept, drain — everything about a connection
+//! except who waits on its socket (DESIGN.md §6.5, §10.4, §11).
+//!
+//! Thread mode gives each connection a thread running [`serve_session`] on
+//! the blocking socket; epoll mode hands every socket to `reactor.rs`. Both
+//! share one admission routine (`Server::accept_one`), one ledger of live
+//! connections whose entries' `Drop` is the only decrement of
+//! `connections_active`, one drain deadline, and one rule for which
+//! session endings are logged.
 
-use std::io::{BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use grepair_store::{StoreRegistry, DEFAULT_NAMESPACE};
 use grepair_util::args::{flag_value, flag_values, validate_value_flags};
 use grepair_util::fail;
+use grepair_util::sync::Mutex;
 
 use crate::pool::WorkerPool;
 use crate::session::{serve_session, SessionOpts, DEFAULT_BATCH, DEFAULT_MAX_LINE};
@@ -115,7 +124,7 @@ impl Default for ServerConfig {
 /// A bound (but not yet running) server.
 ///
 /// Fields are `pub(crate)` so the epoll reactor (`reactor.rs`) can drive
-/// the same listener, registry, pool, counters, and drain flag the
+/// the same listener, registry, pool, ledger, and drain flag the
 /// thread-per-connection loop uses — one server, two interchangeable
 /// front ends.
 #[derive(Debug)]
@@ -125,26 +134,87 @@ pub struct Server {
     pub(crate) pool: Arc<WorkerPool>,
     pub(crate) opts: SessionOpts,
     pub(crate) read_timeout: Option<Duration>,
-    pub(crate) max_connections: usize,
-    pub(crate) drain_deadline: Duration,
+    max_connections: usize,
+    drain_deadline: Duration,
     pub(crate) stop: Arc<AtomicBool>,
     /// Flipped by any session's `SHUTDOWN` (via [`SessionOpts::drain`]) or
     /// by `SIGTERM`; the drain watcher turns it into a stop + graceful
     /// wait (DESIGN.md §10).
     pub(crate) drain: Arc<AtomicBool>,
-    pub(crate) connections: Arc<AtomicU64>,
-    pub(crate) active: Arc<AtomicU64>,
+    connections: AtomicU64,
+    ledger: Arc<Ledger>,
     io: IoMode,
 }
 
-/// Decrements the active-connection count when a session ends, however it
-/// ends — clean EOF, transport error, refused spawn (the closure holding
-/// the guard is dropped), or panic unwind.
-struct ActiveGuard(Arc<AtomicU64>);
+/// Every live connection, in either io mode: one [`Entry`] each.
+///
+/// A thread-mode entry also files a clone of its socket here — the handle
+/// a drain uses to shut down the read half of a session parked in a
+/// blocking `read`, which then answers what it has and ends (DESIGN.md
+/// §10.4). Reactor connections file none: the reactor owns their sockets
+/// and closes them itself.
+#[derive(Debug, Default)]
+struct Ledger {
+    active: AtomicU64,
+    next_id: AtomicU64,
+    readers: Mutex<HashMap<u64, TcpStream>>,
+}
 
-impl Drop for ActiveGuard {
+/// One live connection's place in the [`Ledger`]. Dropping it — however
+/// the connection ends: EOF, transport error, refusal, a session thread
+/// that never started, panic unwind, a reactor slot dropped — is the only
+/// way `active` goes down.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    ledger: Arc<Ledger>,
+    id: u64,
+}
+
+impl Ledger {
+    /// Enter one connection; also returns how many were live before it.
+    fn enter(self: &Arc<Self>) -> (Entry, u64) {
+        let before = self.active.fetch_add(1, Ordering::Relaxed);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        (Entry { ledger: Arc::clone(self), id }, before)
+    }
+
+    /// End the reads of every thread-mode session: a parked `read`
+    /// returns EOF.
+    fn shutdown_reads(&self) {
+        for stream in self.readers.lock().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+impl Entry {
+    /// File a clone of a thread-mode session's socket for the drain.
+    fn keep_reader(&self, stream: &TcpStream) -> std::io::Result<()> {
+        let clone = stream.try_clone()?;
+        self.ledger.readers.lock().insert(self.id, clone);
+        Ok(())
+    }
+}
+
+impl Drop for Entry {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        self.ledger.readers.lock().remove(&self.id);
+        self.ledger.active.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Log how a session ended, in either io mode. A clean end, the peer
+/// vanishing mid-write (normal churn), and the read-timeout cutoff
+/// (`WouldBlock` from Unix `SO_RCVTIMEO`, `TimedOut` elsewhere — a session
+/// parks in `read` only once everything it read is answered) are silent;
+/// anything else is worth a line.
+pub(crate) fn log_session_end(peer: SocketAddr, result: std::io::Result<()>) {
+    use std::io::ErrorKind::{BrokenPipe, TimedOut, WouldBlock};
+    if let Err(e) = result {
+        if !matches!(e.kind(), BrokenPipe | WouldBlock | TimedOut) {
+            // audited: operator log from both front ends; stderr is the server's log surface
+            eprintln!("session with {peer} ended: {e}");
+        }
     }
 }
 
@@ -210,8 +280,8 @@ impl Server {
             drain_deadline: config.drain_deadline,
             stop: Arc::new(AtomicBool::new(false)),
             drain,
-            connections: Arc::new(AtomicU64::new(0)),
-            active: Arc::new(AtomicU64::new(0)),
+            connections: AtomicU64::new(0),
+            ledger: Arc::default(),
             io: config.io,
         })
     }
@@ -228,7 +298,7 @@ impl Server {
 
     /// Connections currently being served.
     pub fn connections_active(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
+        self.ledger.active.load(Ordering::Relaxed)
     }
 
     /// A stop handle usable from other threads.
@@ -269,28 +339,27 @@ impl Server {
     }
 
     /// Accept connections until [`ServerHandle::stop`] is called or a
-    /// drain begins (`SHUTDOWN` from any session, or `SIGTERM`). Each
-    /// connection gets its own session thread; batch evaluation runs on the
-    /// shared pool, so the number of *query-crunching* threads stays fixed
-    /// no matter how many clients connect.
+    /// drain begins (`SHUTDOWN` from any session, or `SIGTERM`). In thread
+    /// mode each connection gets its own session thread; in epoll mode the
+    /// reactor thread owns every socket. Either way batch evaluation runs on
+    /// the shared pool, so the number of *query-crunching* threads stays
+    /// fixed no matter how many clients connect.
     ///
-    /// A drain is graceful (DESIGN.md §10): the listener stops accepting,
-    /// in-flight sessions finish their current batches and end, and only
-    /// once they all ended — or the drain deadline expired — does this
-    /// return.
+    /// A drain is graceful (DESIGN.md §10.4): the listener stops accepting,
+    /// every session answers what it has read and ends, and only once they
+    /// all ended — or the drain deadline expired — does this return.
     pub fn run(&self) -> std::io::Result<()> {
         self.spawn_drain_watcher()?;
         match self.io {
             IoMode::Threads => {
-                let result = self.accept_loop();
+                self.accept_loop();
                 if self.drain.load(Ordering::Relaxed) {
                     self.await_drain();
                 }
-                result
+                Ok(())
             }
-            // The reactor owns its own drain sequencing (every connection
-            // lives on the reactor thread, so it flushes and closes them
-            // itself instead of waiting on session threads).
+            // The reactor drains on its own thread: every connection lives
+            // there, so it closes them itself.
             IoMode::Epoll => crate::reactor::run(self),
         }
     }
@@ -322,130 +391,123 @@ impl Server {
             .map(|_| ())
     }
 
-    /// Block until every active session ended, up to the drain deadline.
-    fn await_drain(&self) {
+    /// A drain begins: log it and return its deadline.
+    pub(crate) fn begin_drain(&self) -> Instant {
         // audited: operator log from the drain path; stderr is the server's log surface
         eprintln!("draining: {} active sessions", self.connections_active());
-        let deadline = std::time::Instant::now() + self.drain_deadline;
-        while self.connections_active() > 0 {
-            if std::time::Instant::now() >= deadline {
-                // audited: operator log from the drain path; stderr is the server's log surface
-                eprintln!(
-                    "drain deadline reached with {} sessions still active",
-                    self.connections_active()
-                );
-                return;
-            }
+        Instant::now() + self.drain_deadline
+    }
+
+    /// Has the drain `deadline` passed? Logs the sessions it abandons.
+    pub(crate) fn drain_overdue(&self, deadline: Instant) -> bool {
+        let overdue = Instant::now() >= deadline;
+        if overdue {
+            // audited: operator log from the drain path; stderr is the server's log surface
+            eprintln!(
+                "drain deadline reached with {} sessions still active",
+                self.connections_active()
+            );
+        }
+        overdue
+    }
+
+    /// Thread mode's drain: end every session's reads, then wait for the
+    /// ledger to empty, up to the deadline.
+    fn await_drain(&self) {
+        let deadline = self.begin_drain();
+        self.ledger.shutdown_reads();
+        while self.connections_active() > 0 && !self.drain_overdue(deadline) {
             std::thread::sleep(Duration::from_millis(10));
         }
     }
 
-    fn accept_loop(&self) -> std::io::Result<()> {
-        let mut accept_failures = 0u32;
-        loop {
-            let accepted = fail::point("server.accept")
-                .map_err(std::io::Error::other)
-                .and_then(|()| self.listener.accept());
-            let (stream, peer) = match accepted {
-                Ok(accepted) => {
-                    accept_failures = 0;
-                    accepted
-                }
-                Err(e) => {
-                    if self.stop.load(Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                    // Transient accept failures (EMFILE, aborted handshake)
-                    // must not take the server down — but a *persistent*
-                    // one (fd exhaustion) would otherwise spin this loop
-                    // at 100% CPU, so back off exponentially (reset by the
-                    // next successful accept) before retrying.
-                    accept_failures = accept_failures.saturating_add(1);
-                    // audited: operator log from the accept loop; stderr is the server's log surface
+    /// One turn of either accept loop: the one admission path. Accepts one
+    /// socket (behind the `server.accept` failpoint), counts it, holds it
+    /// to the connection cap — over it, one `error:` line and a close, so a
+    /// flood degrades into fast refusals — and sets `TCP_NODELAY`
+    /// (request/reply over one stream: latency over coalescing).
+    ///
+    /// `Ok(Some(..))` is an admitted connection with its ledger entry;
+    /// `Ok(None)` a refusal, or the stop wake-up (not counted). `Err`
+    /// means nothing was accepted: `WouldBlock` from the reactor's
+    /// non-blocking listener, or a failure — logged and backed off per
+    /// [`accept_backoff`], unless the server is stopping.
+    pub(crate) fn accept_one(
+        &self,
+        failures: &mut u32,
+    ) -> std::io::Result<Option<(TcpStream, SocketAddr, Entry)>> {
+        let accepted = fail::point("server.accept")
+            .map_err(std::io::Error::other)
+            .and_then(|()| self.listener.accept());
+        let (mut stream, peer) = match accepted {
+            Ok(accepted) => accepted,
+            Err(e) => {
+                let idle = e.kind() == std::io::ErrorKind::WouldBlock;
+                if !idle && !self.stop.load(Ordering::Relaxed) {
+                    *failures = failures.saturating_add(1);
+                    // audited: operator log from the accept path; stderr is the server's log surface
                     eprintln!("accept failed: {e}");
-                    std::thread::sleep(accept_backoff(accept_failures));
-                    continue;
+                    std::thread::sleep(accept_backoff(*failures));
                 }
-            };
+                return Err(e);
+            }
+        };
+        *failures = 0;
+        if self.stop.load(Ordering::Relaxed) {
+            return Ok(None);
+        }
+        self.connections.fetch_add(1, Ordering::Relaxed);
+        // Only the accepting thread enters the ledger, so `before` is exact.
+        let (entry, before) = self.ledger.enter();
+        if before as usize >= self.max_connections {
+            let _ = writeln!(
+                stream,
+                "error: connection limit reached ({} active)",
+                self.max_connections
+            );
+            // audited: operator log from the accept path; stderr is the server's log surface
+            eprintln!("refusing {peer}: connection limit reached");
+            return Ok(None);
+        }
+        let _ = stream.set_nodelay(true);
+        Ok(Some((stream, peer, entry)))
+    }
+
+    /// Thread mode: one session thread per admitted connection, running
+    /// [`serve_session`] on the blocking socket.
+    fn accept_loop(&self) {
+        let mut failures = 0u32;
+        loop {
+            let accepted = self.accept_one(&mut failures);
             if self.stop.load(Ordering::Relaxed) {
-                return Ok(());
+                return;
             }
-            self.connections.fetch_add(1, Ordering::Relaxed);
-            // Connection cap: over it, answer one error line and close —
-            // a flood degrades into fast refusals, not unbounded session
-            // threads. (The accept loop is the only incrementer, so the
-            // fetch_add is exact; sessions decrement via their guard.)
-            if self.active.fetch_add(1, Ordering::Relaxed) as usize >= self.max_connections {
-                let _guard = ActiveGuard(Arc::clone(&self.active));
-                let mut stream = stream;
-                let _ = writeln!(
-                    stream,
-                    "error: connection limit reached ({} active)",
-                    self.max_connections
-                );
-                // audited: operator log from the accept loop; stderr is the server's log surface
-                eprintln!("refusing {peer}: connection limit reached");
-                continue;
-            }
-            let guard = ActiveGuard(Arc::clone(&self.active));
+            let Ok(Some((stream, peer, entry))) = accepted else { continue };
             let registry = Arc::clone(&self.registry);
             let pool = Arc::clone(&self.pool);
             let opts = self.opts.clone();
             let read_timeout = self.read_timeout;
-            let spawned = std::thread::Builder::new()
-                .name("grepair-session".into())
-                .spawn(move || {
-                    let _guard = guard;
-                    if let Err(e) = serve_one(&registry, &pool, stream, &opts, read_timeout) {
-                        // The peer vanishing mid-write is normal churn, not
-                        // a server error; anything else is worth a line.
-                        if e.kind() != std::io::ErrorKind::BrokenPipe {
-                            // audited: operator log from the accept loop; stderr is the server's log surface
-                            eprintln!("session with {peer} ended: {e}");
-                        }
-                    }
-                });
-            if let Err(e) = spawned {
-                // Thread exhaustion (a connection flood) refuses this one
-                // connection — the stream moved into the failed closure and
-                // drops closed — but must not take the server down: same
-                // contract as the accept-error branch above.
+            let started = entry.keep_reader(&stream).and_then(|()| {
+                std::thread::Builder::new().name("grepair-session".into()).spawn(move || {
+                    // Locals drop in reverse: the socket closes (the peer
+                    // reads EOF) before the entry leaves the ledger.
+                    let _entry = entry;
+                    let stream = stream;
+                    let served = stream.set_read_timeout(read_timeout).and_then(|()| {
+                        serve_session(&registry, &pool, &mut &stream, &mut &stream, &opts)
+                    });
+                    log_session_end(peer, served.map(drop));
+                })
+            });
+            if let Err(e) = started {
+                // Fd or thread exhaustion (a connection flood) refuses this
+                // one connection — it drops closed with its entry — but
+                // must not take the server down.
                 // audited: operator log from the accept loop; stderr is the server's log surface
-                eprintln!("refusing {peer}: cannot spawn session thread: {e}");
+                eprintln!("refusing {peer}: cannot start a session thread: {e}");
             }
         }
     }
-}
-
-/// Wire one accepted TCP stream into the session engine.
-fn serve_one(
-    registry: &StoreRegistry,
-    pool: &WorkerPool,
-    stream: TcpStream,
-    opts: &SessionOpts,
-    read_timeout: Option<Duration>,
-) -> std::io::Result<()> {
-    // The protocol is request/reply over one stream: latency matters more
-    // than segment coalescing, and the session already batches writes.
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(read_timeout)?;
-    let mut writer = BufWriter::new(stream.try_clone()?);
-    let mut reader = BufReader::new(stream);
-    match serve_session(registry, pool, &mut reader, &mut writer, opts) {
-        Ok(_) => {}
-        // The read timeout fired while the session was parked waiting for
-        // the client (`WouldBlock` on Unix `SO_RCVTIMEO`, `TimedOut`
-        // elsewhere). Everything answerable was already answered — the
-        // adaptive batcher flushes before blocking — so this is a clean
-        // idle cutoff, not a transport error worth logging.
-        Err(e)
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) => {}
-        Err(e) => return Err(e),
-    }
-    writer.flush()
 }
 
 /// Validate the requested `--io` mode against the platform. The epoll

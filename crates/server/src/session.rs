@@ -3,11 +3,11 @@
 //!
 //! The query plane is exactly the `store serve-file` line protocol — one
 //! query per line, one reply line back, per-line errors never close the
-//! connection — so the two front ends are byte-identical on the same input
-//! (the CI smoke step diffs them). A query line may carry a one-shot
-//! `name:` namespace prefix; unprefixed lines go to the session's current
-//! namespace (`default` until a `USE`). On top sits the admin plane:
-//! upper-case verbs (`PING`, `INFO`, `STATS [name]`, `USE`, `ATTACH`,
+//! connection — so the socket and the file are byte-identical on the same
+//! input (`crates/cli/tests/cli.rs` diffs them). A query line may carry a
+//! one-shot `name:` namespace prefix; unprefixed lines go to the session's
+//! current namespace (`default` until a `USE`). On top sits the admin
+//! plane: upper-case verbs (`PING`, `INFO`, `STATS [name]`, `USE`, `ATTACH`,
 //! `DETACH`, `LIST`, `RELOAD`, `PATCH`, `VERSIONS [name]`, `FAULTS`,
 //! `SHUTDOWN`, `QUIT`) that a query file can never collide with, because
 //! query verbs are lower-case.
@@ -26,16 +26,19 @@
 //! serve normally. `SHUTDOWN` flips the server's drain flag, replies
 //! `draining`, and ends the session.
 //!
-//! Batching is adaptive: lines are parsed and buffered while more input is
-//! already waiting in the read buffer, and the pending batch is evaluated
-//! (through the shared [`WorkerPool`] for large batches) the moment the
-//! client pauses — so an interactive `nc` session gets an answer per line
-//! while a pipelined client gets amortized batches, without any flush
-//! command in the protocol. A mixed-namespace batch is grouped per
-//! namespace (one store snapshot each) and the replies are written back in
-//! input order.
+//! Batching is adaptive: the lines of one read are parsed and buffered,
+//! and the pending batch is evaluated (through the shared [`WorkerPool`]
+//! for large batches) once they are used up — so an interactive `nc`
+//! session gets an answer per line while a pipelined client gets amortized
+//! batches, without any flush command in the protocol. A mixed-namespace
+//! batch is grouped per namespace (one store snapshot each) and the
+//! replies are written back in input order.
+//!
+//! Framing — bytes into lines, the `--max-line` rule, EOF and `QUIT` — is
+//! `conn.rs`'s, shared by [`serve_session`] and the epoll reactor; this
+//! module is what a complete line means.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -45,6 +48,7 @@ use grepair_store::{
 };
 use grepair_util::fail;
 
+use crate::conn::{Conn, READ_CHUNK};
 use crate::pool::WorkerPool;
 
 /// Wire protocol version, echoed by `INFO`. Bumped only for *breaking*
@@ -83,10 +87,10 @@ pub struct SessionOpts {
     /// started from); `None` leaves only the registry's own records.
     pub reload_path: Option<String>,
     /// Set by a `SHUTDOWN` verb (any session) or SIGTERM; the socket server
-    /// watches it to stop accepting and drain (DESIGN.md §10). Sessions
-    /// also check it between batches so a streaming client cannot hold the
-    /// drain open forever. `None` (serve-file, tests) means `SHUTDOWN`
-    /// only ends the issuing session.
+    /// watches it to stop accepting and drain (DESIGN.md §10.4).
+    /// [`serve_session`] also checks it between reads so a streaming client
+    /// cannot hold the drain open. `None` (serve-file, tests) means
+    /// `SHUTDOWN` only ends the issuing session.
     pub drain: Option<Arc<AtomicBool>>,
 }
 
@@ -107,80 +111,6 @@ pub struct SessionSummary {
     pub reloads: u64,
     /// Lines answered `busy` because the pool was past its shed watermark.
     pub sheds: u64,
-}
-
-/// A buffered byte source that can tell whether more input is *already*
-/// buffered — the signal the adaptive batcher uses to decide "evaluate now
-/// or keep reading" without ever blocking on a peek.
-pub trait LineSource: BufRead {
-    /// True when at least one byte can be read without blocking.
-    fn buffered(&self) -> bool;
-}
-
-impl<R: Read> LineSource for BufReader<R> {
-    fn buffered(&self) -> bool {
-        !self.buffer().is_empty()
-    }
-}
-
-/// In-memory sources are "fully buffered" until exhausted (tests and the
-/// offline path).
-impl LineSource for &[u8] {
-    fn buffered(&self) -> bool {
-        !self.is_empty()
-    }
-}
-
-/// One line-read outcome. Distinguishing the failure shapes matters: an
-/// oversized line gets an error *reply* and the session continues; a
-/// mid-line disconnect can't be replied to, so the session just ends
-/// cleanly.
-enum LineEvent {
-    /// Clean EOF at a line boundary.
-    Eof,
-    /// A complete line (without its terminator) is in the buffer.
-    Line,
-    /// The line exceeded `max_line`; its remainder was consumed and
-    /// discarded.
-    Oversized,
-    /// EOF in the middle of a line — the partial line is discarded.
-    MidLineEof,
-}
-
-/// Read one `\n`-terminated line of at most `max` bytes into `buf`
-/// (cleared first). Never reads past the terminating newline.
-fn read_limited_line(
-    reader: &mut impl LineSource,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> std::io::Result<LineEvent> {
-    buf.clear();
-    // `take(max + 1)`: the extra byte distinguishes "exactly max bytes then
-    // newline" (fine) from "longer than max" (oversized). Saturating: a
-    // `--max-line usize::MAX` must mean "unlimited", not wrap to take(0).
-    let read = reader.take((max as u64).saturating_add(1)).read_until(b'\n', buf)?;
-    if read == 0 {
-        return Ok(LineEvent::Eof);
-    }
-    if buf.last() == Some(&b'\n') {
-        buf.pop();
-        if buf.last() == Some(&b'\r') {
-            buf.pop(); // tolerate CRLF clients (telnet, Windows nc)
-        }
-        return Ok(LineEvent::Line);
-    }
-    if read <= max {
-        return Ok(LineEvent::MidLineEof);
-    }
-    // Oversized: swallow the rest of the line so the *next* line parses.
-    let mut rest = Vec::new();
-    loop {
-        rest.clear();
-        let n = reader.take(8192).read_until(b'\n', &mut rest)?;
-        if n == 0 || rest.last() == Some(&b'\n') {
-            return Ok(LineEvent::Oversized);
-        }
-    }
 }
 
 /// The admin plane: upper-case verbs, handled out-of-band of the query
@@ -318,16 +248,10 @@ pub(crate) enum Step {
     Quit,
 }
 
-/// The per-connection protocol state machine, factored out of the blocking
-/// loop so both front ends drive the *same* engine: [`serve_session`]
-/// feeds it from a blocking [`LineSource`], the epoll reactor
-/// (DESIGN.md §11) from non-blocking per-connection frame buffers. One
-/// engine is what makes the two modes byte-identical by construction —
-/// there is no second protocol implementation to drift.
-///
-/// The driver owns framing (turning bytes into complete lines) and the
-/// batching *decision* ("the client paused"); the state owns everything
-/// protocol: the current namespace, the pending batch, and the summary.
+/// The per-connection protocol state machine: the current namespace, the
+/// pending batch, and the summary. `conn.rs`'s `Conn` frames bytes into
+/// lines, feeds them here and decides when the batch is evaluated; every
+/// front end drives that one `Conn` (DESIGN.md §11.2).
 #[derive(Debug)]
 pub(crate) struct SessionState {
     namespace: String,
@@ -435,56 +359,41 @@ impl SessionState {
     }
 }
 
-/// Serve one connection (or any line stream) to completion.
+/// Serve one connection (or any byte stream) to completion.
 ///
-/// `reader`/`writer` are the two halves of the connection; the function
-/// returns when the client disconnects or sends `QUIT`. Every failure mode
-/// below the transport — unparsable line, non-UTF-8 bytes, oversized line,
-/// out-of-range id, unknown namespace, failed reload or attach — becomes an
-/// `error:` reply line and the session keeps serving; only transport errors
-/// (the peer vanished) and EOF end it.
+/// `reader` / `writer` are the two halves of the connection — a thread-mode
+/// socket, `store serve-file`'s query file and stdout, an in-memory slice.
+/// Each turn is one `read` into a buffer this function owns, framed and
+/// answered by the same engine the epoll reactor drives (DESIGN.md §11.2),
+/// then one write of the replies it produced. Returns at EOF, after `QUIT`
+/// or `SHUTDOWN`, or — between reads — once [`SessionOpts::drain`] is set.
+/// Every failure mode below the transport — unparsable line, non-UTF-8
+/// bytes, oversized line, out-of-range id, unknown namespace, failed reload
+/// or attach — becomes an `error:` reply line and the session keeps
+/// serving; only transport errors (the peer vanished) end it early.
 pub fn serve_session(
     registry: &StoreRegistry,
     pool: &WorkerPool,
-    reader: &mut impl LineSource,
+    reader: &mut impl Read,
     writer: &mut impl Write,
     opts: &SessionOpts,
 ) -> std::io::Result<SessionSummary> {
-    let mut state = SessionState::new();
-    let mut line = Vec::new();
+    let mut conn = Conn::new(registry, pool, opts);
+    let mut buf = vec![0u8; READ_CHUNK];
     loop {
         // A fired `session.read` fault is a transport error: the peer is
         // treated as vanished, exactly like a real half-open TCP drop.
         fail::point("session.read").map_err(std::io::Error::other)?;
-        let event = read_limited_line(reader, &mut line, opts.max_line)?;
-        match event {
-            LineEvent::Eof | LineEvent::MidLineEof => {
-                // A partial line cannot be answered (the client is gone and
-                // the request is incomplete); answer what was complete.
-                state.flush(registry, pool, writer)?;
-                writer.flush()?;
-                return Ok(state.summary);
-            }
-            LineEvent::Oversized => state.push_oversized(opts.max_line),
-            LineEvent::Line => {
-                if state.on_line(registry, pool, &line, writer, opts)? == Step::Quit {
-                    return Ok(state.summary);
-                }
-            }
-        }
-        // Adaptive batching: evaluate once the batch is full or the client
-        // has nothing more already buffered.
-        if state.pending_len() >= opts.batch || (state.pending_len() > 0 && !reader.buffered()) {
-            state.flush(registry, pool, writer)?;
-            writer.flush()?;
-        }
-        // Between batches a draining server ends the session: in-flight
-        // batches were just answered; a streaming client must not be able
-        // to hold the drain open until the deadline kills it.
+        conn.read_from(reader, &mut buf)?;
+        // A draining server ends the session once what it read is
+        // answered: a streaming client cannot hold the drain open.
         if opts.drain.as_ref().is_some_and(|d| d.load(Ordering::Relaxed)) {
-            state.flush(registry, pool, writer)?;
-            writer.flush()?;
-            return Ok(state.summary);
+            conn.close()?;
+        }
+        conn.write_to(writer)?;
+        writer.flush()?;
+        if conn.closing() {
+            return Ok(conn.summary());
         }
     }
 }

@@ -10,8 +10,19 @@ use std::thread::JoinHandle;
 
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
-use grepair_server::{Server, ServerConfig, ServerHandle};
+use grepair_server::{IoMode, Server, ServerConfig, ServerHandle};
 use grepair_store::{write_container, GraphStore, StoreRegistry};
+
+/// The front ends this platform has: both on Linux, thread mode elsewhere
+/// (epoll is Linux only). Suites run their bodies once per mode.
+#[allow(dead_code)] // not every test binary including this module loops over modes
+pub fn io_modes() -> &'static [IoMode] {
+    if cfg!(target_os = "linux") {
+        &[IoMode::Threads, IoMode::Epoll]
+    } else {
+        &[IoMode::Threads]
+    }
+}
 
 /// A compressed two-label path graph with `2 * reps + 1` nodes.
 pub fn g2g(reps: u32) -> Vec<u8> {
@@ -52,6 +63,11 @@ pub struct TestServer {
 impl TestServer {
     pub fn start(reps: u32, reload_path: Option<String>) -> Self {
         Self::start_with(reps, reload_path, ServerConfig::default())
+    }
+
+    /// [`TestServer::start`] on the given front end.
+    pub fn start_in(io: IoMode, reps: u32, reload_path: Option<String>) -> Self {
+        Self::start_with(reps, reload_path, ServerConfig { io, ..ServerConfig::default() })
     }
 
     pub fn start_with(reps: u32, reload_path: Option<String>, config: ServerConfig) -> Self {

@@ -1,12 +1,14 @@
 //! Connection-scale soak test for the epoll front end (DESIGN.md §11).
 //!
 //! Opens N idle sockets against an epoll-mode server (N from
-//! `GREPAIR_TEST_CONNS`, default 512 so CI stays fast; set 10000 locally),
-//! asserts the process thread count stays flat — the whole point of the
-//! reactor: idle clients cost a buffer, not a parked thread — then drives
-//! real traffic over a seeded-random subset and byte-diffs the replies
-//! against the serve-file engine (`serve_session` over the same bytes),
-//! while the untouched connections stay live.
+//! `GREPAIR_TEST_CONNS`, default 2 048 — the soak CI used to run as a
+//! shell step against the release binary; set 10000 locally), asserts the
+//! process thread count stays flat — the whole point of the reactor: idle
+//! clients cost a slot, not a parked thread — then drives real traffic
+//! over a seeded-random subset and byte-diffs the replies against the
+//! serve-file engine (`serve_session` over the same bytes), while the
+//! untouched connections stay live. N is clamped to what the soft fd limit
+//! allows, with a line saying so.
 //!
 //! Linux-only, like the reactor itself.
 #![cfg(target_os = "linux")]
@@ -19,14 +21,13 @@ use std::net::TcpStream;
 use common::TestServer;
 use grepair_server::{serve_session, IoMode, ServerConfig, SessionOpts, WorkerPool};
 
-/// Idle sockets to park. CI default is modest; run with
-/// `GREPAIR_TEST_CONNS=10000` (and an fd limit to match) for the full
-/// 10k-connection soak.
+/// Idle sockets to park. Run with `GREPAIR_TEST_CONNS=10000` (and an fd
+/// limit to match) for the full 10k-connection soak.
 fn requested_conns() -> usize {
     std::env::var("GREPAIR_TEST_CONNS")
         .ok()
         .and_then(|raw| raw.parse().ok())
-        .unwrap_or(512)
+        .unwrap_or(2048)
 }
 
 /// The soft fd limit, from `/proc/self/limits`. Every parked connection
@@ -73,7 +74,11 @@ const TRAFFIC: &str = "out 0\nreach 0 16\nPING\nbogus 7\n# comment\nnope:out 0\n
 #[test]
 fn ten_k_idle_connections_hold_on_a_flat_thread_count() {
     let reps = 8;
-    let n = requested_conns().min(fd_limit().saturating_sub(128) / 2).max(8);
+    let requested = requested_conns();
+    let n = requested.min(fd_limit().saturating_sub(128) / 2).max(8);
+    if n != requested {
+        println!("parking {n} of {requested} connections: the soft fd limit is {}", fd_limit());
+    }
     let server = TestServer::start_with(
         reps,
         None,
@@ -95,12 +100,22 @@ fn ten_k_idle_connections_hold_on_a_flat_thread_count() {
     }
     let base = thread_count();
 
-    // Park N idle connections.
+    // Park N idle connections, in waves the reactor keeps up with: the
+    // listen backlog is 128, and a connect that overflows it waits out a
+    // 1 s SYN retransmit. The last of each wave answers a PING only once
+    // the reactor accepted it, and with it every connection before it.
     let mut idle: Vec<TcpStream> = Vec::with_capacity(n);
     for i in 0..n {
         match TcpStream::connect(server.addr) {
             Ok(stream) => idle.push(stream),
             Err(e) => panic!("connect {i}/{n} failed: {e}"),
+        }
+        if i % 64 == 63 {
+            let stream = &mut idle[i];
+            stream.write_all(b"PING\n").expect("wave ping");
+            let mut line = String::new();
+            BufReader::new(&*stream).read_line(&mut line).expect("wave pong");
+            assert_eq!(line, "pong\n", "conn {i} wedged");
         }
     }
     // Give the reactor a beat to accept the tail of the burst.
