@@ -8,10 +8,11 @@ use std::process::Command;
 use std::sync::Arc;
 
 use grepair_core::{compress, GRePairConfig};
+use grepair_grammar::Grammar;
 use grepair_hypergraph::Hypergraph;
 use grepair_server::{IoMode, Server, ServerConfig};
 use grepair_store::{
-    codec_for, error_reply, parse_query, write_container, GraphStore, Query, StoreRegistry,
+    error_reply, parse_query, write_container, GraphStore, Query, StoreRegistry,
 };
 
 fn fixture_bytes() -> Vec<u8> {
@@ -87,12 +88,14 @@ fn probe_answers_match_the_in_process_batch() {
 
 /// The per-tenant probe flag: bare query lines sent with `--namespace b`
 /// answer the way `serve-file` answers them on b's own container (one
-/// rendered `query_batch`), while the default namespace holds another graph
-/// on another backend.
+/// rendered `query_batch`), while the default namespace holds another,
+/// compressed graph.
 #[test]
 fn probe_namespace_flag_targets_one_tenant() {
+    // A rule-free grammar: ids survive, so the answers below are literal.
     let (g, _) = Hypergraph::from_simple_edges(30, (0..29u32).map(|i| (i, 0u32, i + 1)));
-    let tenant = codec_for("k2").unwrap().encode(&g).unwrap();
+    let enc = grepair_codec::encode(&Grammar::new(g, 1));
+    let tenant = write_container(&enc.bytes, enc.bit_len);
     let registry = Arc::new(StoreRegistry::new(GraphStore::from_bytes(&fixture_bytes()).unwrap()));
     registry.attach_store("b", GraphStore::from_bytes(&tenant).unwrap()).unwrap();
     let server = Server::bind(&ServerConfig::default(), Arc::clone(&registry), None).unwrap();

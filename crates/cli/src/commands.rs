@@ -7,13 +7,12 @@
 
 use std::io::{BufReader, BufWriter, Read, Write};
 
-use crate::{compress_and_report, read_graph, read_graph_with_map, CompressOpts};
+use crate::{compress_and_report, read_graph, read_graph_with_map, CliError, CompressOpts};
 use grepair_datasets as datasets;
 use grepair_hypergraph::{EdgeLabel, Hypergraph};
-use grepair_store::backend::{resolve_codec, split_any_container, GREPAIR};
 use grepair_store::{
-    materialize, write_container, EdgePatch, GraphStore, GrepairError, StoreRegistry,
-    VersionedStore, DEFAULT_NAMESPACE,
+    materialize, split_any_container, write_container, EdgePatch, GraphStore, GrepairError,
+    StoreRegistry, VersionedStore, DEFAULT_NAMESPACE,
 };
 
 /// `grepair stats <graph>`.
@@ -50,37 +49,19 @@ fn print_trace(s: &grepair_core::CompressStats) {
     }
 }
 
-/// `grepair compress <graph> -o <out> [--backend NAME]`.
-///
-/// The gRePair backend keeps its config-driven path (and its byte-exact
-/// legacy `.g2g` output); every other backend routes through its
-/// registered [`grepair_store::GraphCodec`], producing a tagged container
-/// the same `query`/`store` commands load transparently.
+/// `grepair compress <graph> -o <out>`: compress with gRePair and write the
+/// `.g2g` container.
 pub fn compress_file(input: &str, opts: &CompressOpts) -> Result<(), String> {
     let (g, originals) = read_graph_with_map(input)?;
-    // derived id -> dense parser id, built only when a `--map` sidecar was
-    // asked for. The grammar backend renumbers nodes (its map is moved out
-    // of the compression result, never copied); every other backend
-    // preserves the parser's dense ids, so its map is the identity.
-    let node_map: Option<Vec<u32>>;
-    let file = if opts.backend == GREPAIR {
-        let out = compress_and_report(&g, &opts.config);
-        if opts.trace {
-            print_trace(&out.stats);
-        }
-        let encoded = grepair_codec::encode(&out.grammar);
-        node_map = opts.map.is_some().then_some(out.node_map);
-        write_container(&encoded.bytes, encoded.bit_len)
-    } else {
-        let codec = resolve_codec(opts.backend).map_err(|e| e.to_string())?;
-        node_map = opts.map.is_some().then(|| (0..g.node_bound() as u32).collect());
-        codec.encode(&g).map_err(|e| format!("{input}: {e}"))?
-    };
+    let out = compress_and_report(&g, &opts.config);
+    if opts.trace {
+        print_trace(&out.stats);
+    }
+    let file = container_of(&out);
     std::fs::write(&opts.output, &file).map_err(|e| format!("{}: {e}", opts.output))?;
     println!(
-        "wrote {} (backend {}, {} bytes, {:.3} bits/edge)",
+        "wrote {} (backend grepair, {} bytes, {:.3} bits/edge)",
         opts.output,
-        opts.backend,
         file.len(),
         grepair_util::fmt::bits_per_edge(file.len() as u64 * 8, g.num_edges() as u64)
     );
@@ -89,9 +70,8 @@ pub fn compress_file(input: &str, opts: &CompressOpts) -> Result<(), String> {
         // dense→original renumbering, so each line reads
         // `<derived id> <label the input file used>` and `decompress --map`
         // can relabel without any second sidecar.
-        let node_map = node_map.expect("built above whenever --map is set");
         let mut text = String::new();
-        for (derived, dense) in node_map.iter().enumerate() {
+        for (derived, dense) in out.node_map.iter().enumerate() {
             let original = originals
                 .get(*dense as usize)
                 .copied()
@@ -102,6 +82,12 @@ pub fn compress_file(input: &str, opts: &CompressOpts) -> Result<(), String> {
         println!("wrote node map {map_path}");
     }
     Ok(())
+}
+
+/// The `.g2g` container of a compression's grammar.
+fn container_of(out: &grepair_core::CompressedGraph) -> Vec<u8> {
+    let encoded = grepair_codec::encode(&out.grammar);
+    write_container(&encoded.bytes, encoded.bit_len)
 }
 
 /// Load a `.g2g` through the store, prefixing non-IO errors with the path
@@ -150,22 +136,19 @@ fn read_node_map(path: &str, nodes: usize) -> Result<Vec<u64>, String> {
         .collect()
 }
 
-/// Decode any container file (legacy `.g2g` or tagged) back into a graph
-/// through its registered codec, prefixing errors with the path.
-fn open_graph(input: &str) -> Result<(Hypergraph, &'static str), String> {
-    let file = std::fs::read(input).map_err(|e| format!("{input}: {e}"))?;
-    let (tag, bit_len, payload) =
-        split_any_container(&file).map_err(|e| format!("{input}: {e}"))?;
-    let codec = resolve_codec(tag).map_err(|e| format!("{input}: {e}"))?;
-    let g = codec.decode(payload, bit_len).map_err(|e| format!("{input}: {e}"))?;
-    Ok((g, codec.name()))
+/// Decode a container file back into `val(G)`, prefixing errors with the
+/// path. No query index is built: this is the `decompress` path.
+fn open_graph(input: &str) -> Result<Hypergraph, String> {
+    let at_input = |e: &dyn std::fmt::Display| format!("{input}: {e}");
+    let file = std::fs::read(input).map_err(|e| at_input(&e))?;
+    let (_, bit_len, payload) = split_any_container(&file).map_err(|e| at_input(&e))?;
+    let grammar = grepair_codec::decode(payload, bit_len).map_err(|e| at_input(&e))?;
+    Ok(grammar.derive())
 }
 
-/// `grepair decompress <in> -o <out> [--map FILE]`. Dispatches on the
-/// container's backend tag: a grammar container derives `val(G)`, the
-/// baseline containers decode their own representations.
+/// `grepair decompress <in> -o <out> [--map FILE]`: write `val(G)`.
 pub fn decompress_file(input: &str, output: &str, map: Option<&str>) -> Result<(), String> {
-    let (derived, backend) = open_graph(input)?;
+    let derived = open_graph(input)?;
     let relabel: Option<Vec<u64>> = map
         .map(|path| read_node_map(path, derived.num_nodes()))
         .transpose()?;
@@ -194,10 +177,9 @@ pub fn decompress_file(input: &str, output: &str, map: Option<&str>) -> Result<(
     }
     std::fs::write(output, text).map_err(|e| format!("{output}: {e}"))?;
     println!(
-        "decompressed {} -> {} (backend {}, {} nodes, {} edges)",
+        "decompressed {} -> {} (backend grepair, {} nodes, {} edges)",
         input,
         output,
-        backend,
         derived.num_nodes(),
         derived.num_edges()
     );
@@ -298,17 +280,16 @@ fn count_request_lines(reader: &mut impl std::io::BufRead) -> std::io::Result<u6
 /// run like it ends a connection, with a stderr warning naming how many
 /// request lines it left unanswered.
 ///
-/// `patch <in.g2g> <patches.txt> -o <out.g2g> [--backend NAME]` replays a
-/// patch file (one `ADD|DEL <s> <label> <t>` per line — the wire
-/// protocol's `PATCH` grammar, DESIGN.md §12) against the container
-/// offline, materializes the resulting head version, and recompresses it
-/// (by default with the input's own backend). `versions <in.g2g>
+/// `patch <in.g2g> <patches.txt> -o <out.g2g>` replays a patch file (one
+/// `ADD|DEL <s> <label> <t>` per line — the wire protocol's `PATCH`
+/// grammar, DESIGN.md §12) against the container offline, materializes the
+/// resulting head version, and recompresses it. `versions <in.g2g>
 /// <patches.txt>` is the dry run: same replay, but it only prints the
 /// retained-version summary line, byte-identical to a live server's
 /// `VERSIONS` reply after the same patches.
-pub fn store_cmd(args: &[String]) -> Result<(), String> {
+pub fn store_cmd(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
-        Some("serve") => grepair_server::run_cli(&args[1..]),
+        Some("serve") => Ok(grepair_server::run_cli(&args[1..])?),
         Some("serve-file") => {
             let g2g = args.get(1).ok_or("missing g2g file")?;
             let queries_path = args.get(2).ok_or("missing queries file")?;
@@ -331,7 +312,7 @@ pub fn store_cmd(args: &[String]) -> Result<(), String> {
             if let Some(seed) = crate::flag_value(&args[3..], "--fail-seed") {
                 let seed: u64 = seed.parse().map_err(|e| format!("bad --fail-seed: {e}"))?;
                 if !grepair_util::fail::enabled() {
-                    return Err(format!("--fail-seed: {}", grepair_util::fail::DISABLED));
+                    return Err(format!("--fail-seed: {}", grepair_util::fail::DISABLED).into());
                 }
                 grepair_util::fail::set_seed(seed);
             }
@@ -406,23 +387,17 @@ pub fn store_cmd(args: &[String]) -> Result<(), String> {
         Some("patch") => {
             let input = args.get(1).ok_or("missing g2g file")?;
             let patches_path = args.get(2).ok_or("missing patches file")?;
-            crate::validate_value_flags(&args[3..], &["-o", "--backend"])?;
+            crate::validate_value_flags(&args[3..], &["-o"]).map_err(CliError::Usage)?;
             let output = crate::flag_value(&args[3..], "-o").ok_or("missing -o OUTPUT")?;
             let (versioned, summaries) = replay_patches(input, patches_path)?;
-            let head = versioned.head();
-            // Default to re-encoding with the input's own backend; --backend
-            // converts while patching (the overlay is backend-agnostic).
-            let backend = crate::flag_value(&args[3..], "--backend")
-                .unwrap_or_else(|| head.backend().to_string());
-            let codec = resolve_codec(&backend).map_err(|e| e.to_string())?;
-            let g = materialize(&head).map_err(|e| format!("{input}: {e}"))?;
-            let file = codec.encode(&g).map_err(|e| format!("{output}: {e}"))?;
+            let g = materialize(&versioned.head()).map_err(|e| format!("{input}: {e}"))?;
+            let compressed = grepair_core::compress(&g, &grepair_core::GRePairConfig::default());
+            let file = container_of(&compressed);
             std::fs::write(&output, &file).map_err(|e| format!("{output}: {e}"))?;
             let last = summaries.last().expect("v0 always present");
             println!(
-                "wrote {} (backend {}, {} bytes): v{} materialized, {} nodes, {} edges, +{}-{}",
+                "wrote {} (backend grepair, {} bytes): v{} materialized, {} nodes, {} edges, +{}-{}",
                 output,
-                codec.name(),
                 file.len(),
                 last.version,
                 g.num_nodes(),
@@ -435,7 +410,7 @@ pub fn store_cmd(args: &[String]) -> Result<(), String> {
         Some("versions") => {
             let input = args.get(1).ok_or("missing g2g file")?;
             let patches_path = args.get(2).ok_or("missing patches file")?;
-            crate::validate_value_flags(&args[3..], &[])?;
+            crate::validate_value_flags(&args[3..], &[]).map_err(CliError::Usage)?;
             let (_, summaries) = replay_patches(input, patches_path)?;
             // Exactly the wire protocol's VERSIONS reply line, so scripts
             // can diff this dry run against a live server's answer.
@@ -447,7 +422,7 @@ pub fn store_cmd(args: &[String]) -> Result<(), String> {
             println!("{line}");
             Ok(())
         }
-        other => Err(format!("unknown store command {other:?}")),
+        other => Err(format!("unknown store command {other:?}").into()),
     }
 }
 

@@ -11,7 +11,7 @@
 //! grepair query      rpq <in.g2g> <s> <t> <atom>...
 //! grepair store      serve-file <in.g2g> <queries.txt> [--batch N] [--threads N]
 //! grepair store      serve <in.g2g> [--addr HOST:PORT] [--threads N] [--batch N] [--max-line N]
-//! grepair store      patch <in.g2g> <patches.txt> -o <out.g2g> [--backend NAME]
+//! grepair store      patch <in.g2g> <patches.txt> -o <out.g2g>
 //! grepair store      versions <in.g2g> <patches.txt>
 //! grepair generate   <kind> [n] [seed] -o <graph.txt>
 //! ```
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }
-        // Usage errors (unknown backend, mirroring `repro`'s unknown-flag
+        // Usage errors (an unknown flag, mirroring `repro`'s unknown-flag
         // contract) exit 2 so scripts can tell "you called it wrong" from
         // "it ran and failed".
         Err(CliError::Usage(message)) => {
@@ -79,15 +79,14 @@ impl From<&str> for CliError {
 
 const USAGE: &str = "usage:
   grepair stats      <graph.txt>
-  grepair compress   <graph.txt> -o <out.g2g> [--backend NAME] [--max-rank N] [--order ORDER] [--no-prune] [--no-virtual] [--map FILE] [--trace]
+  grepair compress   <graph.txt> -o <out.g2g> [--max-rank N] [--order ORDER] [--no-prune] [--no-virtual] [--map FILE] [--trace]
   grepair decompress <in.g2g> -o <graph.txt> [--map FILE]
   grepair query      reach <in.g2g> <s> <t> | neighbors <in.g2g> <v> | components <in.g2g> | rpq <in.g2g> <s> <t> <atom>...
   grepair store      serve-file <in.g2g> <queries.txt> [--batch N] [--threads N]
   grepair store      serve <in.g2g> [--addr HOST:PORT] [--threads N] [--batch N] [--max-line N] [--read-timeout SECS] [--max-connections N] [--io epoll|threads]
-  grepair store      patch <in.g2g> <patches.txt> -o <out.g2g> [--backend NAME]
+  grepair store      patch <in.g2g> <patches.txt> -o <out.g2g>
   grepair store      versions <in.g2g> <patches.txt>
-  grepair generate   <kind> [n] [seed] -o <graph.txt>   (kinds: ttt, types, pa, er, coauth, web, chess, versions)
-backends: grepair (default), k2, lm, hn — every one loads and serves through `query` / `store`";
+  grepair generate   <kind> [n] [seed] -o <graph.txt>   (kinds: ttt, types, pa, er, coauth, web, chess, versions)";
 
 fn run(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
@@ -105,7 +104,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(commands::decompress_file(input, &output, map.as_deref())?)
         }
         Some("query") => Ok(commands::query(&args[1..])?),
-        Some("store") => Ok(commands::store_cmd(&args[1..])?),
+        Some("store") => commands::store_cmd(&args[1..]),
         Some("generate") => Ok(commands::generate(&args[1..])?),
         Some(other) => Err(format!("unknown command {other:?}").into()),
         None => Err("no command given".into()),
@@ -118,12 +117,10 @@ pub struct CompressOpts {
     pub output: String,
     /// Optional node-map sidecar path.
     pub map: Option<String>,
-    /// Which registered backend encodes the graph (default `grepair`).
-    pub backend: &'static str,
-    /// Compressor configuration (gRePair backend only).
+    /// Compressor configuration.
     pub config: GRePairConfig,
     /// Report the compressor's phase times and work counters on stderr
-    /// (gRePair backend only; changes no output byte).
+    /// (changes no output byte).
     pub trace: bool,
 }
 
@@ -133,9 +130,9 @@ pub(crate) use grepair_util::args::{flag_value, validate_value_flags};
 
 fn parse_compress_opts(args: &[String]) -> Result<CompressOpts, CliError> {
     // Unknown or value-less flags are usage errors, not silent no-ops — a
-    // typoed `--backed k2` or `--backend=k2` must never quietly fall back
-    // to the default grammar backend.
-    let value_flags = ["-o", "--map", "--backend", "--max-rank", "--order"];
+    // typoed `--max-rnak 6` or `--max-rank=6` must never quietly fall back
+    // to the default configuration.
+    let value_flags = ["-o", "--map", "--max-rank", "--order"];
     let bool_flags = ["--no-prune", "--no-virtual", "--trace"];
     let mut i = 0;
     while i < args.len() {
@@ -153,29 +150,6 @@ fn parse_compress_opts(args: &[String]) -> Result<CompressOpts, CliError> {
     }
     let output = flag_value(args, "-o").ok_or("missing -o OUTPUT")?;
     let map = flag_value(args, "--map");
-    let backend = match flag_value(args, "--backend") {
-        None => grepair_store::backend::GREPAIR,
-        Some(name) => match grepair_store::codec_for(&name) {
-            Some(codec) => codec.name(),
-            // A typoed backend is a usage error (exit 2) that teaches the
-            // registry — the message is the registry's own
-            // (`unknown_backend_error`), shared with container dispatch,
-            // mirroring `repro`'s unknown-flag handling.
-            None => {
-                return Err(CliError::Usage(
-                    grepair_store::backend::unknown_backend_error(&name),
-                ))
-            }
-        },
-    };
-    let grammar_only = ["--max-rank", "--order", "--no-prune", "--no-virtual", "--trace"];
-    if backend != grepair_store::backend::GREPAIR {
-        if let Some(flag) = args.iter().find(|a| grammar_only.contains(&a.as_str())) {
-            return Err(CliError::Usage(format!(
-                "{flag} applies to the grepair backend only (got --backend {backend})"
-            )));
-        }
-    }
     let mut config = GRePairConfig::default();
     if let Some(raw) = flag_value(args, "--max-rank") {
         config.max_rank = raw.parse().map_err(|e| format!("bad --max-rank: {e}"))?;
@@ -197,7 +171,7 @@ fn parse_compress_opts(args: &[String]) -> Result<CompressOpts, CliError> {
         config.connect_components = false;
     }
     let trace = args.iter().any(|a| a == "--trace");
-    Ok(CompressOpts { output, map, backend, config, trace })
+    Ok(CompressOpts { output, map, config, trace })
 }
 
 /// Read a graph from a text file, autodetecting pairs vs triples.
@@ -250,7 +224,6 @@ mod tests {
         let opts = parse_compress_opts(&args(&["-o", "out.g2g"])).unwrap();
         assert_eq!(opts.output, "out.g2g");
         assert!(opts.map.is_none());
-        assert_eq!(opts.backend, "grepair");
         assert_eq!(opts.config.max_rank, 4);
         assert!(opts.config.prune);
         assert!(opts.config.connect_components);
@@ -258,35 +231,28 @@ mod tests {
 
     #[test]
     fn compress_opts_backend_selection() {
-        for name in ["grepair", "k2", "lm", "hn"] {
-            let opts = parse_compress_opts(&args(&["-o", "x", "--backend", name])).unwrap();
-            assert_eq!(opts.backend, name);
+        // The grammar is the only codec: `--backend` is an unknown flag, a
+        // Usage error (exit 2) naming it, never a silently ignored choice.
+        for flag in [&["--backend", "k2"][..], &["--backend", "grepair"], &["--backend=k2"]] {
+            let argv = args(&[&["-o", "x"][..], flag].concat());
+            assert!(matches!(
+                parse_compress_opts(&argv),
+                Err(CliError::Usage(m)) if m.contains("--backend")
+            ));
         }
-        // Unknown backends and grammar-only flags on other backends are
-        // Usage errors (exit 2), not plain failures.
-        assert!(matches!(
-            parse_compress_opts(&args(&["-o", "x", "--backend", "zpaq"])),
-            Err(CliError::Usage(m)) if m.contains("grepair, k2, lm, hn")
-        ));
-        assert!(matches!(
-            parse_compress_opts(&args(&["-o", "x", "--backend", "lm", "--no-prune"])),
-            Err(CliError::Usage(m)) if m.contains("--no-prune")
-        ));
-        // ...but they stay valid for the default grammar backend.
-        assert!(parse_compress_opts(&args(&["-o", "x", "--no-prune"])).is_ok());
         // Malformed flag shapes must not silently fall back to the
-        // default backend: `=`-style values, typos, and value-less flags
-        // are all usage errors.
+        // defaults: `=`-style values, typos, and value-less flags are all
+        // usage errors.
         assert!(matches!(
-            parse_compress_opts(&args(&["-o", "x", "--backend=k2"])),
-            Err(CliError::Usage(m)) if m.contains("--backend=k2")
+            parse_compress_opts(&args(&["-o", "x", "--max-rank=6"])),
+            Err(CliError::Usage(m)) if m.contains("--max-rank=6")
         ));
         assert!(matches!(
-            parse_compress_opts(&args(&["-o", "x", "--backed", "k2"])),
-            Err(CliError::Usage(m)) if m.contains("--backed")
+            parse_compress_opts(&args(&["-o", "x", "--max-rnak", "6"])),
+            Err(CliError::Usage(m)) if m.contains("--max-rnak")
         ));
         assert!(matches!(
-            parse_compress_opts(&args(&["-o", "x", "--backend"])),
+            parse_compress_opts(&args(&["-o", "x", "--order"])),
             Err(CliError::Usage(m)) if m.contains("needs a value")
         ));
     }

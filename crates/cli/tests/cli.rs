@@ -55,6 +55,17 @@ fn compressed_fixture() -> String {
         .clone()
 }
 
+/// Write `g` as a rule-free grammar container (S alone, no rules) named
+/// `name` and return its path: nothing is compressed, so every node keeps
+/// the id the tests name.
+fn rule_free_fixture(name: &str, g: grepair_hypergraph::Hypergraph) -> String {
+    let labels = g.edges().map(|e| e.label.index() + 1).max().unwrap_or(0);
+    let enc = grepair_codec::encode(&grepair_grammar::Grammar::new(g, labels));
+    let path = scratch(name);
+    std::fs::write(&path, grepair_store::write_container(&enc.bytes, enc.bit_len)).unwrap();
+    path.to_str().unwrap().to_string()
+}
+
 /// A running `grepair store serve`, killed (and reaped) when dropped — also
 /// when an assertion unwinds past it.
 struct Server(std::process::Child);
@@ -457,26 +468,24 @@ fn multi_tenant_serve_file_and_socket_serve_stay_byte_identical() {
     assert!(banner.contains("namespaces=2"), "{banner:?}");
     assert_eq!(got, expected, "multi-tenant socket vs serve-file");
 
-    // Three tenants on two backends under a memory budget of half their
-    // combined container size: prefixed queries must answer byte-identically
-    // on both front ends while the LRU policy evicts and reopens underneath.
-    let tenant = |name: &str, nodes: &str, seed: &str, backend: &str| {
+    // Three tenants, one of them rule-free, under a memory budget of half
+    // their combined container size: prefixed queries must answer
+    // byte-identically on both front ends while the LRU policy evicts and
+    // reopens underneath.
+    let tenant = |name: &str, nodes: &str, seed: &str| {
         let (txt, g2g) = (scratch(&format!("mt_{name}.txt")), scratch(&format!("mt_{name}.g2g")));
         let (txt, g2g) = (txt.to_str().unwrap().to_string(), g2g.to_str().unwrap().to_string());
         for args in [
             vec!["generate", "pa", nodes, seed, "-o", &txt],
-            vec!["compress", &txt, "-o", &g2g, "--backend", backend],
+            vec!["compress", &txt, "-o", &g2g],
         ] {
             let out = grepair(&args);
             assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
         }
         g2g
     };
-    let (a, b, c) = (
-        tenant("a", "1200", "3", "grepair"),
-        tenant("b", "1600", "5", "k2"),
-        tenant("c", "2000", "9", "grepair"),
-    );
+    let b = rule_free_fixture("mt_b.g2g", grepair_datasets::network::preferential_attachment(1600, 4, 5));
+    let (a, c) = (tenant("a", "1200", "3"), tenant("c", "2000", "9"));
     let total: u64 = [&a, &b, &c].iter().map(|g2g| std::fs::metadata(g2g).unwrap().len()).sum();
     let (attach_b, attach_c, budget) = (format!("b={b}"), format!("c={c}"), (total / 2).to_string());
     let tenancy = ["--attach", &attach_b, "--attach", &attach_c, "--memory-budget", &budget];
@@ -511,7 +520,7 @@ fn multi_tenant_serve_file_and_socket_serve_stay_byte_identical() {
         };
         assert!(all.starts_with("namespaces=3 "), "{io}: {all}");
         assert!(counter("evictions=") >= 1 && counter("cold_opens=") >= 1, "{io}: {all}");
-        assert!(of_b.contains("backend=k2"), "{io}: {of_b}");
+        assert!(of_b.contains("backend=grepair"), "{io}: {of_b}");
     }
 }
 
@@ -587,57 +596,30 @@ fn serve_file_rejects_broken_setup() {
 }
 
 #[test]
-fn unknown_backend_is_a_usage_error_naming_the_registry() {
+fn backend_flag_is_a_usage_error_naming_the_flag() {
+    // The grammar is the only codec: `--backend` is gone from `compress` and
+    // from `store patch`. Either exits 2 (usage, not a run failure —
+    // mirroring repro's unknown-flag contract), names the flag, prints the
+    // usage, and writes nothing.
     let input = scratch("backend_usage.txt");
     std::fs::write(&input, "0 1\n1 2\n").unwrap();
-    let out = grepair(&[
-        "compress",
-        input.to_str().unwrap(),
-        "-o",
-        scratch("backend_usage.g2g").to_str().unwrap(),
-        "--backend",
-        "zpaq",
-    ]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    // Exit 2 (usage), not 1 (run failure) — mirroring repro's unknown-flag
-    // contract — and the error must teach the registered names.
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert!(stderr.contains("zpaq"), "{stderr}");
-    assert!(stderr.contains("grepair, k2, lm, hn"), "{stderr}");
-    assert!(stderr.contains("usage:"), "{stderr}");
-
-    // Grammar-only flags on another backend are usage errors too.
-    let out = grepair(&[
-        "compress",
-        input.to_str().unwrap(),
-        "-o",
-        scratch("backend_usage2.g2g").to_str().unwrap(),
-        "--backend",
-        "k2",
-        "--max-rank",
-        "6",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--max-rank"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // An `=`-style flag must not silently select the default backend.
-    let out = grepair(&[
-        "compress",
-        input.to_str().unwrap(),
-        "-o",
-        scratch("backend_usage3.g2g").to_str().unwrap(),
-        "--backend=k2",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("--backend=k2"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let patches = scratch("backend_usage_patches.txt");
+    std::fs::write(&patches, "ADD 2 0 0\n").unwrap();
+    let g2g = compressed_fixture();
+    let written = scratch("backend_usage.g2g");
+    let written = written.to_str().unwrap();
+    for argv in [
+        &["compress", input.to_str().unwrap(), "-o", written, "--backend", "k2"][..],
+        &["compress", input.to_str().unwrap(), "-o", written, "--backend=k2"],
+        &["store", "patch", &g2g, patches.to_str().unwrap(), "-o", written, "--backend", "k2"],
+    ] {
+        let out = grepair(argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{argv:?}: {stderr}");
+        assert!(stderr.contains("--backend"), "{argv:?}: {stderr}");
+        assert!(stderr.contains("usage:"), "{argv:?}: {stderr}");
+        assert!(!std::path::Path::new(written).exists(), "{argv:?} wrote output");
+    }
 }
 
 #[test]
@@ -695,79 +677,62 @@ fn compress_trace_reports_every_phase_and_changes_no_byte() {
     assert!(value("pair_attempts") > 0.0);
     assert!(value("rank_rejects") <= value("pair_attempts"));
     assert!(value("group_edges_scanned") >= 240.0, "every incidence is linked once");
-
-    // Other backends have no compressor to trace.
-    let out = grepair(&["compress", input.to_str().unwrap(), "-o", "x", "--backend", "k2", "--trace"]);
-    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
 fn every_backend_compresses_decompresses_and_serves() {
-    // One unlabeled path graph through all four backends: compress writes
-    // a loadable container, decompress restores the edge set, and
-    // serve-file answers the same queries (modulo the grammar backend's
-    // node renumbering, which is why the workload below is id-symmetric:
-    // path endpoints are detected structurally on the decompressed side).
+    // One unlabeled path graph in both shapes of grammar container — the
+    // one `compress` writes and a rule-free one: decompress restores the
+    // edge set, and serve-file answers the same queries (modulo the
+    // compressor's node renumbering, which is why the workload below is
+    // id-symmetric).
     let input = scratch("multi_backend.txt");
     let mut text = String::new();
     for i in 0..30u32 {
         text.push_str(&format!("{} {}\n", i, i + 1));
     }
     std::fs::write(&input, &text).unwrap();
+    let compressed = scratch("multi_compressed.g2g");
+    let compressed = compressed.to_str().unwrap();
+    let out = grepair(&["compress", input.to_str().unwrap(), "-o", compressed]);
+    assert!(out.status.success(), "compress: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("(backend grepair, "));
+    let path = grepair_hypergraph::Hypergraph::from_simple_edges(31, (0..30u32).map(|i| (i, 0, i + 1)));
+    let rule_free = rule_free_fixture("multi_rule_free.g2g", path.0);
 
-    for backend in ["grepair", "k2", "lm", "hn"] {
-        let g2g = scratch(&format!("multi_{backend}.c"));
-        let out = grepair(&[
-            "compress",
-            input.to_str().unwrap(),
-            "-o",
-            g2g.to_str().unwrap(),
-            "--backend",
-            backend,
-        ]);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.success(), "{backend} compress: {stderr}");
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains(&format!("backend {backend}")),
-            "{backend}"
-        );
-
-        // Decompress restores the 30-edge path (ids may differ for grepair).
-        let restored = scratch(&format!("multi_{backend}_restored.txt"));
-        let out = grepair(&[
-            "decompress",
-            g2g.to_str().unwrap(),
-            "-o",
-            restored.to_str().unwrap(),
-        ]);
-        assert!(out.status.success(), "{backend} decompress");
+    for (name, g2g) in [("compressed", compressed), ("rule-free", &rule_free)] {
+        // Decompress restores the 30-edge path (ids differ when compressed).
+        let restored = scratch(&format!("multi_{name}_restored.txt"));
+        let out = grepair(&["decompress", g2g, "-o", restored.to_str().unwrap()]);
+        assert!(out.status.success(), "{name} decompress");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("(backend grepair, 31 nodes, 30 edges)"));
         let lines = std::fs::read_to_string(&restored).unwrap().lines().count();
-        assert_eq!(lines, 30, "{backend} edge count");
+        assert_eq!(lines, 30, "{name} edge count");
 
         // serve-file: neighbors end to end, plus a mid-stream error.
-        let queries = scratch(&format!("multi_{backend}_queries.txt"));
+        let queries = scratch(&format!("multi_{name}_queries.txt"));
         std::fs::write(&queries, "components\ndegrees\nout 99999\nreach 0 0\n").unwrap();
-        let out = grepair(&["store", "serve-file", g2g.to_str().unwrap(), queries.to_str().unwrap()]);
-        assert!(out.status.success(), "{backend} serve-file");
+        let out = grepair(&["store", "serve-file", g2g, queries.to_str().unwrap()]);
+        assert!(out.status.success(), "{name} serve-file");
         let stdout = String::from_utf8_lossy(&out.stdout);
         let lines: Vec<&str> = stdout.lines().collect();
-        assert_eq!(lines[0], "1", "{backend}: one component");
-        assert_eq!(lines[1], "min=1 max=2", "{backend}: path degrees");
-        assert!(lines[2].contains("out of range"), "{backend}: {stdout}");
-        assert_eq!(lines[3], "true", "{backend}: reflexive reach");
+        assert_eq!(lines[0], "1", "{name}: one component");
+        assert_eq!(lines[1], "min=1 max=2", "{name}: path degrees");
+        assert!(lines[2].contains("out of range"), "{name}: {stdout}");
+        assert_eq!(lines[3], "true", "{name}: reflexive reach");
     }
 }
 
 #[test]
 fn every_backend_answers_a_socket_like_serve_file() {
-    // The per-backend server smoke: one preferential-attachment graph
-    // through all four backends, every query class plus per-line errors,
-    // and `store serve` on a loopback socket must reply byte-identically to
-    // `store serve-file` — each engine answering through the same row walk.
+    // The server smoke: one preferential-attachment graph in both shapes of
+    // grammar container, every query class plus per-line errors, and
+    // `store serve` on a loopback socket must reply byte-identically to
+    // `store serve-file`.
     let input = scratch("backend_smoke.txt");
     let out = grepair(&["generate", "pa", "1500", "11", "-o", input.to_str().unwrap()]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let mut text = String::from("# per-backend smoke\n");
+    let mut text = String::from("# server smoke\n");
     for i in 0..100u32 {
         text.push_str(&format!(
             "out {i}\nin {}\nneighbors {}\nreach {i} {}\nrpq {i} 0 0*\n",
@@ -779,41 +744,36 @@ fn every_backend_answers_a_socket_like_serve_file() {
     text.push_str("components\ndegrees\nINFO\nout 999999999\nbogus verb\n");
     let queries = scratch("backend_smoke_queries.txt");
     std::fs::write(&queries, &text).unwrap();
+    let compressed = scratch("backend_smoke.g2g");
+    let compressed = compressed.to_str().unwrap();
+    let out = grepair(&["compress", input.to_str().unwrap(), "-o", compressed]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let pa = grepair_datasets::network::preferential_attachment(1500, 4, 11);
+    let rule_free = rule_free_fixture("backend_smoke_rule_free.g2g", pa);
 
-    for backend in ["grepair", "k2", "lm", "hn"] {
-        let file = scratch(&format!("backend_smoke.{backend}"));
-        let file = file.to_str().unwrap();
-        let out = grepair(&["compress", input.to_str().unwrap(), "-o", file, "--backend", backend]);
-        assert!(out.status.success(), "{backend}: {}", String::from_utf8_lossy(&out.stderr));
-
+    for (name, file) in [("compressed", compressed), ("rule-free", &rule_free)] {
         let offline = grepair(&["store", "serve-file", file, queries.to_str().unwrap()]);
-        assert!(offline.status.success(), "{backend} serve-file");
+        assert!(offline.status.success(), "{name} serve-file");
         let expected = String::from_utf8_lossy(&offline.stdout).to_string();
-        assert_eq!(expected.lines().count(), 505, "{backend}: one reply per request line");
-        assert!(expected.contains(&format!("backend={backend}")), "{backend}: INFO names it");
+        assert_eq!(expected.lines().count(), 505, "{name}: one reply per request line");
+        assert!(expected.contains("backend=grepair"), "{name}: INFO names the codec");
 
         let (banner, got) = socket_replies(&[file], &text);
-        assert!(banner.contains(&format!("backend={backend}")), "{backend}: {banner:?}");
-        assert_eq!(got, expected, "{backend}: socket vs serve-file");
+        assert!(banner.contains("backend=grepair"), "{name}: {banner:?}");
+        assert_eq!(got, expected, "{name}: socket vs serve-file");
     }
 }
 
-/// A four-node k2 path `0 -> 1 -> 2 -> 3` (the k2 codec keeps input node
-/// ids, so versioning tests can name concrete nodes), compressed to `name`.
-fn k2_path_fixture(name: &str) -> String {
-    let input = scratch(&format!("{name}.txt"));
-    std::fs::write(&input, "0 0 1\n1 0 2\n2 0 3\n").unwrap();
-    let g2g = scratch(&format!("{name}.k2"));
-    let out = grepair(&[
-        "compress", input.to_str().unwrap(), "-o", g2g.to_str().unwrap(), "--backend", "k2",
-    ]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    g2g.to_str().unwrap().to_string()
+/// A four-node rule-free path `0 -> 1 -> 2 -> 3` (ids kept, so versioning
+/// tests can name concrete nodes), written to `name`.
+fn path_fixture(name: &str) -> String {
+    let path = grepair_hypergraph::Hypergraph::from_simple_edges(4, (0..3u32).map(|i| (i, 0, i + 1)));
+    rule_free_fixture(name, path.0)
 }
 
 #[test]
 fn store_patch_and_versions_replay_a_patch_file_offline() {
-    let g2g = k2_path_fixture("offline_patch");
+    let g2g = path_fixture("offline_patch.g2g");
     let patches = scratch("offline_patch_list.txt");
     std::fs::write(&patches, "# close the cycle, drop the first hop\nADD 3 0 0\n\nDEL 0 0 1\n")
         .unwrap();
@@ -826,30 +786,45 @@ fn store_patch_and_versions_replay_a_patch_file_offline() {
         "versions=3 head=v2 v0=+0-0 v1=+1-0 v2=+1-1"
     );
 
-    // Real run: materialize the head and recompress with the input's own
-    // backend, then query the written container.
-    let patched = scratch("offline_patched.k2");
+    // Real run: materialize the head and recompress it, then read the
+    // written container back.
+    let patched = scratch("offline_patched.g2g");
     let out = grepair(&[
         "store", "patch", &g2g, patches.to_str().unwrap(), "-o", patched.to_str().unwrap(),
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("backend k2"), "{stdout}");
+    assert!(stdout.contains("(backend grepair, "), "{stdout}");
     assert!(stdout.contains("v2 materialized"), "{stdout}");
     assert!(stdout.contains("+1-1"), "{stdout}");
-    // Edges are now 1->2, 2->3, 3->0: reachability flips accordingly.
-    let out = grepair(&["query", "reach", patched.to_str().unwrap(), "2", "0"]);
-    assert!(out.status.success());
-    assert_eq!(String::from_utf8_lossy(&out.stdout).trim_end(), "reachable");
-    let out = grepair(&["query", "reach", patched.to_str().unwrap(), "0", "2"]);
-    assert!(out.status.success());
-    assert_eq!(String::from_utf8_lossy(&out.stdout).trim_end(), "not reachable");
+    // Edges are now 1->2, 2->3, 3->0: a directed path again, under the
+    // compressor's own node ids.
+    let restored = scratch("offline_patched.txt");
+    let out = grepair(&["decompress", patched.to_str().unwrap(), "-o", restored.to_str().unwrap()]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let next: std::collections::BTreeMap<u64, u64> = std::fs::read_to_string(&restored)
+        .unwrap()
+        .lines()
+        .map(|l| {
+            let (s, t) = l.split_once(' ').unwrap();
+            (s.parse().unwrap(), t.parse().unwrap())
+        })
+        .collect();
+    assert_eq!(next.len(), 3, "{next:?}");
+    let mut v = *next.keys().find(|v| !next.values().any(|t| t == *v)).expect("a source");
+    for hop in 0..3 {
+        let t = next[&v];
+        let out = grepair(&["query", "reach", patched.to_str().unwrap(), &t.to_string(), &v.to_string()]);
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim_end(), "not reachable", "hop {hop}");
+        v = t;
+    }
+    assert!(!next.contains_key(&v), "the walk ends at the sink: {next:?}");
 
     // A rejected patch aborts the replay with the file position, and
     // nothing is written.
     let bad = scratch("offline_bad_patches.txt");
     std::fs::write(&bad, "ADD 3 0 0\nDEL 9 9 9\n").unwrap();
-    let missing = scratch("offline_never_written.k2");
+    let missing = scratch("offline_never_written.g2g");
     let out = grepair(&[
         "store", "patch", &g2g, bad.to_str().unwrap(), "-o", missing.to_str().unwrap(),
     ]);
@@ -863,7 +838,7 @@ fn serve_file_patches_and_time_travels() {
     // VERSIONS, and `@vN` pinned queries — plus the parity check that the
     // `store versions` dry run prints the same listing the session renders
     // after the same patches.
-    let g2g = k2_path_fixture("serve_versioned");
+    let g2g = path_fixture("serve_versioned.g2g");
     let queries = scratch("serve_versioned_queries.txt");
     std::fs::write(
         &queries,
@@ -902,18 +877,10 @@ fn versioning_speaks_the_same_bytes_over_a_socket_as_serve_file() {
     // the same PATCH history from the same base container, so every reply —
     // patched/versions lines, @vN-pinned answers, the rejection lines — must
     // be byte-identical between serve-file and a live socket in both --io
-    // modes. The k2 backend keeps the encoder's node ids, so the grown-node
-    // probes are meaningful.
-    let input = scratch("ver_smoke.txt");
-    let k2 = scratch("ver_smoke.k2");
-    let (input, k2) = (input.to_str().unwrap(), k2.to_str().unwrap());
-    for args in [
-        &["generate", "pa", "1000", "13", "-o", input][..],
-        &["compress", input, "-o", k2, "--backend", "k2"],
-    ] {
-        let out = grepair(args);
-        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
-    }
+    // modes. A rule-free container keeps the generator's node ids, so the
+    // grown-node probes are meaningful.
+    let pa = grepair_datasets::network::preferential_attachment(1000, 4, 13);
+    let g2g = rule_free_fixture("ver_smoke.g2g", pa);
     let text = "VERSIONS\nINFO\n\
         PATCH ADD 0 0 1000\nout 1000\nout 1000 @v0\nreach 0 1000\nin 1000 @v1\n\
         PATCH DEL 0 0 1000\nout 0 @v1\nout 0 @v2\nVERSIONS\n\
@@ -923,7 +890,7 @@ fn versioning_speaks_the_same_bytes_over_a_socket_as_serve_file() {
     let queries = scratch("ver_queries.txt");
     std::fs::write(&queries, text).unwrap();
 
-    let offline = grepair(&["store", "serve-file", k2, queries.to_str().unwrap()]);
+    let offline = grepair(&["store", "serve-file", &g2g, queries.to_str().unwrap()]);
     assert!(offline.status.success(), "{}", String::from_utf8_lossy(&offline.stderr));
     let expected = String::from_utf8_lossy(&offline.stdout).to_string();
     let lines: Vec<&str> = expected.lines().collect();
@@ -941,7 +908,7 @@ fn versioning_speaks_the_same_bytes_over_a_socket_as_serve_file() {
     assert_eq!(lines[21], versions);
 
     for io in io_modes() {
-        let (_banner, got) = socket_replies(&[k2, "--io", io], text);
+        let (_banner, got) = socket_replies(&[&g2g, "--io", io], text);
         assert_eq!(got, expected, "versioning over --io {io} vs serve-file");
     }
 }

@@ -17,8 +17,10 @@
 //!   leave edge-less nodes in a rule — a documented deviation).
 //!
 //! [`encode`] and [`decode`] are exact inverses on the *dense-renumbered*
-//! grammar: the compressor canonicalizes start-edge order before handing a
-//! grammar out, so `val(decode(encode(G)))` equals `val(G)` node-for-node.
+//! grammar up to the order of S's edges: the encoder sorts S by (label,
+//! attachment) whatever order it arrives in, so `val(decode(encode(G)))`
+//! equals `val(G)` node-for-node for every valid grammar. (Compressor
+//! output is already in that order, so its start edges keep their ids.)
 //!
 //! The returned [`EncodedGrammar`] carries a size breakdown
 //! ([`SizeBreakdown`]) used by the evaluation (the paper observes that >90 %

@@ -4,7 +4,7 @@ use crate::perm::{apply_perm, perm_of, PermDict};
 use crate::CodecError;
 use grepair_bits::codes::{read_delta, write_delta};
 use grepair_bits::{BitReader, BitWriter};
-use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
+use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_k2tree::K2Tree;
 
 /// The paper uses k = 2 ("as this provides the best compression").
@@ -26,8 +26,7 @@ pub struct LabelPlan {
     pub label: EdgeLabel,
     /// Chosen representation.
     pub mode: LabelMode,
-    /// Edges of this label, in start-graph edge order, with dense-node
-    /// attachments.
+    /// Edges of this label, sorted by dense-node attachment.
     pub edges: Vec<Vec<NodeId>>,
 }
 
@@ -45,21 +44,31 @@ pub fn dense_map(start: &Hypergraph) -> (Vec<NodeId>, usize) {
 
 /// Analyze S: group edges by label in canonical order, pick modes, intern
 /// permutations for incidence labels. Labels are emitted terminals-first,
-/// ascending — the same order `canonicalize_start_edges` sorts by.
+/// ascending — the order the decoder reads sections in. S is sorted by
+/// (label, attachment) here, whatever order its edges come in: the
+/// compressor's `canonicalize_start_edges` already hands it over in that
+/// order (the sort is then the identity), but any valid grammar may reach
+/// [`crate::encode`]. `dense` is monotone, so the order is the same before
+/// and after renumbering.
 pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], dict: &mut PermDict) -> Vec<LabelPlan> {
+    let key = |e: EdgeId| (start.label(e), start.att(e));
+    let mut order: Vec<EdgeId> = Vec::with_capacity(start.num_edges());
+    order.extend(start.edges().map(|e| e.id));
+    order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
     let mut plans: Vec<LabelPlan> = Vec::new();
-    for e in start.edges() {
+    for e in order {
+        let label = start.label(e);
         // audited: edge attachments are alive nodes < node_bound == dense.len()
-        let att: Vec<NodeId> = e.att.iter().map(|&v| dense[v as usize]).collect();
+        let att: Vec<NodeId> = start.att(e).iter().map(|&v| dense[v as usize]).collect();
         assert!(!att.is_empty(), "rank-0 edges are not encodable");
         match plans.last_mut() {
-            Some(plan) if plan.label == e.label => plan.edges.push(att),
-            _ => plans.push(LabelPlan { label: e.label, mode: LabelMode::Adjacency, edges: vec![att] }),
+            Some(plan) if plan.label == label => plan.edges.push(att),
+            _ => plans.push(LabelPlan { label, mode: LabelMode::Adjacency, edges: vec![att] }),
         }
     }
     for plan in &mut plans {
         let all_rank2 = plan.edges.iter().all(|a| a.len() == 2);
-        // Edges arrive att-lexicographically sorted, so duplicates are
+        // Edges were sorted by attachment above, so duplicates are
         // adjacent.
         // audited: windows(2) yields exactly two elements
         let has_dupes = plan.edges.windows(2).any(|w| w[0] == w[1]);
@@ -261,6 +270,65 @@ mod tests {
         let out = round_trip_start(&s);
         assert_eq!(out.num_edges(), 2);
         assert_eq!(out.edge_multiset(), s.edge_multiset());
+    }
+
+    /// The start graph of `decode(encode(G))` for the rule-free grammar
+    /// `G` over `start` — the public entry points, not the section helpers.
+    fn round_trip_rule_free(start: &Hypergraph, labels: u32) -> Hypergraph {
+        let grammar = grepair_grammar::Grammar::new(start.clone(), labels);
+        assert_eq!(grammar.validate(), Ok(()));
+        let enc = crate::encode(&grammar);
+        crate::decode(&enc.bytes, enc.bit_len).unwrap().start
+    }
+
+    #[test]
+    fn start_graphs_out_of_canonical_order_round_trip() {
+        // Two-label paths in input order: every label run used to open its
+        // own section, and the decoder found trailing bits.
+        for n in [4u32, 5, 8, 20] {
+            let (s, _) =
+                Hypergraph::from_simple_edges(n as usize, (0..n - 1).map(|i| (i, i % 2, i + 1)));
+            assert_eq!(round_trip_rule_free(&s, 2).edge_multiset(), s.edge_multiset(), "{n}");
+        }
+        // Labels descending: used to decode with the two labels swapped.
+        let mut s = Hypergraph::with_nodes(3);
+        s.add_edge(T(1), &[1, 2]);
+        s.add_edge(T(0), &[0, 1]);
+        assert_eq!(round_trip_rule_free(&s, 2).edge_multiset(), s.edge_multiset());
+        // A duplicate that is not adjacent: used to pick adjacency mode,
+        // whose k²-tree dropped the copy.
+        let mut s = Hypergraph::with_nodes(3);
+        s.add_edge(T(0), &[0, 1]);
+        s.add_edge(T(0), &[1, 2]);
+        s.add_edge(T(0), &[0, 1]);
+        let out = round_trip_rule_free(&s, 1);
+        assert_eq!(out.num_edges(), 3);
+        assert_eq!(out.edge_multiset(), s.edge_multiset());
+    }
+
+    #[test]
+    fn shuffled_rule_free_grammars_round_trip() {
+        // Seeded: random labels, ranks 2 and 3, duplicates, any edge order.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut below = |bound: u32| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            ((x >> 33) % u64::from(bound)) as u32
+        };
+        for case in 0..300 {
+            let (n, labels) = (3 + below(30), 1 + below(4));
+            let mut s = Hypergraph::with_nodes(n as usize);
+            for _ in 0..below(60) {
+                let (a, b, c) = (below(n), below(n), below(n));
+                let label = T(below(labels));
+                match below(4) {
+                    0 if a != b && b != c && a != c => s.add_edge(label, &[a, b, c]),
+                    _ if a != b => s.add_edge(label, &[a, b]),
+                    _ => continue,
+                };
+            }
+            let out = round_trip_rule_free(&s, labels);
+            assert_eq!(out.edge_multiset(), s.edge_multiset(), "case {case}");
+        }
     }
 
     #[test]

@@ -652,12 +652,11 @@ pub fn run_cli(args: &[String]) -> Result<(), String> {
     let store = registry.store(DEFAULT_NAMESPACE).map_err(|e| e.to_string())?;
     // audited: documented contract: scripts parse the listening line off stdout
     println!(
-        "listening {addr} proto={} namespaces={} generation={} nodes={} backend={}",
+        "listening {addr} proto={} namespaces={} generation={} nodes={} backend=grepair",
         crate::session::PROTO_VERSION,
         registry.list().len(),
         store.generation(),
         store.total_nodes(),
-        store.backend()
     );
     // The line above is the machine-readable startup handshake — make sure
     // it is visible before the first connection, even under pipes.

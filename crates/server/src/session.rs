@@ -518,11 +518,12 @@ fn handle_admin(
             Ok(store) => {
                 let reload_failures =
                     registry.health_of(namespace).map_or(0, |h| h.reload_failures);
+                // `backend=grepair` (here, in ATTACH, STATS and the listening
+                // line) is fixed text kept for PROTO_VERSION 3 (DESIGN.md §6.3).
                 format!(
-                    "grepair proto={PROTO_VERSION} namespace={namespace} generation={} nodes={} backend={} reload_failures={reload_failures}",
+                    "grepair proto={PROTO_VERSION} namespace={namespace} generation={} nodes={} backend=grepair reload_failures={reload_failures}",
                     store.generation(),
                     store.total_nodes(),
-                    store.backend()
                 )
             }
         },
@@ -560,10 +561,9 @@ fn handle_admin(
         }
         Ok(Admin::Attach { name, path }) => match registry.attach(&name, &path) {
             Ok(store) => format!(
-                "attached {name} generation={} nodes={} backend={}",
+                "attached {name} generation={} nodes={} backend=grepair",
                 store.generation(),
                 store.total_nodes(),
-                store.backend()
             ),
             Err(e) => error_reply(e),
         },
@@ -1078,12 +1078,12 @@ mod tests {
     #[test]
     fn patch_versions_and_time_travel_over_the_wire() {
         let registry = registry(8);
-        // A k2 path store: the k2 codec keeps input node ids, so the wire
-        // assertions below can name concrete nodes.
+        // A rule-free grammar path store: it keeps input node ids, so the
+        // wire assertions below can name concrete nodes.
         let (g, _) =
             Hypergraph::from_simple_edges(4, (0..3u32).map(|i| (i, 0u32, i + 1)));
-        let file = grepair_store::codec_for("k2").unwrap().encode(&g).unwrap();
-        registry.attach_store("k", GraphStore::from_bytes(&file).unwrap()).unwrap();
+        let grammar = grepair_grammar::Grammar::new(g, 1);
+        registry.attach_store("k", GraphStore::from_grammar(grammar).unwrap()).unwrap();
         let input = "USE k\n\
                      VERSIONS\n\
                      PATCH ADD 3 0 0\n\
@@ -1116,7 +1116,7 @@ mod tests {
         assert_eq!(lines[8], "true");
         assert_eq!(
             lines[9],
-            "grepair proto=3 namespace=k generation=3 nodes=4 backend=k2 reload_failures=0"
+            "grepair proto=3 namespace=k generation=3 nodes=4 backend=grepair reload_failures=0"
         );
         // Bad patches and bad pins error per line, never per connection.
         assert!(lines[10].starts_with("error: bad request: patch DEL 0 5 1:"), "{out}");

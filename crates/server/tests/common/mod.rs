@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use grepair_core::{compress, GRePairConfig};
+use grepair_grammar::Grammar;
 use grepair_hypergraph::Hypergraph;
 use grepair_server::{IoMode, Server, ServerConfig, ServerHandle};
 use grepair_store::{write_container, GraphStore, StoreRegistry};
@@ -32,6 +33,15 @@ pub fn g2g(reps: u32) -> Vec<u8> {
     );
     let out = compress(&g, &GRePairConfig::default());
     let enc = grepair_codec::encode(&out.grammar);
+    write_container(&enc.bytes, enc.bit_len)
+}
+
+/// An unlabeled `n`-node path as a rule-free grammar container: nothing is
+/// compressed, so every node keeps its input id.
+#[allow(dead_code)] // not every test binary including this module names node ids
+pub fn path_file(n: u32) -> Vec<u8> {
+    let g = Hypergraph::from_simple_edges(n as usize, (0..n - 1).map(|i| (i, 0u32, i + 1))).0;
+    let enc = grepair_codec::encode(&Grammar::new(g, 1));
     write_container(&enc.bytes, enc.bit_len)
 }
 

@@ -1,21 +1,14 @@
-//! Multi-tenant hosting over one socket: a grammar-backed namespace and a
-//! k²-backed namespace served concurrently, each answering byte-identically
-//! to the socket-free `serve-file` path over the same container, with
+//! Multi-tenant hosting over one socket: a compressed grammar and a
+//! rule-free one (ids kept) served concurrently, each answering
+//! byte-identically to the socket-free `serve-file` path over the same
+//! container, with
 //! per-namespace reload isolation and LRU eviction that never changes an
 //! answer.
 
 mod common;
 
-use common::{g2g, io_modes, send_and_drain, temp_path, LineClient, TestServer};
-use grepair_hypergraph::Hypergraph;
+use common::{g2g, io_modes, path_file, send_and_drain, temp_path, LineClient, TestServer};
 use grepair_store::{error_reply, parse_query, GraphStore};
-
-/// An unlabeled `n`-node path, k²-encoded (ids preserved — no grammar
-/// renumbering).
-fn k2_file(n: usize) -> Vec<u8> {
-    let g = Hypergraph::from_simple_edges(n, (0..n as u32 - 1).map(|i| (i, 0u32, i + 1))).0;
-    grepair_store::codec_for("k2").unwrap().encode(&g).unwrap()
-}
 
 /// What `grepair store serve-file` replies for `line` against this
 /// container — the same parse → query → render path both front ends share,
@@ -44,21 +37,21 @@ const WORKLOAD: &[&str] = &[
 ];
 
 #[test]
-fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
+fn compressed_and_rule_free_tenants_share_one_socket_and_match_serve_file() {
     for &io in io_modes() {
-        let gram_bytes = g2g(6); // 13-node grammar-backed path
-        let k2_bytes = k2_file(9);
+        let gram_bytes = g2g(6); // 13-node compressed path
+        let plain_bytes = path_file(9);
         let gram_path = temp_path("mt_gram");
-        let k2_path = temp_path("mt_k2");
+        let plain_path = temp_path("mt_plain");
         std::fs::write(&gram_path, &gram_bytes).unwrap();
-        std::fs::write(&k2_path, &k2_bytes).unwrap();
+        std::fs::write(&plain_path, &plain_bytes).unwrap();
 
         let server = TestServer::start_in(io, 8, None);
         let mut client = LineClient::new(server.connect());
         let reply = client.roundtrip(&format!("ATTACH gram {}", gram_path.display()));
         assert_eq!(reply, "attached gram generation=1 nodes=13 backend=grepair");
-        let reply = client.roundtrip(&format!("ATTACH k {}", k2_path.display()));
-        assert_eq!(reply, "attached k generation=1 nodes=9 backend=k2");
+        let reply = client.roundtrip(&format!("ATTACH k {}", plain_path.display()));
+        assert_eq!(reply, "attached k generation=1 nodes=9 backend=grepair");
         assert_eq!(
             client.roundtrip("LIST"),
             "namespaces=3 default=resident:1 gram=resident:1 k=resident:1"
@@ -67,7 +60,7 @@ fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
         // Twin stores loaded from the very same bytes are the serve-file
         // ground truth for each namespace.
         let gram_twin = GraphStore::from_bytes(&gram_bytes).unwrap();
-        let k2_twin = GraphStore::from_bytes(&k2_bytes).unwrap();
+        let plain_twin = GraphStore::from_bytes(&plain_bytes).unwrap();
 
         // Interleave the two tenants line-by-line on one connection: every
         // reply must match its namespace's serve-file answer, in input order.
@@ -75,7 +68,7 @@ fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
             let got = client.roundtrip(&format!("gram:{line}"));
             assert_eq!(got, serve_file_reply(&gram_twin, line), "gram:{line}");
             let got = client.roundtrip(&format!("k:{line}"));
-            assert_eq!(got, serve_file_reply(&k2_twin, line), "k:{line}");
+            assert_eq!(got, serve_file_reply(&plain_twin, line), "k:{line}");
         }
 
         // The same interleaving as one pipelined batch exercises the
@@ -85,7 +78,7 @@ fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
         let mut expected = Vec::new();
         for line in WORKLOAD {
             input.push_str(&format!("k:{line}\ngram:{line}\n"));
-            expected.push(serve_file_reply(&k2_twin, line));
+            expected.push(serve_file_reply(&plain_twin, line));
             expected.push(serve_file_reply(&gram_twin, line));
         }
         let out = send_and_drain(server.addr, input.as_bytes());
@@ -108,13 +101,13 @@ fn grepair_and_k2_tenants_share_one_socket_and_match_serve_file() {
             let mut c = LineClient::new(server.connect());
             assert_eq!(c.roundtrip("USE k"), "using k");
             for line in WORKLOAD {
-                assert_eq!(c.roundtrip(line), serve_file_reply(&k2_twin, line), "k:{line}");
+                assert_eq!(c.roundtrip(line), serve_file_reply(&plain_twin, line), "k:{line}");
             }
         }
         hammer.join().unwrap();
 
         let _ = std::fs::remove_file(&gram_path);
-        let _ = std::fs::remove_file(&k2_path);
+        let _ = std::fs::remove_file(&plain_path);
     }
 }
 
@@ -124,13 +117,13 @@ fn reload_of_one_namespace_never_bumps_the_other() {
         let a_path = temp_path("mt_iso_a");
         let b_path = temp_path("mt_iso_b");
         std::fs::write(&a_path, g2g(4)).unwrap();
-        std::fs::write(&b_path, k2_file(7)).unwrap();
+        std::fs::write(&b_path, path_file(7)).unwrap();
 
         let server = TestServer::start_in(io, 8, None);
         let mut client = LineClient::new(server.connect());
         client.roundtrip(&format!("ATTACH a {}", a_path.display()));
         client.roundtrip(&format!("ATTACH b {}", b_path.display()));
-        let b_twin = GraphStore::from_bytes(&k2_file(7)).unwrap();
+        let b_twin = GraphStore::from_bytes(&path_file(7)).unwrap();
 
         // Reload `a` three times (bare RELOAD from the recorded ATTACH path):
         // its generation climbs, b's must not move.

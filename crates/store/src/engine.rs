@@ -1,11 +1,11 @@
-//! The gRePair backend's query engine: grammar navigation with memoized
-//! rule expansions and compiled RPQ plans.
+//! The grammar's query engine: grammar navigation with memoized rule
+//! expansions and compiled RPQ plans.
 //!
 //! One labeled walk serves every row-shaped answer: a single incident-edge
 //! scan over a single expansion table, collected with the label kept (the
 //! [`QueryEngine`] row primitive) or dropped (neighbor sets). The grammar
 //! engine is the one implementor that overrides [`QueryEngine`]'s provided
-//! methods; the store reaches it through the trait like every other backend.
+//! methods; the store reaches it through the trait like the version overlay.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +35,8 @@ pub(crate) type ExpansionEntry = (Vec<EdgeId>, u32, NodeId);
 pub(crate) const MAX_CACHED_PLANS: usize = 64;
 
 /// How many atoms one RPQ pattern may have. A plan costs
-/// O(#rules · rank · |Q|) closures to compile and the row walk of the other
-/// backends compiles the automaton per query, so |Q| must not be the
+/// O(#rules · rank · |Q|) closures to compile and the row walk of a patched
+/// version compiles the automaton per query, so |Q| must not be the
 /// client's to choose: 256 atoms are at most 513 states.
 pub(crate) const MAX_PATTERN_ATOMS: usize = 256;
 
@@ -55,7 +55,7 @@ struct CacheCounters {
 /// labels, grammar-side RPQ plans, and the rule-expansion table that makes
 /// hub-node neighborhoods cheap.
 #[derive(Debug)]
-pub struct GrammarEngine {
+pub(crate) struct GrammarEngine {
     grammar: Arc<Grammar>,
     /// Skeleton-based reachability (Thm. 6), built eagerly — and with it
     /// the one G-representation navigation index (Prop. 4) every verb
@@ -285,10 +285,6 @@ impl GrammarEngine {
 /// skeletons + condensation labels, compiled product plans, one O(|G|)
 /// pass) instead of walking rows.
 impl QueryEngine for GrammarEngine {
-    fn backend(&self) -> &'static str {
-        crate::backend::GREPAIR
-    }
-
     fn total_nodes(&self) -> u64 {
         self.index().total_nodes
     }

@@ -7,7 +7,6 @@
 //! path can be written end-to-end with `?` and *no* failure mode left as a
 //! panic.
 
-use grepair_baselines::BaselineError;
 use grepair_bits::BitError;
 use grepair_codec::CodecError;
 use grepair_queries::QueryError;
@@ -28,16 +27,13 @@ pub enum GrepairError {
     Bits(BitError),
     /// Grammar-format decode failure.
     Codec(CodecError),
-    /// A baseline-format decode failure (`k2`/`lm`/`hn` container
-    /// payloads).
-    Baseline(BaselineError),
     /// A structurally invalid query (out-of-range node, bad path).
     Query(QueryError),
     /// A request that could not be understood (unparsable query line,
     /// malformed RPQ pattern).
     BadRequest(String),
-    /// The operation is outside the chosen backend's model (hyperedges for
-    /// a matrix format, labels for an unlabeled-only format).
+    /// The operation is outside what the store supports (a versioned or
+    /// materialized graph beyond [`crate::MAX_VERSIONED_NODES`] nodes).
     Unsupported(String),
     /// The target is temporarily refusing work — a namespace whose
     /// circuit breaker is open after repeated open failures
@@ -53,7 +49,6 @@ impl std::fmt::Display for GrepairError {
             GrepairError::Container(what) => write!(f, "not a g2g container: {what}"),
             GrepairError::Bits(e) => write!(f, "bit stream: {e}"),
             GrepairError::Codec(e) => write!(f, "{e}"),
-            GrepairError::Baseline(e) => write!(f, "baseline stream: {e}"),
             GrepairError::Query(e) => write!(f, "{e}"),
             GrepairError::BadRequest(what) => write!(f, "bad request: {what}"),
             GrepairError::Unsupported(what) => write!(f, "unsupported: {what}"),
@@ -82,12 +77,6 @@ impl From<QueryError> for GrepairError {
     }
 }
 
-impl From<BaselineError> for GrepairError {
-    fn from(e: BaselineError) -> Self {
-        GrepairError::Baseline(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,8 +90,5 @@ mod tests {
         let e: GrepairError = QueryError::NodeOutOfRange { id: 9, total: 3 }.into();
         assert!(e.to_string().contains("out of range"), "{e}");
         assert!(e.to_string().contains("0..3"), "{e}");
-        let e: GrepairError = BaselineError::format("truncated bitmask").into();
-        assert!(matches!(e, GrepairError::Baseline(_)));
-        assert!(e.to_string().contains("truncated bitmask"), "{e}");
     }
 }

@@ -8,12 +8,10 @@
 //! * **Fallible load** — [`GraphStore::open`] / [`GraphStore::from_bytes`]
 //!   take any byte sequence to either a serving store or a [`GrepairError`];
 //!   no hostile container, truncation, or bit flip can panic the process.
-//! * **Pluggable backends** — containers are self-describing
-//!   (DESIGN.md §7): the [`backend`] module defines [`GraphCodec`] /
-//!   [`QueryEngine`], and `from_bytes` dispatches to whichever registered
-//!   backend (`grepair`, `k2`, `lm`, `hn`) wrote the file, legacy `.g2g`
-//!   images included. Every backend serves the same query plane; the
-//!   paper's space/query comparison runs live through one API.
+//! * **One container, one codec** — a `.g2g` file ([`write_container`]) is
+//!   a grammar stream behind a 12-byte header, and `from_bytes` decodes it
+//!   with no codec lookup (DESIGN.md §7). The paper's baselines (k², LM,
+//!   HN) are size comparators in `grepair-baselines`, never served.
 //! * **Eager indexing** — the G-representation navigation index, the
 //!   reachability skeletons and the condensation labels of every context
 //!   graph are built at load time, so per-query latency never pays the
@@ -76,7 +74,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod backend;
+mod backend;
 mod engine;
 mod error;
 pub mod query;
@@ -84,11 +82,7 @@ mod registry;
 mod store;
 mod version;
 
-pub use backend::{
-    backend_names, codec_for, codecs, split_any_container, write_container, GraphCodec,
-    QueryEngine,
-};
-pub use engine::GrammarEngine;
+pub use backend::{split_any_container, write_container};
 pub use error::GrepairError;
 pub use query::{compile_pattern, error_reply, parse_pattern, parse_query, Query, QueryAnswer};
 pub use registry::{

@@ -1223,18 +1223,17 @@ mod tests {
     // Versioning (DESIGN.md §12)
     // ------------------------------------------------------------------
 
-    /// A k2-backed path store (no node renumbering, unlike the grammar
-    /// codec): `0 -0-> 1 -0-> … -0-> n-1`.
-    fn k2_store(n: u32) -> GraphStore {
+    /// A rule-free grammar path store (no node renumbering, unlike a
+    /// compressed grammar): `0 -0-> 1 -0-> … -0-> n-1`.
+    fn path_store(n: u32) -> GraphStore {
         let g = Hypergraph::from_simple_edges(n as usize, (0..n - 1).map(|i| (i, 0u32, i + 1))).0;
-        let file = crate::backend::codec_for("k2").unwrap().encode(&g).unwrap();
-        GraphStore::from_bytes(&file).unwrap()
+        GraphStore::from_grammar(grepair_grammar::Grammar::new(g, 1)).unwrap()
     }
 
     #[test]
     fn patches_bump_generation_and_retain_versions() {
         let registry = StoreRegistry::new(store(2));
-        registry.attach_store("g", k2_store(4)).unwrap();
+        registry.attach_store("g", path_store(4)).unwrap();
         assert_eq!(
             registry.versions_of("g").unwrap(),
             vec![VersionSummary { version: 0, added: 0, removed: 0 }]

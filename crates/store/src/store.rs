@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use grepair_grammar::Grammar;
 use grepair_util::FxHashMap;
 
-use crate::backend::{self, QueryEngine};
+use crate::backend::{decode_validated_grammar, split_any_container, QueryEngine};
 use crate::engine::GrammarEngine;
 use crate::query::{Query, QueryAnswer};
 use crate::GrepairError;
@@ -21,8 +21,9 @@ type AnswerResult = Result<Arc<QueryAnswer>, GrepairError>;
 ///
 /// A long-lived server plugs in a reusable worker pool (`grepair-server`'s
 /// `WorkerPool`), so small batches do not pay a per-batch thread spawn. The
-/// batch being fanned out may be served by *any* registered backend — the
-/// jobs capture `&GraphStore`, which dispatches to the engine behind it.
+/// batch being fanned out may be served by the grammar or by a patched
+/// version — the jobs capture `&GraphStore`, which calls the engine behind
+/// it.
 ///
 /// # Contract
 ///
@@ -62,10 +63,6 @@ pub struct StoreStats {
     /// `STATS`/`INFO` admin replies (DESIGN.md §6) so clients can observe
     /// a hot reload taking effect.
     pub generation: u64,
-    /// Which compression backend is serving (`grepair`, `k2`, `lm`, `hn` —
-    /// see DESIGN.md §7). Echoed by `STATS`/`INFO` so clients can observe
-    /// a cross-backend reload.
-    pub backend: &'static str,
     /// Decode + index-build operations performed for this store (always 1:
     /// a reload builds a *new* store — see [`crate::StoreRegistry`]).
     pub loads: u64,
@@ -80,26 +77,27 @@ pub struct StoreStats {
     pub errors: u64,
     /// Size of the container image this store was decoded from, in bytes —
     /// the currency of the registry's `--memory-budget` (DESIGN.md §8).
-    /// `0` for stores built in memory ([`GraphStore::from_grammar`] /
-    /// [`GraphStore::from_engine`]), which are never evicted.
+    /// `0` for stores built in memory ([`GraphStore::from_grammar`], a
+    /// patched version's store), which are never evicted.
     pub resident_bytes: u64,
-    /// Memoized rule-expansion lookups that hit (grammar backend; 0
-    /// elsewhere).
+    /// Memoized rule-expansion lookups that hit (0 for a patched version,
+    /// whose store has no grammar engine of its own).
     pub expansion_cache_hits: u64,
     /// Memoized rule-expansion lookups that missed (and computed).
     pub expansion_cache_misses: u64,
-    /// RPQ plan-cache hits (pattern already compiled against this grammar;
-    /// grammar backend only).
+    /// RPQ plan-cache hits (pattern already compiled against this grammar).
     pub rpq_plan_hits: u64,
     /// RPQ plan-cache misses.
     pub rpq_plan_misses: u64,
 }
 
+/// The `STATS` line. It still closes with `backend=grepair`, the one codec
+/// left, so the line keeps its bytes under `PROTO_VERSION` 3 (DESIGN.md §6.3).
 impl std::fmt::Display for StoreStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "generation={} loads={} queries={} batches={} (parallel={}) errors={} expansion_cache={}/{} rpq_plans={}/{} resident_bytes={} backend={}",
+            "generation={} loads={} queries={} batches={} (parallel={}) errors={} expansion_cache={}/{} rpq_plans={}/{} resident_bytes={} backend=grepair",
             self.generation,
             self.loads,
             self.queries_served,
@@ -111,7 +109,6 @@ impl std::fmt::Display for StoreStats {
             self.rpq_plan_hits,
             self.rpq_plan_hits + self.rpq_plan_misses,
             self.resident_bytes,
-            self.backend,
         )
     }
 }
@@ -120,13 +117,12 @@ impl std::fmt::Display for StoreStats {
 ///
 /// `GraphStore` is the serving-grade counterpart of the one-shot CLI path:
 /// it loads a container through a fully fallible pipeline (no panic on any
-/// byte sequence), dispatches to the backend the container's header names
-/// (DESIGN.md §7 — legacy `.g2g` files are detected as the gRePair
-/// grammar), eagerly builds that backend's indexes, and then answers any
-/// number of [`Query`]s — individually via [`GraphStore::query`], batched
-/// via [`GraphStore::query_batch`], or across worker threads via
+/// byte sequence), decodes the grammar it holds (DESIGN.md §7), eagerly
+/// builds the grammar's indexes, and then answers any number of [`Query`]s
+/// — individually via [`GraphStore::query`], batched via
+/// [`GraphStore::query_batch`], or across worker threads via
 /// [`GraphStore::query_batch_on`]. All three reach the engine through the
-/// same [`QueryEngine`] call.
+/// same call.
 ///
 /// All interior mutability is synchronized (once-filled cells, one
 /// `RwLock`, atomic counters), so one store can be shared across threads
@@ -142,8 +138,8 @@ pub struct GraphStore {
     /// reads the cache counters. Queries never look at it.
     grammar_engine: Option<Arc<GrammarEngine>>,
     /// Whole-graph aggregates, computed at most once per loaded store —
-    /// for the grammar in one O(|G|) pass, for adjacency backends by a
-    /// full scan.
+    /// for the grammar in one O(|G|) pass, for a patched version by a full
+    /// row scan.
     components: OnceLock<u64>,
     degrees: OnceLock<Option<(u64, u64)>>,
     counters: Counters,
@@ -188,27 +184,18 @@ impl GraphStore {
         Ok(Self::from_validated_grammar(grammar))
     }
 
-    /// Build a store around any loaded [`QueryEngine`] — the seam the
-    /// non-grammar backends (and embedders with custom representations)
-    /// come through. The store supplies batching, parallel fan-out, the
-    /// per-chunk duplicate collapse, aggregate memoization, counters, and
-    /// hot-reload registration; the engine supplies the answers.
-    pub fn from_engine(engine: Box<dyn QueryEngine>) -> Self {
+    /// Build a store around an engine that is not a grammar — a patched
+    /// version's overlay. The store supplies batching, parallel fan-out,
+    /// the per-chunk duplicate collapse, aggregate memoization, counters,
+    /// and hot-reload registration; the engine supplies the answers.
+    pub(crate) fn from_engine(engine: Box<dyn QueryEngine>) -> Self {
         Self::new(Arc::from(engine), None)
     }
 
-    /// Decode any container image — legacy `.g2g` or tagged — and build
-    /// the store for whichever backend the header names.
+    /// Decode a `.g2g` container image and build the store.
     pub fn from_bytes(file: &[u8]) -> Result<Self, GrepairError> {
-        let (tag, bit_len, payload) = backend::split_any_container(file)?;
-        let codec = backend::resolve_codec(tag)?;
-        let mut store = if codec.name() == backend::GREPAIR {
-            // Not through `codec.load`: its boxed engine would lose the
-            // typed handle `grammar()` and `stats()` read.
-            Self::from_validated_grammar(backend::decode_validated_grammar(payload, bit_len)?)
-        } else {
-            Self::from_engine(codec.load(payload, bit_len)?)
-        };
+        let (_, bit_len, payload) = split_any_container(file)?;
+        let mut store = Self::from_validated_grammar(decode_validated_grammar(payload, bit_len)?);
         store.container_bytes = file.len() as u64;
         Ok(store)
     }
@@ -225,12 +212,7 @@ impl GraphStore {
         Self::from_bytes(&file)
     }
 
-    /// Name of the backend serving this store (`grepair`, `k2`, …).
-    pub fn backend(&self) -> &'static str {
-        self.engine.backend()
-    }
-
-    /// The grammar being served — `Some` only for the gRePair backend.
+    /// The grammar being served — `None` for a patched version's store.
     pub fn grammar(&self) -> Option<&Grammar> {
         self.grammar_engine.as_deref().map(GrammarEngine::grammar)
     }
@@ -268,7 +250,6 @@ impl GraphStore {
             self.grammar_engine.as_ref().map_or([0; 4], |ge| ge.cache_counts());
         StoreStats {
             generation: self.generation(),
-            backend: self.backend(),
             loads: self.loads,
             resident_bytes: self.container_bytes,
             queries_served: c.queries.load(Ordering::Relaxed),
@@ -426,7 +407,7 @@ impl GraphStore {
         out
     }
 
-    /// The one way a query reaches the engine, whichever backend serves and
+    /// The one way a query reaches the engine, whichever engine serves and
     /// whichever entry point asked. The aggregates go through the store's
     /// own once-per-container memo.
     fn answer(&self, q: &Query) -> AnswerResult {
@@ -454,8 +435,10 @@ impl GraphStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{codec_for, write_container};
+    use crate::backend::write_container;
+    use crate::{EdgePatch, VersionedStore};
     use grepair_core::{compress, GRePairConfig};
+    use grepair_grammar::Grammar;
     use grepair_hypergraph::{EdgeLabel, Hypergraph};
     use grepair_queries::neighbors::Direction;
     use grepair_queries::rpq::rpq_on_graph;
@@ -824,44 +807,44 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Multi-backend dispatch
+    // The container, and the row-walk engine of a patched version
     // ------------------------------------------------------------------
 
-    /// Build a store for `backend` holding the same unlabeled path graph.
-    fn backend_store(backend: &str, n: u32) -> GraphStore {
-        let g = Hypergraph::from_simple_edges(
-            n as usize,
-            (0..n - 1).map(|i| (i, 0u32, i + 1)),
-        )
-        .0;
-        let file = codec_for(backend).unwrap().encode(&g).unwrap();
-        GraphStore::from_bytes(&file).unwrap()
+    /// An unlabeled `n`-node path as a rule-free grammar: ids survive.
+    fn path_store(n: u32) -> GraphStore {
+        let g = Hypergraph::from_simple_edges(n as usize, (0..n - 1).map(|i| (i, 0u32, i + 1))).0;
+        GraphStore::from_grammar(Grammar::new(g, 1)).unwrap()
+    }
+
+    /// The same path behind a patched head: an edge added and deleted
+    /// again, so the head serves the base's graph through the overlay's
+    /// provided row walk instead of the grammar engine.
+    fn patched_path(n: u32) -> Arc<GraphStore> {
+        let log = VersionedStore::new(Arc::new(path_store(n))).unwrap();
+        for op in ["ADD", "DEL"] {
+            log.apply(EdgePatch::parse(&format!("{op} {} 0 0", n - 1)).unwrap()).unwrap();
+        }
+        log.head()
     }
 
     #[test]
     fn from_bytes_dispatches_on_the_container_tag() {
-        for backend in ["grepair", "k2", "lm", "hn"] {
-            let store = backend_store(backend, 20);
-            assert_eq!(store.backend(), backend);
-            assert_eq!(store.total_nodes(), 20, "{backend}");
-            assert_eq!(store.grammar().is_some(), backend == "grepair");
-            let stats = store.stats();
-            assert_eq!(stats.backend, backend);
-            assert!(stats.to_string().ends_with(&format!("backend={backend}")));
-        }
-    }
-
-    #[test]
-    fn unknown_container_tags_name_the_registry() {
-        let file = crate::backend::write_tagged_container("zstd9", b"", 0);
+        // The magic is the one tag left: `G2G1` decodes as a grammar, any
+        // other header is a container error before a payload bit is read.
+        let (store, _) = store_for(4);
+        assert!(store.grammar().is_some());
+        assert!(store.stats().to_string().ends_with("backend=grepair"));
+        let encoded = grepair_codec::encode(store.grammar().unwrap());
+        let mut file = write_container(&encoded.bytes, encoded.bit_len);
+        assert!(GraphStore::from_bytes(&file).is_ok());
+        file[3] = b'0';
         let err = GraphStore::from_bytes(&file).unwrap_err().to_string();
-        assert!(err.contains("zstd9"), "{err}");
-        assert!(err.contains("grepair, k2, lm, hn"), "{err}");
+        assert_eq!(err, "not a g2g container: bad magic");
     }
 
     #[test]
     fn external_backends_serve_batches_with_the_duplicate_memo() {
-        let store = backend_store("k2", 24);
+        let store = patched_path(24);
         let n = store.total_nodes();
         let batch = [
             Query::OutNeighbors(3),
@@ -881,23 +864,27 @@ mod tests {
         assert_eq!(answers[5].as_deref(), Ok(&QueryAnswer::Extrema(Some((1, 2)))));
         let stats = store.stats();
         assert_eq!(stats.errors, 1, "{stats}");
-        // Grammar-only cache counters stay zero on external backends.
+        // The grammar engine's cache counters stay zero on the overlay.
         assert_eq!(stats.expansion_cache_hits + stats.expansion_cache_misses, 0);
     }
 
     #[test]
     fn labeled_edges_agree_with_neighbors_across_backends() {
-        for backend in ["grepair", "k2", "lm", "hn"] {
-            let store = backend_store(backend, 20);
+        // Both engines: the grammar (compressed and rule-free) and the
+        // overlay's row walk.
+        let g = Hypergraph::from_simple_edges(20, (0..19u32).map(|i| (i, 0u32, i + 1))).0;
+        let compressed = GraphStore::from_grammar(compress(&g, &GRePairConfig::default()).grammar);
+        let stores = [Arc::new(compressed.unwrap()), Arc::new(path_store(20)), patched_path(20)];
+        for (which, store) in stores.iter().enumerate() {
             for v in 0..store.total_nodes() {
                 let outs: Vec<u64> =
                     store.out_edges(v).unwrap().into_iter().map(|(_, w)| w).collect();
-                assert_eq!(outs, store.out_neighbors(v).unwrap(), "{backend} out {v}");
+                assert_eq!(outs, store.out_neighbors(v).unwrap(), "store {which} out {v}");
                 let ins: Vec<u64> =
                     store.in_edges(v).unwrap().into_iter().map(|(_, w)| w).collect();
-                assert_eq!(ins, store.in_neighbors(v).unwrap(), "{backend} in {v}");
+                assert_eq!(ins, store.in_neighbors(v).unwrap(), "store {which} in {v}");
             }
-            assert!(store.out_edges(20).is_err(), "{backend}");
+            assert!(store.out_edges(20).is_err(), "store {which}");
         }
     }
 
@@ -922,20 +909,19 @@ mod tests {
 
     #[test]
     fn external_backends_fan_out_in_parallel() {
-        for backend in ["k2", "lm", "hn"] {
-            let store = backend_store(backend, 40);
-            let n = store.total_nodes();
-            let mut queries = mixed_queries(n, 300);
-            // Unlabeled graph: rewrite the two-label patterns onto label 0.
-            for q in &mut queries {
-                if let Query::Rpq { pattern, .. } = q {
-                    *pattern = "0 0*".into();
-                }
+        let store = patched_path(40);
+        let n = store.total_nodes();
+        let mut queries = mixed_queries(n, 300);
+        // Unlabeled graph: rewrite the two-label patterns onto label 0.
+        for q in &mut queries {
+            if let Query::Rpq { pattern, .. } = q {
+                *pattern = "0 0*".into();
             }
-            queries[11] = Query::InNeighbors(n + 11);
-            let sequential = store.query_batch(&queries);
-            let parallel = store.query_batch_on(&queries, &Reversed(4));
-            assert_eq!(parallel, sequential, "{backend}");
         }
+        queries[11] = Query::InNeighbors(n + 11);
+        let sequential = store.query_batch(&queries);
+        let parallel = store.query_batch_on(&queries, &Reversed(4));
+        assert_eq!(parallel, sequential);
+        assert_eq!(store.stats().parallel_batches, 1);
     }
 }

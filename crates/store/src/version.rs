@@ -4,7 +4,7 @@
 //! The paper's own evaluation compresses *version graphs* — snapshots of an
 //! evolving graph — but a compressed container is frozen at encode time.
 //! This module makes a served graph writable without giving up compression:
-//! the base container (any registered backend) stays untouched, every edit
+//! the base container stays untouched, every edit
 //! is stored **once** in a stamped in-memory `Log` that all versions share,
 //! and each applied patch is a new monotonic version — a number, not a
 //! copy. A version is two corrected row functions:
@@ -31,9 +31,8 @@ use crate::backend::QueryEngine;
 use crate::{GraphStore, GrepairError};
 
 /// Hard cap on a versioned graph's node bound (base nodes and any node a
-/// patch introduces). The same guard the baseline decoders apply
-/// (`k2::MAX_DECODE_NODES`): whole-graph scans (`components`, `degrees`)
-/// and BFS visited sets allocate proportionally to the bound, so a hostile
+/// patch introduces): whole-graph scans (`components`, `degrees`) and BFS
+/// visited sets allocate proportionally to the bound, so a hostile
 /// `PATCH ADD 0 0 <huge>` must not be able to demand gigabytes.
 pub const MAX_VERSIONED_NODES: u64 = 1 << 24;
 
@@ -174,8 +173,8 @@ struct Log {
 /// The [`QueryEngine`] of one version: the immutable base store plus the
 /// shared log read at `version`. A version is its two corrected row
 /// functions — every query is the trait's provided row walk over them,
-/// while the base's own compressed-domain machinery (grammar navigation,
-/// k²-tree walks) keeps producing the base part of each row.
+/// while the base grammar's navigation keeps producing the base part of
+/// each row.
 #[derive(Debug)]
 struct OverlayEngine {
     base: Arc<GraphStore>,
@@ -224,12 +223,6 @@ impl OverlayEngine {
 }
 
 impl QueryEngine for OverlayEngine {
-    fn backend(&self) -> &'static str {
-        // A version serves *as* its base backend: INFO/STATS report what
-        // answers the structural part of every query.
-        self.base.backend()
-    }
-
     fn total_nodes(&self) -> u64 {
         self.bound
     }
@@ -457,21 +450,21 @@ pub fn materialize(store: &GraphStore) -> Result<Hypergraph, GrepairError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::codec_for;
+    use grepair_grammar::Grammar;
     use grepair_hypergraph::Hypergraph;
     use grepair_util::FxHashSet;
 
-    /// A two-label path store under `backend`: `0 -0-> 1 -1-> 2 -0-> 3 …`
-    /// for k2/grepair, all label 0 for the unlabeled formats.
-    fn base_store(backend: &str, n: u32) -> Arc<GraphStore> {
-        let labeled = matches!(backend, "grepair" | "k2");
-        let g = Hypergraph::from_simple_edges(
-            n as usize,
-            (0..n - 1).map(|i| (i, if labeled { i % 2 } else { 0 }, i + 1)),
-        )
-        .0;
-        let file = codec_for(backend).unwrap().encode(&g).unwrap();
-        Arc::new(GraphStore::from_bytes(&file).unwrap())
+    /// `g` as a rule-free grammar container, loaded: nothing is compressed,
+    /// so every node keeps its input id.
+    fn rule_free(g: Hypergraph) -> Arc<GraphStore> {
+        let labels = g.edges().map(|e| e.label.index() + 1).max().unwrap_or(0);
+        let enc = grepair_codec::encode(&Grammar::new(g, labels));
+        Arc::new(GraphStore::from_bytes(&crate::write_container(&enc.bytes, enc.bit_len)).unwrap())
+    }
+
+    /// A two-label path store: `0 -0-> 1 -1-> 2 -0-> 3 …`.
+    fn base_store(n: u32) -> Arc<GraphStore> {
+        rule_free(Hypergraph::from_simple_edges(n as usize, (0..n - 1).map(|i| (i, i % 2, i + 1))).0)
     }
 
     #[test]
@@ -496,8 +489,8 @@ mod tests {
 
     #[test]
     fn patches_version_monotonically_and_retain_history() {
-        // k2 base: labeled, no node renumbering.
-        let base = base_store("k2", 5); // 0-0->1-1->2-0->3-1->4
+        // Rule-free base: labeled, no node renumbering.
+        let base = base_store(5); // 0-0->1-1->2-0->3-1->4
         let log = VersionedStore::new(Arc::clone(&base)).unwrap();
         assert_eq!(log.head_version(), 0);
         assert!(Arc::ptr_eq(&log.head(), &base), "v0 serves the base directly");
@@ -532,7 +525,7 @@ mod tests {
 
     #[test]
     fn duplicate_adds_and_missing_dels_error() {
-        let log = VersionedStore::new(base_store("k2", 4)).unwrap();
+        let log = VersionedStore::new(base_store(4)).unwrap();
         // Base edge 0-0->1 exists.
         let dup = log.apply(EdgePatch::parse("ADD 0 0 1").unwrap()).unwrap_err();
         assert!(dup.to_string().contains("already present at v0"), "{dup}");
@@ -559,7 +552,7 @@ mod tests {
 
     #[test]
     fn patches_grow_the_node_bound() {
-        let log = VersionedStore::new(base_store("lm", 3)).unwrap();
+        let log = VersionedStore::new(base_store(3)).unwrap();
         let (_, s) = log.apply(EdgePatch::parse("ADD 2 0 7").unwrap()).unwrap();
         assert_eq!(s.total_nodes(), 8);
         assert_eq!(s.out_neighbors(2).unwrap(), vec![7]);
@@ -576,16 +569,15 @@ mod tests {
     #[test]
     fn overlay_answers_match_recompressed_materialization() {
         // The oracle in miniature (the proptest in tests/versioning.rs
-        // drives it across backends and random patch sequences): a patched
-        // store answers exactly like a from-scratch compression of its
+        // drives it over compressed bases and random patch sequences): a
+        // patched store answers exactly like a fresh encoding of its
         // materialized graph.
-        let log = VersionedStore::new(base_store("k2", 6)).unwrap();
+        let log = VersionedStore::new(base_store(6)).unwrap();
         for line in ["DEL 1 1 2", "ADD 0 1 3", "ADD 5 0 1", "DEL 3 1 4", "ADD 2 2 0"] {
             log.apply(EdgePatch::parse(line).unwrap()).unwrap();
         }
         let head = log.head();
-        let fresh_file = codec_for("k2").unwrap().encode(&materialize(&head).unwrap()).unwrap();
-        let fresh = GraphStore::from_bytes(&fresh_file).unwrap();
+        let fresh = rule_free(materialize(&head).unwrap());
         assert_eq!(fresh.total_nodes(), head.total_nodes());
         for v in 0..head.total_nodes() {
             assert_eq!(head.out_neighbors(v).unwrap(), fresh.out_neighbors(v).unwrap(), "{v}");
@@ -609,9 +601,7 @@ mod tests {
         // Node 3's base row is [(0,1),(2,2)]. The add sorts *between* the
         // two, so a row function that appended it before cutting the hole
         // would binary-search an unsorted row for (2,2).
-        let g = Hypergraph::from_simple_edges(6, [(3u32, 0u32, 1u32), (3, 2, 2)]).0;
-        let file = codec_for("k2").unwrap().encode(&g).unwrap();
-        let base = Arc::new(GraphStore::from_bytes(&file).unwrap());
+        let base = rule_free(Hypergraph::from_simple_edges(6, [(3u32, 0u32, 1u32), (3, 2, 2)]).0);
         assert_eq!(base.out_edges(3).unwrap(), vec![(0, 1), (2, 2)]);
         let log = VersionedStore::new(base).unwrap();
         log.apply(EdgePatch::parse("ADD 3 0 5").unwrap()).unwrap();
@@ -629,7 +619,7 @@ mod tests {
         // of them refused (present ADDs, absent DELs, self-loops), checked
         // against the folding model: `added` holds what the head has beyond
         // the base, `removed` what the base has beyond the head.
-        let base = base_store("k2", 5);
+        let base = base_store(5);
         let log = VersionedStore::new(Arc::clone(&base)).unwrap();
         let in_base = |s: u64, label, t| {
             s < 5 && base.out_edges(s).unwrap().binary_search(&(label, t)).is_ok()
@@ -680,7 +670,7 @@ mod tests {
     fn self_loop_patches_are_rejected() {
         // The graph model drops self-loops at ingestion, so the overlay
         // refuses to introduce what recompression could not round-trip.
-        let log = VersionedStore::new(base_store("hn", 2)).unwrap();
+        let log = VersionedStore::new(base_store(2)).unwrap();
         let err =
             log.apply(EdgePatch { op: PatchOp::Add, s: 1, label: 0, t: 1 }).unwrap_err();
         assert!(err.to_string().contains("self-loop"), "{err}");
@@ -695,9 +685,6 @@ mod tests {
         #[derive(Debug)]
         struct Huge;
         impl QueryEngine for Huge {
-            fn backend(&self) -> &'static str {
-                "k2"
-            }
             fn total_nodes(&self) -> u64 {
                 MAX_VERSIONED_NODES + 1
             }

@@ -296,11 +296,11 @@ fn faulted_patches_never_leave_a_torn_version() {
 
     let _faults = fail::scoped();
     let registry = chaotic_registry(None);
-    // An id-stable tenant to patch (the k2 codec keeps input node ids, so
-    // the expected edge set below can be tracked by literal ids).
+    // An id-stable tenant to patch (a rule-free grammar keeps input node
+    // ids, so the expected edge set below can be tracked by literal ids).
     let (g, _) = Hypergraph::from_simple_edges(6, (0..5u32).map(|i| (i, 0u32, i + 1)));
-    let bytes = grepair_store::codec_for("k2").unwrap().encode(&g).unwrap();
-    registry.attach_store("delta", GraphStore::from_bytes(&bytes).unwrap()).unwrap();
+    let grammar = grepair_grammar::Grammar::new(g, 1);
+    registry.attach_store("delta", GraphStore::from_grammar(grammar).unwrap()).unwrap();
 
     // Half the patch applications abort between validation and the
     // version-log push. The atomicity contract (DESIGN.md §12): either the

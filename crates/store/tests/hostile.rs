@@ -5,11 +5,15 @@
 mod common;
 
 use common::ScopedThreads;
+use std::sync::Arc;
+
 use grepair_core::{compress, GRePairConfig};
+use grepair_grammar::Grammar;
 use grepair_hypergraph::Hypergraph;
 use grepair_queries::rpq::rpq_on_graph;
 use grepair_store::{
-    codecs, compile_pattern, parse_query, write_container, GraphStore, Query, QueryAnswer,
+    compile_pattern, parse_query, write_container, EdgePatch, GraphStore, Query, QueryAnswer,
+    VersionedStore,
 };
 
 /// A real compressed container to corrupt.
@@ -72,24 +76,34 @@ fn garbage_and_wrong_magic_error() {
     lie.extend_from_slice(b"G2G1");
     lie.extend_from_slice(&u64::MAX.to_le_bytes());
     assert!(GraphStore::from_bytes(&lie).is_err());
+    // The retired tagged layout (magic, version 2, tag "k2", bit length,
+    // payload) the store used to serve k²-trees from: a container error now.
+    let mut tagged = b"G2GC\x02\x02k2".to_vec();
+    tagged.extend_from_slice(&16u64.to_le_bytes());
+    tagged.extend_from_slice(&[0x80, 0x01]);
+    let err = GraphStore::from_bytes(&tagged).unwrap_err().to_string();
+    assert_eq!(err, "not a g2g container: bad magic");
 }
 
-/// A real container per registered backend, all encoding the same
-/// unlabeled path graph (every backend's model accepts it).
+/// Both shapes of grammar container, encoding the same unlabeled path
+/// graph: compressed (rules, renumbered nodes) and rule-free (S alone).
 fn backend_containers() -> Vec<(&'static str, Vec<u8>)> {
     let (g, _) = Hypergraph::from_simple_edges(41, (0..40u32).map(|i| (i, 0u32, i + 1)));
-    codecs()
-        .iter()
-        .map(|codec| (codec.name(), codec.encode(&g).expect("path graph encodes")))
-        .collect()
+    let compressed = compress(&g, &GRePairConfig::default()).grammar;
+    [("compressed", compressed), ("rule-free", Grammar::new(g, 1))]
+        .map(|(name, grammar)| {
+            let enc = grepair_codec::encode(&grammar);
+            (name, write_container(&enc.bytes, enc.bit_len))
+        })
+        .into()
 }
 
 #[test]
 fn every_backend_container_loads_and_serves() {
     for (name, file) in backend_containers() {
         let store = GraphStore::from_bytes(&file).unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(store.backend(), name);
         assert_eq!(store.total_nodes(), 41, "{name}");
+        assert_eq!(store.components(), 1, "{name}");
     }
 }
 
@@ -212,11 +226,10 @@ fn a_flood_of_distinct_rpq_patterns_leaves_a_bounded_plan_cache() {
 #[test]
 fn the_longest_legal_patterns_answer_on_every_backend_and_one_atom_more_is_an_error() {
     // 256 atoms are an automaton of up to 513 states: compiling it must be
-    // quick on every backend (the row walk of k² / lm / hn compiles per
+    // quick on both engines (the row walk of a patched version compiles per
     // query), and one atom more must cost a parse and nothing else.
-    // Unlabeled (lm and hn encode nothing else): a path into a 10-cycle with
-    // a chord and a tail out of it, so that 128-step walks exist between
-    // some pairs and not between others.
+    // A path into a 10-cycle with a chord and a tail out of it, so that
+    // 128-step walks exist between some pairs and not between others.
     let cycle = (0..10u32).map(|i| (20 + i, 0u32, 20 + (i + 1) % 10));
     let path = (0..20u32).chain(29..35).map(|i| (i, 0u32, i + 1));
     let (g, _) = Hypergraph::from_simple_edges(36, path.chain(cycle).chain([(22, 0, 27)]));
@@ -249,18 +262,20 @@ fn the_longest_legal_patterns_answer_on_every_backend_and_one_atom_more_is_an_er
         .collect();
     let positives = want.iter().filter(|w| **w == Ok(QueryAnswer::Bool(true))).count();
     assert!(positives > 0 && positives < queries.len() - 1, "{positives} positives");
-    // Ids line up by construction: the grammar serves `val(G)`, the other
-    // backends are encoded from it.
-    let baselines = codecs().iter().filter(|codec| codec.name() != "grepair").map(|codec| {
-        GraphStore::from_bytes(&codec.encode(&derived).expect("val(G) encodes")).unwrap()
-    });
-    for store in [GraphStore::from_grammar(out.grammar.clone()).unwrap()].into_iter().chain(baselines) {
+    // The row walk serves the same `val(G)` from a patched head whose one
+    // edge was added and deleted again.
+    let grammar = Arc::new(GraphStore::from_grammar(out.grammar.clone()).unwrap());
+    let log = VersionedStore::new(Arc::clone(&grammar)).unwrap();
+    for patch in ["ADD 0 1 1", "DEL 0 1 1"] {
+        log.apply(EdgePatch::parse(patch).unwrap()).unwrap();
+    }
+    for (engine, store) in [("grammar", grammar), ("row walk", log.head())] {
         let got: Vec<Result<QueryAnswer, String>> = store
             .query_batch(&queries)
             .into_iter()
             .map(|answer| answer.map(|a| (*a).clone()).map_err(|e| e.to_string()))
             .collect();
-        assert_eq!(got, want, "{}", store.backend());
+        assert_eq!(got, want, "{engine}");
     }
 }
 

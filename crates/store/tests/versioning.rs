@@ -1,18 +1,22 @@
 //! The versioning oracle (DESIGN.md §12): over random base graphs and random
 //! valid patch sequences, every retained version of a [`VersionedStore`] must
 //! answer exactly like a from-scratch recompression of that version's
-//! materialized graph — on all four backends.
+//! materialized graph — on two grammar bases.
 //!
-//! k2/lm/hn preserve node ids through encode, so answers compare literally.
-//! grepair renumbers nodes during compression; the recompressed store is
-//! compared through `grepair_core`'s `node_map` (derived id → input id), which
-//! the container format discards but the in-process compressor still exposes.
+//! The compressed base renumbers nodes; the rule-free base (S alone, no
+//! rules) keeps the input's ids, so a forced toggle of a base edge hits a
+//! real one. Either way the recompressed store renumbers, and is compared
+//! through `grepair_core`'s `node_map` (derived id → input id), which the
+//! container format discards but the in-process compressor still exposes.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use grepair_grammar::Grammar;
 use grepair_hypergraph::Hypergraph;
-use grepair_store::{codec_for, materialize, EdgePatch, GraphStore, PatchOp, VersionedStore};
+use grepair_store::{
+    materialize, write_container, EdgePatch, GraphStore, PatchOp, VersionedStore,
+};
 use proptest::prelude::*;
 
 /// One edge in store-id space.
@@ -27,7 +31,7 @@ type Triple = (u32, u32, u32);
 /// they repeat — closed entries pile up on few rows — and may name nodes
 /// past the base bound (exercising bound growth). Every case opens with the
 /// two hard toggles, interleaved on one row: a base edge `b` (where the
-/// base has one; the grammar backend renumbers, so there it may be any
+/// base has one; the compressed base renumbers, so there it may be any
 /// pair) goes del → add → del, an overlay edge `a` from the same source
 /// goes add → del → add, and `v2` holds a live hole beside a live add.
 fn arb_case() -> impl Strategy<Value = (u32, Vec<Triple>, Vec<Triple>)> {
@@ -60,24 +64,39 @@ fn edge_set(store: &GraphStore) -> BTreeSet<Edge> {
     set
 }
 
-/// Replay `intents` as toggles over a fresh base store for `backend`,
-/// checking every retained version against (a) the tracked model edge set
-/// and (b) a from-scratch recompression of its materialized graph.
-fn check_backend(backend: &str, n: u32, base: &[Triple], intents: &[Triple]) {
+/// The two grammar bases a client can attach: a compressed container and a
+/// rule-free one.
+const BASES: [&str; 2] = ["compressed", "rule-free"];
+
+/// `g` as a `base` container, loaded.
+fn base_store(base: &str, g: Hypergraph) -> GraphStore {
+    let grammar = match base {
+        "compressed" => grepair_core::compress(&g, &grepair_core::GRePairConfig::default()).grammar,
+        _ => Grammar::new(g, 3), // every label here is drawn from 0..3
+    };
+    let enc = grepair_codec::encode(&grammar);
+    GraphStore::from_bytes(&write_container(&enc.bytes, enc.bit_len)).unwrap()
+}
+
+/// Replay `intents` as toggles over a fresh `base` store, checking every
+/// retained version against (a) the tracked model edge set and (b) a
+/// from-scratch recompression of its materialized graph. `labeled: false`
+/// projects every label, the base's and the patches', onto label 0.
+fn check_base(base: &str, labeled: bool, n: u32, triples: &[Triple], intents: &[Triple]) {
     // The vendored proptest cannot shrink, so every failure prints its case.
-    let case = format!("{backend}: n={n} base={base:?} intents={intents:?}");
-    let labeled = matches!(backend, "grepair" | "k2");
-    let triples: Vec<Triple> = base
-        .iter()
-        .map(|&(s, l, t)| (s, if labeled { l } else { 0 }, t))
-        .collect();
+    let case = format!("{base} labeled={labeled}: n={n} base={triples:?} intents={intents:?}");
+    let triples = triples.iter().map(|&(s, l, t)| (s, if labeled { l } else { 0 }, t));
     let g = Hypergraph::from_simple_edges(n as usize, triples).0;
-    let file = codec_for(backend).unwrap().encode(&g).unwrap();
-    let store = Arc::new(GraphStore::from_bytes(&file).unwrap());
+    let input: BTreeSet<Edge> =
+        g.edges().map(|e| (e.att[0].into(), e.label.index(), e.att[1].into())).collect();
+    let store = Arc::new(base_store(base, g));
+    if base == "rule-free" {
+        assert_eq!(edge_set(&store), input, "a rule-free base keeps every id; {case}");
+    }
 
     // The model lives in *store*-id space (read back from the base store, so
-    // grepair's renumbering is already folded in), exactly like a client
-    // that attaches a container and then patches it.
+    // a compressed base's renumbering is already folded in), exactly like a
+    // client that attaches a container and then patches it.
     let versioned = VersionedStore::new(Arc::clone(&store)).unwrap();
     let mut model = edge_set(&store);
     let mut snapshots = vec![model.clone()];
@@ -105,24 +124,19 @@ fn check_backend(backend: &str, n: u32, base: &[Triple], intents: &[Triple]) {
         let at = versioned.at(v as u64).unwrap();
         let case = format!("v{v}; {case}");
         assert_eq!(&edge_set(&at), expected, "overlay vs model at {case}");
-        check_recompression(backend, &case, &at);
+        check_recompression(&case, &at);
     }
 }
 
 /// `at` must answer exactly like a fresh compression of its materialized
 /// graph: same edges, same reachability, same whole-graph aggregates.
-fn check_recompression(backend: &str, case: &str, at: &GraphStore) {
+fn check_recompression(case: &str, at: &GraphStore) {
     let materialized = materialize(at).unwrap();
     let bound = at.total_nodes();
-    // identity[store id] = fresh-store id (grepair permutes; the rest don't).
-    let (fresh, to_store): (GraphStore, Vec<u64>) = if backend == "grepair" {
-        let out = grepair_core::compress(&materialized, &grepair_core::GRePairConfig::default());
-        let map: Vec<u64> = out.node_map.iter().map(|&orig| u64::from(orig)).collect();
-        (GraphStore::from_grammar(out.grammar).unwrap(), map)
-    } else {
-        let file = codec_for(backend).unwrap().encode(&materialized).unwrap();
-        (GraphStore::from_bytes(&file).unwrap(), (0..bound).collect())
-    };
+    // to_store[fresh id] = store id: the compressor's node map.
+    let out = grepair_core::compress(&materialized, &grepair_core::GRePairConfig::default());
+    let to_store: Vec<u64> = out.node_map.iter().map(|&orig| u64::from(orig)).collect();
+    let fresh = GraphStore::from_grammar(out.grammar).unwrap();
     assert_eq!(fresh.total_nodes(), bound, "node bound at {case}");
     let mut to_fresh = vec![u64::MAX; bound as usize];
     for (f, &orig) in to_store.iter().enumerate() {
@@ -174,8 +188,8 @@ proptest! {
     fn labeled_backends_time_travel_matches_recompression(
         (n, base, intents) in arb_case()
     ) {
-        for backend in ["grepair", "k2"] {
-            check_backend(backend, n, &base, &intents);
+        for kind in BASES {
+            check_base(kind, true, n, &base, &intents);
         }
     }
 
@@ -183,8 +197,8 @@ proptest! {
     fn unlabeled_backends_time_travel_matches_recompression(
         (n, base, intents) in arb_case()
     ) {
-        for backend in ["lm", "hn"] {
-            check_backend(backend, n, &base, &intents);
+        for kind in BASES {
+            check_base(kind, false, n, &base, &intents);
         }
     }
 }
@@ -204,14 +218,12 @@ fn rows(store: &GraphStore) -> Vec<[Vec<(u32, u64)>; 2]> {
 fn retained_versions_answer_the_same_under_a_concurrent_writer() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 
-    // A k2 base (ids survive encoding): hub 0 over a two-label path.
+    // A rule-free base (ids survive encoding): hub 0 over a two-label path.
     let n = 24u32;
     let hub = (1..n).map(|i| (0, 0, i));
     let path = (1..n - 1).map(|i| (i, 1 + i % 2, i + 1));
     let g = Hypergraph::from_simple_edges(n as usize, hub.chain(path)).0;
-    let file = codec_for("k2").unwrap().encode(&g).unwrap();
-    let versioned =
-        VersionedStore::new(Arc::new(GraphStore::from_bytes(&file).unwrap())).unwrap();
+    let versioned = VersionedStore::new(Arc::new(base_store("rule-free", g))).unwrap();
 
     // The toggled pool, all on rows the recordings cover: per node a base
     // hub edge, two overlay edges and an edge to a node past the bound.
