@@ -19,6 +19,14 @@ impl BitVec {
         Self { words: vec![0; len.div_ceil(64)], len }
     }
 
+    /// Bit vector of `len` bits over `words` (bit `i` is bit `i % 64` of
+    /// word `i / 64`); bits at `len` and above must be zero.
+    pub(crate) fn from_words(words: Vec<u64>, len: usize) -> Self {
+        debug_assert_eq!(words.len(), len.div_ceil(64));
+        debug_assert!(len.is_multiple_of(64) || words.last().is_some_and(|w| w >> (len % 64) == 0));
+        Self { words, len }
+    }
+
     /// Number of bits.
     pub fn len(&self) -> usize {
         self.len
@@ -27,6 +35,28 @@ impl BitVec {
     /// True if no bits.
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    /// The `n ≤ 64` bits `i .. i + n` as the low bits of a word, bit `i`
+    /// lowest.
+    #[inline]
+    pub fn get_bits(&self, i: usize, n: u32) -> u64 {
+        debug_assert!(n <= 64 && i + n as usize <= self.len);
+        if n == 0 {
+            return 0;
+        }
+        let (word, off) = (i / 64, (i % 64) as u32);
+        // audited: caller contract i + n <= len (debug_assert), so word < words.len()
+        let mut v = self.words[word] >> off;
+        if off + n > 64 {
+            // audited: the field runs past word, so bit i + n - 1 < len lives in word + 1
+            v |= self.words[word + 1] << (64 - off);
+        }
+        if n == 64 {
+            v
+        } else {
+            v & ((1u64 << n) - 1)
+        }
     }
 
     /// Append a bit.

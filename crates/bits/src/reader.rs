@@ -1,6 +1,6 @@
 //! MSB-first bit reader over a byte slice.
 
-use crate::{BitError, Result};
+use crate::{BitError, BitVec, Result};
 
 /// Reads bits most-significant-first from a byte slice, bounded by an exact
 /// bit length (so zero padding from [`crate::BitWriter::finish`] is never
@@ -48,17 +48,51 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read `width` bits as the low bits of a `u64`, MSB first.
+    ///
+    /// Gathers the (at most nine) bytes the field spans into one
+    /// accumulator and cuts the field out of it, instead of one
+    /// [`BitReader::read_bit`] per bit.
     #[inline]
     pub fn read_bits(&mut self, width: u32) -> Result<u64> {
         debug_assert!(width <= 64);
         if self.remaining() < width as u64 {
             return Err(BitError::UnexpectedEnd);
         }
-        let mut v = 0u64;
-        for _ in 0..width {
-            v = (v << 1) | self.read_bit()? as u64;
+        if width == 0 {
+            return Ok(0);
         }
-        Ok(v)
+        let first = (self.pos / 8) as usize;
+        let end = (self.pos + width as u64).div_ceil(8) as usize;
+        let mut acc = 0u128;
+        // audited: pos + width <= bit_len <= bytes.len()*8 (checked above;
+        // new() clamps bit_len), so end <= bytes.len()
+        for &b in &self.bytes[first..end] {
+            acc = (acc << 8) | b as u128;
+        }
+        // `acc` holds (end - first) * 8 bits; the field ends `tail` bits
+        // before its low end, and everything above the field is dropped by
+        // the cast (width 64) or the mask.
+        let tail = (end * 8) as u64 - (self.pos + width as u64);
+        self.pos += width as u64;
+        let v = (acc >> tail) as u64;
+        Ok(if width == 64 { v } else { v & ((1u64 << width) - 1) })
+    }
+
+    /// Read the next `len` bits into a [`BitVec`] (the first bit read is
+    /// bit 0), 64 at a time.
+    pub fn read_bitvec(&mut self, len: usize) -> Result<BitVec> {
+        if self.remaining() < len as u64 {
+            return Err(BitError::UnexpectedEnd);
+        }
+        let mut words = Vec::with_capacity(len.div_ceil(64));
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(64) as u32;
+            // MSB-first field → LSB-first word: left-align, then reverse.
+            words.push((self.read_bits(n)? << (64 - n)).reverse_bits());
+            left -= n as usize;
+        }
+        Ok(BitVec::from_words(words, len))
     }
 
     /// Skip `n` bits.

@@ -3,7 +3,7 @@
 use grepair_bits::codes::{
     delta_len, read_delta, read_gamma, read_unary, write_delta, write_gamma, write_unary,
 };
-use grepair_bits::{BitReader, BitVec, BitWriter, RankBitVec};
+use grepair_bits::{BitError, BitReader, BitVec, BitWriter, RankBitVec};
 use proptest::prelude::*;
 
 proptest! {
@@ -67,6 +67,67 @@ proptest! {
         for &(v, width) in &chunks {
             let masked = if width == 64 { v } else { v & ((1u64 << width) - 1) };
             prop_assert_eq!(r.read_bits(width).unwrap(), masked);
+        }
+    }
+
+    #[test]
+    fn read_bits_matches_bit_by_bit_at_every_width_and_offset(
+        bytes in proptest::collection::vec(any::<u8>(), 0..12),
+        cut in 0u64..8,
+    ) {
+        // A bit length that is not a multiple of 8, so the padding edge is
+        // exercised as well as the buffer's end.
+        let bit_len = (bytes.len() as u64 * 8).saturating_sub(cut);
+        for offset in 0..8u64.min(bit_len + 1) {
+            for width in 0..=64u32 {
+                let mut r = BitReader::new(&bytes, bit_len);
+                r.skip(offset).unwrap();
+                let mut reference = r.clone();
+                if r.remaining() < u64::from(width) {
+                    prop_assert_eq!(r.read_bits(width), Err(BitError::UnexpectedEnd));
+                    prop_assert_eq!(r.position(), offset);
+                    continue;
+                }
+                let mut want = 0u64;
+                for _ in 0..width {
+                    want = (want << 1) | u64::from(reference.read_bit().unwrap());
+                }
+                prop_assert_eq!(r.read_bits(width), Ok(want), "offset {} width {}", offset, width);
+                prop_assert_eq!(r.position(), reference.position());
+            }
+        }
+    }
+
+    #[test]
+    fn read_bitvec_matches_bit_by_bit(
+        bytes in proptest::collection::vec(any::<u8>(), 0..40),
+        offset in 0u64..8,
+        len in 0usize..330,
+    ) {
+        let bit_len = bytes.len() as u64 * 8;
+        let mut r = BitReader::new(&bytes, bit_len);
+        if r.skip(offset).is_err() {
+            return Ok(());
+        }
+        let mut reference = r.clone();
+        if r.remaining() < len as u64 {
+            prop_assert_eq!(r.read_bitvec(len), Err(BitError::UnexpectedEnd));
+            return Ok(());
+        }
+        let got = r.read_bitvec(len).unwrap();
+        prop_assert_eq!(got.len(), len);
+        let want: Vec<bool> = (0..len).map(|_| reference.read_bit().unwrap()).collect();
+        prop_assert_eq!(got.iter().collect::<Vec<_>>(), want.clone());
+        prop_assert_eq!(got.count_ones(), want.iter().filter(|&&b| b).count());
+        prop_assert_eq!(r.position(), reference.position());
+        for i in 0..len {
+            for n in 0..=64u32.min((len - i) as u32) {
+                let word = want[i..i + n as usize]
+                    .iter()
+                    .rev()
+                    .fold(0u64, |acc, &b| (acc << 1) | u64::from(b));
+                prop_assert_eq!(got.get_bits(i, n), word);
+            }
         }
     }
 

@@ -11,8 +11,8 @@ use grepair_hypergraph::{EdgeLabel, Hypergraph};
 
 /// Decode a grammar previously written by [`crate::encode`].
 ///
-/// The result is structurally validated; corrupt streams return
-/// [`CodecError`] rather than panicking.
+/// The result has passed [`Grammar::validate`] — callers need not run it
+/// again; corrupt streams return [`CodecError`] rather than panicking.
 pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     // A truncated or corrupt container can claim more bits than it carries;
     // reject the lie up front rather than failing mid-stream. (`BitReader`
@@ -32,8 +32,10 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     if m > u32::MAX as usize {
         return Err(CodecError::Malformed("node count overflow".into()));
     }
+    // Counts are untrusted: pre-size by what the stream can still hold
+    // (every entry costs at least one bit), never by the claim itself.
     let ext_len = (read_delta(&mut r)? - 1) as usize;
-    let mut ext = Vec::with_capacity(ext_len);
+    let mut ext = Vec::with_capacity(ext_len.min(r.remaining() as usize));
     for _ in 0..ext_len {
         let v = (read_delta(&mut r)? - 1) as u32;
         if v as usize >= m {
@@ -42,7 +44,7 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
         ext.push(v);
     }
     let num_labels = num_terminals as usize + num_rules;
-    let mut present = Vec::with_capacity(num_labels);
+    let mut present = Vec::with_capacity(num_labels.min(r.remaining() as usize));
     for _ in 0..num_labels {
         present.push(r.read_bit()?);
     }
@@ -83,7 +85,9 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::encode;
+    use crate::perm::PermDict;
+    use crate::start::{dense_map, plan_labels, LabelMode};
+    use crate::{encode, EncodedGrammar};
     use grepair_core::{compress, GRePairConfig};
     use grepair_hypergraph::order::NodeOrder;
     use grepair_hypergraph::Hypergraph;
@@ -161,6 +165,38 @@ mod tests {
     }
 
     #[test]
+    fn huge_header_counts_error_instead_of_allocating() {
+        // One flipped header bit of a real container used to claim a count
+        // that pre-sizing turned into a 2·10¹⁴-byte allocation, which
+        // aborts the process instead of returning an error.
+        for (rules, ext_len) in [(1u64 << 60, 0u64), (0, 1 << 60)] {
+            let mut w = grepair_bits::BitWriter::new();
+            grepair_bits::codes::write_delta(&mut w, 1); // no terminals
+            grepair_bits::codes::write_delta(&mut w, rules + 1);
+            grepair_bits::codes::write_delta(&mut w, 2); // one node
+            grepair_bits::codes::write_delta(&mut w, ext_len + 1);
+            w.push_bits(0, 16);
+            let (bytes, len) = w.finish();
+            assert!(decode(&bytes, len).is_err());
+        }
+    }
+
+    /// An RDF grammar whose start graph has adjacency *and* incidence
+    /// sections (asserted), so the hostile-input tests reach both branches
+    /// of `decode_label`.
+    fn mixed_sections() -> EncodedGrammar {
+        let g = grepair_datasets::rdf::property_graph(300, 12, 4, 60, 1);
+        let out = compress(&g, &GRePairConfig::default());
+        let start = &out.grammar.start;
+        let (dense, _) = dense_map(start);
+        let modes: Vec<LabelMode> =
+            plan_labels(start, &dense, &mut PermDict::new()).iter().map(|p| p.mode).collect();
+        assert!(modes.contains(&LabelMode::Adjacency), "{modes:?}");
+        assert!(modes.contains(&LabelMode::Incidence), "{modes:?}");
+        encode(&out.grammar)
+    }
+
+    #[test]
     fn truncated_streams_error_cleanly() {
         let g = repeated_pattern(10);
         let out = compress(&g, &GRePairConfig { order: NodeOrder::Natural, ..Default::default() });
@@ -170,6 +206,12 @@ mod tests {
                 decode(&encoded.bytes, cut.min(encoded.bit_len - 1)).is_err(),
                 "cut at {cut} must fail"
             );
+        }
+        // Every cut of the mixed grammar: the parse consumes exactly
+        // `bit_len` bits, so any shorter stream runs out somewhere.
+        let encoded = mixed_sections();
+        for cut in 0..encoded.bit_len {
+            assert!(decode(&encoded.bytes, cut).is_err(), "cut at {cut} must fail");
         }
     }
 
@@ -196,12 +238,20 @@ mod tests {
     fn bit_flips_never_panic() {
         let g = repeated_pattern(8);
         let out = compress(&g, &GRePairConfig::default());
-        let encoded = encode(&out.grammar);
-        for byte in 0..encoded.bytes.len() {
-            for bit in 0..8 {
+        let small = encode(&out.grammar);
+        // The mixed grammar's flips stop where its rules start: a flipped
+        // rule node id can claim ~10⁸ nodes, which `decode_rule` allocates
+        // before it rejects the rule (seconds per flip in a debug build).
+        let mixed = mixed_sections();
+        let before_rules = mixed.bit_len - mixed.breakdown.rule_bits;
+        for (encoded, flips) in [(&small, small.bit_len), (&mixed, before_rules)] {
+            for b in 0..flips {
                 let mut copy = encoded.bytes.clone();
-                copy[byte] ^= 1 << bit;
-                let _ = decode(&copy, encoded.bit_len); // Ok or Err — no panic
+                copy[(b / 8) as usize] ^= 0x80 >> (b % 8);
+                // Ok or Err — no panic, and what decodes is valid.
+                if let Ok(grammar) = decode(&copy, encoded.bit_len) {
+                    assert_eq!(grammar.validate(), Ok(()), "flip of bit {b}");
+                }
             }
         }
     }

@@ -53,7 +53,9 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
         label: EdgeLabel,
         att: Vec<NodeId>,
     }
-    let mut edges = Vec::with_capacity(num_edges as usize);
+    // Pre-sized by what the stream can still hold (an edge or an isolated
+    // node costs at least one bit), never by the untrusted count itself.
+    let mut edges = Vec::with_capacity(num_edges.min(r.remaining()) as usize);
     let mut max_node: i64 = -1;
     let mut external: Vec<NodeId> = Vec::new();
     for _ in 0..num_edges {
@@ -85,7 +87,7 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
         edges.push(RawEdge { label, att });
     }
     let isolated_count = read_delta(r)? - 1;
-    let mut isolated = Vec::with_capacity(isolated_count as usize);
+    let mut isolated = Vec::with_capacity(isolated_count.min(r.remaining()) as usize);
     for _ in 0..isolated_count {
         let id = (read_delta(r)? - 1) as NodeId;
         let ext = r.read_bit()?;
@@ -190,6 +192,20 @@ mod tests {
         let out = round_trip(&rhs);
         assert_eq!(out.num_nodes(), 0);
         assert_eq!(out.num_edges(), 0);
+    }
+
+    #[test]
+    fn huge_counts_error_instead_of_allocating() {
+        // 2^60 edges, or no edges and 2^60 isolated nodes, in a few dozen
+        // bits: the stream runs out long before a vector that size would.
+        for (edges, isolated) in [(1u64 << 60, 0u64), (0, 1 << 60)] {
+            let mut w = BitWriter::new();
+            write_delta(&mut w, edges + 1);
+            write_delta(&mut w, isolated + 1);
+            w.push_bits(0, 8);
+            let (bytes, len) = w.finish();
+            assert!(decode_rule(&mut BitReader::new(&bytes, len)).is_err());
+        }
     }
 
     #[test]

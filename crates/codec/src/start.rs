@@ -180,15 +180,37 @@ pub fn decode_label(
                 "edge count {edge_count} exceeds what the stream can describe"
             )));
         }
-        let mut atts: Vec<Vec<NodeId>> = Vec::with_capacity(edge_count);
-        for col in 0..edge_count as u32 {
-            let att = tree.col(col);
-            for &v in &att {
-                in_range(v)?;
-            }
-            atts.push(att);
+        // One pass over the tree, its cells bucketed by column (edge): the
+        // cells come sorted by row, so every bucket is the edge's attached
+        // nodes ascending — the sorted attachment its permutation indexes.
+        // A column at or past `edge_count` (only the empty matrix's one
+        // column) belongs to no edge.
+        let cells: Vec<(u32, u32)> =
+            tree.iter_ones().filter(|&(_, col)| (col as usize) < edge_count).collect();
+        let mut bounds = vec![0usize; edge_count + 1];
+        for &(_, col) in &cells {
+            // audited: col < edge_count (filtered above) and bounds has edge_count + 1 slots
+            bounds[col as usize + 1] += 1;
         }
-        for sorted_att in atts {
+        for e in 0..edge_count {
+            // audited: e + 1 <= edge_count < bounds.len()
+            bounds[e + 1] += bounds[e];
+        }
+        let mut rows = vec![0 as NodeId; cells.len()];
+        let mut next = bounds.clone();
+        for &(row, col) in &cells {
+            // audited: next[col] stays below bounds[col + 1] <= cells.len() == rows.len()
+            rows[next[col as usize]] = row;
+            // audited: col < edge_count < next.len() (filtered above)
+            next[col as usize] += 1;
+        }
+        // Range-check in column order, so the first bad node reported is
+        // the first one of the first edge that has one.
+        for &v in &rows {
+            in_range(v)?;
+        }
+        // audited: windows(2) yields exactly two elements
+        for sorted_att in bounds.windows(2).map(|w| &rows[w[0]..w[1]]) {
             let idx = dict.decode_index(r)?;
             // A fixed-width index can name up to 2^bits slots, more than the
             // dict holds — a corrupt stream picks one of the ghosts.
@@ -202,7 +224,7 @@ pub fn decode_label(
                     sorted_att.len()
                 )));
             }
-            let att = apply_perm(&sorted_att, perm);
+            let att = apply_perm(sorted_att, perm);
             start.add_edge(label, &att);
         }
     }

@@ -367,7 +367,8 @@ impl Hypergraph {
     }
 
     /// Check all structural invariants; returns a description of the first
-    /// violation, if any.
+    /// violation, if any. Linear in the size of the graph plus its stale
+    /// incidence entries.
     pub fn validate(&self) -> Result<(), String> {
         let mut degree = vec![0u32; self.node_alive.len()];
         let mut alive_edges = 0usize;
@@ -383,11 +384,9 @@ impl Hypergraph {
                     return Err(format!("edge {id} attaches node {v} twice"));
                 }
                 degree[v as usize] += 1;
-                if !self.incidence[v as usize].contains(&(id as EdgeId)) {
-                    return Err(format!("edge {id} missing from incidence of node {v}"));
-                }
             }
         }
+        self.validate_incidence(&degree)?;
         if alive_edges != self.alive_edges {
             return Err(format!(
                 "edge count mismatch: counted {alive_edges}, cached {}",
@@ -407,6 +406,43 @@ impl Hypergraph {
             }
             if self.ext[..i].contains(&v) {
                 return Err(format!("external node {v} repeated"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Every alive edge is listed exactly once in the incidence list of each
+    /// node it attaches, given `degree[v]` = the number of alive edges
+    /// attached to `v`. One pass per node over its list: an alive entry
+    /// must attach the node and must not repeat (a per-edge stamp), so the
+    /// alive entries are distinct edges attached to `v`, and they are all of
+    /// them exactly when they number `degree[v]`.
+    fn validate_incidence(&self, degree: &[u32]) -> Result<(), String> {
+        let mut stamp = vec![NodeId::MAX; self.edges.len()];
+        for (v, (list, &deg)) in self.incidence.iter().zip(degree).enumerate() {
+            let v = v as NodeId;
+            let mut listed = 0u32;
+            for &e in list {
+                let Some(Some(edge)) = self.edges.get(e as usize) else { continue };
+                if !edge.att.as_slice().contains(&v) {
+                    return Err(format!(
+                        "edge {e} in incidence of node {v}, which it does not attach"
+                    ));
+                }
+                if stamp[e as usize] == v {
+                    return Err(format!("edge {e} listed twice in incidence of node {v}"));
+                }
+                stamp[e as usize] = v;
+                listed += 1;
+            }
+            if listed != deg {
+                // Fewer: some edge attached to `v` is not in its list.
+                let missing =
+                    self.edges().find(|e| e.att.contains(&v) && stamp[e.id as usize] != v);
+                return Err(match missing {
+                    Some(e) => format!("edge {} missing from incidence of node {v}", e.id),
+                    None => format!("incidence of node {v} lists {listed} of its {deg} edges"),
+                });
             }
         }
         Ok(())
@@ -522,6 +558,59 @@ mod tests {
         assert!(g.is_external(0));
         assert!(!g.is_external(1));
         g.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_reports_corrupt_private_state() {
+        // Fig. 1d after edge 0 was removed, so node 0 and 1's lists hold a
+        // stale entry the check must skip.
+        let fresh = || {
+            let mut g = fig1d();
+            g.remove_edge(0);
+            g.validate().unwrap();
+            g
+        };
+        let mut g = fresh();
+        g.incidence[2].retain(|&e| e != 2);
+        assert_eq!(g.validate(), Err("edge 2 missing from incidence of node 2".into()));
+
+        let mut g = fresh();
+        g.incidence[1].push(1);
+        assert_eq!(g.validate(), Err("edge 1 listed twice in incidence of node 1".into()));
+
+        let mut g = fresh();
+        g.incidence[0].push(1);
+        assert_eq!(
+            g.validate(),
+            Err("edge 1 in incidence of node 0, which it does not attach".into())
+        );
+
+        let mut g = fresh();
+        g.degree[1] += 1;
+        assert_eq!(g.validate(), Err("cached degree out of sync".into()));
+
+        let mut g = fresh();
+        g.node_alive[2] = false;
+        g.alive_nodes -= 1;
+        assert_eq!(g.validate(), Err("edge 1 attached to dead node 2".into()));
+    }
+
+    #[test]
+    fn validate_finds_a_missing_hub_entry_among_stale_ones() {
+        // A hub with 20 000 edges, half of them removed: one walk of its
+        // list (about 10⁸ `contains` probes the old way) skips the stale entries
+        // and still sees the one live entry that went missing.
+        let n = 20_001;
+        let mut g = Hypergraph::with_nodes(n);
+        for v in 1..n as NodeId {
+            let e = g.add_edge(EdgeLabel::Terminal(0), &[0, v]);
+            if v % 2 == 0 {
+                g.remove_edge(e);
+            }
+        }
+        g.validate().unwrap();
+        g.incidence[0].swap_remove(0);
+        assert!(g.validate().unwrap_err().contains("missing from incidence of node 0"));
     }
 
     #[test]

@@ -107,37 +107,44 @@ impl K2Tree {
         }
     }
 
-    /// All 1-cells in row-major order within each quadrant traversal
-    /// (globally sorted by (row, col) only for already-sorted inputs of
-    /// `build`, which dedups and sorts — i.e. deterministic).
+    /// All 1-cells, sorted by (row, col).
+    ///
+    /// One level-order pass over `T`, then `L`, with no `rank1` and no
+    /// recursion: the children of the j-th 1-bit of a level are the j-th
+    /// k²-block of the next level, so a queue of the current level's cell
+    /// origins, in bitmap order, places every block of the next one.
     pub fn iter_ones(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let mut out = Vec::new();
-        if self.count_ones() > 0 {
-            self.walk_all(0, 0, 0, self.side, &mut out);
-        }
-        out.sort_unstable();
-        out.into_iter()
-    }
-
-    fn walk_all(&self, pos: usize, row0: u64, col0: u64, side: u64, out: &mut Vec<(u32, u32)>) {
-        let k = self.k as u64;
-        let sub = side / k;
-        for br in 0..k {
-            for bc in 0..k {
-                let p = pos + (br * k + bc) as usize;
-                if !self.bit(p) {
-                    continue;
-                }
-                let (row, col) = (row0 + br * sub, col0 + bc * sub);
-                if sub == 1 {
-                    if row < self.rows as u64 && col < self.cols as u64 {
-                        out.push((row as u32, col as u32));
-                    }
-                } else {
-                    self.walk_all(self.children_start(p), row, col, sub, out);
+        let (k, kk) = (self.k as u64, self.k * self.k);
+        let mut origins: Vec<(u64, u64)> = vec![(0, 0)];
+        let mut sub = self.side;
+        let mut pos = 0usize; // where this level's first block sits in T
+        for level in 0..self.height {
+            sub /= k;
+            let (bits, base) = if level + 1 < self.height {
+                (self.t.bits(), pos)
+            } else {
+                (&self.l, 0)
+            };
+            pos += origins.len() * kk as usize;
+            let mut next = Vec::with_capacity(origins.len());
+            for (j, &(row0, col0)) in origins.iter().enumerate() {
+                let mut block = bits.get_bits(base + j * kk as usize, kk);
+                while block != 0 {
+                    let child = block.trailing_zeros() as u64;
+                    block &= block - 1;
+                    next.push((row0 + child / k * sub, col0 + child % k * sub));
                 }
             }
+            origins = next;
         }
+        // Sorted as one u64 key per cell: row in the high half.
+        let mut keys: Vec<u64> = origins
+            .into_iter()
+            .filter(|&(row, col)| row < self.rows as u64 && col < self.cols as u64)
+            .map(|(row, col)| row << 32 | col)
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|key| ((key >> 32) as u32, key as u32))
     }
 }
 

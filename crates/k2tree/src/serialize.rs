@@ -6,7 +6,7 @@
 
 use crate::build::K2Tree;
 use grepair_bits::codes::{delta_len, read_delta, write_delta};
-use grepair_bits::{BitError, BitReader, BitVec, BitWriter, RankBitVec};
+use grepair_bits::{BitError, BitReader, BitWriter, RankBitVec};
 
 impl K2Tree {
     /// Append the serialized tree to `w`.
@@ -44,14 +44,8 @@ impl K2Tree {
         let cols = (read_delta(r)? - 1) as u32;
         let t_len = (read_delta(r)? - 1) as usize;
         let l_len = (read_delta(r)? - 1) as usize;
-        let mut t = BitVec::new();
-        for _ in 0..t_len {
-            t.push(r.read_bit()?);
-        }
-        let mut l = BitVec::new();
-        for _ in 0..l_len {
-            l.push(r.read_bit()?);
-        }
+        let t = RankBitVec::new(r.read_bitvec(t_len)?);
+        let l = r.read_bitvec(l_len)?;
         // Recompute the derived geometry.
         let n = rows.max(cols).max(1) as u64;
         let mut side = 1u64;
@@ -66,36 +60,30 @@ impl K2Tree {
         }
         // Validate the level structure so corrupt streams cannot drive
         // queries out of bounds: level 0 has k² bits; each further level has
-        // k² bits per 1 in the previous level; internal levels must fill T
-        // exactly and the last level must fill L exactly.
+        // k² bits per 1 in the previous level (a `rank1` difference); the
+        // internal levels must fill T exactly and the last level must fill
+        // L exactly.
         let kk = (k * k) as usize;
         let mut pos = 0usize;
         let mut level_bits = kk;
-        for level in 0..height {
-            let last = level == height - 1;
-            let store_len = if last { l.len() } else { t.len() };
-            let store = if last { &l } else { &t };
-            let base = if last { 0 } else { pos };
-            if base + level_bits > store_len {
+        for _ in 1..height {
+            if pos + level_bits > t.len() {
                 return Err(BitError::InvalidCode("k2tree level overflows bitmap"));
             }
-            let mut ones = 0usize;
-            for i in 0..level_bits {
-                ones += store.get(base + i) as usize;
-            }
-            if last {
-                if level_bits != l.len() {
-                    return Err(BitError::InvalidCode("k2tree leaf level size mismatch"));
-                }
-            } else {
-                pos += level_bits;
-            }
+            let ones = t.rank1(pos + level_bits) - t.rank1(pos);
+            pos += level_bits;
             level_bits = ones * kk;
+        }
+        if level_bits > l.len() {
+            return Err(BitError::InvalidCode("k2tree level overflows bitmap"));
+        }
+        if level_bits != l.len() {
+            return Err(BitError::InvalidCode("k2tree leaf level size mismatch"));
         }
         if pos != t.len() {
             return Err(BitError::InvalidCode("k2tree internal levels size mismatch"));
         }
-        Ok(K2Tree { k, rows, cols, side, height, t: RankBitVec::new(t), l })
+        Ok(K2Tree { k, rows, cols, side, height, t, l })
     }
 }
 

@@ -46,6 +46,23 @@ proptest! {
     }
 
     #[test]
+    fn iter_ones_is_the_sorted_point_set_for_every_arity(
+        (rows, cols, points) in arb_matrix(),
+        k in 2u32..=4,
+    ) {
+        let mut sorted = points.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let tree = K2Tree::build(k, rows, cols, points);
+        prop_assert_eq!(tree.iter_ones().collect::<Vec<_>>(), sorted.clone());
+        let mut w = BitWriter::new();
+        tree.encode(&mut w);
+        let (bytes, len) = w.finish();
+        let back = K2Tree::decode(&mut BitReader::new(&bytes, len)).unwrap();
+        prop_assert_eq!(back.iter_ones().collect::<Vec<_>>(), sorted);
+    }
+
+    #[test]
     fn serialization_round_trips((rows, cols, points) in arb_matrix(), k in 2u32..=3) {
         let tree = K2Tree::build(k, rows, cols, points);
         let mut w = BitWriter::new();

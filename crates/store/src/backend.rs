@@ -173,19 +173,6 @@ pub fn split_any_container(file: &[u8]) -> Result<(&str, u64, &[u8]), GrepairErr
     Ok(("grepair", u64::from_le_bytes(bit_len), payload))
 }
 
-/// Decode + revalidate a grammar payload: derivation and index building
-/// must never run on structurally invalid rules (the §2 zero-panic policy).
-pub(crate) fn decode_validated_grammar(
-    payload: &[u8],
-    bit_len: u64,
-) -> Result<grepair_grammar::Grammar, GrepairError> {
-    let grammar = grepair_codec::decode(payload, bit_len)?;
-    grammar
-        .validate()
-        .map_err(|e| GrepairError::Codec(grepair_codec::CodecError::Malformed(e)))?;
-    Ok(grammar)
-}
-
 // ---------------------------------------------------------------------
 // Row helpers
 // ---------------------------------------------------------------------
@@ -287,7 +274,7 @@ mod tests {
             let enc = grepair_codec::encode(&grammar);
             let file = write_container(&enc.bytes, enc.bit_len);
             let (_, bit_len, payload) = split_any_container(&file).unwrap();
-            assert_eq!(decode_validated_grammar(payload, bit_len).unwrap().derive().num_edges(), 29);
+            assert_eq!(grepair_codec::decode(payload, bit_len).unwrap().derive().num_edges(), 29);
             let store = GraphStore::from_bytes(&file).unwrap();
             assert_eq!(store.total_nodes(), 30);
             // Locate the path's endpoints structurally instead of by input id.

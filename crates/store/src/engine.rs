@@ -82,8 +82,9 @@ pub(crate) struct GrammarEngine {
 }
 
 impl GrammarEngine {
-    /// Build the engine from an already-validated grammar (the caller —
-    /// [`crate::GraphStore::from_grammar`] — revalidates first).
+    /// Build the engine from an already-validated grammar
+    /// ([`crate::GraphStore::from_grammar`] validates first;
+    /// [`crate::GraphStore::from_bytes`] passes what `decode` validated).
     pub(crate) fn new(grammar: Arc<Grammar>) -> Self {
         let mut slot_base = Vec::with_capacity(grammar.num_nonterminals() + 1);
         let mut slots = 0;

@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use grepair_grammar::Grammar;
 use grepair_util::FxHashMap;
 
-use crate::backend::{decode_validated_grammar, split_any_container, QueryEngine};
+use crate::backend::{split_any_container, QueryEngine};
 use crate::engine::GrammarEngine;
 use crate::query::{Query, QueryAnswer};
 use crate::GrepairError;
@@ -195,7 +195,10 @@ impl GraphStore {
     /// Decode a `.g2g` container image and build the store.
     pub fn from_bytes(file: &[u8]) -> Result<Self, GrepairError> {
         let (_, bit_len, payload) = split_any_container(file)?;
-        let mut store = Self::from_validated_grammar(decode_validated_grammar(payload, bit_len)?);
+        // `decode` validates what it returns: derivation and index building
+        // never see structurally invalid rules (the §2 zero-panic policy).
+        let grammar = grepair_codec::decode(payload, bit_len)?;
+        let mut store = Self::from_validated_grammar(grammar);
         store.container_bytes = file.len() as u64;
         Ok(store)
     }

@@ -224,6 +224,61 @@ fn compression_is_deterministic() {
     assert_eq!(ea.bytes, eb.bytes);
 }
 
+/// The four graphs [`golden_container_digests`] pins (that test keeps its
+/// own copy of the list, so it stays byte-for-byte what was recorded).
+fn golden_graphs() -> [(&'static str, Hypergraph); 4] {
+    [
+        ("hub_network", network::hub_network(1_500, 8, 1, 1)),
+        (
+            "version_graph",
+            version::CoauthorshipHistory::generate(5, 40, 200, 20, 1).version_graph(4),
+        ),
+        ("property_graph", rdf::property_graph(1_000, 24, 8, 200, 1)),
+        (
+            "disjoint_copies",
+            version::disjoint_copies(&version::circle_with_diagonal(), 64),
+        ),
+    ]
+}
+
+/// `(label, attachment)` of every edge, in edge-id order.
+fn edge_list(g: &Hypergraph) -> Vec<(EdgeLabel, Vec<u32>)> {
+    g.edges().map(|e| (e.label, e.att.to_vec())).collect()
+}
+
+/// `decode ∘ encode` is the identity on compressor output edge for edge,
+/// not only up to the multiset: S comes back in the encoder's order under
+/// its dense numbering, and every rule keeps its edge order and `ext`.
+#[test]
+fn decode_inverts_encode_edge_for_edge() {
+    use graph_grammar_repair::codec::start::dense_map;
+    for (name, g) in &golden_graphs() {
+        for max_rank in [2usize, 4, 8] {
+            let out = compress(g, &GRePairConfig { max_rank, ..Default::default() });
+            let enc = encode(&out.grammar);
+            let dec = decode(&enc.bytes, enc.bit_len).expect("decodable");
+            let (dense, m) = dense_map(&out.grammar.start);
+            let want: Vec<_> = out
+                .grammar
+                .start
+                .edges()
+                .map(|e| (e.label, e.att.iter().map(|&v| dense[v as usize]).collect()))
+                .collect();
+            assert_eq!(dec.start.node_bound(), m, "{name} rank {max_rank}: S nodes");
+            assert_eq!(edge_list(&dec.start), want, "{name} rank {max_rank}: S");
+            let ext: Vec<u32> =
+                out.grammar.start.ext().iter().map(|&v| dense[v as usize]).collect();
+            assert_eq!(dec.start.ext(), ext.as_slice(), "{name} rank {max_rank}: ext(S)");
+            assert_eq!(dec.num_terminals(), out.grammar.num_terminals());
+            assert_eq!(dec.num_nonterminals(), out.grammar.num_nonterminals());
+            for (i, (got, rhs)) in dec.rules().iter().zip(out.grammar.rules()).enumerate() {
+                assert_eq!(edge_list(got), edge_list(rhs), "{name} rank {max_rank}: N{i}");
+                assert_eq!(got.ext(), rhs.ext(), "{name} rank {max_rank}: ext(N{i})");
+            }
+        }
+    }
+}
+
 /// FNV-1a (64-bit) over a byte stream.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes
