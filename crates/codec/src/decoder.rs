@@ -9,10 +9,17 @@ use grepair_bits::BitReader;
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeLabel, Hypergraph};
 
+/// Largest start-graph node count the decoder materializes. An isolated
+/// node costs no bits, so the header's count is a claim nothing else
+/// bounds; 2²⁴, like the baselines' decoders, keeps a hostile header from
+/// allocating gigabytes.
+pub const MAX_START_NODES: u64 = 1 << 24;
+
 /// Decode a grammar previously written by [`crate::encode`].
 ///
 /// The result has passed [`Grammar::validate`] — callers need not run it
-/// again; corrupt streams return [`CodecError`] rather than panicking.
+/// again; corrupt streams return [`CodecError`] rather than panicking. The
+/// start graph may have at most [`MAX_START_NODES`] nodes.
 pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     // A truncated or corrupt container can claim more bits than it carries;
     // reject the lie up front rather than failing mid-stream. (`BitReader`
@@ -28,10 +35,13 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     // --- header ---
     let num_terminals = (read_delta(&mut r)? - 1) as u32;
     let num_rules = (read_delta(&mut r)? - 1) as usize;
-    let m = (read_delta(&mut r)? - 1) as usize;
-    if m > u32::MAX as usize {
-        return Err(CodecError::Malformed("node count overflow".into()));
+    let m = read_delta(&mut r)? - 1;
+    if m > MAX_START_NODES {
+        return Err(CodecError::Malformed(format!(
+            "start graph node count {m} exceeds the decoder cap ({MAX_START_NODES})"
+        )));
     }
+    let m = m as usize;
     // Counts are untrusted: pre-size by what the stream can still hold
     // (every entry costs at least one bit), never by the claim itself.
     let ext_len = (read_delta(&mut r)? - 1) as usize;
@@ -235,17 +245,37 @@ mod tests {
     }
 
     #[test]
+    fn header_node_count_is_capped_before_allocating() {
+        // 2³² − 1 start nodes in a few dozen bits: without the cap this
+        // allocated an incidence list per claimed node.
+        for (m, capped) in [((1u64 << 32) - 1, true), (MAX_START_NODES + 1, true), (3, false)] {
+            let mut w = grepair_bits::BitWriter::new();
+            grepair_bits::codes::write_delta(&mut w, 1); // no terminals
+            grepair_bits::codes::write_delta(&mut w, 1); // no rules
+            grepair_bits::codes::write_delta(&mut w, m + 1);
+            grepair_bits::codes::write_delta(&mut w, 1); // no external nodes
+            grepair_bits::codes::write_delta(&mut w, 1); // empty permutation dictionary
+            let (bytes, len) = w.finish();
+            match decode(&bytes, len) {
+                Err(CodecError::Malformed(msg)) if capped => {
+                    assert!(msg.contains("exceeds the decoder cap"), "{m}: {msg}")
+                }
+                Ok(grammar) if !capped => assert_eq!(grammar.start.num_nodes(), m as usize),
+                other => panic!("{m} nodes: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn bit_flips_never_panic() {
         let g = repeated_pattern(8);
         let out = compress(&g, &GRePairConfig::default());
         let small = encode(&out.grammar);
-        // The mixed grammar's flips stop where its rules start: a flipped
-        // rule node id can claim ~10⁸ nodes, which `decode_rule` allocates
-        // before it rejects the rule (seconds per flip in a debug build).
+        // Every bit of both grammars, the mixed one's rules included: a
+        // flipped rule node id is rejected before anything is sized by it.
         let mixed = mixed_sections();
-        let before_rules = mixed.bit_len - mixed.breakdown.rule_bits;
-        for (encoded, flips) in [(&small, small.bit_len), (&mixed, before_rules)] {
-            for b in 0..flips {
+        for encoded in [&small, &mixed] {
+            for b in 0..encoded.bit_len {
                 let mut copy = encoded.bytes.clone();
                 copy[(b / 8) as usize] ^= 0x80 >> (b % 8);
                 // Ok or Err — no panic, and what decodes is valid.

@@ -34,7 +34,7 @@ pub mod perm;
 pub mod rules;
 pub mod start;
 
-pub use decoder::decode;
+pub use decoder::{decode, MAX_START_NODES};
 pub use encoder::encode;
 
 use grepair_bits::BitError;

@@ -97,6 +97,15 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
         }
         isolated.push(id);
     }
+    // Rule node ids are dense, and every node is attached somewhere or
+    // listed as isolated: a larger id is corrupt, and must be rejected
+    // before it sizes the graph.
+    let slots: u64 = edges.iter().map(|e| e.att.len() as u64).sum::<u64>() + isolated.len() as u64;
+    if max_node >= slots as i64 {
+        return Err(CodecError::Malformed(format!(
+            "rule node id {max_node} exceeds the {slots} attachment slots and isolated nodes"
+        )));
+    }
     let n = (max_node + 1) as usize;
     let mut rhs = Hypergraph::with_nodes(n);
     for e in edges {
@@ -205,6 +214,33 @@ mod tests {
             w.push_bits(0, 8);
             let (bytes, len) = w.finish();
             assert!(decode_rule(&mut BitReader::new(&bytes, len)).is_err());
+        }
+    }
+
+    #[test]
+    fn node_ids_beyond_the_listed_nodes_error_instead_of_allocating() {
+        // Node 10⁸ on an edge, or as an isolated node: two or one listed
+        // nodes cannot be dense up to that id.
+        for isolated in [false, true] {
+            let mut w = BitWriter::new();
+            write_delta(&mut w, if isolated { 1 } else { 2 }); // edges + 1
+            if !isolated {
+                w.push_bit(false); // terminal
+                write_delta(&mut w, 2); // rank 2
+                w.push_bit(false);
+                write_delta(&mut w, 1); // node 0
+                w.push_bit(false);
+                write_delta(&mut w, 100_000_000 + 1); // node 10⁸
+                write_delta(&mut w, 1); // label 0
+                write_delta(&mut w, 1); // no isolated nodes
+            } else {
+                write_delta(&mut w, 2); // one isolated node
+                write_delta(&mut w, 100_000_000 + 1);
+                w.push_bit(false);
+            }
+            let (bytes, len) = w.finish();
+            let err = decode_rule(&mut BitReader::new(&bytes, len)).unwrap_err();
+            assert!(err.to_string().contains("rule node id 100000000"), "{err}");
         }
     }
 

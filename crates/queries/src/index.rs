@@ -9,6 +9,14 @@
 //! O(log ℓ + h) by binary-searching subtree-size prefix sums;
 //! [`GrammarIndex::global_id`] is the inverse `getID`.
 //!
+//! Because the numbering is depth-first, the nodes one occurrence of a
+//! context graph creates are one contiguous id range, laid out the same way
+//! wherever the occurrence sits: a node of a context has a [`Slot`] — its
+//! offset inside that range, or the external position through which it
+//! merges with the parent. [`GrammarIndex::try_resolve`] descends once and
+//! keeps, instead of a path, the two things that turn slots into ids: the
+//! occurrence's first id and the ids of its external nodes.
+//!
 //! The index is generic over *how it holds the grammar*: `GrammarIndex<&G>`
 //! borrows (the natural choice for one-shot runs and tests), while
 //! `GrammarIndex<Arc<Grammar>>` shares ownership so a long-lived store can
@@ -35,20 +43,120 @@ pub struct GRepr {
     pub node: NodeId,
 }
 
-/// Per-rule navigation data.
+/// Where a node of a context graph sits relative to one occurrence of that
+/// context, the same for every occurrence.
+///
+/// Either an **offset**: the node is the `off`-th node the occurrence
+/// creates (its internal nodes in id order, then each nonterminal edge's
+/// subtree in edge-id order), so its global id is the occurrence's first id
+/// plus `off`. Or a flagged **external position** `p`: the node is the
+/// context's `p`-th external node, which is the `p`-th attachment node of
+/// the edge the occurrence expands. One word, the flag in the top bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Slot(u64);
+
+impl Slot {
+    const EXTERNAL: u64 = 1 << 63;
+
+    /// The node `off` places into the occurrence's id range.
+    pub fn at_offset(off: u64) -> Self {
+        debug_assert!(off < Self::EXTERNAL, "offset {off} collides with the external flag");
+        Slot(off)
+    }
+
+    /// The context's `pos`-th external node.
+    pub fn at_external(pos: usize) -> Self {
+        Slot(Self::EXTERNAL | pos as u64)
+    }
+
+    /// The offset, or the external position as `Err`.
+    pub fn offset(self) -> Result<u64, usize> {
+        match self.0 & Self::EXTERNAL {
+            0 => Ok(self.0),
+            _ => Err((self.0 & !Self::EXTERNAL) as usize),
+        }
+    }
+
+    /// The global id at an occurrence whose range starts at `base` and
+    /// whose external nodes have the ids `ext_ids`.
+    pub fn resolve(self, base: u64, ext_ids: &[u64]) -> u64 {
+        match self.offset() {
+            Ok(off) => base + off,
+            Err(pos) => ext_ids[pos],
+        }
+    }
+}
+
+/// Navigation data of one context graph: S, or one right-hand side.
 #[derive(Debug)]
-pub struct RuleIndex {
-    /// Internal nodes of the rhs in node-ID order (the creation order).
-    pub internal_nodes: Vec<NodeId>,
-    /// rhs node → index in `internal_nodes` (`u32::MAX` for externals).
-    internal_pos: Vec<u32>,
-    /// Nonterminal edges of the rhs in edge-ID order.
-    pub nt_edges: Vec<EdgeId>,
-    /// Local node offset at which each `nt_edges[i]` subtree starts
+pub(crate) struct ContextIndex {
+    /// Internal nodes in node-ID order (the creation order); for S, every
+    /// alive node.
+    internal_nodes: Vec<NodeId>,
+    /// Context node → its slot (unused entries for dead node ids).
+    slots: Vec<Slot>,
+    /// Nonterminal edges in edge-ID order.
+    nt_edges: Vec<EdgeId>,
+    /// Offset at which each `nt_edges[i]` subtree starts
     /// (`internal_nodes.len() + Σ sizes of earlier subtrees`).
     nt_offsets: Vec<u64>,
-    /// Total nodes created by expanding one edge with this label.
-    pub subtree_size: u64,
+    /// The same offsets by edge ID (0 for terminal edges): one load on the
+    /// row walk instead of a search.
+    edge_offsets: Vec<u64>,
+    /// Total nodes one occurrence creates.
+    size: u64,
+}
+
+impl ContextIndex {
+    /// Index `graph` whose external nodes are `ext`, given the subtree size
+    /// of every nonterminal.
+    fn new(graph: &Hypergraph, ext: &[NodeId], sizes: &[u64]) -> Self {
+        let mut slots = vec![Slot(u64::MAX); graph.node_bound()];
+        for (pos, &x) in ext.iter().enumerate() {
+            slots[x as usize] = Slot::at_external(pos);
+        }
+        let internal_nodes: Vec<NodeId> = graph.node_ids().filter(|v| !ext.contains(v)).collect();
+        for (i, &v) in internal_nodes.iter().enumerate() {
+            slots[v as usize] = Slot::at_offset(i as u64);
+        }
+        let (mut nt_edges, mut nt_offsets) = (Vec::new(), Vec::new());
+        let mut edge_offsets = vec![0; graph.edge_bound()];
+        let mut size = internal_nodes.len() as u64;
+        for e in graph.edges() {
+            if let EdgeLabel::Nonterminal(child) = e.label {
+                nt_edges.push(e.id);
+                nt_offsets.push(size);
+                edge_offsets[e.id as usize] = size;
+                size += sizes[child as usize];
+            }
+        }
+        Self { internal_nodes, slots, nt_edges, nt_offsets, edge_offsets, size }
+    }
+
+    /// The slot of context node `x`.
+    pub(crate) fn slot(&self, x: NodeId) -> Slot {
+        self.slots[x as usize]
+    }
+
+    /// The offset at which nonterminal edge `e`'s subtree starts.
+    pub(crate) fn edge_offset(&self, e: EdgeId) -> u64 {
+        self.edge_offsets[e as usize]
+    }
+}
+
+/// A node located for row walks: the context graph that creates it, and
+/// what that context's slots are as global ids at this occurrence — its
+/// first id and the ids of its external nodes. No derivation path.
+#[derive(Debug)]
+pub struct Located<'a> {
+    pub(crate) graph: &'a Hypergraph,
+    pub(crate) ctx: &'a ContextIndex,
+    /// The node, internal to `graph` (or a start node).
+    pub(crate) node: NodeId,
+    /// Global id of the occurrence's offset 0 (0 in S).
+    pub(crate) base: u64,
+    /// Global ids of the context's external nodes (empty in S).
+    pub(crate) ext_ids: Vec<u64>,
 }
 
 /// Navigation index over a grammar.
@@ -57,16 +165,10 @@ pub struct GrammarIndex<G: Borrow<Grammar>> {
     grammar: G,
     /// |V_S| (alive start nodes) — global IDs `0..m` are start nodes.
     pub m: usize,
-    /// global id → start node.
-    s_alive: Vec<NodeId>,
-    /// start node → global id.
-    s_pos: Vec<u32>,
-    /// Nonterminal edges of S in edge-ID order.
-    pub s_nt: Vec<EdgeId>,
-    /// Global ID at which each `s_nt[i]` subtree starts.
-    s_offsets: Vec<u64>,
+    /// S, whose every alive node is "internal": its slots are global ids.
+    start: ContextIndex,
     /// Per-nonterminal navigation data.
-    pub rules: Vec<RuleIndex>,
+    pub(crate) rules: Vec<ContextIndex>,
     /// Total node count of `val(G)`.
     pub total_nodes: u64,
 }
@@ -76,60 +178,12 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     pub fn new(grammar: G) -> Self {
         let g: &Grammar = grammar.borrow();
         let sizes = g.derived_internal_node_counts();
-        let rules: Vec<RuleIndex> = g
-            .rules()
-            .iter()
-            .enumerate()
-            .map(|(nt, rhs)| {
-                let internal_nodes: Vec<NodeId> =
-                    rhs.node_ids().filter(|&v| !rhs.is_external(v)).collect();
-                let mut internal_pos = vec![u32::MAX; rhs.node_bound()];
-                for (i, &v) in internal_nodes.iter().enumerate() {
-                    internal_pos[v as usize] = i as u32;
-                }
-                let nt_edges: Vec<EdgeId> = rhs
-                    .edges()
-                    .filter(|e| e.label.is_nonterminal())
-                    .map(|e| e.id)
-                    .collect();
-                let mut nt_offsets = Vec::with_capacity(nt_edges.len());
-                let mut acc = internal_nodes.len() as u64;
-                for &e in &nt_edges {
-                    nt_offsets.push(acc);
-                    let EdgeLabel::Nonterminal(child) = rhs.label(e) else { unreachable!() };
-                    acc += sizes[child as usize];
-                }
-                debug_assert_eq!(acc, sizes[nt]);
-                RuleIndex {
-                    internal_nodes,
-                    internal_pos,
-                    nt_edges,
-                    nt_offsets,
-                    subtree_size: sizes[nt],
-                }
-            })
-            .collect();
-
-        let start = &g.start;
-        let s_alive: Vec<NodeId> = start.node_ids().collect();
-        let mut s_pos = vec![u32::MAX; start.node_bound()];
-        for (i, &v) in s_alive.iter().enumerate() {
-            s_pos[v as usize] = i as u32;
-        }
-        let s_nt: Vec<EdgeId> = start
-            .edges()
-            .filter(|e| e.label.is_nonterminal())
-            .map(|e| e.id)
-            .collect();
-        let m = s_alive.len();
-        let mut s_offsets = Vec::with_capacity(s_nt.len());
-        let mut acc = m as u64;
-        for &e in &s_nt {
-            s_offsets.push(acc);
-            let EdgeLabel::Nonterminal(child) = start.label(e) else { unreachable!() };
-            acc += sizes[child as usize];
-        }
-        Self { grammar, m, s_alive, s_pos, s_nt, s_offsets, rules, total_nodes: acc }
+        let rules: Vec<ContextIndex> =
+            g.rules().iter().map(|rhs| ContextIndex::new(rhs, rhs.ext(), &sizes)).collect();
+        debug_assert!(rules.iter().zip(&sizes).all(|(rule, &size)| rule.size == size));
+        // External nodes S may declare are numbered like every other node.
+        let start = ContextIndex::new(&g.start, &[], &sizes);
+        Self { m: start.internal_nodes.len(), total_nodes: start.size, grammar, start, rules }
     }
 
     /// The grammar this index navigates.
@@ -203,33 +257,50 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     /// Compute the G-representation of global node `k`, or report the valid
     /// id range when `k` lies outside `val(G)`.
     pub fn try_locate(&self, k: u64) -> Result<GRepr, QueryError> {
+        let mut path = Vec::new();
+        let (_, _, node) = self.descend(k, |_, _, e, _| path.push(e))?;
+        Ok(GRepr { path, node })
+    }
+
+    /// Locate global node `k` for row walks ([`Located::row`]): the same
+    /// descent as [`GrammarIndex::try_locate`], carrying the occurrence's
+    /// first id and its external nodes' ids down instead of a path —
+    /// O(log ℓ + h · rank), after which every neighbor id is one addition
+    /// or one lookup.
+    pub fn try_resolve(&self, k: u64) -> Result<Located<'_>, QueryError> {
+        let (mut base, mut ext_ids, mut up) = (0, Vec::new(), Vec::new());
+        let (graph, ctx, node) = self.descend(k, |graph, ctx, e, offset| {
+            up.clear();
+            up.extend(graph.att(e).iter().map(|&x| ctx.slot(x).resolve(base, &ext_ids)));
+            std::mem::swap(&mut ext_ids, &mut up);
+            base += offset;
+        })?;
+        Ok(Located { graph, ctx, node, base, ext_ids })
+    }
+
+    /// Descend from S to the context that creates node `k`, binary-searching
+    /// subtree offsets per level. `step` sees every nonterminal edge on the
+    /// way, with the context that hosts it and its subtree's offset there.
+    fn descend(
+        &self,
+        k: u64,
+        mut step: impl FnMut(&Hypergraph, &ContextIndex, EdgeId, u64),
+    ) -> Result<(&Hypergraph, &ContextIndex, NodeId), QueryError> {
         if k >= self.total_nodes {
             return Err(QueryError::NodeOutOfRange { id: k, total: self.total_nodes });
         }
-        if (k as usize) < self.m {
-            return Ok(GRepr { path: Vec::new(), node: self.s_alive[k as usize] });
-        }
         let g = self.grammar();
-        // Binary search the S-level subtree that contains k.
-        let i = self.s_offsets.partition_point(|&o| o <= k) - 1;
-        let mut path = vec![self.s_nt[i]];
-        let mut local = k - self.s_offsets[i];
-        let EdgeLabel::Nonterminal(mut nt) = g.start.label(self.s_nt[i]) else {
-            unreachable!()
-        };
+        let (mut graph, mut ctx, mut local) = (&g.start, &self.start, k);
         loop {
-            let rule = &self.rules[nt as usize];
-            if (local as usize) < rule.internal_nodes.len() {
-                return Ok(GRepr { path, node: rule.internal_nodes[local as usize] });
+            if let Some(&node) = ctx.internal_nodes.get(local as usize) {
+                return Ok((graph, ctx, node));
             }
-            let j = rule.nt_offsets.partition_point(|&o| o <= local) - 1;
-            let edge = rule.nt_edges[j];
-            local -= rule.nt_offsets[j];
-            let EdgeLabel::Nonterminal(child) = g.rule(nt).label(edge) else {
-                unreachable!()
-            };
-            path.push(edge);
-            nt = child;
+            let j = ctx.nt_offsets.partition_point(|&o| o <= local) - 1;
+            let (edge, offset) = (ctx.nt_edges[j], ctx.nt_offsets[j]);
+            step(graph, ctx, edge, offset);
+            local -= offset;
+            let EdgeLabel::Nonterminal(nt) = graph.label(edge) else { unreachable!() };
+            (graph, ctx) = (g.rule(nt), &self.rules[nt as usize]);
         }
     }
 
@@ -251,28 +322,16 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
                 None => break,
             }
         }
-        if depth == 0 {
-            return self.s_pos[node as usize] as u64;
+        // Internal node: offset of every subtree on the way down + its
+        // position among the internal nodes of its context.
+        let mut ctx = &self.start;
+        let mut id = 0;
+        for (d, &e) in path[..depth].iter().enumerate() {
+            id += ctx.edge_offset(e);
+            let EdgeLabel::Nonterminal(nt) = contexts[d].label(e) else { unreachable!() };
+            ctx = &self.rules[nt as usize];
         }
-        // Internal node: offset of the subtree + cumulative offset inside.
-        let s_idx = self.s_nt.binary_search(&path[0]).expect("S nonterminal edge");
-        let mut id = self.s_offsets[s_idx];
-        for d in 1..depth {
-            let EdgeLabel::Nonterminal(nt) = contexts[d - 1].label(path[d - 1]) else {
-                unreachable!()
-            };
-            let rule = &self.rules[nt as usize];
-            let j = rule
-                .nt_edges
-                .binary_search(&path[d])
-                .expect("nonterminal edge of rhs");
-            id += rule.nt_offsets[j];
-        }
-        let EdgeLabel::Nonterminal(nt) = contexts[depth - 1].label(path[depth - 1]) else {
-            unreachable!()
-        };
-        let rule = &self.rules[nt as usize];
-        id + rule.internal_pos[node as usize] as u64
+        id + ctx.slot(node).offset().expect("an internal node has an offset")
     }
 }
 
@@ -394,5 +453,51 @@ mod tests {
         let idx = GrammarIndex::new(g.clone());
         assert_eq!(idx.total_nodes, 7);
         assert_eq!(idx.grammar().num_nonterminals(), g.num_nonterminals());
+    }
+
+    #[test]
+    fn slots_pack_offsets_and_external_positions() {
+        for off in [0, 1, (1 << 63) - 1] {
+            assert_eq!(Slot::at_offset(off).offset(), Ok(off));
+            assert_eq!(Slot::at_offset(off).resolve(5, &[]), 5 + off);
+        }
+        for pos in [0, 3, 254] {
+            assert_eq!(Slot::at_external(pos).offset(), Err(pos));
+        }
+        assert_eq!(Slot::at_external(1).resolve(100, &[7, 9]), 9);
+    }
+
+    #[test]
+    fn resolved_locate_agrees_with_get_id() {
+        // fig1 (every node one level down), and the nested grammar of
+        // `nested_grammar_index` widened so an external node is resolved
+        // two levels up.
+        let mut start = Hypergraph::with_nodes(3);
+        start.add_edge(N(1), &[0, 1]);
+        start.add_edge(N(1), &[1, 2]);
+        let mut rhs0 = Hypergraph::with_nodes(3);
+        rhs0.add_edge(T(0), &[0, 2]);
+        rhs0.add_edge(T(1), &[2, 1]);
+        rhs0.set_ext(vec![0, 1]);
+        let mut rhs1 = Hypergraph::with_nodes(3);
+        rhs1.add_edge(N(0), &[0, 2]);
+        rhs1.add_edge(T(2), &[2, 1]);
+        rhs1.set_ext(vec![0, 1]);
+        let mut nested = Grammar::new(start, 3);
+        nested.add_rule(rhs0);
+        nested.add_rule(rhs1);
+        nested.validate().unwrap();
+        for g in [fig1(), nested] {
+            let idx = GrammarIndex::new(&g);
+            for k in 0..idx.total_nodes {
+                let (repr, at) = (idx.locate(k), idx.try_resolve(k).unwrap());
+                assert_eq!(at.node, repr.node);
+                assert_eq!(at.ctx.slot(at.node).resolve(at.base, &at.ext_ids), k);
+                let ext = idx.context(&repr.path).ext();
+                let want: Vec<u64> = ext.iter().map(|&x| idx.global_id(&repr.path, x)).collect();
+                assert_eq!(at.ext_ids, want, "node {k}");
+            }
+            assert!(idx.try_resolve(idx.total_nodes).is_err());
+        }
     }
 }

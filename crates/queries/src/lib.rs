@@ -6,9 +6,11 @@
 //!
 //! * [`index::GrammarIndex`] — G-representations of `val(G)` node IDs:
 //!   locating a node costs O(log ℓ + h), mapping a representation back to an
-//!   ID costs O(h) (ℓ = nonterminal edges in S, h = grammar height).
-//! * [`neighbors`] — in/out neighborhood queries (Proposition 4):
-//!   O(log ℓ + n·h) for n neighbors.
+//!   ID costs O(h) (ℓ = nonterminal edges in S, h = grammar height); a
+//!   resolved locate carries ids instead of a path, O(log ℓ + h·rank).
+//! * [`neighbors`] — in/out neighborhood queries (Proposition 4) over
+//!   slot-form rule expansions: O(log ℓ + h·rank + n) for n neighbors once
+//!   the expansions are at hand.
 //! * [`reach`] — (s,t)-reachability via per-nonterminal *skeleton graphs*
 //!   (Theorem 6), built with Tarjan SCC exactly as in the paper's proof;
 //!   every context graph is condensed and labelled once at index build, so
@@ -38,7 +40,7 @@ pub mod rpq;
 pub mod speedup;
 
 pub use error::QueryError;
-pub use index::{GRepr, GrammarIndex};
-pub use neighbors::Direction;
+pub use index::{GRepr, GrammarIndex, Located, Slot};
+pub use neighbors::{Direction, Expansions};
 pub use reach::{ReachIndex, ReachWork};
 pub use rpq::{Nfa, Regex, RpqIndex, RpqShared, RpqWork};

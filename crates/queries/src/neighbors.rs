@@ -1,19 +1,29 @@
 //! Neighborhood queries over the grammar (Proposition 4).
 //!
 //! Given a `val(G)` node ID, compute its labeled in- or out-row without
-//! decompressing: resolve the G-representation, scan the incident edges of
-//! the context graph, and for nonterminal edges recurse into the subgraph
-//! they derive (`getNeighboring`), converting every endpoint back to a
-//! global ID via `getID`. Runtime O(log ℓ + n·h) for n neighbors.
+//! decompressing: resolve the node ([`GrammarIndex::try_resolve`]), scan
+//! the incident edges of its context graph, and for nonterminal edges take
+//! the expansion of the subgraph they derive (`getNeighboring`). An
+//! expansion is in **slot form** ([`Slot`]): per edge found, its terminal
+//! label and the other endpoint as an offset inside the expanded edge's
+//! subtree or as one of the rule's external positions, which depends only
+//! on (nonterminal, external position, direction), never on where the edge
+//! occurs. The paper's `getID` climb is thus paid once per expansion, not
+//! once per neighbor: a neighbor is the edge's first id plus an offset, or
+//! an id the resolved locate already holds. With every expansion already
+//! at hand — the store's once-filled table — a row of n neighbors costs
+//! O(log ℓ + h·rank + n); computed on the spot, as [`GrammarIndex`] itself
+//! does, a neighbor found d levels down is remapped once per level.
 //!
 //! One scan carries the terminal label of every edge it finds and hands
 //! each hit to a caller closure: labeled rows, plain neighbor sets (label
-//! dropped at the emit) and rule-relative expansions are emits over it.
+//! dropped at the emit) and rule expansions are emits over it. Where a
+//! nested expansion comes from is the [`Expansions`] parameter.
 
 use std::borrow::Borrow;
 
 use crate::error::QueryError;
-use crate::index::GrammarIndex;
+use crate::index::{ContextIndex, GrammarIndex, Located, Slot};
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 
@@ -24,6 +34,24 @@ pub enum Direction {
     Out,
     /// `N⁻`: follow edges `u → v`.
     In,
+}
+
+/// Where a row walk gets the expansion of a nested nonterminal edge.
+///
+/// [`GrammarIndex`] computes it on the spot, recursively; a caller that
+/// answers many queries keeps each `(nt, pos, dir)` expansion once and
+/// hands it back from there (the `grepair-store` crate does exactly that).
+pub trait Expansions {
+    /// Hand `f` every `(terminal label, slot)` entry of the expansion of
+    /// `(nt, pos, dir)` ([`GrammarIndex::expand`]).
+    fn each(&self, nt: u32, pos: usize, dir: Direction, f: impl FnMut(u32, Slot));
+}
+
+/// Uncached: every nested expansion is computed when the walk reaches it.
+impl<G: Borrow<Grammar>> Expansions for GrammarIndex<G> {
+    fn each(&self, nt: u32, pos: usize, dir: Direction, mut f: impl FnMut(u32, Slot)) {
+        self.expand(nt, pos, dir, self, &mut f);
+    }
 }
 
 impl<G: Borrow<Grammar>> GrammarIndex<G> {
@@ -63,7 +91,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         out: &mut Vec<u64>,
     ) -> Result<(), QueryError> {
         out.clear();
-        self.scan_global(k, dir, |_, id| out.push(id))?;
+        self.try_resolve(k)?.row(dir, self, |_, id| out.push(id));
         out.sort_unstable();
         out.dedup();
         Ok(())
@@ -74,21 +102,41 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     /// sorted and deduplicated.
     pub fn try_edges(&self, k: u64, dir: Direction) -> Result<Vec<(u32, u64)>, QueryError> {
         let mut out = Vec::new();
-        self.scan_global(k, dir, |label, id| out.push((label, id)))?;
+        self.try_resolve(k)?.row(dir, self, |label, id| out.push((label, id)));
         out.sort_unstable();
         out.dedup();
         Ok(out)
     }
 
-    /// Rule-relative expansion: the row of the `pos`-th external node
-    /// *inside* the subgraph derived from one `nt`-edge, as
-    /// `(relative path, terminal label, context-local node)` entries. The
-    /// relative path starts with edges of `rhs(nt)`; prepending the path of
-    /// a concrete `nt`-edge occurrence and running
-    /// [`GrammarIndex::global_id`] yields the global neighbor ids. Because
-    /// the expansion depends only on `(nt, pos, dir)` — never on where the
-    /// edge occurs — callers can memoize it across queries (the
-    /// `grepair-store` crate does exactly that).
+    /// Slot-form rule expansion: the row of the `pos`-th external node
+    /// *inside* the subgraph derived from one `nt`-edge, as `(terminal
+    /// label, slot)` entries relative to that edge, handed to `f`. Nested
+    /// nonterminal edges come from `nested`; their offsets shift by where
+    /// their subtree starts in `rhs(nt)`, and their external positions map
+    /// through their attachment. Nothing when there is no such nonterminal
+    /// or position.
+    pub fn expand(
+        &self,
+        nt: u32,
+        pos: usize,
+        dir: Direction,
+        nested: &impl Expansions,
+        f: &mut dyn FnMut(u32, Slot),
+    ) {
+        let nt = nt as usize;
+        let (Some(rhs), Some(ctx)) = (self.grammar().rules().get(nt), self.rules.get(nt)) else {
+            return;
+        };
+        if let Some(&v) = rhs.ext().get(pos) {
+            scan(rhs, ctx, v, dir, nested, f);
+        }
+    }
+
+    /// Path-form rule expansion, the reference the slot form is tested
+    /// against: `(relative path, terminal label, context-local node)`
+    /// entries, where the relative path starts with edges of `rhs(nt)`;
+    /// prepending the path of a concrete `nt`-edge occurrence and running
+    /// [`GrammarIndex::global_id`] yields the global neighbor ids.
     pub fn rule_expansion(
         &self,
         nt: u32,
@@ -98,38 +146,18 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         let mut out = Vec::new();
         let rhs = self.grammar().rule(nt);
         if let Some(&v) = rhs.ext().get(pos) {
-            self.scan(rhs, v, dir, &mut Vec::new(), &mut |rel, label, node| {
+            self.scan_paths(rhs, v, dir, &mut Vec::new(), &mut |rel, label, node| {
                 out.push((rel.to_vec(), label, node))
             });
         }
         out
     }
 
-    /// Scan the row of global node `k`, emitting `(label, global id)`.
-    /// The located node is internal to its context (or a start node), so
-    /// every edge of `val(G)` incident with it appears in that context or
-    /// below.
-    fn scan_global(
-        &self,
-        k: u64,
-        dir: Direction,
-        mut emit: impl FnMut(u32, u64),
-    ) -> Result<(), QueryError> {
-        let mut repr = self.try_locate(k)?;
-        let ctx = self.context(&repr.path);
-        self.scan(ctx, repr.node, dir, &mut repr.path, &mut |path, label, node| {
-            emit(label, self.global_id(path, node))
-        });
-        Ok(())
-    }
-
-    /// The one incident-edge scan, `getNeighboring` of §V: every rank-2
-    /// terminal edge leaving (or entering) `v` in `ctx` and in the subgraphs
-    /// its nonterminal edges derive. `path` leads to `ctx` — absolute or
-    /// rule-relative, the scan only extends and restores it — and `emit`
-    /// receives the path of the context the edge lives in, its terminal
-    /// label, and its other endpoint as a node of that context.
-    fn scan(
+    /// `getNeighboring` of §V with derivation paths: every rank-2 terminal
+    /// edge leaving (or entering) `v` in `ctx` and below, emitted with the
+    /// path of the context the edge lives in — `path` leads to `ctx`, the
+    /// scan only extends and restores it — its label and its other endpoint.
+    fn scan_paths(
         &self,
         ctx: &Hypergraph,
         v: NodeId,
@@ -140,25 +168,76 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         for e in ctx.incident(v) {
             let att = ctx.att(e);
             match ctx.label(e) {
-                EdgeLabel::Terminal(label) => {
-                    debug_assert!(att.len() <= 2, "terminal hyperedges have no direction");
-                    if let [from, to] = *att {
-                        match dir {
-                            Direction::Out if from == v => emit(path, label, to),
-                            Direction::In if to == v => emit(path, label, from),
-                            _ => {}
-                        }
-                    }
-                }
+                EdgeLabel::Terminal(label) => match (dir, att) {
+                    (Direction::Out, &[from, to]) if from == v => emit(path, label, to),
+                    (Direction::In, &[from, to]) if to == v => emit(path, label, from),
+                    _ => {}
+                },
                 EdgeLabel::Nonterminal(nt) => {
-                    // Descend for every position at which `v` is attached.
                     let rhs = self.grammar().rule(nt);
                     for (pos, &x) in att.iter().enumerate() {
                         if x == v {
                             path.push(e);
-                            self.scan(rhs, rhs.ext()[pos], dir, path, emit);
+                            self.scan_paths(rhs, rhs.ext()[pos], dir, path, emit);
                             path.pop();
                         }
+                    }
+                }
+            }
+        }
+    }
+}
+
+impl Located<'_> {
+    /// The row of the located node in direction `dir`, every edge emitted
+    /// as `(terminal label, global id)`, nested expansions taken from
+    /// `nested`. The node is internal to its context (or a start node), so
+    /// every edge of `val(G)` incident with it appears in that context or
+    /// below.
+    pub fn row(&self, dir: Direction, nested: &impl Expansions, mut emit: impl FnMut(u32, u64)) {
+        scan(self.graph, self.ctx, self.node, dir, nested, &mut |label, slot: Slot| {
+            emit(label, slot.resolve(self.base, &self.ext_ids))
+        });
+    }
+}
+
+/// The one incident-edge scan, `getNeighboring` of §V in slot form: every
+/// rank-2 terminal edge leaving (or entering) `v` in `graph` and in the
+/// subgraphs its nonterminal edges derive, emitted as its terminal label
+/// and the slot of its other endpoint in `graph`.
+fn scan<F: FnMut(u32, Slot) + ?Sized>(
+    graph: &Hypergraph,
+    ctx: &ContextIndex,
+    v: NodeId,
+    dir: Direction,
+    nested: &impl Expansions,
+    emit: &mut F,
+) {
+    for e in graph.incident(v) {
+        let edge = graph.edge(e);
+        match edge.label {
+            EdgeLabel::Terminal(label) => {
+                debug_assert!(edge.rank() <= 2, "terminal hyperedges have no direction");
+                match (dir, edge.att) {
+                    (Direction::Out, &[from, to]) if from == v => emit(label, ctx.slot(to)),
+                    (Direction::In, &[from, to]) if to == v => emit(label, ctx.slot(from)),
+                    _ => {}
+                }
+            }
+            EdgeLabel::Nonterminal(nt) => {
+                // Descend for every position at which `v` is attached.
+                let base = ctx.edge_offset(e);
+                for (pos, &x) in edge.att.iter().enumerate() {
+                    if x == v {
+                        nested.each(nt, pos, dir, |label, slot| {
+                            emit(
+                                label,
+                                match slot.offset() {
+                                    Ok(off) => Slot::at_offset(base + off),
+                                    Err(p) => ctx.slot(edge.att[p]),
+                                },
+                            )
+                        });
                     }
                 }
             }

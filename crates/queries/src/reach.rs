@@ -26,6 +26,7 @@
 //! visit, where the skeleton edges summarize the detours.
 
 use std::borrow::Borrow;
+use std::sync::Arc;
 
 use crate::condensation::Condensation;
 pub use crate::condensation::ReachWork;
@@ -38,7 +39,8 @@ use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
 /// every context graph.
 #[derive(Debug)]
 pub struct ReachIndex<G: Borrow<Grammar>> {
-    index: GrammarIndex<G>,
+    /// The navigation index, shareable with [`crate::RpqShared`].
+    index: Arc<GrammarIndex<G>>,
     /// `skeletons[A]` = edges (i, j) between external-node *positions*:
     /// position j is reachable from position i through `val(A)`.
     skeletons: Vec<Vec<(u8, u8)>>,
@@ -149,12 +151,19 @@ impl<G: Borrow<Grammar>> ReachIndex<G> {
             rules[nt as usize] = rhs;
         }
         let start = skeletonize(&g.start, &skeletons, &mut edges);
-        Self { index: GrammarIndex::new(grammar), skeletons, start, rules }
+        Self { index: Arc::new(GrammarIndex::new(grammar)), skeletons, start, rules }
     }
 
     /// The navigation index (shared with neighborhood queries).
     pub fn index(&self) -> &GrammarIndex<G> {
         &self.index
+    }
+
+    /// The navigation index as a shared handle, for another structure over
+    /// the same grammar to navigate by ([`crate::RpqShared::with_index`])
+    /// instead of building its own.
+    pub fn shared_index(&self) -> Arc<GrammarIndex<G>> {
+        Arc::clone(&self.index)
     }
 
     /// The skeleton relation of nonterminal `nt` (external-position pairs).

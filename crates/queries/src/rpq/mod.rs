@@ -15,7 +15,8 @@
 //! nonterminals' relations instead of expanding them), in both directions.
 //! What does not depend on the pattern — the navigation index and a
 //! label-indexed adjacency of S and every right-hand side — is one
-//! [`RpqShared`] that any number of compiled patterns point at.
+//! [`RpqShared`] that any number of compiled patterns point at; its index
+//! can itself be the one a [`crate::ReachIndex`] built.
 //!
 //! A query resolves both derivation paths into hops, as reachability does,
 //! closes each endpoint alone inside the right-hand sides only it is in and
@@ -57,7 +58,7 @@ pub use nfa::{Nfa, Regex};
 /// index and the label-indexed adjacency of S and of every right-hand side.
 #[derive(Debug)]
 pub struct RpqShared<G: Borrow<Grammar>> {
-    index: GrammarIndex<G>,
+    index: Arc<GrammarIndex<G>>,
     start: Adjacency,
     rules: Vec<Adjacency>,
 }
@@ -65,9 +66,16 @@ pub struct RpqShared<G: Borrow<Grammar>> {
 impl<G: Borrow<Grammar>> RpqShared<G> {
     /// Index the grammar and lay out every context graph — O(|G| log |G|).
     pub fn new(grammar: G) -> Self {
-        let g: &Grammar = grammar.borrow();
+        Self::with_index(Arc::new(GrammarIndex::new(grammar)))
+    }
+
+    /// Lay out every context graph of the grammar `index` navigates, and
+    /// navigate by that index (a [`crate::ReachIndex`]'s, say) rather than
+    /// a second one.
+    pub fn with_index(index: Arc<GrammarIndex<G>>) -> Self {
+        let g = index.grammar();
         let (start, rules) = (Adjacency::new(&g.start), g.rules().iter().map(Adjacency::new).collect());
-        Self { index: GrammarIndex::new(grammar), start, rules }
+        Self { index, start, rules }
     }
 }
 

@@ -6,32 +6,14 @@
 //! walks, which mostly sit in one rule subtree or next to a hub, and
 //! uniform pairs, which mostly do not.
 
-use grepair_core::{compress, GRePairConfig};
-use grepair_datasets::version::CoauthorshipHistory;
-use grepair_datasets::{network, rdf};
-use grepair_hypergraph::{traverse, Hypergraph};
+mod common;
+
+use common::{config, families};
+use grepair_core::compress;
+use grepair_hypergraph::traverse;
 use grepair_queries::{QueryError, ReachIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One instance per family at about `n` nodes.
-fn families(n: usize) -> Vec<(&'static str, Hypergraph)> {
-    vec![
-        ("hub_network", network::hub_network(n, 12, 1, 5)),
-        (
-            "version_graph",
-            CoauthorshipHistory::generate(6, n / 40, n / 12, n / 60, 5).version_graph(5),
-        ),
-        ("property_graph", rdf::property_graph(n / 2, 24, 8, n / 10, 5)),
-        ("preferential_attachment", network::preferential_attachment(n, 2, 5)),
-        ("erdos_renyi", network::erdos_renyi(n, n + n / 2, 5)),
-        ("web_copy", network::web_copy(n, 3, 0.6, 5)),
-    ]
-}
-
-fn config(max_rank: usize) -> GRePairConfig {
-    GRePairConfig { max_rank, ..GRePairConfig::default() }
-}
 
 #[test]
 fn sampled_pairs_match_bfs_on_every_family_and_rank() {

@@ -9,35 +9,13 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::walk;
-use grepair_core::{compress, GRePairConfig};
-use grepair_datasets::version::CoauthorshipHistory;
-use grepair_datasets::{network, rdf};
+use common::{config, families, walk};
+use grepair_core::compress;
 use grepair_grammar::Grammar;
-use grepair_hypergraph::Hypergraph;
 use grepair_queries::rpq::rpq_on_graph;
 use grepair_queries::{Nfa, QueryError, Regex, RpqIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One instance per family at about `n` nodes.
-fn families(n: usize) -> Vec<(&'static str, Hypergraph)> {
-    vec![
-        ("hub_network", network::hub_network(n, 12, 1, 5)),
-        (
-            "version_graph",
-            CoauthorshipHistory::generate(6, n / 40, n / 12, n / 60, 5).version_graph(5),
-        ),
-        ("property_graph", rdf::property_graph(n / 2, 24, 8, n / 10, 5)),
-        ("preferential_attachment", network::preferential_attachment(n, 2, 5)),
-        ("erdos_renyi", network::erdos_renyi(n, n + n / 2, 5)),
-        ("web_copy", network::web_copy(n, 3, 0.6, 5)),
-    ]
-}
-
-fn config(max_rank: usize) -> GRePairConfig {
-    GRePairConfig { max_rank, ..GRePairConfig::default() }
-}
 
 /// The four shapes asked per pair, from the walked labels `l₁ l₂ l₃`: the
 /// word itself, `l₁*`, `l₁+ l₂?`, and the word ending in `absent` instead.

@@ -192,6 +192,16 @@ mod imp {
             mask
         }
 
+        /// Re-register the connection with epoll if its interest changed.
+        fn rearm(&mut self, epoll: &Epoll, token: u64) -> io::Result<()> {
+            let want = self.desired_mask();
+            if want != self.mask {
+                epoll.modify(self.stream.as_raw_fd(), want, token)?;
+                self.mask = want;
+            }
+            Ok(())
+        }
+
         /// Read a bounded burst into the engine (one `read` per chunk of
         /// the reactor's buffer).
         fn read_burst(&mut self, buf: &mut [u8]) -> io::Result<()> {
@@ -245,13 +255,19 @@ mod imp {
             // A drain takes precedence over the plain stop the drain
             // watcher also sets: stop accepting, answer what every
             // connection has read, then let each close as its replies
-            // reach the socket.
+            // reach the socket. A connection left with unsent replies is
+            // re-armed for what it now waits on — writable, no longer
+            // readable — or it would sit out the drain deadline.
             if server.drain.load(Ordering::Relaxed) && drain_deadline.is_none() {
                 drain_deadline = Some(server.begin_drain());
                 epoll.del(server.listener.as_raw_fd());
-                conns.retain(|_, slot| {
+                conns.retain(|&token, slot| {
                     let alive = slot.conn.close().and_then(|()| slot.write_out()).is_ok();
-                    alive && !slot.conn.finished()
+                    let keep = alive && !slot.conn.finished();
+                    if keep {
+                        let _ = slot.rearm(&epoll, token);
+                    }
+                    keep
                 });
             }
             match drain_deadline {
@@ -305,11 +321,9 @@ mod imp {
                         conns.remove(&token);
                     }
                     Ok(()) => {
-                        let want = slot.desired_mask();
-                        let fd = slot.stream.as_raw_fd();
-                        if want != slot.mask && epoll.modify(fd, want, token).is_ok() {
-                            slot.mask = want;
-                        }
+                        // A failed re-registration keeps the old mask; the
+                        // next event retries.
+                        let _ = slot.rearm(&epoll, token);
                     }
                 }
             }

@@ -311,10 +311,19 @@ fn run_until_drained(
     io: IoMode,
     drain_deadline: std::time::Duration,
 ) -> (std::net::SocketAddr, std::thread::JoinHandle<RunOutcome>) {
+    run_until_drained_on(store(8), io, drain_deadline)
+}
+
+/// [`run_until_drained`] serving `store`.
+fn run_until_drained_on(
+    store: GraphStore,
+    io: IoMode,
+    drain_deadline: std::time::Duration,
+) -> (std::net::SocketAddr, std::thread::JoinHandle<RunOutcome>) {
     use std::sync::Arc;
 
     let config = ServerConfig { io, drain_deadline, ..ServerConfig::default() };
-    let registry = Arc::new(StoreRegistry::new(store(8)));
+    let registry = Arc::new(StoreRegistry::new(store));
     let server = Server::bind(&config, registry, None).unwrap();
     let addr = server.local_addr().unwrap();
     let run = std::thread::spawn(move || {
@@ -322,6 +331,57 @@ fn run_until_drained(
         (result, server.connections_active(), std::time::Instant::now())
     });
     (addr, run)
+}
+
+/// A drain that leaves a connection with more replies than the socket
+/// takes keeps sending them as the client reads, then closes — instead of
+/// waiting out the drain deadline with the replies unsent.
+#[test]
+fn a_drain_flushes_replies_that_did_not_fit_the_socket() {
+    use grepair_grammar::Grammar;
+    use grepair_hypergraph::Hypergraph;
+    use std::io::{Read, Write};
+    use std::time::{Duration, Instant};
+
+    // A hub with 40 000 out-neighbors, ids kept (no rules): one `out 0`
+    // reply is ≈ 230 kB, 40 of them far more than loopback buffers hold
+    // while the client does not read, and all 40 lines arrive in one read.
+    let leaves = 40_000u32;
+    let edges = (1..=leaves).map(|v| (0, 0u32, v));
+    let star = Hypergraph::from_simple_edges(leaves as usize + 1, edges).0;
+    let enc = grepair_codec::encode(&Grammar::new(star, 1));
+    let file = grepair_store::write_container(&enc.bytes, enc.bit_len);
+    let row = (1..=leaves).map(|v| v.to_string()).collect::<Vec<_>>().join(" ") + "\n";
+    let requests = 40;
+    for &io in io_modes() {
+        let deadline = Duration::from_secs(5);
+        let store = GraphStore::from_bytes(&file).unwrap();
+        let (addr, run) = run_until_drained_on(store, io, deadline);
+        let mut reader = std::net::TcpStream::connect(addr).unwrap();
+        reader.write_all("out 0\n".repeat(requests).as_bytes()).unwrap();
+        // Let the server read all of it, answer, and fill the socket.
+        std::thread::sleep(Duration::from_millis(300));
+
+        let mut admin = std::net::TcpStream::connect(addr).unwrap();
+        admin.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let drained = Instant::now();
+        admin.write_all(b"SHUTDOWN\n").unwrap();
+        let mut reply = String::new();
+        admin.read_to_string(&mut reply).unwrap();
+        assert_eq!(reply, "draining\n", "{io:?}");
+
+        reader.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut replies = String::new();
+        reader.read_to_string(&mut replies).expect("every reply, then EOF");
+        let took = drained.elapsed();
+        assert_eq!(replies.len(), requests * row.len(), "{io:?}");
+        assert!(replies.split_inclusive('\n').all(|line| line == row), "{io:?}");
+        let late = format!("{io:?}: EOF after {took:?} of a {deadline:?} deadline");
+        assert!(took < Duration::from_secs(2), "{late}");
+        let (result, active, _) = run.join().expect("run thread");
+        result.expect("clean drain exit");
+        assert_eq!(active, 0, "{io:?}");
+    }
 }
 
 #[test]

@@ -1,20 +1,22 @@
 //! The grammar's query engine: grammar navigation with memoized rule
 //! expansions and compiled RPQ plans.
 //!
-//! One labeled walk serves every row-shaped answer: a single incident-edge
-//! scan over a single expansion table, collected with the label kept (the
-//! [`QueryEngine`] row primitive) or dropped (neighbor sets). The grammar
-//! engine is the one implementor that overrides [`QueryEngine`]'s provided
-//! methods; the store reaches it through the trait like the version overlay.
+//! Rows are `grepair-queries`' own resolved walk
+//! ([`grepair_queries::Located::row`]); what the engine adds is where a
+//! nested expansion comes from: the once-filled table of slot-form
+//! expansions, so a neighbor read from a cell costs one addition or one
+//! lookup. Labeled rows and plain neighbor sets are the same walk, with the
+//! label kept or dropped at the emit. The grammar engine is the one
+//! implementor that overrides [`QueryEngine`]'s provided methods; the store
+//! reaches it through the trait like the version overlay.
 
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use grepair_grammar::Grammar;
-use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
-use grepair_queries::neighbors::Direction;
-use grepair_queries::{speedup, GRepr, GrammarIndex, ReachIndex, RpqIndex, RpqShared};
+use grepair_queries::neighbors::{Direction, Expansions};
+use grepair_queries::{speedup, GrammarIndex, ReachIndex, RpqIndex, RpqShared, Slot};
 use grepair_util::sync::RwLock;
 use grepair_util::FxHashMap;
 
@@ -22,9 +24,9 @@ use crate::backend::QueryEngine;
 use crate::query::compile_pattern;
 use crate::GrepairError;
 
-/// One entry of a rule expansion: rule-relative `(path, terminal label,
-/// node)` (see [`GrammarIndex::rule_expansion`]).
-pub(crate) type ExpansionEntry = (Vec<EdgeId>, u32, NodeId);
+/// One entry of a rule expansion: terminal label and slot (see
+/// [`GrammarIndex::expand`]).
+pub(crate) type ExpansionEntry = (u32, Slot);
 
 /// How many compiled RPQ plans one engine keeps. The key is pattern text a
 /// client chose and every plan owns its automaton's rows plus the
@@ -71,9 +73,9 @@ pub(crate) struct GrammarEngine {
     /// First cell of each nonterminal, plus the table length as a final
     /// entry (so `slot_base[nt]..slot_base[nt + 1]` are `nt`'s cells).
     slot_base: Vec<usize>,
-    /// What every RPQ plan shares — a navigation index and the
-    /// label-indexed adjacency of every context graph — built by the first
-    /// `rpq`, so a store that is never asked one does not pay for it.
+    /// What every RPQ plan shares — the reach index's navigation index and
+    /// the label-indexed adjacency of every context graph — built by the
+    /// first `rpq`, so a store that is never asked one does not pay for it.
     rpq_shared: OnceLock<Arc<RpqShared<Arc<Grammar>>>>,
     /// Compiled RPQ plans per canonical pattern text, at most
     /// [`MAX_CACHED_PLANS`] of them.
@@ -131,71 +133,19 @@ impl GrammarEngine {
         dirs: &[Direction],
         entry: impl Fn(u32, u64) -> T,
     ) -> Result<Vec<T>, GrepairError> {
-        let repr = self.index().try_locate(v)?;
+        let at = self.index().try_resolve(v)?;
         let mut out = Vec::new();
         for &dir in dirs {
-            self.walk(&repr, dir, |label, w| out.push(entry(label, w)));
+            at.row(dir, self, |label, w| out.push(entry(label, w)));
         }
         out.sort_unstable();
         out.dedup();
         Ok(out)
     }
 
-    /// The context walk: every edge of `val(G)` leaving (or entering) the
-    /// node `repr` addresses, emitted as `(label, global id)`.
-    fn walk(&self, repr: &GRepr, dir: Direction, mut emit: impl FnMut(u32, u64)) {
-        // Absolute derivation path of the edge being emitted.
-        let mut full = repr.path.clone();
-        self.scan(self.index().context(&repr.path), repr.node, dir, |head, rel, label, node| {
-            full.truncate(repr.path.len());
-            full.extend_from_slice(head);
-            full.extend_from_slice(rel);
-            emit(label, self.index().global_id(&full, node));
-        });
-    }
-
-    /// The one incident-edge scan. It mirrors `GrammarIndex`'s (the
-    /// uncached reference, see [`GrammarIndex::rule_expansion`]) with the
-    /// descent into each nonterminal edge replaced by its table cell.
-    /// `emit` receives the path below `graph` in two pieces — the incident
-    /// nonterminal edge (or nothing, for a terminal edge of `graph` itself)
-    /// and the cached rule-relative rest — then the terminal label and the
-    /// other endpoint.
-    fn scan(
-        &self,
-        graph: &Hypergraph,
-        v: NodeId,
-        dir: Direction,
-        mut emit: impl FnMut(&[EdgeId], &[EdgeId], u32, NodeId),
-    ) {
-        for e in graph.incident(v) {
-            let att = graph.att(e);
-            match graph.label(e) {
-                EdgeLabel::Terminal(label) => {
-                    if let [from, to] = *att {
-                        match dir {
-                            Direction::Out if from == v => emit(&[], &[], label, to),
-                            Direction::In if to == v => emit(&[], &[], label, from),
-                            _ => {}
-                        }
-                    }
-                }
-                EdgeLabel::Nonterminal(nt) => {
-                    for (pos, &x) in att.iter().enumerate() {
-                        if x == v {
-                            for (rel, label, node) in self.expansion(nt, pos, dir).iter() {
-                                emit(&[e], rel, *label, *node);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Rule-relative expansion for `(nt, ext position, dir)`. A hit borrows
-    /// the table cell — no hash, no lock, no reference count. A triple with
-    /// no cell (no such nonterminal, or `pos` beyond its rank; a validated
+    /// Slot-form expansion of `(nt, ext position, dir)`. A hit borrows the
+    /// table cell — no hash, no lock, no reference count. A triple with no
+    /// cell (no such nonterminal, or `pos` beyond its rank; a validated
     /// grammar never asks) is computed uncached.
     pub(crate) fn expansion(
         &self,
@@ -203,19 +153,24 @@ impl GrammarEngine {
         pos: usize,
         dir: Direction,
     ) -> Cow<'_, [ExpansionEntry]> {
+        // The fill takes nested nonterminals from `self` (sharing their
+        // cells too). Those are other cells — a straight-line grammar only
+        // nests strictly smaller nonterminals — so the recursion is finite
+        // and never waits on the cell being filled.
+        let fill = || {
+            let mut entries = Vec::new();
+            self.index().expand(nt, pos, dir, self, &mut |label, slot| entries.push((label, slot)));
+            entries
+        };
         let Some(cell) = self.cell(nt, pos, dir) else {
-            return Cow::Owned(self.expand(nt, pos, dir));
+            return Cow::Owned(fill());
         };
         if let Some(hit) = cell.get() {
             self.cache_counters.expansion_hits.fetch_add(1, Ordering::Relaxed);
             return Cow::Borrowed(hit);
         }
-        // The fill re-enters `expansion` for nested nonterminals (sharing
-        // their cells too). Those are other cells — a straight-line grammar
-        // only nests strictly smaller nonterminals — so the recursion is
-        // finite and never waits on the cell being filled.
         self.cache_counters.expansion_misses.fetch_add(1, Ordering::Relaxed);
-        Cow::Borrowed(cell.get_or_init(|| self.expand(nt, pos, dir)))
+        Cow::Borrowed(cell.get_or_init(fill))
     }
 
     /// The table cell of `(nt, pos, dir)`, if the table has one.
@@ -227,21 +182,6 @@ impl GrammarEngine {
             Direction::In => 1,
         };
         self.expansions.get(base..end)?.get(pos.saturating_mul(2).saturating_add(dir))
-    }
-
-    /// Compute one expansion: the scan of `nt`'s right-hand side from its
-    /// external node `pos` (empty when there is no such node).
-    fn expand(&self, nt: u32, pos: usize, dir: Direction) -> Vec<ExpansionEntry> {
-        let mut computed = Vec::new();
-        let Some(rhs) = self.grammar.rules().get(nt as usize) else {
-            return computed;
-        };
-        if let Some(&v) = rhs.ext().get(pos) {
-            self.scan(rhs, v, dir, |head, rel, label, node| {
-                computed.push(([head, rel].concat(), label, node));
-            });
-        }
-        computed
     }
 
     /// Compiled-plan lookup for an RPQ pattern — a hit is an `Arc` clone
@@ -257,7 +197,9 @@ impl GrammarEngine {
         // Compile outside the lock; a thread that lost the race to insert
         // the same pattern adopts the winner's plan.
         let nfa = compile_pattern(pattern)?;
-        let shared = self.rpq_shared.get_or_init(|| Arc::new(RpqShared::new(self.grammar.clone())));
+        let shared = self
+            .rpq_shared
+            .get_or_init(|| Arc::new(RpqShared::with_index(self.reach.shared_index())));
         let plan = Arc::new(RpqIndex::over(Arc::clone(shared), nfa));
         let mut plans = self.plans.write();
         if plans.len() >= MAX_CACHED_PLANS && !plans.contains_key(pattern) {
@@ -277,6 +219,24 @@ impl GrammarEngine {
     #[cfg(test)]
     pub(crate) fn rpq_shared_refs(&self) -> Option<usize> {
         self.rpq_shared.get().map(Arc::strong_count)
+    }
+
+    /// Whether every cached plan navigates by the very index the rows and
+    /// `reach` use, `None` before the first `rpq` compiled one.
+    #[cfg(test)]
+    pub(crate) fn plans_share_the_index(&self) -> Option<bool> {
+        let plans = self.plans.read();
+        let shared = |plan: &Arc<RpqIndex<_>>| std::ptr::eq(plan.index(), self.index());
+        (!plans.is_empty()).then(|| plans.values().all(shared))
+    }
+}
+
+/// Nested expansions come from the table: one cell read per lookup.
+impl Expansions for GrammarEngine {
+    fn each(&self, nt: u32, pos: usize, dir: Direction, mut f: impl FnMut(u32, Slot)) {
+        for &(label, slot) in self.expansion(nt, pos, dir).iter() {
+            f(label, slot);
+        }
     }
 }
 

@@ -503,13 +503,36 @@ mod tests {
             .collect()
     }
 
+    /// The labeled row of `v` in a decompressed graph, sorted.
+    fn derived_row(g: &Hypergraph, v: u32, dir: Direction) -> Vec<(u32, u64)> {
+        let mut row: Vec<(u32, u64)> = g
+            .incident(v)
+            .filter_map(|e| match (g.label(e), g.att(e), dir) {
+                (EdgeLabel::Terminal(l), &[from, to], Direction::Out) if from == v => Some((l, to)),
+                (EdgeLabel::Terminal(l), &[from, to], Direction::In) if to == v => Some((l, from)),
+                _ => None,
+            })
+            .map(|(l, w)| (l, u64::from(w)))
+            .collect();
+        row.sort_unstable();
+        row.dedup();
+        row
+    }
+
     #[test]
     fn neighbors_match_uncached_index() {
+        // The rows the cells serve, against the bare index (every expansion
+        // computed on the spot) and against the decompressed graph.
         let (store, _) = store_for(32);
         let idx = GrammarIndex::new(store.grammar().unwrap());
+        let derived = store.grammar().unwrap().derive();
         for k in 0..store.total_nodes() {
             assert_eq!(store.out_neighbors(k).unwrap(), idx.out_neighbors(k), "out {k}");
             assert_eq!(store.in_neighbors(k).unwrap(), idx.in_neighbors(k), "in {k}");
+            let rows = [(Direction::Out, store.out_edges(k)), (Direction::In, store.in_edges(k))];
+            for (dir, row) in rows {
+                assert_eq!(row.unwrap(), derived_row(&derived, k as u32, dir), "{dir:?} {k}");
+            }
         }
         let s = store.stats();
         assert!(s.expansion_cache_hits > 0, "repeated labels must hit: {s}");
@@ -517,21 +540,47 @@ mod tests {
 
     #[test]
     fn cached_expansion_matches_reference() {
+        // Every cell, resolved at every concrete occurrence of its
+        // nonterminal that creates a node: its first id and the ids of its
+        // external nodes turn slots into ids, which must be what `getID`
+        // makes of the path-form expansion there.
         let (store, _) = store_for(24);
         let ge = grammar_engine(&store);
-        let idx = GrammarIndex::new(store.grammar().unwrap());
-        for nt in 0..store.grammar().unwrap().num_nonterminals() as u32 {
-            let rank = store.grammar().unwrap().nt_rank(nt);
-            for pos in 0..rank {
+        let grammar = store.grammar().unwrap();
+        let idx = GrammarIndex::new(grammar);
+        let mut checked = 0;
+        for k in idx.m as u64..idx.total_nodes {
+            let repr = idx.locate(k);
+            let nt = idx.nt_at(&repr.path);
+            let rhs = grammar.rule(nt);
+            // Internal nodes come first, in id order: `k` is the base plus
+            // the number of internal nodes before `repr.node`.
+            let before = (0..repr.node).filter(|&x| !rhs.is_external(x)).count() as u64;
+            let base = k - before;
+            let ext_ids: Vec<u64> =
+                rhs.ext().iter().map(|&x| idx.global_id(&repr.path, x)).collect();
+            for pos in 0..rhs.rank() {
                 for dir in [Direction::Out, Direction::In] {
-                    assert_eq!(
-                        *ge.expansion(nt, pos, dir),
-                        *idx.rule_expansion(nt, pos, dir),
-                        "nt {nt} pos {pos} {dir:?}"
-                    );
+                    let mut got: Vec<(u32, u64)> = ge
+                        .expansion(nt, pos, dir)
+                        .iter()
+                        .map(|&(label, slot)| (label, slot.resolve(base, &ext_ids)))
+                        .collect();
+                    let mut want: Vec<(u32, u64)> = idx
+                        .rule_expansion(nt, pos, dir)
+                        .into_iter()
+                        .map(|(rel, label, node)| {
+                            (label, idx.global_id(&[&repr.path[..], &rel].concat(), node))
+                        })
+                        .collect();
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "nt {nt} pos {pos} {dir:?} at node {k}");
+                    checked += 1;
                 }
             }
         }
+        assert!(checked > 0);
     }
 
     #[test]
@@ -682,16 +731,17 @@ mod tests {
         assert_eq!(counts(), (hits + 1, misses));
         // Triples the table has no cell for — a position beyond the rank
         // (which must not alias the next nonterminal's cells), an unknown
-        // nonterminal — are computed uncached: the reference expansion,
-        // never a panic, no counter moved.
+        // nonterminal — are computed uncached: empty, as the reference
+        // expansion is, never a panic, no counter moved.
         let grammar = store.grammar().unwrap();
         let idx = GrammarIndex::new(grammar);
         let rank = grammar.nt_rank(0);
         let unknown = grammar.num_nonterminals() as u32;
         for dir in [Direction::Out, Direction::In] {
-            assert_eq!(*ge.expansion(0, rank, dir), *idx.rule_expansion(0, rank, dir));
-            assert!(ge.expansion(0, usize::MAX, dir).is_empty());
-            assert!(ge.expansion(unknown, 0, dir).is_empty());
+            assert!(idx.rule_expansion(0, rank, dir).is_empty());
+            for (nt, pos) in [(0, rank), (0, usize::MAX), (unknown, 0)] {
+                assert!(ge.expansion(nt, pos, dir).is_empty(), "({nt}, {pos})");
+            }
         }
         assert_eq!(counts(), (hits + 1, misses));
     }
@@ -744,6 +794,18 @@ mod tests {
         // The engine's own reference and one per cached plan: no plan built
         // a navigation index or an adjacency of its own.
         assert_eq!((ge.cached_plans(), ge.rpq_shared_refs()), (3, Some(1 + 3)));
+    }
+
+    #[test]
+    fn the_engine_holds_one_navigation_index() {
+        // Rows, `reach` and every RPQ plan navigate by one `GrammarIndex`:
+        // the shared part of the plans is built around the reach index's.
+        let (store, _) = store_for(6);
+        let ge = grammar_engine(&store);
+        assert_eq!(ge.plans_share_the_index(), None);
+        store.rpq("0 1", 0, 1).unwrap();
+        store.rpq("1*", 0, 1).unwrap();
+        assert_eq!(ge.plans_share_the_index(), Some(true));
     }
 
     #[test]
