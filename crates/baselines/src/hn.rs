@@ -99,7 +99,10 @@ pub fn rewire(g: &Hypergraph, params: &HnParams) -> Rewired {
             let mut members: Vec<NodeId> = Vec::new();
             let mut common: Vec<NodeId> = Vec::new();
             for &v in &cluster {
-                // audited: cluster members come from enumerating `adj`, so v < adj.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "cluster members come from enumerating `adj`, so v < adj.len()"
+                )]
                 let outs = &adj[v as usize];
                 if members.is_empty() {
                     members.push(v);
@@ -129,7 +132,10 @@ pub fn rewire(g: &Hypergraph, params: &HnParams) -> Rewired {
             let virtual_id = adj.len() as NodeId;
             adj.push(common.clone());
             for &v in &members {
-                // audited: members ⊆ cluster, and cluster members are adj indices
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "members ⊆ cluster, and cluster members are adj indices"
+                )]
                 let list = &mut adj[v as usize];
                 list.retain(|x| common.binary_search(x).is_err());
                 list.push(virtual_id);
@@ -145,7 +151,10 @@ pub fn rewire(g: &Hypergraph, params: &HnParams) -> Rewired {
 /// Infallible wrapper over [`try_expand`] for trusted [`rewire`] output
 /// (no memo budget).
 pub fn expand(rewired: &Rewired) -> Vec<Vec<NodeId>> {
-    // audited: the only error path is exceeding the budget, and this one is usize::MAX
+    #[expect(
+        clippy::expect_used,
+        reason = "the only error path is exceeding the budget, and this one is usize::MAX"
+    )]
     try_expand(rewired, usize::MAX).expect("unbounded expansion cannot exceed its budget")
 }
 
@@ -184,16 +193,20 @@ pub fn try_expand(
         // Pre-charge the worst-case (pre-dedup) length so a hostile fan-in
         // cannot materialize a huge transient list either.
         let mut len = 0usize;
-        // audited: ids come from 0..total ranges or adjacency entries, and decode
-        // checks the k²-tree is total×total — so id < total == adj.len() and every
-        // virtual index xi - n lands inside `resolved` (len total - n)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ids come from 0..total ranges or adjacency entries, and decode checks the k²-tree is total×total — so id < total == adj.len() and every virtual index xi - n lands inside `resolved` (len total - n)"
+        )]
         let list = &rewired.adj[id];
         for &x in list {
             let xi = x as usize;
             len = len.saturating_add(if xi < n {
                 1
             } else {
-                // audited: xi < total (k²-tree col bound), so xi - n < resolved.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "xi < total (k²-tree col bound), so xi - n < resolved.len()"
+                )]
                 match &resolved[xi - n] {
                     Some(Some(sub)) => sub.len(),
                     _ => 0,
@@ -209,9 +222,12 @@ pub fn try_expand(
         let mut out = Vec::with_capacity(len);
         for &x in list {
             let xi = x as usize;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "same bound as the charging loop above — xi < total"
+            )]
             if xi < n {
                 out.push(x);
-            // audited: same bound as the charging loop above — xi < total
             } else if let Some(Some(sub)) = &resolved[xi - n] {
                 out.extend_from_slice(sub);
             }
@@ -226,26 +242,43 @@ pub fn try_expand(
     // every `resolved[… - n]` below stays inside its total - n slots.
     let mut stack: Vec<usize> = Vec::new();
     for root in n..total {
-        // audited: root ∈ n..total, so root - n < resolved.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "root ∈ n..total, so root - n < resolved.len()"
+        )]
         if resolved[root - n].is_some() {
             continue;
         }
         stack.push(root);
         while let Some(&id) = stack.last() {
-            // audited: stack entries are bounded by total (see above)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "stack entries are bounded by total (see above)"
+            )]
             if matches!(resolved[id - n], Some(Some(_))) {
                 stack.pop();
                 continue;
             }
-            // audited: stack entries are bounded by total (see above)
-            resolved[id - n] = Some(None); // mark in progress
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "stack entries are bounded by total (see above)"
+            )]
+            {
+                resolved[id - n] = Some(None); // mark in progress
+            }
             let mut ready = true;
-            // audited: id < total == adj.len() (see above)
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "id < total == adj.len() (see above)"
+            )]
             for &x in &rewired.adj[id] {
                 let xi = x as usize;
                 // Untouched virtual dependency: resolve it first. In-progress
                 // means a cycle; leave it marked and it contributes nothing.
-                // audited: xi < total (k²-tree col bound), so xi - n is in range
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "xi < total (k²-tree col bound), so xi - n is in range"
+                )]
                 if xi >= n && resolved[xi - n].is_none() {
                     stack.push(xi);
                     ready = false;
@@ -253,8 +286,13 @@ pub fn try_expand(
             }
             if ready {
                 let out = expand_one(id, &resolved, &mut entries)?;
-                // audited: stack entries are bounded by total (see above)
-                resolved[id - n] = Some(Some(out));
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "stack entries are bounded by total (see above)"
+                )]
+                {
+                    resolved[id - n] = Some(Some(out));
+                }
                 stack.pop();
             }
         }
@@ -340,7 +378,10 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Rewired, crate::BaselineErro
     }
     let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); total as usize];
     for (row, col) in tree.iter_ones() {
-        // audited: iter_ones yields row < rows, checked == total just above
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "iter_ones yields row < rows, checked == total just above"
+        )]
         adj[row as usize].push(col);
     }
     Ok(Rewired { adj, original_nodes: original as usize })

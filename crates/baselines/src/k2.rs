@@ -33,15 +33,24 @@ impl K2Encoded {
 pub fn encode(g: &Hypergraph) -> K2Encoded {
     let mut per_label: Vec<(u32, Vec<(u32, u32)>)> = Vec::new();
     for e in g.edges() {
+        #[expect(
+            clippy::panic,
+            reason = "documented encoder precondition; only dataset graphs reach this"
+        )]
         let EdgeLabel::Terminal(l) = e.label else {
-            // audited: documented encoder precondition; only dataset graphs reach this
             panic!("k2 baseline expects terminal-only graphs")
         };
         assert_eq!(e.att.len(), 2, "k2 baseline expects rank-2 edges");
         match per_label.binary_search_by_key(&l, |(x, _)| *x) {
-            // audited: i is the binary-search hit, and rank 2 was asserted just above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "i is the binary-search hit, and rank 2 was asserted just above"
+            )]
             Ok(i) => per_label[i].1.push((e.att[0], e.att[1])),
-            // audited: rank 2 was asserted just above; insertion index is from binary_search
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "rank 2 was asserted just above; insertion index is from binary_search"
+            )]
             Err(i) => per_label.insert(i, (l, vec![(e.att[0], e.att[1])])),
         }
     }

@@ -100,11 +100,18 @@ fn serialize(g: &Hypergraph, chunk: usize) -> Vec<u8> {
         for outs in &lists {
             let mut mask = vec![0u8; mask_bytes];
             for x in outs {
-                // audited: merged is the union of the block's out-lists, so
-                // every x is present and i < merged.len() ≤ mask_bytes * 8
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "merged is the union of the block's out-lists, so every x is present and i < merged.len() ≤ mask_bytes * 8"
+                )]
                 let i = merged.binary_search(x).unwrap();
-                // audited: i < merged.len() <= mask_bytes * 8, as established above
-                mask[i / 8] |= 1 << (i % 8);
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i < merged.len() <= mask_bytes * 8, as established above"
+                )]
+                {
+                    mask[i / 8] |= 1 << (i % 8);
+                }
             }
             out.extend_from_slice(&mask);
         }
@@ -172,18 +179,24 @@ pub fn decode(encoded: &LmEncoded) -> Result<Vec<Vec<NodeId>>, crate::BaselineEr
             merged.push(acc as NodeId);
         }
         let mask_bytes = merged_len.div_ceil(8);
-        #[allow(clippy::needless_range_loop)] // v is a node id
+        #[allow(clippy::needless_range_loop, reason = "v is a node id")]
         for v in block_start..block_end {
             if pos + mask_bytes > raw.len() {
                 return Err(bad("truncated bitmask"));
             }
-            // audited: the truncation check just above bounds pos + mask_bytes
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "the truncation check just above bounds pos + mask_bytes"
+            )]
             let mask = &raw[pos..pos + mask_bytes];
             pos += mask_bytes;
             for (i, &x) in merged.iter().enumerate() {
-                // audited: i < merged_len and mask holds ceil(merged_len/8) bytes
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "i < merged_len and mask holds ceil(merged_len/8) bytes"
+                )]
                 if mask[i / 8] >> (i % 8) & 1 == 1 {
-                    // audited: v < block_end ≤ n == adj.len()
+                    #[expect(clippy::indexing_slicing, reason = "v < block_end ≤ n == adj.len()")]
                     adj[v].push(x);
                 }
             }

@@ -11,6 +11,16 @@
 //! used by the test suite to check the paper's closing claim that *gRePair
 //! on string-shaped graphs obtains similar compression to string RePair*.
 
+// The kernel is a doubly-linked-list pair-replacement loop whose
+// sym/alive/next/prev arrays share one length and whose indices are the
+// list invariants; per-site audits would drown the algorithm. The grammar
+// is only ever built by repair() from the encoder's own sequence: there is
+// no decode-from-bytes path into StringGrammar.
+#![expect(
+    clippy::indexing_slicing,
+    reason = "linked-list kernel invariants; no untrusted decode path into StringGrammar"
+)]
+
 use grepair_hypergraph::Hypergraph;
 use grepair_util::FxHashMap;
 use std::collections::BinaryHeap;

@@ -12,6 +12,8 @@
 //! records the expected *shapes*: who wins, by how much, where the
 //! crossovers are. Those shapes are the reproduction target).
 
+#![forbid(unsafe_code)]
+
 use grepair_bench::*;
 use grepair_core::GRePairConfig;
 use grepair_hypergraph::order::NodeOrder;

@@ -19,6 +19,8 @@
 //! byte-identity diff is this flag against a per-tenant `store serve-file`
 //! run.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Instant;

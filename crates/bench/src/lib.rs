@@ -8,6 +8,8 @@
 //! shrink everything by a further 4× for smoke runs.
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 use grepair_baselines::{hn, k2, lm};
 use grepair_codec::EncodedGrammar;

@@ -46,10 +46,16 @@ impl BitVec {
             return 0;
         }
         let (word, off) = (i / 64, (i % 64) as u32);
-        // audited: caller contract i + n <= len (debug_assert), so word < words.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "caller contract i + n <= len (debug_assert), so word < words.len()"
+        )]
         let mut v = self.words[word] >> off;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "the field runs past word, so bit i + n - 1 < len lives in word + 1"
+        )]
         if off + n > 64 {
-            // audited: the field runs past word, so bit i + n - 1 < len lives in word + 1
             v |= self.words[word + 1] << (64 - off);
         }
         if n == 64 {
@@ -66,8 +72,11 @@ impl BitVec {
         if word == self.words.len() {
             self.words.push(0);
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "word == words.len() was handled by the push just above"
+        )]
         if bit {
-            // audited: word == words.len() was handled by the push just above
             self.words[word] |= 1u64 << (self.len % 64);
         }
         self.len += 1;
@@ -75,22 +84,27 @@ impl BitVec {
 
     /// Get bit `i`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "caller contract i < len (debug_assert); words holds ceil(len/64) words"
+    )]
     pub fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
-        // audited: caller contract i < len (debug_assert); words holds ceil(len/64) words
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
     /// Set bit `i`.
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "caller contract i < len (debug_assert), as in get()"
+    )]
     pub fn set(&mut self, i: usize, bit: bool) {
         debug_assert!(i < self.len);
         let mask = 1u64 << (i % 64);
         if bit {
-            // audited: caller contract i < len (debug_assert), as in get()
             self.words[i / 64] |= mask;
         } else {
-            // audited: caller contract i < len (debug_assert), as in get()
             self.words[i / 64] &= !mask;
         }
     }
@@ -178,15 +192,24 @@ impl RankBitVec {
         let word = i / 64;
         let block = word / WORDS_PER_BLOCK;
         debug_assert!(block < self.superblocks.len());
-        // audited: rank1 contract i <= len; superblocks covers every block (see build)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "rank1 contract i <= len; superblocks covers every block (see build)"
+        )]
         let mut count = self.superblocks[block] as usize;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "w < word <= len/64 < words.len() under the rank1 contract"
+        )]
         for w in (block * WORDS_PER_BLOCK)..word {
-            // audited: w < word <= len/64 < words.len() under the rank1 contract
             count += self.bits.words[w].count_ones() as usize;
         }
         let rem = i % 64;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "word = i/64 with i <= len and rem > 0, so word indexes a real word"
+        )]
         if rem > 0 {
-            // audited: word = i/64 with i <= len and rem > 0, so word indexes a real word
             count += (self.bits.words[word] & ((1u64 << rem) - 1)).count_ones() as usize;
         }
         count

@@ -12,6 +12,21 @@
 //!   a static bit vector with O(1) `rank1` used for k²-tree navigation.
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
+// The zero-panic boundary (DESIGN.md §2, §9.1): this crate reads untrusted
+// bytes, so every panic path carries an `#[expect(…, reason)]` audit.
+#![deny(
+    clippy::allow_attributes_without_reason,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::string_slice
+)]
 
 pub mod bitvec;
 pub mod codes;

@@ -43,7 +43,10 @@ impl<'a> BitReader<'a> {
         let byte = (self.pos / 8) as usize;
         let off = (self.pos % 8) as u32;
         self.pos += 1;
-        // audited: new() clamps bit_len to bytes.len()*8, and pos < bit_len here
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "new() clamps bit_len to bytes.len()*8, and pos < bit_len here"
+        )]
         Ok((self.bytes[byte] >> (7 - off)) & 1 == 1)
     }
 
@@ -64,8 +67,10 @@ impl<'a> BitReader<'a> {
         let first = (self.pos / 8) as usize;
         let end = (self.pos + width as u64).div_ceil(8) as usize;
         let mut acc = 0u128;
-        // audited: pos + width <= bit_len <= bytes.len()*8 (checked above;
-        // new() clamps bit_len), so end <= bytes.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "pos + width <= bit_len <= bytes.len()*8 (checked above; new() clamps bit_len), so end <= bytes.len()"
+        )]
         for &b in &self.bytes[first..end] {
             acc = (acc << 8) | b as u128;
         }

@@ -63,8 +63,11 @@ impl BitWriter {
     fn peek_bit(&self, idx: u64) -> bool {
         let byte = (idx / 8) as usize;
         let off = (idx % 8) as u8;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "guarded by the byte < bytes.len() branch"
+        )]
         if byte < self.bytes.len() {
-            // audited: guarded by the byte < bytes.len() branch
             (self.bytes[byte] >> (7 - off)) & 1 == 1
         } else {
             let local = (idx - self.bytes.len() as u64 * 8) as u8;

@@ -34,7 +34,10 @@ pub fn encode(grammar: &Grammar) -> EncodedGrammar {
     write_delta(&mut w, m as u64 + 1);
     write_delta(&mut w, start.ext().len() as u64 + 1);
     for &v in start.ext() {
-        // audited: ext nodes are alive start-graph nodes, and dense covers node_bound
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "ext nodes are alive start-graph nodes, and dense covers node_bound"
+        )]
         write_delta(&mut w, dense[v as usize] as u64 + 1);
     }
     // Presence bitmap: terminals then nonterminals.
@@ -44,8 +47,13 @@ pub fn encode(grammar: &Grammar) -> EncodedGrammar {
             EdgeLabel::Terminal(t) => t as usize,
             EdgeLabel::Nonterminal(i) => grammar.num_terminals() as usize + i as usize,
         };
-        // audited: plan labels come from the compressor's own grammar, so slots fit
-        present[slot] = true;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "plan labels come from the compressor's own grammar, so slots fit"
+        )]
+        {
+            present[slot] = true;
+        }
     }
     for &p in &present {
         w.push_bit(p);

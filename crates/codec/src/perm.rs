@@ -21,15 +21,21 @@ pub type Perm = Vec<u8>;
 pub fn perm_of(att: &[NodeId]) -> Perm {
     let mut sorted: Vec<NodeId> = att.to_vec();
     sorted.sort_unstable();
+    #[expect(
+        clippy::unwrap_used,
+        reason = "sorted is a permutation of att, so every element is found"
+    )]
     att.iter()
-        // audited: sorted is a permutation of att, so every element is found
         .map(|v| sorted.iter().position(|x| x == v).unwrap() as u8)
         .collect()
 }
 
 /// Apply a permutation: `result[i] = sorted_att[p[i]]`.
 pub fn apply_perm(sorted_att: &[NodeId], perm: &[u8]) -> Vec<NodeId> {
-    // audited: callers check perm.len() == sorted_att.len(), and decoded dict entries are validated < len
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers check perm.len() == sorted_att.len(), and decoded dict entries are validated < len"
+    )]
     perm.iter().map(|&i| sorted_att[i as usize]).collect()
 }
 

@@ -23,11 +23,16 @@ pub fn encode_rule(w: &mut BitWriter, rhs: &Hypergraph) {
     // The compressor hands us dense-noded rules with ascending ext; the
     // format depends on both.
     debug_assert_eq!(rhs.num_nodes(), rhs.node_bound(), "rule nodes must be dense");
-    debug_assert!(
-        // audited: windows(2) yields exactly two elements
-        rhs.ext().windows(2).all(|w| w[0] < w[1]),
-        "rule ext must be ascending"
-    );
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields exactly two elements"
+    )]
+    {
+        debug_assert!(
+            rhs.ext().windows(2).all(|w| w[0] < w[1]),
+            "rule ext must be ascending"
+        );
+    }
     write_delta(w, rhs.num_edges() as u64 + 1);
     for e in rhs.edges() {
         w.push_bit(e.label.is_nonterminal());
@@ -110,7 +115,10 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
     let mut rhs = Hypergraph::with_nodes(n);
     for e in edges {
         for (i, &v) in e.att.iter().enumerate() {
-            // audited: att[..i] with i from enumerate is always in bounds
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "att[..i] with i from enumerate is always in bounds"
+            )]
             if e.att[..i].contains(&v) {
                 return Err(CodecError::Malformed("edge attaches a node twice".into()));
             }

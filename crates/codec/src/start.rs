@@ -35,8 +35,13 @@ pub fn dense_map(start: &Hypergraph) -> (Vec<NodeId>, usize) {
     let mut map = vec![NodeId::MAX; start.node_bound()];
     let mut next = 0;
     for v in start.node_ids() {
-        // audited: node_ids() yields v < node_bound == map.len()
-        map[v as usize] = next;
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "node_ids() yields v < node_bound == map.len()"
+        )]
+        {
+            map[v as usize] = next;
+        }
         next += 1;
     }
     (map, next as usize)
@@ -58,7 +63,10 @@ pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], dict: &mut PermDict) ->
     let mut plans: Vec<LabelPlan> = Vec::new();
     for e in order {
         let label = start.label(e);
-        // audited: edge attachments are alive nodes < node_bound == dense.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "edge attachments are alive nodes < node_bound == dense.len()"
+        )]
         let att: Vec<NodeId> = start.att(e).iter().map(|&v| dense[v as usize]).collect();
         assert!(!att.is_empty(), "rank-0 edges are not encodable");
         match plans.last_mut() {
@@ -70,7 +78,10 @@ pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], dict: &mut PermDict) ->
         let all_rank2 = plan.edges.iter().all(|a| a.len() == 2);
         // Edges were sorted by attachment above, so duplicates are
         // adjacent.
-        // audited: windows(2) yields exactly two elements
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields exactly two elements"
+        )]
         let has_dupes = plan.edges.windows(2).any(|w| w[0] == w[1]);
         plan.mode = if all_rank2 && !has_dupes {
             LabelMode::Adjacency
@@ -97,8 +108,11 @@ pub fn encode_label(
     match plan.mode {
         LabelMode::Adjacency => {
             w.push_bit(false);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "Adjacency mode is only picked when every att has rank 2"
+            )]
             let points: Vec<(u32, u32)> =
-                // audited: Adjacency mode is only picked when every att has rank 2
                 plan.edges.iter().map(|att| (att[0], att[1])).collect();
             let tree = K2Tree::build(K, m as u32, m as u32, points);
             tree.encode(w);
@@ -119,9 +133,12 @@ pub fn encode_label(
             let perm_start = w.bit_len();
             for att in &plan.edges {
                 let perm = perm_of(att);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "planning interned every incidence permutation just above"
+                )]
                 let idx = dict
                     .index_of(&perm)
-                    // audited: planning interned every incidence permutation just above
                     .expect("permutation interned during planning");
                 dict.encode_index(w, idx);
             }
@@ -188,28 +205,47 @@ pub fn decode_label(
         let cells: Vec<(u32, u32)> =
             tree.iter_ones().filter(|&(_, col)| (col as usize) < edge_count).collect();
         let mut bounds = vec![0usize; edge_count + 1];
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "col < edge_count (filtered above) and bounds has edge_count + 1 slots"
+        )]
         for &(_, col) in &cells {
-            // audited: col < edge_count (filtered above) and bounds has edge_count + 1 slots
             bounds[col as usize + 1] += 1;
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "e + 1 <= edge_count < bounds.len()"
+        )]
         for e in 0..edge_count {
-            // audited: e + 1 <= edge_count < bounds.len()
             bounds[e + 1] += bounds[e];
         }
         let mut rows = vec![0 as NodeId; cells.len()];
         let mut next = bounds.clone();
         for &(row, col) in &cells {
-            // audited: next[col] stays below bounds[col + 1] <= cells.len() == rows.len()
-            rows[next[col as usize]] = row;
-            // audited: col < edge_count < next.len() (filtered above)
-            next[col as usize] += 1;
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "next[col] stays below bounds[col + 1] <= cells.len() == rows.len()"
+            )]
+            {
+                rows[next[col as usize]] = row;
+            }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "col < edge_count < next.len() (filtered above)"
+            )]
+            {
+                next[col as usize] += 1;
+            }
         }
         // Range-check in column order, so the first bad node reported is
         // the first one of the first edge that has one.
         for &v in &rows {
             in_range(v)?;
         }
-        // audited: windows(2) yields exactly two elements
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "windows(2) yields exactly two elements"
+        )]
         for sorted_att in bounds.windows(2).map(|w| &rows[w[0]..w[1]]) {
             let idx = dict.decode_index(r)?;
             // A fixed-width index can name up to 2^bits slots, more than the

@@ -20,6 +20,8 @@
 //! All generators are deterministic in their seed.
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 pub mod network;
 pub mod rdf;

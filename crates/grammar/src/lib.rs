@@ -16,6 +16,8 @@
 //! `handle`/`con` of §III-A3.
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 pub mod derive;
 pub mod grammar;

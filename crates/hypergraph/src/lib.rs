@@ -17,6 +17,8 @@
 //! * [`io`] — a plain-text edge-list format for graphs and triples.
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 pub mod graph;
 pub mod io;

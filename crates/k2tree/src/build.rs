@@ -69,7 +69,10 @@ impl K2Tree {
                 for (r, c) in pts {
                     let br = (r as u64 - or) / level_side;
                     let bc = (c as u64 - oc) / level_side;
-                    // audited: the partition arithmetic keeps br and bc < k, so the bucket index < k*k
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the partition arithmetic keeps br and bc < k, so the bucket index < k*k"
+                    )]
                     buckets[(br * k as u64 + bc) as usize].push((r, c));
                 }
                 for (i, bucket) in buckets.into_iter().enumerate() {

@@ -15,6 +15,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 pub mod huffman;
 pub mod lz77;

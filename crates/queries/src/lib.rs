@@ -29,6 +29,8 @@
 //! the decompressed graph.
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 mod adjacency;
 mod condensation;

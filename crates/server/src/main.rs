@@ -16,6 +16,8 @@
 //! same serving loop is reachable as `grepair store serve`;
 //! `grepair store serve-file` remains the socket-free offline path.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:

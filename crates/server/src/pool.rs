@@ -141,8 +141,11 @@ impl WorkerPool {
                 });
             match spawned {
                 Ok(handle) => workers.push(handle),
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "operator-visible capacity warning; stderr is the server's log surface"
+                )]
                 Err(e) => {
-                    // audited: operator-visible capacity warning; stderr is the server's log surface
                     eprintln!("worker pool capped at {i} of {threads} threads: {e}");
                     break;
                 }
@@ -240,17 +243,22 @@ impl BatchExecutor for WorkerPool {
                     latch_for_task.panicked.store(true, Ordering::Relaxed);
                 }
             });
+            #[expect(
+                clippy::expect_used,
+                reason = "pool invariant: the sender is Some until Drop takes it; pool invariant: workers keep the receiver alive until Drop"
+            )]
             self.sender
                 .as_ref()
-                // audited: pool invariant: the sender is Some until Drop takes it
                 .expect("pool sender alive until drop")
                 .send(task)
-                // audited: pool invariant: workers keep the receiver alive until Drop
                 .expect("pool workers alive until drop");
         }
         latch.wait();
+        #[expect(
+            clippy::panic,
+            reason = "deliberate: re-raises a job panic to the caller after the pool absorbed it"
+        )]
         if latch.panicked.load(Ordering::Relaxed) {
-            // audited: deliberate: re-raises a job panic to the caller after the pool absorbed it
             panic!("a worker-pool job panicked (the pool itself survived)");
         }
     }

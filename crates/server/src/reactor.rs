@@ -287,8 +287,11 @@ mod imp {
             // A fired `reactor.wait` fault is a transient readiness-loop
             // failure: log, back off, keep serving — the same
             // degrade-don't-die contract as the accept loop.
+            #[expect(
+                clippy::print_stderr,
+                reason = "operator log from the reactor; stderr is the server's log surface"
+            )]
             if let Err(e) = fail::point("reactor.wait") {
-                // audited: operator log from the reactor; stderr is the server's log surface
                 eprintln!("reactor wait failed: {e}");
                 std::thread::sleep(accept_backoff(1));
                 continue;

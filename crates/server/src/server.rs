@@ -211,8 +211,11 @@ impl Drop for Entry {
 pub(crate) fn log_session_end(peer: SocketAddr, result: std::io::Result<()>) {
     use std::io::ErrorKind::{BrokenPipe, TimedOut, WouldBlock};
     if let Err(e) = result {
+        #[expect(
+            clippy::print_stderr,
+            reason = "operator log from both front ends; stderr is the server's log surface"
+        )]
         if !matches!(e.kind(), BrokenPipe | WouldBlock | TimedOut) {
-            // audited: operator log from both front ends; stderr is the server's log surface
             eprintln!("session with {peer} ended: {e}");
         }
     }
@@ -316,6 +319,10 @@ impl Server {
         signal::install_hup_handler();
         let registry = Arc::clone(&self.registry);
         let stop = Arc::clone(&self.stop);
+        #[expect(
+            clippy::expect_used,
+            reason = "boot-time spawn; failing to start the SIGHUP watcher is fatal by design"
+        )]
         std::thread::Builder::new()
             .name("grepair-sighup".into())
             .spawn(move || {
@@ -323,18 +330,23 @@ impl Server {
                     std::thread::sleep(Duration::from_millis(200));
                     if signal::take_hup() {
                         match registry.reload(DEFAULT_NAMESPACE, Some(&path)) {
-                            // audited: operator log from the reload watcher; stderr is the server's log surface
+                            #[expect(
+                                clippy::print_stderr,
+                                reason = "operator log from the reload watcher; stderr is the server's log surface"
+                            )]
                             Ok(store) => eprintln!(
                                 "SIGHUP: reloaded {path} as generation {}",
                                 store.generation()
                             ),
-                            // audited: operator log from the reload watcher; stderr is the server's log surface
+                            #[expect(
+                                clippy::print_stderr,
+                                reason = "operator log from the reload watcher; stderr is the server's log surface"
+                            )]
                             Err(e) => eprintln!("SIGHUP: reload of {path} failed: {e}"),
                         }
                     }
                 }
             })
-            // audited: boot-time spawn; failing to start the SIGHUP watcher is fatal by design
             .expect("spawn sighup watcher");
     }
 
@@ -392,8 +404,11 @@ impl Server {
     }
 
     /// A drain begins: log it and return its deadline.
+    #[expect(
+        clippy::print_stderr,
+        reason = "operator log from the drain path; stderr is the server's log surface"
+    )]
     pub(crate) fn begin_drain(&self) -> Instant {
-        // audited: operator log from the drain path; stderr is the server's log surface
         eprintln!("draining: {} active sessions", self.connections_active());
         Instant::now() + self.drain_deadline
     }
@@ -401,8 +416,11 @@ impl Server {
     /// Has the drain `deadline` passed? Logs the sessions it abandons.
     pub(crate) fn drain_overdue(&self, deadline: Instant) -> bool {
         let overdue = Instant::now() >= deadline;
+        #[expect(
+            clippy::print_stderr,
+            reason = "operator log from the drain path; stderr is the server's log surface"
+        )]
         if overdue {
-            // audited: operator log from the drain path; stderr is the server's log surface
             eprintln!(
                 "drain deadline reached with {} sessions still active",
                 self.connections_active()
@@ -443,9 +461,12 @@ impl Server {
             Ok(accepted) => accepted,
             Err(e) => {
                 let idle = e.kind() == std::io::ErrorKind::WouldBlock;
+                #[expect(
+                    clippy::print_stderr,
+                    reason = "operator log from the accept path; stderr is the server's log surface"
+                )]
                 if !idle && !self.stop.load(Ordering::Relaxed) {
                     *failures = failures.saturating_add(1);
-                    // audited: operator log from the accept path; stderr is the server's log surface
                     eprintln!("accept failed: {e}");
                     std::thread::sleep(accept_backoff(*failures));
                 }
@@ -459,13 +480,16 @@ impl Server {
         self.connections.fetch_add(1, Ordering::Relaxed);
         // Only the accepting thread enters the ledger, so `before` is exact.
         let (entry, before) = self.ledger.enter();
+        #[expect(
+            clippy::print_stderr,
+            reason = "operator log from the accept path; stderr is the server's log surface"
+        )]
         if before as usize >= self.max_connections {
             let _ = writeln!(
                 stream,
                 "error: connection limit reached ({} active)",
                 self.max_connections
             );
-            // audited: operator log from the accept path; stderr is the server's log surface
             eprintln!("refusing {peer}: connection limit reached");
             return Ok(None);
         }
@@ -499,11 +523,14 @@ impl Server {
                     log_session_end(peer, served.map(drop));
                 })
             });
+            #[expect(
+                clippy::print_stderr,
+                reason = "operator log from the accept loop; stderr is the server's log surface"
+            )]
             if let Err(e) = started {
                 // Fd or thread exhaustion (a connection flood) refuses this
                 // one connection — it drops closed with its entry — but
                 // must not take the server down.
-                // audited: operator log from the accept loop; stderr is the server's log surface
                 eprintln!("refusing {peer}: cannot start a session thread: {e}");
             }
         }
@@ -567,7 +594,10 @@ pub fn apply_tenancy_flags(registry: &StoreRegistry, flags: &[String]) -> Result
 /// or drained.
 pub fn run_cli(args: &[String]) -> Result<(), String> {
     let g2g = args.first().ok_or("missing g2g file")?;
-    // audited: args.first() returned Some just above, so args is non-empty
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "args.first() returned Some just above, so args is non-empty"
+    )]
     let flags = &args[1..];
     validate_value_flags(
         flags,
@@ -650,14 +680,19 @@ pub fn run_cli(args: &[String]) -> Result<(), String> {
         .map_err(|e| format!("bind {}: {e}", config.addr))?;
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     let store = registry.store(DEFAULT_NAMESPACE).map_err(|e| e.to_string())?;
-    // audited: documented contract: scripts parse the listening line off stdout
-    println!(
-        "listening {addr} proto={} namespaces={} generation={} nodes={} backend=grepair",
-        crate::session::PROTO_VERSION,
-        registry.list().len(),
-        store.generation(),
-        store.total_nodes(),
-    );
+    #[expect(
+        clippy::print_stdout,
+        reason = "documented contract: scripts parse the listening line off stdout"
+    )]
+    {
+        println!(
+            "listening {addr} proto={} namespaces={} generation={} nodes={} backend=grepair",
+            crate::session::PROTO_VERSION,
+            registry.list().len(),
+            store.generation(),
+            store.total_nodes(),
+        );
+    }
     // The line above is the machine-readable startup handshake — make sure
     // it is visible before the first connection, even under pipes.
     std::io::stdout().flush().map_err(|e| e.to_string())?;

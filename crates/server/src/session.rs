@@ -458,16 +458,23 @@ fn flush_pending(
             Some(v) => registry.store_at(ns, v),
         };
         match resolved {
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "indexes come from enumerating pending; replies has the same length"
+            )]
             Err(e) => {
                 for &i in &indexes {
-                    // audited: indexes come from enumerating pending; replies has the same length
                     replies[i] = Some(Err(e.clone()));
                 }
             }
             Ok(store) => {
+                #[expect(
+                    clippy::indexing_slicing,
+                    clippy::expect_used,
+                    reason = "indexes filtered to parsed.is_ok() entries of pending just above"
+                )]
                 let queries: Vec<Query> = indexes
                     .iter()
-                    // audited: indexes filtered to parsed.is_ok() entries of pending just above
                     .map(|&i| pending[i].2.as_ref().cloned().expect("filtered to Ok"))
                     .collect();
                 let answers = if queries.len() >= INLINE_BATCH {
@@ -475,8 +482,11 @@ fn flush_pending(
                 } else {
                     store.query_batch(&queries)
                 };
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "indexes come from enumerating pending; replies has the same length"
+                )]
                 for (&i, answer) in indexes.iter().zip(answers) {
-                    // audited: indexes come from enumerating pending; replies has the same length
                     replies[i] = Some(answer);
                 }
             }
@@ -487,7 +497,10 @@ fn flush_pending(
         summary.served += 1;
         let outcome = match entry {
             Err(e) => Err(e),
-            // audited: every parsed query's namespace was visited, filling its slot
+            #[expect(
+                clippy::expect_used,
+                reason = "every parsed query's namespace was visited, filling its slot"
+            )]
             Ok(_) => reply.expect("every parsed query got a reply slot"),
         };
         match outcome {

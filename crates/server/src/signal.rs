@@ -36,7 +36,10 @@ mod imp {
         fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         /// ISO C `raise(3)` — used by the unit tests to deliver a real
         /// signal to this process.
-        #[cfg_attr(not(test), allow(dead_code))]
+        #[cfg_attr(
+            not(test),
+            allow(dead_code, reason = "only the unit tests raise signals")
+        )]
         fn raise(signum: i32) -> i32;
     }
 

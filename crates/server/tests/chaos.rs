@@ -206,7 +206,7 @@ fn seeded_socket_chaos_no_torn_replies_then_byte_identical_recovery() {
 #[test]
 fn seeded_epoll_chaos_no_torn_replies_then_byte_identical_recovery() {
     let _faults = fail::scoped();
-    let seed = 0xe9011_5eed;
+    let seed = 0x000e_9011_5eed;
     fail::set_seed(seed);
     let mut rng = Rng::new(seed);
 

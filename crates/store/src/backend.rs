@@ -221,15 +221,23 @@ fn degree_extrema_of(n: usize, edges: impl Iterator<Item = (u32, u32)>) -> Optio
         return None;
     }
     let mut deg = vec![0u64; n];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "engine edge endpoints are validated < n at decode time"
+    )]
     for (a, b) in edges {
-        // audited: engine edge endpoints are validated < n at decode time
         deg[a as usize] += 1;
-        // audited: engine edge endpoints are validated < n at decode time
         deg[b as usize] += 1;
     }
-    // audited: deg is non-empty: n == 0 returned None above
+    #[expect(
+        clippy::expect_used,
+        reason = "deg is non-empty: n == 0 returned None above"
+    )]
     let lo = *deg.iter().min().expect("n > 0");
-    // audited: deg is non-empty: n == 0 returned None above
+    #[expect(
+        clippy::expect_used,
+        reason = "deg is non-empty: n == 0 returned None above"
+    )]
     let hi = *deg.iter().max().expect("n > 0");
     Some((lo, hi))
 }

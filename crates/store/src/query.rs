@@ -149,11 +149,20 @@ pub fn parse_pattern(pattern: &str) -> Result<Regex, GrepairError> {
     let mut parts = Vec::new();
     for atom in pattern.split_whitespace() {
         let (digits, suffix) = match atom.as_bytes().last() {
-            // audited: atom is non-empty: last() just returned Some
+            #[expect(
+                clippy::string_slice,
+                reason = "atom is non-empty: last() just returned Some"
+            )]
             Some(b'*') => (&atom[..atom.len() - 1], Some(b'*')),
-            // audited: atom is non-empty: last() just returned Some
+            #[expect(
+                clippy::string_slice,
+                reason = "atom is non-empty: last() just returned Some"
+            )]
             Some(b'+') => (&atom[..atom.len() - 1], Some(b'+')),
-            // audited: atom is non-empty: last() just returned Some
+            #[expect(
+                clippy::string_slice,
+                reason = "atom is non-empty: last() just returned Some"
+            )]
             Some(b'?') => (&atom[..atom.len() - 1], Some(b'?')),
             _ => (atom, None),
         };

@@ -339,9 +339,12 @@ impl StoreRegistry {
     /// explicit path and the namespace is exempt from eviction.
     pub fn new(store: GraphStore) -> Self {
         let registry = Self::empty();
+        #[expect(
+            clippy::expect_used,
+            reason = "a fresh empty registry cannot refuse its first namespace"
+        )]
         registry
             .attach_store(DEFAULT_NAMESPACE, store)
-            // audited: a fresh empty registry cannot refuse its first namespace
             .expect("empty registry accepts the default namespace");
         registry
     }
@@ -1126,7 +1129,7 @@ mod tests {
             let reopened = registry.store(name).unwrap();
             assert_eq!(reopened.generation(), 1, "evict/reopen must not bump");
             let twin = GraphStore::from_bytes(&std::fs::read(
-                paths[name[1..].parse::<usize>().unwrap()].as_str(),
+                paths[name.strip_prefix('t').unwrap().parse::<usize>().unwrap()].as_str(),
             ).unwrap())
             .unwrap();
             for v in 0..reopened.total_nodes() {

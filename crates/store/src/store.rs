@@ -377,9 +377,12 @@ impl GraphStore {
             })
             .collect();
         executor.scope(jobs);
+        #[expect(
+            clippy::expect_used,
+            reason = "executor.scope runs every job before returning"
+        )]
         slots
             .into_iter()
-            // audited: executor.scope runs every job before returning
             .map(|slot| slot.expect("executor must run every job to completion"))
             .collect()
     }

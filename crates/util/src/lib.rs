@@ -7,6 +7,8 @@
 //! multiplicative hash here.
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 pub mod args;
 pub mod fail;

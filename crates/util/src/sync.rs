@@ -12,10 +12,11 @@
 //! replaces it). Propagating the poison could only turn one failed request
 //! into a dead process.
 //!
-//! `grepair-analyze` rule `lock-poisoning` (DESIGN.md §9) flags any
-//! `.lock()/.read()/.write()` followed by `.unwrap()`/`.expect(` in the
-//! workspace, which is what keeps new code on this wrapper instead of the
-//! std types.
+//! The workspace `clippy.toml` lists `std::sync::Mutex::lock`,
+//! `RwLock::read` and `RwLock::write` under `disallowed-methods` (DESIGN.md
+//! §9.1, rule lock-poisoning), for every target, tests included. That is
+//! what keeps new code on these wrappers instead of the std types; the
+//! three calls below are the only expected uses.
 
 use std::sync::{MutexGuard, PoisonError, RwLockReadGuard, RwLockWriteGuard};
 
@@ -44,6 +45,10 @@ impl<T: ?Sized> Mutex<T> {
     /// The guard is the plain `std` guard, so it composes with
     /// [`std::sync::Condvar`] (re-acquire through [`crate::sync::wait`]).
     pub fn lock(&self) -> MutexGuard<'_, T> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the poison-transparent wrapper itself: a poisoned guard is recovered, never unwrapped"
+        )]
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -67,11 +72,19 @@ impl<T> RwLock<T> {
 impl<T: ?Sized> RwLock<T> {
     /// Acquire a shared read guard, recovering from poison.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the poison-transparent wrapper itself: a poisoned guard is recovered, never unwrapped"
+        )]
         self.0.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Acquire the exclusive write guard, recovering from poison.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the poison-transparent wrapper itself: a poisoned guard is recovered, never unwrapped"
+        )]
         self.0.write().unwrap_or_else(PoisonError::into_inner)
     }
 }

@@ -49,6 +49,8 @@
 //! | [`grepair_k2tree`], [`grepair_bits`], [`grepair_lz`], [`grepair_util`] | substrates |
 
 #![forbid(unsafe_code)]
+// Libraries return data; binaries print (DESIGN.md §9.1).
+#![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
 
 pub use grepair_baselines as baselines;
 pub use grepair_bits as bits;
