@@ -1,5 +1,6 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation
-//! (§IV) plus the query experiments of §V.
+//! (§IV), the query experiments of §V, and the size side of two design
+//! ablations (rule pruning, virtual edges).
 //!
 //! ```sh
 //! cargo run --release -p grepair-bench --bin repro -- --all
@@ -25,7 +26,7 @@ use std::time::Instant;
 const USAGE: &str = "usage: repro [--all] [--quick] [SECTION]...
 sections: --table1 --table2 --table3 --table4 --table5 --table6
           --fig10 --fig11 --fig12 --fig13 --fig14
-          --ratios --queries --strings
+          --ratios --queries --strings --ablations
 no sections selects --all; --quick shrinks every dataset 4x";
 
 fn main() -> ExitCode {
@@ -82,6 +83,9 @@ fn main() -> ExitCode {
     }
     if all || has("--strings") {
         strings();
+    }
+    if all || has("--ablations") {
+        ablations(scale);
     }
     eprintln!("\n[repro completed in {:?}]", t0.elapsed());
     ExitCode::SUCCESS
@@ -578,4 +582,36 @@ fn strings() {
         "rule-count ratio {:.2} (the paper's claim: 'similar compression ratios')",
         gr.compressed.grammar.num_nonterminals() as f64 / sg.rules.len().max(1) as f64
     );
+}
+
+/// The size side of two design choices (DESIGN.md §3): bpe with rule
+/// pruning off and with the virtual edges that join components off, on the
+/// smallest graph of each family. Their time side is the benchmark's
+/// `core.finish` / `core.virtual_pass` spans.
+fn ablations(scale: Scale) {
+    banner("Ablations: rule pruning and virtual edges (bpe)");
+    let configs = [
+        ("default", GRePairConfig::default()),
+        ("no-prune", GRePairConfig { prune: false, ..Default::default() }),
+        ("no-virtual", GRePairConfig { connect_components: false, ..Default::default() }),
+    ];
+    let widths = [18, 10, 10, 10];
+    let mut header = vec!["graph".to_string()];
+    header.extend(configs.iter().map(|(name, _)| name.to_string()));
+    println!("{}", row(&header, &widths));
+    let pick = |suite: Vec<NamedGraph>, name: &str| {
+        suite.into_iter().find(|d| d.name == name).unwrap()
+    };
+    let picks = [
+        pick(network_suite(scale), "CA-GrQc"),
+        pick(rdf_suite(scale), "Identica"),
+        pick(version_suite(scale), "Chess"),
+    ];
+    for d in picks {
+        let mut cells = vec![d.name.to_string()];
+        for (_, config) in &configs {
+            cells.push(format!("{:.2}", run_grepair(&d.graph, config).bpe));
+        }
+        println!("{}", row(&cells, &widths));
+    }
 }

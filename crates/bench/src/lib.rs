@@ -1,6 +1,7 @@
-//! Experiment harness: dataset registry and measurement helpers shared by
-//! the `repro` binary (which regenerates every table and figure of the
-//! paper's evaluation) and the Criterion micro-benchmarks.
+//! Experiment harness: the dataset registry and size helpers behind the
+//! `repro` binary, which regenerates every table and figure of the paper's
+//! evaluation. Timings are the repository benchmark's (`benchmark/`,
+//! DESIGN.md §3), not this crate's.
 //!
 //! Datasets are scaled-down analogs of the paper's (see DESIGN.md §4): the
 //! shapes and relative densities match, the absolute sizes are chosen so the
@@ -18,10 +19,12 @@ use grepair_datasets::{network, rdf, stats, ttt, version, DatasetStats};
 use grepair_hypergraph::Hypergraph;
 
 /// The flags the `repro` binary understands: every section of the paper's
-/// evaluation, the global `--quick` scale switch, and `--all`.
+/// evaluation, the ablations, the global `--quick` scale switch, and
+/// `--all`.
 pub const REPRO_FLAGS: &[&str] = &[
     "--all", "--quick", "--table1", "--table2", "--table3", "--table4", "--table5", "--table6",
     "--fig10", "--fig11", "--fig12", "--fig13", "--fig14", "--ratios", "--queries", "--strings",
+    "--ablations",
 ];
 
 /// Check a `repro` argument list: `Err(flag)` names the first argument that

@@ -1,8 +1,7 @@
 //! The `serve-probe` binary against a live loopback server: its file mode
-//! (the pipelined wire client CI's byte-identity diffs rest on) must agree
+//! (the pipelined wire client the byte-identity diffs rest on) must agree
 //! with the in-process batch API answer for answer, error lines included,
-//! and its connection-scale mode must park, sample and burst against an
-//! epoll server.
+//! and anything but a query file and `--namespace` is a usage error.
 
 use std::process::Command;
 use std::sync::Arc;
@@ -10,7 +9,7 @@ use std::sync::Arc;
 use grepair_core::{compress, GRePairConfig};
 use grepair_grammar::Grammar;
 use grepair_hypergraph::Hypergraph;
-use grepair_server::{IoMode, Server, ServerConfig};
+use grepair_server::{Server, ServerConfig};
 use grepair_store::{
     error_reply, parse_query, write_container, GraphStore, Query, StoreRegistry,
 };
@@ -134,36 +133,26 @@ fn probe_namespace_flag_targets_one_tenant() {
     thread.join().unwrap();
 }
 
-/// `serve-probe --connections` (the connection soak CI ran as a shell step
-/// against the release binary): 256 parked connections on an in-process
-/// epoll server, every sampled one answering `pong`, and the 2 000-query
-/// burst answered in full while they stay parked. The thread-count half of
-/// that soak is `crates/server/tests/connections.rs`, in-process at 2 048.
-#[cfg(target_os = "linux")]
+/// Anything but a query file and `--namespace` is a usage error. The
+/// connection soak and the fault checks are cargo tests
+/// (`crates/server/tests/connections.rs`, DESIGN.md §10.5 and §11.5).
 #[test]
-fn probe_parks_connections_on_an_epoll_server() {
-    let registry = Arc::new(StoreRegistry::new(GraphStore::from_bytes(&fixture_bytes()).unwrap()));
-    let config = ServerConfig { io: IoMode::Epoll, ..ServerConfig::default() };
-    let server = Server::bind(&config, registry, None).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.handle().unwrap();
-    let thread = std::thread::spawn(move || server.run().unwrap());
-
-    let out = Command::new(env!("CARGO_BIN_EXE_serve-probe"))
-        .arg(addr.to_string())
-        .args(["--connections", "256"])
-        .output()
-        .expect("serve-probe runs");
-    // Non-zero on a sampled connection that did not answer `pong` or a
-    // burst cut short.
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    let json = String::from_utf8(out.stdout).unwrap();
-    for field in ["\"connections\": 256,", "\"live_sampled\": 32,", "\"burst_queries\": 2000,"] {
-        assert!(json.contains(field), "{field} missing from {json}");
+fn removed_probe_modes_are_usage_errors() {
+    for args in [
+        &["127.0.0.1:1", "--chaos-report", "10"][..],
+        &["127.0.0.1:1", "--connections", "4"],
+        &["127.0.0.1:1", "q.txt", "--threads-of", "1"],
+        &["127.0.0.1:1"],
+        &["127.0.0.1:1", "q.txt", "extra"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_serve-probe"))
+            .args(args)
+            .output()
+            .expect("serve-probe runs");
+        assert!(!out.status.success(), "{args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let usage = stderr.split_once("usage:").map_or("", |(_, usage)| usage);
+        assert!(usage.contains("--namespace"), "{args:?}: {stderr}");
+        assert!(!usage.contains("--connections"), "{args:?}: {stderr}");
     }
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("32/32 sampled live"), "{stderr}");
-
-    handle.stop();
-    thread.join().unwrap();
 }

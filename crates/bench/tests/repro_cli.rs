@@ -1,7 +1,8 @@
 //! Binary-level tests for `repro`: unknown flags (including `--help`) must
 //! print a usage message and exit non-zero instead of silently running
-//! nothing, and the sections that print sizes against the baselines must
-//! keep the shapes of the paper's figures.
+//! nothing, the sections that print sizes against the baselines must keep
+//! the shapes of the paper's figures, and the ablations section prints one
+//! row of bpe per family.
 
 use std::process::{Command, Output};
 
@@ -118,4 +119,23 @@ fn baseline_size_sections_keep_the_papers_shapes() {
     assert_eq!((first[0], last[0]), ("8", "4096"), "{stdout}");
     assert!(num(last[1]) <= 8.0 * num(first[1]), "gRePair {first:?} → {last:?}");
     assert!(num(last[2]) >= 256.0 * num(first[2]), "k² {first:?} → {last:?}");
+}
+
+#[test]
+fn ablations_section_prints_three_bpe_cells_per_family() {
+    // The size side of rule pruning and virtual edges (DESIGN.md §3), on
+    // the smallest graph of each family: ≈ 5 s of a debug build.
+    let out = repro(&["--ablations", "--quick"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let rows = section_rows(&stdout, "Ablations");
+    let graphs: Vec<&str> = rows.iter().map(|row| row[0]).collect();
+    assert_eq!(graphs, ["CA-GrQc", "Identica", "Chess"], "{stdout}");
+    for row in &rows {
+        let bpe: Vec<f64> = row[1..].iter().map(|cell| cell.parse().unwrap()).collect();
+        assert_eq!(bpe.len(), 3, "default, no-prune, no-virtual: {row:?}");
+        assert!(bpe.iter().all(|&b| b > 0.0), "{row:?}");
+        // The one shape DESIGN.md §4 records: pruning never costs bits.
+        assert!(bpe[0] <= bpe[1], "default vs no-prune on {row:?}");
+    }
 }

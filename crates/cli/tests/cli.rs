@@ -949,3 +949,46 @@ fn decompress_rejects_bad_flags_and_map_files() {
         "incomplete map",
     );
 }
+
+/// `grepair` started with `pool.submit` armed through the environment.
+fn armed_grepair(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_grepair"))
+        .args(args)
+        .env("GREPAIR_FAILPOINTS", "pool.submit=always:err")
+        .output()
+        .expect("binary runs")
+}
+
+/// `store serve-file` under an armed shed schedule: every request is
+/// answered, each batch with `busy` lines, and the run still exits 0.
+#[cfg(feature = "fail")]
+#[test]
+fn env_armed_serve_file_sheds_with_busy_lines_and_exits_zero() {
+    let g2g = compressed_fixture();
+    let queries = scratch("armed_queries.txt");
+    let text: String =
+        (0..40).map(|i| format!("out {i}\nin {i}\nreach 0 {i}\nneighbors {i}\n")).collect();
+    std::fs::write(&queries, text).unwrap();
+    let out = armed_grepair(&["store", "serve-file", &g2g, queries.to_str().unwrap()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "a shed is not an error:\n{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(stdout.lines().count(), 160, "one reply per request:\n{stdout}");
+    assert!(stdout.lines().all(|l| l == "busy"), "{stdout}");
+}
+
+/// A default build compiles the failpoints out: arming them through the
+/// environment is a startup error on both serving commands.
+#[cfg(not(feature = "fail"))]
+#[test]
+fn env_armed_failpoints_are_a_startup_error_in_a_default_build() {
+    let g2g = compressed_fixture();
+    let queries = scratch("armed_queries.txt");
+    std::fs::write(&queries, "out 0\n").unwrap();
+    let file = armed_grepair(&["store", "serve-file", &g2g, queries.to_str().unwrap()]);
+    assert_clean_failure(&file, "GREPAIR_FAILPOINTS set but failpoints compiled out", "serve-file");
+    assert!(file.stdout.is_empty(), "nothing is served");
+    // The env is read before the container, so no file is needed.
+    let socket = armed_grepair(&["store", "serve", "/nonexistent/x.g2g"]);
+    assert_clean_failure(&socket, "GREPAIR_FAILPOINTS set but failpoints compiled out", "serve");
+}

@@ -102,6 +102,8 @@ pub struct RpqIndex<G: Borrow<Grammar>> {
     /// Per cell `(i, q)` of `A`: the `(j, q')` reachable from it within
     /// `val(A)`, and — second table — the `(j, q')` that reach it.
     relations: [Rows<(u8, u32)>; 2],
+    /// Adjacency entries the compile's closures were offered.
+    compile_work: u64,
 }
 
 /// A (node, state) pair in some context graph.
@@ -222,7 +224,7 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
         let q = nfa.num_states() as usize;
         let mut base = vec![0; g.num_nonterminals()];
         let mut forward = Rows::new();
-        let (mut cells, mut transposed) = (0, Vec::new());
+        let (mut cells, mut transposed, mut compile_work) = (0, Vec::new(), 0);
         for nt in g.topo_order_bottom_up().expect("grammar must be straight-line") {
             base[nt as usize] = cells;
             let (graph, adj) = (g.rule(nt), &shared.rules[nt as usize]);
@@ -232,6 +234,7 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
                     let mut side = Side::new([(x, state)]);
                     Walk { graph, adj, nfa: &nfa, base: &base, cells: &forward, backward: false }
                         .close(&mut side);
+                    compile_work += side.work;
                     let mut row: Vec<(u8, u32)> = side
                         .seen
                         .iter()
@@ -249,7 +252,13 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
         }
         transposed.sort_unstable();
         let backward = Rows::from_sorted(cells, transposed);
-        Self { shared, nfa, base, relations: [forward, backward] }
+        Self { shared, nfa, base, relations: [forward, backward], compile_work }
+    }
+
+    /// The compile's counted work: adjacency entries its closures were
+    /// offered, summed — what a pattern's size costs before any query.
+    pub fn compile_work(&self) -> u64 {
+        self.compile_work
     }
 
     /// The navigation index.

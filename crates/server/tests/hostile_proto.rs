@@ -9,7 +9,7 @@ use std::io::Write;
 use std::net::Shutdown;
 
 use common::{io_modes, send_and_drain, temp_path, LineClient, TestServer};
-use grepair_store::DEFAULT_NAMESPACE;
+use grepair_store::{DEFAULT_NAMESPACE, MAX_PATTERN_ATOMS};
 
 #[test]
 fn garbage_lines_get_error_replies_and_serving_continues() {
@@ -73,9 +73,10 @@ fn the_longest_legal_patterns_are_served_and_one_atom_more_is_an_error_line() {
         let store = server.registry.store(DEFAULT_NAMESPACE).unwrap();
         let n = store.total_nodes();
         let mut client = LineClient::new(server.connect());
-        // The tests/hostile.rs patterns, shipped as protocol lines: 256 atoms
-        // (an automaton of up to 513 states) are answered like any other …
-        for pattern in [["0*"; 256].join(" "), ["0", "1?"].repeat(128).join(" ")] {
+        // The tests/hostile.rs patterns, shipped as protocol lines:
+        // `MAX_PATTERN_ATOMS` atoms are answered like any other …
+        let mixed = ["0", "1?"].repeat(MAX_PATTERN_ATOMS)[..MAX_PATTERN_ATOMS].join(" ");
+        for pattern in [["0*"; MAX_PATTERN_ATOMS].join(" "), mixed] {
             for (s, t) in (0..n).flat_map(|s| [(s, s), (s, (s + 1) % n), (s, (s + 5) % n)]) {
                 let want = store.rpq(&pattern, s, t).unwrap().to_string();
                 assert_eq!(client.roundtrip(&format!("rpq {s} {t} {pattern}")), want, "rpq {s} {t}");
@@ -85,8 +86,11 @@ fn the_longest_legal_patterns_are_served_and_one_atom_more_is_an_error_line() {
             assert_eq!(empty_word, pattern.starts_with("0*").to_string());
         }
         // … one atom more is refused when the line is parsed, whatever the ids.
-        let reply = client.roundtrip(&format!("rpq 0 {} {}", u64::MAX, ["0*"; 257].join(" ")));
-        assert_eq!(reply, "error: bad request: rpq pattern has 257 atoms, at most 256");
+        let too_long = ["0*"; MAX_PATTERN_ATOMS + 1].join(" ");
+        let reply = client.roundtrip(&format!("rpq 0 {} {too_long}", u64::MAX));
+        let too_many = MAX_PATTERN_ATOMS + 1;
+        let refusal = format!("rpq pattern has {too_many} atoms, at most {MAX_PATTERN_ATOMS}");
+        assert_eq!(reply, format!("error: bad request: {refusal}"));
         assert_eq!(client.roundtrip("out 0"), "1");
     }
 }

@@ -36,12 +36,6 @@ pub(crate) type ExpansionEntry = (u32, Slot);
 /// traffic repeats far fewer than this.
 pub(crate) const MAX_CACHED_PLANS: usize = 64;
 
-/// How many atoms one RPQ pattern may have. A plan costs
-/// O(#rules · rank · |Q|) closures to compile and the row walk of a patched
-/// version compiles the automaton per query, so |Q| must not be the
-/// client's to choose: 256 atoms are at most 513 states.
-pub(crate) const MAX_PATTERN_ATOMS: usize = 256;
-
 /// Hit/miss counters for the engine's two store-wide caches. Relaxed
 /// atomics: exact totals, no lock (see `StoreStats`).
 #[derive(Debug, Default)]

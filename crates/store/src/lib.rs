@@ -99,7 +99,10 @@ mod version;
 
 pub use backend::{split_any_container, write_container};
 pub use error::GrepairError;
-pub use query::{compile_pattern, error_reply, parse_pattern, parse_query, Query, QueryAnswer};
+pub use query::{
+    compile_pattern, error_reply, parse_pattern, parse_query, Query, QueryAnswer,
+    MAX_PATTERN_ATOMS,
+};
 pub use registry::{
     retry_backoff, valid_namespace, NamespaceHealth, RegistryStats, StoreRegistry,
     BREAKER_COOLDOWN, BREAKER_THRESHOLD, COLD_OPEN_ATTEMPTS, DEFAULT_NAMESPACE,

@@ -18,7 +18,6 @@
 
 use grepair_queries::{Nfa, Regex};
 
-use crate::engine::MAX_PATTERN_ATOMS;
 use crate::GrepairError;
 
 /// One request against a loaded [`crate::GraphStore`].
@@ -138,9 +137,18 @@ pub fn parse_query(line: &str) -> Result<Query, GrepairError> {
     Ok(q)
 }
 
+/// How many atoms one RPQ pattern may have. A plan costs
+/// O(#rules · rank · |Q|) closures, each offered up to the automaton's
+/// O(|Q|²) transitions on a label the rules carry, and the row walk of a
+/// patched version compiles the automaton per query, so |Q| must not be the
+/// client's to choose. 7 atoms (at most 15 states) is the longest pattern
+/// whose worst case compiles in under 50 ms on every benchmark grammar
+/// (DESIGN.md §3.2).
+pub const MAX_PATTERN_ATOMS: usize = 7;
+
 /// Parse an RPQ pattern — whitespace-separated atoms, each a terminal label
 /// id with an optional `*`/`+`/`?` suffix, concatenated left to right, at
-/// most `MAX_PATTERN_ATOMS` (256) of them.
+/// most [`MAX_PATTERN_ATOMS`] of them.
 pub fn parse_pattern(pattern: &str) -> Result<Regex, GrepairError> {
     let atoms = pattern.split_whitespace().count();
     if atoms > MAX_PATTERN_ATOMS {
@@ -250,10 +258,10 @@ mod tests {
 
     #[test]
     fn a_pattern_is_bounded_in_atoms_at_parse_time() {
-        let line = |atoms: usize| format!("rpq 0 1 {}", ["0*"; 300][..atoms].join(" "));
+        let line = |atoms: usize| format!("rpq 0 1 {}", vec!["0*"; atoms].join(" "));
         assert!(parse_query(&line(MAX_PATTERN_ATOMS)).is_ok());
         let err = parse_query(&line(MAX_PATTERN_ATOMS + 1)).unwrap_err();
-        assert_eq!(err.to_string(), "bad request: rpq pattern has 257 atoms, at most 256");
-        assert_eq!(compile_pattern(&["7"; 257].join(" ")).unwrap_err(), err);
+        assert_eq!(err.to_string(), "bad request: rpq pattern has 8 atoms, at most 7");
+        assert_eq!(compile_pattern(&["7"; 8].join(" ")).unwrap_err(), err);
     }
 }

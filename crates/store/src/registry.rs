@@ -70,8 +70,9 @@ pub fn retry_backoff(retry: u32) -> Duration {
     Duration::from_millis(ms.min(50))
 }
 
-/// The namespace addressed by the back-compat single-store methods and by
-/// wire-protocol sessions that never issued `USE` (DESIGN.md §8).
+/// The namespace [`StoreRegistry::new`] and [`StoreRegistry::open`] put
+/// their one store under, and the one wire-protocol sessions address until
+/// they issue `USE` (DESIGN.md §8).
 pub const DEFAULT_NAMESPACE: &str = "default";
 
 /// Longest accepted namespace name, in bytes.

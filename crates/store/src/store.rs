@@ -758,8 +758,12 @@ mod tests {
         let ge = grammar_engine(&store);
         let derived = store.grammar().unwrap().derive();
         let n = store.total_nodes();
-        // Distinct for every `i`, and never longer than a pattern may be.
-        let pattern = |i: usize| vec!["0 1"; i % 96 + 1].join(" ") + ["", " 0*"][i / 96 % 2];
+        // `i` in four base-4 digits, each an atom: distinct for every
+        // `i < 256`, and never longer than a pattern may be.
+        let pattern = |i: usize| {
+            let digits = (0..4).rev().map(|d| ["0", "1", "0*", "1*"][i >> (2 * d) & 3]);
+            digits.collect::<Vec<_>>().join(" ")
+        };
         for i in 0..3 * MAX_CACHED_PLANS {
             let (s, t) = (i as u64 % n, (7 * i as u64 + 2) % n);
             let nfa = crate::query::compile_pattern(&pattern(i)).unwrap();

@@ -10,10 +10,11 @@ use std::sync::Arc;
 use grepair_core::{compress, GRePairConfig};
 use grepair_grammar::Grammar;
 use grepair_hypergraph::Hypergraph;
-use grepair_queries::rpq::rpq_on_graph;
+use grepair_datasets::network::hub_network;
+use grepair_queries::rpq::{rpq_on_graph, RpqIndex};
 use grepair_store::{
     compile_pattern, parse_query, write_container, EdgePatch, GraphStore, Query, QueryAnswer,
-    VersionedStore,
+    VersionedStore, MAX_PATTERN_ATOMS,
 };
 
 /// A real compressed container to corrupt.
@@ -193,16 +194,20 @@ fn hostile_query_inputs_error() {
 #[test]
 fn a_flood_of_distinct_rpq_patterns_leaves_a_bounded_plan_cache() {
     // Pattern text is the client's to choose and every compiled plan is
-    // kept per pattern: one connection streaming `rpq 0 1 0`,
-    // `rpq 0 1 0 1`, … must get right answers without the store keeping a
-    // plan for each of them forever.
+    // kept per pattern: one connection streaming `rpq 0 1 0 0 0 0`,
+    // `rpq 1 1 0 0 0 1`, … (0..256 in four base-4 digits, each an atom: 256
+    // distinct patterns against a cache of 64) must get right answers
+    // without the store keeping a plan for each of them forever.
     let store = GraphStore::from_bytes(&good_container()).unwrap();
     let derived = store.grammar().unwrap().derive();
     let n = store.total_nodes();
-    let atoms = |len: usize| ["0", "1"].repeat(len.div_ceil(2))[..len].join(" ");
-    let lines: Vec<String> = (1..=256)
-        .flat_map(|len| (0..n).map(move |t| (len, t)))
-        .map(|(len, t)| format!("rpq {} {t} {}", len as u64 % 2, atoms(len)))
+    let atoms = |i: u32| {
+        let digits = (0..4).rev().map(|d| ["0", "1", "0*", "1*"][(i >> (2 * d)) as usize % 4]);
+        digits.collect::<Vec<_>>().join(" ")
+    };
+    let lines: Vec<String> = (0..256u32)
+        .flat_map(|i| (0..n).map(move |t| (i, t)))
+        .map(|(i, t)| format!("rpq {} {t} {}", i % 2, atoms(i)))
         .collect();
     let queries: Vec<Query> = lines.iter().map(|l| parse_query(l).unwrap()).collect();
     let mut positives = 0;
@@ -225,9 +230,9 @@ fn a_flood_of_distinct_rpq_patterns_leaves_a_bounded_plan_cache() {
 
 #[test]
 fn the_longest_legal_patterns_answer_on_every_backend_and_one_atom_more_is_an_error() {
-    // 256 atoms are an automaton of up to 513 states: compiling it must be
-    // quick on both engines (the row walk of a patched version compiles per
-    // query), and one atom more must cost a parse and nothing else.
+    // `MAX_PATTERN_ATOMS` atoms must answer on both engines (the row walk
+    // of a patched version compiles per query), and one atom more must cost
+    // a parse and nothing else.
     // A path into a 10-cycle with a chord and a tail out of it, so that
     // 128-step walks exist between some pairs and not between others.
     let cycle = (0..10u32).map(|i| (20 + i, 0u32, 20 + (i + 1) % 10));
@@ -236,9 +241,11 @@ fn the_longest_legal_patterns_answer_on_every_backend_and_one_atom_more_is_an_er
     let out = compress(&g, &GRePairConfig::default());
     let derived = out.grammar.derive();
     let n = derived.num_nodes() as u64;
-    let (stars, mixed) = (["0*"; 256].join(" "), ["0", "1?"].repeat(128).join(" "));
-    let too_long = ["0*"; 257].join(" ");
-    let refusal = "bad request: rpq pattern has 257 atoms, at most 256";
+    let stars = ["0*"; MAX_PATTERN_ATOMS].join(" ");
+    let mixed = ["0", "1?"].repeat(MAX_PATTERN_ATOMS)[..MAX_PATTERN_ATOMS].join(" ");
+    let too_long = ["0*"; MAX_PATTERN_ATOMS + 1].join(" ");
+    let too_many = MAX_PATTERN_ATOMS + 1;
+    let refusal = format!("bad request: rpq pattern has {too_many} atoms, at most {MAX_PATTERN_ATOMS}");
     assert_eq!(parse_query(&format!("rpq 0 1 {too_long}")).unwrap_err().to_string(), refusal);
     let mut queries: Vec<Query> = [&stars, &mixed]
         .into_iter()
@@ -250,7 +257,7 @@ fn the_longest_legal_patterns_answer_on_every_backend_and_one_atom_more_is_an_er
     let want: Vec<Result<QueryAnswer, String>> = queries
         .iter()
         .map(|q| match q {
-            Query::Rpq { pattern, .. } if *pattern == too_long => Err(refusal.to_string()),
+            Query::Rpq { pattern, .. } if *pattern == too_long => Err(refusal.clone()),
             Query::Rpq { s, t, pattern } => Ok(QueryAnswer::Bool(rpq_on_graph(
                 &derived,
                 &compile_pattern(pattern).unwrap(),
@@ -277,6 +284,27 @@ fn the_longest_legal_patterns_answer_on_every_backend_and_one_atom_more_is_an_er
             .collect();
         assert_eq!(got, want, "{engine}");
     }
+}
+
+#[test]
+fn the_longest_legal_patterns_compile_in_bounded_counted_work() {
+    // The `serve-network-patch` benchmark grammar: one label, so every
+    // transition of a dense automaton is offered again inside every rule.
+    // Work is counted, not timed: adjacency entries the plan compile's
+    // closures were offered. At the bound the worst shape offers 21 658
+    // (≈ 2 ms in a release build); one atom more of `0*` would offer
+    // 29 692, and the 256 atoms the bound used to allow compiled for 9.6 s
+    // (DESIGN.md §3.2 has the table over every benchmark grammar).
+    let grammar = compress(&hub_network(10_000, 24, 1, 2), &GRePairConfig::default()).grammar;
+    let work = |atom: &str| {
+        let nfa = compile_pattern(&[atom; MAX_PATTERN_ATOMS].join(" ")).unwrap();
+        RpqIndex::new(&grammar, nfa).compile_work()
+    };
+    // `k × 0*` steps from every state to every later one on label 0: the
+    // densest automaton `k` atoms can spell.
+    let by_shape = ["0*", "0+", "0?", "0"].map(work);
+    assert!(by_shape.iter().all(|&w| w <= by_shape[0]), "{by_shape:?}");
+    assert!(by_shape[0] <= 25_000, "{by_shape:?}");
 }
 
 #[test]
