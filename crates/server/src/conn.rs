@@ -18,7 +18,9 @@
 //! Lines are answered straight out of the bytes read (one split across
 //! reads is reassembled in `inbuf`), with no allocation per line; the
 //! pending batch is evaluated at `--batch` lines and at the end of every
-//! read, once the client's already-sent bytes are used up (DESIGN.md §6.5).
+//! read, once the client's already-sent bytes are used up (DESIGN.md §6.5),
+//! and its replies are rendered as bytes directly into `outbuf`, which the
+//! driver writes out as it is.
 
 use std::io::{self, Read, Write};
 
@@ -47,8 +49,9 @@ pub(crate) struct Conn<'a> {
     /// than `max_line` bytes (past that the line is oversized and its
     /// bytes are discarded instead).
     inbuf: Vec<u8>,
-    /// Replies not yet written. `outpos` marks how far the writes got; the
-    /// buffer is cleared whenever it drains.
+    /// Replies not yet written, rendered here by the store and the session
+    /// directly. `outpos` marks how far the writes got; the buffer is
+    /// cleared (its capacity kept) whenever it drains.
     outbuf: Vec<u8>,
     outpos: usize,
     /// Inside an oversized line: swallow bytes up to the next newline

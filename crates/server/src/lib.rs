@@ -20,7 +20,7 @@
 //!   eviction under `--memory-budget` (DESIGN.md §8).
 //! * **Reusable worker pool** — [`WorkerPool`] keeps a fixed set of
 //!   resident threads fed through a channel and plugs into
-//!   [`GraphStore::query_batch_on`](grepair_store::GraphStore::query_batch_on)
+//!   [`GraphStore::render_batch_on`](grepair_store::GraphStore::render_batch_on)
 //!   as a [`grepair_store::BatchExecutor`], so a connection's request batch
 //!   fans out across reused threads instead of paying a per-batch
 //!   `thread::spawn` (the PR-3 spawn-cost note).

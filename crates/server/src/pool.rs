@@ -69,9 +69,9 @@ impl Drop for LatchGuard {
 /// A fixed set of resident worker threads fed through one shared channel.
 ///
 /// Implements [`BatchExecutor`], so a server session fans a connection's
-/// request batch into `GraphStore::query_batch_on(&queries, &pool)` and the
-/// batch machinery (per-chunk answers in input order) runs on reused
-/// threads. One pool serves every connection of a server; `scope` may be
+/// request batch into `GraphStore::render_batch_on(&lines, &pool, out)`
+/// and the batch machinery (per-chunk replies in input order) runs on
+/// reused threads. One pool serves every connection of a server; `scope` may be
 /// called from many session threads (and the reactor) concurrently — jobs
 /// interleave in the channel, each caller waits only on its own latch.
 #[derive(Debug)]

@@ -30,14 +30,18 @@
 //! and the pending batch is evaluated (through the shared [`WorkerPool`]
 //! for large batches) once they are used up — so an interactive `nc`
 //! session gets an answer per line while a pipelined client gets amortized
-//! batches, without any flush command in the protocol. A mixed-namespace
-//! batch is grouped per namespace (one store snapshot each) and the
-//! replies are written back in input order.
+//! batches, without any flush command in the protocol. Replies are
+//! rendered as bytes straight into the connection's reply buffer by
+//! [`GraphStore::render_batch`](grepair_store::GraphStore::render_batch).
+//! A batch whose lines share one (namespace, version pin) group goes to its
+//! store as it is; a mixed batch renders each group (one store snapshot
+//! each) into a buffer of its own and copies the replies back in order.
 //!
 //! Framing — bytes into lines, the `--max-line` rule, EOF and `QUIT` — is
 //! `conn.rs`'s, shared by [`serve_session`] and the epoll reactor; this
 //! module is what a complete line means.
 
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -152,20 +156,20 @@ enum Admin {
 fn parse_admin(line: &str) -> Option<Result<Admin, String>> {
     let mut it = line.split_whitespace();
     let verb = it.next()?;
-    let no_args = |admin: Admin, mut rest: std::str::SplitWhitespace<'_>| match rest.next() {
-        None => Ok(admin),
+    let trailing = |mut rest: std::str::SplitWhitespace<'_>| match rest.next() {
+        None => Ok(()),
         Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
     };
-    let one_arg = |build: fn(String) -> Admin,
-                   what: &str,
-                   mut rest: std::str::SplitWhitespace<'_>| {
+    let no_args = |admin: Admin, rest| trailing(rest).map(|()| admin);
+    let opt_arg = |build: fn(Option<String>) -> Admin, mut rest: std::str::SplitWhitespace<'_>| {
+        let arg = rest.next().map(str::to_string);
+        trailing(rest).map(|()| build(arg))
+    };
+    let one_arg = |build: fn(String) -> Admin, what: &str, mut rest: std::str::SplitWhitespace<'_>| {
         let Some(arg) = rest.next() else {
             return Err(format!("{what} needs an argument"));
         };
-        match rest.next() {
-            None => Ok(build(arg.to_string())),
-            Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
-        }
+        trailing(rest).map(|()| build(arg.to_string()))
     };
     Some(match verb {
         "PING" => no_args(Admin::Ping, it),
@@ -177,48 +181,28 @@ fn parse_admin(line: &str) -> Option<Result<Admin, String>> {
         "FAULTS" => Ok(Admin::Faults(it.map(str::to_string).collect())),
         // Arity and operands are checked by the shared patch-line parser.
         "PATCH" => Ok(Admin::Patch(it.map(str::to_string).collect())),
-        "VERSIONS" => {
-            let name = it.next().map(str::to_string);
-            match it.next() {
-                None => Ok(Admin::Versions(name)),
-                Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
-            }
-        }
+        "VERSIONS" => opt_arg(Admin::Versions, it),
+        "STATS" => opt_arg(Admin::Stats, it),
+        "RELOAD" => opt_arg(Admin::Reload, it),
         "USE" => one_arg(Admin::Use, "USE", it),
         "DETACH" => one_arg(Admin::Detach, "DETACH", it),
-        "STATS" => {
-            let name = it.next().map(str::to_string);
-            match it.next() {
-                None => Ok(Admin::Stats(name)),
-                Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
-            }
-        }
         "ATTACH" => {
             let (name, path) = match (it.next(), it.next()) {
                 (Some(name), Some(path)) => (name.to_string(), path.to_string()),
                 _ => return Some(Err("ATTACH needs a name and a path".into())),
             };
-            match it.next() {
-                None => Ok(Admin::Attach { name, path }),
-                Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
-            }
-        }
-        "RELOAD" => {
-            let path = it.next().map(str::to_string);
-            match it.next() {
-                None => Ok(Admin::Reload(path)),
-                Some(extra) => Err(format!("unexpected trailing token {extra:?}")),
-            }
+            trailing(it).map(|()| Admin::Attach { name, path })
         }
         _ => return None,
     })
 }
 
-/// One buffered query line: the namespace it was addressed to (the
-/// session's current one, or a one-shot `name:` prefix), the retained
-/// version it was pinned to (`Some` iff the line carried an `@vN` suffix;
-/// `None` tracks the head), and its parse outcome.
-type Pending = (String, Option<u64>, Result<Query, GrepairError>);
+/// The (namespace, version pin) a buffered line was addressed to: the
+/// namespace named by its `name:` prefix (`None` is the session's current
+/// namespace, which cannot change before the batch is answered — `USE`
+/// answers the pending batch first) and `Some(N)` iff the line carried an
+/// `@vN` suffix (`None` tracks the head).
+type Group = (Option<String>, Option<u64>);
 
 /// Split a trailing `@vN` version pin off a query line (DESIGN.md §12).
 /// `@` cannot appear in a valid query (ids and labels are decimal,
@@ -255,7 +239,13 @@ pub(crate) enum Step {
 #[derive(Debug)]
 pub(crate) struct SessionState {
     namespace: String,
-    pending: Vec<Pending>,
+    /// The pending batch: each line's parse outcome and its [`Group`]'s
+    /// per-batch id — `0` for the session's namespace at its head, the
+    /// next free id for any other group's first line (`group_ids`, std's
+    /// seeded hasher like every map keyed by what a client sent).
+    lines: Vec<Result<Query, GrepairError>>,
+    groups: Vec<u32>,
+    group_ids: HashMap<Group, u32>,
     pub(crate) summary: SessionSummary,
 }
 
@@ -263,44 +253,54 @@ impl SessionState {
     pub(crate) fn new() -> Self {
         Self {
             namespace: DEFAULT_NAMESPACE.to_string(),
-            pending: Vec::new(),
+            lines: Vec::new(),
+            groups: Vec::new(),
+            group_ids: HashMap::new(),
             summary: SessionSummary::default(),
         }
     }
 
     /// Lines buffered but not yet answered.
     pub(crate) fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.lines.len()
     }
 
     /// Record one line that exceeded `max_line`: an error *reply* queued in
     /// request order; the driver has already discarded the line's bytes.
     pub(crate) fn push_oversized(&mut self, max_line: usize) {
-        self.pending.push((
-            self.namespace.clone(),
-            None,
-            Err(GrepairError::BadRequest(format!("line exceeds {max_line} bytes"))),
-        ));
+        let e = GrepairError::BadRequest(format!("line exceeds {max_line} bytes"));
+        self.push(None, None, Err(e));
+    }
+
+    /// Buffer one line addressed to namespace `ns` (`None`: the session's)
+    /// at version pin `version`.
+    fn push(&mut self, ns: Option<&str>, version: Option<u64>, line: Result<Query, GrepairError>) {
+        let group = match (ns, version) {
+            (None, None) => 0,
+            (ns, version) => {
+                let next = self.group_ids.len() as u32 + 1;
+                *self.group_ids.entry((ns.map(str::to_string), version)).or_insert(next)
+            }
+        };
+        self.lines.push(line);
+        self.groups.push(group);
     }
 
     /// Feed one complete line (terminator and any trailing `\r` already
-    /// stripped). Admin verbs are answered immediately (after flushing the
+    /// stripped). Admin verbs are answered immediately (after answering the
     /// pending batch, so replies stay in request order); query lines are
-    /// buffered into the pending batch for the driver to flush.
+    /// buffered into the pending batch for the driver to answer.
     pub(crate) fn on_line(
         &mut self,
         registry: &StoreRegistry,
         pool: &WorkerPool,
         line: &[u8],
-        writer: &mut impl Write,
+        out: &mut Vec<u8>,
         opts: &SessionOpts,
     ) -> std::io::Result<Step> {
         let Ok(text) = std::str::from_utf8(line) else {
-            self.pending.push((
-                self.namespace.clone(),
-                None,
-                Err(GrepairError::BadRequest("line is not valid UTF-8".into())),
-            ));
+            let e = GrepairError::BadRequest("line is not valid UTF-8".into());
+            self.push(None, None, Err(e));
             return Ok(Step::Continue);
         };
         let text = text.trim();
@@ -313,7 +313,7 @@ impl SessionState {
             // Answer everything that came before the admin command first:
             // replies stay in request order, and a RELOAD cannot
             // retroactively change them.
-            self.flush(registry, pool, writer)?;
+            self.flush(registry, pool, out)?;
             let quit = matches!(admin, Ok(Admin::Quit) | Ok(Admin::Shutdown));
             let reply = handle_admin(registry, admin, opts, &mut self.namespace, &mut self.summary);
             self.summary.served += 1;
@@ -321,42 +321,151 @@ impl SessionState {
                 self.summary.errors += 1;
             }
             fail::point("session.write").map_err(std::io::Error::other)?;
-            writeln!(writer, "{reply}")?;
-            writer.flush()?;
+            out.extend_from_slice(reply.as_bytes());
+            out.push(b'\n');
             return Ok(if quit { Step::Quit } else { Step::Continue });
         }
         // A `name:` prefix addresses one line at another namespace;
         // anything else (including a `:` deeper in the line after a
         // non-name prefix) parses as a plain query against the session's
         // namespace.
-        let (target, query_text) = match text.split_once(':') {
+        let (ns, query_text) = match text.split_once(':') {
             Some((prefix, rest)) if valid_namespace(prefix) => {
-                (prefix.to_string(), rest.trim_start())
+                (Some(prefix).filter(|&prefix| prefix != self.namespace), rest.trim_start())
             }
-            _ => (self.namespace.clone(), text),
+            _ => (None, text),
         };
         // An `@vN` suffix pins this line to a retained version; a
         // malformed pin is the line's reply, the rest never parses.
         match split_version(query_text) {
-            Ok((query_text, version)) => {
-                self.pending.push((target, version, parse_query(query_text)));
-            }
-            Err(e) => self.pending.push((target, None, Err(e))),
+            Ok((query_text, version)) => self.push(ns, version, parse_query(query_text)),
+            Err(e) => self.push(ns, None, Err(e)),
         }
         Ok(Step::Continue)
     }
 
-    /// Evaluate the pending batch and write one reply line each, in input
-    /// order (see [`flush_pending`]). Does not flush the writer — the
-    /// driver decides when buffered replies hit the transport.
+    /// Answer the pending batch into `out`, one reply line per line, in
+    /// input order — or, past the pool's shed watermark (DESIGN.md §10; or
+    /// under an injected `pool.submit` fault), one `busy` line each instead
+    /// of queueing deeper. A shed is not an error: the client retries the
+    /// same lines; nothing about its requests was wrong.
     pub(crate) fn flush(
         &mut self,
         registry: &StoreRegistry,
         pool: &WorkerPool,
-        writer: &mut impl Write,
+        out: &mut Vec<u8>,
     ) -> std::io::Result<()> {
-        flush_pending(registry, pool, &mut self.pending, writer, &mut self.summary)
+        let served = self.lines.len() as u64;
+        if served == 0 {
+            return Ok(());
+        }
+        let shed = pool.overloaded() || fail::point("pool.submit").is_err();
+        if shed {
+            pool.note_shed(served);
+            self.summary.sheds += served;
+            self.summary.served += served;
+        }
+        let start = out.len();
+        let errors = if shed { 0 } else { self.render(registry, pool, out) };
+        self.lines.clear();
+        self.groups.clear();
+        self.group_ids.clear();
+        if let Err(e) = fail::point("session.write") {
+            out.truncate(start);
+            return Err(std::io::Error::other(e));
+        }
+        if shed {
+            out.extend(b"busy\n".iter().cycle().take(5 * served as usize));
+        } else {
+            self.summary.served += served;
+            self.summary.errors += errors;
+        }
+        Ok(())
     }
+
+    /// Render the batch; returns the error lines written. The batch is
+    /// grouped per (namespace, version pin): each group is resolved once
+    /// (lazily opening a cold store — that resolution *is* the namespace's
+    /// hit; pinned lines resolve through the patch log) and rendered
+    /// against that one snapshot, so a concurrent RELOAD, PATCH, or
+    /// eviction never tears a batch across generations. The common batch,
+    /// one group, is rendered straight into `out`.
+    fn render(&mut self, registry: &StoreRegistry, pool: &WorkerPool, out: &mut Vec<u8>) -> u64 {
+        let mut others = self.group_ids.keys();
+        let only = others.next().filter(|_| others.len() == 0 && !self.groups.contains(&0));
+        if self.group_ids.is_empty() || only.is_some() {
+            let (ns, version) = only.map_or((None, None), |(ns, version)| (ns.as_deref(), *version));
+            return render_group(registry, pool, ns.unwrap_or(&self.namespace), version, &self.lines, out);
+        }
+        // Every group by id: its (namespace, pin), its lines, its replies.
+        let mut members: Vec<(Group, Vec<_>, Vec<u8>)> = Vec::new();
+        members.resize_with(self.group_ids.len() + 1, Default::default);
+        for (group, id) in self.group_ids.drain() {
+            if let Some((slot, _, _)) = members.get_mut(id as usize) {
+                *slot = group;
+            }
+        }
+        for (line, &id) in self.lines.drain(..).zip(&self.groups) {
+            if let Some((_, lines, _)) = members.get_mut(id as usize) {
+                lines.push(line);
+            }
+        }
+        // Groups resolve in order of first appearance (lazy opens and LRU
+        // hits happen in request order): ids count up that way, except `0`.
+        let zero_at = self.groups.iter().position(|&id| id == 0);
+        let ahead = zero_at.map_or(0, |at| self.groups.iter().take(at).max().map_or(0, |&id| id));
+        let order = (1..=ahead).chain(zero_at.map(|_| 0)).chain(ahead + 1..members.len() as u32);
+        let mut errors = 0;
+        for id in order {
+            if let Some(((ns, version), lines, buf)) = members.get_mut(id as usize) {
+                let ns = ns.as_deref().unwrap_or(&self.namespace);
+                errors += render_group(registry, pool, ns, *version, lines, buf);
+            }
+        }
+        // A reply is one line: copy them out in input order.
+        let mut replies: Vec<_> =
+            members.iter().map(|(_, _, buf)| buf.split_inclusive(|&b| b == b'\n')).collect();
+        for &id in &self.groups {
+            out.extend_from_slice(replies.get_mut(id as usize).and_then(Iterator::next).unwrap_or_default());
+        }
+        errors
+    }
+}
+
+/// Answer one group's lines against one snapshot of its (namespace,
+/// version): small batches inline, the rest fanned across the pool. A
+/// group with no query that parsed resolves nothing; one that fails to
+/// resolve answers its resolution error on every query line. Returns the
+/// error lines written.
+fn render_group(
+    registry: &StoreRegistry,
+    pool: &WorkerPool,
+    ns: &str,
+    version: Option<u64>,
+    lines: &[Result<Query, GrepairError>],
+    out: &mut Vec<u8>,
+) -> u64 {
+    let queries = lines.iter().filter(|line| line.is_ok()).count();
+    // A bare line tracks the namespace's head; an `@vN` pin resolves
+    // through the patch log (DESIGN.md §12).
+    let resolved = match (queries, version) {
+        (0, _) => None,
+        (_, None) => Some(registry.store(ns)),
+        (_, Some(v)) => Some(registry.store_at(ns, v)),
+    };
+    let unresolved = match resolved {
+        Some(Ok(store)) if queries >= INLINE_BATCH => return store.render_batch_on(lines, pool, out),
+        Some(Ok(store)) => return store.render_batch(lines, out),
+        Some(Err(e)) => Some(e),
+        None => None,
+    };
+    for line in lines {
+        if let Some(reason) = line.as_ref().err().or(unresolved.as_ref()) {
+            out.extend_from_slice(error_reply(reason).as_bytes());
+            out.push(b'\n');
+        }
+    }
+    lines.len() as u64
 }
 
 /// Serve one connection (or any byte stream) to completion.
@@ -396,122 +505,6 @@ pub fn serve_session(
             return Ok(conn.summary());
         }
     }
-}
-
-/// Evaluate the pending lines and write one reply line each, in input
-/// order. The batch is grouped per (namespace, version pin): each group
-/// is resolved once (lazily opening a cold store — that resolution *is*
-/// the namespace's hit; pinned lines resolve through the patch log) and
-/// its queries are evaluated against that one snapshot, so a concurrent
-/// RELOAD, PATCH, or eviction never tears a batch across generations. A
-/// group that fails to resolve (unknown namespace or version, hostile
-/// file) turns into per-line error replies; the other groups' lines are
-/// unaffected.
-fn flush_pending(
-    registry: &StoreRegistry,
-    pool: &WorkerPool,
-    pending: &mut Vec<Pending>,
-    writer: &mut impl Write,
-    summary: &mut SessionSummary,
-) -> std::io::Result<()> {
-    if pending.is_empty() {
-        return Ok(());
-    }
-    // Load shedding (DESIGN.md §10): past the pool's queue-depth watermark
-    // (or under an injected `pool.submit` fault) the whole pending batch is
-    // answered `busy` instead of queueing deeper. A shed is not an error —
-    // the client retries the same lines; nothing about its requests was
-    // wrong.
-    if pool.overloaded() || fail::point("pool.submit").is_err() {
-        let shed = pending.len() as u64;
-        pool.note_shed(shed);
-        summary.sheds += shed;
-        summary.served += shed;
-        fail::point("session.write").map_err(std::io::Error::other)?;
-        for _ in pending.drain(..) {
-            writeln!(writer, "busy")?;
-        }
-        return Ok(());
-    }
-    let mut replies: Vec<Option<Result<std::sync::Arc<grepair_store::QueryAnswer>, GrepairError>>> =
-        Vec::new();
-    replies.resize_with(pending.len(), || None);
-    // Groups in order of first appearance, so resolution (and its side
-    // effects: lazy opens, LRU hits) happens in request order.
-    let mut order: Vec<(&str, Option<u64>)> = Vec::new();
-    for (ns, version, parsed) in pending.iter() {
-        if parsed.is_ok() && !order.contains(&(ns.as_str(), *version)) {
-            order.push((ns, *version));
-        }
-    }
-    for (ns, version) in order {
-        let indexes: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter(|(_, (name, pin, parsed))| name == ns && *pin == version && parsed.is_ok())
-            .map(|(i, _)| i)
-            .collect();
-        // A bare line tracks the namespace's head; an `@vN` pin resolves
-        // through the patch log (DESIGN.md §12).
-        let resolved = match version {
-            None => registry.store(ns),
-            Some(v) => registry.store_at(ns, v),
-        };
-        match resolved {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "indexes come from enumerating pending; replies has the same length"
-            )]
-            Err(e) => {
-                for &i in &indexes {
-                    replies[i] = Some(Err(e.clone()));
-                }
-            }
-            Ok(store) => {
-                #[expect(
-                    clippy::indexing_slicing,
-                    clippy::expect_used,
-                    reason = "indexes filtered to parsed.is_ok() entries of pending just above"
-                )]
-                let queries: Vec<Query> = indexes
-                    .iter()
-                    .map(|&i| pending[i].2.as_ref().cloned().expect("filtered to Ok"))
-                    .collect();
-                let answers = if queries.len() >= INLINE_BATCH {
-                    store.query_batch_on(&queries, pool)
-                } else {
-                    store.query_batch(&queries)
-                };
-                #[expect(
-                    clippy::indexing_slicing,
-                    reason = "indexes come from enumerating pending; replies has the same length"
-                )]
-                for (&i, answer) in indexes.iter().zip(answers) {
-                    replies[i] = Some(answer);
-                }
-            }
-        }
-    }
-    fail::point("session.write").map_err(std::io::Error::other)?;
-    for (reply, (_, _, entry)) in replies.into_iter().zip(pending.drain(..)) {
-        summary.served += 1;
-        let outcome = match entry {
-            Err(e) => Err(e),
-            #[expect(
-                clippy::expect_used,
-                reason = "every parsed query's namespace was visited, filling its slot"
-            )]
-            Ok(_) => reply.expect("every parsed query got a reply slot"),
-        };
-        match outcome {
-            Ok(answer) => writeln!(writer, "{answer}")?,
-            Err(e) => {
-                summary.errors += 1;
-                writeln!(writer, "{}", error_reply(e))?;
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Execute one admin command and render its single reply line.
@@ -862,6 +855,49 @@ mod tests {
         assert_eq!(summary.served, 5);
         assert_eq!(summary.errors, 1);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_batch_of_a_thousand_namespaces_answers_in_request_order() {
+        // One read, one batch: 1 024 distinct unknown namespaces, a valid
+        // `default:` line between each two. Every group is resolved once
+        // and every reply lands on its own line.
+        let registry = registry(8);
+        let pool = WorkerPool::new(1);
+        let mut input = String::new();
+        let mut want = Vec::new();
+        for i in 0..1024u64 {
+            input.push_str(&format!("ns{i}:out {}\ndefault:reach 0 {}\n", i % 17, i % 17));
+            want.push(format!("error: bad request: unknown namespace \"ns{i}\""));
+            want.push("true".to_string());
+        }
+        let opts = SessionOpts { batch: 4096, ..SessionOpts::default() };
+        let mut reader: &[u8] = input.as_bytes();
+        let mut out = Vec::new();
+        let summary = serve_session(&registry, &pool, &mut reader, &mut out, &opts).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.lines().collect::<Vec<_>>(), want);
+        assert_eq!((summary.served, summary.errors), (2048, 1024));
+        let stats = registry.stats_for(DEFAULT_NAMESPACE).unwrap();
+        assert_eq!((stats.batches, stats.queries_served), (1, 1024), "{stats}");
+    }
+
+    #[test]
+    fn pinned_and_unpinned_lines_of_one_batch_are_separate_groups() {
+        let registry = registry(8);
+        let (g, _) = Hypergraph::from_simple_edges(4, (0..3u32).map(|i| (i, 0u32, i + 1)));
+        let grammar = grepair_grammar::Grammar::new(g, 1);
+        registry.attach_store("k", GraphStore::from_grammar(grammar).unwrap()).unwrap();
+        // After the patch, one batch interleaves the head, the base and a
+        // line that did not parse, on both namespaces.
+        let input = "PATCH ADD 3 0 0\nreach 3 1\nreach 3 1 @v0\nbogus\nk:reach 3 1\n\
+                     k:reach 3 1 @v0\nk:reach 3 1 @v1\nout 0 @v0\n";
+        let (out, summary) = run_on(&registry, &format!("USE k\n{input}"));
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines[1], "patched version=1 generation=2 added=1 removed=0");
+        assert_eq!(lines[2..5], ["true", "false", "error: bad request: unknown query verb \"bogus\""]);
+        assert_eq!(lines[5..], ["true", "false", "true", "1"], "{out}");
+        assert_eq!(summary.errors, 1);
     }
 
     #[test]

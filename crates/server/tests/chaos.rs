@@ -407,3 +407,23 @@ fn accept_faults_back_off_without_dropping_the_server() {
     assert_eq!(client.roundtrip("QUIT"), "bye");
     fail::clear_all();
 }
+
+#[test]
+fn a_shed_batch_is_counted_even_when_its_write_faults() {
+    use grepair_server::{serve_session, SessionOpts, WorkerPool};
+    use grepair_store::{GraphStore, StoreRegistry};
+    let _faults = fail::scoped();
+    let registry = StoreRegistry::new(GraphStore::from_bytes(&g2g(8)).unwrap());
+    let pool = WorkerPool::new(1);
+    // Every batch sheds, and every write of its `busy` lines fails: the
+    // shed still shows in the pool's counter before the transport dies.
+    fail::configure("pool.submit", "err").unwrap();
+    fail::configure("session.write", "err").unwrap();
+    let mut out = Vec::new();
+    let outcome =
+        serve_session(&registry, &pool, &mut "out 0\nout 1\n".as_bytes(), &mut out, &SessionOpts::default());
+    assert!(outcome.is_err(), "{outcome:?}");
+    assert_eq!(pool.sheds(), 2);
+    assert!(out.is_empty(), "{:?}", String::from_utf8_lossy(&out));
+    fail::clear_all();
+}

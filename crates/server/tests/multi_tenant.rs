@@ -72,7 +72,7 @@ fn compressed_and_rule_free_tenants_share_one_socket_and_match_serve_file() {
         }
 
         // The same interleaving as one pipelined batch exercises the
-        // per-namespace grouping in `flush_pending`: one snapshot per
+        // per-namespace grouping in `SessionState::render`: one snapshot per
         // namespace, replies scattered back into input order.
         let mut input = String::new();
         let mut expected = Vec::new();

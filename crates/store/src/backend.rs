@@ -12,7 +12,7 @@
 //!
 //! [`QueryEngine`] is the serving surface behind a `GraphStore`. An engine
 //! supplies its node count and one primitive, the labeled row of a node in
-//! either direction; `neighbors`/`reach`/`rpq`/`components`/`degrees` are
+//! either direction; neighbor ids, `reach`/`rpq`/`components`/`degrees` are
 //! provided once, by walking rows. Two engines implement it: the grammar
 //! engine overrides every provided method with the paper's
 //! compressed-domain algorithms, and a patched version (`version.rs`) is
@@ -20,6 +20,7 @@
 
 use std::collections::VecDeque;
 
+use grepair_queries::neighbors::Direction;
 use grepair_queries::QueryError;
 use grepair_util::FxHashSet;
 
@@ -59,21 +60,23 @@ pub(crate) trait QueryEngine: Send + Sync + std::fmt::Debug {
     /// ascending, deduplicated.
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError>;
 
-    /// Out-neighbors of `v`, sorted ascending, deduplicated.
-    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        Ok(row_nodes(self.out_edges(v)?))
-    }
-
-    /// In-neighbors of `v`, sorted ascending, deduplicated.
-    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        Ok(row_nodes(self.in_edges(v)?))
-    }
-
-    /// Union of both directions, sorted and deduplicated.
-    fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        let mut row = self.out_edges(v)?;
-        row.extend(self.in_edges(v)?);
-        Ok(row_nodes(row))
+    /// The neighbors of `v` along `dirs`, appended to `ids` in walk order:
+    /// unsorted, a neighbor reached twice listed twice (the store sorts and
+    /// deduplicates). Provided by projecting the labeled rows.
+    fn neighbor_ids(
+        &self,
+        v: u64,
+        dirs: &[Direction],
+        ids: &mut Vec<u64>,
+    ) -> Result<(), GrepairError> {
+        for dir in dirs {
+            let row = match dir {
+                Direction::Out => self.out_edges(v)?,
+                Direction::In => self.in_edges(v)?,
+            };
+            ids.extend(row.into_iter().map(|(_, w)| w));
+        }
+        Ok(())
     }
 
     /// Is `t` reachable from `s` along directed edges (reflexively)?
@@ -182,15 +185,6 @@ pub(crate) fn check_id(v: u64, total: u64) -> Result<u32, GrepairError> {
         return Err(QueryError::NodeOutOfRange { id: v, total }.into());
     }
     Ok(v as u32)
-}
-
-/// A labeled row projected to its nodes, sorted and deduplicated (two
-/// labels can lead to the same neighbor).
-fn row_nodes(row: Vec<(u32, u64)>) -> Vec<u64> {
-    let mut nodes: Vec<u64> = row.into_iter().map(|(_, w)| w).collect();
-    nodes.sort_unstable();
-    nodes.dedup();
-    nodes
 }
 
 /// Every edge of the served graph as an endpoint pair, one out-row per

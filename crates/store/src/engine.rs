@@ -118,23 +118,13 @@ impl GrammarEngine {
         self.reach.index()
     }
 
-    /// The row of `v` over `dirs`, sorted and deduplicated, each edge of the
-    /// labeled walk emitted through `entry`: `(label, node)` pairs for the
-    /// `out_edges`/`in_edges` primitive, the node alone for neighbor sets.
-    fn collect<T: Ord>(
-        &self,
-        v: u64,
-        dirs: &[Direction],
-        entry: impl Fn(u32, u64) -> T,
-    ) -> Result<Vec<T>, GrepairError> {
-        let at = self.index().try_resolve(v)?;
-        let mut out = Vec::new();
-        for &dir in dirs {
-            at.row(dir, self, |label, w| out.push(entry(label, w)));
-        }
-        out.sort_unstable();
-        out.dedup();
-        Ok(out)
+    /// The labeled row of `v` in one direction, sorted and deduplicated.
+    fn labeled_row(&self, v: u64, dir: Direction) -> Result<Vec<(u32, u64)>, GrepairError> {
+        let mut row = Vec::new();
+        self.index().try_resolve(v)?.row(dir, self, |label, w| row.push((label, w)));
+        row.sort_unstable();
+        row.dedup();
+        Ok(row)
     }
 
     /// Slot-form expansion of `(nt, ext position, dir)`. A hit borrows the
@@ -245,23 +235,24 @@ impl QueryEngine for GrammarEngine {
     }
 
     fn out_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.collect(v, &[Direction::Out], |label, w| (label, w))
+        self.labeled_row(v, Direction::Out)
     }
 
     fn in_edges(&self, v: u64) -> Result<Vec<(u32, u64)>, GrepairError> {
-        self.collect(v, &[Direction::In], |label, w| (label, w))
+        self.labeled_row(v, Direction::In)
     }
 
-    fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.collect(v, &[Direction::Out], |_, w| w)
-    }
-
-    fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.collect(v, &[Direction::In], |_, w| w)
-    }
-
-    fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.collect(v, &[Direction::Out, Direction::In], |_, w| w)
+    fn neighbor_ids(
+        &self,
+        v: u64,
+        dirs: &[Direction],
+        ids: &mut Vec<u64>,
+    ) -> Result<(), GrepairError> {
+        let at = self.index().try_resolve(v)?;
+        for &dir in dirs {
+            at.row(dir, self, |_, w| ids.push(w));
+        }
+        Ok(())
     }
 
     fn reachable(&self, s: u64, t: u64) -> Result<bool, GrepairError> {

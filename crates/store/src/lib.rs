@@ -18,17 +18,20 @@
 //!   O(|G|) setup (and a `reach` is label tests, not a walk).
 //! * **Batched serving** — [`GraphStore::query_batch`] answers a query
 //!   that already occurred earlier in the batch by cloning the first
-//!   occurrence's `Arc`; rule expansions (a table with one once-filled cell
+//!   occurrence's `Arc`, and [`GraphStore::render_batch`] — the wire's
+//!   entry — renders the same answers as reply bytes into the caller's
+//!   buffer, a repeat copying its first occurrence's bytes; rule
+//!   expansions (a table with one once-filled cell
 //!   per (nonterminal, external position, direction), hit/miss counters in
 //!   [`StoreStats`]) and compiled RPQ plans (a bounded map) are store-wide
 //!   and serve one-shot queries just as well. `DESIGN.md §5` has the
 //!   measurements that decided what stayed.
 //! * **Concurrent serving** — an expansion hit borrows its cell (no lock),
 //!   a plan hit is a read lock and an `Arc` clone, answers are
-//!   `Arc<QueryAnswer>`, and [`GraphStore::query_batch_on`] partitions one
-//!   batch across the worker threads of a caller-owned [`BatchExecutor`]
-//!   (the server's reusable pool); repeats collapse within each worker's
-//!   chunk.
+//!   `Arc<QueryAnswer>` or bytes, and [`GraphStore::render_batch_on`]
+//!   partitions one batch across the worker threads of a caller-owned
+//!   [`BatchExecutor`] (the server's reusable pool); repeats collapse
+//!   within each worker's chunk.
 //! * **Multi-tenant hosting** — a [`StoreRegistry`] maps namespace names
 //!   to hot-reloadable store slots with per-namespace monotonic
 //!   generations: a freshly loaded container swaps in while in-flight

@@ -64,24 +64,79 @@ pub enum QueryAnswer {
     Extrema(Option<(u64, u64)>),
 }
 
+impl QueryAnswer {
+    /// Append this answer's reply text (no newline) to `out` — the one
+    /// renderer behind `Display`, `store serve-file` and the socket.
+    pub(crate) fn render(&self, out: &mut Vec<u8>) {
+        match self {
+            QueryAnswer::Nodes(ids) => write_ids(out, ids),
+            QueryAnswer::Bool(true) => out.extend_from_slice(b"true"),
+            QueryAnswer::Bool(false) => out.extend_from_slice(b"false"),
+            QueryAnswer::Count(n) => write_u64(out, *n),
+            QueryAnswer::Extrema(None) => out.push(b'-'),
+            QueryAnswer::Extrema(Some((lo, hi))) => {
+                out.extend_from_slice(b"min=");
+                write_u64(out, *lo);
+                out.extend_from_slice(b" max=");
+                write_u64(out, *hi);
+            }
+        }
+    }
+}
+
 impl std::fmt::Display for QueryAnswer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueryAnswer::Nodes(ids) if ids.is_empty() => write!(f, "-"),
-            QueryAnswer::Nodes(ids) => {
-                for (i, id) in ids.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " ")?;
-                    }
-                    write!(f, "{id}")?;
-                }
-                Ok(())
-            }
-            QueryAnswer::Bool(b) => write!(f, "{b}"),
-            QueryAnswer::Count(n) => write!(f, "{n}"),
-            QueryAnswer::Extrema(None) => write!(f, "-"),
-            QueryAnswer::Extrema(Some((lo, hi))) => write!(f, "min={lo} max={hi}"),
+        let mut out = Vec::new();
+        self.render(&mut out);
+        f.write_str(&String::from_utf8_lossy(&out))
+    }
+}
+
+/// `"00" "01" … "99"`: the digit writer emits two digits per division.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append the decimal digits of `n` to `out`: the bytes `format!("{n}")`
+/// produces, two digits per division and no `core::fmt`.
+fn write_u64(out: &mut Vec<u8>, mut n: u64) {
+    // u64::MAX has 20 digits; they are written back to front.
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    // The last `len` (1 or 2) digits of `n < 100`, written at `start`.
+    let mut put = |start: usize, len: usize, n: u64| {
+        let at = 2 * n as usize + 2 - len;
+        if let (Some(slot), Some(digits)) =
+            (buf.get_mut(start..start + len), DIGIT_PAIRS.get(at..at + len))
+        {
+            slot.copy_from_slice(digits);
         }
+    };
+    while n >= 100 {
+        start -= 2;
+        put(start, 2, n % 100);
+        n /= 100;
+    }
+    let len = if n >= 10 { 2 } else { 1 };
+    start -= len;
+    put(start, len, n);
+    out.extend_from_slice(buf.get(start..).unwrap_or_default());
+}
+
+/// Append a node list as one reply: the ids separated by single spaces,
+/// or `-` for none.
+fn write_ids(out: &mut Vec<u8>, ids: &[u64]) {
+    let Some((first, rest)) = ids.split_first() else {
+        out.push(b'-');
+        return;
+    };
+    write_u64(out, *first);
+    for &id in rest {
+        out.push(b' ');
+        write_u64(out, id);
     }
 }
 
@@ -239,6 +294,48 @@ mod tests {
         assert_eq!(QueryAnswer::Count(9).to_string(), "9");
         assert_eq!(QueryAnswer::Extrema(None).to_string(), "-");
         assert_eq!(QueryAnswer::Extrema(Some((1, 4))).to_string(), "min=1 max=4");
+    }
+
+    #[test]
+    fn the_digit_writer_is_format_byte_for_byte() {
+        let rendered = |n: u64| {
+            let mut out = Vec::new();
+            write_u64(&mut out, n);
+            String::from_utf8(out).unwrap()
+        };
+        let mut edges = vec![0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX];
+        for k in 1..20 {
+            let power = 10u64.pow(k);
+            edges.extend([power - 1, power, power + 1]);
+        }
+        for n in edges {
+            assert_eq!(rendered(n), format!("{n}"));
+        }
+        // A seeded sweep (splitmix64), shifted so every digit count occurs.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..100_000 {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            let n = z >> (z % 64);
+            assert_eq!(rendered(n), format!("{n}"));
+        }
+    }
+
+    #[test]
+    fn node_lists_render_as_their_joined_ids() {
+        let list = |ids: &[u64]| {
+            let mut out = Vec::new();
+            write_ids(&mut out, ids);
+            String::from_utf8(out).unwrap()
+        };
+        assert_eq!(list(&[]), "-");
+        assert_eq!(list(&[0]), "0");
+        let ids = [7, 10, 99, 100, 12_345, u64::MAX];
+        let joined: Vec<String> = ids.iter().map(u64::to_string).collect();
+        assert_eq!(list(&ids), joined.join(" "));
     }
 
     #[test]

@@ -5,11 +5,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use grepair_grammar::Grammar;
+use grepair_queries::neighbors::Direction;
 use grepair_util::FxHashMap;
 
 use crate::backend::{split_any_container, QueryEngine};
 use crate::engine::GrammarEngine;
-use crate::query::{Query, QueryAnswer};
+use crate::query::{error_reply, Query, QueryAnswer};
 use crate::GrepairError;
 
 /// What every query entry point returns: a shared handle to the answer, so
@@ -68,10 +69,10 @@ pub struct StoreStats {
     pub loads: u64,
     /// Queries answered (each element of a batch counts once).
     pub queries_served: u64,
-    /// `query_batch` + `query_batch_on` invocations.
+    /// `query_batch` / `render_batch` / `render_batch_on` invocations.
     pub batches: u64,
-    /// [`GraphStore::query_batch_on`] invocations that actually fanned out
-    /// to executor workers (also counted in `batches`).
+    /// [`GraphStore::render_batch_on`] invocations that actually fanned
+    /// out to executor workers (also counted in `batches`).
     pub parallel_batches: u64,
     /// Queries that returned an error.
     pub errors: u64,
@@ -120,16 +121,20 @@ impl std::fmt::Display for StoreStats {
 /// byte sequence), decodes the grammar it holds (DESIGN.md §7), eagerly
 /// builds the grammar's indexes, and then answers any number of [`Query`]s
 /// — individually via [`GraphStore::query`], batched via
-/// [`GraphStore::query_batch`], or across worker threads via
-/// [`GraphStore::query_batch_on`]. All three reach the engine through the
-/// same call.
+/// [`GraphStore::query_batch`], or rendered as reply lines via
+/// [`GraphStore::render_batch`] and, across worker threads,
+/// [`GraphStore::render_batch_on`]. All of them reach the engine through
+/// the same call, and every reply's text comes from one renderer, the one
+/// [`QueryAnswer`]'s `Display` uses.
 ///
 /// All interior mutability is synchronized (once-filled cells, one
 /// `RwLock`, atomic counters), so one store can be shared across threads
 /// (`&GraphStore: Send + Sync`); a warm neighbor query takes no lock, a
 /// warm `rpq` one read lock.
-/// Answers come back as `Arc<QueryAnswer>`: a query repeated inside a batch
-/// is a pointer clone, never a deep copy of a neighbor list.
+/// Answers come back as `Arc<QueryAnswer>` — a query repeated inside a
+/// batch is a pointer clone, never a deep copy of a neighbor list — or, on
+/// the wire's path ([`GraphStore::render_batch`]), as reply bytes appended
+/// to the caller's buffer.
 #[derive(Debug)]
 pub struct GraphStore {
     engine: Arc<dyn QueryEngine>,
@@ -272,17 +277,33 @@ impl GraphStore {
 
     /// Out-neighbors of `v`, sorted ascending.
     pub fn out_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine.out_neighbors(v)
+        self.ids(v, &[Direction::Out])
     }
 
     /// In-neighbors of `v`, sorted ascending.
     pub fn in_neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine.in_neighbors(v)
+        self.ids(v, &[Direction::In])
     }
 
     /// Union of both directions, sorted and deduplicated.
     pub fn neighbors(&self, v: u64) -> Result<Vec<u64>, GrepairError> {
-        self.engine.neighbors(v)
+        self.ids(v, &[Direction::Out, Direction::In])
+    }
+
+    fn ids(&self, v: u64, dirs: &[Direction]) -> Result<Vec<u64>, GrepairError> {
+        let mut ids = Vec::new();
+        self.walk(v, dirs, &mut ids)?;
+        Ok(ids)
+    }
+
+    /// The neighbors of `v` along `dirs` into `ids` (cleared first), sorted
+    /// and deduplicated in place.
+    fn walk(&self, v: u64, dirs: &[Direction], ids: &mut Vec<u64>) -> Result<(), GrepairError> {
+        ids.clear();
+        self.engine.neighbor_ids(v, dirs, ids)?;
+        ids.sort_unstable();
+        ids.dedup();
+        Ok(())
     }
 
     /// Labeled out-edges of `v` as sorted `(label, target)` pairs — the
@@ -319,7 +340,7 @@ impl GraphStore {
     /// Answer one query, updating the serving counters.
     pub fn query(&self, q: &Query) -> AnswerResult {
         self.counters.queries.fetch_add(1, Ordering::Relaxed);
-        self.counted(self.answer(q))
+        self.counted(self.answer(q, &mut Vec::new()).map(Arc::new))
     }
 
     // ------------------------------------------------------------------
@@ -339,52 +360,85 @@ impl GraphStore {
         self.answer_chunk(queries)
     }
 
-    /// [`GraphStore::query_batch`] fanned out over caller-owned threads:
-    /// the batch is partitioned into one job per executor worker (capped at
-    /// the batch length) and `executor` runs them; repeats collapse within
-    /// each job's chunk. Answers come back in input order, errors
-    /// included, exactly as the sequential path would produce them. An
-    /// executor with at most one worker, or a batch smaller than two
-    /// queries, falls back to the sequential path.
-    pub fn query_batch_on(
+    /// Answer a batch of wire lines and append one reply line each to
+    /// `out`, in order: the answer's text, or `error: …` (through
+    /// [`crate::error_reply`]). A line that is already an error — it did
+    /// not parse — is rendered as such and is not a query: it counts in
+    /// none of the store's counters. Returns how many error lines were
+    /// appended. Evaluation is [`GraphStore::query_batch`]'s, repeats
+    /// included: a repeat copies its first occurrence's bytes.
+    pub fn render_batch(&self, lines: &[Result<Query, GrepairError>], out: &mut Vec<u8>) -> u64 {
+        self.counters.batches.fetch_add(1, Ordering::Relaxed);
+        self.render_chunk(lines, out)
+    }
+
+    /// [`GraphStore::render_batch`] fanned out over caller-owned threads:
+    /// the lines are cut into one contiguous chunk per executor worker
+    /// (capped at the number of queries), each holding an equal share of
+    /// the queries — a line that is already an error rides in the chunk it
+    /// falls in — and `executor` runs one job per chunk. Each job renders
+    /// its chunk into a buffer of its own, repeats collapsing within the
+    /// chunk, and the buffers are appended to `out` in input order. An
+    /// executor with at most one worker, or a batch of fewer than two
+    /// queries, takes the sequential path.
+    ///
+    /// # Panics
+    ///
+    /// If `executor` returns from `scope` without running every job (the
+    /// [`BatchExecutor`] contract lets it drop one): a missing chunk would
+    /// shift every later reply onto the wrong request.
+    pub fn render_batch_on(
         &self,
-        queries: &[Query],
+        lines: &[Result<Query, GrepairError>],
         executor: &impl BatchExecutor,
-    ) -> Vec<AnswerResult> {
-        let threads = executor.max_workers().min(queries.len());
+        out: &mut Vec<u8>,
+    ) -> u64 {
+        let queries = lines.iter().filter(|line| line.is_ok()).count();
+        let threads = executor.max_workers().min(queries);
         if threads <= 1 {
-            return self.query_batch(queries);
+            return self.render_batch(lines, out);
         }
         self.counters.batches.fetch_add(1, Ordering::Relaxed);
         self.counters.parallel_batches.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .queries
-            .fetch_add(queries.len() as u64, Ordering::Relaxed);
-        let chunk_len = queries.len().div_ceil(threads);
-        // One pre-sized slot per query: each job fills a disjoint chunk, so
-        // answers land in input order without a post-hoc reorder.
-        let mut slots: Vec<Option<AnswerResult>> = Vec::new();
-        slots.resize_with(queries.len(), || None);
-        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = queries
-            .chunks(chunk_len)
-            .zip(slots.chunks_mut(chunk_len))
-            .map(|(chunk, out)| {
+        let per_chunk = queries.div_ceil(threads);
+        let mut chunks = Vec::with_capacity(threads);
+        let mut rest = lines;
+        while !rest.is_empty() {
+            let mut seen = 0;
+            let cut = rest.iter().position(|line| {
+                seen += usize::from(line.is_ok());
+                seen > per_chunk
+            });
+            let (chunk, tail) = rest.split_at(cut.unwrap_or(rest.len()));
+            chunks.push(chunk);
+            rest = tail;
+        }
+        // One slot per chunk: each job fills its own, so the buffers land
+        // in input order whatever order the jobs run in, and a slot left
+        // `None` is a job the executor never ran.
+        let mut rendered: Vec<Option<(Vec<u8>, u64)>> = Vec::new();
+        rendered.resize_with(chunks.len(), || None);
+        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
+            .into_iter()
+            .zip(rendered.iter_mut())
+            .map(|(chunk, slot)| {
                 Box::new(move || {
-                    for (slot, answer) in out.iter_mut().zip(self.answer_chunk(chunk)) {
-                        *slot = Some(answer);
-                    }
+                    let mut buf = Vec::new();
+                    let errors = self.render_chunk(chunk, &mut buf);
+                    *slot = Some((buf, errors));
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
         executor.scope(jobs);
-        #[expect(
-            clippy::expect_used,
-            reason = "executor.scope runs every job before returning"
-        )]
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("executor must run every job to completion"))
-            .collect()
+        rendered.into_iter().fold(0, |errors, slot| {
+            #[expect(
+                clippy::expect_used,
+                reason = "executor.scope runs every job before returning"
+            )]
+            let (buf, chunk_errors) = slot.expect("executor must run every job to completion");
+            out.extend_from_slice(&buf);
+            errors + chunk_errors
+        })
     }
 
     /// Answer a contiguous run of queries. One local map remembers where
@@ -394,8 +448,9 @@ impl GraphStore {
     /// (DESIGN.md §5 has the measurement); a run of one has nothing to
     /// repeat and skips the map.
     fn answer_chunk(&self, queries: &[Query]) -> Vec<AnswerResult> {
+        let mut ids = Vec::new();
         if let [q] = queries {
-            return vec![self.counted(self.answer(q))];
+            return vec![self.counted(self.answer(q, &mut ids).map(Arc::new))];
         }
         let mut first: FxHashMap<&Query, usize> =
             FxHashMap::with_capacity_and_hasher(queries.len(), Default::default());
@@ -408,25 +463,94 @@ impl GraphStore {
                     None
                 }
             };
-            out.push(self.counted(repeat.unwrap_or_else(|| self.answer(q))));
+            let answer = repeat.unwrap_or_else(|| self.answer(q, &mut ids).map(Arc::new));
+            out.push(self.counted(answer));
         }
         out
     }
 
+    /// [`GraphStore::answer_chunk`] rendered: each reply line goes straight
+    /// into `out`, the neighbor verbs walk into one scratch `Vec` reused
+    /// across the run, and the first-occurrence map remembers a reply's
+    /// byte range, so a repeat is one copy within `out`. Returns the error
+    /// lines written.
+    fn render_chunk(&self, lines: &[Result<Query, GrepairError>], out: &mut Vec<u8>) -> u64 {
+        let memo = lines.len() > 1;
+        let mut first: FxHashMap<&Query, (usize, usize, bool)> = FxHashMap::default();
+        if memo {
+            first.reserve(lines.len());
+        }
+        let (mut ids, mut queries, mut failed, mut errors) = (Vec::new(), 0, 0, 0);
+        for line in lines {
+            let q = match line {
+                Ok(q) => q,
+                Err(e) => {
+                    out.extend_from_slice(error_reply(e).as_bytes());
+                    out.push(b'\n');
+                    errors += 1;
+                    continue;
+                }
+            };
+            queries += 1;
+            let start = out.len();
+            failed += u64::from(match memo.then(|| first.entry(q)) {
+                Some(Entry::Occupied(seen)) => {
+                    let (from, to, err) = *seen.get();
+                    out.extend_from_within(from..to);
+                    err
+                }
+                unseen => {
+                    let err = self.render_line(q, &mut ids, out);
+                    if let Some(Entry::Vacant(unseen)) = unseen {
+                        unseen.insert((start, out.len(), err));
+                    }
+                    err
+                }
+            });
+        }
+        self.counters.queries.fetch_add(queries, Ordering::Relaxed);
+        self.counters.errors.fetch_add(failed, Ordering::Relaxed);
+        errors + failed
+    }
+
+    /// Answer `q` and append its reply line to `out`; `true` if the line is
+    /// an error. `ids` is the scratch a neighbor verb walks into.
+    fn render_line(&self, q: &Query, ids: &mut Vec<u64>, out: &mut Vec<u8>) -> bool {
+        let failed = match self.answer(q, ids) {
+            Ok(answer) => {
+                answer.render(out);
+                if let QueryAnswer::Nodes(walked) = answer {
+                    *ids = walked;
+                }
+                false
+            }
+            Err(e) => {
+                out.extend_from_slice(error_reply(e).as_bytes());
+                true
+            }
+        };
+        out.push(b'\n');
+        failed
+    }
+
     /// The one way a query reaches the engine, whichever engine serves and
-    /// whichever entry point asked. The aggregates go through the store's
-    /// own once-per-container memo.
-    fn answer(&self, q: &Query) -> AnswerResult {
+    /// whichever entry point asked. A neighbor verb walks into `ids` and
+    /// the answer takes that allocation over (a caller rendering many
+    /// answers hands it back). The aggregates go through the store's own
+    /// once-per-container memo.
+    fn answer(&self, q: &Query, ids: &mut Vec<u64>) -> Result<QueryAnswer, GrepairError> {
         let e = &*self.engine;
-        Ok(Arc::new(match q {
-            Query::OutNeighbors(v) => QueryAnswer::Nodes(e.out_neighbors(*v)?),
-            Query::InNeighbors(v) => QueryAnswer::Nodes(e.in_neighbors(*v)?),
-            Query::Neighbors(v) => QueryAnswer::Nodes(e.neighbors(*v)?),
-            Query::Reach { s, t } => QueryAnswer::Bool(e.reachable(*s, *t)?),
-            Query::Rpq { s, t, pattern } => QueryAnswer::Bool(e.rpq(pattern, *s, *t)?),
-            Query::Components => QueryAnswer::Count(self.components()),
-            Query::DegreeExtrema => QueryAnswer::Extrema(self.degree_extrema()),
-        }))
+        let (v, dirs): (u64, &[Direction]) = match q {
+            Query::OutNeighbors(v) => (*v, &[Direction::Out]),
+            Query::InNeighbors(v) => (*v, &[Direction::In]),
+            Query::Neighbors(v) => (*v, &[Direction::Out, Direction::In]),
+            Query::Reach { s, t } => return Ok(QueryAnswer::Bool(e.reachable(*s, *t)?)),
+            Query::Rpq { s, t, pattern } => return Ok(QueryAnswer::Bool(e.rpq(pattern, *s, *t)?)),
+            Query::Components => return Ok(QueryAnswer::Count(self.components())),
+            Query::DegreeExtrema => return Ok(QueryAnswer::Extrema(self.degree_extrema())),
+        };
+        self.walk(v, dirs, ids)?;
+        Ok(QueryAnswer::Nodes(std::mem::take(ids)))
     }
 
     /// Count `answer` in the error counter if it is one.
@@ -488,6 +612,36 @@ mod tests {
                 job();
             }
         }
+    }
+
+    /// An executor that breaks the contract's weakest form: it drops its
+    /// first job unrun.
+    struct DropsOne(usize);
+
+    impl BatchExecutor for DropsOne {
+        fn max_workers(&self) -> usize {
+            self.0
+        }
+
+        fn scope<'env>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
+            for job in jobs.into_iter().skip(1) {
+                job();
+            }
+        }
+    }
+
+    /// `queries` rendered by [`GraphStore::render_batch_on`] on `executor`.
+    fn render_on(store: &GraphStore, queries: &[Query], executor: &impl BatchExecutor) -> String {
+        let lines: Vec<Result<Query, GrepairError>> = queries.iter().cloned().map(Ok).collect();
+        let mut out = Vec::new();
+        store.render_batch_on(&lines, executor, &mut out);
+        String::from_utf8(out).unwrap()
+    }
+
+    /// What the wire prints for `answers`: one reply line each.
+    fn reply_lines(answers: &[AnswerResult]) -> String {
+        let line = |a: &AnswerResult| a.as_ref().map(ToString::to_string).unwrap_or_else(error_reply) + "\n";
+        answers.iter().map(line).collect()
     }
 
     fn mixed_queries(n: u64, len: u64) -> Vec<Query> {
@@ -641,11 +795,11 @@ mod tests {
         for i in (0..queries.len()).step_by(37) {
             queries[i] = Query::OutNeighbors(n + i as u64);
         }
-        let sequential = store.query_batch(&queries);
+        let sequential = reply_lines(&store.query_batch(&queries));
         for threads in [2, 3, 8] {
-            let parallel = store.query_batch_on(&queries, &Reversed(threads));
-            assert_eq!(parallel.len(), sequential.len());
-            for (i, (p, s)) in parallel.iter().zip(&sequential).enumerate() {
+            let parallel = render_on(&store, &queries, &Reversed(threads));
+            assert_eq!(parallel.lines().count(), sequential.lines().count());
+            for (i, (p, s)) in parallel.lines().zip(sequential.lines()).enumerate() {
                 assert_eq!(p, s, "answer {i} with {threads} threads: {:?}", queries[i]);
             }
         }
@@ -657,11 +811,13 @@ mod tests {
     #[test]
     fn parallel_batch_degenerate_inputs() {
         let (store, _) = store_for(4);
-        assert!(store.query_batch_on(&[], &Reversed(8)).is_empty());
-        let one = store.query_batch_on(&[Query::Components], &Reversed(8));
-        assert_eq!(one.len(), 1);
+        let mut out = Vec::new();
+        assert_eq!(store.render_batch_on(&[], &Reversed(8), &mut out), 0);
+        assert!(out.is_empty());
+        let one = render_on(&store, &[Query::Components], &Reversed(8));
+        assert_eq!(one.lines().count(), 1);
         // threads = 0 falls back to the sequential path.
-        let zero = store.query_batch_on(&[Query::Components], &Reversed(0));
+        let zero = render_on(&store, &[Query::Components], &Reversed(0));
         assert_eq!(zero, one);
         assert_eq!(store.stats().parallel_batches, 0);
     }
@@ -674,15 +830,82 @@ mod tests {
         let n = store.total_nodes();
         let mut queries = mixed_queries(n, 200);
         queries[7] = Query::OutNeighbors(n + 7); // an error must survive too
-        let expected = store.query_batch(&queries);
+        let expected = reply_lines(&store.query_batch(&queries));
         for workers in [2, 3, 7] {
-            assert_eq!(store.query_batch_on(&queries, &Reversed(workers)), expected);
+            assert_eq!(render_on(&store, &queries, &Reversed(workers)), expected);
         }
         // workers ≤ 1 falls back to the sequential path (not counted as a
         // parallel batch).
-        assert_eq!(store.query_batch_on(&queries, &Reversed(1)), expected);
+        assert_eq!(render_on(&store, &queries, &Reversed(1)), expected);
         let stats = store.stats();
         assert_eq!(stats.parallel_batches, 3, "{stats}");
+    }
+
+    /// `lines` rendered the way the wire must: each query's one-shot answer
+    /// or error, each line that already failed as its error.
+    fn rendered_one_by_one(store: &GraphStore, lines: &[Result<Query, GrepairError>]) -> String {
+        let reply = |line: &Result<Query, GrepairError>| match line.as_ref() {
+            Ok(q) => store.query(q).map(|answer| answer.to_string()),
+            Err(e) => Err(e.clone()),
+        };
+        lines
+            .iter()
+            .map(|line| reply(line).unwrap_or_else(error_reply) + "\n")
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "executor must run every job to completion")]
+    fn a_dropped_job_panics_instead_of_shifting_replies() {
+        let (store, _) = store_for(16);
+        let queries = mixed_queries(store.total_nodes(), 64);
+        render_on(&store, &queries, &DropsOne(4));
+    }
+
+    #[test]
+    fn rendered_batches_are_the_answers_bytes_and_count_their_queries() {
+        let (twin, _) = store_for(24);
+        let n = twin.total_nodes();
+        let mut queries = mixed_queries(n, 300);
+        queries[11] = Query::InNeighbors(n + 11);
+        queries.extend_from_within(..40);
+        // Lines that already failed sit between the queries.
+        let lines: Vec<Result<Query, GrepairError>> = queries
+            .iter()
+            .enumerate()
+            .flat_map(|(i, q)| {
+                let failed = (i % 9 == 4).then(|| Err(GrepairError::BadRequest(format!("line {i}"))));
+                failed.into_iter().chain([Ok(q.clone())])
+            })
+            .collect();
+        let want = rendered_one_by_one(&twin, &lines);
+        let error_lines = want.lines().filter(|l| l.starts_with("error: ")).count() as u64;
+        for workers in [1, 2, 3, 8] {
+            let store = store_for(24).0;
+            let mut out = Vec::new();
+            assert_eq!(store.render_batch_on(&lines, &Reversed(workers), &mut out), error_lines);
+            assert_eq!(String::from_utf8(out).unwrap(), want, "{workers} workers");
+            // Only the queries count: the lines that already failed do not.
+            let stats = store.stats();
+            assert_eq!(stats.queries_served, queries.len() as u64, "{stats}");
+            assert_eq!(stats.errors, 2, "queries[11] and its repeat: {stats}");
+            assert_eq!(stats.batches, 1, "{stats}");
+            assert_eq!(stats.parallel_batches, u64::from(workers > 1), "{stats}");
+        }
+        // Inline, the store work is exactly `query_batch`'s: one chunk, the
+        // same repeats collapsed.
+        let (by_answers, by_bytes) = (store_for(24).0, store_for(24).0);
+        by_answers.query_batch(&queries);
+        by_bytes.render_batch(&lines, &mut Vec::new());
+        assert_eq!(by_bytes.stats(), by_answers.stats());
+        let mut out = Vec::new();
+        assert_eq!(twin.render_batch(&lines, &mut out), error_lines);
+        assert_eq!(String::from_utf8(out).unwrap(), want);
+        // One line is a batch of one; nothing at all is a batch of none.
+        let mut out = Vec::new();
+        assert_eq!(twin.render_batch(&lines[..1], &mut out), 0);
+        assert_eq!(twin.render_batch(&[], &mut out), 0);
+        assert_eq!(String::from_utf8(out).unwrap(), rendered_one_by_one(&twin, &lines[..1]));
     }
 
     #[test]
@@ -991,9 +1214,8 @@ mod tests {
             }
         }
         queries[11] = Query::InNeighbors(n + 11);
-        let sequential = store.query_batch(&queries);
-        let parallel = store.query_batch_on(&queries, &Reversed(4));
-        assert_eq!(parallel, sequential);
+        let sequential = reply_lines(&store.query_batch(&queries));
+        assert_eq!(render_on(&store, &queries, &Reversed(4)), sequential);
         assert_eq!(store.stats().parallel_batches, 1);
     }
 }

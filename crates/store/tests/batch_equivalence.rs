@@ -1,7 +1,8 @@
-//! Property test: the three ways to ask a `GraphStore` something — one-shot
+//! Property test: the ways to ask a `GraphStore` something — one-shot
 //! [`GraphStore::query`], sequential [`GraphStore::query_batch`], and the
-//! fanned-out [`GraphStore::query_batch_on`] — must agree on every
-//! workload, answer for answer, in input order, error cases included.
+//! wire's rendered [`GraphStore::render_batch`] and, fanned out,
+//! [`GraphStore::render_batch_on`] — must agree on every workload, answer
+//! for answer, in input order, error cases included.
 //!
 //! This is the contract that makes the concurrent engine safe to ship:
 //! nothing a batch shares (the per-chunk collapse of repeated queries, the
@@ -21,7 +22,7 @@ use std::sync::Arc;
 use common::ScopedThreads;
 use grepair_core::{compress, GRePairConfig};
 use grepair_hypergraph::Hypergraph;
-use grepair_store::{write_container, GraphStore, Query};
+use grepair_store::{error_reply, write_container, GraphStore, GrepairError, Query};
 
 /// One store reused across all cases (the store is immutable under queries;
 /// building it per case would dominate the test's runtime).
@@ -135,14 +136,23 @@ proptest! {
         for workload in [&uniform, &skewed] {
             let sequential = store.query_batch(workload);
             prop_assert_eq!(sequential.len(), workload.len());
-            let parallel = store.query_batch_on(workload, &ScopedThreads(threads));
-            prop_assert_eq!(parallel.len(), workload.len());
             for (i, q) in workload.iter().enumerate() {
                 let one_shot = store.query(q);
                 // Answers agree by value (including Err payloads)…
                 prop_assert_eq!(&sequential[i], &one_shot, "batch vs one-shot at {} ({:?})", i, q);
-                prop_assert_eq!(&parallel[i], &one_shot, "parallel vs one-shot at {} ({:?})", i, q);
             }
+            // …the wire's renderings, inline and fanned out, are the one-shot
+            // answers' bytes…
+            let want: String = workload
+                .iter()
+                .map(|q| store.query(q).map(|a| a.to_string()).unwrap_or_else(error_reply) + "\n")
+                .collect();
+            let lines: Vec<Result<Query, GrepairError>> = workload.iter().cloned().map(Ok).collect();
+            let (mut inline, mut fanned) = (Vec::new(), Vec::new());
+            store.render_batch(&lines, &mut inline);
+            store.render_batch_on(&lines, &ScopedThreads(threads), &mut fanned);
+            prop_assert_eq!(String::from_utf8(inline).unwrap(), want.clone());
+            prop_assert_eq!(String::from_utf8(fanned).unwrap(), want);
             // …and duplicates inside the sequential batch share one allocation
             // (a repeat is an `Arc` clone), not just equal contents.
             for (i, q) in workload.iter().enumerate() {

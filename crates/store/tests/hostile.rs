@@ -13,8 +13,8 @@ use grepair_hypergraph::Hypergraph;
 use grepair_datasets::network::hub_network;
 use grepair_queries::rpq::{rpq_on_graph, RpqIndex};
 use grepair_store::{
-    compile_pattern, parse_query, write_container, EdgePatch, GraphStore, Query, QueryAnswer,
-    VersionedStore, MAX_PATTERN_ATOMS,
+    compile_pattern, parse_query, write_container, EdgePatch, GraphStore, GrepairError, Query,
+    QueryAnswer, VersionedStore, MAX_PATTERN_ATOMS,
 };
 
 /// A real compressed container to corrupt.
@@ -167,7 +167,11 @@ fn hostile_query_inputs_error_for_every_backend() {
             .collect();
         let answers = store.query_batch(&queries);
         assert!(answers.iter().all(|a| a.is_ok()), "{name}");
-        assert_eq!(store.query_batch_on(&queries, &ScopedThreads(4)), answers, "{name}");
+        let want: String = answers.iter().map(|a| a.as_ref().unwrap().to_string() + "\n").collect();
+        let lines: Vec<Result<Query, GrepairError>> = queries.into_iter().map(Ok).collect();
+        let mut parallel = Vec::new();
+        assert_eq!(store.render_batch_on(&lines, &ScopedThreads(4), &mut parallel), 0, "{name}");
+        assert_eq!(String::from_utf8(parallel).unwrap(), want, "{name}");
     }
 }
 
@@ -335,10 +339,13 @@ fn ten_thousand_mixed_queries_from_one_store() {
     assert_eq!(stats.errors, 0);
     assert!(stats.expansion_cache_hits > 0);
     assert_eq!(stats.rpq_plan_misses, 2, "{stats}");
-    // The same 10k through the concurrent engine: identical answers, and
+    // The same 10k through the concurrent engine: identical replies, and
     // the worker fan-out keeps the counters exact.
-    let parallel = store.query_batch_on(&queries, &ScopedThreads(8));
-    assert_eq!(parallel, answers);
+    let want: String = answers.iter().map(|a| a.as_ref().unwrap().to_string() + "\n").collect();
+    let lines: Vec<Result<Query, GrepairError>> = queries.into_iter().map(Ok).collect();
+    let mut parallel = Vec::new();
+    assert_eq!(store.render_batch_on(&lines, &ScopedThreads(8), &mut parallel), 0);
+    assert_eq!(String::from_utf8(parallel).unwrap(), want);
     let stats = store.stats();
     assert_eq!(stats.queries_served, 21_000, "{stats}");
     assert_eq!(stats.errors, 0, "{stats}");

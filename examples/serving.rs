@@ -43,18 +43,22 @@ fn main() {
     // across reused threads, never paying a per-batch spawn.
     let pool = WorkerPool::new(4);
     let n = store.total_nodes();
-    let queries: Vec<Query> = (0..n)
+    // Each batch line is a parsed query (or the error a line that failed to
+    // parse became); the store renders one reply line per line into a
+    // caller-owned buffer — what a server writes back to its client.
+    let lines: Vec<Result<Query, GrepairError>> = (0..n)
         .flat_map(|v| [Query::OutNeighbors(v), Query::Reach { s: 0, t: v }])
+        .map(Ok)
         .collect();
-    let answers = store.query_batch_on(&queries, &pool);
-    let reachable = answers
-        .iter()
-        .filter(|a| matches!(a.as_deref(), Ok(QueryAnswer::Bool(true))))
-        .count();
+    let mut replies = Vec::new();
+    let errors = store.render_batch_on(&lines, &pool, &mut replies);
+    let replies = String::from_utf8(replies).expect("replies are text");
+    let reachable = replies.lines().filter(|line| *line == "true").count();
     println!(
-        "batch of {} queries answered ({} reach answers were true)",
-        answers.len(),
-        reachable
+        "batch of {} queries answered ({} reach answers were true, {} errors)",
+        replies.lines().count(),
+        reachable,
+        errors
     );
 
     // A long-lived client keeps the pre-reload snapshot; new requests see
