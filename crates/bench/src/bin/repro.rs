@@ -240,11 +240,18 @@ fn fig11(scale: Scale) {
 /// Fig. 12: network graphs, gRePair vs k2 vs LM vs HN.
 fn fig12(scale: Scale) {
     banner("Fig. 12: network graphs (bpe)");
-    let widths = [18, 10, 10, 10, 10];
+    let widths = [18, 10, 10, 10, 10, 10];
     println!(
         "{}",
         row(
-            &["graph".into(), "gRePair".into(), "k2".into(), "LM".into(), "HN".into()],
+            &[
+                "graph".into(),
+                "gRePair".into(),
+                "k2".into(),
+                "LM".into(),
+                "HN".into(),
+                "container".into()
+            ],
             &widths
         )
     );
@@ -262,6 +269,7 @@ fn fig12(scale: Scale) {
                     format!("{k2:.2}"),
                     format!("{lm:.2}"),
                     format!("{hn:.2}"),
+                    format!("{:.2}", gr.container_bpe),
                 ],
                 &widths
             )
@@ -272,10 +280,19 @@ fn fig12(scale: Scale) {
 /// Table V: RDF graphs, gRePair vs k2 (sizes in KB).
 fn table5(scale: Scale) {
     banner("Table V: RDF graphs (size in KB)");
-    let widths = [18, 10, 10, 8];
+    let widths = [18, 10, 10, 8, 10];
     println!(
         "{}",
-        row(&["graph".into(), "gRePair".into(), "k2".into(), "ratio".into()], &widths)
+        row(
+            &[
+                "graph".into(),
+                "gRePair".into(),
+                "k2".into(),
+                "ratio".into(),
+                "container".into()
+            ],
+            &widths
+        )
     );
     for d in rdf_suite(scale) {
         let gr = run_grepair(&d.graph, &GRePairConfig::default());
@@ -288,6 +305,7 @@ fn table5(scale: Scale) {
                     format!("{}", gr.bits / 8192),
                     format!("{}", k2_bits / 8192),
                     format!("{:.1}x", k2_bits as f64 / gr.bits.max(1) as f64),
+                    format!("{}", gr.encoded.bit_len / 8192),
                 ],
                 &widths
             )
@@ -299,11 +317,18 @@ fn table5(scale: Scale) {
 /// paper.
 fn table6(scale: Scale) {
     banner("Table VI: version graphs (bpe; '-' = labeled, method n/a)");
-    let widths = [14, 10, 10, 10, 10];
+    let widths = [14, 10, 10, 10, 10, 10];
     println!(
         "{}",
         row(
-            &["graph".into(), "gRePair".into(), "k2".into(), "LM".into(), "HN".into()],
+            &[
+                "graph".into(),
+                "gRePair".into(),
+                "k2".into(),
+                "LM".into(),
+                "HN".into(),
+                "container".into()
+            ],
             &widths
         )
     );
@@ -318,7 +343,14 @@ fn table6(scale: Scale) {
         println!(
             "{}",
             row(
-                &[d.name.to_string(), format!("{:.2}", gr.bpe), format!("{k2:.2}"), lm, hn],
+                &[
+                    d.name.to_string(),
+                    format!("{:.2}", gr.bpe),
+                    format!("{k2:.2}"),
+                    lm,
+                    hn,
+                    format!("{:.2}", gr.container_bpe),
+                ],
                 &widths
             )
         );
@@ -328,10 +360,13 @@ fn table6(scale: Scale) {
 /// Fig. 13: disjoint copies of the 4-node/5-edge graph, file sizes.
 fn fig13() {
     banner("Fig. 13: disjoint copies of a 4-node/5-edge graph (bytes)");
-    let widths = [8, 10, 10, 10];
+    let widths = [8, 10, 10, 10, 10];
     println!(
         "{}",
-        row(&["copies".into(), "gRePair".into(), "k2".into(), "LM".into()], &widths)
+        row(
+            &["copies".into(), "gRePair".into(), "k2".into(), "LM".into(), "container".into()],
+            &widths
+        )
     );
     let base = grepair_datasets::version::circle_with_diagonal();
     let mut copies = 8usize;
@@ -348,6 +383,7 @@ fn fig13() {
                     (gr.bits / 8 + 1).to_string(),
                     (k2_bits / 8 + 1).to_string(),
                     (lm_bits / 8 + 1).to_string(),
+                    (gr.encoded.bit_len / 8 + 1).to_string(),
                 ],
                 &widths
             )

@@ -27,8 +27,10 @@ pub fn stats(path: &str) -> Result<(), String> {
 }
 
 /// `--trace`: the compressor's phase wall times and exact work counters,
-/// one `key=value` line each on stderr.
-fn print_trace(s: &grepair_core::CompressStats) {
+/// then where the container's bits went, one `key=value` line each on
+/// stderr. The header, the three section modes and the rules add up to the
+/// payload; `paper_bits` is the same grammar with every section a k²-tree.
+fn print_trace(s: &grepair_core::CompressStats, size: &grepair_codec::SizeBreakdown) {
     for (key, ms) in [
         ("count_ms", s.count_ms),
         ("replace_ms", s.replace_ms),
@@ -47,6 +49,19 @@ fn print_trace(s: &grepair_core::CompressStats) {
     ] {
         eprintln!("{key}={count}");
     }
+    for (key, count) in [
+        ("adjacency_sections", size.adjacency.sections),
+        ("adjacency_bits", size.adjacency.bits),
+        ("incidence_sections", size.incidence.sections),
+        ("incidence_bits", size.incidence.bits),
+        ("list_sections", size.list.sections),
+        ("list_bits", size.list.bits),
+        ("rule_bits", size.rule_bits),
+        ("header_bits", size.header_bits),
+        ("paper_bits", size.paper_bits),
+    ] {
+        eprintln!("{key}={count}");
+    }
 }
 
 /// `grepair compress <graph> -o <out>`: compress with gRePair and write the
@@ -54,10 +69,11 @@ fn print_trace(s: &grepair_core::CompressStats) {
 pub fn compress_file(input: &str, opts: &CompressOpts) -> Result<(), String> {
     let (g, originals) = read_graph_with_map(input)?;
     let out = compress_and_report(&g, &opts.config);
+    let encoded = grepair_codec::encode(&out.grammar);
     if opts.trace {
-        print_trace(&out.stats);
+        print_trace(&out.stats, &encoded.breakdown);
     }
-    let file = container_of(&out);
+    let file = write_container(&encoded.bytes, encoded.bit_len);
     std::fs::write(&opts.output, &file).map_err(|e| format!("{}: {e}", opts.output))?;
     println!(
         "wrote {} (backend grepair, {} bytes, {:.3} bits/edge)",

@@ -671,12 +671,28 @@ fn compress_trace_reports_every_phase_and_changes_no_byte() {
         [
             "count_ms", "replace_ms", "virtual_ms", "prune_ms", "canonicalize_ms", "node_map_ms",
             "group_edges_scanned", "pair_attempts", "rank_rejects", "prov_nodes_visited",
+            "adjacency_sections", "adjacency_bits", "incidence_sections", "incidence_bits",
+            "list_sections", "list_bits", "rule_bits", "header_bits", "paper_bits",
         ]
     );
     let value = |key: &str| seen.iter().find(|&&(k, _)| k == key).unwrap().1;
     assert!(value("pair_attempts") > 0.0);
     assert!(value("rank_rejects") <= value("pair_attempts"));
     assert!(value("group_edges_scanned") >= 240.0, "every incidence is linked once");
+
+    // Where the bytes went: the header, the three section modes and the
+    // rules are the container's payload, bit for bit (its header holds the
+    // payload's bit length after the 4-byte magic), and the paper's
+    // all-k² format is never smaller.
+    let file = std::fs::read(&traced).unwrap();
+    let payload_bits = u64::from_le_bytes(file[4..12].try_into().unwrap()) as f64;
+    let parts: f64 = ["header_bits", "adjacency_bits", "incidence_bits", "list_bits", "rule_bits"]
+        .map(value)
+        .iter()
+        .sum();
+    assert_eq!(parts, payload_bits, "{stderr}");
+    assert!(value("paper_bits") >= payload_bits, "{stderr}");
+    assert!(value("list_sections") > 0.0, "{stderr}");
 }
 
 #[test]

@@ -95,7 +95,6 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::perm::PermDict;
     use crate::start::{dense_map, plan_labels, LabelMode};
     use crate::{encode, EncodedGrammar};
     use grepair_core::{compress, GRePairConfig};
@@ -191,19 +190,88 @@ mod tests {
         }
     }
 
-    /// An RDF grammar whose start graph has adjacency *and* incidence
-    /// sections (asserted), so the hostile-input tests reach both branches
-    /// of `decode_label`.
+    /// An RDF grammar whose start graph has adjacency, incidence *and*
+    /// list sections (asserted), so the hostile-input tests reach every
+    /// branch of `decode_label`. Compressor output gives the first and the
+    /// last; the incidence section is a terminal label given edges of two
+    /// ranks, which no list holds.
     fn mixed_sections() -> EncodedGrammar {
         let g = grepair_datasets::rdf::property_graph(300, 12, 4, 60, 1);
-        let out = compress(&g, &GRePairConfig::default());
+        let mut out = compress(&g, &GRePairConfig::default());
+        let start = &mut out.grammar.start;
+        let nodes: Vec<u32> = start.node_ids().take(3).collect();
+        start.add_edge(EdgeLabel::Terminal(0), &nodes);
+        start.add_edge(EdgeLabel::Terminal(0), &nodes[..2]);
         let start = &out.grammar.start;
-        let (dense, _) = dense_map(start);
+        let (dense, m) = dense_map(start);
         let modes: Vec<LabelMode> =
-            plan_labels(start, &dense, &mut PermDict::new()).iter().map(|p| p.mode).collect();
-        assert!(modes.contains(&LabelMode::Adjacency), "{modes:?}");
-        assert!(modes.contains(&LabelMode::Incidence), "{modes:?}");
+            plan_labels(start, &dense, m).labels.iter().map(|p| p.mode()).collect();
+        for mode in [LabelMode::Adjacency, LabelMode::Incidence, LabelMode::List] {
+            assert!(modes.contains(&mode), "{mode:?} in {modes:?}");
+        }
         encode(&out.grammar)
+    }
+
+    /// `(label, attachment)` of every edge, in edge-id order.
+    fn edge_list(g: &Hypergraph) -> Vec<(EdgeLabel, Vec<u32>)> {
+        g.edges().map(|e| (e.label, e.att.to_vec())).collect()
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        hex.as_bytes()
+            .chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    /// Containers written before list sections existed, when every section
+    /// was a k²-tree, still decode to their grammar edge for edge.
+    #[test]
+    fn parent_containers_still_decode() {
+        use grepair_hypergraph::EdgeLabel::Terminal as T;
+        // Rule-free: T0 adjacency, T1 (a duplicate edge) and T2 (rank 3)
+        // incidence.
+        let mut s = Hypergraph::with_nodes(6);
+        for (t, att) in [
+            (0, &[0, 1][..]),
+            (0, &[1, 5]),
+            (0, &[4, 2]),
+            (1, &[2, 3]),
+            (1, &[2, 3]),
+            (2, &[3, 0, 4]),
+            (2, &[5, 1, 2]),
+        ] {
+            s.add_edge(T(t), att);
+        }
+        let bytes = unhex("65fec45525848f794497a211062a8f5216c178551ea4a4b5512d2c");
+        let old = decode(&bytes, 215).unwrap();
+        assert_eq!(edge_list(&old.start), edge_list(&s));
+        assert_eq!(old.num_terminals(), 3);
+        assert_eq!(old.num_nonterminals(), 0);
+
+        // Compressor output, on which the list encoder now picks at least
+        // one list section, so its bytes differ.
+        let out = compress(&repeated_pattern(8), &GRePairConfig::default());
+        let bytes = unhex(
+            "5520fc8404042d8842101010b45088404042d8122101014496c92110948d24aa95a64d095c",
+        );
+        let old = decode(&bytes, 294).unwrap();
+        let (dense, m) = dense_map(&out.grammar.start);
+        let plan = plan_labels(&out.grammar.start, &dense, m);
+        assert!(plan.labels.iter().any(|l| l.mode() == LabelMode::List));
+        assert_ne!(encode(&out.grammar).bytes, bytes);
+        let want: Vec<_> = out
+            .grammar
+            .start
+            .edges()
+            .map(|e| (e.label, e.att.iter().map(|&v| dense[v as usize]).collect()))
+            .collect();
+        assert_eq!(edge_list(&old.start), want);
+        assert_eq!(old.num_nonterminals(), out.grammar.num_nonterminals());
+        for (got, rhs) in old.rules().iter().zip(out.grammar.rules()) {
+            assert_eq!(edge_list(got), edge_list(rhs));
+            assert_eq!(got.ext(), rhs.ext());
+        }
     }
 
     #[test]

@@ -1,29 +1,29 @@
 //! Top-level grammar encoder.
 
-use crate::perm::PermDict;
 use crate::rules::encode_rule;
-use crate::start::{dense_map, encode_label, plan_labels};
+use crate::start::{dense_map, encode_label, plan_labels, LabelMode};
 use crate::{EncodedGrammar, SizeBreakdown};
 use grepair_bits::codes::write_delta;
 use grepair_bits::BitWriter;
 use grepair_grammar::Grammar;
 use grepair_hypergraph::EdgeLabel;
 
-/// Serialize a grammar to the §III-C2 bit format.
+/// Serialize a grammar to the §III-C2 bit format, with list sections.
 ///
 /// Stream layout:
 /// 1. header: δ(|Σ|+1), δ(#rules+1), δ(m+1) with m = |V_S| (dense), the
 ///    start graph's external sequence, the label presence bitmap, the
 ///    permutation dictionary;
 /// 2. one section per present label (terminals ascending, then nonterminals
-///    ascending): mode bit + k²-tree (+ δ(edge count) and permutation
-///    indices for incidence labels);
+///    ascending), in whichever mode is smallest (a tie keeps the k²-tree):
+///    `0`, then the adjacency k²-tree; `1`, δ(edge count + 1), the incidence
+///    k²-tree and the permutation indices; or `1 1`, δ(rank), δ(edge count)
+///    and the gap-coded edges;
 /// 3. the rules, in nonterminal order.
 pub fn encode(grammar: &Grammar) -> EncodedGrammar {
     let start = &grammar.start;
     let (dense, m) = dense_map(start);
-    let mut dict = PermDict::new();
-    let plans = plan_labels(start, &dense, &mut dict);
+    let plan = plan_labels(start, &dense, m);
 
     let mut w = BitWriter::new();
     let mut breakdown = SizeBreakdown::default();
@@ -42,8 +42,8 @@ pub fn encode(grammar: &Grammar) -> EncodedGrammar {
     }
     // Presence bitmap: terminals then nonterminals.
     let mut present = vec![false; grammar.num_terminals() as usize + grammar.num_nonterminals()];
-    for plan in &plans {
-        let slot = match plan.label {
+    for label in &plan.labels {
+        let slot = match label.label {
             EdgeLabel::Terminal(t) => t as usize,
             EdgeLabel::Nonterminal(i) => grammar.num_terminals() as usize + i as usize,
         };
@@ -58,14 +58,24 @@ pub fn encode(grammar: &Grammar) -> EncodedGrammar {
     for &p in &present {
         w.push_bit(p);
     }
-    dict.encode(&mut w);
+    let dict_start = w.bit_len();
+    plan.dict.encode(&mut w);
     breakdown.header_bits = w.bit_len();
+    breakdown.paper_bits = dict_start + plan.k2_dict_bits;
 
     // --- start graph sections ---
-    for plan in &plans {
-        let (matrix_bits, perm_bits) = encode_label(&mut w, plan, m, &dict);
-        breakdown.start_graph_bits += matrix_bits;
+    for label in &plan.labels {
+        let (section_bits, perm_bits) = encode_label(&mut w, label, m, &plan.dict);
+        breakdown.start_graph_bits += section_bits;
         breakdown.permutation_bits += perm_bits;
+        breakdown.paper_bits += label.k2_bits;
+        let mode = match label.mode() {
+            LabelMode::Adjacency => &mut breakdown.adjacency,
+            LabelMode::Incidence => &mut breakdown.incidence,
+            LabelMode::List => &mut breakdown.list,
+        };
+        mode.sections += 1;
+        mode.bits += section_bits + perm_bits;
     }
 
     // --- rules ---
@@ -74,6 +84,7 @@ pub fn encode(grammar: &Grammar) -> EncodedGrammar {
         encode_rule(&mut w, rhs);
     }
     breakdown.rule_bits = w.bit_len() - rules_start;
+    breakdown.paper_bits += breakdown.rule_bits;
 
     let (bytes, bit_len) = w.finish();
     debug_assert_eq!(bit_len, breakdown.total());

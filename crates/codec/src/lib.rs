@@ -102,6 +102,21 @@ impl EncodedGrammar {
     pub fn bits_per_edge(&self, edges: usize) -> f64 {
         grepair_util::fmt::bits_per_edge(self.bit_len, edges as u64)
     }
+
+    /// Bits per edge of the same grammar in the paper's format
+    /// ([`SizeBreakdown::paper_bits`]).
+    pub fn paper_bits_per_edge(&self, edges: usize) -> f64 {
+        grepair_util::fmt::bits_per_edge(self.breakdown.paper_bits, edges as u64)
+    }
+}
+
+/// Sections of one [`start::LabelMode`] and the bits they take.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModeSize {
+    /// Number of sections.
+    pub sections: u64,
+    /// Their bits, mode code and permutation indices included.
+    pub bits: u64,
 }
 
 /// Bit counts per stream section.
@@ -109,12 +124,23 @@ impl EncodedGrammar {
 pub struct SizeBreakdown {
     /// Counts and the permutation dictionary.
     pub header_bits: u64,
-    /// All per-label k²-trees of the start graph.
+    /// All start-graph sections, whatever their mode, without the
+    /// permutation indices.
     pub start_graph_bits: u64,
-    /// Per-edge permutation indices (hyperedge labels only).
+    /// Per-edge permutation indices (incidence sections only).
     pub permutation_bits: u64,
     /// The δ-coded rules.
     pub rule_bits: u64,
+    /// Adjacency k²-tree sections.
+    pub adjacency: ModeSize,
+    /// Incidence k²-tree sections.
+    pub incidence: ModeSize,
+    /// Edge-list sections.
+    pub list: ModeSize,
+    /// The size of the same grammar in the paper's §III-C2 format, where
+    /// every section is a k²-tree. Summed from the prices planning
+    /// computes; no second encode.
+    pub paper_bits: u64,
 }
 
 impl SizeBreakdown {

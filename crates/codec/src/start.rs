@@ -1,8 +1,14 @@
-//! Start-graph sections: one k²-tree per label.
+//! Start-graph sections: one per label, each a k²-tree or an edge list.
+//!
+//! A section is stored in one of three modes, written as a prefix code:
+//! `0` adjacency k²-tree, `1`·δ(count+1) incidence k²-tree, `1 1` edge
+//! list. Every section has at least one edge, so δ(count+1) ≥ δ(2) starts
+//! with a `0` and the list code `1 1` was never written by the k²-only
+//! format: containers from before list sections existed decode unchanged.
 
 use crate::perm::{apply_perm, perm_of, PermDict};
 use crate::CodecError;
-use grepair_bits::codes::{read_delta, write_delta};
+use grepair_bits::codes::{ceil_log2, delta_len, read_delta, write_delta};
 use grepair_bits::{BitReader, BitWriter};
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_k2tree::K2Tree;
@@ -17,6 +23,18 @@ pub enum LabelMode {
     Adjacency,
     /// Anything else: node × edge incidence matrix plus permutations.
     Incidence,
+    /// One rank, any duplicates: a gap-coded edge list.
+    List,
+}
+
+/// The body a section is written with: the k²-tree is built once, while
+/// planning prices it, and kept for the encode.
+#[derive(Debug)]
+enum Body {
+    Adjacency(K2Tree),
+    Incidence(K2Tree),
+    /// The rank every edge of the label has.
+    List(usize),
 }
 
 /// Encoding plan for one label appearing in S.
@@ -24,10 +42,37 @@ pub enum LabelMode {
 pub struct LabelPlan {
     /// The label.
     pub label: EdgeLabel,
-    /// Chosen representation.
-    pub mode: LabelMode,
     /// Edges of this label, sorted by dense-node attachment.
     pub edges: Vec<Vec<NodeId>>,
+    /// The section's size in the paper's k²-only format (§III-C2): mode
+    /// bit, k²-tree, and for incidence its count and its permutation
+    /// indices at the width of every incidence-eligible section's
+    /// dictionary.
+    pub k2_bits: u64,
+    body: Body,
+}
+
+impl LabelPlan {
+    /// Chosen representation.
+    pub fn mode(&self) -> LabelMode {
+        match self.body {
+            Body::Adjacency(_) => LabelMode::Adjacency,
+            Body::Incidence(_) => LabelMode::Incidence,
+            Body::List(_) => LabelMode::List,
+        }
+    }
+}
+
+/// Encoding plan for all of S.
+#[derive(Debug)]
+pub struct StartPlan {
+    /// One plan per label, in section order.
+    pub labels: Vec<LabelPlan>,
+    /// The permutations of the sections that stay incidence.
+    pub dict: PermDict,
+    /// Encoded size of the dictionary the k²-only format writes: the
+    /// permutations of every incidence-eligible section.
+    pub k2_dict_bits: u64,
 }
 
 /// Dense-node renumbering of the start graph: alive nodes ascending ↦ 0..m.
@@ -47,20 +92,29 @@ pub fn dense_map(start: &Hypergraph) -> (Vec<NodeId>, usize) {
     (map, next as usize)
 }
 
-/// Analyze S: group edges by label in canonical order, pick modes, intern
-/// permutations for incidence labels. Labels are emitted terminals-first,
-/// ascending — the order the decoder reads sections in. S is sorted by
-/// (label, attachment) here, whatever order its edges come in: the
-/// compressor's `canonicalize_start_edges` already hands it over in that
-/// order (the sort is then the identity), but any valid grammar may reach
+/// Analyze S over its `m` dense nodes: group edges by label in canonical
+/// order, price every section both as a k²-tree and as an edge list, keep
+/// the strictly smaller, and intern the permutations of the sections that
+/// stay incidence. Labels are emitted terminals-first, ascending — the
+/// order the decoder reads sections in. S is sorted by (label, attachment)
+/// here, whatever order its edges come in: the compressor's
+/// `canonicalize_start_edges` already hands it over in that order (the
+/// sort is then the identity), but any valid grammar may reach
 /// [`crate::encode`]. `dense` is monotone, so the order is the same before
 /// and after renumbering.
-pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], dict: &mut PermDict) -> Vec<LabelPlan> {
+///
+/// The k² side prices incidence indices at the width of the dictionary of
+/// *every* incidence-eligible section. The dictionary that is written holds
+/// only the sections that stay incidence, so its width can only be smaller
+/// and no choice made here becomes wrong. A tie keeps the k²-tree, so a
+/// grammar on which no list is smaller encodes exactly as the k²-only
+/// format does.
+pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], m: usize) -> StartPlan {
     let key = |e: EdgeId| (start.label(e), start.att(e));
     let mut order: Vec<EdgeId> = Vec::with_capacity(start.num_edges());
     order.extend(start.edges().map(|e| e.id));
     order.sort_unstable_by(|&a, &b| key(a).cmp(&key(b)));
-    let mut plans: Vec<LabelPlan> = Vec::new();
+    let mut groups: Vec<(EdgeLabel, Vec<Vec<NodeId>>)> = Vec::new();
     for e in order {
         let label = start.label(e);
         #[expect(
@@ -69,35 +123,130 @@ pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], dict: &mut PermDict) ->
         )]
         let att: Vec<NodeId> = start.att(e).iter().map(|&v| dense[v as usize]).collect();
         assert!(!att.is_empty(), "rank-0 edges are not encodable");
-        match plans.last_mut() {
-            Some(plan) if plan.label == label => plan.edges.push(att),
-            _ => plans.push(LabelPlan { label, mode: LabelMode::Adjacency, edges: vec![att] }),
+        match groups.last_mut() {
+            Some((last, edges)) if *last == label => edges.push(att),
+            _ => groups.push((label, vec![att])),
         }
     }
-    for plan in &mut plans {
-        let all_rank2 = plan.edges.iter().all(|a| a.len() == 2);
-        // Edges were sorted by attachment above, so duplicates are
-        // adjacent.
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "windows(2) yields exactly two elements"
-        )]
-        let has_dupes = plan.edges.windows(2).any(|w| w[0] == w[1]);
-        plan.mode = if all_rank2 && !has_dupes {
-            LabelMode::Adjacency
-        } else {
-            LabelMode::Incidence
-        };
-        if plan.mode == LabelMode::Incidence {
-            for att in &plan.edges {
-                dict.intern(perm_of(att));
-            }
+    // The k²-only mode of each section, and the dictionary of every
+    // incidence-eligible section that prices its indices.
+    let adjacency: Vec<bool> = groups
+        .iter()
+        .map(|(_, edges)| {
+            // Edges were sorted by attachment above, so duplicates are
+            // adjacent.
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "windows(2) yields exactly two elements"
+            )]
+            let has_dupes = edges.windows(2).any(|w| w[0] == w[1]);
+            edges.iter().all(|a| a.len() == 2) && !has_dupes
+        })
+        .collect();
+    let mut k2_dict = PermDict::new();
+    for ((_, edges), _) in groups.iter().zip(&adjacency).filter(|(_, &adj)| !adj) {
+        for att in edges {
+            k2_dict.intern(perm_of(att));
         }
     }
-    plans
+    let index_bits = u64::from(k2_dict.index_bits());
+    let side = m as u32;
+    let mut dict = PermDict::new();
+    let labels = groups
+        .into_iter()
+        .zip(adjacency)
+        .map(|((label, edges), adjacency)| {
+            let (tree, k2_bits) = if adjacency {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "adjacency is only picked when every att has rank 2"
+                )]
+                let points: Vec<(u32, u32)> = edges.iter().map(|att| (att[0], att[1])).collect();
+                let tree = K2Tree::build(K, side, side, points);
+                let bits = 1 + tree.encoded_bits();
+                (tree, bits)
+            } else {
+                let mut points = Vec::new();
+                for (col, att) in edges.iter().enumerate() {
+                    points.extend(att.iter().map(|&v| (v, col as u32)));
+                }
+                let tree = K2Tree::build(K, side, edges.len().max(1) as u32, points);
+                let count = edges.len() as u64;
+                let bits = 1 + delta_len(count + 1) + tree.encoded_bits() + count * index_bits;
+                (tree, bits)
+            };
+            let body = match list_bits(&edges, m) {
+                Some((rank, bits)) if bits < k2_bits => Body::List(rank),
+                _ if adjacency => Body::Adjacency(tree),
+                _ => {
+                    for att in &edges {
+                        dict.intern(perm_of(att));
+                    }
+                    Body::Incidence(tree)
+                }
+            };
+            LabelPlan { label, edges, k2_bits, body }
+        })
+        .collect();
+    let mut w = BitWriter::new();
+    k2_dict.encode(&mut w);
+    StartPlan { labels, dict, k2_dict_bits: w.bit_len() }
 }
 
-/// Encode one label section. Returns (matrix bits, permutation bits).
+/// One code word of a list section's body.
+enum Code {
+    /// Elias δ of a value ≥ 1.
+    Delta(u64),
+    /// A node id at the fixed width ⌈log₂ m⌉.
+    Fixed(u64),
+}
+
+/// The code words of a list section over `m` nodes after its mode and
+/// its δ(rank) δ(count), in the order they are written. Rank 2: per edge
+/// the source gap and the target gap, each + 1, the target gap restarting
+/// from 0 when the source changes (a duplicate edge is a target gap of 0).
+/// Any other rank: per edge the first node's gap + 1, then the other
+/// nodes at fixed width. `edges` is sorted, so no gap is negative.
+fn list_codes(edges: &[Vec<NodeId>], rank: usize, mut emit: impl FnMut(Code)) {
+    let (mut prev_src, mut prev_dst) = (0u64, 0u64);
+    for att in edges {
+        let Some((&first, rest)) = att.split_first() else { continue };
+        let first = u64::from(first);
+        if first != prev_src {
+            prev_dst = 0;
+        }
+        emit(Code::Delta(first - prev_src + 1));
+        prev_src = first;
+        match rest {
+            [dst] if rank == 2 => {
+                let dst = u64::from(*dst);
+                emit(Code::Delta(dst - prev_dst + 1));
+                prev_dst = dst;
+            }
+            _ => rest.iter().for_each(|&v| emit(Code::Fixed(u64::from(v)))),
+        }
+    }
+}
+
+/// `(rank, bits)` of the section as an edge list over `m` nodes, or `None`
+/// if its edges have more than one rank.
+fn list_bits(edges: &[Vec<NodeId>], m: usize) -> Option<(usize, u64)> {
+    let rank = edges.first()?.len();
+    if edges.iter().any(|att| att.len() != rank) {
+        return None;
+    }
+    let width = u64::from(ceil_log2(m as u64));
+    let mut bits = 2 + delta_len(rank as u64) + delta_len(edges.len() as u64);
+    list_codes(edges, rank, |code| {
+        bits += match code {
+            Code::Delta(n) => delta_len(n),
+            Code::Fixed(_) => width,
+        }
+    });
+    Some((rank, bits))
+}
+
+/// Encode one label section. Returns (section bits, permutation bits).
 pub fn encode_label(
     w: &mut BitWriter,
     plan: &LabelPlan,
@@ -105,29 +254,15 @@ pub fn encode_label(
     dict: &PermDict,
 ) -> (u64, u64) {
     let before = w.bit_len();
-    match plan.mode {
-        LabelMode::Adjacency => {
+    match &plan.body {
+        Body::Adjacency(tree) => {
             w.push_bit(false);
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "Adjacency mode is only picked when every att has rank 2"
-            )]
-            let points: Vec<(u32, u32)> =
-                plan.edges.iter().map(|att| (att[0], att[1])).collect();
-            let tree = K2Tree::build(K, m as u32, m as u32, points);
             tree.encode(w);
             (w.bit_len() - before, 0)
         }
-        LabelMode::Incidence => {
+        Body::Incidence(tree) => {
             w.push_bit(true);
             write_delta(w, plan.edges.len() as u64 + 1);
-            let mut points = Vec::new();
-            for (col, att) in plan.edges.iter().enumerate() {
-                for &v in att {
-                    points.push((v, col as u32));
-                }
-            }
-            let tree = K2Tree::build(K, m as u32, plan.edges.len().max(1) as u32, points);
             tree.encode(w);
             let matrix_bits = w.bit_len() - before;
             let perm_start = w.bit_len();
@@ -135,7 +270,7 @@ pub fn encode_label(
                 let perm = perm_of(att);
                 #[expect(
                     clippy::expect_used,
-                    reason = "planning interned every incidence permutation just above"
+                    reason = "planning interned every incidence permutation"
                 )]
                 let idx = dict
                     .index_of(&perm)
@@ -144,7 +279,32 @@ pub fn encode_label(
             }
             (matrix_bits, w.bit_len() - perm_start)
         }
+        &Body::List(rank) => {
+            w.push_bit(true);
+            w.push_bit(true);
+            write_delta(w, rank as u64);
+            write_delta(w, plan.edges.len() as u64);
+            let width = ceil_log2(m as u64);
+            list_codes(&plan.edges, rank, |code| match code {
+                Code::Delta(n) => write_delta(w, n),
+                Code::Fixed(v) => w.push_bits(v, width),
+            });
+            (w.bit_len() - before, 0)
+        }
     }
+}
+
+/// `v` as a node of a start graph with `bound` nodes. Every node id a
+/// section decodes comes from untrusted bits; anything outside the start
+/// graph's node range must be rejected before `add_edge` indexes with it
+/// (the §2 zero-panic policy).
+fn in_range(v: u64, bound: u32) -> Result<NodeId, CodecError> {
+    if v >= u64::from(bound) {
+        return Err(CodecError::Malformed(format!(
+            "edge attachment {v} outside the start graph's {bound} nodes"
+        )));
+    }
+    Ok(v as NodeId)
 }
 
 /// Decode one label section, appending its edges to `start`.
@@ -154,115 +314,185 @@ pub fn decode_label(
     label: EdgeLabel,
     dict: &PermDict,
 ) -> Result<(), CodecError> {
-    // Every node id decoded below comes from an untrusted k²-tree whose
-    // dimensions a corrupt stream controls; anything outside the start
-    // graph's node range must be rejected here, before `add_edge` indexes
-    // with it (the §2 zero-panic policy).
     let bound = start.node_bound() as u32;
-    let in_range = |v: u32| -> Result<u32, CodecError> {
-        if v >= bound {
-            return Err(CodecError::Malformed(format!(
-                "edge attachment {v} outside the start graph's {bound} nodes"
-            )));
-        }
-        Ok(v)
-    };
-    let incidence = r.read_bit()?;
-    if !incidence {
+    if !r.read_bit()? {
         let tree = K2Tree::decode(r)?;
         for (row, col) in tree.iter_ones() {
             if row == col {
                 return Err(CodecError::Malformed("self-loop in adjacency matrix".into()));
             }
-            start.add_edge(label, &[in_range(row)?, in_range(col)?]);
+            start.add_edge(label, &[in_range(row.into(), bound)?, in_range(col.into(), bound)?]);
         }
-    } else {
-        let edge_count = (read_delta(r)? - 1) as usize;
-        let tree = K2Tree::decode(r)?;
-        // The edge count is untrusted: it must match the incidence
-        // matrix's own geometry (the encoder sets cols = edges.max(1)),
-        // and it must be describable by the stream — every edge either
-        // attaches somewhere (≥ 1 one-cell) or still costs permutation
-        // bits. Without these bounds a ~70-bit payload could claim 2^60
-        // edges and drive the allocation and the column loop below.
-        if tree.cols() as usize != edge_count.max(1) {
-            return Err(CodecError::Malformed(format!(
-                "incidence matrix has {} columns for {} edges",
-                tree.cols(),
-                edge_count
-            )));
+        return Ok(());
+    }
+    // `1 1` is a list; `1 0…` is the first bit of an incidence section's
+    // δ(count + 1), which the peek leaves unread.
+    if r.clone().read_bit()? {
+        r.read_bit()?;
+        return decode_list(r, start, label);
+    }
+    decode_incidence(r, start, label, dict)
+}
+
+/// Decode a list section's body (after its `1 1`): δ(rank), δ(count), then
+/// the codes of [`list_codes`], straight into `add_edge` in written order.
+fn decode_list(
+    r: &mut BitReader<'_>,
+    start: &mut Hypergraph,
+    label: EdgeLabel,
+) -> Result<(), CodecError> {
+    let bound = start.node_bound() as u32;
+    let rank = read_delta(r)?;
+    // An attachment's nodes are distinct, and every node past the first
+    // costs at least one bit: a rank beyond either is a lie, caught here
+    // before the scratch attachment is sized by it.
+    if rank > u64::from(bound) || rank > r.remaining() + 1 {
+        return Err(CodecError::Malformed(format!(
+            "list rank {rank} exceeds the start graph's {bound} nodes or the stream"
+        )));
+    }
+    let count = read_delta(r)?;
+    // Every edge costs at least one bit (its first gap).
+    if count > r.remaining() {
+        return Err(CodecError::Malformed(format!(
+            "list count {count} exceeds the {} bits left",
+            r.remaining()
+        )));
+    }
+    let width = ceil_log2(u64::from(bound));
+    let gap = |r: &mut BitReader<'_>, from: u64| -> Result<u64, CodecError> {
+        from.checked_add(read_delta(r)? - 1)
+            .ok_or_else(|| CodecError::Malformed("list gap overflows".into()))
+    };
+    let (mut prev_src, mut prev_dst) = (0u64, 0u64);
+    let mut att: Vec<NodeId> = Vec::with_capacity(rank as usize);
+    let mut sorted: Vec<NodeId> = Vec::with_capacity(rank as usize);
+    for _ in 0..count {
+        let first = gap(r, prev_src)?;
+        if first != prev_src {
+            prev_dst = 0;
         }
-        if edge_count as u64 > tree.count_ones() as u64 + r.remaining() + 1 {
-            return Err(CodecError::Malformed(format!(
-                "edge count {edge_count} exceeds what the stream can describe"
-            )));
-        }
-        // One pass over the tree, its cells bucketed by column (edge): the
-        // cells come sorted by row, so every bucket is the edge's attached
-        // nodes ascending — the sorted attachment its permutation indexes.
-        // A column at or past `edge_count` (only the empty matrix's one
-        // column) belongs to no edge.
-        let cells: Vec<(u32, u32)> =
-            tree.iter_ones().filter(|&(_, col)| (col as usize) < edge_count).collect();
-        let mut bounds = vec![0usize; edge_count + 1];
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "col < edge_count (filtered above) and bounds has edge_count + 1 slots"
-        )]
-        for &(_, col) in &cells {
-            bounds[col as usize + 1] += 1;
-        }
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "e + 1 <= edge_count < bounds.len()"
-        )]
-        for e in 0..edge_count {
-            bounds[e + 1] += bounds[e];
-        }
-        let mut rows = vec![0 as NodeId; cells.len()];
-        let mut next = bounds.clone();
-        for &(row, col) in &cells {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "next[col] stays below bounds[col + 1] <= cells.len() == rows.len()"
-            )]
-            {
-                rows[next[col as usize]] = row;
+        prev_src = first;
+        att.clear();
+        att.push(in_range(first, bound)?);
+        if rank == 2 {
+            prev_dst = gap(r, prev_dst)?;
+            att.push(in_range(prev_dst, bound)?);
+        } else {
+            for _ in 1..rank {
+                att.push(in_range(r.read_bits(width)?, bound)?);
             }
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "col < edge_count < next.len() (filtered above)"
-            )]
-            {
-                next[col as usize] += 1;
-            }
         }
-        // Range-check in column order, so the first bad node reported is
-        // the first one of the first edge that has one.
-        for &v in &rows {
-            in_range(v)?;
-        }
+        sorted.clone_from(&att);
+        sorted.sort_unstable();
         #[expect(
             clippy::indexing_slicing,
             reason = "windows(2) yields exactly two elements"
         )]
-        for sorted_att in bounds.windows(2).map(|w| &rows[w[0]..w[1]]) {
-            let idx = dict.decode_index(r)?;
-            // A fixed-width index can name up to 2^bits slots, more than the
-            // dict holds — a corrupt stream picks one of the ghosts.
-            let perm = dict.get(idx).ok_or_else(|| {
-                CodecError::Malformed(format!("permutation index {idx} out of range"))
-            })?;
-            if perm.len() != sorted_att.len() {
-                return Err(CodecError::Malformed(format!(
-                    "permutation length {} does not match edge rank {}",
-                    perm.len(),
-                    sorted_att.len()
-                )));
-            }
-            let att = apply_perm(sorted_att, perm);
-            start.add_edge(label, &att);
+        let repeated = sorted.windows(2).any(|w| w[0] == w[1]);
+        if repeated {
+            return Err(CodecError::Malformed(format!(
+                "list edge {att:?} attaches a node twice"
+            )));
         }
+        start.add_edge(label, &att);
+    }
+    Ok(())
+}
+
+/// Decode an incidence section's body (after its `1`).
+fn decode_incidence(
+    r: &mut BitReader<'_>,
+    start: &mut Hypergraph,
+    label: EdgeLabel,
+    dict: &PermDict,
+) -> Result<(), CodecError> {
+    let bound = start.node_bound() as u32;
+    let edge_count = (read_delta(r)? - 1) as usize;
+    let tree = K2Tree::decode(r)?;
+    // The edge count is untrusted: it must match the incidence
+    // matrix's own geometry (the encoder sets cols = edges.max(1)),
+    // and it must be describable by the stream — every edge either
+    // attaches somewhere (≥ 1 one-cell) or still costs permutation
+    // bits. Without these bounds a ~70-bit payload could claim 2^60
+    // edges and drive the allocation and the column loop below.
+    if tree.cols() as usize != edge_count.max(1) {
+        return Err(CodecError::Malformed(format!(
+            "incidence matrix has {} columns for {} edges",
+            tree.cols(),
+            edge_count
+        )));
+    }
+    if edge_count as u64 > tree.count_ones() as u64 + r.remaining() + 1 {
+        return Err(CodecError::Malformed(format!(
+            "edge count {edge_count} exceeds what the stream can describe"
+        )));
+    }
+    // One pass over the tree, its cells bucketed by column (edge): the
+    // cells come sorted by row, so every bucket is the edge's attached
+    // nodes ascending — the sorted attachment its permutation indexes.
+    // A column at or past `edge_count` (only the empty matrix's one
+    // column) belongs to no edge.
+    let cells: Vec<(u32, u32)> =
+        tree.iter_ones().filter(|&(_, col)| (col as usize) < edge_count).collect();
+    let mut bounds = vec![0usize; edge_count + 1];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "col < edge_count (filtered above) and bounds has edge_count + 1 slots"
+    )]
+    for &(_, col) in &cells {
+        bounds[col as usize + 1] += 1;
+    }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "e + 1 <= edge_count < bounds.len()"
+    )]
+    for e in 0..edge_count {
+        bounds[e + 1] += bounds[e];
+    }
+    let mut rows = vec![0 as NodeId; cells.len()];
+    let mut next = bounds.clone();
+    for &(row, col) in &cells {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "next[col] stays below bounds[col + 1] <= cells.len() == rows.len()"
+        )]
+        {
+            rows[next[col as usize]] = row;
+        }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "col < edge_count < next.len() (filtered above)"
+        )]
+        {
+            next[col as usize] += 1;
+        }
+    }
+    // Range-check in column order, so the first bad node reported is
+    // the first one of the first edge that has one.
+    for &v in &rows {
+        in_range(v.into(), bound)?;
+    }
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "windows(2) yields exactly two elements"
+    )]
+    for sorted_att in bounds.windows(2).map(|w| &rows[w[0]..w[1]]) {
+        let idx = dict.decode_index(r)?;
+        // A fixed-width index can name up to 2^bits slots, more than the
+        // dict holds — a corrupt stream picks one of the ghosts.
+        let perm = dict.get(idx).ok_or_else(|| {
+            CodecError::Malformed(format!("permutation index {idx} out of range"))
+        })?;
+        if perm.len() != sorted_att.len() {
+            return Err(CodecError::Malformed(format!(
+                "permutation length {} does not match edge rank {}",
+                perm.len(),
+                sorted_att.len()
+            )));
+        }
+        let att = apply_perm(sorted_att, perm);
+        start.add_edge(label, &att);
     }
     Ok(())
 }
@@ -274,19 +504,18 @@ mod tests {
 
     fn round_trip_start(start: &Hypergraph) -> Hypergraph {
         let (dense, m) = dense_map(start);
-        let mut dict = PermDict::new();
-        let plans = plan_labels(start, &dense, &mut dict);
+        let plan = plan_labels(start, &dense, m);
         let mut w = BitWriter::new();
-        dict.encode(&mut w);
-        for plan in &plans {
-            encode_label(&mut w, plan, m, &dict);
+        plan.dict.encode(&mut w);
+        for label in &plan.labels {
+            encode_label(&mut w, label, m, &plan.dict);
         }
         let (bytes, len) = w.finish();
         let mut r = BitReader::new(&bytes, len);
         let dict2 = PermDict::decode(&mut r).unwrap();
         let mut out = Hypergraph::with_nodes(m);
-        for plan in &plans {
-            decode_label(&mut r, &mut out, plan.label, &dict2).unwrap();
+        for label in &plan.labels {
+            decode_label(&mut r, &mut out, label.label, &dict2).unwrap();
         }
         assert_eq!(r.remaining(), 0);
         out
@@ -317,17 +546,22 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_rank2_edges_use_incidence() {
-        let mut s = Hypergraph::with_nodes(3);
-        s.add_edge(N(0), &[0, 1]);
-        s.add_edge(N(0), &[0, 1]); // duplicate NT edge — legal in grammars
-        let (dense, _) = dense_map(&s);
-        let mut dict = PermDict::new();
-        let plans = plan_labels(&s, &dense, &mut dict);
-        assert_eq!(plans[0].mode, LabelMode::Incidence);
-        let out = round_trip_start(&s);
-        assert_eq!(out.num_edges(), 2);
-        assert_eq!(out.edge_multiset(), s.edge_multiset());
+    fn duplicate_rank2_edges_never_use_adjacency() {
+        // A duplicate NT edge is legal in grammars; an adjacency matrix
+        // would drop the copy. One rank: a list (the copy is a target gap
+        // of 0). Mixed ranks, which no list holds: an incidence matrix.
+        let mut one_rank = Hypergraph::with_nodes(3);
+        one_rank.add_edge(N(0), &[0, 1]);
+        one_rank.add_edge(N(0), &[0, 1]);
+        let mut mixed = one_rank.clone();
+        mixed.add_edge(N(0), &[2, 0, 1]);
+        for (s, mode) in [(one_rank, LabelMode::List), (mixed, LabelMode::Incidence)] {
+            let (map, m) = dense_map(&s);
+            assert_eq!(plan_labels(&s, &map, m).labels[0].mode(), mode);
+            let out = round_trip_start(&s);
+            assert_eq!(out.num_edges(), s.num_edges());
+            assert_eq!(out.edge_multiset(), s.edge_multiset());
+        }
     }
 
     /// The start graph of `decode(encode(G))` for the rule-free grammar
@@ -366,26 +600,148 @@ mod tests {
 
     #[test]
     fn shuffled_rule_free_grammars_round_trip() {
-        // Seeded: random labels, ranks 2 and 3, duplicates, any edge order.
+        // Seeded: random labels, ranks 1 to 3, duplicates, any edge order;
+        // in half the cases a label has one rank (a list candidate), in the
+        // other half its edges mix ranks (incidence only).
         let mut x = 0x9e37_79b9_7f4a_7c15u64;
         let mut below = |bound: u32| {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             ((x >> 33) % u64::from(bound)) as u32
         };
+        let mut seen = Vec::new();
         for case in 0..300 {
-            let (n, labels) = (3 + below(30), 1 + below(4));
+            let (n, labels, mixed) = (3 + below(30), 1 + below(4), below(2) == 0);
             let mut s = Hypergraph::with_nodes(n as usize);
             for _ in 0..below(60) {
                 let (a, b, c) = (below(n), below(n), below(n));
-                let label = T(below(labels));
-                match below(4) {
-                    0 if a != b && b != c && a != c => s.add_edge(label, &[a, b, c]),
-                    _ if a != b => s.add_edge(label, &[a, b]),
+                let t = below(labels);
+                let rank = if mixed { 1 + below(3) } else { 1 + (t + 1) % 3 };
+                match rank {
+                    1 => s.add_edge(T(t), &[a]),
+                    3 if a != b && b != c && a != c => s.add_edge(T(t), &[a, b, c]),
+                    2 if a != b => s.add_edge(T(t), &[a, b]),
                     _ => continue,
                 };
             }
+            let (dense, m) = dense_map(&s);
+            seen.extend(plan_labels(&s, &dense, m).labels.iter().map(LabelPlan::mode));
             let out = round_trip_rule_free(&s, labels);
             assert_eq!(out.edge_multiset(), s.edge_multiset(), "case {case}");
+        }
+        for mode in [LabelMode::Adjacency, LabelMode::Incidence, LabelMode::List] {
+            assert!(seen.contains(&mode), "{mode:?} never chosen");
+        }
+    }
+
+    /// `decode_label` over a list section: `1 1`, then what `body` writes.
+    fn decode_list_section(
+        m: usize,
+        body: impl FnOnce(&mut BitWriter),
+    ) -> Result<Hypergraph, CodecError> {
+        let mut w = BitWriter::new();
+        w.push_bit(true);
+        w.push_bit(true);
+        body(&mut w);
+        let (bytes, len) = w.finish();
+        let mut s = Hypergraph::with_nodes(m);
+        decode_label(&mut BitReader::new(&bytes, len), &mut s, T(0), &PermDict::new())?;
+        Ok(s)
+    }
+
+    /// A message naming `what`, not a panic and not an allocation.
+    fn assert_malformed(got: Result<Hypergraph, CodecError>, what: &str) {
+        match got {
+            Err(CodecError::Malformed(msg)) => assert!(msg.contains(what), "{msg}"),
+            other => panic!("want an error naming {what:?}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn list_sections_decode_in_written_order() {
+        // Rank 2 from (1, 2), (1, 2), (3, 0); rank 3 with ids at ⌈log₂ 5⌉ = 3 bits.
+        let s = decode_list_section(5, |w| {
+            for n in [2, 3, 2, 3, 1, 1, 3, 1] {
+                write_delta(w, n);
+            }
+        })
+        .unwrap();
+        let atts: Vec<Vec<NodeId>> = s.edges().map(|e| e.att.to_vec()).collect();
+        assert_eq!(atts, [vec![1, 2], vec![1, 2], vec![3, 0]]);
+        let s = decode_list_section(5, |w| {
+            write_delta(w, 3);
+            write_delta(w, 1);
+            write_delta(w, 3);
+            w.push_bits(4, 3);
+            w.push_bits(0, 3);
+        })
+        .unwrap();
+        assert_eq!(s.att(0), &[2, 4, 0]);
+    }
+
+    #[test]
+    fn hostile_list_sections_error() {
+        // A count no stream of this length can describe: refused before
+        // anything is sized by it.
+        assert_malformed(
+            decode_list_section(5, |w| {
+                write_delta(w, 2);
+                write_delta(w, 1 << 40);
+                w.push_bits(0, 8);
+            }),
+            "list count",
+        );
+        // A fixed-width id ≥ m.
+        assert_malformed(
+            decode_list_section(5, |w| {
+                write_delta(w, 3);
+                write_delta(w, 1);
+                write_delta(w, 1);
+                w.push_bits(7, 3);
+                w.push_bits(1, 3);
+            }),
+            "outside",
+        );
+        // A gap past u32, and one past u64 after a first edge at node 2.
+        assert_malformed(
+            decode_list_section(5, |w| {
+                write_delta(w, 1);
+                write_delta(w, 1);
+                write_delta(w, (1 << 33) + 1);
+            }),
+            "outside",
+        );
+        assert_malformed(
+            decode_list_section(5, |w| {
+                write_delta(w, 1);
+                write_delta(w, 2);
+                write_delta(w, 3);
+                write_delta(w, u64::MAX);
+            }),
+            "overflows",
+        );
+        // A rank-2 edge that attaches node 1 twice.
+        assert_malformed(
+            decode_list_section(5, |w| {
+                for n in [2, 1, 2, 2] {
+                    write_delta(w, n);
+                }
+            }),
+            "twice",
+        );
+        // A rank beyond the start graph's nodes.
+        assert_malformed(
+            decode_list_section(5, |w| {
+                write_delta(w, 6);
+                write_delta(w, 1);
+                w.push_bits(0, 32);
+            }),
+            "list rank",
+        );
+        // Rank 0: no δ-code is 0, so a zeroed rank field runs past the
+        // γ length limit or the stream, and errors either way.
+        for zeros in [8, 80] {
+            let got = decode_list_section(5, |w| (0..zeros).for_each(|_| w.push_bit(false)));
+            assert!(got.is_err(), "{zeros} zero bits");
         }
     }
 

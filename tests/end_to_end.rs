@@ -279,6 +279,29 @@ fn decode_inverts_encode_edge_for_edge() {
     }
 }
 
+/// The paper's §III-C2 size of every golden row — every start-graph
+/// section a k²-tree — is, to the bit, the container those rows were
+/// recorded with before list sections existed (the `bit_len`s of
+/// [`golden_container_digests`] up to its re-record), and the container is
+/// never larger.
+#[test]
+fn paper_format_size_is_the_k2_only_container() {
+    const K2_ONLY_BITS: [[u64; 3]; 4] = [
+        [18429, 20679, 19665],
+        [18881, 28919, 30452],
+        [40526, 35024, 34293],
+        [515, 515, 515],
+    ];
+    for ((name, g), want) in golden_graphs().iter().zip(K2_ONLY_BITS) {
+        for (max_rank, want) in [2usize, 4, 8].into_iter().zip(want) {
+            let out = compress(g, &GRePairConfig { max_rank, ..Default::default() });
+            let enc = encode(&out.grammar);
+            assert_eq!(enc.breakdown.paper_bits, want, "{name} rank {max_rank}");
+            assert!(enc.bit_len <= want, "{name} rank {max_rank}: {}", enc.bit_len);
+        }
+    }
+}
+
 /// FNV-1a (64-bit) over a byte stream.
 fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     bytes
