@@ -315,9 +315,8 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// only checks that repetitions inside one binary agree; this is the test a
 /// compressor change that is meant to keep tie-breaking (digram numbering,
 /// queue order, pairing order) must keep passing unmodified. The expected
-/// rows were recorded on the commit before the group index landed (PR 16's
-/// parent) and are never edited to make a change pass — a change that moves
-/// bytes on purpose says so and re-records them in its own commit.
+/// rows are never edited to make a change pass — a change that moves bytes
+/// on purpose says so and re-records them in its own commit.
 #[test]
 fn golden_container_digests() {
     let graphs: [(&str, Hypergraph); 4] = [
@@ -360,31 +359,34 @@ fn golden_container_digests() {
 /// rules_pruned)` of one compression.
 type GoldenRow = (u64, u64, u64, usize, usize, usize, usize);
 
-/// Recorded on the parent of PR 16; see [`golden_container_digests`].
+/// Re-recorded when start-graph sections gained the edge-list mode: only
+/// `bit_len` and the bytes hash moved, and the old `bit_len`s are the
+/// paper-format sizes [`paper_format_size_is_the_k2_only_container`] pins.
+/// See [`golden_container_digests`].
 #[rustfmt::skip]
 const GOLDEN: [[GoldenRow; 3]; 4] = [
     // hub_network(1_500, 8, 1, 1)
     [
-        (18429, 6256402473756379882, 8341702776138477861, 71, 1483, 71, 41),
-        (20679, 12085062045368621224, 11017764433693420753, 98, 2293, 98, 78),
-        (19665, 14396508757423962478, 4311317331692549889, 126, 2447, 126, 115),
+        (13171, 80714613216554397, 8341702776138477861, 71, 1483, 71, 41),
+        (14335, 351393733121975405, 11017764433693420753, 98, 2293, 98, 78),
+        (14755, 10434375187227126982, 4311317331692549889, 126, 2447, 126, 115),
     ],
     // CoauthorshipHistory::generate(5, 40, 200, 20, 1).version_graph(4)
     [
-        (18881, 229027947779922523, 14372884084523619253, 34, 2799, 34, 17),
-        (28919, 11533485054264926339, 13977090959754231445, 85, 3729, 85, 61),
-        (30452, 9769154318195084719, 15976419223527323269, 124, 3986, 124, 99),
+        (17686, 8407910790778353855, 14372884084523619253, 34, 2799, 34, 17),
+        (21467, 3281332562301997801, 13977090959754231445, 85, 3729, 85, 61),
+        (20438, 10317336757396732849, 15976419223527323269, 124, 3986, 124, 99),
     ],
     // rdf::property_graph(1_000, 24, 8, 200, 1)
     [
-        (40526, 9701703592085057048, 8944972052348279429, 22, 1711, 22, 9),
-        (35024, 12523833382056882988, 6751962054080922677, 71, 3088, 71, 58),
-        (34293, 3507339465090621139, 2252885064249016501, 126, 3367, 126, 114),
+        (39282, 15738367718558681071, 8944972052348279429, 22, 1711, 22, 9),
+        (25427, 10311216927221202066, 6751962054080922677, 71, 3088, 71, 58),
+        (20081, 18293263803170227985, 2252885064249016501, 126, 3367, 126, 114),
     ],
     // disjoint_copies(circle_with_diagonal(), 64): rank 2 already folds it
     [
-        (515, 6176580390801843306, 7451675599966098693, 8, 374, 8, 3),
-        (515, 6176580390801843306, 7451675599966098693, 8, 374, 8, 3),
-        (515, 6176580390801843306, 7451675599966098693, 8, 374, 8, 3),
+        (358, 18196040468943137601, 7451675599966098693, 8, 374, 8, 3),
+        (358, 18196040468943137601, 7451675599966098693, 8, 374, 8, 3),
+        (358, 18196040468943137601, 7451675599966098693, 8, 374, 8, 3),
     ],
 ];
