@@ -252,9 +252,8 @@ mod tests {
         // Compressor output, on which the list encoder now picks at least
         // one list section, so its bytes differ.
         let out = compress(&repeated_pattern(8), &GRePairConfig::default());
-        let bytes = unhex(
-            "5520fc8404042d8842101010b45088404042d8122101014496c92110948d24aa95a64d095c",
-        );
+        let bytes =
+            unhex("5520fc8404042d8842101010b45088404042d8122101014496c92110948d24aa95a64d095c");
         let old = decode(&bytes, 294).unwrap();
         let (dense, m) = dense_map(&out.grammar.start);
         let plan = plan_labels(&out.grammar.start, &dense, m);

@@ -3,11 +3,17 @@
 //! The start graph and the productions are encoded differently:
 //!
 //! * **Start graph** — for every label σ appearing in S, the subgraph of
-//!   σ-edges is stored as a k²-tree (k = 2): an adjacency matrix for plain
-//!   rank-2 labels, an incidence matrix (nodes × edges) for hyperedge labels
-//!   — the incidence matrix only gives the *set* of attached nodes, so a
-//!   per-edge permutation (from a global dictionary, ⌈log n⌉-bit fixed-length
-//!   codes) recovers the attachment order.
+//!   σ-edges is one section. The paper stores it as a k²-tree (k = 2): an
+//!   adjacency matrix for plain rank-2 labels, an incidence matrix (nodes ×
+//!   edges) for hyperedge labels — the incidence matrix only gives the
+//!   *set* of attached nodes, so a per-edge permutation (from a global
+//!   dictionary, ⌈log n⌉-bit fixed-length codes) recovers the attachment
+//!   order. S is sparse, and a k²-tree pays its full height for every edge
+//!   of a small section, so a label whose edges share one rank may instead
+//!   be a gap-coded edge list, whichever is strictly smaller
+//!   ([`start::plan_labels`]; DESIGN.md §7.1). The list's mode code was
+//!   never written by the k²-only format, so its containers decode
+//!   unchanged.
 //! * **Rules** — edge lists with Elias δ-codes: per rule the edge count,
 //!   then per edge one terminal/nonterminal bit, the attachment count, the
 //!   attached node IDs (each preceded by an external-marker bit), and the
@@ -24,7 +30,9 @@
 //!
 //! The returned [`EncodedGrammar`] carries a size breakdown
 //! ([`SizeBreakdown`]) used by the evaluation (the paper observes that >90 %
-//! of the output is usually the k²-tree of the start graph).
+//! of the output is usually the k²-tree of the start graph): the bits per
+//! section mode, and the size of the same grammar in the paper's k²-only
+//! format, which `repro`'s paper tables report.
 
 #![forbid(unsafe_code)]
 // Libraries return data; binaries print (DESIGN.md §9.1).

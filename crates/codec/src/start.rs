@@ -201,8 +201,8 @@ enum Code {
     Fixed(u64),
 }
 
-/// The code words of a list section over `m` nodes after its mode and
-/// its δ(rank) δ(count), in the order they are written. Rank 2: per edge
+/// The code words of a list section after its mode and its δ(rank)
+/// δ(count), in the order they are written. Rank 2: per edge
 /// the source gap and the target gap, each + 1, the target gap restarting
 /// from 0 when the source changes (a duplicate edge is a target gap of 0).
 /// Any other rank: per edge the first node's gap + 1, then the other
