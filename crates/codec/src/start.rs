@@ -69,10 +69,10 @@ pub struct StartPlan {
     /// One plan per label, in section order.
     pub labels: Vec<LabelPlan>,
     /// The permutations of the sections that stay incidence.
-    pub dict: PermDict,
+    pub(crate) dict: PermDict,
     /// Encoded size of the dictionary the k²-only format writes: the
     /// permutations of every incidence-eligible section.
-    pub k2_dict_bits: u64,
+    pub(crate) k2_dict_bits: u64,
 }
 
 /// Dense-node renumbering of the start graph: alive nodes ascending ↦ 0..m.
@@ -202,11 +202,11 @@ enum Code {
 }
 
 /// The code words of a list section after its mode and its δ(rank)
-/// δ(count), in the order they are written. Rank 2: per edge
-/// the source gap and the target gap, each + 1, the target gap restarting
-/// from 0 when the source changes (a duplicate edge is a target gap of 0).
-/// Any other rank: per edge the first node's gap + 1, then the other
-/// nodes at fixed width. `edges` is sorted, so no gap is negative.
+/// δ(count), in the order they are written. Rank 2: per edge the source
+/// gap and the target gap, each + 1, the target gap restarting from 0 when
+/// the source changes (a duplicate edge is a target gap of 0). Any other
+/// rank: per edge the first node's gap + 1, then the other nodes at fixed
+/// width. `edges` is sorted, so no gap is negative.
 fn list_codes(edges: &[Vec<NodeId>], rank: usize, mut emit: impl FnMut(Code)) {
     let (mut prev_src, mut prev_dst) = (0u64, 0u64);
     for att in edges {
