@@ -271,6 +271,23 @@ mod tests {
             assert_eq!(edge_list(got), edge_list(rhs));
             assert_eq!(got.ext(), rhs.ext());
         }
+
+        // A complete 16-node label, where the k²-tree beats the list: no
+        // list wins, so the encoder writes the old bytes exactly.
+        let mut s = Hypergraph::with_nodes(16);
+        for i in 0..16 {
+            for j in (0..16).filter(|&j| j != i) {
+                s.add_edge(T(0), &[i, j]);
+            }
+        }
+        let bytes = unhex(concat!(
+            "494790a2513aa2407ffffffffffffffffffffdbfdbfffffffdbfdbffffff",
+            "fffffffffffffffffffffffffdbfdbfffffffdbfd8"
+        ));
+        let grammar = Grammar::new(s, 1);
+        let enc = encode(&grammar);
+        assert_eq!((enc.bytes.as_slice(), enc.bit_len), (bytes.as_slice(), 406));
+        assert_eq!(edge_list(&decode(&bytes, 406).unwrap().start), edge_list(&grammar.start));
     }
 
     #[test]
