@@ -7,7 +7,7 @@ use crate::CodecError;
 use grepair_bits::codes::read_delta;
 use grepair_bits::BitReader;
 use grepair_grammar::Grammar;
-use grepair_hypergraph::{EdgeLabel, Hypergraph};
+use grepair_hypergraph::{EdgeBuffer, EdgeLabel, Hypergraph};
 
 /// Largest start-graph node count the decoder materializes. An isolated
 /// node costs no bits, so the header's count is a claim nothing else
@@ -17,9 +17,17 @@ pub const MAX_START_NODES: u64 = 1 << 24;
 
 /// Decode a grammar previously written by [`crate::encode`].
 ///
-/// The result has passed [`Grammar::validate`] — callers need not run it
-/// again; corrupt streams return [`CodecError`] rather than panicking. The
-/// start graph may have at most [`MAX_START_NODES`] nodes.
+/// The result satisfies [`Grammar::validate`], checked while building —
+/// callers need not run it again; corrupt streams return [`CodecError`]
+/// rather than panicking. The start graph may have at most
+/// [`MAX_START_NODES`] nodes.
+///
+/// S and every rule are read into flat edge buffers and built once by
+/// [`Hypergraph::from_edges`], which rejects an out-of-range or repeated
+/// attachment node; the external sequences are checked as they are read.
+/// What is left are the grammar-level checks of
+/// [`Grammar::validate_references`]. Debug builds also assert the full
+/// [`Grammar::validate`].
 pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     // A truncated or corrupt container can claim more bits than it carries;
     // reject the lie up front rather than failing mid-stream. (`BitReader`
@@ -53,6 +61,14 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
         }
         ext.push(v);
     }
+    let mut sorted = ext.clone();
+    sorted.sort_unstable();
+    if let Some(v) = sorted.windows(2).find_map(|w| match *w {
+        [a, b] if a == b => Some(a),
+        _ => None,
+    }) {
+        return Err(CodecError::Malformed(format!("start graph external node {v} repeated")));
+    }
     let num_labels = num_terminals as usize + num_rules;
     let mut present = Vec::with_capacity(num_labels.min(r.remaining() as usize));
     for _ in 0..num_labels {
@@ -61,7 +77,7 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     let dict = PermDict::decode(&mut r)?;
 
     // --- start graph ---
-    let mut start = Hypergraph::with_nodes(m);
+    let mut edges = EdgeBuffer::new();
     for (slot, &p) in present.iter().enumerate() {
         if !p {
             continue;
@@ -71,8 +87,9 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
         } else {
             EdgeLabel::Nonterminal((slot - num_terminals as usize) as u32)
         };
-        decode_label(&mut r, &mut start, label, &dict)?;
+        decode_label(&mut r, &mut edges, m as u32, label, &dict)?;
     }
+    let mut start = Hypergraph::from_edges(m, edges).map_err(|e| malformed("start graph", e))?;
     start.set_ext(ext);
 
     // --- rules ---
@@ -87,10 +104,14 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
             r.remaining()
         )));
     }
-    grammar
-        .validate()
-        .map_err(|e| CodecError::Malformed(format!("decoded grammar invalid: {e}")))?;
+    grammar.validate_references().map_err(|e| malformed("grammar", e))?;
+    debug_assert_eq!(grammar.validate(), Ok(()));
     Ok(grammar)
+}
+
+/// A decoded `what` that broke an invariant.
+fn malformed(what: &str, e: String) -> CodecError {
+    CodecError::Malformed(format!("decoded {what} invalid: {e}"))
 }
 
 #[cfg(test)]
@@ -347,6 +368,19 @@ mod tests {
                 Ok(grammar) if !capped => assert_eq!(grammar.start.num_nodes(), m as usize),
                 other => panic!("{m} nodes: {other:?}"),
             }
+        }
+    }
+
+    /// Six bytes whose start graph lists external node 0 twice. Debug
+    /// builds used to panic on `set_ext`'s assertion; every profile must
+    /// return the error.
+    #[test]
+    fn repeated_start_external_node_is_malformed() {
+        match decode(&[0x4b, 0x17, 0xf4, 0x4a, 0x22, 0x80], 41) {
+            Err(CodecError::Malformed(msg)) => {
+                assert!(msg.contains("external node 0 repeated"), "{msg}")
+            }
+            other => panic!("want a malformed-stream error, got {other:?}"),
         }
     }
 

@@ -30,13 +30,16 @@ pub fn perm_of(att: &[NodeId]) -> Perm {
         .collect()
 }
 
-/// Apply a permutation: `result[i] = sorted_att[p[i]]`.
-pub fn apply_perm(sorted_att: &[NodeId], perm: &[u8]) -> Vec<NodeId> {
+/// Apply a permutation: the `i`-th node yielded is `sorted_att[p[i]]`.
+pub fn apply_perm<'a>(
+    sorted_att: &'a [NodeId],
+    perm: &'a [u8],
+) -> impl Iterator<Item = NodeId> + 'a {
     #[expect(
         clippy::indexing_slicing,
         reason = "callers check perm.len() == sorted_att.len(), and decoded dict entries are validated < len"
     )]
-    perm.iter().map(|&i| sorted_att[i as usize]).collect()
+    perm.iter().map(|&i| sorted_att[i as usize])
 }
 
 /// Dictionary of distinct permutations with fixed-width indexing.
@@ -155,7 +158,7 @@ mod tests {
             let perm = perm_of(&att);
             let mut sorted = att.clone();
             sorted.sort_unstable();
-            assert_eq!(apply_perm(&sorted, &perm), att);
+            assert_eq!(apply_perm(&sorted, &perm).collect::<Vec<_>>(), att);
         }
     }
 

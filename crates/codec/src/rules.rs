@@ -16,7 +16,7 @@
 use crate::CodecError;
 use grepair_bits::codes::{read_delta, write_delta};
 use grepair_bits::{BitReader, BitWriter};
-use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
+use grepair_hypergraph::{EdgeBuffer, EdgeLabel, Hypergraph, NodeId};
 
 /// Encode one rule right-hand side.
 pub fn encode_rule(w: &mut BitWriter, rhs: &Hypergraph) {
@@ -54,13 +54,12 @@ pub fn encode_rule(w: &mut BitWriter, rhs: &Hypergraph) {
 /// Decode one rule right-hand side.
 pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
     let num_edges = read_delta(r)? - 1;
-    struct RawEdge {
-        label: EdgeLabel,
-        att: Vec<NodeId>,
-    }
     // Pre-sized by what the stream can still hold (an edge or an isolated
     // node costs at least one bit), never by the untrusted count itself.
-    let mut edges = Vec::with_capacity(num_edges.min(r.remaining()) as usize);
+    let mut edges = EdgeBuffer::new();
+    edges.reserve(num_edges.min(r.remaining()) as usize, 0);
+    let mut att: Vec<NodeId> = Vec::new();
+    let mut slots: u64 = 0;
     let mut max_node: i64 = -1;
     let mut external: Vec<NodeId> = Vec::new();
     for _ in 0..num_edges {
@@ -69,7 +68,7 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
         if rank == 0 || rank > 255 {
             return Err(CodecError::Malformed("edge rank out of range".into()));
         }
-        let mut att = Vec::with_capacity(rank as usize);
+        att.clear();
         for _ in 0..rank {
             let ext = r.read_bit()?;
             let id = read_delta(r)? - 1;
@@ -83,13 +82,14 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
             }
             att.push(id);
         }
+        slots += rank;
         let label = read_delta(r)? - 1;
         let label = if nonterminal {
             EdgeLabel::Nonterminal(label as u32)
         } else {
             EdgeLabel::Terminal(label as u32)
         };
-        edges.push(RawEdge { label, att });
+        edges.push(label, att.iter().copied());
     }
     let isolated_count = read_delta(r)? - 1;
     let mut isolated = Vec::with_capacity(isolated_count.min(r.remaining()) as usize);
@@ -105,30 +105,16 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
     // Rule node ids are dense, and every node is attached somewhere or
     // listed as isolated: a larger id is corrupt, and must be rejected
     // before it sizes the graph.
-    let slots: u64 = edges.iter().map(|e| e.att.len() as u64).sum::<u64>() + isolated.len() as u64;
+    let slots = slots + isolated.len() as u64;
     if max_node >= slots as i64 {
         return Err(CodecError::Malformed(format!(
             "rule node id {max_node} exceeds the {slots} attachment slots and isolated nodes"
         )));
     }
     let n = (max_node + 1) as usize;
-    let mut rhs = Hypergraph::with_nodes(n);
-    for e in edges {
-        for (i, &v) in e.att.iter().enumerate() {
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "att[..i] with i from enumerate is always in bounds"
-            )]
-            if e.att[..i].contains(&v) {
-                return Err(CodecError::Malformed("edge attaches a node twice".into()));
-            }
-        }
-        rhs.add_edge(e.label, &e.att);
-    }
-    for v in &isolated {
-        if rhs.degree(*v) != 0 {
-            return Err(CodecError::Malformed("isolated node has edges".into()));
-        }
+    let mut rhs = Hypergraph::from_edges(n, edges).map_err(CodecError::Malformed)?;
+    if isolated.iter().any(|&v| rhs.degree(v) != 0) {
+        return Err(CodecError::Malformed("isolated node has edges".into()));
     }
     external.sort_unstable();
     rhs.set_ext(external);

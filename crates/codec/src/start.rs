@@ -10,7 +10,7 @@ use crate::perm::{apply_perm, perm_of, PermDict};
 use crate::CodecError;
 use grepair_bits::codes::{ceil_log2, delta_len, read_delta, write_delta};
 use grepair_bits::{BitReader, BitWriter};
-use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
+use grepair_hypergraph::{EdgeBuffer, EdgeId, EdgeLabel, Hypergraph, NodeId};
 use grepair_k2tree::K2Tree;
 
 /// The paper uses k = 2 ("as this provides the best compression").
@@ -296,8 +296,8 @@ pub fn encode_label(
 
 /// `v` as a node of a start graph with `bound` nodes. Every node id a
 /// section decodes comes from untrusted bits; anything outside the start
-/// graph's node range must be rejected before `add_edge` indexes with it
-/// (the §2 zero-panic policy).
+/// graph's node range is rejected here, with the section's own message,
+/// before [`Hypergraph::from_edges`] sees it (the §2 zero-panic policy).
 fn in_range(v: u64, bound: u32) -> Result<NodeId, CodecError> {
     if v >= u64::from(bound) {
         return Err(CodecError::Malformed(format!(
@@ -307,21 +307,23 @@ fn in_range(v: u64, bound: u32) -> Result<NodeId, CodecError> {
     Ok(v as NodeId)
 }
 
-/// Decode one label section, appending its edges to `start`.
+/// Decode one label section of a start graph with `bound` nodes, appending
+/// its edges to `edges`.
 pub fn decode_label(
     r: &mut BitReader<'_>,
-    start: &mut Hypergraph,
+    edges: &mut EdgeBuffer,
+    bound: u32,
     label: EdgeLabel,
     dict: &PermDict,
 ) -> Result<(), CodecError> {
-    let bound = start.node_bound() as u32;
     if !r.read_bit()? {
         let tree = K2Tree::decode(r)?;
+        edges.reserve(tree.count_ones(), 2 * tree.count_ones());
         for (row, col) in tree.iter_ones() {
             if row == col {
                 return Err(CodecError::Malformed("self-loop in adjacency matrix".into()));
             }
-            start.add_edge(label, &[in_range(row.into(), bound)?, in_range(col.into(), bound)?]);
+            edges.push(label, [in_range(row.into(), bound)?, in_range(col.into(), bound)?]);
         }
         return Ok(());
     }
@@ -329,19 +331,19 @@ pub fn decode_label(
     // δ(count + 1), which the peek leaves unread.
     if r.clone().read_bit()? {
         r.read_bit()?;
-        return decode_list(r, start, label);
+        return decode_list(r, edges, bound, label);
     }
-    decode_incidence(r, start, label, dict)
+    decode_incidence(r, edges, bound, label, dict)
 }
 
 /// Decode a list section's body (after its `1 1`): δ(rank), δ(count), then
-/// the codes of [`list_codes`], straight into `add_edge` in written order.
+/// the codes of [`list_codes`], straight into `edges` in written order.
 fn decode_list(
     r: &mut BitReader<'_>,
-    start: &mut Hypergraph,
+    edges: &mut EdgeBuffer,
+    bound: u32,
     label: EdgeLabel,
 ) -> Result<(), CodecError> {
-    let bound = start.node_bound() as u32;
     let rank = read_delta(r)?;
     // An attachment's nodes are distinct, and every node past the first
     // costs at least one bit: a rank beyond either is a lie, caught here
@@ -366,7 +368,9 @@ fn decode_list(
     };
     let (mut prev_src, mut prev_dst) = (0u64, 0u64);
     let mut att: Vec<NodeId> = Vec::with_capacity(rank as usize);
-    let mut sorted: Vec<NodeId> = Vec::with_capacity(rank as usize);
+    // A repeated node in an attachment is rejected when the start graph
+    // is built.
+    edges.reserve(count as usize, count.saturating_mul(rank).min(r.remaining()) as usize);
     for _ in 0..count {
         let first = gap(r, prev_src)?;
         if first != prev_src {
@@ -383,19 +387,7 @@ fn decode_list(
                 att.push(in_range(r.read_bits(width)?, bound)?);
             }
         }
-        sorted.clone_from(&att);
-        sorted.sort_unstable();
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "windows(2) yields exactly two elements"
-        )]
-        let repeated = sorted.windows(2).any(|w| w[0] == w[1]);
-        if repeated {
-            return Err(CodecError::Malformed(format!(
-                "list edge {att:?} attaches a node twice"
-            )));
-        }
-        start.add_edge(label, &att);
+        edges.push(label, att.iter().copied());
     }
     Ok(())
 }
@@ -403,11 +395,11 @@ fn decode_list(
 /// Decode an incidence section's body (after its `1`).
 fn decode_incidence(
     r: &mut BitReader<'_>,
-    start: &mut Hypergraph,
+    edges: &mut EdgeBuffer,
+    bound: u32,
     label: EdgeLabel,
     dict: &PermDict,
 ) -> Result<(), CodecError> {
-    let bound = start.node_bound() as u32;
     let edge_count = (read_delta(r)? - 1) as usize;
     let tree = K2Tree::decode(r)?;
     // The edge count is untrusted: it must match the incidence
@@ -450,6 +442,7 @@ fn decode_incidence(
     for e in 0..edge_count {
         bounds[e + 1] += bounds[e];
     }
+    edges.reserve(edge_count, cells.len());
     let mut rows = vec![0 as NodeId; cells.len()];
     let mut next = bounds.clone();
     for &(row, col) in &cells {
@@ -491,8 +484,7 @@ fn decode_incidence(
                 sorted_att.len()
             )));
         }
-        let att = apply_perm(sorted_att, perm);
-        start.add_edge(label, &att);
+        edges.push(label, apply_perm(sorted_att, perm));
     }
     Ok(())
 }
@@ -513,12 +505,12 @@ mod tests {
         let (bytes, len) = w.finish();
         let mut r = BitReader::new(&bytes, len);
         let dict2 = PermDict::decode(&mut r).unwrap();
-        let mut out = Hypergraph::with_nodes(m);
+        let mut edges = EdgeBuffer::new();
         for label in &plan.labels {
-            decode_label(&mut r, &mut out, label.label, &dict2).unwrap();
+            decode_label(&mut r, &mut edges, m as u32, label.label, &dict2).unwrap();
         }
         assert_eq!(r.remaining(), 0);
-        out
+        Hypergraph::from_edges(m, edges).unwrap()
     }
 
     #[test]
@@ -633,7 +625,8 @@ mod tests {
         }
     }
 
-    /// `decode_label` over a list section: `1 1`, then what `body` writes.
+    /// `decode_label` over a list section — `1 1`, then what `body` writes —
+    /// and the start graph built from its edges.
     fn decode_list_section(
         m: usize,
         body: impl FnOnce(&mut BitWriter),
@@ -643,9 +636,10 @@ mod tests {
         w.push_bit(true);
         body(&mut w);
         let (bytes, len) = w.finish();
-        let mut s = Hypergraph::with_nodes(m);
-        decode_label(&mut BitReader::new(&bytes, len), &mut s, T(0), &PermDict::new())?;
-        Ok(s)
+        let mut edges = EdgeBuffer::new();
+        let mut r = BitReader::new(&bytes, len);
+        decode_label(&mut r, &mut edges, m as u32, T(0), &PermDict::new())?;
+        Hypergraph::from_edges(m, edges).map_err(CodecError::Malformed)
     }
 
     /// A message naming `what`, not a panic and not an allocation.

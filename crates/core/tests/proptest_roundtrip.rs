@@ -3,8 +3,10 @@
 //! node map), and the grammar must satisfy all SL-HR invariants.
 
 use grepair_core::{compress, GRePairConfig};
+use grepair_datasets::{network, rdf, version};
+use grepair_grammar::{apply_rule, Grammar};
 use grepair_hypergraph::order::NodeOrder;
-use grepair_hypergraph::Hypergraph;
+use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
 use proptest::prelude::*;
 
 /// Strategy: a random simple directed graph with up to `n` nodes, `m` edge
@@ -60,6 +62,73 @@ fn check(g: &Hypergraph, config: &GRePairConfig) {
     // Derived-size predictions must agree with the actual derivation.
     assert_eq!(out.grammar.derived_node_count() as usize, derived.num_nodes());
     assert_eq!(out.grammar.derived_edge_count() as usize, derived.num_edges());
+    assert_derives_like_apply_rule(&out.grammar, &format!("{config:?}"));
+}
+
+/// `val(G)` the slow way: [`apply_rule`] on a copy of S, replacing
+/// nonterminal edges depth-first in edge order — the order in which
+/// `derive` numbers nodes and edges. Node `i` of the result is the `i`-th
+/// alive node of the host; edges come in the order their terminal edges
+/// were reached.
+fn derive_by_apply_rule(grammar: &Grammar) -> Hypergraph {
+    let mut host = grammar.start.clone();
+    let mut todo: Vec<EdgeId> = host.edges().map(|e| e.id).collect();
+    todo.reverse();
+    let mut terminal = Vec::new();
+    while let Some(e) = todo.pop() {
+        match host.label(e) {
+            EdgeLabel::Terminal(_) => terminal.push(e),
+            EdgeLabel::Nonterminal(nt) => {
+                let created = apply_rule(&mut host, e, grammar.rule(nt)).created_edges;
+                todo.extend(created.into_iter().rev());
+            }
+        }
+    }
+    let mut dense = vec![NodeId::MAX; host.node_bound()];
+    for (i, v) in host.node_ids().enumerate() {
+        dense[v as usize] = i as NodeId;
+    }
+    let mut out = Hypergraph::with_nodes(host.num_nodes());
+    for e in terminal {
+        let att: Vec<NodeId> = host.att(e).iter().map(|&v| dense[v as usize]).collect();
+        out.add_edge(host.label(e), &att);
+    }
+    out
+}
+
+/// `derive` equals [`derive_by_apply_rule`] edge for edge, node for node
+/// and incidence list for incidence list.
+fn assert_derives_like_apply_rule(grammar: &Grammar, what: &str) {
+    let got = grammar.derive();
+    let want = derive_by_apply_rule(grammar);
+    got.validate().unwrap_or_else(|e| panic!("{what}: {e}"));
+    assert_eq!(got.node_bound(), want.node_bound(), "{what}: nodes");
+    let edges = |g: &Hypergraph| g.edges().map(|e| (e.label, e.att.to_vec())).collect::<Vec<_>>();
+    assert_eq!(edges(&got), edges(&want), "{what}: edges");
+    for v in want.node_ids() {
+        assert!(got.incident(v).eq(want.incident(v)), "{what}: incidence of node {v}");
+    }
+}
+
+/// The graphs `golden_container_digests` pins (`tests/end_to_end.rs`),
+/// under the same three `max_rank`s.
+#[test]
+fn derive_matches_apply_rule_on_the_golden_graphs() {
+    let graphs = [
+        ("hub_network", network::hub_network(1_500, 8, 1, 1)),
+        (
+            "version_graph",
+            version::CoauthorshipHistory::generate(5, 40, 200, 20, 1).version_graph(4),
+        ),
+        ("property_graph", rdf::property_graph(1_000, 24, 8, 200, 1)),
+        ("disjoint_copies", version::disjoint_copies(&version::circle_with_diagonal(), 64)),
+    ];
+    for (name, g) in &graphs {
+        for max_rank in [2usize, 4, 8] {
+            let out = compress(g, &GRePairConfig { max_rank, ..Default::default() });
+            assert_derives_like_apply_rule(&out.grammar, &format!("{name} rank {max_rank}"));
+        }
+    }
 }
 
 proptest! {

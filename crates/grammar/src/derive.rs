@@ -1,7 +1,7 @@
 //! Rule application and full derivation `val(G)`.
 
 use crate::grammar::Grammar;
-use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
+use grepair_hypergraph::{EdgeBuffer, EdgeId, EdgeLabel, Hypergraph, NodeId};
 
 /// Result of inlining one nonterminal edge.
 #[derive(Debug, Clone)]
@@ -126,63 +126,66 @@ impl Grammar {
     /// the alive start-graph nodes first (in increasing ID order), then, for
     /// each nonterminal edge in edge-ID order, the nodes its derivation
     /// creates — internal nodes of the rhs first, nested nonterminal edges
-    /// next, depth-first.
+    /// next, depth-first. Edges are numbered in the same depth-first order.
     ///
-    /// Returns the derived graph plus `start_node_of`: for alive start node
-    /// `v` (in increasing order), `start_node_of[i]` is its derived ID
-    /// (always `i`, recorded explicitly for clarity in callers).
+    /// The expansion appends to flat edge buffers, keeps one node map per
+    /// open nonterminal on a single reused stack, and builds the graph once
+    /// with [`Hypergraph::from_edges`].
+    ///
+    /// # Panics
+    /// If the grammar is invalid (a rank mismatch or a missing rule); a
+    /// cyclic grammar does not terminate. Check untrusted grammars with
+    /// [`Grammar::validate`] first.
     pub fn derive(&self) -> Hypergraph {
-        let mut out = Hypergraph::new();
-        let mut node_map = vec![NodeId::MAX; self.start.node_bound()];
+        let mut d = Derivation { edges: EdgeBuffer::new(), maps: Vec::new(), nodes: 0 };
+        d.maps.resize(self.start.node_bound(), NodeId::MAX);
         for v in self.start.node_ids() {
-            node_map[v as usize] = out.add_node();
+            d.maps[v as usize] = d.nodes;
+            d.nodes += 1;
         }
-        let mut att_buf: Vec<NodeId> = Vec::new();
-        for e in self.start.edges() {
-            att_buf.clear();
-            att_buf.extend(e.att.iter().map(|&x| node_map[x as usize]));
-            match e.label {
-                EdgeLabel::Terminal(_) => {
-                    out.add_edge(e.label, &att_buf);
-                }
-                EdgeLabel::Nonterminal(i) => {
-                    let att = att_buf.clone();
-                    self.expand_into(&mut out, i, &att);
-                }
-            }
-        }
-        out
+        self.expand_edges(&self.start, 0, &mut d);
+        let Derivation { edges, nodes, .. } = d;
+        Hypergraph::from_edges(nodes as usize, edges)
+            .expect("val(G) of a valid grammar attaches distinct derived nodes")
     }
 
-    /// Recursively expand one `nt`-labeled edge whose attachment (already in
-    /// output IDs) is `att`, appending to `out`.
-    fn expand_into(&self, out: &mut Hypergraph, nt: u32, att: &[NodeId]) {
-        let rhs = self.rule(nt);
-        debug_assert_eq!(att.len(), rhs.rank());
-        let mut node_map = vec![NodeId::MAX; rhs.node_bound()];
-        for (i, &x) in rhs.ext().iter().enumerate() {
-            node_map[x as usize] = att[i];
-        }
-        for v in rhs.node_ids() {
-            if node_map[v as usize] == NodeId::MAX {
-                node_map[v as usize] = out.add_node();
+    /// Append the derivation of `g`'s edges, whose nodes map to output IDs
+    /// through `d.maps[base..]`.
+    fn expand_edges(&self, g: &Hypergraph, base: usize, d: &mut Derivation) {
+        for e in g.edges() {
+            let EdgeLabel::Nonterminal(nt) = e.label else {
+                d.edges.push(e.label, e.att.iter().map(|&x| d.maps[base + x as usize]));
+                continue;
+            };
+            let rhs = self.rule(nt);
+            assert_eq!(e.att.len(), rhs.rank(), "edge rank != rule rank");
+            // The rhs's frame: externals merge with the edge's attachment,
+            // internal nodes are fresh, in rhs node-ID order.
+            let frame = d.maps.len();
+            d.maps.resize(frame + rhs.node_bound(), NodeId::MAX);
+            for (&x, &a) in rhs.ext().iter().zip(e.att) {
+                d.maps[frame + x as usize] = d.maps[base + a as usize];
             }
-        }
-        let mut att_buf: Vec<NodeId> = Vec::new();
-        for e in rhs.edges() {
-            att_buf.clear();
-            att_buf.extend(e.att.iter().map(|&x| node_map[x as usize]));
-            match e.label {
-                EdgeLabel::Terminal(_) => {
-                    out.add_edge(e.label, &att_buf);
-                }
-                EdgeLabel::Nonterminal(i) => {
-                    let att = att_buf.clone();
-                    self.expand_into(out, i, &att);
+            for v in rhs.node_ids() {
+                let slot = &mut d.maps[frame + v as usize];
+                if *slot == NodeId::MAX {
+                    *slot = d.nodes;
+                    d.nodes += 1;
                 }
             }
+            self.expand_edges(rhs, frame, d);
+            d.maps.truncate(frame);
         }
     }
+}
+
+/// The state of one [`Grammar::derive`]: the edges so far, the node maps of
+/// the start graph and of every open nonterminal (stacked), and the number
+/// of output nodes.
+struct Derivation {
+    edges: EdgeBuffer,
+    maps: Vec<NodeId>,
+    nodes: NodeId,
 }
 
 #[cfg(test)]
@@ -292,6 +295,51 @@ mod tests {
         assert_eq!(derived.edge_multiset(), expect);
         assert_eq!(g.derived_node_count(), 4);
         assert_eq!(g.derived_edge_count(), 3);
+    }
+
+    #[test]
+    fn derive_numbers_nodes_and_edges_depth_first_over_dead_slots() {
+        // N0 → T0 · T1 through internal node 3 (slot 1 dead); N1 (rank 3)
+        // → N0, a T2 hyperedge, N0 again. S (slot 1 dead) holds T0, N1, T1.
+        let mut rhs0 = Hypergraph::with_nodes(4);
+        rhs0.remove_node(1);
+        rhs0.add_edge(T(0), &[0, 3]);
+        rhs0.add_edge(T(1), &[3, 2]);
+        rhs0.set_ext(vec![0, 2]);
+        let mut rhs1 = Hypergraph::with_nodes(4);
+        rhs1.add_edge(N(0), &[0, 3]);
+        rhs1.add_edge(T(2), &[3, 1, 2]);
+        rhs1.add_edge(N(0), &[3, 2]);
+        rhs1.set_ext(vec![0, 1, 2]);
+        let mut start = Hypergraph::with_nodes(5);
+        start.remove_node(1);
+        start.add_edge(T(0), &[0, 2]);
+        start.add_edge(N(1), &[2, 3, 4]);
+        start.add_edge(T(1), &[4, 0]);
+        let mut g = Grammar::new(start, 3);
+        g.add_rule(rhs0);
+        g.add_rule(rhs1);
+        g.validate().unwrap();
+        let derived = g.derive();
+        derived.validate().unwrap();
+        // S's nodes 0, 2, 3, 4 are 0–3; N1's internal node is 4, the first
+        // N0's 5, the second N0's 6.
+        assert_eq!(derived.node_bound(), 7);
+        let edges: Vec<_> = derived.edges().map(|e| (e.label, e.att.to_vec())).collect();
+        let want = [
+            (T(0), vec![0, 1]),
+            (T(0), vec![1, 5]),
+            (T(1), vec![5, 4]),
+            (T(2), vec![4, 2, 3]),
+            (T(0), vec![4, 6]),
+            (T(1), vec![6, 3]),
+            (T(1), vec![3, 0]),
+        ];
+        assert_eq!(edges, want);
+        let incidence: Vec<Vec<EdgeId>> = (0..7).map(|v| derived.incident(v).collect()).collect();
+        let want: [&[EdgeId]; 7] =
+            [&[0, 6], &[0, 1], &[3], &[3, 5, 6], &[2, 3, 4], &[1, 2], &[4, 5]];
+        assert_eq!(incidence, want);
     }
 
     #[test]

@@ -204,31 +204,49 @@ impl Grammar {
 
     /// Check the straight-line HR grammar invariants:
     /// * every graph passes [`Hypergraph::validate`],
+    /// * the grammar-level ones of [`Grammar::validate_references`].
+    pub fn validate(&self) -> Result<(), String> {
+        self.start.validate().map_err(|e| format!("start graph: {e}"))?;
+        for (i, rhs) in self.rules.iter().enumerate() {
+            rhs.validate().map_err(|e| format!("rhs of N{i}: {e}"))?;
+        }
+        self.validate_references()
+    }
+
+    /// The grammar-level half of [`Grammar::validate`], for graphs whose
+    /// own invariants hold by construction (as [`Hypergraph::from_edges`]
+    /// guarantees them):
     /// * terminal labels are `< num_terminals`, nonterminal labels have
     ///   rules,
     /// * every nonterminal edge's rank equals its rule's rank
     ///   (`rank(A) = rank(rhs(A))`, Def. 1),
     /// * ≤NT is acyclic (Def. straight-line).
-    pub fn validate(&self) -> Result<(), String> {
-        let check_graph = |g: &Hypergraph, what: &str| -> Result<(), String> {
-            g.validate().map_err(|e| format!("{what}: {e}"))?;
+    pub fn validate_references(&self) -> Result<(), String> {
+        let check_graph = |g: &Hypergraph, what: &dyn Fn() -> String| -> Result<(), String> {
             for e in g.edges() {
                 match e.label {
                     EdgeLabel::Terminal(t) => {
                         if t >= self.num_terminals {
                             return Err(format!(
-                                "{what}: edge {} has terminal label {t} >= |Σ| = {}",
-                                e.id, self.num_terminals
+                                "{}: edge {} has terminal label {t} >= |Σ| = {}",
+                                what(),
+                                e.id,
+                                self.num_terminals
                             ));
                         }
                     }
                     EdgeLabel::Nonterminal(i) => {
                         let Some(rhs) = self.rules.get(i as usize) else {
-                            return Err(format!("{what}: edge {} references missing rule N{i}", e.id));
+                            return Err(format!(
+                                "{}: edge {} references missing rule N{i}",
+                                what(),
+                                e.id
+                            ));
                         };
                         if rhs.rank() != e.att.len() {
                             return Err(format!(
-                                "{what}: edge {} has rank {} but N{i} has rank {}",
+                                "{}: edge {} has rank {} but N{i} has rank {}",
+                                what(),
                                 e.id,
                                 e.att.len(),
                                 rhs.rank()
@@ -239,9 +257,9 @@ impl Grammar {
             }
             Ok(())
         };
-        check_graph(&self.start, "start graph")?;
+        check_graph(&self.start, &|| "start graph".into())?;
         for (i, rhs) in self.rules.iter().enumerate() {
-            check_graph(rhs, &format!("rhs of N{i}"))?;
+            check_graph(rhs, &|| format!("rhs of N{i}"))?;
         }
         self.topo_order_bottom_up()?;
         Ok(())

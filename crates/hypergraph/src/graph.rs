@@ -51,6 +51,39 @@ impl EdgeRef<'_> {
     }
 }
 
+/// Edges in insertion order as three flat arrays — labels, attachment ends
+/// and the attachments themselves — which [`Hypergraph::from_edges`] turns
+/// into a graph in one exact-size pass. Appending costs no allocation per
+/// edge, so a decoder or a derivation collects here and builds once.
+#[derive(Debug, Clone, Default)]
+pub struct EdgeBuffer {
+    labels: Vec<EdgeLabel>,
+    /// `atts[ends[i - 1]..ends[i]]` is edge `i`'s attachment.
+    ends: Vec<usize>,
+    atts: Vec<NodeId>,
+}
+
+impl EdgeBuffer {
+    /// Empty buffer.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Reserve room for `edges` more edges of `atts` attachment entries.
+    pub fn reserve(&mut self, edges: usize, atts: usize) {
+        self.labels.reserve(edges);
+        self.ends.reserve(edges);
+        self.atts.reserve(atts);
+    }
+
+    /// Append an edge labeled `label` attached to `att` (in order).
+    pub fn push(&mut self, label: EdgeLabel, att: impl IntoIterator<Item = NodeId>) {
+        self.atts.extend(att);
+        self.labels.push(label);
+        self.ends.push(self.atts.len());
+    }
+}
+
 /// A directed edge-labeled hypergraph with external nodes (§II).
 ///
 /// Invariants (checked by [`Hypergraph::validate`], and in debug builds on
@@ -90,6 +123,65 @@ impl Hypergraph {
             degree: vec![0; n],
             ext: Vec::new(),
         }
+    }
+
+    /// Hypergraph with `n` nodes and the edges of `edges`, in their order:
+    /// the same graph as `with_nodes(n)` followed by one [`add_edge`] per
+    /// edge — edge ids, degrees and incidence lists included — built in one
+    /// pass that counts degrees first and allocates every incidence list
+    /// at its exact size. The buffer is consumed and freed on return.
+    ///
+    /// Checked, never panicking: an edge of rank 0, an attachment node
+    /// `≥ n` or an attachment that repeats a node is an `Err`.
+    ///
+    /// [`add_edge`]: Hypergraph::add_edge
+    pub fn from_edges(n: usize, edges: EdgeBuffer) -> Result<Self, String> {
+        let EdgeBuffer { labels, ends, atts } = edges;
+        let mut degree = vec![0u32; n];
+        let mut start = 0;
+        for (e, &end) in ends.iter().enumerate() {
+            if end <= start {
+                return Err(format!("edge {e} has rank 0"));
+            }
+            for &v in &atts[start..end] {
+                let Some(d) = degree.get_mut(v as usize) else {
+                    return Err(format!("edge {e} attached to node {v} of {n}"));
+                };
+                *d += 1;
+            }
+            start = end;
+        }
+        let mut incidence: Vec<Vec<EdgeId>> =
+            degree.iter().map(|&d| Vec::with_capacity(d as usize)).collect();
+        let mut stored = Vec::with_capacity(labels.len());
+        let mut start = 0;
+        for (e, (&label, &end)) in labels.iter().zip(&ends).enumerate() {
+            let att = &atts[start..end];
+            for &v in att {
+                // Edges arrive in id order, so a node this edge already
+                // attached has it last in its list.
+                let list = &mut incidence[v as usize];
+                if list.last() == Some(&(e as EdgeId)) {
+                    return Err(format!("edge {e} attaches node {v} twice"));
+                }
+                list.push(e as EdgeId);
+            }
+            let att = match *att {
+                [a, b] => Att::Two([a, b]),
+                _ => Att::Many(att.into()),
+            };
+            stored.push(Some(Edge { label, att }));
+            start = end;
+        }
+        Ok(Self {
+            alive_edges: stored.len(),
+            edges: stored,
+            node_alive: vec![true; n],
+            alive_nodes: n,
+            incidence,
+            degree,
+            ext: Vec::new(),
+        })
     }
 
     /// Build a simple directed graph from `(source, label, target)` triples.
@@ -611,6 +703,59 @@ mod tests {
         g.validate().unwrap();
         g.incidence[0].swap_remove(0);
         assert!(g.validate().unwrap_err().contains("missing from incidence of node 0"));
+    }
+
+    #[test]
+    fn from_edges_is_an_add_edge_loop() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        for case in 0..200 {
+            let n = rng.gen_range(1..40usize);
+            let mut grown = Hypergraph::with_nodes(n);
+            let mut buf = EdgeBuffer::new();
+            for _ in 0..rng.gen_range(0..120) {
+                let rank = rng.gen_range(1..=n.min(5));
+                let mut att: Vec<NodeId> = Vec::new();
+                while att.len() < rank {
+                    let v = rng.gen_range(0..n as NodeId);
+                    if !att.contains(&v) {
+                        att.push(v);
+                    }
+                }
+                let i = rng.gen_range(0..4u32);
+                let label =
+                    if rng.gen_bool(0.5) { EdgeLabel::Terminal(i) } else { EdgeLabel::Nonterminal(i) };
+                grown.add_edge(label, &att);
+                buf.push(label, att);
+            }
+            let built = Hypergraph::from_edges(n, buf).unwrap();
+            built.validate().unwrap();
+            assert!(built.edges().eq(grown.edges()), "case {case}");
+            assert_eq!(built.degree, grown.degree, "case {case}");
+            assert_eq!(built.incidence, grown.incidence, "case {case}");
+            assert_eq!(built.num_edges(), grown.num_edges(), "case {case}");
+            // Exact size: no list was grown past its degree.
+            assert!(built.incidence.iter().all(|l| l.capacity() == l.len()), "case {case}");
+        }
+    }
+
+    #[test]
+    fn from_edges_rejects_what_add_edge_asserts() {
+        let build = |att: &[NodeId]| {
+            let mut buf = EdgeBuffer::new();
+            buf.push(EdgeLabel::Terminal(0), [0, 1]);
+            buf.push(EdgeLabel::Terminal(0), att.iter().copied());
+            Hypergraph::from_edges(3, buf)
+        };
+        assert_eq!(build(&[2, 0]).map(|g| g.num_edges()), Ok(2));
+        assert_eq!(build(&[0, 3]).unwrap_err(), "edge 1 attached to node 3 of 3");
+        assert_eq!(build(&[1, 2, 1]).unwrap_err(), "edge 1 attaches node 1 twice");
+        assert_eq!(build(&[2, 2]).unwrap_err(), "edge 1 attaches node 2 twice");
+        assert_eq!(build(&[]).unwrap_err(), "edge 1 has rank 0");
+        let far = NodeId::MAX;
+        assert_eq!(build(&[far]).unwrap_err(), format!("edge 1 attached to node {far} of 3"));
+        let empty = Hypergraph::from_edges(0, EdgeBuffer::new()).unwrap();
+        assert_eq!((empty.num_nodes(), empty.num_edges()), (0, 0));
     }
 
     #[test]

@@ -26,5 +26,5 @@ pub mod label;
 pub mod order;
 pub mod traverse;
 
-pub use graph::{EdgeId, EdgeRef, Hypergraph, NodeId};
+pub use graph::{EdgeBuffer, EdgeId, EdgeRef, Hypergraph, NodeId};
 pub use label::EdgeLabel;

@@ -77,13 +77,6 @@ pub struct FpResult {
     pub rounds: usize,
 }
 
-/// Neighbor descriptor inside a refinement signature: (role, label, color).
-///
-/// `role` encodes the attachment positions of the node and its neighbor
-/// within the shared edge (direction, generalized to hyperedges); `label`
-/// encodes the edge label with terminals and nonterminals kept apart.
-type Descriptor = (u16, u64, u32);
-
 fn label_code(l: crate::label::EdgeLabel) -> u64 {
     match l {
         crate::label::EdgeLabel::Terminal(i) => 2 * i as u64,
@@ -94,48 +87,75 @@ fn label_code(l: crate::label::EdgeLabel) -> u64 {
 /// Run the FP fixpoint (Fig. 8): c0 = degree, then iterate
 /// `c_{i+1}(v) =` lexicographic rank of `(c_i(v), sorted neighbor colors)`
 /// until the partition stabilizes.
+///
+/// A node's signature holds one `(role, label, neighbor color)` descriptor
+/// per neighbor in each incident edge: `role` encodes the attachment
+/// positions of the node and its neighbor within the edge (direction,
+/// generalized to hyperedges); `label` keeps terminals and nonterminals
+/// apart. Only the neighbors' colors change from round to round, so every
+/// alive node's descriptors are laid out once, as one CSR, with
+/// `(role, label)` replaced by its rank among the distinct pairs: a
+/// descriptor is then one `u64` key, `rank << 32 | color`, ordered exactly
+/// like the `(role, label, color)` triple. A round refills the colors,
+/// sorts each node's slice and sorts the nodes by `(own color, slice)`.
 pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     let n = g.node_bound();
-    let mut colors = vec![u32::MAX; n];
+    let alive: Vec<NodeId> = g.node_ids().collect();
+    let mut starts = Vec::with_capacity(alive.len() + 1);
+    starts.push(0);
+    let mut kinds: Vec<(u16, u64)> = Vec::new();
+    let mut neighbors: Vec<NodeId> = Vec::new();
+    for &v in &alive {
+        for e in g.incident(v) {
+            let att = g.att(e);
+            let label = if config.use_labels { label_code(g.label(e)) } else { 0 };
+            let pos_v = att.iter().position(|&x| x == v).unwrap_or(0);
+            for (pos_u, &u) in att.iter().enumerate() {
+                if u == v {
+                    continue;
+                }
+                let role = if config.use_direction {
+                    ((pos_v.min(255) as u16) << 8) | pos_u.min(255) as u16
+                } else {
+                    0
+                };
+                kinds.push((role, label));
+                neighbors.push(u);
+            }
+        }
+        starts.push(neighbors.len());
+    }
+    let mut distinct = kinds.clone();
+    distinct.sort_unstable();
+    distinct.dedup();
+    let kinds: Vec<u64> = kinds
+        .iter()
+        .map(|k| (distinct.binary_search(k).unwrap_or_else(|i| i) as u64) << 32)
+        .collect();
+    drop(distinct);
 
     // Round 0: colors = degrees, made dense via sorting (so colors are
     // lexicographic *positions*, exactly as the paper assigns c1..).
-    let alive: Vec<NodeId> = g.node_ids().collect();
-    let mut num_classes = assign_dense(
-        &mut colors,
-        alive.iter().map(|&v| (vec![(0u16, g.degree(v) as u64, 0u32)], v)),
-    );
+    let mut colors = vec![u32::MAX; n];
+    let mut order: Vec<usize> = (0..alive.len()).collect();
+    let mut num_classes = assign_dense(&mut order, &alive, &mut colors, |i| g.degree(alive[i]));
 
+    let mut keys = vec![0u64; kinds.len()];
+    let mut next = vec![u32::MAX; n];
     let mut rounds = 0;
     while rounds < config.max_rounds {
-        let signatures = alive.iter().map(|&v| {
-            let mut desc: Vec<Descriptor> = Vec::with_capacity(g.degree(v));
-            for e in g.incident(v) {
-                let att = g.att(e);
-                let label = if config.use_labels { label_code(g.label(e)) } else { 0 };
-                let pos_v = att.iter().position(|&x| x == v).unwrap();
-                for (pos_u, &u) in att.iter().enumerate() {
-                    if u == v {
-                        continue;
-                    }
-                    let role = if config.use_direction {
-                        ((pos_v.min(255) as u16) << 8) | pos_u.min(255) as u16
-                    } else {
-                        0
-                    };
-                    desc.push((role, label, colors[u as usize]));
-                }
-            }
-            desc.sort_unstable();
-            // Prepend the node's own color as the first component of f_i(v).
-            desc.insert(0, (u16::MAX, u64::MAX, colors[v as usize]));
-            (desc, v)
+        for ((key, &kind), &u) in keys.iter_mut().zip(&kinds).zip(&neighbors) {
+            *key = kind | u64::from(colors[u as usize]);
+        }
+        for w in starts.windows(2) {
+            keys[w[0]..w[1]].sort_unstable();
+        }
+        let next_classes = assign_dense(&mut order, &alive, &mut next, |i| {
+            (colors[alive[i] as usize], &keys[starts[i]..starts[i + 1]])
         });
-        let mut next = vec![u32::MAX; n];
-        let next_classes = assign_dense(&mut next, signatures);
         rounds += 1;
         let stable = next_classes == num_classes;
-        colors = next;
+        std::mem::swap(&mut colors, &mut next);
         num_classes = next_classes;
         if stable {
             // Refinement can only split classes; equal counts ⇒ fixpoint.
@@ -146,30 +166,27 @@ pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     FpResult { colors, num_classes, rounds }
 }
 
-/// Sort signatures lexicographically and assign dense color = position of
-/// the signature among the distinct ones. Returns the class count.
-fn assign_dense(
+/// Sort `order` (indices into `alive`) by `signature` and color each node
+/// with the position of its signature among the distinct ones. Returns the
+/// class count.
+fn assign_dense<K: Ord>(
+    order: &mut [usize],
+    alive: &[NodeId],
     colors: &mut [u32],
-    signatures: impl Iterator<Item = (Vec<Descriptor>, NodeId)>,
+    signature: impl Fn(usize) -> K,
 ) -> usize {
-    let mut sigs: Vec<(Vec<Descriptor>, NodeId)> = signatures.collect();
-    sigs.sort_unstable();
-    let mut current = 0u32;
-    let mut prev: Option<&[Descriptor]> = None;
-    for (sig, v) in &sigs {
-        if let Some(p) = prev {
-            if p != sig.as_slice() {
-                current += 1;
-            }
+    order.sort_unstable_by_key(|&i| signature(i));
+    let mut classes = 0u32;
+    let mut prev = None;
+    for &i in order.iter() {
+        let sig = signature(i);
+        if prev.as_ref() != Some(&sig) {
+            classes += 1;
         }
-        colors[*v as usize] = current;
-        prev = Some(sig.as_slice());
+        colors[alive[i] as usize] = classes - 1;
+        prev = Some(sig);
     }
-    if sigs.is_empty() {
-        0
-    } else {
-        current as usize + 1
-    }
+    classes as usize
 }
 
 /// `|[≅FP]|` with default config — the statistic of Tables I–III.
@@ -207,6 +224,94 @@ mod tests {
     use super::*;
     use crate::graph::Hypergraph;
 
+    /// Neighbor descriptor inside a refinement signature: (role, label, color).
+    ///
+    /// `role` encodes the attachment positions of the node and its neighbor
+    /// within the shared edge (direction, generalized to hyperedges); `label`
+    /// encodes the edge label with terminals and nonterminals kept apart.
+    type Descriptor = (u16, u64, u32);
+
+    /// The FP fixpoint as first written: every round rebuilds each node's
+    /// descriptor `Vec` and sorts `(signature, node)` pairs. [`fp_refine`] must
+    /// color every graph exactly like it.
+    fn fp_refine_reference(g: &Hypergraph, config: FpConfig) -> FpResult {
+        let n = g.node_bound();
+        let mut colors = vec![u32::MAX; n];
+
+        // Round 0: colors = degrees, made dense via sorting (so colors are
+        // lexicographic *positions*, exactly as the paper assigns c1..).
+        let alive: Vec<NodeId> = g.node_ids().collect();
+        let mut num_classes = assign_dense_reference(
+            &mut colors,
+            alive.iter().map(|&v| (vec![(0u16, g.degree(v) as u64, 0u32)], v)),
+        );
+
+        let mut rounds = 0;
+        while rounds < config.max_rounds {
+            let signatures = alive.iter().map(|&v| {
+                let mut desc: Vec<Descriptor> = Vec::with_capacity(g.degree(v));
+                for e in g.incident(v) {
+                    let att = g.att(e);
+                    let label = if config.use_labels { label_code(g.label(e)) } else { 0 };
+                    let pos_v = att.iter().position(|&x| x == v).unwrap();
+                    for (pos_u, &u) in att.iter().enumerate() {
+                        if u == v {
+                            continue;
+                        }
+                        let role = if config.use_direction {
+                            ((pos_v.min(255) as u16) << 8) | pos_u.min(255) as u16
+                        } else {
+                            0
+                        };
+                        desc.push((role, label, colors[u as usize]));
+                    }
+                }
+                desc.sort_unstable();
+                // Prepend the node's own color as the first component of f_i(v).
+                desc.insert(0, (u16::MAX, u64::MAX, colors[v as usize]));
+                (desc, v)
+            });
+            let mut next = vec![u32::MAX; n];
+            let next_classes = assign_dense_reference(&mut next, signatures);
+            rounds += 1;
+            let stable = next_classes == num_classes;
+            colors = next;
+            num_classes = next_classes;
+            if stable {
+                // Refinement can only split classes; equal counts ⇒ fixpoint.
+                break;
+            }
+        }
+
+        FpResult { colors, num_classes, rounds }
+    }
+
+    /// Sort signatures lexicographically and assign dense color = position of
+    /// the signature among the distinct ones. Returns the class count.
+    fn assign_dense_reference(
+        colors: &mut [u32],
+        signatures: impl Iterator<Item = (Vec<Descriptor>, NodeId)>,
+    ) -> usize {
+        let mut sigs: Vec<(Vec<Descriptor>, NodeId)> = signatures.collect();
+        sigs.sort_unstable();
+        let mut current = 0u32;
+        let mut prev: Option<&[Descriptor]> = None;
+        for (sig, v) in &sigs {
+            if let Some(p) = prev {
+                if p != sig.as_slice() {
+                    current += 1;
+                }
+            }
+            colors[*v as usize] = current;
+            prev = Some(sig.as_slice());
+        }
+        if sigs.is_empty() {
+            0
+        } else {
+            current as usize + 1
+        }
+    }
+
     /// The Fig. 8 graph: center c with leaf neighbors u, v and a degree-2
     /// neighbor w, which has another leaf x. Degrees: u=v=x=1(ish)...
     /// exact paper values: c0 = (1,1,3,2,1), fixpoint c1 = (2,2,4,3,1)
@@ -218,6 +323,62 @@ mod tests {
             vec![(0, 0, 2), (1, 0, 2), (2, 0, 3), (3, 0, 4)],
         );
         (g, [0, 1, 2, 3, 4])
+    }
+
+    /// A random hypergraph: edges of rank 1–4 under terminal and
+    /// nonterminal labels, some edges and isolated nodes removed again.
+    fn random_hypergraph(rng: &mut rand::rngs::StdRng) -> Hypergraph {
+        use rand::Rng;
+        let n = rng.gen_range(1..30u32);
+        let mut g = Hypergraph::with_nodes(n as usize);
+        for _ in 0..rng.gen_range(0..3 * n) {
+            let rank = rng.gen_range(1..=n.min(4)) as usize;
+            let mut att = Vec::new();
+            while att.len() < rank {
+                let v = rng.gen_range(0..n);
+                if !att.contains(&v) {
+                    att.push(v);
+                }
+            }
+            let i = rng.gen_range(0..3);
+            let label = if rng.gen_bool(0.7) {
+                crate::label::EdgeLabel::Terminal(i)
+            } else {
+                crate::label::EdgeLabel::Nonterminal(i)
+            };
+            g.add_edge(label, &att);
+        }
+        for e in 0..g.edge_bound() as u32 {
+            if rng.gen_bool(0.1) {
+                g.remove_edge(e);
+            }
+        }
+        for v in 0..n {
+            if g.degree(v) == 0 && rng.gen_bool(0.3) {
+                g.remove_node(v);
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn fp_refine_matches_the_reference() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for case in 0..300 {
+            let g = random_hypergraph(&mut rng);
+            let flags = [(false, false), (false, true), (true, false), (true, true)];
+            for (use_direction, use_labels) in flags {
+                for max_rounds in [0, 1, 2, 64] {
+                    let config = FpConfig { use_direction, use_labels, max_rounds };
+                    let (got, want) = (fp_refine(&g, config), fp_refine_reference(&g, config));
+                    let what = format!("case {case}, {config:?}");
+                    assert_eq!(got.colors, want.colors, "{what}");
+                    assert_eq!(got.num_classes, want.num_classes, "{what}");
+                    assert_eq!(got.rounds, want.rounds, "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -86,6 +86,16 @@ fn garbage_and_wrong_magic_error() {
     assert_eq!(err, "not a g2g container: bad magic");
 }
 
+/// A 41-bit payload whose start graph lists external node 0 twice: the
+/// load returns the decoder's error in every build profile (debug builds
+/// used to panic on `Hypergraph::set_ext`'s assertion).
+#[test]
+fn a_repeated_start_external_node_is_an_error() {
+    let file = write_container(&[0x4b, 0x17, 0xf4, 0x4a, 0x22, 0x80], 41);
+    let err = GraphStore::from_bytes(&file).unwrap_err().to_string();
+    assert!(err.contains("external node 0 repeated"), "{err}");
+}
+
 /// Both shapes of grammar container, encoding the same unlabeled path
 /// graph: compressed (rules, renumbered nodes) and rule-free (S alone).
 fn backend_containers() -> Vec<(&'static str, Vec<u8>)> {
