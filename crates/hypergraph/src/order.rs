@@ -103,7 +103,9 @@ pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     let alive: Vec<NodeId> = g.node_ids().collect();
     let mut starts = Vec::with_capacity(alive.len() + 1);
     starts.push(0);
-    let mut kinds: Vec<(u16, u64)> = Vec::new();
+    // `(role, label)` packed as `role << 33 | label` (a label code is
+    // below 2³³), which orders like the pair.
+    let mut kinds: Vec<u64> = Vec::new();
     let mut neighbors: Vec<NodeId> = Vec::new();
     for &v in &alive {
         for e in g.incident(v) {
@@ -115,11 +117,11 @@ pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
                     continue;
                 }
                 let role = if config.use_direction {
-                    ((pos_v.min(255) as u16) << 8) | pos_u.min(255) as u16
+                    ((pos_v.min(255) as u64) << 8) | pos_u.min(255) as u64
                 } else {
                     0
                 };
-                kinds.push((role, label));
+                kinds.push(role << 33 | label);
                 neighbors.push(u);
             }
         }
@@ -128,10 +130,8 @@ pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     let mut distinct = kinds.clone();
     distinct.sort_unstable();
     distinct.dedup();
-    let kinds: Vec<u64> = kinds
-        .iter()
-        .map(|k| (distinct.binary_search(k).unwrap_or_else(|i| i) as u64) << 32)
-        .collect();
+    let kinds: Vec<u32> =
+        kinds.iter().map(|k| distinct.binary_search(k).unwrap_or_else(|i| i) as u32).collect();
     drop(distinct);
 
     // Round 0: colors = degrees, made dense via sorting (so colors are
@@ -145,7 +145,7 @@ pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     let mut rounds = 0;
     while rounds < config.max_rounds {
         for ((key, &kind), &u) in keys.iter_mut().zip(&kinds).zip(&neighbors) {
-            *key = kind | u64::from(colors[u as usize]);
+            *key = u64::from(kind) << 32 | u64::from(colors[u as usize]);
         }
         for w in starts.windows(2) {
             keys[w[0]..w[1]].sort_unstable();
