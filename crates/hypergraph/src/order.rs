@@ -101,38 +101,28 @@ fn label_code(l: crate::label::EdgeLabel) -> u64 {
 pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     let n = g.node_bound();
     let alive: Vec<NodeId> = g.node_ids().collect();
+    // Two passes over the incidence lists: the first lays out the
+    // neighbors and collects the distinct `(role, label)` kinds, the
+    // second ranks each descriptor's kind, so no per-descriptor copy of
+    // the unranked kind is ever held.
     let mut starts = Vec::with_capacity(alive.len() + 1);
     starts.push(0);
-    // `(role, label)` packed as `role << 33 | label` (a label code is
-    // below 2³³), which orders like the pair.
-    let mut kinds: Vec<u64> = Vec::new();
     let mut neighbors: Vec<NodeId> = Vec::new();
+    let mut distinct = std::collections::BTreeSet::new();
     for &v in &alive {
-        for e in g.incident(v) {
-            let att = g.att(e);
-            let label = if config.use_labels { label_code(g.label(e)) } else { 0 };
-            let pos_v = att.iter().position(|&x| x == v).unwrap_or(0);
-            for (pos_u, &u) in att.iter().enumerate() {
-                if u == v {
-                    continue;
-                }
-                let role = if config.use_direction {
-                    ((pos_v.min(255) as u64) << 8) | pos_u.min(255) as u64
-                } else {
-                    0
-                };
-                kinds.push(role << 33 | label);
-                neighbors.push(u);
-            }
-        }
+        descriptors(g, v, config, |kind, u| {
+            distinct.insert(kind);
+            neighbors.push(u);
+        });
         starts.push(neighbors.len());
     }
-    let mut distinct = kinds.clone();
-    distinct.sort_unstable();
-    distinct.dedup();
-    let kinds: Vec<u32> =
-        kinds.iter().map(|k| distinct.binary_search(k).unwrap_or_else(|i| i) as u32).collect();
-    drop(distinct);
+    let distinct: Vec<u64> = distinct.into_iter().collect();
+    let mut kinds: Vec<u32> = Vec::with_capacity(neighbors.len());
+    for &v in &alive {
+        descriptors(g, v, config, |kind, _| {
+            kinds.push(distinct.binary_search(&kind).unwrap_or_else(|i| i) as u32);
+        });
+    }
 
     // Round 0: colors = degrees, made dense via sorting (so colors are
     // lexicographic *positions*, exactly as the paper assigns c1..).
@@ -164,6 +154,29 @@ pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     }
 
     FpResult { colors, num_classes, rounds }
+}
+
+/// Call `emit(kind, u)` for each neighbor `u` of `v` in each edge incident
+/// with `v`, in incidence and attachment order, where `kind` packs
+/// `(role, label)` as `role << 33 | label` (a label code is below 2³³, so
+/// the packed value orders like the pair).
+fn descriptors(g: &Hypergraph, v: NodeId, config: FpConfig, mut emit: impl FnMut(u64, NodeId)) {
+    for e in g.incident(v) {
+        let att = g.att(e);
+        let label = if config.use_labels { label_code(g.label(e)) } else { 0 };
+        let pos_v = att.iter().position(|&x| x == v).unwrap_or(0);
+        for (pos_u, &u) in att.iter().enumerate() {
+            if u == v {
+                continue;
+            }
+            let role = if config.use_direction {
+                ((pos_v.min(255) as u64) << 8) | pos_u.min(255) as u64
+            } else {
+                0
+            };
+            emit(role << 33 | label, u);
+        }
+    }
 }
 
 /// Sort `order` (indices into `alive`) by `signature` and color each node
