@@ -79,22 +79,20 @@ impl Grammar {
     /// Number of terminal edges `val(e)` contains for one edge labeled with
     /// each nonterminal.
     pub fn derived_terminal_edge_counts(&self) -> Vec<u64> {
+        self.derived_terminal_sizes().into_iter().map(|[edges, _]| edges).collect()
+    }
+
+    /// `[terminal edges, their attachment entries]` that `val(e)` contains
+    /// for one edge labeled with each nonterminal.
+    fn derived_terminal_sizes(&self) -> Vec<[u64; 2]> {
         let order = self
             .topo_order_bottom_up()
             .expect("grammar must be straight-line");
-        let mut counts = vec![0u64; self.num_nonterminals()];
+        let mut sizes = vec![[0u64; 2]; self.num_nonterminals()];
         for nt in order {
-            let rhs = self.rule(nt);
-            let mut total = 0u64;
-            for e in rhs.edges() {
-                match e.label {
-                    EdgeLabel::Terminal(_) => total += 1,
-                    EdgeLabel::Nonterminal(i) => total += counts[i as usize],
-                }
-            }
-            counts[nt as usize] = total;
+            sizes[nt as usize] = terminal_size(self.rule(nt), &sizes);
         }
-        counts
+        sizes
     }
 
     /// `|val(G)|V` without deriving.
@@ -111,15 +109,7 @@ impl Grammar {
 
     /// `|val(G)|`'s terminal edge count without deriving.
     pub fn derived_edge_count(&self) -> u64 {
-        let per_nt = self.derived_terminal_edge_counts();
-        let mut total = 0u64;
-        for e in self.start.edges() {
-            match e.label {
-                EdgeLabel::Terminal(_) => total += 1,
-                EdgeLabel::Nonterminal(i) => total += per_nt[i as usize],
-            }
-        }
-        total
+        terminal_size(&self.start, &self.derived_terminal_sizes())[0]
     }
 
     /// Compute `val(G)` with the paper's deterministic node IDs (§II end):
@@ -138,6 +128,8 @@ impl Grammar {
     /// [`Grammar::validate`] first.
     pub fn derive(&self) -> Hypergraph {
         let mut d = Derivation { edges: EdgeBuffer::new(), maps: Vec::new(), nodes: 0 };
+        let [edges, atts] = terminal_size(&self.start, &self.derived_terminal_sizes());
+        d.edges.reserve(edges as usize, atts as usize);
         d.maps.resize(self.start.node_bound(), NodeId::MAX);
         for v in self.start.node_ids() {
             d.maps[v as usize] = d.nodes;
@@ -177,6 +169,18 @@ impl Grammar {
             d.maps.truncate(frame);
         }
     }
+}
+
+/// `[terminal edges, their attachment entries]` that deriving every edge of
+/// `g` yields, given `sizes` per nonterminal.
+fn terminal_size(g: &Hypergraph, sizes: &[[u64; 2]]) -> [u64; 2] {
+    g.edges().fold([0, 0], |[edges, atts], e| match e.label {
+        EdgeLabel::Terminal(_) => [edges + 1, atts + e.att.len() as u64],
+        EdgeLabel::Nonterminal(i) => {
+            let [n, a] = sizes[i as usize];
+            [edges + n, atts + a]
+        }
+    })
 }
 
 /// The state of one [`Grammar::derive`]: the edges so far, the node maps of
