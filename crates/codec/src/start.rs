@@ -368,8 +368,6 @@ fn decode_list(
     };
     let (mut prev_src, mut prev_dst) = (0u64, 0u64);
     let mut att: Vec<NodeId> = Vec::with_capacity(rank as usize);
-    // A repeated node in an attachment is rejected when the start graph
-    // is built.
     edges.reserve(count as usize, count.saturating_mul(rank).min(r.remaining()) as usize);
     for _ in 0..count {
         let first = gap(r, prev_src)?;
@@ -387,6 +385,8 @@ fn decode_list(
                 att.push(in_range(r.read_bits(width)?, bound)?);
             }
         }
+        // A node repeated in `att` is rejected when the start graph is
+        // built.
         edges.push(label, att.iter().copied());
     }
     Ok(())

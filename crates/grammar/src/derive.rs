@@ -123,9 +123,9 @@ impl Grammar {
     /// with [`Hypergraph::from_edges`].
     ///
     /// # Panics
-    /// If the grammar is invalid (a rank mismatch or a missing rule); a
-    /// cyclic grammar does not terminate. Check untrusted grammars with
-    /// [`Grammar::validate`] first.
+    /// If the grammar is invalid: cyclic, with a missing rule or with a
+    /// rank mismatch. Check untrusted grammars with [`Grammar::validate`]
+    /// first.
     pub fn derive(&self) -> Hypergraph {
         let mut d = Derivation { edges: EdgeBuffer::new(), maps: Vec::new(), nodes: 0 };
         let [edges, atts] = terminal_size(&self.start, &self.derived_terminal_sizes());

@@ -222,31 +222,24 @@ impl Grammar {
     ///   (`rank(A) = rank(rhs(A))`, Def. 1),
     /// * ≤NT is acyclic (Def. straight-line).
     pub fn validate_references(&self) -> Result<(), String> {
-        let check_graph = |g: &Hypergraph, what: &dyn Fn() -> String| -> Result<(), String> {
+        let check_graph = |g: &Hypergraph, what: &str| -> Result<(), String> {
             for e in g.edges() {
                 match e.label {
                     EdgeLabel::Terminal(t) => {
                         if t >= self.num_terminals {
                             return Err(format!(
-                                "{}: edge {} has terminal label {t} >= |Σ| = {}",
-                                what(),
-                                e.id,
-                                self.num_terminals
+                                "{what}: edge {} has terminal label {t} >= |Σ| = {}",
+                                e.id, self.num_terminals
                             ));
                         }
                     }
                     EdgeLabel::Nonterminal(i) => {
                         let Some(rhs) = self.rules.get(i as usize) else {
-                            return Err(format!(
-                                "{}: edge {} references missing rule N{i}",
-                                what(),
-                                e.id
-                            ));
+                            return Err(format!("{what}: edge {} references missing rule N{i}", e.id));
                         };
                         if rhs.rank() != e.att.len() {
                             return Err(format!(
-                                "{}: edge {} has rank {} but N{i} has rank {}",
-                                what(),
+                                "{what}: edge {} has rank {} but N{i} has rank {}",
                                 e.id,
                                 e.att.len(),
                                 rhs.rank()
@@ -257,9 +250,9 @@ impl Grammar {
             }
             Ok(())
         };
-        check_graph(&self.start, &|| "start graph".into())?;
+        check_graph(&self.start, "start graph")?;
         for (i, rhs) in self.rules.iter().enumerate() {
-            check_graph(rhs, &|| format!("rhs of N{i}"))?;
+            check_graph(rhs, &format!("rhs of N{i}"))?;
         }
         self.topo_order_bottom_up()?;
         Ok(())
