@@ -138,33 +138,26 @@ impl Hypergraph {
     pub fn from_edges(n: usize, edges: EdgeBuffer) -> Result<Self, String> {
         let EdgeBuffer { labels, ends, atts } = edges;
         let mut degree = vec![0u32; n];
-        let mut stored = Vec::with_capacity(labels.len());
         let mut start = 0;
-        for (e, (&label, &end)) in labels.iter().zip(&ends).enumerate() {
-            let att = &atts[start..end];
-            if att.is_empty() {
+        for (e, &end) in ends.iter().enumerate() {
+            if end <= start {
                 return Err(format!("edge {e} has rank 0"));
             }
-            for &v in att {
+            for &v in &atts[start..end] {
                 let Some(d) = degree.get_mut(v as usize) else {
                     return Err(format!("edge {e} attached to node {v} of {n}"));
                 };
                 *d += 1;
             }
-            let att = match *att {
-                [a, b] => Att::Two([a, b]),
-                _ => Att::Many(att.into()),
-            };
-            stored.push(Some(Edge { label, att }));
             start = end;
         }
-        // Free the buffer before the incidence lists are allocated, so the
-        // two are never held together.
-        drop((labels, ends, atts));
         let mut incidence: Vec<Vec<EdgeId>> =
             degree.iter().map(|&d| Vec::with_capacity(d as usize)).collect();
-        for (e, edge) in stored.iter().flatten().enumerate() {
-            for &v in edge.att.as_slice() {
+        let mut stored = Vec::with_capacity(labels.len());
+        let mut start = 0;
+        for (e, (&label, &end)) in labels.iter().zip(&ends).enumerate() {
+            let att = &atts[start..end];
+            for &v in att {
                 // Edges arrive in id order, so a node this edge already
                 // attached has it last in its list.
                 let list = &mut incidence[v as usize];
@@ -173,6 +166,12 @@ impl Hypergraph {
                 }
                 list.push(e as EdgeId);
             }
+            let att = match *att {
+                [a, b] => Att::Two([a, b]),
+                _ => Att::Many(att.into()),
+            };
+            stored.push(Some(Edge { label, att }));
+            start = end;
         }
         Ok(Self {
             alive_edges: stored.len(),
