@@ -384,6 +384,64 @@ mod tests {
         }
     }
 
+    /// A container of one terminal, one rule and two start nodes without
+    /// edges, whose rule `rule` writes.
+    fn one_rule_container(rule: impl FnOnce(&mut grepair_bits::BitWriter)) -> (Vec<u8>, u64) {
+        use grepair_bits::codes::write_delta;
+        let mut w = grepair_bits::BitWriter::new();
+        write_delta(&mut w, 2); // one terminal
+        write_delta(&mut w, 2); // one rule
+        write_delta(&mut w, 3); // two start nodes
+        write_delta(&mut w, 1); // no external nodes
+        w.push_bits(0, 2); // no section for T0 or N0
+        write_delta(&mut w, 1); // empty permutation dictionary
+        rule(&mut w);
+        w.finish()
+    }
+
+    /// Read as `u32`, a rule value of 2³² would keep its low 32 bits and
+    /// decode as a different, valid rule: an edge label as label 0, an
+    /// isolated node id as node 0. Both are malformed; the values that fit
+    /// decode.
+    #[test]
+    fn rule_values_past_32_bits_are_malformed_not_wrapped() {
+        use grepair_bits::codes::write_delta;
+        let edge = |label: u64| {
+            one_rule_container(|w| {
+                write_delta(w, 2); // one edge
+                w.push_bit(false); // terminal
+                write_delta(w, 2); // rank 2
+                for v in [0, 1] {
+                    w.push_bit(true); // external
+                    write_delta(w, v + 1);
+                }
+                write_delta(w, label + 1);
+                write_delta(w, 1); // no isolated nodes
+            })
+        };
+        let isolated = |id: u64| {
+            one_rule_container(|w| {
+                write_delta(w, 1); // no edges
+                write_delta(w, 2); // one isolated node
+                write_delta(w, id + 1);
+                w.push_bit(true); // external
+            })
+        };
+        for ((bytes, len), what) in [(edge(1 << 32), "edge label"), (isolated(1 << 32), "node id")] {
+            match decode(&bytes, len) {
+                Err(CodecError::Malformed(msg)) => assert_eq!(msg, format!("{what} overflow")),
+                other => panic!("{what} 2^32: want a malformed-stream error, got {other:?}"),
+            }
+        }
+        let (bytes, len) = edge(0);
+        let grammar = decode(&bytes, len).unwrap();
+        assert_eq!(edge_list(&grammar.rules()[0]), vec![(EdgeLabel::Terminal(0), vec![0, 1])]);
+        let (bytes, len) = isolated(0);
+        let grammar = decode(&bytes, len).unwrap();
+        let rule = &grammar.rules()[0];
+        assert_eq!((rule.num_nodes(), rule.num_edges(), rule.ext()), (1, 0, &[0][..]));
+    }
+
     #[test]
     fn bit_flips_never_panic() {
         let g = repeated_pattern(8);

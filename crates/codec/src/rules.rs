@@ -55,9 +55,11 @@ pub fn encode_rule(w: &mut BitWriter, rhs: &Hypergraph) {
 pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
     let num_edges = read_delta(r)? - 1;
     // Pre-sized by what the stream can still hold (an edge or an isolated
-    // node costs at least one bit), never by the untrusted count itself.
+    // node costs at least one bit), never by the untrusted count itself,
+    // for edges of rank 2, the most common.
     let mut edges = EdgeBuffer::new();
-    edges.reserve(num_edges.min(r.remaining()) as usize, 0);
+    let room = num_edges.min(r.remaining()) as usize;
+    edges.reserve(room, 2 * room);
     let mut att: Vec<NodeId> = Vec::new();
     let mut slots: u64 = 0;
     let mut max_node: i64 = -1;
@@ -71,11 +73,8 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
         att.clear();
         for _ in 0..rank {
             let ext = r.read_bit()?;
-            let id = read_delta(r)? - 1;
-            if id > u32::MAX as u64 {
-                return Err(CodecError::Malformed("node id overflow".into()));
-            }
-            let id = id as NodeId;
+            let id = NodeId::try_from(read_delta(r)? - 1)
+                .map_err(|_| CodecError::Malformed("node id overflow".into()))?;
             max_node = max_node.max(id as i64);
             if ext && !external.contains(&id) {
                 external.push(id);
@@ -83,18 +82,16 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
             att.push(id);
         }
         slots += rank;
-        let label = read_delta(r)? - 1;
-        let label = if nonterminal {
-            EdgeLabel::Nonterminal(label as u32)
-        } else {
-            EdgeLabel::Terminal(label as u32)
-        };
+        let label = u32::try_from(read_delta(r)? - 1)
+            .map_err(|_| CodecError::Malformed("edge label overflow".into()))?;
+        let label = if nonterminal { EdgeLabel::Nonterminal(label) } else { EdgeLabel::Terminal(label) };
         edges.push(label, att.iter().copied());
     }
     let isolated_count = read_delta(r)? - 1;
     let mut isolated = Vec::with_capacity(isolated_count.min(r.remaining()) as usize);
     for _ in 0..isolated_count {
-        let id = (read_delta(r)? - 1) as NodeId;
+        let id = NodeId::try_from(read_delta(r)? - 1)
+            .map_err(|_| CodecError::Malformed("node id overflow".into()))?;
         let ext = r.read_bit()?;
         max_node = max_node.max(id as i64);
         if ext && !external.contains(&id) {

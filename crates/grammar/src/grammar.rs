@@ -222,24 +222,24 @@ impl Grammar {
     ///   (`rank(A) = rank(rhs(A))`, Def. 1),
     /// * ≤NT is acyclic (Def. straight-line).
     pub fn validate_references(&self) -> Result<(), String> {
-        let check_graph = |g: &Hypergraph, what: &str| -> Result<(), String> {
+        let check_graph = |g: &Hypergraph| -> Result<(), String> {
             for e in g.edges() {
                 match e.label {
                     EdgeLabel::Terminal(t) => {
                         if t >= self.num_terminals {
                             return Err(format!(
-                                "{what}: edge {} has terminal label {t} >= |Σ| = {}",
+                                "edge {} has terminal label {t} >= |Σ| = {}",
                                 e.id, self.num_terminals
                             ));
                         }
                     }
                     EdgeLabel::Nonterminal(i) => {
                         let Some(rhs) = self.rules.get(i as usize) else {
-                            return Err(format!("{what}: edge {} references missing rule N{i}", e.id));
+                            return Err(format!("edge {} references missing rule N{i}", e.id));
                         };
                         if rhs.rank() != e.att.len() {
                             return Err(format!(
-                                "{what}: edge {} has rank {} but N{i} has rank {}",
+                                "edge {} has rank {} but N{i} has rank {}",
                                 e.id,
                                 e.att.len(),
                                 rhs.rank()
@@ -250,9 +250,9 @@ impl Grammar {
             }
             Ok(())
         };
-        check_graph(&self.start, "start graph")?;
+        check_graph(&self.start).map_err(|e| format!("start graph: {e}"))?;
         for (i, rhs) in self.rules.iter().enumerate() {
-            check_graph(rhs, &format!("rhs of N{i}"))?;
+            check_graph(rhs).map_err(|e| format!("rhs of N{i}: {e}"))?;
         }
         self.topo_order_bottom_up()?;
         Ok(())

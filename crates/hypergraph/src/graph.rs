@@ -1,4 +1,11 @@
 //! The hypergraph data structure.
+//!
+//! A [`Hypergraph`] keeps its edges in the layout of an [`EdgeBuffer`] —
+//! three flat arrays of labels, attachment ends and attachments, in edge-id
+//! order — plus one liveness flag per edge, and every node's incidence list
+//! as a block of one shared arena. Building a graph from a buffer moves the
+//! arrays in and lays the blocks out back to back at their exact size;
+//! growing or cloning one allocates per array, never per node or per edge.
 
 use crate::label::EdgeLabel;
 
@@ -9,29 +16,6 @@ pub type NodeId = u32;
 /// Edge identifier. Edge IDs are never reused, so a stale ID in an auxiliary
 /// index can always be detected via [`Hypergraph::edge_alive`].
 pub type EdgeId = u32;
-
-/// Attachment list of an edge. Rank-2 edges (the overwhelming majority in
-/// every dataset) are stored inline; hyperedges spill to a boxed slice.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Att {
-    Two([NodeId; 2]),
-    Many(Box<[NodeId]>),
-}
-
-impl Att {
-    fn as_slice(&self) -> &[NodeId] {
-        match self {
-            Att::Two(pair) => pair,
-            Att::Many(nodes) => nodes,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
-struct Edge {
-    label: EdgeLabel,
-    att: Att,
-}
 
 /// Borrowed view of one edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,9 +36,9 @@ impl EdgeRef<'_> {
 }
 
 /// Edges in insertion order as three flat arrays — labels, attachment ends
-/// and the attachments themselves — which [`Hypergraph::from_edges`] turns
-/// into a graph in one exact-size pass. Appending costs no allocation per
-/// edge, so a decoder or a derivation collects here and builds once.
+/// and the attachments themselves — which [`Hypergraph::from_edges`] moves
+/// into a graph. Appending costs no allocation per edge, so a decoder or a
+/// derivation collects here and builds once.
 #[derive(Debug, Clone, Default)]
 pub struct EdgeBuffer {
     labels: Vec<EdgeLabel>,
@@ -82,6 +66,39 @@ impl EdgeBuffer {
         self.labels.push(label);
         self.ends.push(self.atts.len());
     }
+
+    /// Edge `e`'s attachment.
+    fn att(&self, e: usize) -> &[NodeId] {
+        let start = e.checked_sub(1).map_or(0, |p| self.ends[p]);
+        &self.atts[start..self.ends[e]]
+    }
+}
+
+/// One node's incidence list: `arena[start..start + len]`, in a block of
+/// `cap` entries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Block {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+impl Block {
+    fn list(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
+/// Capacity a node's first incidence block gets when it fills.
+const MIN_BLOCK: usize = 4;
+
+/// An arena position or size as a block field. Every block lies inside the
+/// arena, so this is the one place a field can overflow.
+///
+/// # Panics
+/// If the arena would pass 2³² entries.
+fn offset(i: usize) -> u32 {
+    u32::try_from(i).expect("incidence arena exceeds 2^32 entries")
 }
 
 /// A directed edge-labeled hypergraph with external nodes (§II).
@@ -92,16 +109,25 @@ impl EdgeBuffer {
 ///   (paper restriction (1)),
 /// * the external sequence contains no node twice (restriction (2)) and only
 ///   alive nodes,
-/// * `degree(v)` equals the number of alive edges incident with `v`.
+/// * `degree(v)` equals the number of alive edges incident with `v`, and
+///   `incident(v)` lists them in id order.
 #[derive(Debug, Clone, Default)]
 pub struct Hypergraph {
-    edges: Vec<Option<Edge>>,
+    /// Every edge ever added, in id order, as an [`EdgeBuffer`] lays them
+    /// out. Append-only: a removed edge keeps its slot and attachment.
+    edges: EdgeBuffer,
+    edge_alive: Vec<bool>,
     node_alive: Vec<bool>,
     alive_nodes: usize,
     alive_edges: usize,
-    /// Incident edge IDs per node; may contain stale (dead-edge) entries,
-    /// compacted lazily when the stale fraction grows.
-    incidence: Vec<Vec<EdgeId>>,
+    /// Incident edge IDs per node, each in its block of `arena`, in the
+    /// order the edges were added. A list may hold stale (dead-edge)
+    /// entries, compacted lazily when the stale fraction grows.
+    blocks: Vec<Block>,
+    arena: Vec<EdgeId>,
+    /// Arena entries no block owns (blocks that moved or whose node was
+    /// removed); the arena is rebuilt once they pass half of it.
+    garbage: usize,
     degree: Vec<u32>,
     ext: Vec<NodeId>,
 }
@@ -115,35 +141,37 @@ impl Hypergraph {
     /// Hypergraph with `n` nodes and no edges.
     pub fn with_nodes(n: usize) -> Self {
         Self {
-            edges: Vec::new(),
             node_alive: vec![true; n],
             alive_nodes: n,
-            alive_edges: 0,
-            incidence: vec![Vec::new(); n],
+            blocks: vec![Block::default(); n],
             degree: vec![0; n],
-            ext: Vec::new(),
+            ..Self::default()
         }
     }
 
     /// Hypergraph with `n` nodes and the edges of `edges`, in their order:
     /// the same graph as `with_nodes(n)` followed by one [`add_edge`] per
-    /// edge — edge ids, degrees and incidence lists included — built in one
-    /// pass that counts degrees first and allocates every incidence list
-    /// at its exact size. The buffer is consumed and freed on return.
+    /// edge — edge ids, degrees and incidence lists included. The buffer's
+    /// arrays become the graph's, without their spare capacity; the
+    /// incidence lists are counted first and laid out back to back at their
+    /// exact size.
     ///
     /// Checked, never panicking: an edge of rank 0, an attachment node
-    /// `≥ n` or an attachment that repeats a node is an `Err`.
+    /// `≥ n`, an attachment that repeats a node, or more than 2³² − 1 edges
+    /// or attachment entries is an `Err`.
     ///
     /// [`add_edge`]: Hypergraph::add_edge
-    pub fn from_edges(n: usize, edges: EdgeBuffer) -> Result<Self, String> {
-        let EdgeBuffer { labels, ends, atts } = edges;
+    pub fn from_edges(n: usize, mut edges: EdgeBuffer) -> Result<Self, String> {
+        let Ok(entries) = u32::try_from(edges.atts.len()) else {
+            return Err(format!("{} attachment entries exceed the 32-bit arena", edges.atts.len()));
+        };
         let mut degree = vec![0u32; n];
         let mut start = 0;
-        for (e, &end) in ends.iter().enumerate() {
+        for (e, &end) in edges.ends.iter().enumerate() {
             if end <= start {
                 return Err(format!("edge {e} has rank 0"));
             }
-            for &v in &atts[start..end] {
+            for &v in &edges.atts[start..end] {
                 let Some(d) = degree.get_mut(v as usize) else {
                     return Err(format!("edge {e} attached to node {v} of {n}"));
                 };
@@ -151,34 +179,41 @@ impl Hypergraph {
             }
             start = end;
         }
-        let mut incidence: Vec<Vec<EdgeId>> =
-            degree.iter().map(|&d| Vec::with_capacity(d as usize)).collect();
-        let mut stored = Vec::with_capacity(labels.len());
+        let mut blocks = Vec::with_capacity(n);
+        let mut at = 0;
+        for &d in &degree {
+            blocks.push(Block { start: at, len: 0, cap: d });
+            at += d;
+        }
+        let mut arena = vec![0; entries as usize];
         let mut start = 0;
-        for (e, (&label, &end)) in labels.iter().zip(&ends).enumerate() {
-            let att = &atts[start..end];
-            for &v in att {
+        // Every edge has rank ≥ 1, so its id is below `entries` ≤ 2³² − 1.
+        for (e, &end) in (0..).zip(&edges.ends) {
+            for &v in &edges.atts[start..end] {
                 // Edges arrive in id order, so a node this edge already
                 // attached has it last in its list.
-                let list = &mut incidence[v as usize];
-                if list.last() == Some(&(e as EdgeId)) {
+                let block = &mut blocks[v as usize];
+                let next = block.start as usize + block.len as usize;
+                if block.len > 0 && arena[next - 1] == e {
                     return Err(format!("edge {e} attaches node {v} twice"));
                 }
-                list.push(e as EdgeId);
+                arena[next] = e;
+                block.len += 1;
             }
-            let att = match *att {
-                [a, b] => Att::Two([a, b]),
-                _ => Att::Many(att.into()),
-            };
-            stored.push(Some(Edge { label, att }));
             start = end;
         }
+        edges.labels.shrink_to_fit();
+        edges.ends.shrink_to_fit();
+        edges.atts.shrink_to_fit();
         Ok(Self {
-            alive_edges: stored.len(),
-            edges: stored,
+            alive_edges: edges.labels.len(),
+            edge_alive: vec![true; edges.labels.len()],
+            edges,
             node_alive: vec![true; n],
             alive_nodes: n,
-            incidence,
+            blocks,
+            arena,
+            garbage: 0,
             degree,
             ext: Vec::new(),
         })
@@ -189,11 +224,14 @@ impl Hypergraph {
     /// Self-loops and duplicate `(source, label, target)` triples are dropped
     /// (paper restrictions: attachments contain no node twice; simple graphs
     /// have no parallel equal-labeled edges); the number dropped is returned.
+    ///
+    /// # Panics
+    /// If a triple names a node `≥ n`.
     pub fn from_simple_edges(
         n: usize,
         triples: impl IntoIterator<Item = (NodeId, u32, NodeId)>,
     ) -> (Self, usize) {
-        let mut g = Self::with_nodes(n);
+        let mut edges = EdgeBuffer::new();
         let mut seen = grepair_util::FxHashSet::default();
         let mut dropped = 0usize;
         for (s, label, t) in triples {
@@ -201,8 +239,9 @@ impl Hypergraph {
                 dropped += 1;
                 continue;
             }
-            g.add_edge(EdgeLabel::Terminal(label), &[s, t]);
+            edges.push(EdgeLabel::Terminal(label), [s, t]);
         }
+        let g = Self::from_edges(n, edges).unwrap_or_else(|e| panic!("simple edges: {e}"));
         (g, dropped)
     }
 
@@ -211,10 +250,13 @@ impl Hypergraph {
     // ------------------------------------------------------------------
 
     /// Add a fresh node; returns its ID.
+    ///
+    /// # Panics
+    /// If the graph already has 2³² nodes.
     pub fn add_node(&mut self) -> NodeId {
-        let id = self.node_alive.len() as NodeId;
+        let id = NodeId::try_from(self.node_alive.len()).expect("node ids exhausted");
         self.node_alive.push(true);
-        self.incidence.push(Vec::new());
+        self.blocks.push(Block::default());
         self.degree.push(0);
         self.alive_nodes += 1;
         id
@@ -228,13 +270,14 @@ impl Hypergraph {
         assert!(self.node_alive[v as usize], "node {v} already removed");
         assert_eq!(self.degree[v as usize], 0, "node {v} still has incident edges");
         self.node_alive[v as usize] = false;
-        self.incidence[v as usize] = Vec::new();
+        let block = std::mem::take(&mut self.blocks[v as usize]);
+        self.release(block.cap as usize);
         self.alive_nodes -= 1;
     }
 
     /// Is node `v` alive?
     pub fn node_is_alive(&self, v: NodeId) -> bool {
-        (v as usize) < self.node_alive.len() && self.node_alive[v as usize]
+        self.node_alive.get(v as usize).copied().unwrap_or(false)
     }
 
     /// Number of alive nodes, `|g|V` (§II).
@@ -249,7 +292,7 @@ impl Hypergraph {
 
     /// Iterate over alive node IDs in increasing order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.node_alive.len() as NodeId).filter(move |&v| self.node_alive[v as usize])
+        (0..).zip(&self.node_alive).filter_map(|(v, &alive)| alive.then_some(v))
     }
 
     /// Number of alive edges incident with `v`.
@@ -264,7 +307,8 @@ impl Hypergraph {
     /// Add an edge labeled `label` attached to `att` (in order).
     ///
     /// # Panics
-    /// In debug builds, if `att` repeats a node or references a dead node.
+    /// In debug builds, if `att` repeats a node or references a dead node;
+    /// in every build, if the graph already has 2³² − 1 edges.
     pub fn add_edge(&mut self, label: EdgeLabel, att: &[NodeId]) -> EdgeId {
         debug_assert!(
             att.iter().all(|&v| self.node_is_alive(v)),
@@ -274,19 +318,65 @@ impl Hypergraph {
             (1..att.len()).all(|i| !att[..i].contains(&att[i])),
             "attachment contains a node twice (paper restriction 1)"
         );
-        let id = self.edges.len() as EdgeId;
-        let stored = if att.len() == 2 {
-            Att::Two([att[0], att[1]])
-        } else {
-            Att::Many(att.into())
-        };
-        self.edges.push(Some(Edge { label, att: stored }));
+        let id = EdgeId::try_from(self.edges.labels.len())
+            .ok()
+            .filter(|&id| id < EdgeId::MAX)
+            .expect("edge ids exhausted");
+        self.edges.push(label, att.iter().copied());
+        self.edge_alive.push(true);
         for &v in att {
-            self.incidence[v as usize].push(id);
+            self.push_incidence(v, id);
             self.degree[v as usize] += 1;
         }
         self.alive_edges += 1;
         id
+    }
+
+    /// Append `e` to `v`'s incidence list.
+    fn push_incidence(&mut self, v: NodeId, e: EdgeId) {
+        if self.blocks[v as usize].len == self.blocks[v as usize].cap {
+            self.grow(v);
+        }
+        let block = &mut self.blocks[v as usize];
+        self.arena[block.start as usize + block.len as usize] = e;
+        block.len += 1;
+    }
+
+    /// Double the capacity of `v`'s block: in place when it ends the arena,
+    /// else by moving it to the end and leaving its old entries as garbage.
+    fn grow(&mut self, v: NodeId) {
+        let block = self.blocks[v as usize];
+        let cap = (2 * block.cap as usize).max(MIN_BLOCK);
+        let mut start = block.start as usize;
+        let moved = start + block.cap as usize != self.arena.len();
+        if moved {
+            start = self.arena.len();
+            self.arena.extend_from_within(block.list());
+        }
+        self.arena.resize(start + cap, 0);
+        self.blocks[v as usize] = Block { start: offset(start), len: block.len, cap: offset(cap) };
+        if moved {
+            self.release(block.cap as usize);
+        }
+    }
+
+    /// Account `entries` arena entries that no block owns any more, and
+    /// rebuild the arena without garbage once garbage passes half of it:
+    /// every block, in node order, keeps its list and its capacity.
+    fn release(&mut self, entries: usize) {
+        self.garbage += entries;
+        if 2 * self.garbage <= self.arena.len() {
+            return;
+        }
+        let mut arena = Vec::with_capacity(self.arena.len() - self.garbage);
+        for block in &mut self.blocks {
+            let start = arena.len();
+            arena.extend_from_slice(&self.arena[block.list()]);
+            arena.resize(start + block.cap as usize, 0);
+            block.start = offset(start);
+        }
+        self.arena = arena;
+        self.garbage = 0;
     }
 
     /// Remove edge `e`.
@@ -294,22 +384,34 @@ impl Hypergraph {
     /// # Panics
     /// If `e` is already dead.
     pub fn remove_edge(&mut self, e: EdgeId) {
-        let edge = self.edges[e as usize].take().expect("edge already removed");
+        let alive = &mut self.edge_alive[e as usize];
+        assert!(*alive, "edge already removed");
+        *alive = false;
         self.alive_edges -= 1;
-        for &v in edge.att.as_slice() {
-            self.degree[v as usize] -= 1;
-            let list = &mut self.incidence[v as usize];
+        let Self { edges, edge_alive, blocks, arena, degree, .. } = self;
+        for &v in edges.att(e as usize) {
+            let degree = &mut degree[v as usize];
+            *degree -= 1;
+            let block = &mut blocks[v as usize];
             // Lazy compaction: rebuild once over half the list is stale.
-            if list.len() > 8 && list.len() > 2 * self.degree[v as usize] as usize {
-                let edges = &self.edges;
-                list.retain(|&id| edges[id as usize].is_some());
+            if block.len > 8 && block.len > 2 * *degree {
+                let list = &mut arena[block.list()];
+                let mut kept = 0;
+                for i in 0..list.len() {
+                    let id = list[i];
+                    if edge_alive[id as usize] {
+                        list[kept] = id;
+                        kept += 1;
+                    }
+                }
+                block.len = offset(kept);
             }
         }
     }
 
     /// Is edge `e` alive?
     pub fn edge_alive(&self, e: EdgeId) -> bool {
-        (e as usize) < self.edges.len() && self.edges[e as usize].is_some()
+        self.edge_alive.get(e as usize).copied().unwrap_or(false)
     }
 
     /// Number of alive edges.
@@ -319,7 +421,7 @@ impl Hypergraph {
 
     /// Upper bound on edge IDs.
     pub fn edge_bound(&self) -> usize {
-        self.edges.len()
+        self.edge_alive.len()
     }
 
     /// Borrow edge `e`.
@@ -327,43 +429,47 @@ impl Hypergraph {
     /// # Panics
     /// If `e` is dead.
     pub fn edge(&self, e: EdgeId) -> EdgeRef<'_> {
-        let edge = self.edges[e as usize].as_ref().expect("dead edge");
-        EdgeRef { id: e, label: edge.label, att: edge.att.as_slice() }
+        assert!(self.edge_alive[e as usize], "dead edge");
+        EdgeRef { id: e, label: self.edges.labels[e as usize], att: self.edges.att(e as usize) }
     }
 
     /// Label of edge `e`. Panics if dead.
     pub fn label(&self, e: EdgeId) -> EdgeLabel {
-        self.edges[e as usize].as_ref().expect("dead edge").label
+        assert!(self.edge_alive[e as usize], "dead edge");
+        self.edges.labels[e as usize]
     }
 
     /// Attachment of edge `e`. Panics if dead.
     pub fn att(&self, e: EdgeId) -> &[NodeId] {
-        self.edges[e as usize].as_ref().expect("dead edge").att.as_slice()
+        assert!(self.edge_alive[e as usize], "dead edge");
+        self.edges.att(e as usize)
     }
 
     /// Relabel edge `e` in place (attachment and edge ID are unchanged —
     /// used by grammar renumbering, which must not disturb edge identities).
     pub fn set_label(&mut self, e: EdgeId, label: EdgeLabel) {
-        self.edges[e as usize].as_mut().expect("dead edge").label = label;
+        assert!(self.edge_alive[e as usize], "dead edge");
+        self.edges.labels[e as usize] = label;
     }
 
     /// Iterate over alive edges in ID order.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef<'_>> {
-        self.edges.iter().enumerate().filter_map(|(id, slot)| {
-            slot.as_ref().map(|e| EdgeRef {
-                id: id as EdgeId,
-                label: e.label,
-                att: e.att.as_slice(),
-            })
-        })
+        let EdgeBuffer { labels, ends, atts } = &self.edges;
+        let mut start = 0;
+        (0..).zip(labels.iter().zip(ends).zip(&self.edge_alive)).filter_map(
+            move |(id, ((&label, &end), &alive))| {
+                let att = &atts[std::mem::replace(&mut start, end)..end];
+                alive.then_some(EdgeRef { id, label, att })
+            },
+        )
     }
 
     /// Iterate over the IDs of alive edges incident with `v`.
     pub fn incident(&self, v: NodeId) -> impl Iterator<Item = EdgeId> + '_ {
-        self.incidence[v as usize]
+        self.arena[self.blocks[v as usize].list()]
             .iter()
             .copied()
-            .filter(move |&e| self.edges[e as usize].is_some())
+            .filter(move |&e| self.edge_alive[e as usize])
     }
 
     /// Nodes adjacent to `v` through any edge (each neighbor may repeat).
@@ -462,12 +568,15 @@ impl Hypergraph {
     /// violation, if any. Linear in the size of the graph plus its stale
     /// incidence entries.
     pub fn validate(&self) -> Result<(), String> {
+        self.validate_arena()?;
+        // Every incidence list holds its node's alive edges in id order,
+        // so one walk over the edges in id order, with a cursor per list,
+        // meets each alive entry where the next edge of its node is due.
+        let mut next = vec![0usize; self.node_alive.len()];
         let mut degree = vec![0u32; self.node_alive.len()];
         let mut alive_edges = 0usize;
-        for (id, slot) in self.edges.iter().enumerate() {
-            let Some(edge) = slot else { continue };
+        for EdgeRef { id, att, .. } in self.edges() {
             alive_edges += 1;
-            let att = edge.att.as_slice();
             for (i, &v) in att.iter().enumerate() {
                 if !self.node_is_alive(v) {
                     return Err(format!("edge {id} attached to dead node {v}"));
@@ -476,9 +585,24 @@ impl Hypergraph {
                     return Err(format!("edge {id} attaches node {v} twice"));
                 }
                 degree[v as usize] += 1;
+                let list = &self.arena[self.blocks[v as usize].list()];
+                let at = &mut next[v as usize];
+                while list.get(*at).is_some_and(|&x| !self.edge_alive(x)) {
+                    *at += 1;
+                }
+                match list.get(*at) {
+                    Some(&x) if x == id => *at += 1,
+                    Some(&x) if x < id => return Err(self.misplaced(x, v)),
+                    _ => return Err(format!("edge {id} missing from incidence of node {v}")),
+                }
             }
         }
-        self.validate_incidence(&degree)?;
+        for ((v, block), &at) in (0..).zip(&self.blocks).zip(&next) {
+            let rest = &self.arena[block.list()][at..];
+            if let Some(&x) = rest.iter().find(|&&x| self.edge_alive(x)) {
+                return Err(self.misplaced(x, v));
+            }
+        }
         if alive_edges != self.alive_edges {
             return Err(format!(
                 "edge count mismatch: counted {alive_edges}, cached {}",
@@ -503,41 +627,37 @@ impl Hypergraph {
         Ok(())
     }
 
-    /// Every alive edge is listed exactly once in the incidence list of each
-    /// node it attaches, given `degree[v]` = the number of alive edges
-    /// attached to `v`. One pass per node over its list: an alive entry
-    /// must attach the node and must not repeat (a per-edge stamp), so the
-    /// alive entries are distinct edges attached to `v`, and they are all of
-    /// them exactly when they number `degree[v]`.
-    fn validate_incidence(&self, degree: &[u32]) -> Result<(), String> {
-        let mut stamp = vec![NodeId::MAX; self.edges.len()];
-        for (v, (list, &deg)) in self.incidence.iter().zip(degree).enumerate() {
-            let v = v as NodeId;
-            let mut listed = 0u32;
-            for &e in list {
-                let Some(Some(edge)) = self.edges.get(e as usize) else { continue };
-                if !edge.att.as_slice().contains(&v) {
-                    return Err(format!(
-                        "edge {e} in incidence of node {v}, which it does not attach"
-                    ));
-                }
-                if stamp[e as usize] == v {
-                    return Err(format!("edge {e} listed twice in incidence of node {v}"));
-                }
-                stamp[e as usize] = v;
-                listed += 1;
+    /// Every block lies inside the arena, and the blocks and the garbage
+    /// account for all of it.
+    fn validate_arena(&self) -> Result<(), String> {
+        if self.blocks.len() != self.node_alive.len() {
+            return Err("incidence block count out of sync".into());
+        }
+        let mut owned = self.garbage;
+        for (v, block) in self.blocks.iter().enumerate() {
+            let end = block.start as usize + block.cap as usize;
+            if block.len > block.cap || end > self.arena.len() {
+                return Err(format!("incidence block of node {v} lies outside the arena"));
             }
-            if listed != deg {
-                // Fewer: some edge attached to `v` is not in its list.
-                let missing =
-                    self.edges().find(|e| e.att.contains(&v) && stamp[e.id as usize] != v);
-                return Err(match missing {
-                    Some(e) => format!("edge {} missing from incidence of node {v}", e.id),
-                    None => format!("incidence of node {v} lists {listed} of its {deg} edges"),
-                });
-            }
+            owned += block.cap as usize;
+        }
+        if owned != self.arena.len() {
+            return Err(format!(
+                "incidence arena of {} entries holds {owned} in blocks and garbage",
+                self.arena.len()
+            ));
         }
         Ok(())
+    }
+
+    /// The error for alive edge `e` found in `v`'s incidence list where no
+    /// edge of `v` is due: an edge of `v` there again, or a stranger.
+    fn misplaced(&self, e: EdgeId, v: NodeId) -> String {
+        if self.edges.att(e as usize).contains(&v) {
+            format!("edge {e} listed twice in incidence of node {v}")
+        } else {
+            format!("edge {e} in incidence of node {v}, which it does not attach")
+        }
     }
 }
 
@@ -652,6 +772,19 @@ mod tests {
         g.validate().unwrap();
     }
 
+    /// Node `v`'s incidence list as stored, stale entries included.
+    fn list(g: &Hypergraph, v: NodeId) -> &[EdgeId] {
+        &g.arena[g.blocks[v as usize].list()]
+    }
+
+    /// Remove entry `i` of node `v`'s stored list, keeping the others' order.
+    fn remove_entry(g: &mut Hypergraph, v: NodeId, i: usize) {
+        let block = &mut g.blocks[v as usize];
+        let at = block.start as usize + i;
+        g.arena.copy_within(at + 1..block.list().end, at);
+        block.len -= 1;
+    }
+
     #[test]
     fn validate_reports_corrupt_private_state() {
         // Fig. 1d after edge 0 was removed, so node 0 and 1's lists hold a
@@ -663,15 +796,16 @@ mod tests {
             g
         };
         let mut g = fresh();
-        g.incidence[2].retain(|&e| e != 2);
+        let i = list(&g, 2).iter().position(|&e| e == 2).unwrap();
+        remove_entry(&mut g, 2, i);
         assert_eq!(g.validate(), Err("edge 2 missing from incidence of node 2".into()));
 
         let mut g = fresh();
-        g.incidence[1].push(1);
+        g.push_incidence(1, 1);
         assert_eq!(g.validate(), Err("edge 1 listed twice in incidence of node 1".into()));
 
         let mut g = fresh();
-        g.incidence[0].push(1);
+        g.push_incidence(0, 1);
         assert_eq!(
             g.validate(),
             Err("edge 1 in incidence of node 0, which it does not attach".into())
@@ -685,6 +819,21 @@ mod tests {
         g.node_alive[2] = false;
         g.alive_nodes -= 1;
         assert_eq!(g.validate(), Err("edge 1 attached to dead node 2".into()));
+
+        // The arena's own bookkeeping.
+        let mut g = fresh();
+        g.blocks[1].cap = g.blocks[1].len - 1;
+        assert_eq!(g.validate(), Err("incidence block of node 1 lies outside the arena".into()));
+
+        let mut g = fresh();
+        g.blocks[2].start = offset(g.arena.len());
+        assert_eq!(g.validate(), Err("incidence block of node 2 lies outside the arena".into()));
+
+        let mut g = fresh();
+        g.garbage += 1;
+        let held = g.arena.len() + 1;
+        let want = format!("incidence arena of {} entries holds {held} in blocks and garbage", held - 1);
+        assert_eq!(g.validate(), Err(want));
     }
 
     #[test]
@@ -692,16 +841,19 @@ mod tests {
         // A hub with 20 000 edges, half of them removed: one walk of its
         // list (about 10⁸ `contains` probes the old way) skips the stale entries
         // and still sees the one live entry that went missing.
-        let n = 20_001;
-        let mut g = Hypergraph::with_nodes(n);
-        for v in 1..n as NodeId {
+        let n: NodeId = 20_001;
+        let mut g = Hypergraph::with_nodes(n as usize);
+        for v in 1..n {
             let e = g.add_edge(EdgeLabel::Terminal(0), &[0, v]);
             if v % 2 == 0 {
                 g.remove_edge(e);
             }
         }
         g.validate().unwrap();
-        g.incidence[0].swap_remove(0);
+        // `swap_remove(0)` on node 0's list.
+        let block = &mut g.blocks[0];
+        g.arena[block.start as usize] = g.arena[block.list().end - 1];
+        block.len -= 1;
         assert!(g.validate().unwrap_err().contains("missing from incidence of node 0"));
     }
 
@@ -710,14 +862,14 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         for case in 0..200 {
-            let n = rng.gen_range(1..40usize);
-            let mut grown = Hypergraph::with_nodes(n);
+            let n: NodeId = rng.gen_range(1..40);
+            let mut grown = Hypergraph::with_nodes(n as usize);
             let mut buf = EdgeBuffer::new();
             for _ in 0..rng.gen_range(0..120) {
-                let rank = rng.gen_range(1..=n.min(5));
+                let rank = rng.gen_range(1..=n.min(5) as usize);
                 let mut att: Vec<NodeId> = Vec::new();
                 while att.len() < rank {
-                    let v = rng.gen_range(0..n as NodeId);
+                    let v = rng.gen_range(0..n);
                     if !att.contains(&v) {
                         att.push(v);
                     }
@@ -728,15 +880,140 @@ mod tests {
                 grown.add_edge(label, &att);
                 buf.push(label, att);
             }
-            let built = Hypergraph::from_edges(n, buf).unwrap();
+            let built = Hypergraph::from_edges(n as usize, buf).unwrap();
             built.validate().unwrap();
             assert!(built.edges().eq(grown.edges()), "case {case}");
             assert_eq!(built.degree, grown.degree, "case {case}");
-            assert_eq!(built.incidence, grown.incidence, "case {case}");
+            for v in 0..n {
+                assert_eq!(list(&built, v), list(&grown, v), "case {case}, node {v}");
+            }
             assert_eq!(built.num_edges(), grown.num_edges(), "case {case}");
-            // Exact size: no list was grown past its degree.
-            assert!(built.incidence.iter().all(|l| l.capacity() == l.len()), "case {case}");
+            // A CSR: every block exactly its list, back to back in node
+            // order, and no garbage or spare room in the arena.
+            let mut at = 0;
+            for block in &built.blocks {
+                assert_eq!((block.start, block.cap), (at, block.len), "case {case}");
+                at += block.len;
+            }
+            assert_eq!(built.garbage, 0, "case {case}");
+            assert_eq!(built.arena.len(), at as usize, "case {case}");
+            assert_eq!(built.arena.capacity(), built.arena.len(), "case {case}");
         }
+    }
+
+    /// What [`churn`] saw: the hub's largest degree, the steps that moved
+    /// a block, and the steps that compacted the whole arena.
+    #[derive(Debug)]
+    struct Churn {
+        hub_peak: usize,
+        moves: usize,
+        compactions: usize,
+    }
+
+    /// `grow` steps of random `add_edge` / `remove_edge` / `add_node` /
+    /// `remove_node` (mostly adds, most of them attached to node 0, the
+    /// hub), then steps that remove every edge and every node, against a
+    /// naive model of each node's incidence list. After every step, the
+    /// nodes the step touched list exactly the model's edges, in its order,
+    /// and have its degree. After every `full`-th step, and after every
+    /// step that moved a block or compacted the arena, every node is
+    /// checked that way and `validate` must pass.
+    fn churn(seed: u64, nodes: u32, grow: usize, full: usize) -> Churn {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut g = Hypergraph::with_nodes(nodes as usize);
+        let mut live: Vec<NodeId> = (0..nodes).collect();
+        let mut model: Vec<Vec<EdgeId>> = vec![Vec::new(); nodes as usize];
+        let mut edges: Vec<EdgeId> = Vec::new();
+        let hub = 0;
+        let mut seen = Churn { hub_peak: 0, moves: 0, compactions: 0 };
+        let mut step = 0;
+        while step < grow || !live.is_empty() {
+            let garbage = g.garbage;
+            let mut touched: Vec<NodeId> = Vec::new();
+            let roll = if step < grow { rng.gen_range(0..100) } else { 100 };
+            match roll {
+                0..=94 => {
+                    let rank = rng.gen_range(1..=live.len().min(4));
+                    let mut att: Vec<NodeId> = Vec::new();
+                    if rng.gen_bool(0.9) {
+                        att.push(hub);
+                    }
+                    while att.len() < rank {
+                        let v = live[rng.gen_range(0..live.len())];
+                        if !att.contains(&v) {
+                            att.push(v);
+                        }
+                    }
+                    let e = g.add_edge(EdgeLabel::Terminal(rng.gen_range(0..3)), &att);
+                    for &v in &att {
+                        model[v as usize].push(e);
+                    }
+                    edges.push(e);
+                    touched = att;
+                }
+                95 => {
+                    let v = g.add_node();
+                    live.push(v);
+                    model.push(Vec::new());
+                    touched.push(v);
+                }
+                96 if live.len() > 1 => {
+                    // The hub stays first in `live`.
+                    let i = rng.gen_range(1..live.len());
+                    if model[live[i] as usize].is_empty() {
+                        g.remove_node(live.swap_remove(i));
+                    }
+                }
+                _ if !edges.is_empty() => {
+                    let e = edges.swap_remove(rng.gen_range(0..edges.len()));
+                    touched = g.att(e).to_vec();
+                    g.remove_edge(e);
+                    for &v in &touched {
+                        model[v as usize].retain(|&x| x != e);
+                    }
+                }
+                // Then the nodes, the hub last.
+                _ if step >= grow => g.remove_node(live.pop().unwrap()),
+                _ => {}
+            }
+            if g.node_is_alive(hub) {
+                seen.hub_peak = seen.hub_peak.max(g.degree(hub));
+            }
+            let moved = g.garbage > garbage;
+            let compacted = g.garbage < garbage;
+            seen.moves += usize::from(moved);
+            seen.compactions += usize::from(compacted);
+            assert_eq!(g.num_edges(), edges.len(), "step {step}");
+            assert_eq!(g.num_nodes(), live.len(), "step {step}");
+            let everything = moved || compacted || step % full == 0;
+            let checked: &[NodeId] = if everything { &live } else { &touched };
+            for &v in checked {
+                let listed = model[v as usize].iter().copied();
+                assert!(g.incident(v).eq(listed), "step {step}, node {v}");
+                assert_eq!(g.degree(v), model[v as usize].len(), "step {step}, node {v}");
+            }
+            if everything {
+                g.validate().unwrap_or_else(|e| panic!("step {step}: {e}"));
+            }
+            step += 1;
+        }
+        assert_eq!((g.num_edges(), g.num_nodes()), (0, 0));
+        seen
+    }
+
+    #[test]
+    fn incidence_order_under_churn_matches_a_model() {
+        // Small graphs, every node and `validate` after every step.
+        for seed in 0..4 {
+            let seen = churn(seed, 12, 1_500, 1);
+            assert!(seen.moves > 0 && seen.compactions > 0, "seed {seed}: {seen:?}");
+        }
+        // A hub of over 10 000 edges, whose block moves as it grows. Moving
+        // a block of doubled capacity leaves less garbage than the blocks
+        // hold, so it is removing nodes that makes the arena compact.
+        let seen = churn(42, 40, 12_500, 256);
+        assert!(seen.hub_peak >= 10_000 && seen.moves > 0 && seen.compactions > 1, "{seen:?}");
     }
 
     #[test]

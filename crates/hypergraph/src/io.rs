@@ -37,6 +37,24 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError { line, message: message.into() }
 }
 
+/// The dense id of original node `x`, the next one if `x` is new, read on
+/// 0-based line `i`.
+fn dense_id(
+    remap: &mut FxHashMap<u64, NodeId>,
+    originals: &mut Vec<u64>,
+    x: u64,
+    i: usize,
+) -> Result<NodeId, ParseError> {
+    if let Some(&id) = remap.get(&x) {
+        return Ok(id);
+    }
+    let id = NodeId::try_from(originals.len())
+        .map_err(|_| err(i + 1, "more than 2^32 distinct nodes"))?;
+    originals.push(x);
+    remap.insert(x, id);
+    Ok(id)
+}
+
 /// Parse a SNAP-style `source target` edge list. Node identifiers are
 /// remapped to dense IDs in first-seen order; the mapping is returned.
 /// Returns the graph, the original→dense mapping, and the number of dropped
@@ -64,13 +82,8 @@ pub fn parse_pairs(text: &str) -> Result<(Hypergraph, Vec<u64>, usize), ParseErr
         if it.next().is_some() {
             return Err(err(i + 1, "expected exactly two columns"));
         }
-        let mut id_of = |x: u64| {
-            *remap.entry(x).or_insert_with(|| {
-                originals.push(x);
-                (originals.len() - 1) as NodeId
-            })
-        };
-        let (s, t) = (id_of(s), id_of(t));
+        let s = dense_id(&mut remap, &mut originals, s, i)?;
+        let t = dense_id(&mut remap, &mut originals, t, i)?;
         triples.push((s, 0u32, t));
     }
     let (g, dropped) = Hypergraph::from_simple_edges(originals.len(), triples);
@@ -96,14 +109,10 @@ pub fn parse_triples(text: &str) -> Result<(Hypergraph, Vec<u64>, usize), ParseE
         }
         let parse = |s: &str| s.parse::<u64>().map_err(|e| err(i + 1, format!("bad number: {e}")));
         let (s, p, o) = (parse(cols[0])?, parse(cols[1])?, parse(cols[2])?);
-        let mut id_of = |x: u64| {
-            *node_remap.entry(x).or_insert_with(|| {
-                originals.push(x);
-                (originals.len() - 1) as NodeId
-            })
-        };
-        let (s, o) = (id_of(s), id_of(o));
-        let next_label = label_remap.len() as u32;
+        let s = dense_id(&mut node_remap, &mut originals, s, i)?;
+        let o = dense_id(&mut node_remap, &mut originals, o, i)?;
+        let next_label = u32::try_from(label_remap.len())
+            .map_err(|_| err(i + 1, "more than 2^32 distinct predicates"))?;
         let p = *label_remap.entry(p).or_insert(next_label);
         triples.push((s, p, o));
     }
@@ -124,10 +133,8 @@ pub fn parse_triples(text: &str) -> Result<(Hypergraph, Vec<u64>, usize), ParseE
 pub fn write_hypergraph(g: &Hypergraph) -> String {
     let mut out = String::new();
     out.push_str(&format!("nodes {}\n", g.node_bound()));
-    for v in 0..g.node_bound() as NodeId {
-        if !g.node_is_alive(v) {
-            out.push_str(&format!("dead {v}\n"));
-        }
+    for v in (0..).take(g.node_bound()).filter(|&v| !g.node_is_alive(v)) {
+        out.push_str(&format!("dead {v}\n"));
     }
     for e in g.edges() {
         out.push_str(&format!("e {}", e.label));

@@ -120,7 +120,8 @@ pub fn fp_refine(g: &Hypergraph, config: FpConfig) -> FpResult {
     let mut kinds: Vec<u32> = Vec::with_capacity(neighbors.len());
     for &v in &alive {
         descriptors(g, v, config, |kind, _| {
-            kinds.push(distinct.binary_search(&kind).unwrap_or_else(|i| i) as u32);
+            let rank = distinct.binary_search(&kind).unwrap_or_else(|i| i);
+            kinds.push(u32::try_from(rank).expect("fewer than 2^32 descriptor kinds"));
         });
     }
 
@@ -272,7 +273,8 @@ mod tests {
                             continue;
                         }
                         let role = if config.use_direction {
-                            ((pos_v.min(255) as u16) << 8) | pos_u.min(255) as u16
+                            let pos = |p: usize| u16::try_from(p.min(255)).unwrap();
+                            (pos(pos_v) << 8) | pos(pos_u)
                         } else {
                             0
                         };
@@ -361,7 +363,7 @@ mod tests {
             };
             g.add_edge(label, &att);
         }
-        for e in 0..g.edge_bound() as u32 {
+        for e in (0..).take(g.edge_bound()) {
             if rng.gen_bool(0.1) {
                 g.remove_edge(e);
             }

@@ -43,8 +43,12 @@ pub struct UnionFind {
 
 impl UnionFind {
     /// `n` singleton sets.
+    ///
+    /// # Panics
+    /// If `n` exceeds `u32::MAX`: elements are `u32`.
     pub fn new(n: usize) -> Self {
-        Self { parent: (0..n as u32).collect(), size: vec![1; n], components: n }
+        let elements = u32::try_from(n).expect("union-find elements are u32");
+        Self { parent: (0..elements).collect(), size: vec![1; n], components: n }
     }
 
     /// Representative of `x`'s set.
@@ -120,7 +124,15 @@ pub struct Csr {
 impl Csr {
     /// The digraph on `0..n` with the given `(source, target)` edges. A
     /// node's successors keep the order the edges were listed in.
+    ///
+    /// # Panics
+    /// If `n ≥ u32::MAX` or there are more than `u32::MAX` edges: nodes and
+    /// offsets are `u32`, and `u32::MAX` stays free as a sentinel.
     pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        assert!(
+            n < u32::MAX as usize && u32::try_from(edges.len()).is_ok(),
+            "a Csr has fewer than 2^32 - 1 nodes and at most 2^32 - 1 edges"
+        );
         let mut offsets = vec![0u32; n + 1];
         for &(a, _) in edges {
             offsets[a as usize + 1] += 1;
@@ -142,6 +154,11 @@ impl Csr {
 
     /// Drop every repeated successor, keeping the first of each: O(n + m),
     /// no sort.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "v < num_nodes() < u32::MAX, and kept never passes the u32 offset it \
+                  overwrites (both bounds asserted by Csr::from_edges)"
+    )]
     pub fn dedup_successors(&mut self) {
         // `row_of[w]` = the last row that kept `w`.
         let mut row_of = vec![u32::MAX; self.num_nodes()];
@@ -193,7 +210,7 @@ pub fn tarjan_scc(g: &Csr) -> (Vec<u32>, usize) {
     let mut next_index = 0u32;
     let mut next_scc = 0u32;
 
-    for root in 0..n as u32 {
+    for root in (0..).take(n) {
         if index[root as usize] != u32::MAX {
             continue;
         }

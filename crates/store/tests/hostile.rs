@@ -96,6 +96,22 @@ fn a_repeated_start_external_node_is_an_error() {
     assert!(err.contains("external node 0 repeated"), "{err}");
 }
 
+/// Two payloads whose one rule holds a value of 2³²: an edge label
+/// (76 bits) and an isolated node id (65 bits). Read as `u32`, each would
+/// keep its low 32 bits and load as a different, valid grammar; each is an
+/// error.
+#[test]
+fn a_rule_value_past_32_bits_is_an_error() {
+    for (payload, bit_len, what) in [
+        (&[0x44, 0x59, 0x42, 0x74, 0x04, 0x20, 0x00, 0x00, 0x00, 0x30][..], 76, "edge label"),
+        (&[0x44, 0x59, 0xa0, 0x21, 0x00, 0x00, 0x00, 0x01, 0x80], 65, "node id"),
+    ] {
+        let file = write_container(payload, bit_len);
+        let err = GraphStore::from_bytes(&file).unwrap_err().to_string();
+        assert!(err.contains(&format!("{what} overflow")), "{err}");
+    }
+}
+
 /// Both shapes of grammar container, encoding the same unlabeled path
 /// graph: compressed (rules, renumbered nodes) and rule-free (S alone).
 fn backend_containers() -> Vec<(&'static str, Vec<u8>)> {
