@@ -39,12 +39,18 @@ impl EdgeRef<'_> {
 /// and the attachments themselves — which [`Hypergraph::from_edges`] moves
 /// into a graph. Appending costs no allocation per edge, so a decoder or a
 /// derivation collects here and builds once.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EdgeBuffer {
     labels: Vec<EdgeLabel>,
-    /// `atts[ends[i - 1]..ends[i]]` is edge `i`'s attachment.
-    ends: Vec<usize>,
+    /// `atts[ends[i]..ends[i + 1]]` is edge `i`'s attachment.
+    ends: Vec<u32>,
     atts: Vec<NodeId>,
+}
+
+impl Default for EdgeBuffer {
+    fn default() -> Self {
+        Self { labels: Vec::new(), ends: vec![0], atts: Vec::new() }
+    }
 }
 
 impl EdgeBuffer {
@@ -64,13 +70,19 @@ impl EdgeBuffer {
     pub fn push(&mut self, label: EdgeLabel, att: impl IntoIterator<Item = NodeId>) {
         self.atts.extend(att);
         self.labels.push(label);
-        self.ends.push(self.atts.len());
+        // Past 2³² − 1 entries the end saturates; `from_edges` rejects the
+        // buffer before any end is read.
+        self.ends.push(u32::try_from(self.atts.len()).unwrap_or(u32::MAX));
     }
 
     /// Edge `e`'s attachment.
     fn att(&self, e: usize) -> &[NodeId] {
-        let start = e.checked_sub(1).map_or(0, |p| self.ends[p]);
-        &self.atts[start..self.ends[e]]
+        &self.atts[self.ends[e] as usize..self.ends[e + 1] as usize]
+    }
+
+    /// Every edge's attachment, in id order.
+    fn atts(&self) -> impl Iterator<Item = &[NodeId]> {
+        self.ends.windows(2).map(|end| &self.atts[end[0] as usize..end[1] as usize])
     }
 }
 
@@ -166,18 +178,16 @@ impl Hypergraph {
             return Err(format!("{} attachment entries exceed the 32-bit arena", edges.atts.len()));
         };
         let mut degree = vec![0u32; n];
-        let mut start = 0;
-        for (e, &end) in edges.ends.iter().enumerate() {
-            if end <= start {
+        for (e, att) in edges.atts().enumerate() {
+            if att.is_empty() {
                 return Err(format!("edge {e} has rank 0"));
             }
-            for &v in &edges.atts[start..end] {
+            for &v in att {
                 let Some(d) = degree.get_mut(v as usize) else {
                     return Err(format!("edge {e} attached to node {v} of {n}"));
                 };
                 *d += 1;
             }
-            start = end;
         }
         let mut blocks = Vec::with_capacity(n);
         let mut at = 0;
@@ -186,10 +196,9 @@ impl Hypergraph {
             at += d;
         }
         let mut arena = vec![0; entries as usize];
-        let mut start = 0;
         // Every edge has rank ≥ 1, so its id is below `entries` ≤ 2³² − 1.
-        for (e, &end) in (0..).zip(&edges.ends) {
-            for &v in &edges.atts[start..end] {
+        for (e, att) in (0..).zip(edges.atts()) {
+            for &v in att {
                 // Edges arrive in id order, so a node this edge already
                 // attached has it last in its list.
                 let block = &mut blocks[v as usize];
@@ -200,7 +209,6 @@ impl Hypergraph {
                 arena[next] = e;
                 block.len += 1;
             }
-            start = end;
         }
         edges.labels.shrink_to_fit();
         edges.ends.shrink_to_fit();
@@ -308,7 +316,8 @@ impl Hypergraph {
     ///
     /// # Panics
     /// In debug builds, if `att` repeats a node or references a dead node;
-    /// in every build, if the graph already has 2³² − 1 edges.
+    /// in every build, if the graph would pass 2³² − 1 edges or attachment
+    /// entries.
     pub fn add_edge(&mut self, label: EdgeLabel, att: &[NodeId]) -> EdgeId {
         debug_assert!(
             att.iter().all(|&v| self.node_is_alive(v)),
@@ -322,6 +331,10 @@ impl Hypergraph {
             .ok()
             .filter(|&id| id < EdgeId::MAX)
             .expect("edge ids exhausted");
+        assert!(
+            u32::try_from(self.edges.atts.len() + att.len()).is_ok(),
+            "attachment entries exhausted"
+        );
         self.edges.push(label, att.iter().copied());
         self.edge_alive.push(true);
         for &v in att {
@@ -454,13 +467,8 @@ impl Hypergraph {
 
     /// Iterate over alive edges in ID order.
     pub fn edges(&self) -> impl Iterator<Item = EdgeRef<'_>> {
-        let EdgeBuffer { labels, ends, atts } = &self.edges;
-        let mut start = 0;
-        (0..).zip(labels.iter().zip(ends).zip(&self.edge_alive)).filter_map(
-            move |(id, ((&label, &end), &alive))| {
-                let att = &atts[std::mem::replace(&mut start, end)..end];
-                alive.then_some(EdgeRef { id, label, att })
-            },
+        (0..).zip(self.edges.labels.iter().zip(self.edges.atts()).zip(&self.edge_alive)).filter_map(
+            |(id, ((&label, att), &alive))| alive.then_some(EdgeRef { id, label, att }),
         )
     }
 
