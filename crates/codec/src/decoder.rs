@@ -3,11 +3,11 @@
 use crate::perm::PermDict;
 use crate::rules::decode_rule;
 use crate::start::decode_label;
-use crate::CodecError;
+use crate::{room, CodecError};
 use grepair_bits::codes::read_delta;
 use grepair_bits::BitReader;
 use grepair_grammar::Grammar;
-use grepair_hypergraph::{EdgeBuffer, EdgeLabel, Hypergraph};
+use grepair_hypergraph::{EdgeBuffer, EdgeLabel, Hypergraph, NodeId};
 
 /// Largest start-graph node count the decoder materializes. An isolated
 /// node costs no bits, so the header's count is a claim nothing else
@@ -41,24 +41,27 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     let mut r = BitReader::new(bytes, bit_len);
 
     // --- header ---
-    let num_terminals = (read_delta(&mut r)? - 1) as u32;
-    let num_rules = (read_delta(&mut r)? - 1) as usize;
+    // Label ids are u32: a count past that is corrupt, not something to
+    // keep the low bits of.
+    let num_terminals = u32::try_from(read_delta(&mut r)? - 1)
+        .map_err(|_| CodecError::Malformed("terminal count overflow".into()))?;
+    let num_rules = u32::try_from(read_delta(&mut r)? - 1)
+        .map_err(|_| CodecError::Malformed("rule count overflow".into()))?;
     let m = read_delta(&mut r)? - 1;
-    if m > MAX_START_NODES {
+    let Some(m) = u32::try_from(m).ok().filter(|&m| u64::from(m) <= MAX_START_NODES) else {
         return Err(CodecError::Malformed(format!(
             "start graph node count {m} exceeds the decoder cap ({MAX_START_NODES})"
         )));
-    }
-    let m = m as usize;
+    };
     // Counts are untrusted: pre-size by what the stream can still hold
     // (every entry costs at least one bit), never by the claim itself.
-    let ext_len = (read_delta(&mut r)? - 1) as usize;
-    let mut ext = Vec::with_capacity(ext_len.min(r.remaining() as usize));
+    let ext_len = read_delta(&mut r)? - 1;
+    let mut ext = Vec::with_capacity(room(ext_len, &r));
     for _ in 0..ext_len {
-        let v = (read_delta(&mut r)? - 1) as u32;
-        if v as usize >= m {
-            return Err(CodecError::Malformed("external node out of range".into()));
-        }
+        let v = NodeId::try_from(read_delta(&mut r)? - 1)
+            .ok()
+            .filter(|&v| v < m)
+            .ok_or_else(|| CodecError::Malformed("external node out of range".into()))?;
         ext.push(v);
     }
     let mut sorted = ext.clone();
@@ -69,27 +72,23 @@ pub fn decode(bytes: &[u8], bit_len: u64) -> Result<Grammar, CodecError> {
     }) {
         return Err(CodecError::Malformed(format!("start graph external node {v} repeated")));
     }
-    let num_labels = num_terminals as usize + num_rules;
-    let mut present = Vec::with_capacity(num_labels.min(r.remaining() as usize));
+    let num_labels = u64::from(num_terminals) + u64::from(num_rules);
+    let mut present = Vec::with_capacity(room(num_labels, &r));
     for _ in 0..num_labels {
         present.push(r.read_bit()?);
     }
     let dict = PermDict::decode(&mut r)?;
 
     // --- start graph ---
+    let labels = (0..num_terminals)
+        .map(EdgeLabel::Terminal)
+        .chain((0..num_rules).map(EdgeLabel::Nonterminal));
     let mut edges = EdgeBuffer::new();
-    for (slot, &p) in present.iter().enumerate() {
-        if !p {
-            continue;
-        }
-        let label = if slot < num_terminals as usize {
-            EdgeLabel::Terminal(slot as u32)
-        } else {
-            EdgeLabel::Nonterminal((slot - num_terminals as usize) as u32)
-        };
-        decode_label(&mut r, &mut edges, m as u32, label, &dict)?;
+    for (label, _) in labels.zip(&present).filter(|&(_, &p)| p) {
+        decode_label(&mut r, &mut edges, m, label, &dict)?;
     }
-    let mut start = Hypergraph::from_edges(m, edges).map_err(|e| malformed("start graph", e))?;
+    let mut start =
+        Hypergraph::from_edges(m as usize, edges).map_err(|e| malformed("start graph", e))?;
     start.set_ext(ext);
 
     // --- rules ---
@@ -365,7 +364,9 @@ mod tests {
                 Err(CodecError::Malformed(msg)) if capped => {
                     assert!(msg.contains("exceeds the decoder cap"), "{m}: {msg}")
                 }
-                Ok(grammar) if !capped => assert_eq!(grammar.start.num_nodes(), m as usize),
+                Ok(grammar) if !capped => {
+                    assert_eq!(grammar.start.num_nodes(), usize::try_from(m).unwrap())
+                }
                 other => panic!("{m} nodes: {other:?}"),
             }
         }
@@ -382,6 +383,45 @@ mod tests {
             }
             other => panic!("want a malformed-stream error, got {other:?}"),
         }
+    }
+
+    /// A rule-free container whose header claims `terminals` terminal
+    /// labels (none present in S) and two start nodes, `ext` of them
+    /// external.
+    fn header_container(terminals: u64, ext: &[u64]) -> (Vec<u8>, u64) {
+        use grepair_bits::codes::write_delta;
+        let mut w = grepair_bits::BitWriter::new();
+        write_delta(&mut w, terminals + 1);
+        write_delta(&mut w, 1); // no rules
+        write_delta(&mut w, 3); // two start nodes
+        write_delta(&mut w, ext.len() as u64 + 1);
+        for &v in ext {
+            write_delta(&mut w, v + 1);
+        }
+        w.push_bits(0, 1); // no section for T0
+        write_delta(&mut w, 1); // empty permutation dictionary
+        w.finish()
+    }
+
+    /// Read as `u32`, a header value of 2³² + 1 would keep its low bits and
+    /// decode as the grammar the value 1 writes: one terminal, or start
+    /// node 1 external. Both are malformed; the values that fit decode.
+    #[test]
+    fn header_values_past_32_bits_are_malformed_not_wrapped() {
+        let wide = (1 << 32) + 1;
+        for ((bytes, len), what) in [
+            (header_container(wide, &[]), "terminal count overflow"),
+            (header_container(1, &[wide]), "external node out of range"),
+        ] {
+            match decode(&bytes, len) {
+                Err(CodecError::Malformed(msg)) => assert_eq!(msg, what),
+                other => panic!("{what}: want a malformed-stream error, got {other:?}"),
+            }
+        }
+        let (bytes, len) = header_container(1, &[]);
+        assert_eq!(decode(&bytes, len).unwrap().num_terminals(), 1);
+        let (bytes, len) = header_container(1, &[1]);
+        assert_eq!(decode(&bytes, len).unwrap().start.ext(), &[1]);
     }
 
     /// A container of one terminal, one rule and two start nodes without

@@ -50,6 +50,8 @@
     clippy::indexing_slicing,
     clippy::string_slice
 )]
+// An id, count or width is narrowed by `try_from` or an audited cast (§9.1).
+#![deny(clippy::cast_possible_truncation)]
 
 mod decoder;
 mod encoder;
@@ -60,7 +62,14 @@ pub mod start;
 pub use decoder::{decode, MAX_START_NODES};
 pub use encoder::encode;
 
-use grepair_bits::BitError;
+use grepair_bits::{BitError, BitReader};
+
+/// How many entries of an untrusted count `claim` to pre-size for: no more
+/// than the bits `r` has left, since every entry costs at least one.
+/// Saturates where `usize` is narrower than the stream's bit count.
+pub(crate) fn room(claim: u64, r: &BitReader<'_>) -> usize {
+    usize::try_from(claim.min(r.remaining())).unwrap_or(usize::MAX)
+}
 
 /// Errors produced while decoding a grammar stream.
 #[derive(Debug, Clone, PartialEq, Eq)]

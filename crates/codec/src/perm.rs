@@ -25,6 +25,11 @@ pub fn perm_of(att: &[NodeId]) -> Perm {
         clippy::unwrap_used,
         reason = "sorted is a permutation of att, so every element is found"
     )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a position in att; the format's ranks are ≤ 255, which the decoder \
+                  enforces (rules.rs, PermDict::decode)"
+    )]
     att.iter()
         .map(|v| sorted.iter().position(|x| x == v).unwrap() as u8)
         .collect()
@@ -60,6 +65,10 @@ impl PermDict {
         if let Some(&i) = self.index.get(&perm) {
             return i;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "one permutation per edge at most, and edge ids are u32"
+        )]
         let i = self.perms.len() as u32;
         self.perms.push(perm.clone());
         self.index.insert(perm, i);
@@ -109,17 +118,17 @@ impl PermDict {
         let count = read_delta(r)? - 1;
         let mut dict = Self::new();
         for _ in 0..count {
-            let len = read_delta(r)? as usize;
-            if len == 0 || len > 255 {
-                return Err(CodecError::Malformed("permutation length out of range".into()));
-            }
+            let len = match u8::try_from(read_delta(r)?) {
+                Ok(len @ 1..) => usize::from(len),
+                _ => return Err(CodecError::Malformed("permutation length out of range".into())),
+            };
             let width = ceil_log2(len as u64);
             let mut perm = Vec::with_capacity(len);
             for _ in 0..len {
-                let p = r.read_bits(width)? as u8;
-                if p as usize >= len {
-                    return Err(CodecError::Malformed("permutation entry out of range".into()));
-                }
+                let p = u8::try_from(r.read_bits(width)?)
+                    .ok()
+                    .filter(|&p| usize::from(p) < len)
+                    .ok_or_else(|| CodecError::Malformed("permutation entry out of range".into()))?;
                 perm.push(p);
             }
             // Must be a permutation of 0..len.
@@ -140,11 +149,10 @@ impl PermDict {
 
     /// Read one edge's permutation index.
     pub fn decode_index(&self, r: &mut BitReader<'_>) -> Result<u32, CodecError> {
-        let i = r.read_bits(self.index_bits())? as u32;
-        if i as usize >= self.perms.len() {
-            return Err(CodecError::Malformed("permutation index out of range".into()));
-        }
-        Ok(i)
+        u32::try_from(r.read_bits(self.index_bits())?)
+            .ok()
+            .filter(|&i| (i as usize) < self.perms.len())
+            .ok_or_else(|| CodecError::Malformed("permutation index out of range".into()))
     }
 }
 

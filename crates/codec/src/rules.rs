@@ -13,7 +13,7 @@
 //! induced by the IDs of the external nodes is the same as the order of the
 //! external nodes").
 
-use crate::CodecError;
+use crate::{room, CodecError};
 use grepair_bits::codes::{read_delta, write_delta};
 use grepair_bits::{BitReader, BitWriter};
 use grepair_hypergraph::{EdgeBuffer, EdgeLabel, Hypergraph, NodeId};
@@ -58,8 +58,8 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
     // node costs at least one bit), never by the untrusted count itself,
     // for edges of rank 2, the most common.
     let mut edges = EdgeBuffer::new();
-    let room = num_edges.min(r.remaining()) as usize;
-    edges.reserve(room, 2 * room);
+    let edge_room = room(num_edges, r);
+    edges.reserve(edge_room, edge_room.saturating_mul(2));
     let mut att: Vec<NodeId> = Vec::new();
     let mut slots: u64 = 0;
     let mut max_node: i64 = -1;
@@ -88,7 +88,7 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
         edges.push(label, att.iter().copied());
     }
     let isolated_count = read_delta(r)? - 1;
-    let mut isolated = Vec::with_capacity(isolated_count.min(r.remaining()) as usize);
+    let mut isolated = Vec::with_capacity(room(isolated_count, r));
     for _ in 0..isolated_count {
         let id = NodeId::try_from(read_delta(r)? - 1)
             .map_err(|_| CodecError::Malformed("node id overflow".into()))?;
@@ -108,7 +108,8 @@ pub fn decode_rule(r: &mut BitReader<'_>) -> Result<Hypergraph, CodecError> {
             "rule node id {max_node} exceeds the {slots} attachment slots and isolated nodes"
         )));
     }
-    let n = (max_node + 1) as usize;
+    let n = usize::try_from(max_node + 1)
+        .map_err(|_| CodecError::Malformed("rule node count overflow".into()))?;
     let mut rhs = Hypergraph::from_edges(n, edges).map_err(CodecError::Malformed)?;
     if isolated.iter().any(|&v| rhs.degree(v) != 0) {
         return Err(CodecError::Malformed("isolated node has edges".into()));

@@ -7,7 +7,7 @@
 //! format: containers from before list sections existed decode unchanged.
 
 use crate::perm::{apply_perm, perm_of, PermDict};
-use crate::CodecError;
+use crate::{room, CodecError};
 use grepair_bits::codes::{ceil_log2, delta_len, read_delta, write_delta};
 use grepair_bits::{BitReader, BitWriter};
 use grepair_hypergraph::{EdgeBuffer, EdgeId, EdgeLabel, Hypergraph, NodeId};
@@ -150,6 +150,10 @@ pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], m: usize) -> StartPlan 
         }
     }
     let index_bits = u64::from(k2_dict.index_bits());
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "m is dense_map's count of S's nodes, whose ids are u32"
+    )]
     let side = m as u32;
     let mut dict = PermDict::new();
     let labels = groups
@@ -167,10 +171,15 @@ pub fn plan_labels(start: &Hypergraph, dense: &[NodeId], m: usize) -> StartPlan 
                 (tree, bits)
             } else {
                 let mut points = Vec::new();
-                for (col, att) in edges.iter().enumerate() {
-                    points.extend(att.iter().map(|&v| (v, col as u32)));
+                for (col, att) in (0..).zip(&edges) {
+                    points.extend(att.iter().map(|&v| (v, col)));
                 }
-                let tree = K2Tree::build(K, side, edges.len().max(1) as u32, points);
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "a section holds at most S's edges, whose ids are u32"
+                )]
+                let cols = edges.len().max(1) as u32;
+                let tree = K2Tree::build(K, side, cols, points);
                 let count = edges.len() as u64;
                 let bits = 1 + delta_len(count + 1) + tree.encoded_bits() + count * index_bits;
                 (tree, bits)
@@ -299,12 +308,11 @@ pub fn encode_label(
 /// graph's node range is rejected here, with the section's own message,
 /// before [`Hypergraph::from_edges`] sees it (the §2 zero-panic policy).
 fn in_range(v: u64, bound: u32) -> Result<NodeId, CodecError> {
-    if v >= u64::from(bound) {
-        return Err(CodecError::Malformed(format!(
+    NodeId::try_from(v).ok().filter(|&v| v < bound).ok_or_else(|| {
+        CodecError::Malformed(format!(
             "edge attachment {v} outside the start graph's {bound} nodes"
-        )));
-    }
-    Ok(v as NodeId)
+        ))
+    })
 }
 
 /// Decode one label section of a start graph with `bound` nodes, appending
@@ -367,8 +375,8 @@ fn decode_list(
             .ok_or_else(|| CodecError::Malformed("list gap overflows".into()))
     };
     let (mut prev_src, mut prev_dst) = (0u64, 0u64);
-    let mut att: Vec<NodeId> = Vec::with_capacity(rank as usize);
-    edges.reserve(count as usize, count.saturating_mul(rank).min(r.remaining()) as usize);
+    let mut att: Vec<NodeId> = Vec::with_capacity(room(rank, r));
+    edges.reserve(room(count, r), room(count.saturating_mul(rank), r));
     for _ in 0..count {
         let first = gap(r, prev_src)?;
         if first != prev_src {
@@ -400,7 +408,8 @@ fn decode_incidence(
     label: EdgeLabel,
     dict: &PermDict,
 ) -> Result<(), CodecError> {
-    let edge_count = (read_delta(r)? - 1) as usize;
+    let edge_count = usize::try_from(read_delta(r)? - 1)
+        .map_err(|_| CodecError::Malformed("incidence edge count overflow".into()))?;
     let tree = K2Tree::decode(r)?;
     // The edge count is untrusted: it must match the incidence
     // matrix's own geometry (the encoder sets cols = edges.max(1)),
@@ -507,7 +516,8 @@ mod tests {
         let dict2 = PermDict::decode(&mut r).unwrap();
         let mut edges = EdgeBuffer::new();
         for label in &plan.labels {
-            decode_label(&mut r, &mut edges, m as u32, label.label, &dict2).unwrap();
+            let bound = u32::try_from(m).unwrap();
+            decode_label(&mut r, &mut edges, bound, label.label, &dict2).unwrap();
         }
         assert_eq!(r.remaining(), 0);
         Hypergraph::from_edges(m, edges).unwrap()
@@ -638,7 +648,7 @@ mod tests {
         let (bytes, len) = w.finish();
         let mut edges = EdgeBuffer::new();
         let mut r = BitReader::new(&bytes, len);
-        decode_label(&mut r, &mut edges, m as u32, T(0), &PermDict::new())?;
+        decode_label(&mut r, &mut edges, u32::try_from(m).unwrap(), T(0), &PermDict::new())?;
         Hypergraph::from_edges(m, edges).map_err(CodecError::Malformed)
     }
 

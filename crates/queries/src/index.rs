@@ -23,6 +23,8 @@
 //! keep grammar and index together without self-referential lifetimes.
 
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeId, EdgeLabel, Hypergraph, NodeId};
@@ -95,16 +97,12 @@ pub(crate) struct ContextIndex {
     internal_nodes: Vec<NodeId>,
     /// Context node → its slot (unused entries for dead node ids).
     slots: Vec<Slot>,
-    /// Nonterminal edges in edge-ID order.
-    nt_edges: Vec<EdgeId>,
-    /// Offset at which each `nt_edges[i]` subtree starts
-    /// (`internal_nodes.len() + Σ sizes of earlier subtrees`).
-    nt_offsets: Vec<u64>,
-    /// The same offsets by edge ID (0 for terminal edges): one load on the
-    /// row walk instead of a search.
-    edge_offsets: Vec<u64>,
-    /// Total nodes one occurrence creates.
-    size: u64,
+    /// One entry per edge id plus one: `offsets[e]` is where edge `e`'s
+    /// subtree starts — the internal-node count plus the subtree sizes of
+    /// the nonterminal edges of lower id — and the last entry is the total
+    /// one occurrence creates. A terminal, dead or node-less edge's entry
+    /// equals the next one.
+    offsets: Vec<u64>,
 }
 
 impl ContextIndex {
@@ -119,18 +117,16 @@ impl ContextIndex {
         for (i, &v) in internal_nodes.iter().enumerate() {
             slots[v as usize] = Slot::at_offset(i as u64);
         }
-        let (mut nt_edges, mut nt_offsets) = (Vec::new(), Vec::new());
-        let mut edge_offsets = vec![0; graph.edge_bound()];
+        let mut offsets = Vec::with_capacity(graph.edge_bound() + 1);
         let mut size = internal_nodes.len() as u64;
         for e in graph.edges() {
+            offsets.resize(e.id as usize + 1, size);
             if let EdgeLabel::Nonterminal(child) = e.label {
-                nt_edges.push(e.id);
-                nt_offsets.push(size);
-                edge_offsets[e.id as usize] = size;
                 size += sizes[child as usize];
             }
         }
-        Self { internal_nodes, slots, nt_edges, nt_offsets, edge_offsets, size }
+        offsets.resize(graph.edge_bound() + 1, size);
+        Self { internal_nodes, slots, offsets }
     }
 
     /// The slot of context node `x`.
@@ -140,7 +136,12 @@ impl ContextIndex {
 
     /// The offset at which nonterminal edge `e`'s subtree starts.
     pub(crate) fn edge_offset(&self, e: EdgeId) -> u64 {
-        self.edge_offsets[e as usize]
+        self.offsets[e as usize]
+    }
+
+    /// Total nodes one occurrence creates.
+    fn size(&self) -> u64 {
+        self.offsets[self.offsets.len() - 1]
     }
 }
 
@@ -148,7 +149,9 @@ impl ContextIndex {
 /// what that context's slots are as global ids at this occurrence — its
 /// first id and the ids of its external nodes. No derivation path.
 #[derive(Debug)]
-pub struct Located<'a> {
+pub struct Located<'a, G: Borrow<Grammar>> {
+    /// The index whose expansions the row walk reads.
+    pub(crate) index: &'a GrammarIndex<G>,
     pub(crate) graph: &'a Hypergraph,
     pub(crate) ctx: &'a ContextIndex,
     /// The node, internal to `graph` (or a start node).
@@ -171,19 +174,55 @@ pub struct GrammarIndex<G: Borrow<Grammar>> {
     pub(crate) rules: Vec<ContextIndex>,
     /// Total node count of `val(G)`.
     pub total_nodes: u64,
+    /// Slot-form rule expansions ([`GrammarIndex::expand`]). The row walk
+    /// only ever expands (nonterminal, external position, direction)
+    /// triples, a finite set known at build: one cell each, at
+    /// `cell_base[nt] + 2·pos + dir`, filled on first use and borrowed ever
+    /// after.
+    pub(crate) expansions: Vec<OnceLock<Vec<(u32, Slot)>>>,
+    /// First cell of each nonterminal, plus the table length as a final
+    /// entry (so `cell_base[nt]..cell_base[nt + 1]` are `nt`'s cells).
+    pub(crate) cell_base: Vec<usize>,
+    /// Expansion lookups that found their cell filled / had to fill it.
+    /// Relaxed atomics: exact totals, no lock.
+    pub(crate) expansion_hits: AtomicU64,
+    pub(crate) expansion_misses: AtomicU64,
 }
 
 impl<G: Borrow<Grammar>> GrammarIndex<G> {
-    /// Build the index in O(|G|).
+    /// Build the index in O(|G|). The expansion cells start empty.
     pub fn new(grammar: G) -> Self {
         let g: &Grammar = grammar.borrow();
         let sizes = g.derived_internal_node_counts();
         let rules: Vec<ContextIndex> =
             g.rules().iter().map(|rhs| ContextIndex::new(rhs, rhs.ext(), &sizes)).collect();
-        debug_assert!(rules.iter().zip(&sizes).all(|(rule, &size)| rule.size == size));
+        debug_assert!(rules.iter().zip(&sizes).all(|(rule, &size)| rule.size() == size));
         // External nodes S may declare are numbered like every other node.
         let start = ContextIndex::new(&g.start, &[], &sizes);
-        Self { m: start.internal_nodes.len(), total_nodes: start.size, grammar, start, rules }
+        let mut cell_base = Vec::with_capacity(g.num_nonterminals() + 1);
+        let mut cells = 0;
+        for rhs in g.rules() {
+            cell_base.push(cells);
+            cells += 2 * rhs.rank();
+        }
+        cell_base.push(cells);
+        Self {
+            m: start.internal_nodes.len(),
+            total_nodes: start.size(),
+            grammar,
+            start,
+            rules,
+            expansions: std::iter::repeat_with(OnceLock::new).take(cells).collect(),
+            cell_base,
+            expansion_hits: AtomicU64::new(0),
+            expansion_misses: AtomicU64::new(0),
+        }
+    }
+
+    /// `[hits, misses]` of the expansion lookups so far: a hit read a
+    /// filled cell, a miss filled it.
+    pub fn expansion_counts(&self) -> [u64; 2] {
+        [&self.expansion_hits, &self.expansion_misses].map(|c| c.load(Ordering::Relaxed))
     }
 
     /// The grammar this index navigates.
@@ -267,7 +306,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     /// first id and its external nodes' ids down instead of a path —
     /// O(log ℓ + h · rank), after which every neighbor id is one addition
     /// or one lookup.
-    pub fn try_resolve(&self, k: u64) -> Result<Located<'_>, QueryError> {
+    pub fn try_resolve(&self, k: u64) -> Result<Located<'_, G>, QueryError> {
         let (mut base, mut ext_ids, mut up) = (0, Vec::new(), Vec::new());
         let (graph, ctx, node) = self.descend(k, |graph, ctx, e, offset| {
             up.clear();
@@ -275,7 +314,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
             std::mem::swap(&mut ext_ids, &mut up);
             base += offset;
         })?;
-        Ok(Located { graph, ctx, node, base, ext_ids })
+        Ok(Located { index: self, graph, ctx, node, base, ext_ids })
     }
 
     /// Descend from S to the context that creates node `k`, binary-searching
@@ -295,8 +334,10 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
             if let Some(&node) = ctx.internal_nodes.get(local as usize) {
                 return Ok((graph, ctx, node));
             }
-            let j = ctx.nt_offsets.partition_point(|&o| o <= local) - 1;
-            let (edge, offset) = (ctx.nt_edges[j], ctx.nt_offsets[j]);
+            // `offsets[edge] ≤ local < offsets[edge + 1]`: the one edge
+            // whose subtree holds `local`, a nonterminal that creates nodes.
+            let e = ctx.offsets.partition_point(|&o| o <= local) - 1;
+            let (edge, offset) = (e as EdgeId, ctx.offsets[e]);
             step(graph, ctx, edge, offset);
             local -= offset;
             let EdgeLabel::Nonterminal(nt) = graph.label(edge) else { unreachable!() };
@@ -338,6 +379,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Direction;
     use grepair_hypergraph::EdgeLabel::{Nonterminal as N, Terminal as T};
 
     /// Fig. 1 grammar: S = A A A over a 4-node path, A → a·b.
@@ -498,6 +540,55 @@ mod tests {
                 assert_eq!(at.ext_ids, want, "node {k}");
             }
             assert!(idx.try_resolve(idx.total_nodes).is_err());
+        }
+    }
+
+    #[test]
+    fn offsets_that_tie_locate_and_walk_like_the_derivation() {
+        // S = A(0,1) B(1,2,3) c(3→0) A(2,3) B(3,0,1): B has no internal
+        // node, so its subtree and the terminal edge's are empty and their
+        // offsets tie with the next A's, at the middle and at the end.
+        let mut start = Hypergraph::with_nodes(4);
+        start.add_edge(N(0), &[0, 1]);
+        start.add_edge(N(1), &[1, 2, 3]);
+        start.add_edge(T(2), &[3, 0]);
+        start.add_edge(N(0), &[2, 3]);
+        start.add_edge(N(1), &[3, 0, 1]);
+        let mut a = Hypergraph::with_nodes(3);
+        a.add_edge(T(0), &[0, 1]);
+        a.add_edge(T(1), &[1, 2]);
+        a.set_ext(vec![0, 2]);
+        let mut b = Hypergraph::with_nodes(3);
+        b.add_edge(T(3), &[0, 1]);
+        b.add_edge(T(4), &[2, 1]);
+        b.set_ext(vec![0, 1, 2]);
+        let mut g = Grammar::new(start, 5);
+        g.add_rule(a);
+        g.add_rule(b);
+        g.validate().unwrap();
+        let idx = GrammarIndex::new(&g);
+        assert_eq!(idx.start.offsets, [4, 5, 5, 5, 6, 6]);
+        let derived = g.derive();
+        assert_eq!(idx.total_nodes as usize, derived.num_nodes());
+        for k in 0..idx.total_nodes {
+            let (repr, at) = (idx.locate(k), idx.try_resolve(k).unwrap());
+            assert_eq!(idx.global_id(&repr.path, repr.node), k, "node {k}");
+            assert_eq!(at.node, repr.node, "node {k}");
+            assert_eq!(at.ctx.slot(at.node).resolve(at.base, &at.ext_ids), k, "node {k}");
+            for dir in [Direction::Out, Direction::In] {
+                let mut want: Vec<(u32, u64)> = derived
+                    .incident(k as NodeId)
+                    .filter_map(|e| match (derived.label(e), derived.att(e), dir) {
+                        (T(l), &[from, to], Direction::Out) if from as u64 == k => Some((l, to)),
+                        (T(l), &[from, to], Direction::In) if to as u64 == k => Some((l, from)),
+                        _ => None,
+                    })
+                    .map(|(l, w)| (l, u64::from(w)))
+                    .collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(idx.try_edges(k, dir).unwrap(), want, "{dir:?} row of {k}");
+            }
         }
     }
 }

@@ -43,6 +43,6 @@ pub mod speedup;
 
 pub use error::QueryError;
 pub use index::{GRepr, GrammarIndex, Located, Slot};
-pub use neighbors::{Direction, Expansions};
+pub use neighbors::Direction;
 pub use reach::{ReachIndex, ReachWork};
 pub use rpq::{Nfa, Regex, RpqIndex, RpqShared, RpqWork};

@@ -10,17 +10,17 @@
 //! on (nonterminal, external position, direction), never on where the edge
 //! occurs. The paper's `getID` climb is thus paid once per expansion, not
 //! once per neighbor: a neighbor is the edge's first id plus an offset, or
-//! an id the resolved locate already holds. With every expansion already
-//! at hand — the store's once-filled table — a row of n neighbors costs
-//! O(log ℓ + h·rank + n); computed on the spot, as [`GrammarIndex`] itself
-//! does, a neighbor found d levels down is remapped once per level.
+//! an id the resolved locate already holds. The index keeps each expansion
+//! in a once-filled cell ([`GrammarIndex::expand`]), so after the first
+//! read a row of n neighbors costs O(log ℓ + h·rank + n).
 //!
 //! One scan carries the terminal label of every edge it finds and hands
 //! each hit to a caller closure: labeled rows, plain neighbor sets (label
-//! dropped at the emit) and rule expansions are emits over it. Where a
-//! nested expansion comes from is the [`Expansions`] parameter.
+//! dropped at the emit) and the cells' fills are emits over it.
 
 use std::borrow::Borrow;
+use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
 
 use crate::error::QueryError;
 use crate::index::{ContextIndex, GrammarIndex, Located, Slot};
@@ -34,24 +34,6 @@ pub enum Direction {
     Out,
     /// `N⁻`: follow edges `u → v`.
     In,
-}
-
-/// Where a row walk gets the expansion of a nested nonterminal edge.
-///
-/// [`GrammarIndex`] computes it on the spot, recursively; a caller that
-/// answers many queries keeps each `(nt, pos, dir)` expansion once and
-/// hands it back from there (the `grepair-store` crate does exactly that).
-pub trait Expansions {
-    /// Hand `f` every `(terminal label, slot)` entry of the expansion of
-    /// `(nt, pos, dir)` ([`GrammarIndex::expand`]).
-    fn each(&self, nt: u32, pos: usize, dir: Direction, f: impl FnMut(u32, Slot));
-}
-
-/// Uncached: every nested expansion is computed when the walk reaches it.
-impl<G: Borrow<Grammar>> Expansions for GrammarIndex<G> {
-    fn each(&self, nt: u32, pos: usize, dir: Direction, mut f: impl FnMut(u32, Slot)) {
-        self.expand(nt, pos, dir, self, &mut f);
-    }
 }
 
 impl<G: Borrow<Grammar>> GrammarIndex<G> {
@@ -91,7 +73,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         out: &mut Vec<u64>,
     ) -> Result<(), QueryError> {
         out.clear();
-        self.try_resolve(k)?.row(dir, self, |_, id| out.push(id));
+        self.try_resolve(k)?.row(dir, |_, id| out.push(id));
         out.sort_unstable();
         out.dedup();
         Ok(())
@@ -102,7 +84,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     /// sorted and deduplicated.
     pub fn try_edges(&self, k: u64, dir: Direction) -> Result<Vec<(u32, u64)>, QueryError> {
         let mut out = Vec::new();
-        self.try_resolve(k)?.row(dir, self, |label, id| out.push((label, id)));
+        self.try_resolve(k)?.row(dir, |label, id| out.push((label, id)));
         out.sort_unstable();
         out.dedup();
         Ok(out)
@@ -110,25 +92,83 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
 
     /// Slot-form rule expansion: the row of the `pos`-th external node
     /// *inside* the subgraph derived from one `nt`-edge, as `(terminal
-    /// label, slot)` entries relative to that edge, handed to `f`. Nested
-    /// nonterminal edges come from `nested`; their offsets shift by where
-    /// their subtree starts in `rhs(nt)`, and their external positions map
-    /// through their attachment. Nothing when there is no such nonterminal
-    /// or position.
-    pub fn expand(
-        &self,
-        nt: u32,
-        pos: usize,
-        dir: Direction,
-        nested: &impl Expansions,
-        f: &mut dyn FnMut(u32, Slot),
-    ) {
-        let nt = nt as usize;
-        let (Some(rhs), Some(ctx)) = (self.grammar().rules().get(nt), self.rules.get(nt)) else {
-            return;
+    /// label, slot)` entries relative to that edge. The first call fills
+    /// the triple's cell, every later one borrows it — no hash, no lock.
+    /// Nested nonterminal edges read their own cells; their offsets shift
+    /// by where their subtree starts in `rhs(nt)`, and their external
+    /// positions map through their attachment. Empty, and counted nowhere,
+    /// when there is no such nonterminal or position.
+    pub fn expand(&self, nt: u32, pos: usize, dir: Direction) -> &[(u32, Slot)] {
+        let Some(cell) = self.cell(nt, pos, dir) else {
+            return &[];
         };
-        if let Some(&v) = rhs.ext().get(pos) {
-            scan(rhs, ctx, v, dir, nested, f);
+        if let Some(hit) = cell.get() {
+            self.expansion_hits.fetch_add(1, Ordering::Relaxed);
+            return hit;
+        }
+        self.expansion_misses.fetch_add(1, Ordering::Relaxed);
+        // The fill reads nested cells. Those are other cells — a
+        // straight-line grammar only nests strictly smaller nonterminals —
+        // so the recursion is finite and never waits on the cell it fills.
+        cell.get_or_init(|| {
+            let (rhs, ctx) = (self.grammar().rule(nt), &self.rules[nt as usize]);
+            let mut entries = Vec::new();
+            let v = rhs.ext()[pos];
+            self.scan(rhs, ctx, v, dir, &mut |label, slot| entries.push((label, slot)));
+            entries
+        })
+    }
+
+    /// The table cell of `(nt, pos, dir)`, if the table has one.
+    fn cell(&self, nt: u32, pos: usize, dir: Direction) -> Option<&OnceLock<Vec<(u32, Slot)>>> {
+        let nt = nt as usize;
+        let (base, end) = (*self.cell_base.get(nt)?, *self.cell_base.get(nt + 1)?);
+        let dir = match dir {
+            Direction::Out => 0,
+            Direction::In => 1,
+        };
+        self.expansions.get(base..end)?.get(pos.saturating_mul(2).saturating_add(dir))
+    }
+
+    /// The one incident-edge scan, `getNeighboring` of §V in slot form:
+    /// every rank-2 terminal edge leaving (or entering) `v` in `graph` and
+    /// in the subgraphs its nonterminal edges derive, emitted as its
+    /// terminal label and the slot of its other endpoint in `graph`.
+    fn scan(
+        &self,
+        graph: &Hypergraph,
+        ctx: &ContextIndex,
+        v: NodeId,
+        dir: Direction,
+        emit: &mut impl FnMut(u32, Slot),
+    ) {
+        for e in graph.incident(v) {
+            let edge = graph.edge(e);
+            match edge.label {
+                EdgeLabel::Terminal(label) => {
+                    debug_assert!(edge.rank() <= 2, "terminal hyperedges have no direction");
+                    match (dir, edge.att) {
+                        (Direction::Out, &[from, to]) if from == v => emit(label, ctx.slot(to)),
+                        (Direction::In, &[from, to]) if to == v => emit(label, ctx.slot(from)),
+                        _ => {}
+                    }
+                }
+                EdgeLabel::Nonterminal(nt) => {
+                    // Descend for every position at which `v` is attached.
+                    let base = ctx.edge_offset(e);
+                    for (pos, &x) in edge.att.iter().enumerate() {
+                        if x == v {
+                            for &(label, slot) in self.expand(nt, pos, dir) {
+                                let slot = match slot.offset() {
+                                    Ok(off) => Slot::at_offset(base + off),
+                                    Err(p) => ctx.slot(edge.att[p]),
+                                };
+                                emit(label, slot);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 
@@ -188,69 +228,35 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     }
 }
 
-impl Located<'_> {
+impl<G: Borrow<Grammar>> Located<'_, G> {
     /// The row of the located node in direction `dir`, every edge emitted
-    /// as `(terminal label, global id)`, nested expansions taken from
-    /// `nested`. The node is internal to its context (or a start node), so
-    /// every edge of `val(G)` incident with it appears in that context or
-    /// below.
-    pub fn row(&self, dir: Direction, nested: &impl Expansions, mut emit: impl FnMut(u32, u64)) {
-        scan(self.graph, self.ctx, self.node, dir, nested, &mut |label, slot: Slot| {
+    /// as `(terminal label, global id)`. The node is internal to its
+    /// context (or a start node), so every edge of `val(G)` incident with
+    /// it appears in that context or below.
+    pub fn row(&self, dir: Direction, mut emit: impl FnMut(u32, u64)) {
+        self.index.scan(self.graph, self.ctx, self.node, dir, &mut |label, slot: Slot| {
             emit(label, slot.resolve(self.base, &self.ext_ids))
         });
-    }
-}
-
-/// The one incident-edge scan, `getNeighboring` of §V in slot form: every
-/// rank-2 terminal edge leaving (or entering) `v` in `graph` and in the
-/// subgraphs its nonterminal edges derive, emitted as its terminal label
-/// and the slot of its other endpoint in `graph`.
-fn scan<F: FnMut(u32, Slot) + ?Sized>(
-    graph: &Hypergraph,
-    ctx: &ContextIndex,
-    v: NodeId,
-    dir: Direction,
-    nested: &impl Expansions,
-    emit: &mut F,
-) {
-    for e in graph.incident(v) {
-        let edge = graph.edge(e);
-        match edge.label {
-            EdgeLabel::Terminal(label) => {
-                debug_assert!(edge.rank() <= 2, "terminal hyperedges have no direction");
-                match (dir, edge.att) {
-                    (Direction::Out, &[from, to]) if from == v => emit(label, ctx.slot(to)),
-                    (Direction::In, &[from, to]) if to == v => emit(label, ctx.slot(from)),
-                    _ => {}
-                }
-            }
-            EdgeLabel::Nonterminal(nt) => {
-                // Descend for every position at which `v` is attached.
-                let base = ctx.edge_offset(e);
-                for (pos, &x) in edge.att.iter().enumerate() {
-                    if x == v {
-                        nested.each(nt, pos, dir, |label, slot| {
-                            emit(
-                                label,
-                                match slot.offset() {
-                                    Ok(off) => Slot::at_offset(base + off),
-                                    Err(p) => ctx.slot(edge.att[p]),
-                                },
-                            )
-                        });
-                    }
-                }
-            }
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use grepair_core::{compress, GRePairConfig};
     use grepair_grammar::Grammar;
     use grepair_hypergraph::EdgeLabel::{Nonterminal as N, Terminal as T};
     use grepair_hypergraph::Hypergraph;
+
+    /// `reps` repetitions of `a·b` on a path, compressed: nested rules
+    /// whose expansions carry both labels.
+    fn two_label_path(reps: u32) -> Grammar {
+        let (g, _) = Hypergraph::from_simple_edges(
+            (2 * reps + 1) as usize,
+            (0..reps).flat_map(|i| [(2 * i, 0u32, 2 * i + 1), (2 * i + 1, 1u32, 2 * i + 2)]),
+        );
+        compress(&g, &GRePairConfig::default()).grammar
+    }
 
     fn fig1() -> Grammar {
         let mut start = Hypergraph::with_nodes(4);
@@ -371,5 +377,74 @@ mod tests {
         let idx = GrammarIndex::new(&g);
         assert_eq!(idx.out_neighbors(0).len(), 6);
         check_against_derivation(&g);
+    }
+
+    #[test]
+    fn cached_expansion_matches_reference() {
+        // Every cell, resolved at every concrete occurrence of its
+        // nonterminal that creates a node: its first id and the ids of its
+        // external nodes turn slots into ids, which must be what `getID`
+        // makes of the path-form expansion there.
+        let grammar = two_label_path(24);
+        let idx = GrammarIndex::new(&grammar);
+        let mut checked = 0;
+        for k in idx.m as u64..idx.total_nodes {
+            let repr = idx.locate(k);
+            let nt = idx.nt_at(&repr.path);
+            let rhs = grammar.rule(nt);
+            // Internal nodes come first, in id order: `k` is the base plus
+            // the number of internal nodes before `repr.node`.
+            let before = (0..repr.node).filter(|&x| !rhs.is_external(x)).count() as u64;
+            let base = k - before;
+            let ext_ids: Vec<u64> =
+                rhs.ext().iter().map(|&x| idx.global_id(&repr.path, x)).collect();
+            for pos in 0..rhs.rank() {
+                for dir in [Direction::Out, Direction::In] {
+                    let mut got: Vec<(u32, u64)> = idx
+                        .expand(nt, pos, dir)
+                        .iter()
+                        .map(|&(label, slot)| (label, slot.resolve(base, &ext_ids)))
+                        .collect();
+                    let mut want: Vec<(u32, u64)> = idx
+                        .rule_expansion(nt, pos, dir)
+                        .into_iter()
+                        .map(|(rel, label, node)| {
+                            (label, idx.global_id(&[&repr.path[..], &rel].concat(), node))
+                        })
+                        .collect();
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "nt {nt} pos {pos} {dir:?} at node {k}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 0);
+    }
+
+    #[test]
+    fn expansion_table_counts_hits_and_computes_out_of_table_triples_uncached() {
+        let grammar = two_label_path(16);
+        let idx = GrammarIndex::new(&grammar);
+        assert_eq!(idx.expansion_counts(), [0, 0], "cells fill on first use");
+        let first = idx.expand(0, 0, Direction::Out).to_vec();
+        let [hits, misses] = idx.expansion_counts();
+        assert!(misses >= 1, "the first lookup fills the cell");
+        // A second lookup of the same triple is a hit on the same entries.
+        assert_eq!(idx.expand(0, 0, Direction::Out), first);
+        assert_eq!(idx.expansion_counts(), [hits + 1, misses]);
+        // Triples the table has no cell for — a position beyond the rank
+        // (which must not alias the next nonterminal's cells), an unknown
+        // nonterminal — are computed uncached: empty, as the reference
+        // expansion is, never a panic, no counter moved.
+        let rank = grammar.nt_rank(0);
+        let unknown = grammar.num_nonterminals() as u32;
+        for dir in [Direction::Out, Direction::In] {
+            assert!(idx.rule_expansion(0, rank, dir).is_empty());
+            for (nt, pos) in [(0, rank), (0, usize::MAX), (unknown, 0)] {
+                assert!(idx.expand(nt, pos, dir).is_empty(), "({nt}, {pos})");
+            }
+        }
+        assert_eq!(idx.expansion_counts(), [hits + 1, misses]);
     }
 }

@@ -1,52 +1,18 @@
 //! Neighborhoods on the grammar ≡ rows of the decompressed graph — the twin
 //! of `reach_families.rs`: every `datasets` family, compressed at three rank
 //! bounds, every node asked in both directions. Rows are read three ways:
-//! the bare index's labeled rows and neighbor sets (every nested expansion
-//! computed on the spot), and the same walk over expansions kept once per
-//! (nonterminal, position, direction) and read back, as a serving store
-//! keeps them. The version family's grammars are the deepest, so their
-//! rows resolve external nodes several levels up.
+//! the index's labeled rows (which fill the expansion cells they reach),
+//! its neighbor sets, and the resolved walk itself — the last two read
+//! the cells back without filling one, as a serving store does. The
+//! version family's grammars are the deepest, so their rows resolve
+//! external nodes several levels up.
 
 mod common;
 
-use std::borrow::Borrow;
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
-use std::rc::Rc;
-
 use common::{config, families};
 use grepair_core::compress;
-use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeLabel, Hypergraph};
-use grepair_queries::{Direction, Expansions, GrammarIndex, QueryError, Slot};
-
-/// One filled expansion: `(terminal label, slot)` entries.
-type Filled = Rc<Vec<(u32, Slot)>>;
-
-/// Expansions filled once each and read back from then on.
-struct Memo<'a, G: Borrow<Grammar>> {
-    index: &'a GrammarIndex<G>,
-    cells: RefCell<HashMap<(u32, usize, Direction), Filled>>,
-    fills: Cell<usize>,
-}
-
-impl<G: Borrow<Grammar>> Expansions for Memo<'_, G> {
-    fn each(&self, nt: u32, pos: usize, dir: Direction, mut f: impl FnMut(u32, Slot)) {
-        let hit = self.cells.borrow().get(&(nt, pos, dir)).cloned();
-        let cell = hit.unwrap_or_else(|| {
-            // Filled outside the borrow: the fill reads nested cells.
-            let mut entries = Vec::new();
-            self.index.expand(nt, pos, dir, self, &mut |label, slot| entries.push((label, slot)));
-            self.fills.set(self.fills.get() + 1);
-            let cell = Rc::new(entries);
-            self.cells.borrow_mut().insert((nt, pos, dir), Rc::clone(&cell));
-            cell
-        });
-        for &(label, slot) in cell.iter() {
-            f(label, slot);
-        }
-    }
-}
+use grepair_queries::{Direction, GrammarIndex, QueryError};
 
 /// The labeled row of `v` in a decompressed graph, sorted and deduplicated.
 fn derived_row(g: &Hypergraph, v: u32, dir: Direction) -> Vec<(u32, u64)> {
@@ -70,7 +36,6 @@ fn check_every_row(family: &str, g: &Hypergraph, max_rank: usize) -> usize {
     let out = compress(g, &config(max_rank));
     let derived = out.grammar.derive();
     let index = GrammarIndex::new(&out.grammar);
-    let memo = Memo { index: &index, cells: RefCell::default(), fills: Cell::new(0) };
     let n = index.total_nodes;
     assert_eq!(n as usize, derived.num_nodes(), "{family}");
     let mut nodes = Vec::new();
@@ -79,19 +44,20 @@ fn check_every_row(family: &str, g: &Hypergraph, max_rank: usize) -> usize {
             let want = derived_row(&derived, v as u32, dir);
             let at = format!("{family} max_rank {max_rank}: {dir:?} row of {v}");
             assert_eq!(index.try_edges(v, dir).as_ref(), Ok(&want), "{at}");
+            let [_, misses] = index.expansion_counts();
             index.try_neighbors_into(v, dir, &mut nodes).unwrap();
             let mut want_nodes: Vec<u64> = want.iter().map(|&(_, w)| w).collect();
             want_nodes.sort_unstable();
             want_nodes.dedup();
             assert_eq!(nodes, want_nodes, "{at}");
             let mut cached = Vec::new();
-            index.try_resolve(v).unwrap().row(dir, &memo, |l, w| cached.push((l, w)));
+            index.try_resolve(v).unwrap().row(dir, |l, w| cached.push((l, w)));
             cached.sort_unstable();
             cached.dedup();
             assert_eq!(cached, want, "{at}, expansions read back");
+            assert_eq!(index.expansion_counts()[1], misses, "{at}: one fill per cell");
         }
     }
-    assert_eq!(memo.fills.get(), memo.cells.borrow().len(), "{family}: one fill per cell");
     let out_of_range = Err(QueryError::NodeOutOfRange { id: n, total: n });
     assert_eq!(index.try_edges(n, Direction::In), out_of_range, "{family}");
     out.grammar.height()

@@ -112,6 +112,22 @@ fn a_rule_value_past_32_bits_is_an_error() {
     }
 }
 
+/// Two rule-free payloads whose header holds a value of 2³² + 1: the
+/// terminal count (51 bits) and a start graph's external node (58 bits).
+/// Read as `u32`, each would keep its low bits and load as the grammar the
+/// value 1 writes; each is an error.
+#[test]
+fn a_header_value_past_32_bits_is_an_error() {
+    for (payload, bit_len, what) in [
+        (&[0x04, 0x20, 0x00, 0x00, 0x00, 0x55, 0xa0][..], 51, "terminal count overflow"),
+        (&[0x4a, 0xa0, 0x21, 0x00, 0x00, 0x00, 0x02, 0x40], 58, "external node out of range"),
+    ] {
+        let file = write_container(payload, bit_len);
+        let err = GraphStore::from_bytes(&file).unwrap_err().to_string();
+        assert!(err.contains(what), "{err}");
+    }
+}
+
 /// Both shapes of grammar container, encoding the same unlabeled path
 /// graph: compressed (rules, renumbered nodes) and rule-free (S alone).
 fn backend_containers() -> Vec<(&'static str, Vec<u8>)> {
