@@ -9,8 +9,9 @@
 //!   ID costs O(h) (ℓ = nonterminal edges in S, h = grammar height); a
 //!   resolved locate carries ids instead of a path, O(log ℓ + h·rank).
 //! * [`neighbors`] — in/out neighborhood queries (Proposition 4) over
-//!   slot-form rule expansions: O(log ℓ + h·rank + n) for n neighbors once
-//!   the expansions are at hand.
+//!   slot-form rule expansions, each kept in a once-filled cell of the
+//!   index: O(log ℓ + h·rank + n) for n neighbors once the cells a row
+//!   reads are filled.
 //! * [`reach`] — (s,t)-reachability via per-nonterminal *skeleton graphs*
 //!   (Theorem 6), built with Tarjan SCC exactly as in the paper's proof;
 //!   every context graph is condensed and labelled once at index build, so

@@ -21,7 +21,7 @@
 //!   occurrence's `Arc`, and [`GraphStore::render_batch`] — the wire's
 //!   entry — renders the same answers as reply bytes into the caller's
 //!   buffer, a repeat copying its first occurrence's bytes; rule
-//!   expansions (a table with one once-filled cell
+//!   expansions (the navigation index's own table, one once-filled cell
 //!   per (nonterminal, external position, direction), hit/miss counters in
 //!   [`StoreStats`]) and compiled RPQ plans (a bounded map) are store-wide
 //!   and serve one-shot queries just as well. `DESIGN.md §5` has the
