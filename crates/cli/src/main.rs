@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 use grepair_core::{compress, GRePairConfig};
+use grepair_grammar::Grammar;
 use grepair_hypergraph::order::NodeOrder;
 use grepair_hypergraph::{io, Hypergraph};
 use std::process::ExitCode;
@@ -153,6 +154,16 @@ fn parse_compress_opts(args: &[String]) -> Result<CompressOpts, CliError> {
     let mut config = GRePairConfig::default();
     if let Some(raw) = flag_value(args, "--max-rank") {
         config.max_rank = raw.parse().map_err(|e| format!("bad --max-rank: {e}"))?;
+        // A rule's rank is at most `max_rank`; the container holds no edge
+        // of a larger rank than `Grammar::MAX_RANK`, so refuse before any
+        // file is written.
+        if config.max_rank > Grammar::MAX_RANK {
+            return Err(CliError::Usage(format!(
+                "bad --max-rank: {} is past the container's edge rank bound {}",
+                config.max_rank,
+                Grammar::MAX_RANK
+            )));
+        }
     }
     if let Some(raw) = flag_value(args, "--order") {
         config.order = match raw.as_str() {

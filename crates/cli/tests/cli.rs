@@ -623,6 +623,25 @@ fn backend_flag_is_a_usage_error_naming_the_flag() {
 }
 
 #[test]
+fn compress_refuses_a_rank_the_container_cannot_hold() {
+    // A rule's rank is bounded by `--max-rank`, and a container holds no
+    // edge of rank 256 or more: such a bound is refused before anything is
+    // written, and the largest one the container holds still compresses.
+    let input = scratch("max_rank.txt");
+    std::fs::write(&input, "0 1\n1 2\n2 0\n").unwrap();
+    let written = scratch("max_rank.g2g");
+    let written = written.to_str().unwrap();
+    let out = grepair(&["compress", input.to_str().unwrap(), "-o", written, "--max-rank", "256"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--max-rank") && stderr.contains("255"), "{stderr}");
+    assert!(!std::path::Path::new(written).exists(), "a refused bound wrote output");
+    let out = grepair(&["compress", input.to_str().unwrap(), "-o", written, "--max-rank", "255"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(std::path::Path::new(written).exists());
+}
+
+#[test]
 fn compress_trace_reports_every_phase_and_changes_no_byte() {
     // A hub plus a long two-label path: enough structure for every phase
     // and counter to do some work.

@@ -185,6 +185,32 @@ mod tests {
     }
 
     #[test]
+    fn rank_255_edges_round_trip() {
+        // S: a rank-255 terminal edge and a rank-2 one (so the label is an
+        // incidence section), and a rank-255 nonterminal edge attached in
+        // reverse; the rule: 255 external nodes and one internal node under
+        // a rank-255 terminal edge. `Grammar::validate` refuses one rank
+        // more, which decoding would reject.
+        let (rank, r) = (Grammar::MAX_RANK, NodeId::try_from(Grammar::MAX_RANK).unwrap());
+        let nodes: Vec<NodeId> = (0..r).collect();
+        let mut start = Hypergraph::with_nodes(rank);
+        start.add_edge(EdgeLabel::Terminal(0), &nodes);
+        start.add_edge(EdgeLabel::Terminal(0), &nodes[..2]);
+        let reversed: Vec<NodeId> = nodes.iter().rev().copied().collect();
+        start.add_edge(EdgeLabel::Nonterminal(0), &reversed);
+        let mut rhs = Hypergraph::with_nodes(rank + 1);
+        let inner: Vec<NodeId> = std::iter::once(r).chain(0..r - 1).collect();
+        rhs.add_edge(EdgeLabel::Terminal(1), &inner);
+        rhs.set_ext(nodes);
+        let mut grammar = Grammar::new(start, 2);
+        grammar.add_rule(rhs);
+        grammar.validate().unwrap();
+        let encoded = encode(&grammar);
+        let decoded = decode(&encoded.bytes, encoded.bit_len).unwrap();
+        assert_eq!(decoded.derive().edge_multiset(), grammar.derive().edge_multiset());
+    }
+
+    #[test]
     fn empty_grammar_round_trips() {
         let grammar = Grammar::new(Hypergraph::with_nodes(0), 0);
         let encoded = encode(&grammar);

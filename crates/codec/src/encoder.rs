@@ -20,6 +20,11 @@ use grepair_hypergraph::EdgeLabel;
 ///    k²-tree and the permutation indices; or `1 1`, δ(rank), δ(edge count)
 ///    and the gap-coded edges;
 /// 3. the rules, in nonterminal order.
+///
+/// The grammar must pass [`Grammar::validate`]; in particular no edge may
+/// have a rank past [`Grammar::MAX_RANK`] (255), since an attachment
+/// position is stored in one byte and [`crate::decode`] rejects a larger
+/// rank. The compressor's ranks are bounded by its `max_rank`.
 pub fn encode(grammar: &Grammar) -> EncodedGrammar {
     let start = &grammar.start;
     let (dense, m) = dense_map(start);

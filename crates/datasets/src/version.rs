@@ -1,7 +1,7 @@
 //! Version graphs (Table III, Figs. 13–14): disjoint unions of multiple
 //! versions of the same graph.
 
-use grepair_hypergraph::Hypergraph;
+use grepair_hypergraph::{EdgeBuffer, Hypergraph};
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
@@ -131,22 +131,29 @@ impl CoauthorshipHistory {
     }
 }
 
-/// Disjoint union of arbitrary graphs.
+/// Disjoint union of arbitrary graphs, built at exact size: every part's
+/// edges, shifted, in order into one buffer and one
+/// [`Hypergraph::from_edges`], then the nodes dead in their part removed.
 pub fn disjoint_union(graphs: &[Hypergraph]) -> Hypergraph {
-    let total: usize = graphs.iter().map(Hypergraph::node_bound).sum();
-    let mut g = Hypergraph::with_nodes(total);
+    let (mut edges, mut dead) = (EdgeBuffer::new(), Vec::new());
+    let (count, atts) = graphs
+        .iter()
+        .flat_map(Hypergraph::edges)
+        .fold((0, 0), |(n, a), e| (n + 1, a + e.att.len()));
+    edges.reserve(count, atts);
     let mut off = 0u32;
     for part in graphs {
         for e in part.edges() {
-            let att: Vec<u32> = e.att.iter().map(|&v| v + off).collect();
-            g.add_edge(e.label, &att);
+            edges.push(e.label, e.att.iter().map(|&v| v + off));
         }
-        for v in 0..part.node_bound() as u32 {
-            if !part.node_is_alive(v) {
-                g.remove_node(v + off);
-            }
-        }
-        off += part.node_bound() as u32;
+        let bound = part.node_bound() as u32;
+        dead.extend((0..bound).filter(|&v| !part.node_is_alive(v)).map(|v| v + off));
+        off += bound;
+    }
+    let mut g = Hypergraph::from_edges(off as usize, edges)
+        .expect("each part's attachments are distinct nodes of its own id range");
+    for v in dead {
+        g.remove_node(v);
     }
     g
 }
@@ -204,6 +211,46 @@ mod tests {
     use super::*;
     use crate::stats;
     use grepair_hypergraph::EdgeLabel;
+
+    #[test]
+    fn disjoint_union_is_the_add_edge_build() {
+        // Parts with dead nodes, in the middle and at the end of their range.
+        let mut holes = Hypergraph::with_nodes(6);
+        for (a, b) in [(0, 1), (1, 2), (4, 5), (5, 0)] {
+            holes.add_edge(EdgeLabel::Terminal(1), &[a, b]);
+        }
+        holes.remove_node(3);
+        let mut tail = circle_with_diagonal();
+        let v = tail.add_node();
+        tail.remove_node(v);
+        let history = CoauthorshipHistory::generate(4, 20, 30, 5, 3);
+        let mut parts: Vec<Hypergraph> = (0..4).map(|y| history.snapshot(y)).collect();
+        parts.extend([holes, tail]);
+        // The reference: the graph grown one `add_edge` at a time.
+        let total: usize = parts.iter().map(Hypergraph::node_bound).sum();
+        let mut grown = Hypergraph::with_nodes(total);
+        let mut off = 0u32;
+        for part in &parts {
+            for e in part.edges() {
+                let att: Vec<u32> = e.att.iter().map(|&v| v + off).collect();
+                grown.add_edge(e.label, &att);
+            }
+            for v in 0..part.node_bound() as u32 {
+                if !part.node_is_alive(v) {
+                    grown.remove_node(v + off);
+                }
+            }
+            off += part.node_bound() as u32;
+        }
+        let built = disjoint_union(&parts);
+        built.validate().unwrap();
+        assert!(built.edges().eq(grown.edges()));
+        assert_eq!(built.node_bound(), grown.node_bound());
+        for v in 0..total as u32 {
+            assert_eq!(built.node_is_alive(v), grown.node_is_alive(v), "node {v}");
+            assert!(built.incident(v).eq(grown.incident(v)), "node {v}");
+        }
+    }
 
     #[test]
     fn circle_with_diagonal_shape() {

@@ -129,6 +129,11 @@ impl Grammar {
     pub fn derive(&self) -> Hypergraph {
         let mut d = Derivation { edges: EdgeBuffer::new(), maps: Vec::new(), nodes: 0 };
         let [edges, atts] = terminal_size(&self.start, &self.derived_terminal_sizes());
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "a pre-size hint: a truncated count only reserves less, and val(G) \
+                      past usize edges could not be built anyway"
+        )]
         d.edges.reserve(edges as usize, atts as usize);
         d.maps.resize(self.start.node_bound(), NodeId::MAX);
         for v in self.start.node_ids() {
@@ -259,11 +264,10 @@ mod tests {
         assert_eq!(derived.num_nodes(), 13);
         assert_eq!(derived.num_edges(), 8);
         // First A-edge's internal node is 9 and carries edges 0→9→1, etc.
-        for (i, (s, t)) in [(0u32, 1u32), (2, 3), (4, 5), (6, 7)].iter().enumerate() {
-            let mid = 9 + i as u32;
+        for (mid, (s, t)) in (9u32..).zip([(0u32, 1u32), (2, 3), (4, 5), (6, 7)]) {
             let ms = derived.edge_multiset();
-            assert!(ms.contains(&(T(0), vec![*s, mid])), "missing {s}->{mid}");
-            assert!(ms.contains(&(T(0), vec![mid, *t])), "missing {mid}->{t}");
+            assert!(ms.contains(&(T(0), vec![s, mid])), "missing {s}->{mid}");
+            assert!(ms.contains(&(T(0), vec![mid, t])), "missing {mid}->{t}");
         }
         // |G| = |S| + |rhs| = (9+4) + (3+2) = 18; |val| = 13 + 8 = 21;
         // they differ by exactly con(A) = 3 — the paper's Fig. 6 check.

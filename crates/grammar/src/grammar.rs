@@ -18,6 +18,10 @@ pub struct Grammar {
 }
 
 impl Grammar {
+    /// The largest edge rank a grammar may hold: the container stores an
+    /// attachment position in one byte, and decoding rejects a larger rank.
+    pub const MAX_RANK: usize = 255;
+
     /// Grammar with start graph `start` over `num_terminals` terminal labels
     /// and no rules (it derives `start` itself).
     pub fn new(start: Hypergraph, num_terminals: u32) -> Self {
@@ -26,8 +30,9 @@ impl Grammar {
 
     /// Add a rule; returns the new nonterminal's index.
     pub fn add_rule(&mut self, rhs: Hypergraph) -> u32 {
+        let nt = u32::try_from(self.rules.len()).expect("a nonterminal id is a u32");
         self.rules.push(rhs);
-        (self.rules.len() - 1) as u32
+        nt
     }
 
     /// Right-hand side of nonterminal `nt`.
@@ -130,7 +135,8 @@ impl Grammar {
         let n = self.rules.len();
         let mut state = vec![0u8; n]; // 0 = unseen, 1 = open, 2 = done
         let mut order = Vec::with_capacity(n);
-        for root in 0..n as u32 {
+        // Nonterminal ids are u32 (`add_rule`): counted, not narrowed.
+        for root in (0u32..).take(n) {
             if state[root as usize] == 2 {
                 continue;
             }
@@ -187,10 +193,12 @@ impl Grammar {
         };
         let mut depth = vec![0usize; self.rules.len()];
         for &nt in &order {
-            let d = self
-                .nt_children(nt)
-                .iter()
-                .map(|&c| depth[c as usize])
+            let d = self.rules[nt as usize]
+                .edges()
+                .filter_map(|e| match e.label {
+                    EdgeLabel::Nonterminal(c) => Some(depth[c as usize]),
+                    EdgeLabel::Terminal(_) => None,
+                })
                 .max()
                 .unwrap_or(0);
             depth[nt as usize] = d + 1;
@@ -216,6 +224,7 @@ impl Grammar {
     /// The grammar-level half of [`Grammar::validate`], for graphs whose
     /// own invariants hold by construction (as [`Hypergraph::from_edges`]
     /// guarantees them):
+    /// * every edge's rank is at most [`Grammar::MAX_RANK`],
     /// * terminal labels are `< num_terminals`, nonterminal labels have
     ///   rules,
     /// * every nonterminal edge's rank equals its rule's rank
@@ -224,6 +233,14 @@ impl Grammar {
     pub fn validate_references(&self) -> Result<(), String> {
         let check_graph = |g: &Hypergraph| -> Result<(), String> {
             for e in g.edges() {
+                if e.att.len() > Self::MAX_RANK {
+                    return Err(format!(
+                        "edge {} has rank {}: edge rank out of range (at most {})",
+                        e.id,
+                        e.att.len(),
+                        Self::MAX_RANK
+                    ));
+                }
                 match e.label {
                     EdgeLabel::Terminal(t) => {
                         if t >= self.num_terminals {
@@ -310,6 +327,7 @@ impl Grammar {
 mod tests {
     use super::*;
     use grepair_hypergraph::EdgeLabel::{Nonterminal as N, Terminal as T};
+    use grepair_hypergraph::NodeId;
 
     /// The grammar of Fig. 1a: S = A A A on a 4-node path, A → a·b digram
     /// (rank 2, one internal node).
@@ -330,6 +348,22 @@ mod tests {
     #[test]
     fn fig1_is_valid() {
         fig1_grammar().validate().unwrap();
+    }
+
+    #[test]
+    fn validate_bounds_edge_rank_by_the_container() {
+        for rank in [Grammar::MAX_RANK, Grammar::MAX_RANK + 1] {
+            let mut start = Hypergraph::with_nodes(rank);
+            let nodes: Vec<NodeId> = (0..NodeId::try_from(rank).unwrap()).collect();
+            start.add_edge(T(0), &nodes);
+            let verdict = Grammar::new(start, 1).validate();
+            if rank <= Grammar::MAX_RANK {
+                verdict.unwrap();
+            } else {
+                let e = verdict.unwrap_err();
+                assert!(e.contains("edge rank out of range"), "{e}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 #![forbid(unsafe_code)]
 // Libraries return data; binaries print (DESIGN.md §9.1).
 #![deny(clippy::print_stdout, clippy::print_stderr, clippy::exit)]
+// A count or id is narrowed by `try_from` or an audited cast (§9.1).
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod derive;
 pub mod grammar;

@@ -1,11 +1,13 @@
 //! Errors for the fallible query entry points.
 //!
-//! The panicking entry points ([`crate::GrammarIndex::locate`] and friends)
-//! remain for trusted in-process callers (tests, benchmarks) whose inputs
-//! come from the compressor itself; anything driven by external input — the
-//! CLI, a [store](https://docs.rs/grepair-store) serving traffic — goes
-//! through the `try_*` variants, which return this error instead of
-//! panicking.
+//! The one thing a query can be asked that does not exist is a node id past
+//! `val(G)`. The panicking entry points ([`crate::GrammarIndex::locate`],
+//! [`crate::ReachIndex::reachable`], [`crate::RpqIndex::matches`] and the
+//! neighbor shorthands) remain for trusted in-process callers (tests,
+//! benchmarks) whose ids come from the index itself; anything driven by
+//! external input — the CLI, a [store](https://docs.rs/grepair-store)
+//! serving traffic — goes through the `try_*` variants, which return this
+//! error instead of panicking.
 
 /// A query was asked about something that does not exist in `val(G)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,10 +19,6 @@ pub enum QueryError {
         /// Number of nodes in `val(G)`; valid ids are `0..total`.
         total: u64,
     },
-    /// A derivation-path operation needs a non-empty path.
-    EmptyPath,
-    /// A derivation path descended through a terminal edge.
-    TerminalEdgeOnPath,
 }
 
 impl std::fmt::Display for QueryError {
@@ -28,10 +26,6 @@ impl std::fmt::Display for QueryError {
         match self {
             QueryError::NodeOutOfRange { id, total } => {
                 write!(f, "node id {id} out of range (valid ids: 0..{total})")
-            }
-            QueryError::EmptyPath => write!(f, "empty derivation path"),
-            QueryError::TerminalEdgeOnPath => {
-                write!(f, "derivation path through a terminal edge")
             }
         }
     }

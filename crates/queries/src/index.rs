@@ -6,8 +6,12 @@
 //! nonterminal edge of S, then nonterminal edges of successive right-hand
 //! sides, ending at an internal node `v` of the last rule (or just `v` for a
 //! start-graph node). [`GrammarIndex::locate`] computes it in
-//! O(log ℓ + h) by binary-searching subtree-size prefix sums;
-//! [`GrammarIndex::global_id`] is the inverse `getID`.
+//! O(log ℓ + h) by binary-searching subtree-size prefix sums, and records
+//! each level as the descent passes it: a [`Hop`] is the edge, its
+//! nonterminal and its attachment, which is all reachability and RPQ read
+//! to climb back up, so neither walks the path again.
+//! [`GrammarIndex::global_id`] is the inverse `getID`, an independent walk
+//! kept as the tests' reference.
 //!
 //! Because the numbering is depth-first, the nodes one occurrence of a
 //! context graph creates are one contiguous id range, laid out the same way
@@ -33,16 +37,35 @@ use crate::error::QueryError;
 
 /// A G-representation: the derivation path and the final node.
 ///
-/// `path` is empty for start-graph nodes; otherwise `path[0]` is a
-/// nonterminal edge of S and `path[i]` a nonterminal edge of the rhs of
-/// `path[i-1]`'s label. `node` is an *internal* node of the last rhs (or an
-/// alive start node when `path` is empty).
+/// `hops` is empty for start-graph nodes; otherwise `hops[0]` is a
+/// nonterminal edge of S and `hops[i]` a nonterminal edge of the rhs of
+/// `hops[i-1].nt`. `node` is an *internal* node of the last rhs (or an
+/// alive start node when there are no hops).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GRepr {
-    /// Edge path from the start graph down.
-    pub path: Vec<EdgeId>,
+pub struct GRepr<'a> {
+    /// The descent from the start graph down, one hop per level.
+    pub hops: Vec<Hop<'a>>,
     /// Final node (context-local ID).
     pub node: NodeId,
+}
+
+impl GRepr<'_> {
+    /// The edge ids alone, the path form [`GrammarIndex::global_id`] takes.
+    pub fn path(&self) -> Vec<EdgeId> {
+        self.hops.iter().map(|hop| hop.edge).collect()
+    }
+}
+
+/// One level of a G-representation: a nonterminal edge, its label and its
+/// attachment in the context graph that hosts it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hop<'a> {
+    /// The edge, in the host context.
+    pub edge: EdgeId,
+    /// The nonterminal labeling it: the next level's context is its rhs.
+    pub nt: u32,
+    /// Its attachment nodes, in the host context.
+    pub att: &'a [NodeId],
 }
 
 /// Where a node of a context graph sits relative to one occurrence of that
@@ -174,6 +197,8 @@ pub struct GrammarIndex<G: Borrow<Grammar>> {
     pub(crate) rules: Vec<ContextIndex>,
     /// Total node count of `val(G)`.
     pub total_nodes: u64,
+    /// The grammar's height: the most hops a G-representation has.
+    height: usize,
     /// Slot-form rule expansions ([`GrammarIndex::expand`]). The row walk
     /// only ever expands (nonterminal, external position, direction)
     /// triples, a finite set known at build: one cell each, at
@@ -209,6 +234,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         Self {
             m: start.internal_nodes.len(),
             total_nodes: start.size(),
+            height: g.height(),
             grammar,
             start,
             rules,
@@ -230,75 +256,26 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         self.grammar.borrow()
     }
 
-    /// The sequence of context graphs along `path`: `contexts[0]` = S, then
-    /// the rhs each edge descends into; `contexts[i+1]` is the rhs of
-    /// `path[i]`'s label (which labels `path[i]` within `contexts[i]`).
-    pub fn contexts(&self, path: &[EdgeId]) -> Vec<&Hypergraph> {
-        let g = self.grammar();
-        let mut out = Vec::with_capacity(path.len() + 1);
-        out.push(&g.start);
-        for &e in path {
-            let host = *out.last().unwrap();
-            let EdgeLabel::Nonterminal(nt) = host.label(e) else {
-                panic!("path through terminal edge");
-            };
-            out.push(g.rule(nt));
-        }
-        out
-    }
-
-    /// Per edge of a derivation path, top down: the nonterminal it is
-    /// labeled with and its attachment in the context that hosts it.
-    pub fn hops(&self, path: &[EdgeId]) -> Vec<(u32, &[NodeId])> {
-        let g = self.grammar();
-        let mut host = &g.start;
-        path.iter()
-            .map(|&e| {
-                let EdgeLabel::Nonterminal(nt) = host.label(e) else {
-                    unreachable!("a located path descends through nonterminal edges")
-                };
-                let att = host.att(e);
-                host = g.rule(nt);
-                (nt, att)
-            })
-            .collect()
-    }
-
-    /// The context graph a path ends in: S for the empty path, else the rhs
-    /// of the last edge's label.
-    pub fn context(&self, path: &[EdgeId]) -> &Hypergraph {
-        self.contexts(path).last().unwrap()
-    }
-
-    /// Nonterminal labeling the last edge of `path` (panics on empty path;
-    /// [`GrammarIndex::try_nt_at`] is the checked variant).
-    pub fn nt_at(&self, path: &[EdgeId]) -> u32 {
-        self.try_nt_at(path).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Nonterminal labeling the last edge of `path`.
-    pub fn try_nt_at(&self, path: &[EdgeId]) -> Result<u32, QueryError> {
-        let (&last, prefix) = path.split_last().ok_or(QueryError::EmptyPath)?;
-        let host = self.context(prefix);
-        match host.label(last) {
-            EdgeLabel::Nonterminal(nt) => Ok(nt),
-            EdgeLabel::Terminal(_) => Err(QueryError::TerminalEdgeOnPath),
-        }
-    }
-
     /// Compute the G-representation of global node `k` (Prop. 4 step 1):
     /// O(log ℓ + h). Panics when `k` is not a `val(G)` node;
     /// [`GrammarIndex::try_locate`] is the checked variant.
-    pub fn locate(&self, k: u64) -> GRepr {
+    pub fn locate(&self, k: u64) -> GRepr<'_> {
         self.try_locate(k).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Compute the G-representation of global node `k`, or report the valid
-    /// id range when `k` lies outside `val(G)`.
-    pub fn try_locate(&self, k: u64) -> Result<GRepr, QueryError> {
-        let mut path = Vec::new();
-        let (_, _, node) = self.descend(k, |_, _, e, _| path.push(e))?;
-        Ok(GRepr { path, node })
+    /// id range when `k` lies outside `val(G)`. The hops are what the
+    /// descent passes on its way down; their `Vec` is sized at the
+    /// grammar's height on the first one.
+    pub fn try_locate(&self, k: u64) -> Result<GRepr<'_>, QueryError> {
+        let mut hops = Vec::new();
+        let (_, _, node) = self.descend(k, |graph, _, edge, nt, _| {
+            if hops.is_empty() {
+                hops.reserve_exact(self.height);
+            }
+            hops.push(Hop { edge, nt, att: graph.att(edge) });
+        })?;
+        Ok(GRepr { hops, node })
     }
 
     /// Locate global node `k` for row walks ([`Located::row`]): the same
@@ -308,7 +285,7 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     /// or one lookup.
     pub fn try_resolve(&self, k: u64) -> Result<Located<'_, G>, QueryError> {
         let (mut base, mut ext_ids, mut up) = (0, Vec::new(), Vec::new());
-        let (graph, ctx, node) = self.descend(k, |graph, ctx, e, offset| {
+        let (graph, ctx, node) = self.descend(k, |graph, ctx, e, _, offset| {
             up.clear();
             up.extend(graph.att(e).iter().map(|&x| ctx.slot(x).resolve(base, &ext_ids)));
             std::mem::swap(&mut ext_ids, &mut up);
@@ -319,12 +296,13 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
 
     /// Descend from S to the context that creates node `k`, binary-searching
     /// subtree offsets per level. `step` sees every nonterminal edge on the
-    /// way, with the context that hosts it and its subtree's offset there.
-    fn descend(
-        &self,
+    /// way, with the context that hosts it, its label and its subtree's
+    /// offset there.
+    fn descend<'s>(
+        &'s self,
         k: u64,
-        mut step: impl FnMut(&Hypergraph, &ContextIndex, EdgeId, u64),
-    ) -> Result<(&Hypergraph, &ContextIndex, NodeId), QueryError> {
+        mut step: impl FnMut(&'s Hypergraph, &ContextIndex, EdgeId, u32, u64),
+    ) -> Result<(&'s Hypergraph, &'s ContextIndex, NodeId), QueryError> {
         if k >= self.total_nodes {
             return Err(QueryError::NodeOutOfRange { id: k, total: self.total_nodes });
         }
@@ -338,9 +316,9 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
             // whose subtree holds `local`, a nonterminal that creates nodes.
             let e = ctx.offsets.partition_point(|&o| o <= local) - 1;
             let (edge, offset) = (e as EdgeId, ctx.offsets[e]);
-            step(graph, ctx, edge, offset);
-            local -= offset;
             let EdgeLabel::Nonterminal(nt) = graph.label(edge) else { unreachable!() };
+            step(graph, ctx, edge, nt, offset);
+            local -= offset;
             (graph, ctx) = (g.rule(nt), &self.rules[nt as usize]);
         }
     }
@@ -348,16 +326,23 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
     /// `getID` (§V): the global ID of context-local node `node` under
     /// `path`. Climbs out of external nodes in O(h).
     pub fn global_id(&self, path: &[EdgeId], node: NodeId) -> u64 {
-        let contexts = self.contexts(path);
-        let mut depth = path.len();
-        let mut node = node;
+        // The context graph and index of every level: S, then the rhs each
+        // edge of `path` descends into.
+        let g = self.grammar();
+        let mut levels = vec![(&g.start, &self.start)];
+        for &e in path {
+            let EdgeLabel::Nonterminal(nt) = levels[levels.len() - 1].0.label(e) else {
+                panic!("path through terminal edge");
+            };
+            levels.push((g.rule(nt), &self.rules[nt as usize]));
+        }
+        let (mut depth, mut node) = (path.len(), node);
         // While the node is external in its context, it merges with the
         // parent attachment.
         while depth > 0 {
-            let rhs = contexts[depth];
-            match rhs.ext().iter().position(|&x| x == node) {
+            match levels[depth].0.ext().iter().position(|&x| x == node) {
                 Some(pos) => {
-                    node = contexts[depth - 1].att(path[depth - 1])[pos];
+                    node = levels[depth - 1].0.att(path[depth - 1])[pos];
                     depth -= 1;
                 }
                 None => break,
@@ -365,14 +350,9 @@ impl<G: Borrow<Grammar>> GrammarIndex<G> {
         }
         // Internal node: offset of every subtree on the way down + its
         // position among the internal nodes of its context.
-        let mut ctx = &self.start;
-        let mut id = 0;
-        for (d, &e) in path[..depth].iter().enumerate() {
-            id += ctx.edge_offset(e);
-            let EdgeLabel::Nonterminal(nt) = contexts[d].label(e) else { unreachable!() };
-            ctx = &self.rules[nt as usize];
-        }
-        id + ctx.slot(node).offset().expect("an internal node has an offset")
+        let id: u64 =
+            path[..depth].iter().zip(&levels).map(|(&e, (_, ctx))| ctx.edge_offset(e)).sum();
+        id + levels[depth].1.slot(node).offset().expect("an internal node has an offset")
     }
 }
 
@@ -397,6 +377,27 @@ mod tests {
         g
     }
 
+    /// S = N1(0,1) N1(1,2); N1 → N0 · c; N0 → a · b: every node of the
+    /// inner N0 sits two levels down.
+    fn nested_grammar() -> Grammar {
+        let mut start = Hypergraph::with_nodes(3);
+        start.add_edge(N(1), &[0, 1]);
+        start.add_edge(N(1), &[1, 2]);
+        let mut rhs0 = Hypergraph::with_nodes(3);
+        rhs0.add_edge(T(0), &[0, 2]);
+        rhs0.add_edge(T(1), &[2, 1]);
+        rhs0.set_ext(vec![0, 1]);
+        let mut rhs1 = Hypergraph::with_nodes(3);
+        rhs1.add_edge(N(0), &[0, 2]);
+        rhs1.add_edge(T(2), &[2, 1]);
+        rhs1.set_ext(vec![0, 1]);
+        let mut g = Grammar::new(start, 3);
+        g.add_rule(rhs0);
+        g.add_rule(rhs1);
+        g.validate().unwrap();
+        g
+    }
+
     #[test]
     fn locate_and_global_id_are_inverse() {
         let g = fig1();
@@ -404,7 +405,7 @@ mod tests {
         assert_eq!(idx.total_nodes, 7);
         for k in 0..idx.total_nodes {
             let repr = idx.locate(k);
-            assert_eq!(idx.global_id(&repr.path, repr.node), k, "node {k}");
+            assert_eq!(idx.global_id(&repr.path(), repr.node), k, "node {k}");
         }
     }
 
@@ -414,12 +415,12 @@ mod tests {
         let idx = GrammarIndex::new(&g);
         for k in 0..4 {
             let repr = idx.locate(k);
-            assert!(repr.path.is_empty());
+            assert!(repr.hops.is_empty());
             assert_eq!(repr.node as u64, k);
         }
         // Node 4 is the internal node of the first A-edge.
         let repr = idx.locate(4);
-        assert_eq!(repr.path, vec![0]);
+        assert_eq!(repr.path(), vec![0]);
         assert_eq!(repr.node, 1);
     }
 
@@ -453,11 +454,11 @@ mod tests {
         assert_eq!(idx.total_nodes, 4);
         for k in 0..4 {
             let repr = idx.locate(k);
-            assert_eq!(idx.global_id(&repr.path, repr.node), k);
+            assert_eq!(idx.global_id(&repr.path(), repr.node), k);
         }
         // Node 3 is N0's internal node, two levels deep.
         let repr = idx.locate(3);
-        assert_eq!(repr.path.len(), 2);
+        assert_eq!(repr.hops.len(), 2);
     }
 
     #[test]
@@ -482,11 +483,22 @@ mod tests {
     }
 
     #[test]
-    fn try_nt_at_checks_path() {
+    fn hops_carry_label_and_attachment() {
         let g = fig1();
         let idx = GrammarIndex::new(&g);
-        assert_eq!(idx.try_nt_at(&[]), Err(QueryError::EmptyPath));
-        assert_eq!(idx.try_nt_at(&[0]), Ok(0));
+        assert_eq!(idx.locate(6).hops, [Hop { edge: 2, nt: 0, att: &[2, 3] }]);
+        // Every hop is the edge's label and attachment in its host, which
+        // is S or the rhs of the hop above.
+        let nested = nested_grammar();
+        let idx = GrammarIndex::new(&nested);
+        for k in 0..idx.total_nodes {
+            let mut host = &nested.start;
+            for hop in idx.locate(k).hops {
+                assert_eq!(host.label(hop.edge), N(hop.nt), "node {k}");
+                assert_eq!(host.att(hop.edge), hop.att, "node {k}");
+                host = nested.rule(hop.nt);
+            }
+        }
     }
 
     #[test]
@@ -511,32 +523,16 @@ mod tests {
 
     #[test]
     fn resolved_locate_agrees_with_get_id() {
-        // fig1 (every node one level down), and the nested grammar of
-        // `nested_grammar_index` widened so an external node is resolved
-        // two levels up.
-        let mut start = Hypergraph::with_nodes(3);
-        start.add_edge(N(1), &[0, 1]);
-        start.add_edge(N(1), &[1, 2]);
-        let mut rhs0 = Hypergraph::with_nodes(3);
-        rhs0.add_edge(T(0), &[0, 2]);
-        rhs0.add_edge(T(1), &[2, 1]);
-        rhs0.set_ext(vec![0, 1]);
-        let mut rhs1 = Hypergraph::with_nodes(3);
-        rhs1.add_edge(N(0), &[0, 2]);
-        rhs1.add_edge(T(2), &[2, 1]);
-        rhs1.set_ext(vec![0, 1]);
-        let mut nested = Grammar::new(start, 3);
-        nested.add_rule(rhs0);
-        nested.add_rule(rhs1);
-        nested.validate().unwrap();
-        for g in [fig1(), nested] {
+        // fig1 (every node one level down), and a nested grammar where an
+        // external node is resolved two levels up.
+        for g in [fig1(), nested_grammar()] {
             let idx = GrammarIndex::new(&g);
             for k in 0..idx.total_nodes {
                 let (repr, at) = (idx.locate(k), idx.try_resolve(k).unwrap());
                 assert_eq!(at.node, repr.node);
                 assert_eq!(at.ctx.slot(at.node).resolve(at.base, &at.ext_ids), k);
-                let ext = idx.context(&repr.path).ext();
-                let want: Vec<u64> = ext.iter().map(|&x| idx.global_id(&repr.path, x)).collect();
+                let ext = repr.hops.last().map_or(&[][..], |hop| g.rule(hop.nt).ext());
+                let want: Vec<u64> = ext.iter().map(|&x| idx.global_id(&repr.path(), x)).collect();
                 assert_eq!(at.ext_ids, want, "node {k}");
             }
             assert!(idx.try_resolve(idx.total_nodes).is_err());
@@ -572,7 +568,7 @@ mod tests {
         assert_eq!(idx.total_nodes as usize, derived.num_nodes());
         for k in 0..idx.total_nodes {
             let (repr, at) = (idx.locate(k), idx.try_resolve(k).unwrap());
-            assert_eq!(idx.global_id(&repr.path, repr.node), k, "node {k}");
+            assert_eq!(idx.global_id(&repr.path(), repr.node), k, "node {k}");
             assert_eq!(at.node, repr.node, "node {k}");
             assert_eq!(at.ctx.slot(at.node).resolve(at.base, &at.ext_ids), k, "node {k}");
             for dir in [Direction::Out, Direction::In] {

@@ -5,9 +5,10 @@
 //! not been implemented"). This crate implements them:
 //!
 //! * [`index::GrammarIndex`] — G-representations of `val(G)` node IDs:
-//!   locating a node costs O(log ℓ + h), mapping a representation back to an
-//!   ID costs O(h) (ℓ = nonterminal edges in S, h = grammar height); a
-//!   resolved locate carries ids instead of a path, O(log ℓ + h·rank).
+//!   locating a node costs O(log ℓ + h) and yields one hop (edge,
+//!   nonterminal, attachment) per level, mapping a representation back to
+//!   an ID costs O(h) (ℓ = nonterminal edges in S, h = grammar height); a
+//!   resolved locate carries ids instead of hops, O(log ℓ + h·rank).
 //! * [`neighbors`] — in/out neighborhood queries (Proposition 4) over
 //!   slot-form rule expansions, each kept in a once-filled cell of the
 //!   index: O(log ℓ + h·rank + n) for n neighbors once the cells a row
@@ -15,7 +16,7 @@
 //! * [`reach`] — (s,t)-reachability via per-nonterminal *skeleton graphs*
 //!   (Theorem 6), built with Tarjan SCC exactly as in the paper's proof;
 //!   every context graph is condensed and labelled once at index build, so
-//!   a query climbs two derivation paths and compares labels instead of
+//!   a query climbs the hops of two locates and compares labels instead of
 //!   walking O(|G|) edges.
 //! * [`speedup`] — one-pass CMSO-style aggregate queries (Proposition 5
 //!   flavor): number of connected components, and max/min degree.
@@ -43,7 +44,7 @@ pub mod rpq;
 pub mod speedup;
 
 pub use error::QueryError;
-pub use index::{GRepr, GrammarIndex, Located, Slot};
+pub use index::{GRepr, GrammarIndex, Hop, Located, Slot};
 pub use neighbors::Direction;
 pub use reach::{ReachIndex, ReachWork};
 pub use rpq::{Nfa, Regex, RpqIndex, RpqShared, RpqWork};

@@ -390,14 +390,14 @@ mod tests {
         let mut checked = 0;
         for k in idx.m as u64..idx.total_nodes {
             let repr = idx.locate(k);
-            let nt = idx.nt_at(&repr.path);
+            let (nt, path) = (repr.hops[repr.hops.len() - 1].nt, repr.path());
             let rhs = grammar.rule(nt);
             // Internal nodes come first, in id order: `k` is the base plus
             // the number of internal nodes before `repr.node`.
             let before = (0..repr.node).filter(|&x| !rhs.is_external(x)).count() as u64;
             let base = k - before;
             let ext_ids: Vec<u64> =
-                rhs.ext().iter().map(|&x| idx.global_id(&repr.path, x)).collect();
+                rhs.ext().iter().map(|&x| idx.global_id(&path, x)).collect();
             for pos in 0..rhs.rank() {
                 for dir in [Direction::Out, Direction::In] {
                     let mut got: Vec<(u32, u64)> = idx
@@ -409,7 +409,7 @@ mod tests {
                         .rule_expansion(nt, pos, dir)
                         .into_iter()
                         .map(|(rel, label, node)| {
-                            (label, idx.global_id(&[&repr.path[..], &rel].concat(), node))
+                            (label, idx.global_id(&[&path[..], &rel].concat(), node))
                         })
                         .collect();
                     got.sort_unstable();

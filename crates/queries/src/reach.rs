@@ -16,11 +16,12 @@
 //! that "does `a` reach `b` inside this context?" is a label test
 //! (DESIGN.md §3.2).
 //!
-//! A query resolves both nodes' G-representations and climbs each derivation
-//! path carrying only the **seeds** of a level: the node itself at the
-//! bottom, and one level up the attachment nodes of those externals that
-//! some seed reaches (forward climb) or that reach some seed (backward
-//! climb) — at most `rank` per level. At every context the two paths share,
+//! A query locates both nodes — each G-representation is the hops of its
+//! derivation path — and climbs each path carrying only the **seeds** of a
+//! level: the node itself at the bottom, and one level up the attachment
+//! nodes of those externals that some seed reaches (forward climb) or that
+//! reach some seed (backward climb) — at most `rank` per level, in two
+//! buffers swapped per level. At every context the two paths share,
 //! `s ⇝ t` iff some forward seed reaches some backward seed there — paths
 //! that leave a subtree and re-enter appear at the shallowest level they
 //! visit, where the skeleton edges summarize the detours.
@@ -31,7 +32,7 @@ use std::sync::Arc;
 use crate::condensation::Condensation;
 pub use crate::condensation::ReachWork;
 use crate::error::QueryError;
-use crate::index::{GRepr, GrammarIndex};
+use crate::index::{GRepr, GrammarIndex, Hop};
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
 
@@ -200,17 +201,16 @@ impl<G: Borrow<Grammar>> ReachIndex<G> {
 
     /// Does the node at `s` reach the node at `t`?
     fn connects(&self, s: &GRepr, t: &GRepr, work: &mut ReachWork) -> bool {
-        let common = s.path.iter().zip(&t.path).take_while(|(a, b)| a == b).count();
-        let (hops_s, hops_t) = (self.index.hops(&s.path), self.index.hops(&t.path));
-        let (mut fwd, mut bwd) = (vec![s.node], vec![t.node]);
+        let common = s.hops.iter().zip(&t.hops).take_while(|(a, b)| a.edge == b.edge).count();
+        let (mut fwd, mut bwd, mut up) = (vec![s.node], vec![t.node], Vec::new());
         // Each endpoint on its own up to the deepest context both are in …
-        for &hop in hops_s[common..].iter().rev() {
-            if !self.climb(hop, &mut fwd, false, work) {
+        for hop in s.hops[common..].iter().rev() {
+            if !self.climb(hop, &mut fwd, &mut up, false, work) {
                 return false;
             }
         }
-        for &hop in hops_t[common..].iter().rev() {
-            if !self.climb(hop, &mut bwd, true, work) {
+        for hop in t.hops[common..].iter().rev() {
+            if !self.climb(hop, &mut bwd, &mut up, true, work) {
                 return false;
             }
         }
@@ -218,14 +218,14 @@ impl<G: Borrow<Grammar>> ReachIndex<G> {
         for depth in (0..=common).rev() {
             let ctx = match depth {
                 0 => &self.start,
-                _ => &self.rules[hops_s[depth - 1].0 as usize],
+                _ => &self.rules[s.hops[depth - 1].nt as usize],
             };
             if fwd.iter().any(|&f| bwd.iter().any(|&b| ctx.reaches(f, b, work))) {
                 return true;
             }
             if depth > 0
-                && !(self.climb(hops_s[depth - 1], &mut fwd, false, work)
-                    && self.climb(hops_s[depth - 1], &mut bwd, true, work))
+                && !(self.climb(&s.hops[depth - 1], &mut fwd, &mut up, false, work)
+                    && self.climb(&s.hops[depth - 1], &mut bwd, &mut up, true, work))
             {
                 return false;
             }
@@ -233,34 +233,32 @@ impl<G: Borrow<Grammar>> ReachIndex<G> {
         false
     }
 
-    /// Carry `seeds` from inside `rhs(nt)` one level up through the edge
-    /// attached at `att`: an external node some seed reaches (`backward`:
-    /// that reaches some seed) becomes the attachment node it merges with.
-    /// False when nothing gets out.
+    /// Carry `seeds` from inside `rhs(hop.nt)` one level up through the
+    /// hop's edge: an external node some seed reaches (`backward`: that
+    /// reaches some seed) becomes the attachment node it merges with. `up`
+    /// is scratch, swapped with `seeds`. False when nothing gets out.
     fn climb(
         &self,
-        (nt, att): (u32, &[NodeId]),
+        hop: &Hop,
         seeds: &mut Vec<NodeId>,
+        up: &mut Vec<NodeId>,
         backward: bool,
         work: &mut ReachWork,
     ) -> bool {
-        let ctx = &self.rules[nt as usize];
-        let ext = self.index.grammar().rule(nt).ext();
-        let up: Vec<NodeId> = ext
-            .iter()
-            .zip(att)
-            .filter(|&(&x, _)| {
-                seeds.iter().any(|&v| {
-                    if backward {
-                        ctx.reaches(x, v, work)
-                    } else {
-                        ctx.reaches(v, x, work)
-                    }
-                })
-            })
-            .map(|(_, &a)| a)
-            .collect();
-        *seeds = up;
+        let ctx = &self.rules[hop.nt as usize];
+        let ext = self.index.grammar().rule(hop.nt).ext();
+        up.clear();
+        up.extend(ext.iter().zip(hop.att).filter_map(|(&x, &a)| {
+            let out = seeds.iter().any(|&v| {
+                if backward {
+                    ctx.reaches(x, v, work)
+                } else {
+                    ctx.reaches(v, x, work)
+                }
+            });
+            out.then_some(a)
+        }));
+        std::mem::swap(seeds, up);
         !seeds.is_empty()
     }
 }

@@ -18,10 +18,11 @@
 //! [`RpqShared`] that any number of compiled patterns point at; its index
 //! can itself be the one a [`crate::ReachIndex`] built.
 //!
-//! A query resolves both derivation paths into hops, as reachability does,
-//! closes each endpoint alone inside the right-hand sides only it is in and
-//! lifts what reaches an external node; at every rule level both are in,
-//! both are closed, tested for a common configuration and lifted together.
+//! A query locates both endpoints, as reachability does (each locate is the
+//! hops of its derivation path), closes each endpoint alone inside the
+//! right-hand sides only it is in and lifts what reaches an external node;
+//! at every rule level both are in, both are closed, tested for a common
+//! configuration and lifted together.
 //! The start graph — where almost all of a poorly compressible graph lives —
 //! is not closed over: a forward and a backward search advance alternately,
 //! always the side whose *work so far + cost of its next pop* is smaller,
@@ -46,7 +47,7 @@ use std::sync::Arc;
 
 use crate::adjacency::{label_run, Adjacency, Rows};
 use crate::error::QueryError;
-use crate::index::GrammarIndex;
+use crate::index::{GrammarIndex, Hop};
 use grepair_grammar::Grammar;
 use grepair_hypergraph::{EdgeLabel, Hypergraph, NodeId};
 use grepair_util::FxHashSet;
@@ -298,25 +299,24 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
         // are out of range) before any search runs: a hostile id costs two
         // lookups.
         let (rs, rt) = (index.try_locate(s)?, index.try_locate(t)?);
-        let (hops_s, hops_t) = (index.hops(&rs.path), index.hops(&rt.path));
-        let common = rs.path.iter().zip(&rt.path).take_while(|(a, b)| a == b).count();
+        let common = rs.hops.iter().zip(&rt.hops).take_while(|(a, b)| a.edge == b.edge).count();
         let mut fwd = Side::new(self.nfa.start_states().iter().map(|&q| (rs.node, q)));
         let mut bwd = Side::new(self.nfa.accept_states().iter().map(|&q| (rt.node, q)));
         // Each endpoint on its own up to the deepest context both are in …
-        for &hop in hops_s[common..].iter().rev() {
-            self.walk(Some(hop.0), false).close(&mut fwd);
+        for hop in rs.hops[common..].iter().rev() {
+            self.walk(Some(hop.nt), false).close(&mut fwd);
             fwd = self.lift(hop, &fwd);
         }
-        for &hop in hops_t[common..].iter().rev() {
-            self.walk(Some(hop.0), true).close(&mut bwd);
+        for hop in rt.hops[common..].iter().rev() {
+            self.walk(Some(hop.nt), true).close(&mut bwd);
             bwd = self.lift(hop, &bwd);
         }
         // … then level by level together, testing before every step up: a
         // path exists iff some shared level holds a common configuration.
         let meet = |fwd: &Side, bwd: &Side| bwd.seen.iter().any(|cfg| fwd.seen.contains(cfg));
-        for &hop in hops_s[..common].iter().rev() {
-            self.walk(Some(hop.0), false).close(&mut fwd);
-            self.walk(Some(hop.0), true).close(&mut bwd);
+        for hop in rs.hops[..common].iter().rev() {
+            self.walk(Some(hop.nt), false).close(&mut fwd);
+            self.walk(Some(hop.nt), true).close(&mut bwd);
             if meet(&fwd, &bwd) {
                 return Ok((true, RpqWork { rules: fwd.work + bwd.work, start: 0 }));
             }
@@ -351,13 +351,13 @@ impl<G: Borrow<Grammar>> RpqIndex<G> {
         Walk { graph, adj, nfa: &self.nfa, base: &self.base, cells, backward }
     }
 
-    /// Carry a side closed inside `rhs(nt)` one level up through the edge
-    /// attached at `att`: an external node seen in some state becomes the
+    /// Carry a side closed inside `rhs(hop.nt)` one level up through the
+    /// hop's edge: an external node seen in some state becomes the
     /// attachment node it merges with, in that state. The work travels along.
-    fn lift(&self, (nt, att): (u32, &[NodeId]), side: &Side) -> Side {
-        let ext = self.shared.index.grammar().rule(nt).ext();
+    fn lift(&self, hop: &Hop, side: &Side) -> Side {
+        let ext = self.shared.index.grammar().rule(hop.nt).ext();
         let up = side.seen.iter().filter_map(|&(n, state)| {
-            ext.iter().position(|&x| x == n).map(|pos| (att[pos], state))
+            ext.iter().position(|&x| x == n).map(|pos| (hop.att[pos], state))
         });
         Side { work: side.work, ..Side::new(up) }
     }

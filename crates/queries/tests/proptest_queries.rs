@@ -112,7 +112,7 @@ proptest! {
         let idx = GrammarIndex::new(&out.grammar);
         for k in 0..idx.total_nodes {
             let repr = idx.locate(k);
-            prop_assert_eq!(idx.global_id(&repr.path, repr.node), k);
+            prop_assert_eq!(idx.global_id(&repr.path(), repr.node), k);
         }
     }
 

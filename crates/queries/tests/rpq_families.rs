@@ -105,7 +105,7 @@ fn pairs_inside_one_rule_subtree_take_the_shared_levels() {
                 .map(|s| (s, s + 1))
                 .filter(|&(s, t)| {
                     let (rs, rt) = (index.locate(s), index.locate(t));
-                    rs.path[0] == rt.path[0] && rs.path.len().max(rt.path.len()) >= 2
+                    rs.hops[0].edge == rt.hops[0].edge && rs.hops.len().max(rt.hops.len()) >= 2
                 })
                 .take(200)
                 .collect();
